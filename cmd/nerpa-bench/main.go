@@ -5,7 +5,6 @@
 //	nerpa-bench -exp all            # everything at paper scale
 //	nerpa-bench -exp ports -n 2000  # T1, the §4.3 2000-port measurement
 //	nerpa-bench -exp lb|incr|label|label-dense|fig3|loc
-//	nerpa-bench -exp parallel -workers 1,2,4,8   # writes BENCH_parallel.json
 package main
 
 import (
@@ -18,31 +17,46 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/obs"
 )
 
-func parseWorkers(s string) ([]int, error) {
+// parseCounts parses a comma-separated list of positive integers.
+func parseCounts(s string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad -workers element %q", f)
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad element %q", f)
 		}
-		out = append(out, w)
+		out = append(out, n)
 	}
 	return out, nil
 }
 
+// report writes an experiment's result to path as indented JSON (the
+// committed BENCH_*.json baselines hack/check.sh gates against).
+func report[T fmt.Stringer](path string, res T, err error) (fmt.Stringer, error) {
+	if err != nil {
+		return nil, err
+	}
+	data, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		return nil, err
+	}
+	fmt.Printf("wrote %s\n", path)
+	return res, nil
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: ports, lb, incr, label, label-dense, fig3, loc, parallel, provenance, obs-overhead, reconnect, throughput, recovery, fanout, all")
+	exp := flag.String("exp", "all", "experiment: ports, lb, incr, label, label-dense, fig3, loc, provenance, obs-overhead, reconnect, throughput, recovery, fanout, all")
 	n := flag.Int("n", 2000, "ports for -exp ports")
 	vips := flag.Int("vips", 50, "load balancers for -exp lb")
 	backends := flag.Int("backends", 500, "backends per load balancer for -exp lb")
 	changes := flag.Int("changes", 50, "changes for -exp incr")
 	nodes := flag.Int("nodes", 20000, "nodes for -exp label")
 	churn := flag.Int("churn", 100, "link events for -exp label")
-	workers := flag.String("workers", "1,2,4,8", "comma-separated worker counts for -exp parallel")
-	parallelOut := flag.String("parallel-out", "BENCH_parallel.json", "machine-readable output for -exp parallel")
 	provOut := flag.String("provenance-out", "BENCH_provenance.json", "machine-readable output for -exp provenance")
 	obsTxns := flag.Int("obs-txns", 300, "transactions per mode for -exp obs-overhead")
 	obsOut := flag.String("obs-overhead-out", "BENCH_obs_overhead.json", "machine-readable output for -exp obs-overhead")
@@ -98,114 +112,38 @@ func main() {
 	if want("label") {
 		run("label", func() (fmt.Stringer, error) { return bench.RunLabeling(*nodes, 0, *churn) })
 	}
-	if want("parallel") {
-		run("parallel", func() (fmt.Stringer, error) {
-			ws, err := parseWorkers(*workers)
-			if err != nil {
-				return nil, err
-			}
-			res, err := bench.RunParallelScaling(1000, 32, 20, ws, obs.NewRegistry())
-			if err != nil {
-				return nil, err
-			}
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			if err := os.WriteFile(*parallelOut, append(data, '\n'), 0o644); err != nil {
-				return nil, err
-			}
-			fmt.Printf("wrote %s\n", *parallelOut)
-			return res, nil
-		})
-	}
 	if want("provenance") {
 		run("provenance", func() (fmt.Stringer, error) {
 			res, err := bench.RunProvenance(1000, 32, 200)
-			if err != nil {
-				return nil, err
-			}
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			if err := os.WriteFile(*provOut, append(data, '\n'), 0o644); err != nil {
-				return nil, err
-			}
-			fmt.Printf("wrote %s\n", *provOut)
-			return res, nil
+			return report(*provOut, res, err)
 		})
 	}
 	if want("obs-overhead") {
 		run("obs-overhead", func() (fmt.Stringer, error) {
 			res, err := bench.RunObsOverhead(*obsTxns)
-			if err != nil {
-				return nil, err
-			}
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			if err := os.WriteFile(*obsOut, append(data, '\n'), 0o644); err != nil {
-				return nil, err
-			}
-			fmt.Printf("wrote %s\n", *obsOut)
-			return res, nil
+			return report(*obsOut, res, err)
 		})
 	}
 	if want("reconnect") {
 		run("reconnect", func() (fmt.Stringer, error) {
-			sizes, err := parseWorkers(*reconnectPorts)
+			sizes, err := parseCounts(*reconnectPorts)
 			if err != nil {
 				return nil, fmt.Errorf("bad -reconnect-ports: %w", err)
 			}
 			res, err := bench.RunReconnect(sizes, *reconnectRestarts)
-			if err != nil {
-				return nil, err
-			}
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			if err := os.WriteFile(*reconnectOut, append(data, '\n'), 0o644); err != nil {
-				return nil, err
-			}
-			fmt.Printf("wrote %s\n", *reconnectOut)
-			return res, nil
+			return report(*reconnectOut, res, err)
 		})
 	}
 	if want("throughput") {
 		run("throughput", func() (fmt.Stringer, error) {
 			res, err := bench.RunThroughput(*tpWorkers, *tpTxns)
-			if err != nil {
-				return nil, err
-			}
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			if err := os.WriteFile(*tpOut, append(data, '\n'), 0o644); err != nil {
-				return nil, err
-			}
-			fmt.Printf("wrote %s\n", *tpOut)
-			return res, nil
+			return report(*tpOut, res, err)
 		})
 	}
 	if want("recovery") {
 		run("recovery", func() (fmt.Stringer, error) {
 			res, err := bench.RunRecovery(*recoveryTxns, *recoveryGap)
-			if err != nil {
-				return nil, err
-			}
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			if err := os.WriteFile(*recoveryOut, append(data, '\n'), 0o644); err != nil {
-				return nil, err
-			}
-			fmt.Printf("wrote %s\n", *recoveryOut)
-			return res, nil
+			return report(*recoveryOut, res, err)
 		})
 	}
 	if want("fanout") {
@@ -215,18 +153,7 @@ func main() {
 				Conns:       *fanoutConns,
 				ChurnTxns:   *fanoutChurn,
 			})
-			if err != nil {
-				return nil, err
-			}
-			data, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			if err := os.WriteFile(*fanoutOut, append(data, '\n'), 0o644); err != nil {
-				return nil, err
-			}
-			fmt.Printf("wrote %s\n", *fanoutOut)
-			return res, nil
+			return report(*fanoutOut, res, err)
 		})
 	}
 	if want("label-dense") || *exp == "all" {

@@ -13,9 +13,7 @@ import (
 	"log"
 	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/core"
@@ -26,23 +24,15 @@ import (
 	"repro/internal/subscribe"
 )
 
-// drainDelay is how long /readyz answers 503 "draining" before the
-// controller actually stops, so load balancers stop routing first.
-const drainDelay = 200 * time.Millisecond
-
 func main() {
 	ovsdbAddr := flag.String("ovsdb", "127.0.0.1:6640", "OVSDB server address")
 	dbName := flag.String("db", "snvs", "database name")
 	p4rtAddrs := flag.String("p4rt", "127.0.0.1:9559", "comma-separated P4Runtime addresses")
 	rulesPath := flag.String("rules", "", "control-plane rules file (default: built-in snvs rules)")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /debug/traces, /debug/events and pprof on this address (off when empty)")
+	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	subAddr := flag.String("sub-addr", "", "serve derived-relation subscriptions (nerpa-watch clients) on this address (off when empty)")
 	subQueue := flag.Int("sub-queue", 0, "per-subscriber pending-update queue; a full queue evicts the subscriber (0 = default 256)")
 	subWriteLimit := flag.Int("sub-write-limit", 0, "per-subscriber-connection JSON-RPC write-queue cap (0 = default 4096, negative = unlimited)")
-	obsEvents := flag.Int("obs-events", 0, "flight-recorder event ring capacity (0 = default, negative = disable events)")
-	obsInstance := flag.String("obs-instance", "", "fleet-unique instance ID stamped on obs responses (default: the plane name)")
-	obsSlowBudget := flag.Duration("obs-slow-budget", 0, "pin transactions whose stages exceed this duration to /debug/incidents (0 = off)")
-	obsHistoryInterval := flag.Duration("obs-history-interval", time.Second, "metrics-history sampling interval (0 = off)")
 	obsProfile := flag.Bool("obs-profile", true, "continuous workload profiler: per-rule cost attribution (/debug/rules, dl_rule_*) and memory accounting (/debug/memory, dl_mem_*)")
 	reconnectBackoff := flag.Duration("reconnect-backoff", 5*time.Second, "maximum redial backoff after a connection drops (0 = exit on disconnect)")
 	rpcTimeout := flag.Duration("rpc-timeout", 30*time.Second, "per-RPC deadline on OVSDB and P4Runtime calls (0 = none)")
@@ -53,23 +43,7 @@ func main() {
 	verbose := flag.Bool("v", false, "log every applied transaction")
 	flag.Parse()
 
-	var observer *obs.Observer
-	if *obsAddr != "" {
-		observer = obs.NewObserverWith(obs.ObserverConfig{EventCapacity: *obsEvents})
-		observer.SetIdentity("controller", *obsInstance)
-		if *obsSlowBudget > 0 {
-			observer.SetSlowBudget(obs.AllBudget(*obsSlowBudget))
-		}
-		if *obsHistoryInterval > 0 {
-			observer.StartHistory(*obsHistoryInterval)
-		}
-		go func() {
-			if err := observer.ListenAndServe(*obsAddr); err != nil {
-				log.Fatalf("obs server: %v", err)
-			}
-		}()
-		log.Printf("nerpa-controller: observability on http://%s/metrics", *obsAddr)
-	}
+	observer := obsFlags.Start("nerpa-controller", "controller")
 
 	rules := snvs.Rules
 	if *rulesPath != "" {
@@ -180,7 +154,7 @@ func main() {
 		log.Fatalf("starting controller: %v", err)
 	}
 	// When a device session is re-established, reconcile its tables
-	// against the controller's desired state before republishing it.
+	// against the engine's current output before republishing it.
 	for i, rc := range rclients {
 		id := fmt.Sprintf("dev%d", i)
 		rc := rc
@@ -202,13 +176,8 @@ func main() {
 	}
 	log.Printf("nerpa-controller: managing %q across %d data plane(s)", *dbName, len(devices))
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
-	case <-sig:
-		log.Printf("nerpa-controller: signal received, draining")
-		observer.SetDraining()
-		time.Sleep(drainDelay)
+	case <-observer.DrainOnSignal("nerpa-controller"):
 		ctrl.Stop()
 	case <-ctrl.Done():
 		if err := ctrl.Err(); err != nil {

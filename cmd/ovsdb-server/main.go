@@ -12,9 +12,6 @@ import (
 	"log"
 	"net"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/ovsdb"
@@ -22,18 +19,10 @@ import (
 	"repro/internal/snvs"
 )
 
-// drainDelay is how long /readyz answers 503 "draining" before the
-// listener actually closes, so load balancers stop routing first.
-const drainDelay = 200 * time.Millisecond
-
 func main() {
 	addr := flag.String("addr", "127.0.0.1:6640", "TCP listen address")
 	schemaPath := flag.String("schema", "", ".ovsschema file (default: built-in snvs schema)")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /debug/traces, /debug/events and pprof on this address (off when empty)")
-	obsEvents := flag.Int("obs-events", 0, "flight-recorder event ring capacity (0 = default, negative = disable events)")
-	obsInstance := flag.String("obs-instance", "", "fleet-unique instance ID stamped on obs responses (default: the plane name)")
-	obsSlowBudget := flag.Duration("obs-slow-budget", 0, "pin transactions whose stages exceed this duration to /debug/incidents (0 = off)")
-	obsHistoryInterval := flag.Duration("obs-history-interval", time.Second, "metrics-history sampling interval (0 = off)")
+	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	keepalive := flag.Duration("keepalive", 0, "echo-heartbeat interval on accepted connections; 3 misses fail one (0 = off)")
 	walDir := flag.String("wal-dir", "", "write-ahead-log directory: commits become durable and state survives restarts (empty = memory-only)")
 	walFsync := flag.String("wal-fsync", wal.FsyncCommit, "WAL durability policy: commit (group fsync per commit batch) or off (OS-buffered)")
@@ -56,26 +45,12 @@ func main() {
 	}
 
 	db := ovsdb.NewDatabase(schema)
-	var observer *obs.Observer
-	if *obsAddr != "" {
-		observer = obs.NewObserverWith(obs.ObserverConfig{EventCapacity: *obsEvents})
-		observer.SetIdentity("ovsdb", *obsInstance)
-		if *obsSlowBudget > 0 {
-			observer.SetSlowBudget(obs.AllBudget(*obsSlowBudget))
-		}
+	observer := obsFlags.Start("ovsdb-server", "ovsdb")
+	if observer != nil {
 		db.SetObs(observer)
-		if *obsHistoryInterval > 0 {
-			observer.StartHistory(*obsHistoryInterval)
-		}
 		// The server is ready as soon as its listener accepts: the database
 		// is in-memory and fully initialized before serving starts.
 		observer.SetReady(true)
-		go func() {
-			if err := observer.ListenAndServe(*obsAddr); err != nil {
-				log.Fatalf("obs server: %v", err)
-			}
-		}()
-		log.Printf("ovsdb-server: observability on http://%s/metrics", *obsAddr)
 	}
 
 	// Open the WAL after the observer exists so recovery and appends are
@@ -105,13 +80,9 @@ func main() {
 	if *keepalive > 0 {
 		srv.SetKeepalive(*keepalive, 3)
 	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	drained := observer.DrainOnSignal("ovsdb-server")
 	go func() {
-		<-sig
-		log.Printf("ovsdb-server: signal received, draining")
-		observer.SetDraining()
-		time.Sleep(drainDelay)
+		<-drained
 		srv.Close()
 	}()
 

@@ -15,9 +15,6 @@ import (
 	"log"
 	"net"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/p4"
@@ -25,19 +22,11 @@ import (
 	"repro/internal/switchsim"
 )
 
-// drainDelay is how long /readyz answers 503 "draining" before the
-// listener actually closes, so load balancers stop routing first.
-const drainDelay = 200 * time.Millisecond
-
 func main() {
 	addr := flag.String("p4rt", "127.0.0.1:9559", "P4Runtime TCP listen address")
 	p4Path := flag.String("p4", "", "P4 subset program file (default: built-in snvs.p4)")
 	name := flag.String("name", "snvs0", "switch name")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /debug/traces, /debug/events and pprof on this address (off when empty)")
-	obsEvents := flag.Int("obs-events", 0, "flight-recorder event ring capacity (0 = default, negative = disable events)")
-	obsInstance := flag.String("obs-instance", "", "fleet-unique instance ID stamped on obs responses (default: the plane name)")
-	obsSlowBudget := flag.Duration("obs-slow-budget", 0, "pin transactions whose stages exceed this duration to /debug/incidents (0 = off)")
-	obsHistoryInterval := flag.Duration("obs-history-interval", time.Second, "metrics-history sampling interval (0 = off)")
+	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	keepalive := flag.Duration("keepalive", 0, "echo-heartbeat interval on accepted connections; 3 misses fail one (0 = off)")
 	flag.Parse()
 
@@ -62,34 +51,15 @@ func main() {
 	if *keepalive > 0 {
 		sw.SetKeepalive(*keepalive, 3)
 	}
-	var observer *obs.Observer
-	if *obsAddr != "" {
-		observer = obs.NewObserverWith(obs.ObserverConfig{EventCapacity: *obsEvents})
-		observer.SetIdentity("switchsim", *obsInstance)
-		if *obsSlowBudget > 0 {
-			observer.SetSlowBudget(obs.AllBudget(*obsSlowBudget))
-		}
+	observer := obsFlags.Start("snvs-switch", "switchsim")
+	if observer != nil {
 		sw.SetObs(observer)
-		if *obsHistoryInterval > 0 {
-			observer.StartHistory(*obsHistoryInterval)
-		}
 		// Ready once the pipeline is loaded, which New already did.
 		observer.SetReady(true)
-		go func() {
-			if err := observer.ListenAndServe(*obsAddr); err != nil {
-				log.Fatalf("obs server: %v", err)
-			}
-		}()
-		log.Printf("snvs-switch: observability on http://%s/metrics", *obsAddr)
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	drained := observer.DrainOnSignal("snvs-switch")
 	go func() {
-		<-sig
-		log.Printf("snvs-switch: signal received, draining")
-		observer.SetDraining()
-		time.Sleep(drainDelay)
+		<-drained
 		sw.Close()
 	}()
 

@@ -15,6 +15,10 @@ sh hack/lint_names.sh
 go build ./...
 go vet ./...
 go test -race ./...
+# The benchmark is a module of its own (benchmark/go.mod), invisible to
+# the root ./... above: vet and test it here, so an API change that
+# breaks it is found before the benchmark gate finds it.
+(cd benchmark && go vet ./... && go test ./...)
 # Smoke: every benchmark must still run (one iteration, no timing claims).
 go test -run=NONE -bench=. -benchtime=1x ./...
 # Provenance overhead smoke: the experiment must run end to end and emit
@@ -55,6 +59,9 @@ go test -race -run 'TestFleetEndToEnd' -count=1 .
 # Resilience: the kill-and-restart e2e must reconverge under the race
 # detector, and the reconnect experiment must emit its recovery report.
 go test -race -run 'TestKillRestartEndToEnd' -count=1 .
+# The one redial supervisor, both resilient clients on it, and the
+# engine-derived resync, in one -race line.
+go test -race -run 'TestRedial|TestResilient|TestResync|TestPushToleratesUnavailableDevice' -count=1 ./internal/redial/ ./internal/ovsdb/ ./internal/p4rt/ ./internal/core/
 go run ./cmd/nerpa-bench -exp reconnect -reconnect-ports 50,250 -reconnect-restarts 3 -reconnect-out BENCH_reconnect.json
 test -s BENCH_reconnect.json
 # Sustained throughput: the experiment must emit its report, and the

@@ -86,11 +86,6 @@ type directMP struct{ db *ovsdb.Database }
 
 func (d directMP) GetSchema(string) (*ovsdb.DatabaseSchema, error) { return d.db.Schema(), nil }
 
-func (d directMP) Monitor(_ string, _ any, requests map[string]*ovsdb.MonitorRequest, cb func(ovsdb.TableUpdates)) (ovsdb.TableUpdates, error) {
-	_, initial, err := d.db.AddMonitor(requests, func(_ uint64, tu ovsdb.TableUpdates) { cb(tu) })
-	return initial, err
-}
-
 func (d directMP) MonitorTxn(_ string, _ any, requests map[string]*ovsdb.MonitorRequest, cb func(uint64, ovsdb.TableUpdates)) (ovsdb.TableUpdates, error) {
 	_, initial, err := d.db.AddMonitor(requests, cb)
 	return initial, err

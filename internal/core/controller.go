@@ -23,6 +23,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,16 +52,18 @@ type DataPlane interface {
 // *p4rt.ResilientClient do). Observed controllers use it to extend each
 // transaction's trace across the process boundary into the switch, which
 // stamps its apply events and records the switch-applied stage. Detected
-// by interface assertion, like the management plane's MonitorTxn.
+// by interface assertion.
 type TxnWriter interface {
 	WriteTxn(txn uint64, updates ...p4rt.Update) error
 }
 
 // ManagementPlane is the controller's view of the configuration database
-// (implemented by *ovsdb.Client).
+// (implemented by *ovsdb.Client and *ovsdb.ResilientClient). Each monitor
+// update carries the ID of the transaction that produced it (0 when
+// unknown), so traces hold a complete commit→delta→push timeline.
 type ManagementPlane interface {
 	GetSchema(db string) (*ovsdb.DatabaseSchema, error)
-	Monitor(db string, id any, requests map[string]*ovsdb.MonitorRequest, cb func(ovsdb.TableUpdates)) (ovsdb.TableUpdates, error)
+	MonitorTxn(db string, id any, requests map[string]*ovsdb.MonitorRequest, cb func(uint64, ovsdb.TableUpdates)) (ovsdb.TableUpdates, error)
 }
 
 // Device is one managed switch: an id (usable in per-device relations)
@@ -86,13 +89,8 @@ type Config struct {
 	// Rules is the hand-written control-plane program (rules only; the
 	// relation declarations are generated).
 	Rules string
-	// ExtraDecls holds additional hand-written declarations (typedefs,
-	// intermediate relations) prepended with the generated ones.
-	ExtraDecls string
 	// Database is the OVSDB database name.
 	Database string
-	// EngineOptions tune the incremental engine.
-	EngineOptions engine.Options
 	// PushWorkers bounds how many devices receive their P4Runtime writes
 	// concurrently when a delta touches several switches. 0 selects the
 	// default (8); 1 serializes all writes. Updates destined for the same
@@ -194,27 +192,28 @@ type outputRoute struct {
 
 // Controller is a running full-stack controller instance.
 type Controller struct {
-	cfg      Config
-	inputGen *codegen.Generated
-	classes  []*classState
-	outputs  map[string]*outputRoute
-	p4Tables map[string]bool
-	mcastRel map[string]*classState
-	prov     *provState
-	prog     *dl.Program
-	rt       *engine.Runtime
-	mp       ManagementPlane
-	schema   *ovsdb.DatabaseSchema
-	events   chan event
-	done     chan struct{}
-	stopOnce sync.Once
-	evMu     sync.RWMutex
-	evClosed bool
+	cfg Config
+	// ruleStats is whether the engine collects per-rule statistics
+	// (Config.Profile on an observed controller).
+	ruleStats bool
+	inputGen  *codegen.Generated
+	classes   []*classState
+	outputs   map[string]*outputRoute
+	p4Tables  map[string]bool
+	mcastRel  map[string]*classState
+	prov      *provState
+	prog      *dl.Program
+	rt        *engine.Runtime
+	mp        ManagementPlane
+	schema    *ovsdb.DatabaseSchema
+	events    chan event
+	done      chan struct{}
+	stopOnce  sync.Once
+	evMu      sync.RWMutex
+	evClosed  bool
 
-	// desired tracks each device's intended data-plane state (event-loop
-	// goroutine only); devClass resolves a device ID to its class for
-	// Resync. See resilience.go.
-	desired  map[string]*deviceDesired
+	// devClass resolves a device ID to its class for Resync (see
+	// resilience.go).
 	devClass map[string]*classState
 
 	tracer *obs.Tracer
@@ -302,15 +301,10 @@ func (c *Controller) initObs() {
 		"Tuple derivation operations performed.")
 	c.m.rounds = reg.Counter("dl_rounds_total",
 		"Breadth-first propagation rounds in recursive strata.")
-	workers := c.cfg.EngineOptions.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	for w := 0; w < workers; w++ {
-		c.m.workerBusy = append(c.m.workerBusy, reg.Counter("dl_worker_busy_nanoseconds_total",
-			"Plan-evaluation time accumulated by each pool worker.",
-			obs.L("worker", fmt.Sprintf("%d", w))))
-	}
+	// The controller runs the engine with its default single worker.
+	c.m.workerBusy = []*obs.Counter{reg.Counter("dl_worker_busy_nanoseconds_total",
+		"Plan-evaluation time accumulated by each pool worker.",
+		obs.L("worker", "0"))}
 	c.m.provFacts = reg.Gauge("obs_provenance_facts",
 		"Derived facts with recorded provenance in the engine store.")
 	c.m.provEvictions = reg.Gauge("obs_provenance_evictions",
@@ -470,17 +464,16 @@ func NewWithClasses(cfg Config, mp ManagementPlane, classes []DeviceClass) (*Con
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("core: no device classes")
 	}
-	if cfg.Obs.Reg() != nil {
-		// Per-stratum and per-worker metrics need the engine's statistics,
-		// and /debug/explain needs the engine's provenance store.
-		cfg.EngineOptions.CollectStats = true
-		cfg.EngineOptions.CollectProvenance = true
-		// The engine shares the process flight recorder, so apply/stratum
-		// events interleave with the controller's own on one timeline.
-		cfg.EngineOptions.Events = cfg.Obs.Rec()
-		if cfg.Profile {
-			cfg.EngineOptions.CollectRuleStats = true
-		}
+	// An observed controller turns the engine's collection on: per-stratum
+	// and per-worker metrics need its statistics, /debug/explain needs its
+	// provenance store, and sharing the process flight recorder interleaves
+	// apply/stratum events with the controller's own on one timeline.
+	observed := cfg.Obs.Reg() != nil
+	engOpts := engine.Options{
+		CollectStats:      observed,
+		CollectProvenance: observed,
+		CollectRuleStats:  observed && cfg.Profile,
+		Events:            cfg.Obs.Rec(),
 	}
 	schema, err := mp.GetSchema(cfg.Database)
 	if err != nil {
@@ -491,17 +484,17 @@ func NewWithClasses(cfg Config, mp ManagementPlane, classes []DeviceClass) (*Con
 		return nil, err
 	}
 	c := &Controller{
-		cfg:      cfg,
-		inputGen: inputGen,
-		outputs:  make(map[string]*outputRoute),
-		p4Tables: make(map[string]bool),
-		mcastRel: make(map[string]*classState),
-		mp:       mp,
-		schema:   schema,
-		events:   make(chan event, 1024),
-		done:     make(chan struct{}),
-		desired:  make(map[string]*deviceDesired),
-		devClass: make(map[string]*classState),
+		cfg:       cfg,
+		ruleStats: engOpts.CollectRuleStats,
+		inputGen:  inputGen,
+		outputs:   make(map[string]*outputRoute),
+		p4Tables:  make(map[string]bool),
+		mcastRel:  make(map[string]*classState),
+		mp:        mp,
+		schema:    schema,
+		events:    make(chan event, 1024),
+		done:      make(chan struct{}),
+		devClass:  make(map[string]*classState),
 	}
 	decls := inputGen.Decls
 	seen := make(map[string]bool)
@@ -543,12 +536,14 @@ func NewWithClasses(cfg Config, mp ManagementPlane, classes []DeviceClass) (*Con
 			if _, dup := cs.devByID[dev.ID]; dup {
 				return nil, fmt.Errorf("core: class %q: duplicate device id %q", cls.Name, dev.ID)
 			}
-			cs.devByID[dev.ID] = dev.DP
-			// First registration wins on a cross-class ID collision; Resync
-			// addresses devices by ID, so collide at your own risk.
-			if _, dup := c.devClass[dev.ID]; !dup {
-				c.devClass[dev.ID] = cs
+			// Resync addresses a device by ID alone, so IDs are unique
+			// across classes, not just within one.
+			if other, dup := c.devClass[dev.ID]; dup {
+				return nil, fmt.Errorf("core: device id %q is in both class %q and class %q",
+					dev.ID, other.cls.Name, cls.Name)
 			}
+			cs.devByID[dev.ID] = dev.DP
+			c.devClass[dev.ID] = cs
 		}
 		for rel, b := range gen.Outputs {
 			if _, dup := c.outputs[rel]; dup {
@@ -562,7 +557,7 @@ func NewWithClasses(cfg Config, mp ManagementPlane, classes []DeviceClass) (*Con
 		decls += gen.Decls
 	}
 
-	prog, err := dl.Compile(decls + "\n" + cfg.ExtraDecls + "\n" + cfg.Rules)
+	prog, err := dl.Compile(decls + "\n" + cfg.Rules)
 	if err != nil {
 		return nil, fmt.Errorf("core: compiling control plane: %w", err)
 	}
@@ -575,12 +570,12 @@ func NewWithClasses(cfg Config, mp ManagementPlane, classes []DeviceClass) (*Con
 		}
 	}
 	c.prog = prog
-	c.rt, err = prog.NewRuntime(cfg.EngineOptions)
+	c.rt, err = prog.NewRuntime(engOpts)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.EngineOptions.CollectProvenance {
-		c.prov = newProvState(cfg.EngineOptions.ProvenanceCapacity)
+	if observed {
+		c.prov = newProvState(0)
 	}
 	c.initObs()
 	if c.prov != nil {
@@ -597,18 +592,8 @@ func NewWithClasses(cfg Config, mp ManagementPlane, classes []DeviceClass) (*Con
 			dev.DP.OnDigest(func(dl p4rt.DigestList) { c.handleDigest(cs, id, dl) })
 		}
 	}
-	// Monitor every bound table with exactly the bound columns. When the
-	// management plane can correlate updates to the transaction that
-	// produced them (as *ovsdb.Client can), use the txn-aware variant so
-	// traces carry a complete commit→delta→push timeline.
-	var initial ovsdb.TableUpdates
-	if tm, ok := mp.(interface {
-		MonitorTxn(db string, id any, requests map[string]*ovsdb.MonitorRequest, cb func(uint64, ovsdb.TableUpdates)) (ovsdb.TableUpdates, error)
-	}); ok {
-		initial, err = tm.MonitorTxn(cfg.Database, "nerpa", c.monitorRequests(), c.handleOVSDBTxn)
-	} else {
-		initial, err = mp.Monitor(cfg.Database, "nerpa", c.monitorRequests(), c.handleOVSDB)
-	}
+	// Monitor every bound table with exactly the bound columns.
+	initial, err := mp.MonitorTxn(cfg.Database, "nerpa", c.monitorRequests(), c.handleOVSDB)
 	if err != nil {
 		c.Stop()
 		return nil, fmt.Errorf("core: monitor: %w", err)
@@ -921,7 +906,7 @@ func (c *Controller) observeEngine(ev *event, start time.Time, engineTime time.D
 		}
 	}
 	var ruleSamples []obs.RuleSample
-	if c.cfg.EngineOptions.CollectRuleStats {
+	if c.ruleStats {
 		if st != nil && len(st.Rules) > 0 {
 			ruleSamples = make([]obs.RuleSample, len(st.Rules))
 			for i, r := range st.Rules {
@@ -1012,7 +997,7 @@ func (c *Controller) push(ev *event, delta engine.Delta) (int, error) {
 	for rel := range delta {
 		rels = append(rels, rel)
 	}
-	sortStrings(rels)
+	slices.Sort(rels)
 	for _, rel := range rels {
 		z := delta[rel]
 		if cs, ok := c.mcastRel[rel]; ok {
@@ -1088,10 +1073,6 @@ func (c *Controller) push(ev *event, delta engine.Delta) (int, error) {
 	var writes []*devWrite
 	byDev := make(map[target]*devWrite)
 	addBatch := func(cs *classState, id string, dp DataPlane, updates []p4rt.Update) {
-		// Fold into the desired state before the write is attempted, so an
-		// unreachable device's intent keeps advancing and a later Resync
-		// can replay exactly the difference.
-		c.noteDesired(id, updates)
 		key := target{class: cs, device: id}
 		dw := byDev[key]
 		if dw == nil {
@@ -1110,15 +1091,10 @@ func (c *Controller) push(ev *event, delta engine.Delta) (int, error) {
 		for g := range mcastDirty[tg] {
 			groups = append(groups, g)
 		}
-		sortU16(groups)
+		slices.Sort(groups)
 		for _, g := range groups {
 			members := tg.class.mcast[mcastKey{device: tg.device, group: g}]
-			ports := make([]uint16, 0, len(members))
-			for p := range members {
-				ports = append(ports, p)
-			}
-			sortU16(ports)
-			updates = append(updates, p4rt.SetMulticast(g, ports))
+			updates = append(updates, p4rt.SetMulticast(g, sortedPorts(members)))
 		}
 		if len(updates) == 0 {
 			continue
@@ -1272,12 +1248,14 @@ func pickPushErr(errs []error) error {
 	return unavail
 }
 
-func sortU16(s []uint16) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1] > s[j]; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
+// sortedPorts lists a multicast group's member ports in ascending order.
+func sortedPorts(members map[uint16]bool) []uint16 {
+	ports := make([]uint16, 0, len(members))
+	for p := range members {
+		ports = append(ports, p)
 	}
+	slices.Sort(ports)
+	return ports
 }
 
 // monitorRequests builds the per-table monitor covering every bound
@@ -1309,28 +1287,15 @@ func (c *Controller) monitorRequests() map[string]*ovsdb.MonitorRequest {
 		for col := range set {
 			req.Columns = append(req.Columns, col)
 		}
-		sortStrings(req.Columns)
+		slices.Sort(req.Columns)
 		out[table] = req
 	}
 	return out
 }
 
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1] > s[j]; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
-	}
-}
-
-// handleOVSDB runs on the OVSDB client's delivery goroutine.
-func (c *Controller) handleOVSDB(tu ovsdb.TableUpdates) {
-	c.handleOVSDBTxn(0, tu)
-}
-
-// handleOVSDBTxn is handleOVSDB with the originating transaction ID, used
-// when the management plane supports txn-aware monitors.
-func (c *Controller) handleOVSDBTxn(txn uint64, tu ovsdb.TableUpdates) {
+// handleOVSDB runs on the OVSDB client's delivery goroutine, with the ID
+// of the transaction that produced the update.
+func (c *Controller) handleOVSDB(txn uint64, tu ovsdb.TableUpdates) {
 	ups, err := c.ovsdbUpdates(tu)
 	if err != nil {
 		c.fail(err)

@@ -1,21 +1,23 @@
 // Resilience: the controller's side of surviving connection loss.
 //
-// The controller tracks, per device, the exact table entries and
-// multicast groups it wants installed (the "desired state"), updated
-// unconditionally as the engine emits deltas — including while a device
-// is unreachable. When a device's connection heals, Resync diffs the
-// device's actual tables (ReadTable) against the desired state and
-// writes only the difference, so reconvergence costs one snapshot plus
-// the drift, not a full replay.
+// What a device should hold is a function of the engine's state: the
+// records of its class's output relations (converted exactly as push
+// converts them) plus the class's multicast membership. The controller
+// keeps no second copy. Pushes to an unreachable device fail and are
+// tolerated while the engine keeps advancing; when the connection heals,
+// Resync diffs the device's actual tables (ReadTable) against what the
+// engine says now and writes only the difference, so reconvergence costs
+// one snapshot plus the drift, not a full replay.
 package core
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/p4"
 	"repro/internal/p4rt"
 )
 
@@ -27,93 +29,38 @@ type TableReader interface {
 	Write(updates ...p4rt.Update) error
 }
 
-// deviceDesired is the controller's desired data-plane state for one
-// device. Mutated only on the event-loop goroutine.
-type deviceDesired struct {
-	// entries maps the canonical (table, matches, priority) key to the
-	// full desired entry.
-	entries map[string]p4rt.TableEntry
-	// mcast maps group id to desired ports.
-	mcast map[uint16][]uint16
-}
-
 // entryIdent canonically identifies an entry slot: same table, matches
 // and priority → same slot (action and params are the slot's value).
 func entryIdent(e *p4rt.TableEntry) string {
+	// Marshalling strings, ints and FieldMatch values cannot fail.
 	b, _ := json.Marshal(struct {
 		T string          `json:"t"`
-		M json.RawMessage `json:"m"`
+		M []p4.FieldMatch `json:"m"`
 		P int             `json:"p"`
-	}{T: e.Table, M: mustJSON(e.Matches), P: e.Priority})
+	}{T: e.Table, M: e.Matches, P: e.Priority})
 	return string(b)
-}
-
-func mustJSON(v any) json.RawMessage {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }
 
 // sameValue reports whether two entries program the same action.
 func sameValue(a, b *p4rt.TableEntry) bool {
-	if a.Action != b.Action || len(a.Params) != len(b.Params) {
-		return false
-	}
-	for i := range a.Params {
-		if a.Params[i] != b.Params[i] {
-			return false
-		}
-	}
-	return true
+	return a.Action == b.Action && slices.Equal(a.Params, b.Params)
 }
 
-// noteDesired folds one device's write stream into its desired state.
-// Called from push (event-loop goroutine) before the write is issued, so
-// the desired state advances even when the device is down.
-func (c *Controller) noteDesired(device string, updates []p4rt.Update) {
-	d := c.desired[device]
-	if d == nil {
-		d = &deviceDesired{
-			entries: make(map[string]p4rt.TableEntry),
-			mcast:   make(map[uint16][]uint16),
-		}
-		c.desired[device] = d
-	}
-	for _, u := range updates {
-		if u.Entry != nil {
-			key := entryIdent(u.Entry)
-			if u.Type == p4rt.UpdateDelete {
-				delete(d.entries, key)
-			} else {
-				d.entries[key] = *u.Entry
-			}
-		}
-		if u.Multicast != nil {
-			if len(u.Multicast.Ports) == 0 {
-				delete(d.mcast, u.Multicast.Group)
-			} else {
-				d.mcast[u.Multicast.Group] = append([]uint16(nil), u.Multicast.Ports...)
-			}
-		}
-	}
-}
-
-// resyncReq asks the event loop to reconcile one device against its
-// desired state using the given (freshly reconnected) connection.
+// resyncReq asks the event loop to reconcile one device against the
+// engine's state using the given (freshly reconnected) connection.
 type resyncReq struct {
 	device string
 	dp     TableReader
 	done   chan error
 }
 
-// Resync reconciles device's actual tables against the controller's
-// desired state, writing only the difference through dp. It is safe to
-// call from any goroutine — the reconciliation itself runs serialized on
-// the controller's event loop, so it observes a consistent desired
-// state. Intended as the body of a p4rt ResilientClient OnReconnect
-// hook, where dp is the fresh not-yet-published client.
+// Resync reconciles device's actual tables against what the engine's
+// output relations say it should hold, writing only the difference
+// through dp. It is safe to call from any goroutine — the reconciliation
+// itself runs serialized on the controller's event loop, so it observes
+// the engine between transactions. Intended as the body of a p4rt
+// ResilientClient OnReconnect hook, where dp is the fresh
+// not-yet-published client.
 func (c *Controller) Resync(device string, dp TableReader) error {
 	req := &resyncReq{device: device, dp: dp, done: make(chan error, 1)}
 	if !c.enqueue(event{source: "resync", resync: req}) {
@@ -127,45 +74,69 @@ func (c *Controller) Resync(device string, dp TableReader) error {
 	}
 }
 
-// classTables returns the sorted table names a device's class binds.
-func (c *Controller) classTables(cs *classState) []string {
-	seen := make(map[string]bool)
-	for _, b := range cs.gen.Outputs {
-		seen[b.Table] = true
+// sortedKeys lists a map's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	tables := make([]string, 0, len(seen))
-	for t := range seen {
-		tables = append(tables, t)
+	slices.Sort(keys)
+	return keys
+}
+
+// desiredEntries derives what device should hold from the engine: every
+// record of its class's output relations that targets it (or the whole
+// class), keyed by entryIdent. Event-loop goroutine only.
+func (c *Controller) desiredEntries(cs *classState, device string) (map[string]p4rt.TableEntry, error) {
+	desired := make(map[string]p4rt.TableEntry)
+	for rel, b := range cs.gen.Outputs {
+		recs, err := c.rt.Contents(rel)
+		if err != nil {
+			return nil, err
+		}
+		for _, rec := range recs {
+			if dev := b.Device(rec); dev != "" && dev != device {
+				continue
+			}
+			e, err := b.EntryFromRecord(rec)
+			if err != nil {
+				return nil, err
+			}
+			desired[entryIdent(&e)] = e
+		}
 	}
-	sort.Strings(tables)
-	return tables
+	return desired, nil
 }
 
 // doResync runs on the event loop. It reads every bound table of the
-// device's class, diffs against desired, and writes deletes for stale
-// entries, inserts for missing ones, and modifies for entries whose
-// action drifted. Multicast groups cannot be read back, so all desired
-// groups are re-pushed — SetMulticast is absolute, making that
-// idempotent. Returns the first error (the caller's redial loop retries).
+// device's class, diffs against the engine-derived entries, and writes
+// deletes for stale entries, inserts for missing ones, and modifies for
+// entries whose action drifted. Multicast groups cannot be read back, so
+// every group of the class's membership state is re-pushed — SetMulticast
+// is absolute, making that idempotent. Returns the first error (the
+// caller's redial loop retries).
 func (c *Controller) doResync(device string, dp TableReader) error {
 	start := time.Now()
 	cs := c.devClass[device]
 	if cs == nil {
 		return fmt.Errorf("core: resync: unknown device %q", device)
 	}
-	d := c.desired[device]
-	if d == nil {
-		d = &deviceDesired{entries: map[string]p4rt.TableEntry{}, mcast: map[uint16][]uint16{}}
+	desired, err := c.desiredEntries(cs, device)
+	if err != nil {
+		return fmt.Errorf("core: resync %s: %w", device, err)
 	}
 
+	tables := make(map[string]bool)
+	for _, b := range cs.gen.Outputs {
+		tables[b.Table] = true
+	}
 	actual := make(map[string]p4rt.TableEntry)
-	for _, table := range c.classTables(cs) {
+	for _, table := range sortedKeys(tables) {
 		entries, err := dp.ReadTable(table)
 		if err != nil {
 			return fmt.Errorf("core: resync %s: reading %s: %w", device, table, err)
 		}
-		for i := range entries {
-			e := entries[i]
+		for _, e := range entries {
 			if e.Table == "" {
 				e.Table = table
 			}
@@ -173,33 +144,38 @@ func (c *Controller) doResync(device string, dp TableReader) error {
 		}
 	}
 
-	var dels, rest []p4rt.Update
-	for key, e := range actual {
-		if _, ok := d.entries[key]; !ok {
-			dels = append(dels, p4rt.DeleteEntry(e))
+	var updates []p4rt.Update
+	for _, key := range sortedKeys(actual) {
+		if _, ok := desired[key]; !ok {
+			updates = append(updates, p4rt.DeleteEntry(actual[key]))
 		}
 	}
-	for key, want := range d.entries {
+	deleted := len(updates)
+	for _, key := range sortedKeys(desired) {
+		want := desired[key]
 		got, ok := actual[key]
 		switch {
 		case !ok:
-			rest = append(rest, p4rt.InsertEntry(want))
+			updates = append(updates, p4rt.InsertEntry(want))
 		case !sameValue(&got, &want):
-			rest = append(rest, p4rt.ModifyEntry(want))
+			updates = append(updates, p4rt.ModifyEntry(want))
 		}
 	}
-	sortUpdates(dels)
-	sortUpdates(rest)
-	groups := make([]uint16, 0, len(d.mcast))
-	for g := range d.mcast {
-		groups = append(groups, g)
-	}
-	sortU16(groups)
-	for _, g := range groups {
-		rest = append(rest, p4rt.SetMulticast(g, d.mcast[g]))
+	// Class-wide groups first, then the device's own, so where rules
+	// define a group both ways the device-specific membership lands last.
+	for _, dev := range []string{"", device} {
+		var groups []uint16
+		for key := range cs.mcast {
+			if key.device == dev {
+				groups = append(groups, key.group)
+			}
+		}
+		slices.Sort(groups)
+		for _, g := range groups {
+			updates = append(updates, p4rt.SetMulticast(g, sortedPorts(cs.mcast[mcastKey{device: dev, group: g}])))
+		}
 	}
 
-	updates := append(dels, rest...)
 	if len(updates) > 0 {
 		if err := dp.Write(updates...); err != nil {
 			return fmt.Errorf("core: resync %s: %w", device, err)
@@ -207,22 +183,8 @@ func (c *Controller) doResync(device string, dp TableReader) error {
 	}
 	c.m.resyncs.Inc()
 	c.rec.Append(obs.Ev("core", "conn.resync").WithDevice(device).
-		F("deleted", int64(len(dels))).
-		F("written", int64(len(updates)-len(dels))).
+		F("deleted", int64(deleted)).
+		F("written", int64(len(updates)-deleted)).
 		F("resync_us", time.Since(start).Microseconds()))
 	return nil
-}
-
-// sortUpdates orders updates deterministically by their entry identity.
-func sortUpdates(ups []p4rt.Update) {
-	sort.Slice(ups, func(i, j int) bool {
-		var a, b string
-		if ups[i].Entry != nil {
-			a = entryIdent(ups[i].Entry)
-		}
-		if ups[j].Entry != nil {
-			b = entryIdent(ups[j].Entry)
-		}
-		return a < b
-	})
 }

@@ -4,13 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"math/rand"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/redial"
 )
 
 // ErrDisconnected is returned by RPCs issued while the resilient client
@@ -79,10 +78,7 @@ type monState struct {
 // whole point is that subscribers outlive individual connections.
 type ResilientClient struct {
 	cfg ResilientConfig
-
-	mu     sync.Mutex
-	cur    *Client
-	closed bool
+	sup *redial.Supervisor[*Client]
 
 	// monMu serializes monitor registration, cache mutation, and
 	// callback delivery, so synthetic resync updates and live updates
@@ -95,14 +91,9 @@ type ResilientClient struct {
 	mon    *monState
 	monGen uint64
 
-	done      chan struct{}
-	closeOnce sync.Once
-
-	mReconnects   *obs.Counter
-	gDisconnected *obs.Gauge
-	mGapReplays   *obs.Counter
-	mSnapResyncs  *obs.Counter
-	rec           *obs.Recorder
+	mGapReplays  *obs.Counter
+	mSnapResyncs *obs.Counter
+	rec          *obs.Recorder
 
 	// Resync-path counts mirrored outside obs so tests and tooling can
 	// assert how reconnections resynchronized.
@@ -114,39 +105,39 @@ type ResilientClient struct {
 // The initial dial fails fast (a misconfigured address should not retry
 // forever); only established sessions self-heal.
 func DialResilient(cfg ResilientConfig) (*ResilientClient, error) {
-	r := &ResilientClient{cfg: cfg, done: make(chan struct{})}
+	r := &ResilientClient{cfg: cfg, rec: cfg.Obs.Rec()}
 	reg := cfg.Obs.Reg()
-	r.mReconnects = reg.Counter("ovsdb_reconnects_total",
-		"Successful OVSDB session re-establishments after connection loss.")
-	r.gDisconnected = reg.Gauge("ovsdb_disconnected",
-		"1 while the OVSDB connection is down and redialing, else 0.")
 	r.mGapReplays = reg.Counter("ovsdb_gap_replays_total",
 		"Reconnections resumed by monitor gap replay (cursor within the retained window).")
 	r.mSnapResyncs = reg.Counter("ovsdb_snapshot_resyncs_total",
 		"Reconnections that fell back to a full snapshot-diff resync.")
-	r.rec = cfg.Obs.Rec()
-	c, err := r.connect()
-	if err != nil {
+	name := cfg.Name
+	if name == "" {
+		name = "ovsdb"
+	}
+	r.sup = redial.New(redial.Config[*Client]{
+		Connect:     r.connect,
+		Rearm:       r.resync,
+		BackoffMin:  cfg.BackoffMin,
+		BackoffMax:  cfg.BackoffMax,
+		ErrClosed:   ErrClosed,
+		ErrDown:     ErrDisconnected,
+		Obs:         cfg.Obs,
+		Plane:       "ovsdb",
+		DegradedKey: name,
+		Reconnects: reg.Counter("ovsdb_reconnects_total",
+			"Successful OVSDB session re-establishments after connection loss."),
+		Disconnected: reg.Gauge("ovsdb_disconnected",
+			"1 while the OVSDB connection is down and redialing, else 0."),
+	})
+	if err := r.sup.Start(); err != nil {
 		return nil, err
 	}
-	r.cur = c
-	go r.supervise()
 	return r, nil
 }
 
-func (r *ResilientClient) name() string {
-	if r.cfg.Name != "" {
-		return r.cfg.Name
-	}
-	return "ovsdb"
-}
-
 func (r *ResilientClient) connect() (*Client, error) {
-	dial := r.cfg.Dial
-	if dial == nil {
-		dial = func(addr string) (io.ReadWriteCloser, error) { return net.Dial("tcp", addr) }
-	}
-	rwc, err := dial(r.cfg.Addr)
+	rwc, err := redial.DialStream(r.cfg.Dial, r.cfg.Addr)
 	if err != nil {
 		return nil, err
 	}
@@ -160,49 +151,21 @@ func (r *ResilientClient) connect() (*Client, error) {
 	return c, nil
 }
 
-// client returns the live connection or the reason there is none.
-func (r *ResilientClient) client() (*Client, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, ErrClosed
-	}
-	if r.cur == nil {
-		return nil, ErrDisconnected
-	}
-	return r.cur, nil
-}
-
 // Close permanently shuts the client down; the redial loop stops and
 // Done() fires.
-func (r *ResilientClient) Close() error {
-	r.mu.Lock()
-	r.closed = true
-	c := r.cur
-	r.cur = nil
-	r.mu.Unlock()
-	r.closeOnce.Do(func() { close(r.done) })
-	if c != nil {
-		return c.Close()
-	}
-	return nil
-}
+func (r *ResilientClient) Close() error { return r.sup.Close() }
 
 // Done fires when the client is closed (not on transient disconnects).
-func (r *ResilientClient) Done() <-chan struct{} { return r.done }
+func (r *ResilientClient) Done() <-chan struct{} { return r.sup.Done() }
 
 // Connected reports whether a live connection is currently established.
-func (r *ResilientClient) Connected() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cur != nil && !r.closed
-}
+func (r *ResilientClient) Connected() bool { return r.sup.Connected() }
 
 // --- RPC passthroughs (valid only while connected) ---
 
 // ListDbs returns the names of the hosted databases.
 func (r *ResilientClient) ListDbs() ([]string, error) {
-	c, err := r.client()
+	c, err := r.sup.Get()
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +174,7 @@ func (r *ResilientClient) ListDbs() ([]string, error) {
 
 // GetSchema fetches and parses a database schema.
 func (r *ResilientClient) GetSchema(db string) (*DatabaseSchema, error) {
-	c, err := r.client()
+	c, err := r.sup.Get()
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +183,7 @@ func (r *ResilientClient) GetSchema(db string) (*DatabaseSchema, error) {
 
 // Echo round-trips a keepalive on the current connection.
 func (r *ResilientClient) Echo() error {
-	c, err := r.client()
+	c, err := r.sup.Get()
 	if err != nil {
 		return err
 	}
@@ -229,7 +192,7 @@ func (r *ResilientClient) Echo() error {
 
 // Transact runs operations against the named database.
 func (r *ResilientClient) Transact(db string, ops ...Operation) ([]OpResult, error) {
-	c, err := r.client()
+	c, err := r.sup.Get()
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +202,7 @@ func (r *ResilientClient) Transact(db string, ops ...Operation) ([]OpResult, err
 // TransactErr is Transact with per-operation errors folded into the
 // returned error.
 func (r *ResilientClient) TransactErr(db string, ops ...Operation) ([]OpResult, error) {
-	c, err := r.client()
+	c, err := r.sup.Get()
 	if err != nil {
 		return nil, err
 	}
@@ -248,19 +211,13 @@ func (r *ResilientClient) TransactErr(db string, ops ...Operation) ([]OpResult, 
 
 // --- Monitor with resync ---
 
-// Monitor registers the client's single self-healing monitor (see
-// MonitorTxn).
-func (r *ResilientClient) Monitor(db string, id any, requests map[string]*MonitorRequest, cb func(TableUpdates)) (TableUpdates, error) {
-	return r.MonitorTxn(db, id, requests, func(_ uint64, tu TableUpdates) { cb(tu) })
-}
-
 // MonitorTxn registers the client's single self-healing monitor: it is
 // re-established after every reconnection, with the difference between
 // the fresh snapshot and the last observed state delivered to cb as one
 // synthetic update (txn 0). Updates — live and synthetic — are delivered
 // strictly serialized.
 func (r *ResilientClient) MonitorTxn(db string, id any, requests map[string]*MonitorRequest, cb func(uint64, TableUpdates)) (TableUpdates, error) {
-	c, err := r.client()
+	c, err := r.sup.Get()
 	if err != nil {
 		return nil, err
 	}
@@ -467,85 +424,4 @@ func (r *ResilientClient) resync(c *Client) error {
 		r.mon.cb(0, diff)
 	}
 	return nil
-}
-
-// supervise watches the live connection and heals it on failure.
-func (r *ResilientClient) supervise() {
-	for {
-		r.mu.Lock()
-		c := r.cur
-		r.mu.Unlock()
-		if c == nil {
-			return // closed during redial
-		}
-		select {
-		case <-c.Done():
-		case <-r.done:
-			return
-		}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			return
-		}
-		r.cur = nil
-		r.mu.Unlock()
-		r.gDisconnected.Set(1)
-		r.cfg.Obs.SetDegraded(r.name(), "connection lost; reconnecting")
-		r.rec.Append(obs.Ev("ovsdb", "conn.drop"))
-		if !r.redial() {
-			return
-		}
-	}
-}
-
-// redial reconnects with jittered exponential backoff until it succeeds
-// (returning true) or the client is closed (false). Success means the
-// monitor is re-established and resynced, not merely that TCP connected.
-func (r *ResilientClient) redial() bool {
-	backoff := r.cfg.BackoffMin
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
-	maxb := r.cfg.BackoffMax
-	if maxb <= 0 {
-		maxb = 5 * time.Second
-	}
-	attempts := 0
-	for {
-		// Jitter to [backoff/2, backoff): concurrent clients spread out.
-		wait := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-		select {
-		case <-r.done:
-			return false
-		case <-time.After(wait):
-		}
-		attempts++
-		c, err := r.connect()
-		if err == nil {
-			if err = r.resync(c); err == nil {
-				r.mu.Lock()
-				if r.closed {
-					r.mu.Unlock()
-					c.Close()
-					return false
-				}
-				r.cur = c
-				r.mu.Unlock()
-				r.mReconnects.Inc()
-				r.gDisconnected.Set(0)
-				r.cfg.Obs.ClearDegraded(r.name())
-				r.rec.Append(obs.Ev("ovsdb", "conn.redial").
-					F("attempts", int64(attempts)))
-				return true
-			}
-			c.Close()
-		}
-		if backoff < maxb {
-			backoff *= 2
-			if backoff > maxb {
-				backoff = maxb
-			}
-		}
-	}
 }

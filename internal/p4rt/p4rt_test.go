@@ -81,6 +81,11 @@ func dialT(t *testing.T, addr string) *Client {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
+	// One round trip, so the server has accepted and registered the
+	// connection before a test calls NotifyDigest/NotifyPacketIn on it.
+	if _, err := c.GetP4Info(); err != nil {
+		t.Fatal(err)
+	}
 	return c
 }
 

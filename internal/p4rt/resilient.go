@@ -4,14 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
-	"net"
 	"sync"
 	"time"
 
 	"repro/internal/jsonrpc"
 	"repro/internal/obs"
 	"repro/internal/p4"
+	"repro/internal/redial"
 )
 
 // ErrUnavailable marks RPCs that failed because the device connection is
@@ -58,21 +57,12 @@ type ResilientConfig struct {
 // Done() fires only on Close, never on transient connection loss.
 type ResilientClient struct {
 	cfg ResilientConfig
+	sup *redial.Supervisor[*Client]
 
 	mu          sync.Mutex
-	cur         *Client
-	closed      bool
-	missed      int // RPC attempts rejected while no session was published
 	onDigest    func(DigestList)
 	onPacketIn  func(PacketIn)
 	onReconnect func(*Client) error
-
-	done      chan struct{}
-	closeOnce sync.Once
-
-	mReconnects   *obs.Counter
-	gDisconnected *obs.Gauge
-	rec           *obs.Recorder
 }
 
 // DialResilient connects to the switch and starts the supervision loop.
@@ -81,31 +71,50 @@ func DialResilient(cfg ResilientConfig) (*ResilientClient, error) {
 	if cfg.Target == "" {
 		cfg.Target = cfg.Addr
 	}
-	r := &ResilientClient{cfg: cfg, done: make(chan struct{})}
+	r := &ResilientClient{cfg: cfg}
 	reg := cfg.Obs.Reg()
 	lbl := obs.L("target", cfg.Target)
-	r.mReconnects = reg.Counter("p4rt_reconnects_total",
-		"Successful p4rt session re-establishments after connection loss.", lbl)
-	r.gDisconnected = reg.Gauge("p4rt_disconnected",
-		"1 while this device's connection is down and redialing, else 0.", lbl)
-	r.rec = cfg.Obs.Rec()
-	c, err := r.connect()
-	if err != nil {
+	r.sup = redial.New(redial.Config[*Client]{
+		Connect: r.connect,
+		Rearm:   r.reconcile,
+		// A write refused while the hook reconciles fails fast with
+		// ErrUnavailable and its caller will not retry it — the state it
+		// carried exists only on the controller's side. So after
+		// publication the hook runs again until a pass completes with no
+		// refusal: the published session is converged with everything
+		// attempted during the heal.
+		Settle: func(c *Client) error {
+			for r.sup.TakeRefused() > 0 {
+				if err := r.reconcile(c); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		BackoffMin:  cfg.BackoffMin,
+		BackoffMax:  cfg.BackoffMax,
+		ErrClosed:   ErrClosed,
+		ErrDown:     fmt.Errorf("%w: redialing %s", ErrUnavailable, cfg.Addr),
+		Obs:         cfg.Obs,
+		Plane:       "p4rt",
+		Device:      cfg.Target,
+		DegradedKey: "p4rt:" + cfg.Target,
+		Reconnects: reg.Counter("p4rt_reconnects_total",
+			"Successful p4rt session re-establishments after connection loss.", lbl),
+		Disconnected: reg.Gauge("p4rt_disconnected",
+			"1 while this device's connection is down and redialing, else 0.", lbl),
+	})
+	if err := r.sup.Start(); err != nil {
 		return nil, err
 	}
-	r.cur = c
-	go r.supervise()
 	return r, nil
 }
 
-func (r *ResilientClient) degradedKey() string { return "p4rt:" + r.cfg.Target }
-
+// connect dials one session and arms it with the digest and packet-in
+// trampolines, so a handler installed at any time — before, during or
+// after a redial — serves whichever session is live.
 func (r *ResilientClient) connect() (*Client, error) {
-	dial := r.cfg.Dial
-	if dial == nil {
-		dial = func(addr string) (io.ReadWriteCloser, error) { return net.Dial("tcp", addr) }
-	}
-	rwc, err := dial(r.cfg.Addr)
+	rwc, err := redial.DialStream(r.cfg.Dial, r.cfg.Addr)
 	if err != nil {
 		return nil, err
 	}
@@ -119,58 +128,44 @@ func (r *ResilientClient) connect() (*Client, error) {
 	if r.cfg.Obs != nil {
 		c.SetObs(r.cfg.Obs, r.cfg.Target)
 	}
-	r.mu.Lock()
-	od, op := r.onDigest, r.onPacketIn
-	r.mu.Unlock()
-	if od != nil {
-		c.OnDigest(od)
-	}
-	if op != nil {
-		c.OnPacketIn(op)
-	}
+	c.OnDigest(func(dl DigestList) {
+		r.mu.Lock()
+		f := r.onDigest
+		r.mu.Unlock()
+		if f != nil {
+			f(dl)
+		}
+	})
+	c.OnPacketIn(func(pi PacketIn) {
+		r.mu.Lock()
+		f := r.onPacketIn
+		r.mu.Unlock()
+		if f != nil {
+			f(pi)
+		}
+	})
 	return c, nil
 }
 
-// client returns the live connection or the reason there is none.
-func (r *ResilientClient) client() (*Client, error) {
+// reconcile runs the OnReconnect hook, if any, against c.
+func (r *ResilientClient) reconcile(c *Client) error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, ErrClosed
+	hook := r.onReconnect
+	r.mu.Unlock()
+	if hook == nil {
+		return nil
 	}
-	if r.cur == nil {
-		// Count the rejected attempt: the caller will not retry it, so if
-		// a reconciliation is in flight it must run once more afterwards
-		// to cover whatever this call would have written.
-		r.missed++
-		return nil, fmt.Errorf("%w: redialing %s", ErrUnavailable, r.cfg.Addr)
-	}
-	return r.cur, nil
+	return hook(c)
 }
 
 // Close permanently shuts the client down.
-func (r *ResilientClient) Close() error {
-	r.mu.Lock()
-	r.closed = true
-	c := r.cur
-	r.cur = nil
-	r.mu.Unlock()
-	r.closeOnce.Do(func() { close(r.done) })
-	if c != nil {
-		return c.Close()
-	}
-	return nil
-}
+func (r *ResilientClient) Close() error { return r.sup.Close() }
 
 // Done fires when the client is closed (not on transient disconnects).
-func (r *ResilientClient) Done() <-chan struct{} { return r.done }
+func (r *ResilientClient) Done() <-chan struct{} { return r.sup.Done() }
 
 // Connected reports whether a live session is currently established.
-func (r *ResilientClient) Connected() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cur != nil && !r.closed
-}
+func (r *ResilientClient) Connected() bool { return r.sup.Connected() }
 
 // OnReconnect installs the post-redial reconciliation hook. It runs with
 // the fresh (not yet published) client after handlers are re-armed; an
@@ -183,26 +178,18 @@ func (r *ResilientClient) OnReconnect(f func(*Client) error) {
 	r.onReconnect = f
 }
 
-// OnDigest installs the digest handler (re-armed on every reconnection).
+// OnDigest installs the digest handler (it outlives reconnections).
 func (r *ResilientClient) OnDigest(f func(DigestList)) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.onDigest = f
-	c := r.cur
-	r.mu.Unlock()
-	if c != nil {
-		c.OnDigest(f)
-	}
 }
 
-// OnPacketIn installs the packet-in handler (re-armed on reconnection).
+// OnPacketIn installs the packet-in handler (it outlives reconnections).
 func (r *ResilientClient) OnPacketIn(f func(PacketIn)) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.onPacketIn = f
-	c := r.cur
-	r.mu.Unlock()
-	if c != nil {
-		c.OnPacketIn(f)
-	}
 }
 
 // unavailableOn maps transport-level failures to ErrUnavailable while
@@ -221,7 +208,7 @@ func unavailableOn(err error) error {
 
 // GetP4Info fetches the running pipeline's description.
 func (r *ResilientClient) GetP4Info() (*p4.P4Info, error) {
-	c, err := r.client()
+	c, err := r.sup.Get()
 	if err != nil {
 		return nil, err
 	}
@@ -240,7 +227,7 @@ func (r *ResilientClient) Write(updates ...Update) error {
 // WriteTxn is Write with the originating transaction attached as
 // optional wire metadata (see Client.WriteTxn).
 func (r *ResilientClient) WriteTxn(txn uint64, updates ...Update) error {
-	c, err := r.client()
+	c, err := r.sup.Get()
 	if err != nil {
 		return err
 	}
@@ -249,7 +236,7 @@ func (r *ResilientClient) WriteTxn(txn uint64, updates ...Update) error {
 
 // ReadTable snapshots a table's entries.
 func (r *ResilientClient) ReadTable(table string) ([]TableEntry, error) {
-	c, err := r.client()
+	c, err := r.sup.Get()
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +246,7 @@ func (r *ResilientClient) ReadTable(table string) ([]TableEntry, error) {
 
 // ReadCounters reads a table's hit/miss counters.
 func (r *ResilientClient) ReadCounters(table string) (p4.TableCounters, error) {
-	c, err := r.client()
+	c, err := r.sup.Get()
 	if err != nil {
 		return p4.TableCounters{}, err
 	}
@@ -269,124 +256,9 @@ func (r *ResilientClient) ReadCounters(table string) (p4.TableCounters, error) {
 
 // PacketOut injects a packet on a port.
 func (r *ResilientClient) PacketOut(port uint16, data []byte) error {
-	c, err := r.client()
+	c, err := r.sup.Get()
 	if err != nil {
 		return err
 	}
 	return unavailableOn(c.PacketOut(port, data))
-}
-
-// supervise watches the live connection and heals it on failure.
-func (r *ResilientClient) supervise() {
-	for {
-		r.mu.Lock()
-		c := r.cur
-		r.mu.Unlock()
-		if c == nil {
-			return
-		}
-		select {
-		case <-c.Done():
-		case <-r.done:
-			return
-		}
-		r.mu.Lock()
-		if r.closed {
-			r.mu.Unlock()
-			return
-		}
-		r.cur = nil
-		r.mu.Unlock()
-		r.gDisconnected.Set(1)
-		r.cfg.Obs.SetDegraded(r.degradedKey(), "connection lost; reconnecting")
-		r.rec.Append(obs.Ev("p4rt", "conn.drop").WithDevice(r.cfg.Target))
-		if !r.redial() {
-			return
-		}
-	}
-}
-
-// redial reconnects with jittered exponential backoff until it succeeds
-// (true) or the client is closed (false). Success requires the
-// OnReconnect reconciliation to complete, so a published session is
-// always a converged one.
-func (r *ResilientClient) redial() bool {
-	backoff := r.cfg.BackoffMin
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
-	maxb := r.cfg.BackoffMax
-	if maxb <= 0 {
-		maxb = 5 * time.Second
-	}
-	attempts := 0
-	for {
-		wait := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-		select {
-		case <-r.done:
-			return false
-		case <-time.After(wait):
-		}
-		attempts++
-		c, err := r.connect()
-		if err == nil {
-			hook := func(*Client) error { return nil }
-			r.mu.Lock()
-			if r.onReconnect != nil {
-				hook = r.onReconnect
-			}
-			r.missed = 0
-			r.mu.Unlock()
-			if err = hook(c); err == nil {
-				r.mu.Lock()
-				if r.closed {
-					r.mu.Unlock()
-					c.Close()
-					return false
-				}
-				r.cur = c
-				r.mu.Unlock()
-				// Writes attempted while the hook was reconciling failed
-				// fast with ErrUnavailable and their callers will not retry
-				// them — the state they carried exists only on the desired
-				// side. Reconcile again until a pass completes with no
-				// write having been missed, so the published session is
-				// converged with everything enqueued during the heal.
-				for {
-					r.mu.Lock()
-					missed := r.missed
-					r.missed = 0
-					r.mu.Unlock()
-					if missed == 0 {
-						break
-					}
-					if err = hook(c); err != nil {
-						break
-					}
-				}
-				if err == nil {
-					r.mReconnects.Inc()
-					r.gDisconnected.Set(0)
-					r.cfg.Obs.ClearDegraded(r.degradedKey())
-					r.rec.Append(obs.Ev("p4rt", "conn.redial").WithDevice(r.cfg.Target).
-						F("attempts", int64(attempts)))
-					return true
-				}
-				// The catch-up reconciliation failed: unpublish the session
-				// and fall through to another redial attempt.
-				r.mu.Lock()
-				if r.cur == c {
-					r.cur = nil
-				}
-				r.mu.Unlock()
-			}
-			c.Close()
-		}
-		if backoff < maxb {
-			backoff *= 2
-			if backoff > maxb {
-				backoff = maxb
-			}
-		}
-	}
 }

@@ -1,0 +1,273 @@
+package redial
+
+import (
+	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+func TestRedialBackoffSchedule(t *testing.T) {
+	ms := time.Millisecond
+	cases := []struct {
+		name     string
+		min, max time.Duration
+		want     []time.Duration // the un-jittered backoff of each attempt
+	}{
+		{"doubles to the cap", 10 * ms, 80 * ms, []time.Duration{10 * ms, 20 * ms, 40 * ms, 80 * ms, 80 * ms, 80 * ms}},
+		{"cap between doublings", 10 * ms, 25 * ms, []time.Duration{10 * ms, 20 * ms, 25 * ms, 25 * ms}},
+		{"defaults", 0, 0, []time.Duration{50 * ms, 100 * ms, 200 * ms, 400 * ms, 800 * ms, 1600 * ms, 3200 * ms, 5000 * ms, 5000 * ms}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Several schedules, so the jitter is sampled more than once
+			// per step.
+			for run := 0; run < 50; run++ {
+				b := newBackoff(tc.min, tc.max)
+				for i, want := range tc.want {
+					if got := b.next(); got < want/2 || got > want {
+						t.Fatalf("wait %d = %v, want within [%v, %v]", i, got, want/2, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// fakeConn is a session the test can kill.
+type fakeConn struct {
+	id   int
+	done chan struct{}
+	once sync.Once
+}
+
+func (c *fakeConn) Done() <-chan struct{} { return c.done }
+func (c *fakeConn) Close() error          { c.once.Do(func() { close(c.done) }); return nil }
+
+func (c *fakeConn) isClosed() bool {
+	select {
+	case <-c.done:
+		return true
+	default:
+		return false
+	}
+}
+
+var (
+	errTestClosed = errors.New("test: closed")
+	errTestDown   = errors.New("test: down")
+)
+
+// dialer hands out numbered fakeConns and remembers them.
+type dialer struct {
+	mu    sync.Mutex
+	conns []*fakeConn
+	fail  bool          // Connect fails while set
+	gate  chan struct{} // when non-nil, Connect (after the first) blocks on it
+	gated chan struct{} // receives once a Connect is blocked on gate
+}
+
+func (d *dialer) connect() (*fakeConn, error) {
+	d.mu.Lock()
+	gate, first := d.gate, len(d.conns) == 0
+	d.mu.Unlock()
+	if gate != nil && !first {
+		d.gated <- struct{}{}
+		<-gate
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.fail {
+		return nil, errors.New("test: dial refused")
+	}
+	c := &fakeConn{id: len(d.conns), done: make(chan struct{})}
+	d.conns = append(d.conns, c)
+	return c, nil
+}
+
+func (d *dialer) conn(i int) *fakeConn {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if i >= len(d.conns) {
+		return nil
+	}
+	return d.conns[i]
+}
+
+func (d *dialer) set(f func()) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	f()
+}
+
+func start(t *testing.T, d *dialer, cfg Config[*fakeConn]) *Supervisor[*fakeConn] {
+	t.Helper()
+	cfg.Connect = d.connect
+	cfg.ErrClosed, cfg.ErrDown = errTestClosed, errTestDown
+	if cfg.BackoffMin == 0 {
+		cfg.BackoffMin, cfg.BackoffMax = time.Millisecond, 4*time.Millisecond
+	}
+	s := New(cfg)
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+func TestRedialStartFailsFast(t *testing.T) {
+	d := &dialer{fail: true}
+	s := New(Config[*fakeConn]{Connect: d.connect})
+	if err := s.Start(); err == nil {
+		t.Fatal("Start succeeded with a refusing dialer")
+	}
+}
+
+// A failing re-arm (and a failing settle) discards the session and the
+// backoff continues; only a re-armed, settled session stays published.
+func TestRedialFailingRearmAndSettleRetry(t *testing.T) {
+	d := &dialer{}
+	var rearms, settles atomic.Int32
+	var s *Supervisor[*fakeConn]
+	s = start(t, d, Config[*fakeConn]{
+		Rearm: func(c *fakeConn) error {
+			if _, err := s.Get(); err != errTestDown {
+				t.Errorf("Get during re-arm = %v, want down (session %d must not be published yet)", err, c.id)
+			}
+			if rearms.Add(1) <= 2 {
+				return errors.New("test: re-arm failed")
+			}
+			return nil
+		},
+		Settle: func(c *fakeConn) error {
+			if got, err := s.Get(); err != nil || got != c {
+				t.Errorf("Get during settle = %v, %v; want the published session %d", got, err, c.id)
+			}
+			if settles.Add(1) == 1 {
+				return errors.New("test: settle failed")
+			}
+			return nil
+		},
+	})
+	first, _ := s.Get()
+	first.Close() // the live session dies
+	// Sessions 1 and 2 fail re-arm, 3 fails settle, 4 sticks.
+	waitFor(t, "session 4 published", func() bool {
+		c, err := s.Get()
+		return err == nil && c.id == 4
+	})
+	if r, st := rearms.Load(), settles.Load(); r != 4 || st != 2 {
+		t.Fatalf("rearm ran %d times, settle %d; want 4 and 2", r, st)
+	}
+	for i := 1; i <= 3; i++ {
+		if !d.conn(i).isClosed() {
+			t.Errorf("discarded session %d was not closed", i)
+		}
+	}
+	if d.conn(4).isClosed() || !s.Connected() {
+		t.Fatalf("published session closed=%v connected=%v", d.conn(4).isClosed(), s.Connected())
+	}
+}
+
+// Gets refused while down are counted from the start of the attempt's
+// re-arm, which is what lets an owner re-run its reconciliation for
+// callers that will not retry.
+func TestRedialTakeRefusedCountsFromRearm(t *testing.T) {
+	d := &dialer{}
+	inRearm, release := make(chan struct{}), make(chan struct{})
+	s := start(t, d, Config[*fakeConn]{
+		Rearm: func(*fakeConn) error {
+			close(inRearm)
+			<-release
+			return nil
+		},
+	})
+	d.set(func() { d.fail = true })
+	first, _ := s.Get()
+	first.Close()
+	waitFor(t, "drop noticed", func() bool { return !s.Connected() })
+	for i := 0; i < 3; i++ { // refused before any re-arm: not counted below
+		if _, err := s.Get(); err != errTestDown {
+			t.Fatalf("Get while down = %v", err)
+		}
+	}
+	d.set(func() { d.fail = false })
+	<-inRearm
+	for i := 0; i < 2; i++ {
+		if _, err := s.Get(); err != errTestDown {
+			t.Fatalf("Get during re-arm = %v", err)
+		}
+	}
+	if n := s.TakeRefused(); n != 2 {
+		t.Fatalf("TakeRefused = %d, want the 2 refusals since re-arm began", n)
+	}
+	close(release)
+	waitFor(t, "republished", s.Connected)
+	if n := s.TakeRefused(); n != 0 {
+		t.Fatalf("TakeRefused after publication = %d, want 0", n)
+	}
+}
+
+// Close during a backoff wait returns promptly and the supervision
+// goroutine exits, without waiting the backoff out.
+func TestRedialCloseDuringWait(t *testing.T) {
+	base := runtime.NumGoroutine()
+	d := &dialer{}
+	s := start(t, d, Config[*fakeConn]{BackoffMin: time.Hour, BackoffMax: time.Hour})
+	first, _ := s.Get()
+	first.Close()
+	waitFor(t, "drop noticed", func() bool { return !s.Connected() })
+	t0 := time.Now()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-s.Done():
+	default:
+		t.Fatal("Done not closed after Close")
+	}
+	if _, err := s.Get(); err != errTestClosed {
+		t.Fatalf("Get after Close = %v", err)
+	}
+	waitFor(t, "supervision goroutine exit", func() bool { return runtime.NumGoroutine() <= base })
+	if el := time.Since(t0); el > 2*time.Second {
+		t.Fatalf("Close took %v during an hour-long backoff", el)
+	}
+	if err := s.Close(); err != nil { // idempotent
+		t.Fatal(err)
+	}
+}
+
+// A session whose connect completes after Close is closed, not published.
+func TestRedialConnectedAfterCloseIsClosed(t *testing.T) {
+	d := &dialer{gate: make(chan struct{}), gated: make(chan struct{}, 1)}
+	s := start(t, d, Config[*fakeConn]{})
+	first, _ := s.Get()
+	first.Close()
+	<-d.gated // the redial is inside Connect
+	s.Close()
+	close(d.gate)
+	waitFor(t, "late session closed", func() bool {
+		c := d.conn(1)
+		return c != nil && c.isClosed()
+	})
+	if s.Connected() {
+		t.Fatal("session published after Close")
+	}
+	if _, err := s.Get(); err != errTestClosed {
+		t.Fatalf("Get after Close = %v", err)
+	}
+}
