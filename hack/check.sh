@@ -21,6 +21,13 @@ go test -race ./...
 (cd benchmark && go vet ./... && go test ./...)
 # Smoke: every benchmark must still run (one iteration, no timing claims).
 go test -run=NONE -bench=. -benchtime=1x ./...
+# Wire codec: the hand-written encoders and decoders are held to
+# encoding/json on their seed corpora by the runs above (a fuzz target's
+# seeds run as a plain test); give each target a short fuzz as well.
+for target in wirejson:FuzzValue jsonrpc:FuzzFrame p4rt:FuzzWriteParams p4rt:FuzzDigestParams \
+    ovsdb:FuzzTransactParams ovsdb:FuzzTransactReply ovsdb:FuzzUpdateParams; do
+    go test -run='^$' -fuzz="^${target#*:}\$" -fuzztime=10s "./internal/${target%:*}/"
+done
 # Provenance overhead smoke: the experiment must run end to end and emit
 # its machine-readable report, and the collection-off hot path must stay
 # allocation-free (the PR's overhead budget).
@@ -64,19 +71,31 @@ go test -race -run 'TestKillRestartEndToEnd' -count=1 .
 go test -race -run 'TestRedial|TestResilient|TestResync|TestPushToleratesUnavailableDevice' -count=1 ./internal/redial/ ./internal/ovsdb/ ./internal/p4rt/ ./internal/core/
 go run ./cmd/nerpa-bench -exp reconnect -reconnect-ports 50,250 -reconnect-restarts 3 -reconnect-out BENCH_reconnect.json
 test -s BENCH_reconnect.json
-# Sustained throughput: the experiment must emit its report, and the
-# direct-mode aggregate txn/s must not regress more than 15% against the
-# committed baseline (read before the run overwrites the file).
-baseline=$(python3 -c "import json; print([r['txns_per_sec'] for r in json.load(open('BENCH_throughput.json'))['rows'] if r['mode'] == 'direct'][0])" 2>/dev/null || echo 0)
+# Sustained throughput: the experiment must emit its report; against the
+# committed baseline (read before the run overwrites the file) neither
+# mode's aggregate txn/s may regress more than 15%, and the wire mode's
+# allocations per transaction may not grow (5% covers the run-to-run
+# swing in how many transactions a coalesced batch absorbs).
+baseline=$(python3 -c "
+import json
+rows = {r['mode']: r for r in json.load(open('BENCH_throughput.json'))['rows']}
+print(rows['direct']['txns_per_sec'], rows['wire']['txns_per_sec'], rows['wire']['allocs_per_txn'])" 2>/dev/null || echo 0 0 0)
 go run ./cmd/nerpa-bench -exp throughput -throughput-out BENCH_throughput.json
 test -s BENCH_throughput.json
-python3 - "$baseline" <<'PYEOF'
+python3 - $baseline <<'PYEOF'
 import json, sys
-base = float(sys.argv[1])
-cur = [r["txns_per_sec"] for r in json.load(open("BENCH_throughput.json"))["rows"] if r["mode"] == "direct"][0]
-print(f"throughput direct: {cur:.0f} txn/s (baseline {base:.0f})")
-if base > 0 and cur < base * 0.85:
-    sys.exit(f"throughput regression: {cur:.0f} txn/s is >15% below baseline {base:.0f}")
+base = dict(zip(("direct", "wire"), map(float, sys.argv[1:3])))
+base_allocs = float(sys.argv[3])
+rows = {r["mode"]: r for r in json.load(open("BENCH_throughput.json"))["rows"]}
+for mode in ("direct", "wire"):
+    cur = rows[mode]["txns_per_sec"]
+    print(f"throughput {mode}: {cur:.0f} txn/s (baseline {base[mode]:.0f})")
+    if base[mode] > 0 and cur < base[mode] * 0.85:
+        sys.exit(f"throughput regression: {mode} {cur:.0f} txn/s is >15% below baseline {base[mode]:.0f}")
+allocs = rows["wire"]["allocs_per_txn"]
+print(f"throughput wire: {allocs:.1f} allocs/txn (baseline {base_allocs:.1f})")
+if base_allocs > 0 and allocs > base_allocs * 1.05:
+    sys.exit(f"wire allocation regression: {allocs:.1f} allocs/txn is above baseline {base_allocs:.1f}")
 PYEOF
 # Pub/sub fan-out: the subscription service e2e (snapshot-then-delta
 # ordering, slow-consumer eviction and resubscribe) and the jsonrpc

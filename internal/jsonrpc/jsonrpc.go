@@ -12,24 +12,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/wirejson"
 )
 
-// message is the wire form of all three message kinds.
-type message struct {
-	Method string          `json:"method,omitempty"`
-	Params json.RawMessage `json:"params,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  json.RawMessage `json:"error,omitempty"`
-	// ID is present (possibly null) on requests and responses. A pointer
-	// distinguishes "absent" from "null".
-	ID *json.RawMessage `json:"id,omitempty"`
-}
-
-func (m *message) isRequest() bool  { return m.Method != "" && m.ID != nil && !isNull(*m.ID) }
-func (m *message) isNotify() bool   { return m.Method != "" && (m.ID == nil || isNull(*m.ID)) }
-func (m *message) isResponse() bool { return m.Method == "" && m.ID != nil }
-
-func isNull(raw json.RawMessage) bool { return string(raw) == "null" }
+func isNull(raw []byte) bool { return string(raw) == "null" }
 
 // RPCError is a protocol-level error returned by a peer.
 type RPCError struct {
@@ -47,6 +34,17 @@ func (e *RPCError) Error() string {
 // Handler serves incoming requests and notifications on a connection.
 // Handle runs on the connection's read loop: implementations must not
 // block indefinitely. For a notification the result is discarded.
+//
+// params is a sub-slice of the connection's read buffer (nil when the
+// message carried none) and is overwritten by the next message: it is
+// valid until Handle returns, and whatever must outlive the call has to
+// be copied out. If it is an array or an object, only its extent and its
+// bracket structure have been checked: decoding it is what checks the
+// rest, and a handler that stores or forwards it undecoded has to check
+// it (wirejson.Dec.Skip) itself. The result is encoded before Handle's
+// caller reads on, so it may alias params. A result implementing
+// wirejson.Appender renders itself, a json.RawMessage is checked and
+// compacted, anything else goes through encoding/json.
 type Handler interface {
 	Handle(c *Conn, method string, params json.RawMessage) (result any, err *RPCError)
 }
@@ -67,9 +65,12 @@ type Conn struct {
 
 	// Writes are decoupled from callers (and from the read loop, which
 	// serves handlers) through a queue drained by a writer goroutine, so a
-	// slow or synchronous peer never deadlocks request handling.
+	// slow or synchronous peer never deadlocks request handling. The queue
+	// is one buffer of concatenated messages (writeCount of them, nil when
+	// there are none), which the writer takes and hands to the stream whole.
 	writeMu     sync.Mutex
-	writeQueue  [][]byte
+	writeBuf    *encBuf
+	writeCount  int
 	writeWake   chan struct{}
 	writeLimit  int
 	writePolicy OverflowPolicy
@@ -85,7 +86,7 @@ type Conn struct {
 
 	mu      sync.Mutex
 	nextID  uint64
-	pending map[uint64]chan *message
+	pending map[uint64]chan reply
 	closed  bool
 	readErr error
 	done    chan struct{}
@@ -153,7 +154,7 @@ func NewConnPending(rwc io.ReadWriteCloser) *Conn {
 		rwc:       rwc,
 		writeWake: make(chan struct{}, 1),
 		writeDone: make(chan struct{}),
-		pending:   make(map[uint64]chan *message),
+		pending:   make(map[uint64]chan reply),
 		done:      make(chan struct{}),
 	}
 }
@@ -300,60 +301,111 @@ func (c *Conn) fail(err error) {
 	close(c.done)
 }
 
+// reply carries a response from the read loop to the waiting Call:
+// result and err are the message's members (nil when absent), copied into
+// buf, a pooled buffer the receiver hands back with putBuf.
+type reply struct {
+	buf         *encBuf
+	result, err []byte
+}
+
+// maxMethods bounds the read loop's method-name intern table.
+const maxMethods = 64
+
 func (c *Conn) readLoop() {
-	dec := json.NewDecoder(c.rwc)
+	f := framer{r: c.rwc}
+	// Method names repeat for a connection's whole life; interning them
+	// keeps dispatch from allocating a string per message.
+	methods := make(map[string]string)
+	var d wirejson.Dec
 	for {
-		var m message
-		if err := dec.Decode(&m); err != nil {
+		fr, err := f.next()
+		if err != nil {
 			c.fail(err)
 			c.rwc.Close()
 			return
 		}
-		switch {
-		case m.isResponse():
-			var id uint64
-			if err := json.Unmarshal(*m.ID, &id); err != nil {
-				continue // response to an id we never issued
-			}
-			c.mu.Lock()
-			ch := c.pending[id]
-			delete(c.pending, id)
-			c.mu.Unlock()
-			if ch != nil {
-				ch <- &m
-			}
-		case m.isRequest():
-			c.serve(&m, true)
-		case m.isNotify():
-			c.serve(&m, false)
+		var name []byte
+		if fr[mMethod] != nil {
+			d.Init(fr[mMethod])
+			name, _ = d.StringBytes()
 		}
+		id := fr[mID]
+		if isNull(id) {
+			id = nil // a notification, or a response to nobody
+		}
+		if len(name) == 0 {
+			if id != nil {
+				c.deliver(&d, id, fr[mResult], fr[mError])
+			}
+			continue
+		}
+		method, ok := methods[string(name)]
+		if !ok {
+			method = string(name)
+			if len(methods) < maxMethods {
+				methods[method] = method
+			}
+		}
+		c.serve(method, fr[mParams], id)
 	}
 }
 
-func (c *Conn) serve(m *message, wantReply bool) {
+// deliver hands a response to the Call waiting on its id; one nobody
+// waits for (never issued, timed out) is dropped.
+func (c *Conn) deliver(d *wirejson.Dec, rawID, result, rpcErr []byte) {
+	var id uint64
+	d.Init(rawID)
+	wirejson.Uint(d, &id)
+	if d.End() != nil {
+		return
+	}
+	c.mu.Lock()
+	ch := c.pending[id]
+	delete(c.pending, id)
+	c.mu.Unlock()
+	if ch == nil {
+		return
+	}
+	r := reply{buf: getBuf()}
+	r.buf.b = append(append(r.buf.b, result...), rpcErr...)
+	if result != nil {
+		r.result = r.buf.b[:len(result):len(result)]
+	}
+	if rpcErr != nil {
+		r.err = r.buf.b[len(result):]
+	}
+	ch <- r
+}
+
+// serve runs the handler for one request (id non-nil) or notification
+// and queues the reply. params and id alias the read buffer.
+func (c *Conn) serve(method string, params, id []byte) {
 	var result any
 	var rpcErr *RPCError
 	if c.handler == nil {
-		rpcErr = &RPCError{Code: "unknown method", Details: m.Method}
+		rpcErr = &RPCError{Code: "unknown method", Details: method}
 	} else {
-		result, rpcErr = c.handler.Handle(c, m.Method, m.Params)
+		result, rpcErr = c.handler.Handle(c, method, params)
 	}
-	if !wantReply {
+	if id == nil {
 		return
 	}
-	reply := map[string]any{"id": m.ID, "result": result, "error": nil}
-	if rpcErr != nil {
-		reply["result"] = nil
-		reply["error"] = rpcErr
+	buf := getBuf()
+	if err := buf.reply(id, result, rpcErr); err != nil {
+		// The peer's Call is waiting on this id: a result that does not
+		// encode must still produce a reply, or that wait never ends. (The
+		// id, which the framer checked, encodes.)
+		buf.b = buf.b[:0]
+		buf.reply(id, nil, &RPCError{Code: "internal error", Details: err.Error()})
 	}
-	c.send(reply)
+	c.send(buf) // fails only on a connection that is already going down
 }
 
-func (c *Conn) send(v any) error {
-	buf, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
+// send queues the message built in msg for the write loop and takes
+// ownership of msg, whatever it returns. With nothing queued — the usual
+// case — msg becomes the queue; otherwise its bytes are appended.
+func (c *Conn) send(msg *encBuf) error {
 	// The closed check and the enqueue happen under c.mu together: once a
 	// message is accepted here, it was queued strictly before fail() could
 	// set closed and signal done, so the writeLoop's drain-on-done pass is
@@ -361,6 +413,7 @@ func (c *Conn) send(v any) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
+		putBuf(msg)
 		return errors.New("jsonrpc: connection closed")
 	}
 	c.writeMu.Lock()
@@ -368,6 +421,7 @@ func (c *Conn) send(v any) error {
 		limit, policy := c.writeLimit, c.writePolicy
 		c.writeMu.Unlock()
 		c.mu.Unlock()
+		putBuf(msg)
 		c.overflowed.Add(1)
 		if policy == DropNewest {
 			return fmt.Errorf("%w: %d messages pending, message dropped", ErrWriteOverflow, limit)
@@ -376,10 +430,18 @@ func (c *Conn) send(v any) error {
 		c.rwc.Close()
 		return fmt.Errorf("%w: %d messages pending, connection failed", ErrWriteOverflow, limit)
 	}
-	c.writeQueue = append(c.writeQueue, buf)
+	if c.writeBuf == nil {
+		c.writeBuf, msg = msg, nil
+	} else {
+		c.writeBuf.b = append(c.writeBuf.b, msg.b...)
+	}
+	c.writeCount++
 	c.queued.Add(1)
 	c.writeMu.Unlock()
 	c.mu.Unlock()
+	if msg != nil {
+		putBuf(msg)
+	}
 	select {
 	case c.writeWake <- struct{}{}:
 	default:
@@ -387,14 +449,20 @@ func (c *Conn) send(v any) error {
 	return nil
 }
 
+// takeBatch empties the queue.
+func (c *Conn) takeBatch() (batch *encBuf, count int) {
+	c.writeMu.Lock()
+	batch, count = c.writeBuf, c.writeCount
+	c.writeBuf, c.writeCount = nil, 0
+	c.writeMu.Unlock()
+	return batch, count
+}
+
 func (c *Conn) writeLoop() {
 	defer close(c.writeDone)
 	for {
-		c.writeMu.Lock()
-		batch := c.writeQueue
-		c.writeQueue = nil
-		c.writeMu.Unlock()
-		if len(batch) == 0 {
+		batch, count := c.takeBatch()
+		if count == 0 {
 			select {
 			case <-c.writeWake:
 				continue
@@ -405,38 +473,33 @@ func (c *Conn) writeLoop() {
 				// stream may be perfectly healthy (e.g. the read side hit
 				// EOF first, or Close is flushing), and accepted messages
 				// must not vanish.
-				c.writeMu.Lock()
-				batch = c.writeQueue
-				c.writeQueue = nil
-				c.writeMu.Unlock()
-				c.writeBatch(batch, false)
+				if batch, count = c.takeBatch(); count > 0 {
+					c.writeBatch(batch, count, false)
+				}
 				return
 			}
 		}
-		if !c.writeBatch(batch, true) {
+		if !c.writeBatch(batch, count, true) {
 			return
 		}
 	}
 }
 
-// writeBatch hands one drained batch to the stream, keeping the queue
-// depth current. failConn selects whether a stream error fails the
-// connection (the live path) or merely abandons the flush (the
-// drain-on-done pass, where the connection is already failed). Reports
-// whether the loop should keep running.
-func (c *Conn) writeBatch(batch [][]byte, failConn bool) bool {
-	for i, buf := range batch {
-		if _, err := c.rwc.Write(buf); err != nil {
-			c.queued.Add(-int64(len(batch) - i))
-			if failConn {
-				c.fail(err)
-				c.rwc.Close()
-			}
-			return false
-		}
-		c.queued.Add(-1)
+// writeBatch hands one drained batch of count messages to the stream in
+// a single Write and recycles its buffer, keeping the queue depth
+// current. failConn selects whether a stream error fails the connection
+// (the live path) or merely abandons the flush (the drain-on-done pass,
+// where the connection is already failed). Reports whether the loop
+// should keep running.
+func (c *Conn) writeBatch(batch *encBuf, count int, failConn bool) bool {
+	_, err := c.rwc.Write(batch.b)
+	putBuf(batch)
+	c.queued.Add(-int64(count))
+	if err != nil && failConn {
+		c.fail(err)
+		c.rwc.Close()
 	}
-	return true
+	return err == nil
 }
 
 // Call issues a request and waits for the matching response, decoding its
@@ -453,6 +516,11 @@ func (c *Conn) Call(method string, params any, result any) error {
 // (0 = wait forever). On timeout the pending entry is removed — the map
 // does not grow across timed-out calls — and ErrTimeout is returned
 // (test with errors.Is) while the connection itself stays usable.
+//
+// params implementing wirejson.Appender render themselves and a
+// json.RawMessage is checked and compacted; a result implementing
+// wirejson.Parser parses the reply itself, from bytes that are recycled
+// when the call returns. Everything else goes through encoding/json.
 func (c *Conn) CallTimeout(method string, params any, result any, timeout time.Duration) error {
 	c.mu.Lock()
 	if c.closed {
@@ -462,27 +530,30 @@ func (c *Conn) CallTimeout(method string, params any, result any, timeout time.D
 	}
 	id := c.nextID
 	c.nextID++
-	ch := make(chan *message, 1)
+	ch := make(chan reply, 1)
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	req := map[string]any{"method": method, "params": params, "id": id}
-	if params == nil {
-		req["params"] = []any{}
+	buf := getBuf()
+	err := buf.request(id, true, method, params)
+	if err == nil {
+		err = c.send(buf)
+	} else {
+		putBuf(buf)
 	}
-	if err := c.send(req); err != nil {
+	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
 		return err
 	}
-	var m *message
+	var r reply
 	var ok bool
 	if timeout > 0 {
 		t := time.NewTimer(timeout)
 		defer t.Stop()
 		select {
-		case m, ok = <-ch:
+		case r, ok = <-ch:
 		case <-t.C:
 			c.mu.Lock()
 			_, still := c.pending[id]
@@ -493,35 +564,56 @@ func (c *Conn) CallTimeout(method string, params any, result any, timeout time.D
 				// in flight into ch) or by fail() (ch closed): a receive
 				// completes promptly either way. Prefer the real outcome
 				// over the timeout.
-				m, ok = <-ch
+				r, ok = <-ch
 			} else {
 				return fmt.Errorf("%w: %s after %v", ErrTimeout, method, timeout)
 			}
 		}
 	} else {
-		m, ok = <-ch
+		r, ok = <-ch
 	}
 	if !ok {
 		return fmt.Errorf("jsonrpc: connection closed while waiting for %s reply", method)
 	}
-	if m.Error != nil && !isNull(m.Error) {
+	// The reply's bytes live in a pooled buffer: every decoder below
+	// copies what it keeps.
+	defer putBuf(r.buf)
+	if r.err != nil && !isNull(r.err) {
 		var rpcErr RPCError
-		if err := json.Unmarshal(m.Error, &rpcErr); err != nil {
-			return fmt.Errorf("jsonrpc: %s failed: %s", method, string(m.Error))
+		if err := json.Unmarshal(r.err, &rpcErr); err != nil {
+			return fmt.Errorf("jsonrpc: %s failed: %s", method, string(r.err))
 		}
 		return &rpcErr
 	}
-	if result != nil && m.Result != nil {
-		return json.Unmarshal(m.Result, result)
+	if r.result == nil {
+		return nil
 	}
-	return nil
+	// The framer left a result container unchecked for its decoder, which
+	// is one of these.
+	switch out := result.(type) {
+	case wirejson.Parser:
+		return out.ParseJSON(r.result)
+	case nil, *json.RawMessage:
+		var d wirejson.Dec
+		d.Init(r.result)
+		d.Skip()
+		if err := d.End(); err != nil {
+			return err
+		}
+		if raw, _ := out.(*json.RawMessage); raw != nil {
+			*raw = append((*raw)[:0], r.result...)
+		}
+		return nil
+	}
+	return json.Unmarshal(r.result, result)
 }
 
 // Notify sends a notification (no reply expected).
 func (c *Conn) Notify(method string, params any) error {
-	req := map[string]any{"method": method, "params": params, "id": nil}
-	if params == nil {
-		req["params"] = []any{}
+	buf := getBuf()
+	if err := buf.request(0, false, method, params); err != nil {
+		putBuf(buf)
+		return err
 	}
-	return c.send(req)
+	return c.send(buf)
 }

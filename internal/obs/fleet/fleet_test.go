@@ -276,6 +276,63 @@ func TestAggregatorSkewCorrection(t *testing.T) {
 	}
 }
 
+// TestAggregatorCausalOrderUnderSkewError fakes a switch whose clock
+// anchor is 2ms off the clock its stages were stamped with — the error
+// an HTTP-poll skew estimate carries — so its apply, which ran inside
+// the controller's push, lands before the delta once corrected. The
+// stitcher moves it back behind its cause: the timeline still ends at
+// the data plane and the apply does not precede the push.
+func TestAggregatorCausalOrderUnderSkewError(t *testing.T) {
+	const estErr = 2 * time.Millisecond
+	t0 := time.Now().Add(-time.Second)
+
+	db, dbSrv := memberServer(t, "ovsdb", "db0")
+	db.Tr().Record(5, "ovsdb", stage(obs.StageCommit, t0, time.Millisecond))
+	db.Tr().Record(5, "ovsdb", stage("monitor", t0.Add(time.Millisecond), time.Millisecond))
+	db.Tr().Record(5, "ovsdb", stage("delta", t0.Add(2*time.Millisecond), time.Millisecond))
+	db.Tr().Record(5, "ovsdb", stage("push", t0.Add(3*time.Millisecond), time.Millisecond))
+
+	swMux := http.NewServeMux()
+	swMux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Obs-Plane", "switchsim")
+		w.Header().Set("X-Obs-Instance", "sw0")
+		w.Header().Set("X-Obs-Now-Unix-Nano", strconv.FormatInt(time.Now().Add(estErr).UnixNano(), 10))
+		tr := obs.Trace{TxnID: 5, Source: "p4rt", Stages: []obs.Stage{
+			stage(obs.StageSwitchApplied, t0.Add(3500*time.Microsecond), 100*time.Microsecond),
+		}}
+		json.NewEncoder(w).Encode(struct {
+			Traces []obs.Trace `json:"traces"`
+		}{[]obs.Trace{tr}})
+	})
+	swSrv := httptest.NewServer(swMux)
+	defer swSrv.Close()
+
+	agg, err := New(Config{Targets: []string{"db=" + dbSrv.URL, "sw=" + swSrv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg.PollOnce()
+
+	tr, ok := agg.Trace(5)
+	if !ok || !tr.Complete {
+		t.Fatalf("no complete stitched trace for txn 5: %+v", tr)
+	}
+	var names []string
+	for _, sg := range tr.Stages {
+		names = append(names, sg.Name)
+	}
+	if got := strings.Join(names, ","); got != "commit,monitor,delta,push,switch-applied" {
+		t.Fatalf("stage order = %s, want the causal order", got)
+	}
+	push, applied := tr.Stages[3], tr.Stages[4]
+	if applied.Start.Before(push.Start) || applied.End.Sub(applied.Start) != 100*time.Microsecond {
+		t.Fatalf("apply %v..%v should keep its length and not precede push start %v", applied.Start, applied.End, push.Start)
+	}
+	if got := time.Duration(tr.ConvergenceNs); got < 3*time.Millisecond || got > 4*time.Millisecond {
+		t.Fatalf("convergence = %v, want commit start → clamped apply end (~3.1ms)", got)
+	}
+}
+
 // TestAggregatorHotRules drives two profiled members and checks the
 // fleet-wide merge: summed EWMA costs rank rules across the
 // deployment, the per-member "other" rollups combine, and the one-shot

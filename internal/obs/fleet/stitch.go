@@ -96,7 +96,7 @@ func (a *Aggregator) restitch() {
 				})
 			}
 		}
-		sort.SliceStable(st.Stages, func(i, j int) bool { return st.Stages[i].Start.Before(st.Stages[j].Start) })
+		causalOrder(st.Stages)
 		sort.Strings(st.Members)
 		for _, name := range expectedStages {
 			if !seen[name] {
@@ -139,6 +139,52 @@ func (a *Aggregator) restitch() {
 		delete(a.stitched, old)
 		delete(a.convSeen, old)
 	}
+}
+
+// causalOrder sorts one transaction's stages by skew-corrected start
+// time after restoring the order the stack guarantees but a skew
+// estimate may not: each expected stage is caused by the one before it
+// (the controller computes its delta from the monitor update, the
+// switch applies inside the controller's synchronous push), so no stage
+// starts before its predecessor did. A skew estimate taken from an HTTP
+// poll is only good to about half the poll's round trip, which on one
+// host exceeds the push→apply gap; a stage it places ahead of its cause
+// is moved, whole, to start with it, and equal starts sort by causal
+// rank.
+func causalOrder(stages []StitchedStage) {
+	rank := func(name string) int {
+		for r, n := range expectedStages {
+			if n == name {
+				return r
+			}
+		}
+		return len(expectedStages)
+	}
+	var cause time.Time // earliest start of the nearest present predecessor
+	for _, name := range expectedStages {
+		var first time.Time
+		for i := range stages {
+			sg := &stages[i]
+			if sg.Name != name {
+				continue
+			}
+			if d := cause.Sub(sg.Start); !cause.IsZero() && d > 0 {
+				sg.Start, sg.End = sg.Start.Add(d), sg.End.Add(d)
+			}
+			if first.IsZero() || sg.Start.Before(first) {
+				first = sg.Start
+			}
+		}
+		if !first.IsZero() {
+			cause = first
+		}
+	}
+	sort.SliceStable(stages, func(i, j int) bool {
+		if !stages[i].Start.Equal(stages[j].Start) {
+			return stages[i].Start.Before(stages[j].Start)
+		}
+		return rank(stages[i].Name) < rank(stages[j].Name)
+	})
 }
 
 // observeConvergenceLocked records one convergence sample (bounded

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/jsonrpc"
+	"repro/internal/wirejson"
 )
 
 // Client is an OVSDB protocol client: transactions, schema introspection,
@@ -17,19 +18,27 @@ import (
 type Client struct {
 	conn *jsonrpc.Conn
 
-	mu       sync.Mutex
-	monitors map[string]func(uint64, TableUpdates)
+	mu sync.Mutex
+	// monitors is keyed by the monitor id's canonical JSON.
+	monitors map[string]*clientMonitor
 	// updates queues decoded update notifications for the delivery
 	// goroutine (see deliverUpdates); upWake signals a non-empty queue.
 	updates []clientUpdate
 	upWake  chan struct{}
 }
 
+// clientMonitor is one registered monitor: its key in Client.monitors
+// and the callback its updates go to.
+type clientMonitor struct {
+	id string
+	cb func(uint64, TableUpdates)
+}
+
 // clientUpdate is one decoded update notification awaiting delivery.
 type clientUpdate struct {
-	monID string
-	txn   uint64
-	tu    TableUpdates
+	mon *clientMonitor
+	txn uint64
+	tu  TableUpdates
 }
 
 // Dial connects to an OVSDB server over TCP.
@@ -44,7 +53,7 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an established byte stream.
 func NewClient(rwc io.ReadWriteCloser) *Client {
 	c := &Client{
-		monitors: make(map[string]func(uint64, TableUpdates)),
+		monitors: make(map[string]*clientMonitor),
 		upWake:   make(chan struct{}, 1),
 	}
 	c.conn = jsonrpc.NewConn(rwc, jsonrpc.HandlerFunc(c.handle))
@@ -68,29 +77,26 @@ func (c *Client) handle(_ *jsonrpc.Conn, method string, params json.RawMessage) 
 		}
 		return v, nil
 	case "update":
-		var raw []json.RawMessage
-		if err := json.Unmarshal(params, &raw); err != nil || len(raw) < 2 {
-			return nil, &jsonrpc.RPCError{Code: "bad params", Details: "update expects [id, updates]"}
-		}
-		monID := canonicalJSON(raw[0])
-		var tu TableUpdates
-		dec := json.NewDecoder(bytes.NewReader(raw[1]))
-		dec.UseNumber()
-		if err := dec.Decode(&tu); err != nil {
+		// The optional third element is the server-minted txn ID (this
+		// repo's extension for cross-plane tracing).
+		id, tu, txn, err := parseUpdate(params)
+		if err != nil {
 			return nil, &jsonrpc.RPCError{Code: "bad params", Details: err.Error()}
 		}
-		// Optional third element: the server-minted txn ID (this repo's
-		// extension for cross-plane tracing). Absent or malformed → 0.
-		var txn uint64
-		if len(raw) >= 3 {
-			_ = json.Unmarshal(raw[2], &txn)
-		}
+		// A server echoes the id as this client sent it, which is its
+		// canonical form unless it holds numbers float64 cannot carry.
 		// Queue for the delivery goroutine rather than calling the
 		// callback here: handlers run on the connection's read loop, so
 		// a callback that blocked on (or issued) an RPC on this same
 		// connection would deadlock against its own reply.
 		c.mu.Lock()
-		c.updates = append(c.updates, clientUpdate{monID: monID, txn: txn, tu: tu})
+		mon := c.monitors[string(id)]
+		if mon == nil {
+			mon = c.monitors[canonicalJSON(id)]
+		}
+		if mon != nil {
+			c.updates = append(c.updates, clientUpdate{mon: mon, txn: txn, tu: tu})
+		}
 		c.mu.Unlock()
 		select {
 		case c.upWake <- struct{}{}:
@@ -130,11 +136,12 @@ func (c *Client) deliverUpdates() {
 			}
 		}
 		for i := range batch {
+			mon := batch[i].mon
 			c.mu.Lock()
-			cb := c.monitors[batch[i].monID]
+			live := c.monitors[mon.id] == mon // not cancelled meanwhile
 			c.mu.Unlock()
-			if cb != nil {
-				cb(batch[i].txn, batch[i].tu)
+			if live {
+				mon.cb(batch[i].txn, batch[i].tu)
 			}
 		}
 	}
@@ -176,22 +183,9 @@ func (c *Client) StartKeepalive(interval time.Duration, misses int) {
 // Transact runs operations against the named database and parses the
 // per-operation results.
 func (c *Client) Transact(db string, ops ...Operation) ([]OpResult, error) {
-	params := make([]any, 0, len(ops)+1)
-	params = append(params, db)
-	for i := range ops {
-		params = append(params, &ops[i])
-	}
-	var raw []json.RawMessage
-	if err := c.conn.Call("transact", params, &raw); err != nil {
+	var results transactReply
+	if err := c.conn.Call("transact", transactParams{db: db, ops: ops}, &results); err != nil {
 		return nil, err
-	}
-	results := make([]OpResult, len(raw))
-	for i, r := range raw {
-		res, err := parseOpResult(r)
-		if err != nil {
-			return nil, err
-		}
-		results[i] = res
 	}
 	return results, nil
 }
@@ -209,31 +203,6 @@ func (c *Client) TransactErr(db string, ops ...Operation) ([]OpResult, error) {
 		}
 	}
 	return results, nil
-}
-
-func parseOpResult(raw json.RawMessage) (OpResult, error) {
-	var m struct {
-		Count   *int             `json:"count"`
-		UUID    []any            `json:"uuid"`
-		Rows    []map[string]any `json:"rows"`
-		Error   string           `json:"error"`
-		Details string           `json:"details"`
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	if err := dec.Decode(&m); err != nil {
-		return OpResult{}, fmt.Errorf("ovsdb: bad operation result: %w", err)
-	}
-	res := OpResult{Rows: m.Rows, Error: m.Error, Details: m.Details}
-	if m.Count != nil {
-		res.Count = *m.Count
-	}
-	if len(m.UUID) == 2 {
-		if s, ok := m.UUID[1].(string); ok {
-			res.UUID = UUID(s)
-		}
-	}
-	return res, nil
 }
 
 // Monitor registers a monitor and returns the initial contents. Updates
@@ -257,7 +226,7 @@ func (c *Client) MonitorTxn(db string, id any, requests map[string]*MonitorReque
 		c.mu.Unlock()
 		return nil, fmt.Errorf("ovsdb: duplicate monitor id %s", monID)
 	}
-	c.monitors[monID] = cb
+	c.monitors[monID] = &clientMonitor{id: monID, cb: cb}
 	c.mu.Unlock()
 
 	var raw json.RawMessage
@@ -300,7 +269,7 @@ func (c *Client) MonitorSince(db string, id any, requests map[string]*MonitorReq
 		c.mu.Unlock()
 		return false, 0, nil, nil, fmt.Errorf("ovsdb: duplicate monitor id %s", monID)
 	}
-	c.monitors[monID] = cb
+	c.monitors[monID] = &clientMonitor{id: monID, cb: cb}
 	c.mu.Unlock()
 	// Every error path must unregister the callback (see MonitorTxn).
 	fail := func(err error) (bool, uint64, TableUpdates, []GapUpdate, error) {
@@ -351,25 +320,21 @@ func (c *Client) MonitorCancel(id any) error {
 
 // --- Operation builders ---
 
-// mustRaw marshals v, panicking on failure (values are always
-// marshallable).
-func mustRaw(v any) json.RawMessage {
-	b, err := json.Marshal(v)
+// clause builds a [column, op, value] triple from a typed Value,
+// panicking on a value JSON cannot carry (a non-finite real).
+func clause(column, op string, v Value) [3]json.RawMessage {
+	raw, err := appendWireValue(nil, v)
 	if err != nil {
 		panic(err)
 	}
-	return b
+	return [3]json.RawMessage{wirejson.AppendString(nil, column), wirejson.AppendString(nil, op), raw}
 }
 
 // Cond builds a where clause [column, op, value] from a typed Value.
-func Cond(column, op string, v Value) [3]json.RawMessage {
-	return [3]json.RawMessage{mustRaw(column), mustRaw(op), mustRaw(ValueToJSON(v))}
-}
+func Cond(column, op string, v Value) [3]json.RawMessage { return clause(column, op, v) }
 
 // Mutation builds a mutation [column, mutator, value] from a typed Value.
-func Mutation(column, mutator string, v Value) [3]json.RawMessage {
-	return [3]json.RawMessage{mustRaw(column), mustRaw(mutator), mustRaw(ValueToJSON(v))}
-}
+func Mutation(column, mutator string, v Value) [3]json.RawMessage { return clause(column, mutator, v) }
 
 // JSONRow converts typed column values to a JSON row object.
 func JSONRow(row map[string]Value) map[string]any {

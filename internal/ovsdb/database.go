@@ -382,7 +382,7 @@ func (db *Database) Transact(ops []Operation) []OpResult {
 		if db.wal != nil && !db.walDead {
 			walTicket = db.walAppendLocked(txnID, flat)
 		}
-		db.notifyMonitors(txnID, commit, changes)
+		db.notifyMonitors(txnID, commit, flat)
 		db.appendGapLocked(txnID, flat)
 	}
 	db.mu.Unlock()

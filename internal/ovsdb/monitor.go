@@ -1,10 +1,13 @@
 package ovsdb
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/wirejson"
 )
 
 // MonitorSelect controls which kinds of changes a monitor receives.
@@ -61,6 +64,12 @@ type Monitor struct {
 	db       *Database
 	requests map[string]*MonitorRequest
 	notify   func(txn uint64, tu TableUpdates)
+	// notifyWire, which the protocol server sets instead of notify, takes
+	// each update already rendered as the notification's JSON object.
+	notifyWire func(txn uint64, updates []byte)
+	// cols is, per monitored table, the selected columns, sorted (the
+	// order encoding/json gives map keys) and without repeats.
+	cols map[string][]string
 
 	mu     sync.Mutex
 	queue  []queuedUpdate
@@ -68,13 +77,14 @@ type Monitor struct {
 	closed bool
 }
 
-// queuedUpdate is one committed transaction's rendered updates awaiting
-// delivery, stamped with the commit time so delivery can report fan-out
-// lag.
+// queuedUpdate is one committed transaction's changes awaiting rendering
+// and delivery, stamped with the commit time so delivery can report
+// fan-out lag. changes is sorted by table, then row, and shared between
+// monitors: read-only.
 type queuedUpdate struct {
-	txn    uint64
-	commit time.Time
-	tu     TableUpdates
+	txn     uint64
+	commit  time.Time
+	changes []changeRef
 }
 
 // AddMonitor registers a monitor over the given tables and returns it
@@ -109,6 +119,14 @@ type GapUpdate struct {
 // commits — both computed under the commit lock, so no transaction is
 // ever dropped or delivered twice across the boundary.
 func (db *Database) AddMonitorSince(requests map[string]*MonitorRequest, since uint64, notify func(txn uint64, tu TableUpdates)) (m *Monitor, found bool, lastTxn uint64, gap []GapUpdate, initial TableUpdates, err error) {
+	return db.addMonitor(requests, since, notify, nil)
+}
+
+// addMonitor is AddMonitorSince with the choice of how live updates are
+// delivered: as TableUpdates to notify, or rendered to JSON to
+// notifyWire. The initial contents and the gap come back as values
+// either way.
+func (db *Database) addMonitor(requests map[string]*MonitorRequest, since uint64, notify func(uint64, TableUpdates), notifyWire func(uint64, []byte)) (m *Monitor, found bool, lastTxn uint64, gap []GapUpdate, initial TableUpdates, err error) {
 	for table, req := range requests {
 		ts := db.schema.Tables[table]
 		if ts == nil {
@@ -121,10 +139,22 @@ func (db *Database) AddMonitorSince(requests map[string]*MonitorRequest, since u
 		}
 	}
 	m = &Monitor{
-		db:       db,
-		requests: requests,
-		notify:   notify,
-		wake:     make(chan struct{}, 1),
+		db:         db,
+		requests:   requests,
+		notify:     notify,
+		notifyWire: notifyWire,
+		wake:       make(chan struct{}, 1),
+	}
+	m.cols = make(map[string][]string, len(requests))
+	for table, req := range requests {
+		cols := slices.Clone(req.Columns)
+		if cols == nil { // all columns
+			for col := range db.schema.Tables[table].Columns {
+				cols = append(cols, col)
+			}
+		}
+		slices.Sort(cols)
+		m.cols[table] = slices.Compact(cols)
 	}
 	db.mu.Lock()
 	lastTxn = db.txnSeq
@@ -153,10 +183,9 @@ func (db *Database) AddMonitorSince(requests map[string]*MonitorRequest, since u
 			if !req.wants("initial") {
 				continue
 			}
-			ts := db.schema.Tables[table]
 			tu := make(TableUpdate)
 			for id, row := range db.tables[table] {
-				tu[string(id)] = RowUpdate{New: projectRow(ts, row, req.Columns)}
+				tu[string(id)] = RowUpdate{New: projectRow(row, m.cols[table])}
 			}
 			if len(tu) > 0 {
 				initial[table] = tu
@@ -177,7 +206,7 @@ func (db *Database) AddMonitorSince(requests map[string]*MonitorRequest, since u
 		// entries still precede every live update.
 		gap = []GapUpdate{}
 		for i := range pending {
-			if tu := m.render(db, changesAsMap(pending[i].changes)); len(tu) > 0 {
+			if tu := m.render(pending[i].changes); len(tu) > 0 {
 				gap = append(gap, GapUpdate{Txn: pending[i].txn, Updates: tu})
 			}
 		}
@@ -238,6 +267,23 @@ func (m *Monitor) run() {
 		m.queue = nil
 		m.mu.Unlock()
 		for _, qu := range batch {
+			// Rendering happens here, off the commit lock: the rows a
+			// change points at are copy-on-write.
+			var tu TableUpdates
+			var wire []byte
+			var tables int
+			if m.notifyWire == nil {
+				tu = m.render(qu.changes)
+				tables = len(tu)
+			} else {
+				var err error
+				if wire, tables, err = m.renderWire(qu.changes); err != nil {
+					continue // a value JSON cannot express (a non-finite real)
+				}
+			}
+			if tables == 0 {
+				continue // nothing this monitor selects
+			}
 			delivered := time.Now()
 			lag := delivered.Sub(qu.commit)
 			m.db.mMonitorLag.ObserveDuration(lag)
@@ -248,19 +294,23 @@ func (m *Monitor) run() {
 				End:   delivered,
 			})
 			m.db.rec.Append(obs.Ev("ovsdb", "monitor.deliver").WithTxn(qu.txn).At(delivered).
-				F("tables", int64(len(qu.tu))).
+				F("tables", int64(tables)).
 				F("lag_us", lag.Microseconds()))
 			if m.db.obs.BudgetExceeded("monitor", lag) {
 				m.db.obs.PinIncident("monitor", qu.txn, "ovsdb", lag, nil)
 			}
-			m.notify(qu.txn, qu.tu)
+			if m.notifyWire != nil {
+				m.notifyWire(qu.txn, wire)
+			} else {
+				m.notify(qu.txn, tu)
+			}
 		}
 	}
 }
 
 // projectRow renders the requested columns of a row to JSON form.
 // A nil column list means all columns.
-func projectRow(ts *TableSchema, row Row, columns []string) map[string]any {
+func projectRow(row Row, columns []string) map[string]any {
 	out := make(map[string]any, len(row))
 	if columns == nil {
 		for col, v := range row {
@@ -276,70 +326,140 @@ func projectRow(ts *TableSchema, row Row, columns []string) map[string]any {
 	return out
 }
 
-// notifyMonitors fans a committed transaction's changes out to monitors.
-// Called with db.mu held (commit order therefore equals enqueue order);
-// delivery happens asynchronously on each monitor's goroutine.
-func (db *Database) notifyMonitors(txn uint64, commit time.Time, changes map[string]map[UUID]*rowChange) {
+// notifyMonitors fans a committed transaction's changes out to the
+// monitors that watch a table it touched. Called with db.mu held (commit
+// order therefore equals enqueue order); rendering and delivery happen
+// on each monitor's goroutine, from one sorted copy of flat (the caller
+// recycles flat itself).
+func (db *Database) notifyMonitors(txn uint64, commit time.Time, flat []changeRef) {
 	db.monMu.Lock()
 	defer db.monMu.Unlock()
+	var shared []changeRef
 	for m := range db.monitors {
-		tu := m.render(db, changes)
-		if len(tu) > 0 {
-			m.enqueue(queuedUpdate{txn: txn, commit: commit, tu: tu})
+		if !slices.ContainsFunc(flat, func(c changeRef) bool { return m.requests[c.table] != nil }) {
+			continue
 		}
+		if shared == nil {
+			// (table, row) order is what makes rendered bytes the ones
+			// json.Marshal would produce from the maps.
+			shared = slices.Clone(flat)
+			slices.SortFunc(shared, func(a, b changeRef) int {
+				if c := strings.Compare(a.table, b.table); c != 0 {
+					return c
+				}
+				return strings.Compare(string(a.id), string(b.id))
+			})
+		}
+		m.enqueue(queuedUpdate{txn: txn, commit: commit, changes: shared})
 	}
 }
 
-func (m *Monitor) render(db *Database, changes map[string]map[UUID]*rowChange) TableUpdates {
-	out := make(TableUpdates)
-	for table, rows := range changes {
-		if len(rows) == 0 {
-			continue // retained scratch entry (see txn.effectiveChanges)
+// selection reports what a monitor with request req over the columns
+// cols is told about the change c: nothing (ok false), or c's old image
+// over oldCols and its new image over newCols.
+func (req *MonitorRequest) selection(c *changeRef, cols []string) (oldCols, newCols []string, ok bool) {
+	switch {
+	case c.old == nil:
+		return nil, cols, req.wants("insert")
+	case c.new == nil:
+		return cols, nil, req.wants("delete")
+	case !req.wants("modify"):
+		return nil, nil, false
+	}
+	// Old carries only the columns that actually changed (and are
+	// selected); New carries all selected columns.
+	for _, col := range cols {
+		ov, inOld := c.old[col]
+		nv, inNew := c.new[col]
+		if inOld != inNew || inOld && !ValueEqual(ov, nv) {
+			oldCols = append(oldCols, col)
 		}
-		req := m.requests[table]
+	}
+	return oldCols, cols, len(oldCols) > 0
+}
+
+// render builds the TableUpdates a notify monitor receives for flat.
+func (m *Monitor) render(flat []changeRef) TableUpdates {
+	out := make(TableUpdates)
+	for i := range flat {
+		c := &flat[i]
+		req := m.requests[c.table]
 		if req == nil {
 			continue
 		}
-		ts := db.schema.Tables[table]
-		tu := make(TableUpdate)
-		for id, c := range rows {
-			switch {
-			case c.old == nil && c.new != nil:
-				if req.wants("insert") {
-					tu[string(id)] = RowUpdate{New: projectRow(ts, c.new, req.Columns)}
-				}
-			case c.old != nil && c.new == nil:
-				if req.wants("delete") {
-					tu[string(id)] = RowUpdate{Old: projectRow(ts, c.old, req.Columns)}
-				}
-			default:
-				if !req.wants("modify") {
-					continue
-				}
-				// Old carries only the columns that actually changed (and
-				// are selected); New carries all selected columns.
-				oldChanged := make(map[string]any)
-				cols := req.Columns
-				if cols == nil {
-					for col := range c.old {
-						cols = append(cols, col)
-					}
-				}
-				for _, col := range cols {
-					ov, nv := c.old[col], c.new[col]
-					if !ValueEqual(ov, nv) {
-						oldChanged[col] = ValueToJSON(ov)
-					}
-				}
-				if len(oldChanged) == 0 {
-					continue // no selected column changed
-				}
-				tu[string(id)] = RowUpdate{Old: oldChanged, New: projectRow(ts, c.new, req.Columns)}
-			}
+		oldCols, newCols, ok := req.selection(c, m.cols[c.table])
+		if !ok {
+			continue
 		}
-		if len(tu) > 0 {
-			out[table] = tu
+		tu := out[c.table]
+		if tu == nil {
+			tu = make(TableUpdate)
+			out[c.table] = tu
 		}
+		var ru RowUpdate
+		if c.old != nil {
+			ru.Old = projectRow(c.old, oldCols)
+		}
+		if c.new != nil {
+			ru.New = projectRow(c.new, newCols)
+		}
+		tu[string(c.id)] = ru
 	}
 	return out
+}
+
+// renderWire is render for a notifyWire monitor: the same selection,
+// appended as the JSON object json.Marshal makes of render's
+// TableUpdates. flat is sorted by table, then row.
+func (m *Monitor) renderWire(flat []changeRef) (out []byte, tables int, err error) {
+	out = append(out, '{')
+	table, rows := "", 0 // the table whose object is open (rows > 0) and how many rows it holds
+	for i := range flat {
+		c := &flat[i]
+		req := m.requests[c.table]
+		if req == nil {
+			continue
+		}
+		oldCols, newCols, ok := req.selection(c, m.cols[c.table])
+		if !ok {
+			continue
+		}
+		if rows > 0 && c.table != table {
+			out, rows = append(out, '}'), 0
+		}
+		if rows == 0 {
+			out = append(wirejson.AppendString(sep(out, tables), c.table), ':', '{')
+			table = c.table
+			tables++
+		}
+		out = append(wirejson.AppendString(sep(out, rows), string(c.id)), ':', '{')
+		rows++
+		members := 0
+		if c.old != nil {
+			out, members, err = appendImage(out, `"old":`, c.old, oldCols, 0)
+		}
+		if c.new != nil && err == nil {
+			out, _, err = appendImage(out, `"new":`, c.new, newCols, members)
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		out = append(out, '}')
+	}
+	if rows > 0 {
+		out = append(out, '}')
+	}
+	return append(out, '}'), tables, nil
+}
+
+// appendImage appends one member (old or new) of a row update, the row's
+// image over cols, unless that image is empty — RowUpdate's omitempty.
+// before is how many members precede it; it returns how many there are now.
+func appendImage(dst []byte, name string, row Row, cols []string, before int) ([]byte, int, error) {
+	start := len(dst)
+	dst, n, err := appendWireRow(append(sep(dst, before), name...), row, cols)
+	if n == 0 {
+		return dst[:start], before, err
+	}
+	return dst, before + 1, err
 }

@@ -1,9 +1,10 @@
 package ovsdb
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+
+	"repro/internal/wirejson"
 )
 
 // condition is a parsed where clause: [column, op, value].
@@ -78,52 +79,15 @@ func resolveValueNamed(tx *txn, v Value) Value {
 	}
 }
 
+// decodeRawJSON decodes one JSON value, numbers as json.Number.
 func decodeRawJSON(raw json.RawMessage) (any, error) {
-	// Scalar fastpaths: conditions and mutations are overwhelmingly
-	// strings, numbers, and booleans, which decode without the
-	// reader+decoder allocations of the general path below.
-	if b := bytes.TrimSpace(raw); len(b) > 0 {
-		switch b[0] {
-		case '"':
-			var s string
-			if err := json.Unmarshal(b, &s); err == nil {
-				return s, nil
-			}
-		case 't':
-			if bytes.Equal(b, []byte("true")) {
-				return true, nil
-			}
-		case 'f':
-			if bytes.Equal(b, []byte("false")) {
-				return false, nil
-			}
-		default:
-			if (b[0] == '-' || b[0] >= '0' && b[0] <= '9') && json.Valid(b) && isJSONNumber(b) {
-				return json.Number(b), nil
-			}
-		}
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
+	var d wirejson.Dec
+	d.Init(raw)
+	v := d.Any(true)
+	if err := d.End(); err != nil {
 		return nil, fmt.Errorf("bad JSON value: %w", err)
 	}
 	return v, nil
-}
-
-// isJSONNumber reports whether b consists solely of number characters
-// (combined with json.Valid, this identifies a bare JSON number).
-func isJSONNumber(b []byte) bool {
-	for _, c := range b {
-		switch {
-		case c >= '0' && c <= '9':
-		case c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E':
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 func (c *condition) matches(id UUID, row Row) (bool, error) {

@@ -131,22 +131,6 @@ func (db *Database) appendGapLocked(txn uint64, flat []changeRef) {
 	db.winCount++
 }
 
-// changesAsMap rebuilds the render-shaped change map from a retained
-// gap entry. Resync-only path; allocation is acceptable here.
-func changesAsMap(flat []changeRef) map[string]map[UUID]*rowChange {
-	out := make(map[string]map[UUID]*rowChange)
-	for i := range flat {
-		c := &flat[i]
-		m := out[c.table]
-		if m == nil {
-			m = make(map[UUID]*rowChange)
-			out[c.table] = m
-		}
-		m[c.id] = &rowChange{old: c.old, new: c.new}
-	}
-	return out
-}
-
 // walAppendLocked renders the commit as a wire-form WAL record and
 // enqueues it. Called under db.mu, in commit order; the caller waits on
 // the returned durability ticket after releasing the lock, so group
@@ -164,7 +148,7 @@ func (db *Database) walAppendLocked(txnID uint64, flat []changeRef) <-chan error
 			t[string(c.id)] = jsonNull
 			continue
 		}
-		b, err := json.Marshal(projectRow(db.schema.Tables[c.table], c.new, nil))
+		b, err := json.Marshal(projectRow(c.new, nil))
 		if err != nil {
 			// Row values are always marshallable; a failure here is a
 			// WAL fault, reported through the ticket like any other.
@@ -195,14 +179,12 @@ func (db *Database) captureSnapshotLocked(txnID uint64) {
 		}
 		tables[t] = cp
 	}
-	schema := db.schema
 	db.wal.CompactAsync(func() (*wal.Snapshot, error) {
 		s := &wal.Snapshot{Txn: txnID, Tables: make(map[string]map[string]json.RawMessage, len(tables))}
 		for t, rows := range tables {
-			ts := schema.Tables[t]
 			out := make(map[string]json.RawMessage, len(rows))
 			for id, row := range rows {
-				b, err := json.Marshal(projectRow(ts, row, nil))
+				b, err := json.Marshal(projectRow(row, nil))
 				if err != nil {
 					return nil, fmt.Errorf("ovsdb: encoding row %s/%s for snapshot: %w", t, id, err)
 				}

@@ -136,17 +136,22 @@ func waitConnected(t *testing.T, r *ResilientClient) {
 	}
 }
 
-// waitDisconnected blocks until the supervisor has noticed the drop, so
-// a following waitConnected observes the next session, not the dying one.
-func waitDisconnected(t *testing.T, r *ResilientClient) {
+// killAndWaitRedial kills every connection and blocks until the
+// supervisor has published the session after it. It waits on the dial
+// count, which only rises: polling Connected() for the outage itself can
+// miss it entirely when the redial (2 ms here) outruns the poll.
+func killAndWaitRedial(t *testing.T, r *ResilientClient, d *faultnet.Dialer) {
 	t.Helper()
+	dials := d.Dials()
+	d.KillAll()
 	deadline := time.Now().Add(5 * time.Second)
-	for r.Connected() {
+	for d.Dials() == dials {
 		if time.Now().After(deadline) {
 			t.Fatalf("drop never noticed")
 		}
 		time.Sleep(time.Millisecond)
 	}
+	waitConnected(t, r) // the redial unpublished the dead session first
 }
 
 func TestResilientResyncDeliversOutageDiff(t *testing.T) {
@@ -223,9 +228,7 @@ func TestResilientResyncNoSpuriousDeltas(t *testing.T) {
 
 	// Nothing changes during the outage: the subscriber must see no
 	// synthetic update at all, not a no-op one.
-	d.KillAll()
-	waitDisconnected(t, r)
-	waitConnected(t, r)
+	killAndWaitRedial(t, r, d)
 	time.Sleep(20 * time.Millisecond)
 	if n := col.count(); n != 1 {
 		t.Fatalf("unchanged state produced %d extra updates", n-1)
@@ -301,9 +304,7 @@ func TestResilientGoroutinesTerminateOnClose(t *testing.T) {
 		if _, err := r.MonitorTxn("TestDB", "m", portMonitorReqs(), col.add); err != nil {
 			t.Fatal(err)
 		}
-		d.KillAll()
-		waitDisconnected(t, r)
-		waitConnected(t, r) // exercise the redial loop before closing
+		killAndWaitRedial(t, r, d) // exercise the redial loop before closing
 		r.Close()
 		select {
 		case <-r.Done():
@@ -356,9 +357,7 @@ func TestResilientDropsSupersededConnectionUpdates(t *testing.T) {
 
 	// The cache was not poisoned: an outage with no state change still
 	// produces no synthetic update, and a real change arrives exactly once.
-	d.KillAll()
-	waitDisconnected(t, r)
-	waitConnected(t, r)
+	killAndWaitRedial(t, r, d)
 	time.Sleep(20 * time.Millisecond)
 	if n := col.count(); n != 1 {
 		t.Fatalf("stale update leaked into the resync diff (%d updates)", n)

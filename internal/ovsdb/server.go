@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/jsonrpc"
 	"repro/internal/obs"
+	"repro/internal/wirejson"
 )
 
 // Server exposes one or more databases over the OVSDB JSON-RPC protocol:
@@ -259,54 +260,15 @@ func (sc *serverConn) Handle(_ *jsonrpc.Conn, method string, params json.RawMess
 }
 
 func (sc *serverConn) handleTransact(params json.RawMessage) (any, *jsonrpc.RPCError) {
-	var raw []json.RawMessage
-	if err := json.Unmarshal(params, &raw); err != nil || len(raw) < 1 {
-		return nil, rpcErr("bad params", "transact expects [db-name, op...]")
-	}
-	var dbName string
-	if err := json.Unmarshal(raw[0], &dbName); err != nil {
-		return nil, rpcErr("bad params", "db-name must be a string")
+	dbName, ops, err := parseTransact(params)
+	if err != nil {
+		return nil, rpcErr("bad params", err.Error())
 	}
 	db := sc.server.Database(dbName)
 	if db == nil {
 		return nil, rpcErr("unknown database", dbName)
 	}
-	ops := make([]Operation, 0, len(raw)-1)
-	for _, r := range raw[1:] {
-		var op Operation
-		if err := json.Unmarshal(r, &op); err != nil {
-			return nil, rpcErr("bad params", fmt.Sprintf("bad operation: %v", err))
-		}
-		ops = append(ops, op)
-	}
-	results := db.Transact(ops)
-	out := make([]any, len(results))
-	for i, r := range results {
-		out[i] = opResultToJSON(&r)
-	}
-	return out, nil
-}
-
-// opResultToJSON renders an OpResult without omitting meaningful zeroes.
-func opResultToJSON(r *OpResult) map[string]any {
-	m := make(map[string]any)
-	if r.Error != "" {
-		m["error"] = r.Error
-		if r.Details != "" {
-			m["details"] = r.Details
-		}
-		return m
-	}
-	if r.UUID != nil {
-		m["uuid"] = r.UUID
-	}
-	if r.Rows != nil {
-		m["rows"] = r.Rows
-	}
-	if r.UUID == nil && r.Rows == nil {
-		m["count"] = r.Count
-	}
-	return m
+	return transactReply(db.Transact(ops)), nil
 }
 
 func (sc *serverConn) handleMonitor(params json.RawMessage) (any, *jsonrpc.RPCError) {
@@ -353,13 +315,18 @@ func (sc *serverConn) handleMonitor(params json.RawMessage) (any, *jsonrpc.RPCEr
 	}
 	sc.mu.Unlock()
 
-	idCopy := append(json.RawMessage{}, raw[1]...)
+	// raw[1] aliases the read buffer; the notifications need their own
+	// (compacted) copy of the id.
+	id, err := wirejson.AppendCompact(nil, raw[1])
+	if err != nil {
+		return nil, rpcErr("bad params", "malformed monitor id")
+	}
 	// The txn ID rides as an optional third element of the update
 	// notification so clients can correlate updates with traced
 	// transactions; RFC 7047 clients that expect two elements should
 	// ignore extras.
-	mon, found, lastTxn, gap, initial, err := db.AddMonitorSince(requests, since, func(txn uint64, tu TableUpdates) {
-		sc.conn.Notify("update", []any{json.RawMessage(idCopy), tu, txn})
+	mon, found, lastTxn, gap, initial, err := db.addMonitor(requests, since, nil, func(txn uint64, updates []byte) {
+		sc.conn.Notify("update", updateParams{id: id, updates: updates, txn: txn})
 	})
 	if err != nil {
 		return nil, rpcErr("bad request", err.Error())

@@ -87,8 +87,8 @@ func (c *Client) handle(_ *jsonrpc.Conn, method string, params json.RawMessage) 
 		}
 		return v, nil
 	case "digest":
-		var dl DigestList
-		if err := json.Unmarshal(params, &dl); err != nil {
+		dl, err := parseDigest(params)
+		if err != nil {
 			return nil, &jsonrpc.RPCError{Code: "bad params", Details: err.Error()}
 		}
 		c.mu.Lock()
@@ -174,17 +174,17 @@ func (c *Client) Write(updates ...Update) error {
 // A zero txn sends the legacy bare-array form, byte-identical to what
 // pre-txn clients emit — safe against old servers.
 func (c *Client) WriteTxn(txn uint64, updates ...Update) error {
-	var params any = updates
+	var params any = updateList(updates)
 	if txn != 0 {
 		params = WriteRequest{Txn: txn, Updates: updates}
 	}
-	var out map[string]any
+	// The reply to a successful write is an empty object; nothing to decode.
 	if !c.obsOn {
-		return c.conn.Call("write", params, &out)
+		return c.conn.Call("write", params, nil)
 	}
 	c.mInflight.Add(1)
 	t0 := time.Now()
-	err := c.conn.Call("write", params, &out)
+	err := c.conn.Call("write", params, nil)
 	elapsed := time.Since(t0)
 	c.mWriteSecs.ObserveDuration(elapsed)
 	c.mInflight.Add(-1)

@@ -419,17 +419,22 @@ func TestWriteTxnLegacyDevice(t *testing.T) {
 // the sniff.
 func TestWriteRequestDecodeForms(t *testing.T) {
 	for _, tc := range []struct {
-		raw  string
-		want bool
+		raw     string
+		txn     uint64
+		updates int
+		bad     bool
 	}{
-		{`{"txn":7,"updates":[]}`, true},
-		{`  {"txn":7}`, true},
-		{"\n\t[]", false},
-		{`[{"type":"insert"}]`, false},
-		{``, false},
+		{raw: `{"txn":7,"updates":[]}`, txn: 7},
+		{raw: `  {"txn":7}`, txn: 7},
+		{raw: "\n\t[]"},
+		{raw: `[{"type":"insert"}]`, updates: 1},
+		{raw: ` {"updates":[{"type":"delete"},{"type":"insert"}]}`, updates: 2},
+		{raw: ``, bad: true},
 	} {
-		if got := isJSONObject([]byte(tc.raw)); got != tc.want {
-			t.Errorf("isJSONObject(%q) = %v, want %v", tc.raw, got, tc.want)
+		updates, txn, err := parseWrite([]byte(tc.raw))
+		if (err != nil) != tc.bad || txn != tc.txn || len(updates) != tc.updates {
+			t.Errorf("parseWrite(%q) = %d updates, txn %d, err %v; want %d, %d, bad=%v",
+				tc.raw, len(updates), txn, err, tc.updates, tc.txn, tc.bad)
 		}
 	}
 }

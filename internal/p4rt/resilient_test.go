@@ -44,18 +44,22 @@ func waitP4Connected(t *testing.T, r *ResilientClient) {
 	}
 }
 
-// waitP4Disconnected blocks until the supervisor has noticed the drop
-// (Connected flips false), so a following waitP4Connected observes the
-// NEXT session rather than the dying one.
-func waitP4Disconnected(t *testing.T, r *ResilientClient) {
+// killAndWaitRedial kills every connection and blocks until the
+// supervisor has published the session after it. It waits on the dial
+// count, which only rises: polling Connected() for the outage itself can
+// miss it entirely when the redial (2 ms here) outruns the poll.
+func killAndWaitRedial(t *testing.T, r *ResilientClient, d *faultnet.Dialer) {
 	t.Helper()
+	dials := d.Dials()
+	d.KillAll()
 	deadline := time.Now().Add(5 * time.Second)
-	for r.Connected() {
+	for d.Dials() == dials {
 		if time.Now().After(deadline) {
 			t.Fatalf("drop never noticed")
 		}
 		time.Sleep(time.Millisecond)
 	}
+	waitP4Connected(t, r) // the redial unpublished the dead session first
 }
 
 func TestResilientReconnectRunsHookAndHeals(t *testing.T) {
@@ -124,9 +128,7 @@ func TestResilientHookFailureRetries(t *testing.T) {
 		}
 		return nil
 	})
-	d.KillAll()
-	waitP4Disconnected(t, r)
-	waitP4Connected(t, r)
+	killAndWaitRedial(t, r, d)
 	if n := calls.Load(); n != 3 {
 		t.Fatalf("hook ran %d times, want 3 (failures must retry the redial)", n)
 	}
@@ -144,9 +146,7 @@ func TestResilientReArmsDigestHandler(t *testing.T) {
 		got = append(got, dl.ListID)
 		mu.Unlock()
 	})
-	d.KillAll()
-	waitP4Disconnected(t, r)
-	waitP4Connected(t, r)
+	killAndWaitRedial(t, r, d)
 	// Give the server a beat to register the fresh connection's stream.
 	time.Sleep(5 * time.Millisecond)
 	srv.NotifyDigest(DigestList{Digest: "mac", ListID: 42})
@@ -229,9 +229,7 @@ func TestResilientGoroutinesTerminateOnClose(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.KillAll()
-		waitP4Disconnected(t, r)
-		waitP4Connected(t, r) // exercise the redial loop before closing
+		killAndWaitRedial(t, r, d) // exercise the redial loop before closing
 		r.Close()
 		select {
 		case <-r.Done():

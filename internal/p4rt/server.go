@@ -132,21 +132,8 @@ func (s *Server) NotifyPacketIn(pi PacketIn) {
 	}
 }
 
-// isJSONObject reports whether raw's first non-space byte opens an
-// object (the extended WriteRequest form) rather than an array.
-func isJSONObject(raw json.RawMessage) bool {
-	for _, b := range raw {
-		switch b {
-		case ' ', '\t', '\n', '\r':
-			continue
-		case '{':
-			return true
-		default:
-			return false
-		}
-	}
-	return false
-}
+// emptyObject is the reply of methods with nothing to return, boxed once.
+var emptyObject any = json.RawMessage("{}")
 
 func (s *Server) handle(_ *jsonrpc.Conn, method string, params json.RawMessage) (any, *jsonrpc.RPCError) {
 	switch method {
@@ -161,22 +148,10 @@ func (s *Server) handle(_ *jsonrpc.Conn, method string, params json.RawMessage) 
 	case "get_p4info":
 		return s.dev.P4Info(), nil
 	case "write":
-		// Two wire forms: the legacy bare update array, and the extended
-		// WriteRequest object carrying the originating transaction (see
-		// p4rt.WriteRequest). Old clients keep sending arrays; both land
-		// on the same device.
-		var updates []Update
-		var txn uint64
-		if isJSONObject(params) {
-			var req WriteRequest
-			if err := json.Unmarshal(params, &req); err != nil {
-				return nil, &jsonrpc.RPCError{Code: "bad params", Details: err.Error()}
-			}
-			updates, txn = req.Updates, req.Txn
-		} else if err := json.Unmarshal(params, &updates); err != nil {
+		updates, txn, err := parseWrite(params)
+		if err != nil {
 			return nil, &jsonrpc.RPCError{Code: "bad params", Details: err.Error()}
 		}
-		var err error
 		if td, ok := s.dev.(TxnDevice); ok && txn != 0 {
 			err = td.WriteTxn(txn, updates)
 		} else {
@@ -185,7 +160,7 @@ func (s *Server) handle(_ *jsonrpc.Conn, method string, params json.RawMessage) 
 		if err != nil {
 			return nil, &jsonrpc.RPCError{Code: "write failed", Details: err.Error()}
 		}
-		return map[string]any{}, nil
+		return emptyObject, nil
 	case "read":
 		var table string
 		if err := json.Unmarshal(params, &table); err != nil {
@@ -204,7 +179,7 @@ func (s *Server) handle(_ *jsonrpc.Conn, method string, params json.RawMessage) 
 		if err := s.dev.PacketOut(po.Port, po.Data); err != nil {
 			return nil, &jsonrpc.RPCError{Code: "packet_out failed", Details: err.Error()}
 		}
-		return map[string]any{}, nil
+		return emptyObject, nil
 	case "read_counters":
 		var table string
 		if err := json.Unmarshal(params, &table); err != nil {

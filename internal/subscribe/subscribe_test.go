@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -332,5 +333,47 @@ func TestDebugEndpointAndMetrics(t *testing.T) {
 	}
 	if snap := o.Reg().Snapshot(); snap["sub_subscribers"] != 1 {
 		t.Errorf("sub_subscribers = %v, want 1", snap["sub_subscribers"])
+	}
+}
+
+// TestSubscribeKeepsNoAliasIntoReadBuffer: the relation and filter a
+// subscription was made with must not change when the next, larger
+// request overwrites the connection's read buffer.
+func TestSubscribeKeepsNoAliasIntoReadBuffer(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	a, b := net.Pipe()
+	defer a.Close()
+	svc.ServeConn(b)
+	peer := json.NewDecoder(a)
+	send := func(id int, method string, params ...any) {
+		t.Helper()
+		req, _ := json.Marshal(map[string]any{"method": method, "params": params, "id": id})
+		a.SetDeadline(time.Now().Add(5 * time.Second))
+		if _, err := a.Write(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recv := func() (m struct {
+		Method string
+		Params []updateMsg
+		Error  any
+	}) {
+		t.Helper()
+		if err := peer.Decode(&m); err != nil || m.Error != nil {
+			t.Fatalf("recv: %+v, %v", m, err)
+		}
+		return m
+	}
+	send(1, "subscribe", "FirstRelation", map[string]any{"filter": map[string]any{"1": "first-filter-value"}})
+	recv()
+	send(2, "echo", strings.Repeat("S", 2000)) // overwrites the subscribe request
+	recv()
+	mk := func(port int64, tag string) zset.Entry {
+		return zset.Entry{Rec: value.Record{value.Int(port), value.String(tag)}, Weight: 1}
+	}
+	svc.Publish(1, d("FirstRelation", mk(1, "first-filter-value"), mk(2, "other")))
+	if m := recv(); m.Method != "sub_update" || len(m.Params) != 1 || len(m.Params[0].Changes) != 1 {
+		t.Fatalf("update after the buffer was overwritten = %+v, want the one row matching the filter", m)
 	}
 }

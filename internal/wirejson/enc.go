@@ -1,0 +1,202 @@
+package wirejson
+
+import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"slices"
+	"strconv"
+	"unicode/utf8"
+)
+
+// Appender is implemented by values that render their own JSON. The
+// output must be what json.Marshal would produce for the value, so a
+// message reads the same to a peer whichever side encoded it.
+type Appender interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+const hex = "0123456789abcdef"
+
+// AppendString appends s as a JSON string with encoding/json's escaping
+// (HTML-sensitive characters, U+2028/9, invalid UTF-8 as U+FFFD).
+func AppendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if b := s[i]; b < utf8.RuneSelf {
+			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		if c == utf8.RuneError && size == 1 {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+			i += size
+			start = i
+			continue
+		}
+		if c == '\u2028' || c == '\u2029' {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+			i += size
+			start = i
+			continue
+		}
+		i += size
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// AppendFloat appends f in encoding/json's (ES6-style) number format.
+func AppendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, fmt.Errorf("json: unsupported value: %v", f)
+	}
+	abs := math.Abs(f)
+	format := byte('f')
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// clean up e-09 to e-9
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, nil
+}
+
+// AppendCompact appends the JSON text src as json.Marshal renders a
+// json.RawMessage: validated, insignificant whitespace dropped and
+// HTML-sensitive characters inside strings escaped. nil renders as null.
+func AppendCompact(dst, src []byte) ([]byte, error) {
+	if src == nil {
+		return append(dst, "null"...), nil
+	}
+	var d Dec
+	d.Init(src)
+	d.Skip()
+	if err := d.End(); err != nil {
+		return dst, err
+	}
+	inString, start := false, 0
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		switch {
+		case inString && c == '\\':
+			i++
+		case c == '"':
+			inString = !inString
+		case !inString && (c == ' ' || c == '\t' || c == '\n' || c == '\r'):
+			dst = append(dst, src[start:i]...)
+			start = i + 1
+		case c == '<' || c == '>' || c == '&':
+			dst = append(dst, src[start:i]...)
+			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xF])
+			start = i + 1
+		case c == 0xE2 && i+2 < len(src) && src[i+1] == 0x80 && src[i+2]&^1 == 0xA8:
+			dst = append(dst, src[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[src[i+2]&0xF])
+			start = i + 3
+			i += 2
+		}
+	}
+	return append(dst, src[start:]...), nil
+}
+
+// AppendValue appends a value in JSON form — what decoding JSON into an
+// empty interface yields, plus the Go integers and raw messages the
+// in-process builders put there — as json.Marshal would, object keys
+// sorted. Any other type goes through json.Marshal itself.
+func AppendValue(dst []byte, v any) ([]byte, error) {
+	switch v := v.(type) {
+	case nil:
+		return append(dst, "null"...), nil
+	case string:
+		return AppendString(dst, v), nil
+	case bool:
+		return strconv.AppendBool(dst, v), nil
+	case int64:
+		return strconv.AppendInt(dst, v, 10), nil
+	case int:
+		return strconv.AppendInt(dst, int64(v), 10), nil
+	case uint64:
+		return strconv.AppendUint(dst, v, 10), nil
+	case float64:
+		return AppendFloat(dst, v)
+	case []any:
+		if v == nil {
+			return append(dst, "null"...), nil
+		}
+		dst = append(dst, '[')
+		for i, e := range v {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			var err error
+			if dst, err = AppendValue(dst, e); err != nil {
+				return dst, err
+			}
+		}
+		return append(dst, ']'), nil
+	case map[string]any:
+		return AppendMap(dst, v)
+	case json.RawMessage:
+		return AppendCompact(dst, v)
+	case Appender:
+		return v.AppendJSON(dst)
+	}
+	b, err := json.Marshal(v)
+	return append(dst, b...), err
+}
+
+// AppendMap appends m as a JSON object with sorted keys (null if nil).
+func AppendMap(dst []byte, m map[string]any) ([]byte, error) {
+	if m == nil {
+		return append(dst, "null"...), nil
+	}
+	var stack [16]string
+	keys := stack[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	dst = append(dst, '{')
+	for i, k := range keys {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(AppendString(dst, k), ':')
+		var err error
+		if dst, err = AppendValue(dst, m[k]); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, '}'), nil
+}

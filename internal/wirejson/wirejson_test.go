@@ -1,0 +1,180 @@
+package wirejson
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// oracleAny decodes text the way the wire path used to: json.Decoder,
+// optionally UseNumber, into an empty interface, nothing after the value.
+func oracleAny(text []byte, useNumber bool) (any, error) {
+	if !json.Valid(text) {
+		return nil, &json.SyntaxError{}
+	}
+	dec := json.NewDecoder(bytes.NewReader(text))
+	if useNumber {
+		dec.UseNumber()
+	}
+	var v any
+	err := dec.Decode(&v)
+	return v, err
+}
+
+// checkValue holds one JSON text to every guarantee the package makes
+// about it.
+func checkValue(t *testing.T, text []byte) {
+	t.Helper()
+	var d Dec
+	d.Init(text)
+	d.Skip()
+	if ok := d.End() == nil; ok != json.Valid(text) {
+		t.Fatalf("Skip accepts %q = %v, json.Valid = %v (%v)", text, ok, json.Valid(text), d.Err())
+	}
+	for _, useNumber := range []bool{true, false} {
+		want, wantErr := oracleAny(text, useNumber)
+		d.Init(text)
+		got := d.Any(useNumber)
+		err := d.End()
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("Any(%q, %v) error = %v, encoding/json: %v", text, useNumber, err, wantErr)
+		}
+		if err != nil {
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Any(%q, %v) = %#v, encoding/json: %#v", text, useNumber, got, want)
+		}
+		wantText, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotText, err := AppendValue(nil, got)
+		if err != nil || !bytes.Equal(gotText, wantText) {
+			t.Fatalf("AppendValue(%#v) = %s, %v; json.Marshal: %s", got, gotText, err, wantText)
+		}
+	}
+	wantText, wantErr := json.Marshal(json.RawMessage(text))
+	gotText, err := AppendCompact(nil, text)
+	if (err != nil) != (wantErr != nil) || err == nil && !bytes.Equal(gotText, wantText) {
+		t.Fatalf("AppendCompact(%q) = %s, %v; json.Marshal: %s, %v", text, gotText, err, wantText, wantErr)
+	}
+	d.Init(text)
+	if raw := d.Raw(); d.End() == nil && !bytes.Equal(raw, bytes.TrimSpace(text)) {
+		t.Fatalf("Raw(%q) = %q", text, raw)
+	}
+}
+
+var valueSeeds = []string{
+	`null`, `true`, `false`, `0`, `-0`, `12`, `-1.5e+3`, `1E400`, `0.1`, `1e-7`, `123456789012345678901234567890`,
+	`""`, `"a"`, `"é"`, `"é\n\t\"\\\/\b\f\r"`, `"😀"`, `"\ud83d"`, `"\ud83dx"`, `"\ud83dA"`, `"\ude00\ud83d"`,
+	"\"\xff\xfe\"", "\"a\xe2\x80\xa8b\"", `"<>&"`, "\"  \"",
+	`[]`, `[ ]`, `{}`, `{ }`, ` [1, 2 ,3] `, `{"a":1,"a":2}`, `{"b":[{"c":null}],"a":{"":""}}`,
+	`["set",[["uuid","7b1c"],["named-uuid","x"]]]`, "\t{\"k\" :\n[true , false]}\r\n",
+	// Malformed.
+	``, ` `, `nul`, `tru`, `nulll`, `01`, `-`, `1.`, `.5`, `1e`, `1e+`, `+1`, `0x10`, `"`, `"\x"`, `"\u12"`, `"\u12g4"`, "\"\x01\"", "\"\n\"", `"\'"`,
+	`[`, `]`, `[1`, `[1,`, `[1,]`, `[,1]`, `[1 2]`, `{`, `}`, `{"a"}`, `{"a":}`, `{"a":1,}`, `{a:1}`, `{1:1}`, `{"a":1 "b":2}`, `{"a":1]`, `[1}`,
+	`1 2`, `{} {}`, `[] x`, `nullx`, `"a"b`,
+}
+
+func TestValueDifferential(t *testing.T) {
+	for _, s := range valueSeeds {
+		checkValue(t, []byte(s))
+	}
+	deep := strings.Repeat("[", maxDepth) + strings.Repeat("]", maxDepth)
+	checkValue(t, []byte(deep))
+	checkValue(t, []byte("["+deep+"]"))
+	checkValue(t, []byte(strings.Repeat(`{"a":`, maxDepth+1)+"1"+strings.Repeat("}", maxDepth+1)))
+}
+
+func FuzzValue(f *testing.F) {
+	for _, s := range valueSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, text []byte) { checkValue(t, text) })
+}
+
+func TestAppendStringMatchesMarshal(t *testing.T) {
+	for _, s := range []string{"", "plain", "q\"b\\", "\x00\x1f\x7f", "<script>&amp;", "é😀", "\xff\xc0\xaf", "  ", "a\xe2\x80", string(rune(0xFFFD))} {
+		want, _ := json.Marshal(s)
+		if got := AppendString(nil, s); !bytes.Equal(got, want) {
+			t.Errorf("AppendString(%q) = %s, json.Marshal: %s", s, got, want)
+		}
+	}
+}
+
+func TestAppendValueMatchesMarshal(t *testing.T) {
+	for _, v := range []any{
+		nil, true, "s", int64(-7), 7, uint64(math.MaxUint64), 0.0, -0.5, 1e21, 1e-7, 123456789.125, float64(1 << 60),
+		[]any(nil), []any{}, map[string]any(nil), map[string]any{},
+		map[string]any{"z": []any{"uuid", "u"}, "a": int64(1), "m": map[string]any{"<": "&"}},
+		json.RawMessage(` [1, "<"] `), json.RawMessage(nil), json.Number("12"),
+		[]string{"falls", "through"}, struct{ A int }{1},
+	} {
+		want, wantErr := json.Marshal(v)
+		got, err := AppendValue(nil, v)
+		if (err != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
+			t.Errorf("AppendValue(%#v) = %s, %v; json.Marshal: %s, %v", v, got, err, want, wantErr)
+		}
+	}
+	for _, v := range []any{math.NaN(), math.Inf(1), json.RawMessage(`{`), []any{math.Inf(-1)}} {
+		if _, err := AppendValue(nil, v); err == nil {
+			t.Errorf("AppendValue(%#v) succeeded", v)
+		}
+	}
+}
+
+// TestTypedQuirks pins the encoding/json behaviours the typed helpers
+// reproduce: folded names, null as no-op on scalars, range checks, and
+// slices decoded over their old contents.
+func TestTypedQuirks(t *testing.T) {
+	type pair struct {
+		A uint16
+		B []uint64
+		C string
+		D int
+		E bool
+	}
+	decode := func(text string, p *pair) error {
+		var d Dec
+		d.Init([]byte(text))
+		if !d.Null() && d.Object() {
+			for k := d.Key(); k != nil; k = d.Key() {
+				switch Field(k, "A", "B", "C", "D", "E") {
+				case 0:
+					Uint(&d, &p.A)
+				case 1:
+					Slice(&d, &p.B, Uint[uint64])
+				case 2:
+					d.String(&p.C)
+				case 3:
+					Int(&d, &p.D)
+				case 4:
+					d.Bool(&p.E)
+				default:
+					d.Skip()
+				}
+			}
+		}
+		return d.End()
+	}
+	for _, text := range []string{
+		`{"A":1,"B":[1,2,3],"C":"x","D":-4,"E":true}`,
+		`{"a":65535,"b":[],"c":null,"d":null,"e":null,"unknown":{"A":7}}`,
+		`{"A":65536}`, `{"A":-1}`, `{"A":-0}`, `{"D":-0}`, `{"A":1.0}`, `{"A":1e2}`, `{"D":9223372036854775808}`, `{"D":"1"}`,
+		`{"B":[1,2,3],"B":[null,9]}`, `{"B":[1,2,3],"B":[7],"B":[null,null,null]}`, `{"B":null}`, `{"B":[18446744073709551616]}`,
+		`{"A":3,"ſ":1}`, `{"C":"a","c":"b","C":null}`, `{"E":1}`, `{"B":{}}`, `null`, `[]`, `{"A":1}x`,
+	} {
+		var want, got pair
+		wantErr := json.Unmarshal([]byte(text), &want)
+		err := decode(text, &got)
+		if (err != nil) != (wantErr != nil) {
+			t.Errorf("%s: error = %v, encoding/json: %v", text, err, wantErr)
+		} else if err == nil && !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: decoded %+v, encoding/json: %+v", text, got, want)
+		}
+	}
+}

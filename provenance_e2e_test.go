@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/ovsdb"
 )
@@ -87,10 +88,17 @@ func TestProvenanceExplainE2E(t *testing.T) {
 		t.Fatalf("/readyz = %d %q, want 200 after initial sync", code, body)
 	}
 
-	// The trace filter resolves the committing transaction.
-	if code, body := get(fmt.Sprintf("/debug/traces?txn=%d", txn)); code != 200 ||
-		!strings.Contains(body, `"name": "push"`) {
-		t.Fatalf("/debug/traces?txn=%d = %d: %s", txn, code, body)
+	// The trace filter resolves the committing transaction. The switch
+	// holds the entry (WaitEntries above) before the controller's write
+	// returns and the push stage is recorded, so wait for the stage.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		code, body := get(fmt.Sprintf("/debug/traces?txn=%d", txn))
+		if code == 200 && strings.Contains(body, `"name": "push"`) {
+			break
+		}
+		if code != 200 || time.Now().After(deadline) {
+			t.Fatalf("/debug/traces?txn=%d = %d: %s", txn, code, body)
+		}
 	}
 
 	// Explain the pushed table entry. The in_vlan table holds exactly one
