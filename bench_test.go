@@ -374,73 +374,3 @@ func BenchmarkAblationDigestLearn(b *testing.B) {
 		}
 	}
 }
-
-// --- Parallel evaluation scaling (Options.Workers) ---
-
-// Four independent rules over the same join so every delta batch fans out
-// into enough per-rule evaluation jobs to engage the worker pool (the
-// engine stays sequential below its minimum-job threshold).
-const parallelScalingSrc = `
-input relation R(x: int, y: int)
-input relation S(y: int, z: int)
-output relation O0(x: int, z: int)
-output relation O1(x: int, z: int)
-output relation O2(x: int, z: int)
-output relation O3(x: int, z: int)
-O0(x, z) :- R(x, y), S(y, z), z < 2500.
-O1(x, z) :- R(x, y), S(y, z), z >= 2500.
-O2(x, z) :- R(x, y), S(y, z), z < 5000.
-O3(x, z) :- R(x, y), S(y, z), z >= 5000.
-`
-
-// BenchmarkParallelEvalScaling measures steady-state batch updates at
-// several worker counts. On a multi-core machine the 4- and 8-worker
-// variants should approach the per-rule fan-out's available parallelism;
-// with GOMAXPROCS=1 all variants collapse to the sequential path plus
-// scheduling overhead, so compare variants, not absolute numbers.
-func BenchmarkParallelEvalScaling(b *testing.B) {
-	const base, batch, buckets = 4096, 64, 64
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", w), func(b *testing.B) {
-			prog, err := dl.Compile(parallelScalingSrc)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rt, err := prog.NewRuntime(engine.Options{Workers: w})
-			if err != nil {
-				b.Fatal(err)
-			}
-			var load []engine.Update
-			for i := 0; i < base; i++ {
-				load = append(load,
-					engine.Insert("R", value.Record{
-						value.Int(int64(i)), value.Int(int64(i % buckets)),
-					}),
-					engine.Insert("S", value.Record{
-						value.Int(int64(i % buckets)), value.Int(int64(i * 7919 % 10000)),
-					}))
-			}
-			if _, err := rt.Apply(load); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ups := make([]engine.Update, 0, batch)
-				for j := 0; j < batch; j++ {
-					ups = append(ups, engine.Insert("R", value.Record{
-						value.Int(int64(base + i)), value.Int(int64(j % buckets)),
-					}))
-				}
-				if _, err := rt.Apply(ups); err != nil {
-					b.Fatal(err)
-				}
-				for j := range ups {
-					ups[j].Insert = false
-				}
-				if _, err := rt.Apply(ups); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -5,6 +5,7 @@
 //	nerpa-bench -exp all            # everything at paper scale
 //	nerpa-bench -exp ports -n 2000  # T1, the §4.3 2000-port measurement
 //	nerpa-bench -exp lb|incr|label|label-dense|fig3|loc
+//	nerpa-bench -check hack/gates.json -exp throughput,fanout  # run, then gate the reports
 package main
 
 import (
@@ -13,6 +14,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -49,8 +51,12 @@ func report[T fmt.Stringer](path string, res T, err error) (fmt.Stringer, error)
 	return res, nil
 }
 
+var experiments = []string{"ports", "lb", "incr", "label", "label-dense", "fig3", "loc",
+	"provenance", "obs-overhead", "reconnect", "throughput", "recovery", "fanout"}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment: ports, lb, incr, label, label-dense, fig3, loc, provenance, obs-overhead, reconnect, throughput, recovery, fanout, all")
+	exp := flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experiments, ", ")+", all")
+	check := flag.String("check", "", "gates file (hack/gates.json): after the experiments have run, hold their BENCH_*.json reports to its thresholds, with the reports as they stood before the run as baselines; exit 1 if a gate fails")
 	n := flag.Int("n", 2000, "ports for -exp ports")
 	vips := flag.Int("vips", 50, "load balancers for -exp lb")
 	backends := flag.Int("backends", 500, "backends per load balancer for -exp lb")
@@ -75,6 +81,14 @@ func main() {
 	fanoutOut := flag.String("fanout-out", "BENCH_fanout.json", "machine-readable output for -exp fanout")
 	flag.Parse()
 
+	var gates *gateSet
+	if *check != "" {
+		var err error
+		if gates, err = loadGates(*check); err != nil {
+			log.Fatalf("-check: %v", err)
+		}
+	}
+
 	run := func(name string, f func() (fmt.Stringer, error)) {
 		res, err := f()
 		if err != nil {
@@ -83,14 +97,24 @@ func main() {
 		fmt.Println(res)
 	}
 
-	any := false
-	want := func(name string) bool {
-		if *exp == "all" || *exp == name {
-			any = true
-			return true
+	selected := map[string]bool{}
+	for _, name := range strings.Split(*exp, ",") {
+		if name = strings.TrimSpace(name); name == "" {
+			continue
 		}
-		return false
+		if name != "all" && !slices.Contains(experiments, name) {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
+			flag.Usage()
+			os.Exit(2)
+		}
+		selected[name] = true
 	}
+	if len(selected) == 0 && gates == nil {
+		fmt.Fprintln(os.Stderr, "no experiment selected")
+		flag.Usage()
+		os.Exit(2)
+	}
+	want := func(name string) bool { return selected["all"] || selected[name] }
 
 	if want("fig3") {
 		run("fig3", func() (fmt.Stringer, error) { return bench.RunFig3(), nil })
@@ -156,16 +180,14 @@ func main() {
 			return report(*fanoutOut, res, err)
 		})
 	}
-	if want("label-dense") || *exp == "all" {
+	if want("label-dense") {
 		run("label-dense", func() (fmt.Stringer, error) {
 			// The documented adversarial case; kept small because every
 			// deletion cascades across the whole reachable set.
 			return bench.RunLabelingDense(1000, 3000, 20)
 		})
 	}
-	if !any {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		flag.Usage()
-		os.Exit(2)
+	if gates != nil && !gates.check() {
+		os.Exit(1)
 	}
 }

@@ -34,7 +34,7 @@ func main() {
 	subQueue := flag.Int("sub-queue", 0, "per-subscriber pending-update queue; a full queue evicts the subscriber (0 = default 256)")
 	subWriteLimit := flag.Int("sub-write-limit", 0, "per-subscriber-connection JSON-RPC write-queue cap (0 = default 4096, negative = unlimited)")
 	obsProfile := flag.Bool("obs-profile", true, "continuous workload profiler: per-rule cost attribution (/debug/rules, dl_rule_*) and memory accounting (/debug/memory, dl_mem_*)")
-	reconnectBackoff := flag.Duration("reconnect-backoff", 5*time.Second, "maximum redial backoff after a connection drops (0 = exit on disconnect)")
+	reconnectBackoff := flag.Duration("reconnect-backoff", 5*time.Second, "maximum redial backoff after a connection drops (must be positive)")
 	rpcTimeout := flag.Duration("rpc-timeout", 30*time.Second, "per-RPC deadline on OVSDB and P4Runtime calls (0 = none)")
 	keepalive := flag.Duration("keepalive", 10*time.Second, "echo-heartbeat interval on every connection; 3 misses fail it (0 = off)")
 	coalesceTxns := flag.Int("coalesce-max-txns", 1, "merge up to this many queued OVSDB commits into one engine transaction (<=1 disables coalescing)")
@@ -42,6 +42,9 @@ func main() {
 	coalesceWindow := flag.Duration("coalesce-window", 0, "wait up to this long for further commits before applying a partial batch (0 = merge only already-queued commits)")
 	verbose := flag.Bool("v", false, "log every applied transaction")
 	flag.Parse()
+	if *reconnectBackoff <= 0 {
+		log.Fatalf("-reconnect-backoff must be positive, got %v", *reconnectBackoff)
+	}
 
 	observer := obsFlags.Start("nerpa-controller", "controller")
 
@@ -54,14 +57,35 @@ func main() {
 		rules = string(data)
 	}
 
-	// Connections self-heal unless -reconnect-backoff is 0: they redial
-	// with jittered exponential backoff, re-establish monitors and
-	// sessions, and resynchronize state, so a bounced ovsdb-server or
-	// switch is an outage, not a controller restart.
-	var mp core.ManagementPlane
-	if *reconnectBackoff > 0 {
-		rmp, err := ovsdb.DialResilient(ovsdb.ResilientConfig{
-			Addr:              *ovsdbAddr,
+	// Connections self-heal: they redial with jittered exponential
+	// backoff, re-establish monitors and sessions, and resynchronize
+	// state, so a bounced ovsdb-server or switch is an outage, not a
+	// controller restart.
+	mp, err := ovsdb.DialResilient(ovsdb.ResilientConfig{
+		Addr:              *ovsdbAddr,
+		BackoffMax:        *reconnectBackoff,
+		CallTimeout:       *rpcTimeout,
+		KeepaliveInterval: *keepalive,
+		KeepaliveMisses:   3,
+		Obs:               observer,
+	})
+	if err != nil {
+		log.Fatalf("connecting to OVSDB at %s: %v", *ovsdbAddr, err)
+	}
+	defer mp.Close()
+
+	var devices []core.DataPlane
+	var rclients []*p4rt.ResilientClient
+	for _, addr := range strings.Split(*p4rtAddrs, ",") {
+		addr = strings.TrimSpace(addr)
+		if addr == "" {
+			continue
+		}
+		// core.New names devices dev0, dev1, ... in argument order; the
+		// reconnect hook below resyncs by that name.
+		rc, err := p4rt.DialResilient(p4rt.ResilientConfig{
+			Addr:              addr,
+			Target:            fmt.Sprintf("dev%d", len(devices)),
 			BackoffMax:        *reconnectBackoff,
 			CallTimeout:       *rpcTimeout,
 			KeepaliveInterval: *keepalive,
@@ -69,61 +93,11 @@ func main() {
 			Obs:               observer,
 		})
 		if err != nil {
-			log.Fatalf("connecting to OVSDB at %s: %v", *ovsdbAddr, err)
-		}
-		defer rmp.Close()
-		mp = rmp
-	} else {
-		c, err := ovsdb.Dial(*ovsdbAddr)
-		if err != nil {
-			log.Fatalf("connecting to OVSDB at %s: %v", *ovsdbAddr, err)
-		}
-		c.SetCallTimeout(*rpcTimeout)
-		if *keepalive > 0 {
-			c.StartKeepalive(*keepalive, 3)
-		}
-		defer c.Close()
-		mp = c
-	}
-
-	var devices []core.DataPlane
-	var rclients []*p4rt.ResilientClient
-	for i, addr := range strings.Split(*p4rtAddrs, ",") {
-		addr = strings.TrimSpace(addr)
-		if addr == "" {
-			continue
-		}
-		if *reconnectBackoff > 0 {
-			// core.New names devices dev0, dev1, ... in argument order;
-			// the reconnect hook below resyncs by that name.
-			rc, err := p4rt.DialResilient(p4rt.ResilientConfig{
-				Addr:              addr,
-				Target:            fmt.Sprintf("dev%d", i),
-				BackoffMax:        *reconnectBackoff,
-				CallTimeout:       *rpcTimeout,
-				KeepaliveInterval: *keepalive,
-				KeepaliveMisses:   3,
-				Obs:               observer,
-			})
-			if err != nil {
-				log.Fatalf("connecting to data plane at %s: %v", addr, err)
-			}
-			defer rc.Close()
-			rclients = append(rclients, rc)
-			devices = append(devices, rc)
-			continue
-		}
-		dp, err := p4rt.Dial(addr)
-		if err != nil {
 			log.Fatalf("connecting to data plane at %s: %v", addr, err)
 		}
-		dp.SetCallTimeout(*rpcTimeout)
-		if *keepalive > 0 {
-			dp.StartKeepalive(*keepalive, 3)
-		}
-		defer dp.Close()
-		dp.SetObs(observer, addr)
-		devices = append(devices, dp)
+		defer rc.Close()
+		rclients = append(rclients, rc)
+		devices = append(devices, rc)
 	}
 
 	cfg := core.Config{

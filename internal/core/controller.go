@@ -244,8 +244,6 @@ type ctrlMetrics struct {
 	evalStratum     []*obs.Histogram
 	deltaSize       *obs.Histogram
 	derivations     *obs.Counter
-	rounds          *obs.Counter
-	workerBusy      []*obs.Counter
 
 	provFacts     *obs.Gauge
 	provEvictions *obs.Gauge
@@ -299,12 +297,6 @@ func (c *Controller) initObs() {
 		"Output delta tuples per transaction.", obs.SizeBuckets)
 	c.m.derivations = reg.Counter("dl_derivations_total",
 		"Tuple derivation operations performed.")
-	c.m.rounds = reg.Counter("dl_rounds_total",
-		"Breadth-first propagation rounds in recursive strata.")
-	// The controller runs the engine with its default single worker.
-	c.m.workerBusy = []*obs.Counter{reg.Counter("dl_worker_busy_nanoseconds_total",
-		"Plan-evaluation time accumulated by each pool worker.",
-		obs.L("worker", "0"))}
 	c.m.provFacts = reg.Gauge("obs_provenance_facts",
 		"Derived facts with recorded provenance in the engine store.")
 	c.m.provEvictions = reg.Gauge("obs_provenance_evictions",
@@ -895,15 +887,9 @@ func (c *Controller) observeEngine(ev *event, start time.Time, engineTime time.D
 			if ss.Stratum < len(c.m.evalStratum) {
 				c.m.evalStratum[ss.Stratum].ObserveDuration(ss.Duration)
 			}
-			c.m.rounds.Add(uint64(ss.Rounds))
 		}
 		c.m.deltaSize.Observe(float64(st.DeltaSize))
 		c.m.derivations.Add(uint64(st.Derivations))
-		for wi, d := range st.WorkerBusy {
-			if wi < len(c.m.workerBusy) {
-				c.m.workerBusy[wi].Add(uint64(d))
-			}
-		}
 	}
 	var ruleSamples []obs.RuleSample
 	if c.ruleStats {
@@ -913,8 +899,7 @@ func (c *Controller) observeEngine(ev *event, start time.Time, engineTime time.D
 				ruleSamples[i] = obs.RuleSample{
 					ID: r.ID, Label: r.Label, Stratum: r.Stratum, Recursive: r.Recursive,
 					Seedings: r.Seedings, Derivations: r.Derivations,
-					DeltaTuples: r.DeltaTuples, Rounds: r.Rounds,
-					EvalNs: int64(r.Duration),
+					DeltaTuples: r.DeltaTuples, EvalNs: int64(r.Duration),
 				}
 			}
 		}

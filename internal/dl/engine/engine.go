@@ -45,15 +45,8 @@ type Options struct {
 	// capping the cost at one recomputation. 0 disables the fallback;
 	// 0 < f <= 1 enables it.
 	RecursiveDeleteFallback float64
-	// Workers sets the number of goroutines used for plan evaluation within
-	// a transaction. 0 and 1 select the fully sequential path. Values above
-	// 1 fan independent rule seedings (and, for recursive strata, each
-	// breadth-first propagation round) out across that many workers;
-	// evaluation is read-only and results are merged sequentially, so the
-	// output is identical to sequential evaluation.
-	Workers int
 	// CollectStats enables per-transaction evaluation statistics
-	// (per-stratum timings, worker utilization, delta sizes), retrievable
+	// (per-stratum timings, delta sizes), retrievable
 	// via LastApplyStats. Off by default: the hot path then contains no
 	// timing calls at all.
 	CollectStats bool
@@ -96,31 +89,24 @@ type Runtime struct {
 	recStratum  []bool
 	failed      error
 	// derivations counts tuple derivation operations in the current
-	// transaction. Sequential sections increment it directly; parallel
-	// evaluation batches use atomic increments (the two never overlap: a
-	// batch is bracketed by a WaitGroup barrier).
+	// transaction.
 	derivations int64
-	// seqCtx is the evaluation scratch used by all sequential plan runs.
-	seqCtx evalCtx
+	// ctx is the evaluation scratch every plan run of a transaction uses.
+	ctx evalCtx
 	// jobsBuf is the reusable seed-job buffer for counting strata; a
 	// fresh slice per stratum per transaction was a steady allocation
 	// source (and GC-assist magnet) on the apply path.
 	jobsBuf []seedJob
 	// stats is the in-progress ApplyStats of the current transaction (nil
 	// unless Options.CollectStats); lastStats is the completed record of
-	// the previous transaction. statJobs/statRounds accumulate the
-	// current stratum's counters.
-	stats      *ApplyStats
-	lastStats  *ApplyStats
-	statJobs   int
-	statRounds int
+	// the previous transaction. statJobs is the current stratum's seeding
+	// count.
+	stats     *ApplyStats
+	lastStats *ApplyStats
+	statJobs  int
 	// ruleProf is the per-rule transaction accumulator (nil unless
-	// Options.CollectRuleStats); seqCtx.prof aliases it so sequential
-	// evaluation accumulates in place. roundEpoch/roundSeq dedupe
-	// per-round rule participation marks (profRound).
-	ruleProf   []ruleAcc
-	roundEpoch []uint32
-	roundSeq   uint32
+	// Options.CollectRuleStats).
+	ruleProf []ruleAcc
 	// prov is the provenance store (nil unless Options.CollectProvenance).
 	prov *provStore
 	// eventTxn tags the next Apply's flight-recorder events with a
@@ -251,9 +237,6 @@ func New(prog *typecheck.Program, opts Options) (*Runtime, error) {
 		for _, rs := range rt.rels {
 			rs.prov = rt.prov
 		}
-		// Sequential evaluation journals straight into the store's own
-		// journal, interleaved chronologically with drops.
-		rt.seqCtx.journal = &rt.prov.j
 	}
 	// Evaluate facts and unit rules (the empty-input fixpoint).
 	if _, err := rt.apply(nil, true); err != nil {
@@ -367,11 +350,7 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 	rt.derivations = 0
 	rt.stats = nil
 	if rt.opts.CollectStats {
-		w := rt.opts.Workers
-		if w < 1 {
-			w = 1
-		}
-		rt.stats = &ApplyStats{Workers: rt.opts.Workers, WorkerBusy: make([]time.Duration, w)}
+		rt.stats = &ApplyStats{}
 	}
 	// Apply effective input changes.
 	for rs, m := range stagedByRel {
@@ -387,7 +366,7 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 	for s := range rt.strata {
 		var t0 time.Time
 		if rt.stats != nil {
-			rt.statJobs, rt.statRounds = 0, 0
+			rt.statJobs = 0
 			t0 = time.Now()
 		}
 		var err error
@@ -405,7 +384,6 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 				Stratum:   s,
 				Recursive: rt.recStratum[s],
 				Jobs:      rt.statJobs,
-				Rounds:    rt.statRounds,
 				Duration:  time.Since(t0),
 			})
 		}
@@ -450,7 +428,6 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 				rec.Append(obs.Ev("dl", "stratum.eval").WithTxn(rt.eventTxn).Debug().
 					F("stratum", int64(ss.Stratum)).
 					F("recursive", recursive).
-					F("rounds", int64(ss.Rounds)).
 					F("eval_us", ss.Duration.Microseconds()))
 			}
 		}
@@ -459,6 +436,56 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 			F("changed_rels", int64(len(out))))
 	}
 	return out, nil
+}
+
+// seedJob is one unit of evaluation work: a plan seeded with a tuple (or
+// a negation transition key, or nothing for unit plans).
+type seedJob struct {
+	p    *plan
+	seed value.Record
+	// key is the seed's canonical record key (counting-stratum deltas are
+	// keyed Z-sets); empty for negation keys and unit plans. Provenance
+	// capture hashes it instead of re-encoding the seed at every emit.
+	key  string
+	w    int64
+	mode viewMode
+}
+
+// evalCtx is plan-evaluation scratch: the variable environment and the
+// key-encoding buffer. Reusing it across plan runs keeps the arrangement
+// probe path allocation-free.
+type evalCtx struct {
+	env    []value.Value
+	keyBuf []byte
+	// capture/trail implement provenance recording (provenance.go): when
+	// capture is on, trail is the stack of body facts the current plan
+	// run has joined so far. evalPlan resets both.
+	capture bool
+	trail   []provInput
+	// memoSeed{Key,Rel,Hash} memoize the last seed fact's identity hash
+	// across the several plans one seed feeds (evalPlan).
+	memoSeedKey  string
+	memoSeedRel  *relState
+	memoSeedHash uint64
+	// sigBuf is the encode scratch for derivation sig hashing
+	// (provenance.go sigHash).
+	sigBuf []byte
+	// curRule is the profiling index of the rule whose seeding is
+	// evaluating, so emit closures can attribute presence transitions.
+	curRule int
+}
+
+// envFor returns a zeroed environment of at least size n backed by the
+// context's scratch slice. Plan execution is not re-entrant per context.
+func (c *evalCtx) envFor(n int) []value.Value {
+	if cap(c.env) < n {
+		c.env = make([]value.Value, n)
+	}
+	env := c.env[:n]
+	for i := range env {
+		env[i] = value.Value{}
+	}
+	return env
 }
 
 var errStop = errors.New("engine: stop iteration")
@@ -473,8 +500,7 @@ var errFallbackRecompute = errors.New("engine: overdelete budget exceeded")
 // applyCount caches it so fact identity is hashed at most once.
 type emitFunc func(rec value.Record, key string, hh uint64, w int64) error
 
-// countDerivation enforces the per-transaction derivation budget
-// (sequential sections only; workers use countDerivationAtomic).
+// countDerivation enforces the per-transaction derivation budget.
 func (rt *Runtime) countDerivation() error {
 	rt.derivations++
 	if rt.opts.MaxDerivationsPerTxn > 0 && rt.derivations > int64(rt.opts.MaxDerivationsPerTxn) {
@@ -485,12 +511,11 @@ func (rt *Runtime) countDerivation() error {
 }
 
 // runPlan seeds a plan with a tuple (or negation key, or nothing) and
-// streams head contributions to emit. ctx supplies the evaluation scratch;
-// concurrent callers must use distinct contexts. With rule profiling on
-// the seeding is timed and attributed to the plan's rule; otherwise this
-// is a direct call into evalPlan.
+// streams head contributions to emit. ctx supplies the evaluation scratch.
+// With rule profiling on the seeding is timed and attributed to the plan's
+// rule; otherwise this is a direct call into evalPlan.
 func (rt *Runtime) runPlan(ctx *evalCtx, p *plan, seed value.Record, seedKey string, w int64, mode viewMode, emit emitFunc) error {
-	if len(ctx.prof) == 0 {
+	if rt.ruleProf == nil {
 		return rt.evalPlan(ctx, p, seed, seedKey, w, mode, emit)
 	}
 	// curRule lets emit closures attribute presence transitions that
@@ -498,7 +523,7 @@ func (rt *Runtime) runPlan(ctx *evalCtx, p *plan, seed value.Record, seedKey str
 	ctx.curRule = p.rule.idx
 	t0 := time.Now()
 	err := rt.evalPlan(ctx, p, seed, seedKey, w, mode, emit)
-	a := &ctx.prof[p.rule.idx]
+	a := &rt.ruleProf[p.rule.idx]
 	a.ns += int64(time.Since(t0))
 	a.seedings++
 	return err
@@ -565,8 +590,8 @@ func (rt *Runtime) execSteps(ctx *evalCtx, p *plan, si int, env []value.Value, w
 		if ctx.capture {
 			hh = rt.recordProv(ctx, p.rule, rec, key, w, ctx.trail)
 		}
-		if len(ctx.prof) > 0 {
-			ctx.prof[p.rule.idx].derivs++
+		if rt.ruleProf != nil {
+			rt.ruleProf[p.rule.idx].derivs++
 		}
 		return emit(rec, key, hh, w)
 	}
@@ -723,7 +748,7 @@ func (rt *Runtime) gatherCountingJobs(head *relState, initial bool) []seedJob {
 	jobs := rt.jobsBuf[:0]
 	for _, cr := range rt.rulesByHead[head] {
 		if initial && cr.unitPlan != nil {
-			jobs = append(jobs, seedJob{p: cr.unitPlan, w: 1, mode: viewAllNew, head: head})
+			jobs = append(jobs, seedJob{p: cr.unitPlan, w: 1, mode: viewAllNew})
 		}
 		for idx, p := range cr.plansByBody {
 			if p == nil {
@@ -736,12 +761,12 @@ func (rt *Runtime) gatherCountingJobs(head *relState, initial bool) []seedJob {
 			}
 			if lit.Negated {
 				for _, tr := range rt.negTransitions(lit) {
-					jobs = append(jobs, seedJob{p: p, seed: tr.keyRec, w: tr.factor, mode: viewConvention, head: head})
+					jobs = append(jobs, seedJob{p: p, seed: tr.keyRec, w: tr.factor, mode: viewConvention})
 				}
 				continue
 			}
 			litRel.txnDelta.EachKeyed(func(key string, rec value.Record, w int64) {
-				jobs = append(jobs, seedJob{p: p, seed: rec, key: key, w: w, mode: viewConvention, head: head})
+				jobs = append(jobs, seedJob{p: p, seed: rec, key: key, w: w, mode: viewConvention})
 			})
 		}
 	}
@@ -749,111 +774,29 @@ func (rt *Runtime) gatherCountingJobs(head *relState, initial bool) []seedJob {
 	return jobs
 }
 
-// applyZSetOuts merges worker-private Z-sets into head through
-// applyCount. ruleIdx >= 0 attributes net presence transitions to that
-// rule in the profiling accumulator.
-func (rt *Runtime) applyZSetOuts(head *relState, outs []*zset.ZSet, ruleIdx int) error {
-	if rt.prov != nil && len(outs) > 1 {
-		// With provenance on, consolidate the workers' Z-sets first so
-		// each key sees at most one net applyCount transition. Without
-		// this, a transient remove (worker A's -1 merged before worker
-		// B's +1) would drop provenance recorded during evaluation for
-		// a fact that ends the transaction present.
-		for _, z := range outs[1:] {
-			outs[0].AddAll(z)
-		}
-		outs = outs[:1]
-	}
-	for _, z := range outs {
-		var applyErr error
-		z.EachKeyed(func(key string, rec value.Record, w int64) {
-			if applyErr != nil {
-				return
-			}
-			var tr int
-			tr, applyErr = head.applyCount(rec, key, w, 0)
-			if tr != 0 && ruleIdx >= 0 {
-				rt.ruleProf[ruleIdx].delta++
-			}
-		})
-		if applyErr != nil {
-			return applyErr
-		}
-	}
-	return nil
-}
-
-// runCountingSeq evaluates counting-stratum jobs sequentially, applying
-// each head contribution immediately.
-func (rt *Runtime) runCountingSeq(head *relState, jobs []seedJob) error {
-	emit := func(rec value.Record, key string, hh uint64, w int64) error {
-		if err := rt.countDerivation(); err != nil {
-			return err
-		}
-		tr, err := head.applyCount(rec, key, w, hh)
-		if tr != 0 && len(rt.seqCtx.prof) > 0 {
-			rt.seqCtx.prof[rt.seqCtx.curRule].delta++
-		}
-		return err
-	}
-	for _, j := range jobs {
-		if err := rt.runPlan(&rt.seqCtx, j.p, j.seed, j.key, j.w, j.mode, emit); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // runCountingStratum propagates settled lower-stratum deltas into one
-// non-recursive relation using derivation counting. Evaluation is read-only
-// with respect to this stratum (the head never appears in its own rule
-// bodies), so seedings are independent: with Workers > 1 they fan out
-// across a pool, each worker accumulating head contributions in a private
-// Z-set, and the Z-sets are merged through applyCount afterwards. Weight
-// addition commutes, so the merged result is identical to sequential
-// evaluation.
+// non-recursive relation using derivation counting: every seeding's head
+// contributions are applied to the head's counts as they are emitted (the
+// head never appears in its own rule bodies, so evaluation does not read
+// what it writes).
 func (rt *Runtime) runCountingStratum(s int, initial bool) error {
 	head := rt.rels[rt.strata[s][0]]
 	jobs := rt.gatherCountingJobs(head, initial)
 	if rt.stats != nil {
 		rt.statJobs += len(jobs)
 	}
-	if nw := rt.parallelism(len(jobs)); nw > 1 && rt.ruleProf == nil {
-		outs, err := rt.evalJobsZSet(jobs, nw)
-		if err != nil {
+	emit := func(rec value.Record, key string, hh uint64, w int64) error {
+		if err := rt.countDerivation(); err != nil {
 			return err
 		}
-		if err := rt.applyZSetOuts(head, outs, -1); err != nil {
-			return err
+		tr, err := head.applyCount(rec, key, w, hh)
+		if tr != 0 && rt.ruleProf != nil {
+			rt.ruleProf[rt.ctx.curRule].delta++
 		}
-	} else if nw > 1 {
-		// Rule profiling: the job list is rule-contiguous (gathered per
-		// rule), so evaluating one rule's segment at a time keeps net
-		// presence transitions attributable. Segments still fan out
-		// across workers, and the chronological segment order keeps the
-		// provenance journal drop/record interleaving correct.
-		for start := 0; start < len(jobs); {
-			end := start + 1
-			for end < len(jobs) && jobs[end].p.rule == jobs[start].p.rule {
-				end++
-			}
-			seg := jobs[start:end]
-			ruleIdx := seg[0].p.rule.idx
-			if segNw := rt.parallelism(len(seg)); segNw > 1 {
-				outs, err := rt.evalJobsZSet(seg, segNw)
-				if err != nil {
-					return err
-				}
-				if err := rt.applyZSetOuts(head, outs, ruleIdx); err != nil {
-					return err
-				}
-			} else if err := rt.runCountingSeq(head, seg); err != nil {
-				return err
-			}
-			start = end
-		}
-	} else {
-		if err := rt.runCountingSeq(head, jobs); err != nil {
+		return err
+	}
+	for _, j := range jobs {
+		if err := rt.runPlan(&rt.ctx, j.p, j.seed, j.key, j.w, j.mode, emit); err != nil {
 			return err
 		}
 	}
@@ -1061,9 +1004,6 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 	if !changed {
 		return nil
 	}
-	if rt.opts.Workers > 1 {
-		return rt.runRecursiveStratumParallel(inStratum, stratumRules, initial)
-	}
 
 	type pending struct {
 		rel *relState
@@ -1103,10 +1043,10 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 			}
 			m[key] = rec
 			odTotal++
-			if len(rt.seqCtx.prof) > 0 {
+			if rt.ruleProf != nil {
 				// Overdeletes count as the overdeleting rule's delta
 				// tuples (rederivations add back as insertions).
-				rt.seqCtx.prof[rt.seqCtx.curRule].delta++
+				rt.ruleProf[rt.ctx.curRule].delta++
 			}
 			if odBudget >= 0 && odTotal > odBudget {
 				return errFallbackRecompute
@@ -1131,7 +1071,7 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 					if lit.Negated {
 						for _, tr := range rt.negTransitions(lit) {
 							if tr.factor < 0 { // matches appeared: support lost
-								if err := rt.runPlan(&rt.seqCtx, p, tr.keyRec, "", 1, viewAllOld, emit); err != nil {
+								if err := rt.runPlan(&rt.ctx, p, tr.keyRec, "", 1, viewAllOld, emit); err != nil {
 									return err
 								}
 							}
@@ -1143,7 +1083,7 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 						if seedErr != nil || w >= 0 {
 							return
 						}
-						seedErr = rt.runPlan(&rt.seqCtx, p, rec, "", 1, viewAllOld, emit)
+						seedErr = rt.runPlan(&rt.ctx, p, rec, "", 1, viewAllOld, emit)
 					})
 					if seedErr != nil {
 						return seedErr
@@ -1161,7 +1101,7 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 					if lit.Negated {
 						continue // in-stratum negation is impossible (stratified)
 					}
-					if err := rt.runPlan(&rt.seqCtx, occ.rule.plansByBody[occ.bodyIdx], pd.rec, "", 1,
+					if err := rt.runPlan(&rt.ctx, occ.rule.plansByBody[occ.bodyIdx], pd.rec, "", 1,
 						viewAllOld, addOD(occ.rule.head)); err != nil {
 						return err
 					}
@@ -1192,8 +1132,8 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 			}
 			if rs.setPresent(rec, key) {
 				queue = append(queue, pending{rel: rs, rec: rec})
-				if len(rt.seqCtx.prof) > 0 {
-					rt.seqCtx.prof[rt.seqCtx.curRule].delta++
+				if rt.ruleProf != nil {
+					rt.ruleProf[rt.ctx.curRule].delta++
 				}
 			}
 			return nil
@@ -1206,7 +1146,7 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 				if cr.checkPlan == nil {
 					continue
 				}
-				ok, err := rt.runCheckPlan(&rt.seqCtx, cr, rec)
+				ok, err := rt.runCheckPlan(&rt.ctx, cr, rec)
 				if err != nil {
 					return err
 				}
@@ -1222,7 +1162,7 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 	for _, cr := range stratumRules {
 		insert := tryInsert(cr.head)
 		if initial && cr.unitPlan != nil {
-			if err := rt.runPlan(&rt.seqCtx, cr.unitPlan, nil, "", 1, viewAllNew, insert); err != nil {
+			if err := rt.runPlan(&rt.ctx, cr.unitPlan, nil, "", 1, viewAllNew, insert); err != nil {
 				return err
 			}
 		}
@@ -1238,7 +1178,7 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 			if lit.Negated {
 				for _, tr := range rt.negTransitions(lit) {
 					if tr.factor > 0 { // matches disappeared: support gained
-						if err := rt.runPlan(&rt.seqCtx, p, tr.keyRec, "", 1, viewAllNew, insert); err != nil {
+						if err := rt.runPlan(&rt.ctx, p, tr.keyRec, "", 1, viewAllNew, insert); err != nil {
 							return err
 						}
 					}
@@ -1250,7 +1190,7 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 				if seedErr != nil || w <= 0 {
 					return
 				}
-				seedErr = rt.runPlan(&rt.seqCtx, p, rec, "", 1, viewAllNew, insert)
+				seedErr = rt.runPlan(&rt.ctx, p, rec, "", 1, viewAllNew, insert)
 			})
 			if seedErr != nil {
 				return seedErr
@@ -1268,7 +1208,7 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 			if lit.Negated {
 				continue
 			}
-			if err := rt.runPlan(&rt.seqCtx, occ.rule.plansByBody[occ.bodyIdx], pd.rec, "", 1,
+			if err := rt.runPlan(&rt.ctx, occ.rule.plansByBody[occ.bodyIdx], pd.rec, "", 1,
 				viewAllNew, tryInsert(occ.rule.head)); err != nil {
 				return err
 			}
@@ -1305,8 +1245,8 @@ func (rt *Runtime) recomputeStratum(inStratum map[*relState]bool, stratumRules [
 			}
 			if rs.setPresent(rec, key) {
 				queue = append(queue, pending{rel: rs, rec: rec})
-				if len(rt.seqCtx.prof) > 0 {
-					rt.seqCtx.prof[rt.seqCtx.curRule].delta++
+				if rt.ruleProf != nil {
+					rt.ruleProf[rt.ctx.curRule].delta++
 				}
 			}
 			return nil
@@ -1318,7 +1258,7 @@ func (rt *Runtime) recomputeStratum(inStratum map[*relState]bool, stratumRules [
 	for _, cr := range stratumRules {
 		insert := tryInsert(cr.head)
 		if cr.unitPlan != nil {
-			if err := rt.runPlan(&rt.seqCtx, cr.unitPlan, nil, "", 1, viewAllNew, insert); err != nil {
+			if err := rt.runPlan(&rt.ctx, cr.unitPlan, nil, "", 1, viewAllNew, insert); err != nil {
 				return err
 			}
 		}
@@ -1336,7 +1276,7 @@ func (rt *Runtime) recomputeStratum(inStratum map[*relState]bool, stratumRules [
 				if e.count <= 0 {
 					continue
 				}
-				if seedErr = rt.runPlan(&rt.seqCtx, p, e.rec, "", 1, viewAllNew, insert); seedErr != nil {
+				if seedErr = rt.runPlan(&rt.ctx, p, e.rec, "", 1, viewAllNew, insert); seedErr != nil {
 					return seedErr
 				}
 			}
@@ -1354,7 +1294,7 @@ func (rt *Runtime) recomputeStratum(inStratum map[*relState]bool, stratumRules [
 			if lit.Negated {
 				continue
 			}
-			if err := rt.runPlan(&rt.seqCtx, occ.rule.plansByBody[occ.bodyIdx], pd.rec, "", 1,
+			if err := rt.runPlan(&rt.ctx, occ.rule.plansByBody[occ.bodyIdx], pd.rec, "", 1,
 				viewAllNew, tryInsert(occ.rule.head)); err != nil {
 				return err
 			}

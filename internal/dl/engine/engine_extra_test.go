@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/dl/ast"
 	"repro/internal/dl/value"
 )
 
@@ -221,60 +220,6 @@ func TestUserFunctionsIncremental(t *testing.T) {
 	wantContents(t, rt, "B", `(1)`, `(2)`) // still derived by 7
 	apply(t, rt, Delete("N", n(7)))
 	wantContents(t, rt, "B", `(2)`)
-}
-
-// runEquivalenceOpts is runEquivalence with engine options (used to pin
-// the RecursiveDeleteFallback path to the same semantics).
-func runEquivalenceOpts(t *testing.T, src string, opts Options, gen func(r *rand.Rand, insert bool) Update, txns, opsPerTxn int, seed int64) {
-	t.Helper()
-	prog := compile(t, src)
-	rt, err := New(prog, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(seed))
-	live := make(map[string]map[string]value.Record)
-	for _, rel := range prog.Relations {
-		if rel.Role == ast.RoleInput {
-			live[rel.Name] = make(map[string]value.Record)
-		}
-	}
-	for txn := 0; txn < txns; txn++ {
-		var ups []Update
-		for i := 0; i < 1+r.Intn(opsPerTxn); i++ {
-			u := gen(r, r.Intn(3) > 0)
-			ups = append(ups, u)
-			if u.Insert {
-				live[u.Relation][u.Rec.Key()] = u.Rec
-			} else {
-				delete(live[u.Relation], u.Rec.Key())
-			}
-		}
-		if _, err := rt.Apply(ups); err != nil {
-			t.Fatalf("txn %d: %v", txn, err)
-		}
-		inputs := make(map[string][]value.Record)
-		for name, m := range live {
-			for _, rec := range m {
-				inputs[name] = append(inputs[name], rec)
-			}
-		}
-		want, err := NaiveEval(prog, inputs)
-		if err != nil {
-			t.Fatalf("naive: %v", err)
-		}
-		for _, rel := range prog.Relations {
-			got, _ := rt.Contents(rel.Name)
-			if len(got) != len(want[rel.Name]) {
-				t.Fatalf("txn %d: %s has %d records, naive %d", txn, rel.Name, len(got), len(want[rel.Name]))
-			}
-			for i := range got {
-				if !got[i].Equal(want[rel.Name][i]) {
-					t.Fatalf("txn %d: %s[%d] = %v, naive %v", txn, rel.Name, i, got[i], want[rel.Name][i])
-				}
-			}
-		}
-	}
 }
 
 func TestPropEquivalenceWithDeleteFallback(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dl/ast"
 	"repro/internal/dl/parser"
 	"repro/internal/dl/typecheck"
 	"repro/internal/dl/value"
@@ -448,62 +447,6 @@ func TestStats(t *testing.T) {
 
 type txnStep struct {
 	ups []Update
-}
-
-// runEquivalence drives random transactions against rt and checks after
-// every transaction that each relation equals the naive recomputation over
-// the accumulated inputs.
-func runEquivalence(t *testing.T, src string, gen func(r *rand.Rand, insert bool) Update, txns, opsPerTxn int, seed int64) {
-	t.Helper()
-	prog := compile(t, src)
-	rt, err := New(prog, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(seed))
-	live := make(map[string]map[string]value.Record) // accumulated inputs
-	for _, rel := range prog.Relations {
-		if rel.Role == ast.RoleInput {
-			live[rel.Name] = make(map[string]value.Record)
-		}
-	}
-	for txn := 0; txn < txns; txn++ {
-		var ups []Update
-		for i := 0; i < 1+r.Intn(opsPerTxn); i++ {
-			u := gen(r, r.Intn(3) > 0)
-			ups = append(ups, u)
-			if u.Insert {
-				live[u.Relation][u.Rec.Key()] = u.Rec
-			} else {
-				delete(live[u.Relation], u.Rec.Key())
-			}
-		}
-		if _, err := rt.Apply(ups); err != nil {
-			t.Fatalf("txn %d: %v", txn, err)
-		}
-		inputs := make(map[string][]value.Record)
-		for name, m := range live {
-			for _, rec := range m {
-				inputs[name] = append(inputs[name], rec)
-			}
-		}
-		want, err := NaiveEval(prog, inputs)
-		if err != nil {
-			t.Fatalf("naive: %v", err)
-		}
-		for _, rel := range prog.Relations {
-			got, _ := rt.Contents(rel.Name)
-			if len(got) != len(want[rel.Name]) {
-				t.Fatalf("txn %d: %s has %d records, naive %d\nincremental: %v\nnaive: %v",
-					txn, rel.Name, len(got), len(want[rel.Name]), got, want[rel.Name])
-			}
-			for i := range got {
-				if !got[i].Equal(want[rel.Name][i]) {
-					t.Fatalf("txn %d: %s[%d] = %v, naive %v", txn, rel.Name, i, got[i], want[rel.Name][i])
-				}
-			}
-		}
-	}
 }
 
 func TestPropEquivalenceReachability(t *testing.T) {

@@ -5,21 +5,17 @@ import "time"
 // This file implements the workload profiler's engine layer: per-rule
 // cost/cardinality attribution and per-relation memory accounting.
 //
-// Attribution follows the provenance journal's pattern: the sequential
-// context accumulates directly into the runtime's per-transaction
-// accumulator, worker contexts accumulate into private slices that the
-// join barrier absorbs (attachRuleProf/absorbRuleProf in parallel.go).
-// With Options.CollectRuleStats off, the only residue on the hot path is
-// a length check per plan seeding — no clock reads, no allocation.
+// Plan runs accumulate directly into the runtime's per-transaction
+// accumulator. With Options.CollectRuleStats off, the only residue on the
+// hot path is a nil check per plan seeding — no clock reads, no
+// allocation.
 
-// ruleAcc accumulates one rule's counters within one transaction (or one
-// worker's share of it).
+// ruleAcc accumulates one rule's counters within one transaction.
 type ruleAcc struct {
 	ns       int64
 	seedings int64
 	derivs   int64
 	delta    int64
-	rounds   int64
 }
 
 // RuleStats is one rule's (or aggregation's) share of a transaction's
@@ -43,11 +39,7 @@ type RuleStats struct {
 	Seedings    int64
 	Derivations int64
 	DeltaTuples int64
-	// Rounds counts the breadth-first propagation rounds (parallel
-	// recursive strata) in which the rule had at least one seeding.
-	Rounds int64
-	// Duration is the rule's summed plan-evaluation time. Worker time
-	// counts per worker, so the sum over rules can exceed wall clock.
+	// Duration is the rule's summed plan-evaluation time.
 	Duration time.Duration
 }
 
@@ -114,8 +106,6 @@ func (rt *Runtime) initRuleProf() {
 		sp.id = shortID(sp.head.rel.Name)
 	}
 	rt.ruleProf = make([]ruleAcc, n)
-	rt.roundEpoch = make([]uint32, n)
-	rt.seqCtx.prof = rt.ruleProf
 }
 
 // visibleHeadName maps a hidden group relation to the visible head its
@@ -157,22 +147,6 @@ func itoa(n int) string {
 	return string(buf[i:])
 }
 
-// profRound marks, once per breadth-first round, every rule with a
-// seeding in the frontier (parallel recursive strata).
-func (rt *Runtime) profRound(frontier []seedJob) {
-	if rt.ruleProf == nil {
-		return
-	}
-	rt.roundSeq++
-	for i := range frontier {
-		idx := frontier[i].p.rule.idx
-		if rt.roundEpoch[idx] != rt.roundSeq {
-			rt.roundEpoch[idx] = rt.roundSeq
-			rt.ruleProf[idx].rounds++
-		}
-	}
-}
-
 // buildRuleStats renders the transaction accumulator into ApplyStats
 // rows (rules with no activity are skipped) and resets it for the next
 // transaction.
@@ -187,8 +161,7 @@ func (rt *Runtime) buildRuleStats() []RuleStats {
 			Rule: idx, ID: id, Label: label,
 			Stratum: stratum, Recursive: recursive,
 			Seedings: a.seedings, Derivations: a.derivs,
-			DeltaTuples: a.delta, Rounds: a.rounds,
-			Duration: time.Duration(a.ns),
+			DeltaTuples: a.delta, Duration: time.Duration(a.ns),
 		})
 	}
 	for i, cr := range rt.rules {

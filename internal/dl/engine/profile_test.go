@@ -101,9 +101,9 @@ func TestRuleStatsAttribution(t *testing.T) {
 	}
 }
 
-func TestRuleStatsParallelCounting(t *testing.T) {
+func TestRuleStatsMultiKeyCounting(t *testing.T) {
 	rt, err := New(compile(t, twoRuleSrc),
-		Options{Workers: 4, CollectStats: true, CollectRuleStats: true})
+		Options{CollectStats: true, CollectRuleStats: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +118,14 @@ func TestRuleStatsParallelCounting(t *testing.T) {
 		byID[r.ID] = r
 	}
 	if got := byID["Cheap#0"].DeltaTuples; got != 64 {
-		t.Fatalf("parallel Cheap#0 delta tuples = %d, want 64", got)
+		t.Fatalf("Cheap#0 delta tuples = %d, want 64", got)
 	}
 	// 4 join keys × 16×16 pairs.
 	if got := byID["Hot#0"].DeltaTuples; got != 1024 {
-		t.Fatalf("parallel Hot#0 delta tuples = %d, want 1024", got)
+		t.Fatalf("Hot#0 delta tuples = %d, want 1024", got)
 	}
 	if byID["Hot#0"].Seedings == 0 || byID["Hot#0"].Duration <= 0 {
-		t.Fatalf("parallel Hot#0 = %+v, want seedings and duration", byID["Hot#0"])
+		t.Fatalf("Hot#0 = %+v, want seedings and duration", byID["Hot#0"])
 	}
 }
 
@@ -137,54 +137,47 @@ Reach(x, z) :- Reach(x, y), Edge(y, z).
 `
 
 func TestRuleStatsRecursive(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			rt, err := New(compile(t, tcSrc),
-				Options{Workers: workers, CollectStats: true, CollectRuleStats: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var ups []Update
-			for i := 0; i < 40; i++ {
-				ups = append(ups, Insert("Edge", strRec(fmt.Sprintf("n%02d", i), fmt.Sprintf("n%02d", i+1))))
-			}
-			apply(t, rt, ups...)
-			st := rt.LastApplyStats()
-			var base, rec RuleStats
-			for _, r := range st.Rules {
-				switch r.ID {
-				case "Reach#0":
-					base = r
-				case "Reach#1":
-					rec = r
-				}
-			}
-			if base.DeltaTuples != 40 {
-				t.Fatalf("base rule delta = %+v, want 40", base)
-			}
-			// A 40-edge chain closes to 40*41/2 pairs; the recursive rule
-			// contributes everything beyond the base edges.
-			if rec.DeltaTuples != 40*41/2-40 {
-				t.Fatalf("recursive rule delta = %d, want %d", rec.DeltaTuples, 40*41/2-40)
-			}
-			if !rec.Recursive || rec.Stratum == 0 && base.Stratum != rec.Stratum {
-				t.Fatalf("stratum attribution: base=%+v rec=%+v", base, rec)
-			}
-			if workers > 1 && rec.Rounds == 0 {
-				t.Fatalf("recursive rule rounds = 0 with workers=%d", workers)
-			}
+	rt, err := New(compile(t, tcSrc),
+		Options{CollectStats: true, CollectRuleStats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ups []Update
+	for i := 0; i < 40; i++ {
+		ups = append(ups, Insert("Edge", strRec(fmt.Sprintf("n%02d", i), fmt.Sprintf("n%02d", i+1))))
+	}
+	apply(t, rt, ups...)
+	st := rt.LastApplyStats()
+	var base, rec RuleStats
+	for _, r := range st.Rules {
+		switch r.ID {
+		case "Reach#0":
+			base = r
+		case "Reach#1":
+			rec = r
+		}
+	}
+	if base.DeltaTuples != 40 {
+		t.Fatalf("base rule delta = %+v, want 40", base)
+	}
+	// A 40-edge chain closes to 40*41/2 pairs; the recursive rule
+	// contributes everything beyond the base edges.
+	if rec.DeltaTuples != 40*41/2-40 {
+		t.Fatalf("recursive rule delta = %d, want %d", rec.DeltaTuples, 40*41/2-40)
+	}
+	if !rec.Recursive || rec.Stratum == 0 && base.Stratum != rec.Stratum {
+		t.Fatalf("stratum attribution: base=%+v rec=%+v", base, rec)
+	}
 
-			// Deleting the first edge retracts every pair starting at n00.
-			apply(t, rt, Delete("Edge", strRec("n00", "n01")))
-			st = rt.LastApplyStats()
-			var total int64
-			for _, r := range st.Rules {
-				total += r.DeltaTuples
-			}
-			if total < 40 {
-				t.Fatalf("delete attributed %d delta tuples, want >= 40 (%+v)", total, st.Rules)
-			}
-		})
+	// Deleting the first edge retracts every pair starting at n00.
+	apply(t, rt, Delete("Edge", strRec("n00", "n01")))
+	st = rt.LastApplyStats()
+	var total int64
+	for _, r := range st.Rules {
+		total += r.DeltaTuples
+	}
+	if total < 40 {
+		t.Fatalf("delete attributed %d delta tuples, want >= 40 (%+v)", total, st.Rules)
 	}
 }
 

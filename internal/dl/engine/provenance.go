@@ -17,7 +17,7 @@ import (
 // (TestProvenanceOffZeroAlloc).
 //
 // When on, emits do not touch the store directly. Every record, retract,
-// and drop is appended to a lock-free per-goroutine journal and the whole
+// and drop is appended to the apply goroutine's journal and the whole
 // journal is replayed into the store under one mutex acquisition at the
 // end of Apply. Buffering keeps the per-emit cost to a signature hash and
 // a slice append, makes a transaction's provenance visible atomically,
@@ -44,12 +44,6 @@ import (
 //     capture on, so a surviving fact's provenance is rebuilt from its
 //     post-deletion proof. RecursiveDeleteFallback's recomputeStratum
 //     behaves identically: setAbsent drops, re-insertion re-records.
-//   - Workers > 1: each worker journals into its own context; the
-//     barrier at the end of each fan-out absorbs worker journals into
-//     the store's journal before the sequential merge applies counts, so
-//     records always replay before the drops they may precede. Cross-
-//     worker op order is arbitrary, exactly as the per-op mutex
-//     interleaving was.
 //
 // The store is bounded (ProvenanceCapacity facts, FIFO eviction;
 // maxDerivationsPerFact alternates per fact) and Explain reads only the
@@ -168,10 +162,8 @@ type provOp struct {
 	rec   value.Record
 }
 
-// provJournal buffers one goroutine's provenance ops for the
-// end-of-transaction replay. The store owns the apply goroutine's
-// journal; worker contexts buffer into private journals that the join
-// barrier absorbs (parallel.go).
+// provJournal buffers the apply goroutine's provenance ops for the
+// end-of-transaction replay; the store owns it.
 type provJournal struct {
 	ops  []provOp
 	refs []factRef
@@ -210,23 +202,6 @@ func (j *provJournal) unrecordByLabel(dg uint64, label string) {
 func (j *provJournal) reset() {
 	j.ops = j.ops[:0]
 	j.refs = j.refs[:0]
-}
-
-// absorb splices a worker journal's ops after this journal's, rebasing
-// record ref windows into the shared arena, and resets the worker
-// journal. Called on the apply goroutine after the fan-out barrier.
-func (j *provJournal) absorb(w *provJournal) {
-	if len(w.ops) == 0 {
-		return
-	}
-	base := int32(len(j.refs))
-	j.refs = append(j.refs, w.refs...)
-	for _, op := range w.ops {
-		op.refLo += base
-		op.refHi += base
-		j.ops = append(j.ops, op)
-	}
-	w.reset()
 }
 
 // provSlot is one open-addressing table slot; ref is the fact's arena
@@ -363,8 +338,7 @@ func (t *provTable) grow() {
 
 // provStore is the bounded provenance store. The facts table, eviction
 // list, and freelists are guarded by mu; the journal j is owned by the
-// apply goroutine (worker journals are absorbed at join barriers) and
-// only read under mu during flush.
+// apply goroutine and only read under mu during flush.
 type provStore struct {
 	mu       sync.Mutex
 	capacity int
@@ -960,26 +934,23 @@ func (ps *provStore) nodeLocked(rt *Runtime, rel int, key string, rec value.Reco
 
 // recordProv journals one derivation record (w>0) or retraction (w<0) at
 // plan emit time. Called only when the emitting context has capture on;
-// ctx supplies the sig-hash scratch and the goroutine's journal. It
-// returns the head key's hash so the emit path can hand it onward to
-// applyCount — the count entry caches it, making this the only time the
-// fact's identity is hashed.
+// ctx supplies the sig-hash scratch. It returns the head key's hash so the
+// emit path can hand it onward to applyCount — the count entry caches it,
+// making this the only time the fact's identity is hashed.
 func (rt *Runtime) recordProv(ctx *evalCtx, cr *compiledRule, rec value.Record, key string, w int64, trail []provInput) uint64 {
 	sig := sigHash(&ctx.sigBuf, cr.labelHash, trail)
 	hh := maphash.String(provSeed, key)
 	dg := provFold(hh, cr.head.id)
 	if w > 0 {
-		ctx.journal.record(dg, cr.head.id, rec, sig, cr.label, cr.head.stratum, trail, false)
+		rt.prov.j.record(dg, cr.head.id, rec, sig, cr.label, cr.head.stratum, trail, false)
 	} else if w < 0 {
-		ctx.journal.unrecord(dg, sig)
+		rt.prov.j.unrecord(dg, sig)
 	}
 	return hh
 }
 
 // recordAggProv journals an aggregate head fact with its (capped) group
-// bucket as the input set. Aggregates run on the apply goroutine, so the
-// sequential context's scratch and the store's own journal are free to
-// use.
+// bucket as the input set.
 func (rt *Runtime) recordAggProv(spec *aggSpec, keyEnc []byte, rec value.Record, key string) {
 	var trail []provInput
 	truncated := false
@@ -995,7 +966,7 @@ func (rt *Runtime) recordAggProv(spec *aggSpec, keyEnc []byte, rec value.Record,
 		trail = append(trail, ti)
 		return true
 	})
-	sig := sigHash(&rt.seqCtx.sigBuf, spec.labelHash, trail)
+	sig := sigHash(&rt.ctx.sigBuf, spec.labelHash, trail)
 	rt.prov.j.record(provDigest(spec.head.id, key), spec.head.id, rec, sig, spec.label, spec.head.stratum, trail, truncated)
 }
 

@@ -217,14 +217,13 @@ Reach(a, c) :- Reach(a, b), Edge(b, c).
 
 // TestProvenanceRecursive pins DRed interaction: overdeleted facts lose
 // their provenance, rederived ones regain a valid proof, and every tree
-// stays acyclic. Runs the sequential, parallel, and fallback variants.
+// stays acyclic. Runs the DRed and fallback variants.
 func TestProvenanceRecursive(t *testing.T) {
 	for _, opts := range []Options{
 		{},
-		{Workers: 4},
-		{Workers: 4, RecursiveDeleteFallback: 0.5},
+		{RecursiveDeleteFallback: 0.5},
 	} {
-		t.Run(fmt.Sprintf("workers=%d,fallback=%v", opts.Workers, opts.RecursiveDeleteFallback), func(t *testing.T) {
+		t.Run(fmt.Sprintf("fallback=%v", opts.RecursiveDeleteFallback), func(t *testing.T) {
 			rt := newProvRT(t, reachProvSrc, opts)
 			apply(t, rt,
 				Insert("Edge", strRec("a", "b")),
@@ -309,84 +308,82 @@ func TestProvenanceVsNaive(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{0, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, workers), func(t *testing.T) {
-				prog := compile(t, tc.src)
-				rt, err := New(prog, Options{CollectProvenance: true, Workers: workers})
-				if err != nil {
-					t.Fatal(err)
+		t.Run(tc.name, func(t *testing.T) {
+			prog := compile(t, tc.src)
+			rt, err := New(prog, Options{CollectProvenance: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rand.New(rand.NewSource(7))
+			outputs := func() map[string]map[string]value.Record {
+				m := make(map[string]map[string]value.Record)
+				for _, rel := range prog.Relations {
+					if rel.Role.String() != "output" {
+						continue
+					}
+					recs, err := rt.Contents(rel.Name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					byKey := make(map[string]value.Record, len(recs))
+					for _, rec := range recs {
+						byKey[rec.Key()] = rec
+					}
+					m[rel.Name] = byKey
 				}
-				r := rand.New(rand.NewSource(7))
-				outputs := func() map[string]map[string]value.Record {
-					m := make(map[string]map[string]value.Record)
-					for _, rel := range prog.Relations {
-						if rel.Role.String() != "output" {
+				return m
+			}
+			prev := outputs()
+			for txn := 0; txn < 60; txn++ {
+				var ups []Update
+				for i := 0; i < 1+r.Intn(6); i++ {
+					ups = append(ups, tc.gen(r, r.Intn(3) > 0))
+				}
+				if _, err := rt.Apply(ups); err != nil {
+					t.Fatalf("txn %d: %v", txn, err)
+				}
+				cur := outputs()
+				for rel, byKey := range cur {
+					for _, rec := range byKey {
+						n, ok := rt.Explain(rel, rec, wideExplain)
+						if !ok {
+							t.Fatalf("txn %d: present fact %s%s unexplainable", txn, rel, rec)
+						}
+						inputs := make(map[string][]value.Record)
+						if !leaves(n, inputs) {
+							t.Fatalf("txn %d: incomplete proof for %s%s: %+v", txn, rel, rec, n)
+						}
+						want, err := NaiveEval(prog, inputs)
+						if err != nil {
+							t.Fatalf("txn %d: naive: %v", txn, err)
+						}
+						found := false
+						for _, w := range want[rel] {
+							if w.Equal(rec) {
+								found = true
+								break
+							}
+						}
+						if !found {
+							t.Fatalf("txn %d: proof of %s%s does not re-derive it; leaves=%v",
+								txn, rel, rec, inputs)
+						}
+					}
+				}
+				// Every fact that left the relation must be unexplainable.
+				for rel, byKey := range prev {
+					for key, rec := range byKey {
+						if _, still := cur[rel][key]; still {
 							continue
 						}
-						recs, err := rt.Contents(rel.Name)
-						if err != nil {
-							t.Fatal(err)
+						if _, ok := rt.Explain(rel, rec, wideExplain); ok {
+							t.Fatalf("txn %d: retracted fact %s%s still explainable", txn, rel, rec)
 						}
-						byKey := make(map[string]value.Record, len(recs))
-						for _, rec := range recs {
-							byKey[rec.Key()] = rec
-						}
-						m[rel.Name] = byKey
 					}
-					return m
 				}
-				prev := outputs()
-				for txn := 0; txn < 60; txn++ {
-					var ups []Update
-					for i := 0; i < 1+r.Intn(6); i++ {
-						ups = append(ups, tc.gen(r, r.Intn(3) > 0))
-					}
-					if _, err := rt.Apply(ups); err != nil {
-						t.Fatalf("txn %d: %v", txn, err)
-					}
-					cur := outputs()
-					for rel, byKey := range cur {
-						for _, rec := range byKey {
-							n, ok := rt.Explain(rel, rec, wideExplain)
-							if !ok {
-								t.Fatalf("txn %d: present fact %s%s unexplainable", txn, rel, rec)
-							}
-							inputs := make(map[string][]value.Record)
-							if !leaves(n, inputs) {
-								t.Fatalf("txn %d: incomplete proof for %s%s: %+v", txn, rel, rec, n)
-							}
-							want, err := NaiveEval(prog, inputs)
-							if err != nil {
-								t.Fatalf("txn %d: naive: %v", txn, err)
-							}
-							found := false
-							for _, w := range want[rel] {
-								if w.Equal(rec) {
-									found = true
-									break
-								}
-							}
-							if !found {
-								t.Fatalf("txn %d: proof of %s%s does not re-derive it; leaves=%v",
-									txn, rel, rec, inputs)
-							}
-						}
-					}
-					// Every fact that left the relation must be unexplainable.
-					for rel, byKey := range prev {
-						for key, rec := range byKey {
-							if _, still := cur[rel][key]; still {
-								continue
-							}
-							if _, ok := rt.Explain(rel, rec, wideExplain); ok {
-								t.Fatalf("txn %d: retracted fact %s%s still explainable", txn, rel, rec)
-							}
-						}
-					}
-					prev = cur
-				}
-			})
-		}
+				prev = cur
+			}
+		})
 	}
 }
 
@@ -396,7 +393,7 @@ func TestProvenanceVsNaive(t *testing.T) {
 // relation state.
 func TestProvenanceConcurrentExplainHammer(t *testing.T) {
 	prog := compile(t, reachProvSrc)
-	rt, err := New(prog, Options{CollectProvenance: true, Workers: 4, ProvenanceCapacity: 256})
+	rt, err := New(prog, Options{CollectProvenance: true, ProvenanceCapacity: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,32 +6,22 @@ import "time"
 type StratumStats struct {
 	Stratum   int
 	Recursive bool
-	// Jobs counts plan seedings evaluated: the settled job list for
-	// counting strata, the cumulative frontier size for parallel
-	// recursive strata. The sequential recursive path does not count
-	// (its LIFO cascade has no batch boundary) and reports 0.
-	Jobs int
-	// Rounds counts breadth-first propagation rounds (parallel recursive
-	// strata only; DRed overdelete and insertion rounds both count).
-	Rounds   int
+	// Jobs counts the plan seedings of a counting stratum's settled job
+	// list. Recursive strata report 0: their LIFO cascade has no batch
+	// boundary to count at.
+	Jobs     int
 	Duration time.Duration
 }
 
 // ApplyStats describes one transaction's evaluation when
 // Options.CollectStats is set. Collection adds two clock reads per
-// stratum plus two per parallel job; with CollectStats false none of
-// this code runs.
+// stratum; with CollectStats false none of this code runs.
 type ApplyStats struct {
 	Strata      []StratumStats
 	Derivations int64
 	// DeltaSize is the total number of tuple changes across all output
 	// relations' deltas.
 	DeltaSize int
-	// Workers echoes Options.Workers; WorkerBusy[i] is worker i's total
-	// plan-evaluation time across all parallel batches of the Apply
-	// (empty when evaluation stayed sequential).
-	Workers    int
-	WorkerBusy []time.Duration
 	// Rules attributes the transaction's evaluation per rule (nil unless
 	// Options.CollectRuleStats; rules with no activity are omitted).
 	Rules []RuleStats
@@ -45,19 +35,3 @@ func (rt *Runtime) LastApplyStats() *ApplyStats { return rt.lastStats }
 // NumStrata returns the number of evaluation strata in the compiled
 // program (useful for pre-registering per-stratum metrics).
 func (rt *Runtime) NumStrata() int { return len(rt.strata) }
-
-// instrument wraps a worker function with per-worker busy-time
-// accounting when stats collection is on.
-func (rt *Runtime) instrument(fn func(wi, i int) error) func(wi, i int) error {
-	if rt.stats == nil {
-		return fn
-	}
-	busy := rt.stats.WorkerBusy
-	return func(wi, i int) error {
-		t0 := time.Now()
-		err := fn(wi, i)
-		// Each worker only touches its own slot; no synchronization needed.
-		busy[wi] += time.Since(t0)
-		return err
-	}
-}

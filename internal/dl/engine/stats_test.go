@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func TestCollectStatsOff(t *testing.T) {
 	rt := newRT(t, projSrc)
@@ -38,38 +35,5 @@ func TestCollectStats(t *testing.T) {
 	}
 	if jobs < 1 {
 		t.Fatalf("no jobs counted: %+v", st.Strata)
-	}
-}
-
-func TestCollectStatsParallelWorkerBusy(t *testing.T) {
-	rt, err := New(compile(t, `
-		input relation In(a: string, b: string)
-		output relation Out(b: string, a: string)
-		Out(b, a) :- In(a, b).
-	`), Options{Workers: 4, CollectStats: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Enough updates to cross minParallelJobs and engage the pool.
-	ups := make([]Update, 0, 64)
-	for i := 0; i < 64; i++ {
-		ups = append(ups, Insert("In", strRec(fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i))))
-	}
-	apply(t, rt, ups...)
-	st := rt.LastApplyStats()
-	if st == nil || st.Workers != 4 || len(st.WorkerBusy) != 4 {
-		t.Fatalf("stats = %+v", st)
-	}
-	var busy bool
-	for _, d := range st.WorkerBusy {
-		if d > 0 {
-			busy = true
-		}
-	}
-	if !busy {
-		t.Fatalf("no worker busy time recorded: %v", st.WorkerBusy)
-	}
-	if st.DeltaSize != 64 {
-		t.Fatalf("DeltaSize = %d, want 64", st.DeltaSize)
 	}
 }

@@ -68,12 +68,11 @@ type Conn struct {
 	// slow or synchronous peer never deadlocks request handling. The queue
 	// is one buffer of concatenated messages (writeCount of them, nil when
 	// there are none), which the writer takes and hands to the stream whole.
-	writeMu     sync.Mutex
-	writeBuf    *encBuf
-	writeCount  int
-	writeWake   chan struct{}
-	writeLimit  int
-	writePolicy OverflowPolicy
+	writeMu    sync.Mutex
+	writeBuf   *encBuf
+	writeCount int
+	writeWake  chan struct{}
+	writeLimit int
 	// writeDone is closed when the write loop exits, so Close can wait
 	// for accepted messages to reach the stream before tearing it down.
 	writeDone chan struct{}
@@ -108,28 +107,10 @@ var ErrTimeout = errors.New("jsonrpc: call timed out")
 // missing too many consecutive heartbeats.
 var ErrKeepalive = errors.New("jsonrpc: keepalive failed")
 
-// ErrWriteOverflow marks a send rejected because the connection's write
-// queue reached its configured cap: the peer is not draining its read
-// side fast enough. Test with errors.Is.
+// ErrWriteOverflow marks a send rejected, and the connection failed,
+// because the write queue reached its configured cap: the peer is not
+// draining its read side fast enough. Test with errors.Is.
 var ErrWriteOverflow = errors.New("jsonrpc: write queue overflow")
-
-// OverflowPolicy selects what happens to a send that would push the
-// write queue past its cap.
-type OverflowPolicy int
-
-const (
-	// FailConn fails the whole connection on overflow (the default): a
-	// peer too slow to drain its socket is treated like a dead one, so
-	// the server's memory stays bounded and the client's reconnect
-	// machinery takes over. Right for streams whose messages must not be
-	// silently skipped (monitor updates, responses).
-	FailConn OverflowPolicy = iota
-	// DropNewest rejects just the overflowing message: send returns
-	// ErrWriteOverflow, the counter behind WriteOverflows increments,
-	// and the connection stays up. Right for streams with downstream
-	// resync semantics where losing one notification is recoverable.
-	DropNewest
-)
 
 // closeFlushTimeout bounds how long Close waits for the write loop to
 // flush accepted messages before closing the stream regardless. A peer
@@ -169,14 +150,14 @@ func (c *Conn) Start(handler Handler) {
 }
 
 // SetWriteLimit caps the write queue at limit pending messages; an
-// overflowing send is handled per policy (fail the connection, or drop
-// the message with ErrWriteOverflow). 0 restores the unbounded
-// historical behavior. Call before the peer can stall; safe to call
-// concurrently with sends.
-func (c *Conn) SetWriteLimit(limit int, policy OverflowPolicy) {
+// overflowing send fails the whole connection with ErrWriteOverflow. A
+// peer too slow to drain its socket is treated like a dead one, so the
+// sender's memory stays bounded, no message is silently skipped, and the
+// peer's reconnect machinery takes over. 0 leaves the queue unbounded.
+// Call before the peer can stall; safe to call concurrently with sends.
+func (c *Conn) SetWriteLimit(limit int) {
 	c.writeMu.Lock()
 	c.writeLimit = limit
-	c.writePolicy = policy
 	c.writeMu.Unlock()
 }
 
@@ -418,14 +399,11 @@ func (c *Conn) send(msg *encBuf) error {
 	}
 	c.writeMu.Lock()
 	if c.writeLimit > 0 && int(c.queued.Load()) >= c.writeLimit {
-		limit, policy := c.writeLimit, c.writePolicy
+		limit := c.writeLimit
 		c.writeMu.Unlock()
 		c.mu.Unlock()
 		putBuf(msg)
 		c.overflowed.Add(1)
-		if policy == DropNewest {
-			return fmt.Errorf("%w: %d messages pending, message dropped", ErrWriteOverflow, limit)
-		}
 		c.fail(fmt.Errorf("%w: peer left %d messages pending", ErrWriteOverflow, limit))
 		c.rwc.Close()
 		return fmt.Errorf("%w: %d messages pending, connection failed", ErrWriteOverflow, limit)

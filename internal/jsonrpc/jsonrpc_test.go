@@ -163,12 +163,12 @@ func TestMalformedStreamFailsConn(t *testing.T) {
 
 func TestWriteLimitFailsSlowPeer(t *testing.T) {
 	// A peer that never reads must not grow the write queue without
-	// bound: once the cap is hit, the connection fails (FailConn).
+	// bound: once the cap is hit, the connection fails.
 	a, b := net.Pipe()
 	defer b.Close()
 	ca := NewConn(a, nil)
 	defer ca.Close()
-	ca.SetWriteLimit(8, FailConn)
+	ca.SetWriteLimit(8)
 	var overflow error
 	for i := 0; i < 100; i++ {
 		if err := ca.Notify("update", []int{i}); err != nil {
@@ -190,57 +190,6 @@ func TestWriteLimitFailsSlowPeer(t *testing.T) {
 	if got := ca.WriteOverflows(); got == 0 {
 		t.Errorf("WriteOverflows() = 0, want > 0")
 	}
-}
-
-func TestWriteLimitDropNewest(t *testing.T) {
-	// DropNewest keeps the connection alive: overflowing sends are
-	// rejected with ErrWriteOverflow, and once the peer drains, sends
-	// succeed again.
-	a, b := net.Pipe()
-	ca := NewConn(a, nil)
-	defer ca.Close()
-	ca.SetWriteLimit(4, DropNewest)
-	var dropped int
-	for i := 0; i < 50; i++ {
-		if err := ca.Notify("update", []int{i}); err != nil {
-			if !errors.Is(err, ErrWriteOverflow) {
-				t.Fatalf("send returned %v, want ErrWriteOverflow", err)
-			}
-			dropped++
-		}
-	}
-	if dropped == 0 {
-		t.Fatalf("no sends rejected against a stalled peer with a 4-message cap")
-	}
-	if uint64(dropped) != ca.WriteOverflows() {
-		t.Errorf("WriteOverflows() = %d, want %d", ca.WriteOverflows(), dropped)
-	}
-	select {
-	case <-ca.Done():
-		t.Fatalf("DropNewest failed the connection: %v", ca.Err())
-	default:
-	}
-	// Drain the peer; the queue empties and the connection serves again.
-	go func() {
-		dec := json.NewDecoder(b)
-		for {
-			var v any
-			if dec.Decode(&v) != nil {
-				return
-			}
-		}
-	}()
-	deadline := time.Now().Add(2 * time.Second)
-	for ca.WriteQueueLen() > 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("write queue never drained: %d pending", ca.WriteQueueLen())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := ca.Notify("update", []string{"after-drain"}); err != nil {
-		t.Fatalf("send after drain: %v", err)
-	}
-	b.Close()
 }
 
 func TestCloseFlushesAcceptedMessages(t *testing.T) {

@@ -30,7 +30,6 @@ type RuleSample struct {
 	Seedings    int64 `json:"seedings"`
 	Derivations int64 `json:"derivations"`
 	DeltaTuples int64 `json:"delta_tuples"`
-	Rounds      int64 `json:"rounds,omitempty"`
 	EvalNs      int64 `json:"eval_ns"`
 }
 
@@ -45,7 +44,6 @@ type RuleRow struct {
 	Seedings    int64 `json:"seedings"`
 	Derivations int64 `json:"derivations"`
 	DeltaTuples int64 `json:"delta_tuples"`
-	Rounds      int64 `json:"rounds,omitempty"`
 	EvalNs      int64 `json:"eval_ns"`
 	// EwmaNs is the exponentially weighted moving average of the rule's
 	// per-transaction evaluation time — the hot-rule ranking signal.
@@ -194,7 +192,6 @@ func (p *RuleProfiler) ObserveTxn(samples []RuleSample) {
 		e.Seedings += s.Seedings
 		e.Derivations += s.Derivations
 		e.DeltaTuples += s.DeltaTuples
-		e.Rounds += s.Rounds
 		e.EvalNs += s.EvalNs
 		if !e.seen {
 			e.EwmaNs, e.seen = float64(s.EvalNs), true

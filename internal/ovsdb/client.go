@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"time"
 
 	"repro/internal/jsonrpc"
 	"repro/internal/wirejson"
@@ -169,15 +168,6 @@ func (c *Client) GetSchema(db string) (*DatabaseSchema, error) {
 func (c *Client) Echo() error {
 	var out any
 	return c.conn.Call("echo", []any{"ping"}, &out)
-}
-
-// SetCallTimeout bounds every RPC issued on this connection (0 = none).
-func (c *Client) SetCallTimeout(d time.Duration) { c.conn.SetCallTimeout(d) }
-
-// StartKeepalive begins echo heartbeats on the connection: misses
-// consecutive failures fail it (see jsonrpc.Conn.StartKeepalive).
-func (c *Client) StartKeepalive(interval time.Duration, misses int) {
-	c.conn.StartKeepalive(interval, misses)
 }
 
 // Transact runs operations against the named database and parses the

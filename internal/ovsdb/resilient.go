@@ -44,9 +44,6 @@ type ResilientConfig struct {
 	// flags itself in the observer's degraded set while down. nil
 	// disables all instrumentation.
 	Obs *obs.Observer
-	// Name keys this connection in the observer's degraded set
-	// (default "ovsdb").
-	Name string
 }
 
 // monState is the monitor the resilient client re-establishes after every
@@ -111,10 +108,6 @@ func DialResilient(cfg ResilientConfig) (*ResilientClient, error) {
 		"Reconnections resumed by monitor gap replay (cursor within the retained window).")
 	r.mSnapResyncs = reg.Counter("ovsdb_snapshot_resyncs_total",
 		"Reconnections that fell back to a full snapshot-diff resync.")
-	name := cfg.Name
-	if name == "" {
-		name = "ovsdb"
-	}
 	r.sup = redial.New(redial.Config[*Client]{
 		Connect:     r.connect,
 		Rearm:       r.resync,
@@ -124,7 +117,7 @@ func DialResilient(cfg ResilientConfig) (*ResilientClient, error) {
 		ErrDown:     ErrDisconnected,
 		Obs:         cfg.Obs,
 		Plane:       "ovsdb",
-		DegradedKey: name,
+		DegradedKey: "ovsdb",
 		Reconnects: reg.Counter("ovsdb_reconnects_total",
 			"Successful OVSDB session re-establishments after connection loss."),
 		Disconnected: reg.Gauge("ovsdb_disconnected",
@@ -163,15 +156,6 @@ func (r *ResilientClient) Connected() bool { return r.sup.Connected() }
 
 // --- RPC passthroughs (valid only while connected) ---
 
-// ListDbs returns the names of the hosted databases.
-func (r *ResilientClient) ListDbs() ([]string, error) {
-	c, err := r.sup.Get()
-	if err != nil {
-		return nil, err
-	}
-	return c.ListDbs()
-}
-
 // GetSchema fetches and parses a database schema.
 func (r *ResilientClient) GetSchema(db string) (*DatabaseSchema, error) {
 	c, err := r.sup.Get()
@@ -179,15 +163,6 @@ func (r *ResilientClient) GetSchema(db string) (*DatabaseSchema, error) {
 		return nil, err
 	}
 	return c.GetSchema(db)
-}
-
-// Echo round-trips a keepalive on the current connection.
-func (r *ResilientClient) Echo() error {
-	c, err := r.sup.Get()
-	if err != nil {
-		return err
-	}
-	return c.Echo()
 }
 
 // Transact runs operations against the named database.

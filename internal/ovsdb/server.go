@@ -170,7 +170,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		limit = defaultWriteLimit
 	}
 	if limit > 0 {
-		conn.SetWriteLimit(limit, jsonrpc.FailConn)
+		conn.SetWriteLimit(limit)
 	}
 	conn.Start(sc)
 	s.lnMu.Lock()

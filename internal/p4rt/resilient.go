@@ -48,8 +48,8 @@ type ResilientConfig struct {
 }
 
 // ResilientClient wraps Client with automatic redial. On connection loss
-// it redials with jittered exponential backoff, re-arms the digest and
-// packet-in handlers, then runs the OnReconnect hook (the controller's
+// it redials with jittered exponential backoff, re-arms the digest
+// handler, then runs the OnReconnect hook (the controller's
 // state reconciliation) before publishing the session — so by the time
 // Write succeeds again, the device's tables have been diffed against the
 // desired state and healed.
@@ -61,7 +61,6 @@ type ResilientClient struct {
 
 	mu          sync.Mutex
 	onDigest    func(DigestList)
-	onPacketIn  func(PacketIn)
 	onReconnect func(*Client) error
 }
 
@@ -110,9 +109,9 @@ func DialResilient(cfg ResilientConfig) (*ResilientClient, error) {
 	return r, nil
 }
 
-// connect dials one session and arms it with the digest and packet-in
-// trampolines, so a handler installed at any time — before, during or
-// after a redial — serves whichever session is live.
+// connect dials one session and arms it with the digest trampoline, so
+// a handler installed at any time — before, during or after a redial —
+// serves whichever session is live.
 func (r *ResilientClient) connect() (*Client, error) {
 	rwc, err := redial.DialStream(r.cfg.Dial, r.cfg.Addr)
 	if err != nil {
@@ -134,14 +133,6 @@ func (r *ResilientClient) connect() (*Client, error) {
 		r.mu.Unlock()
 		if f != nil {
 			f(dl)
-		}
-	})
-	c.OnPacketIn(func(pi PacketIn) {
-		r.mu.Lock()
-		f := r.onPacketIn
-		r.mu.Unlock()
-		if f != nil {
-			f(pi)
 		}
 	})
 	return c, nil
@@ -183,13 +174,6 @@ func (r *ResilientClient) OnDigest(f func(DigestList)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.onDigest = f
-}
-
-// OnPacketIn installs the packet-in handler (it outlives reconnections).
-func (r *ResilientClient) OnPacketIn(f func(PacketIn)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.onPacketIn = f
 }
 
 // unavailableOn maps transport-level failures to ErrUnavailable while
@@ -242,23 +226,4 @@ func (r *ResilientClient) ReadTable(table string) ([]TableEntry, error) {
 	}
 	entries, err := c.ReadTable(table)
 	return entries, unavailableOn(err)
-}
-
-// ReadCounters reads a table's hit/miss counters.
-func (r *ResilientClient) ReadCounters(table string) (p4.TableCounters, error) {
-	c, err := r.sup.Get()
-	if err != nil {
-		return p4.TableCounters{}, err
-	}
-	out, err := c.ReadCounters(table)
-	return out, unavailableOn(err)
-}
-
-// PacketOut injects a packet on a port.
-func (r *ResilientClient) PacketOut(port uint16, data []byte) error {
-	c, err := r.sup.Get()
-	if err != nil {
-		return err
-	}
-	return unavailableOn(c.PacketOut(port, data))
 }

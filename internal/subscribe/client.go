@@ -23,10 +23,15 @@ type Client struct {
 	// reply has not been processed yet: delivery goroutines and RPC
 	// replies share the connection, so an update can precede the reply
 	// that names its id. The window is one write-queue reordering, so
-	// the buffer is small and capped.
-	pending map[uint64]*pendingUpdates
-	bufLen  int
-	closed  bool
+	// the buffer is small and capped. It is filled only while a Subscribe
+	// call is in flight (subscribing > 0) and emptied when the last one
+	// returns: an unknown id seen at any other time belongs to a
+	// subscription that was unsubscribed or evicted, and its updates are
+	// dropped.
+	pending     map[uint64]*pendingUpdates
+	subscribing int
+	bufLen      int
+	closed      bool
 }
 
 // pendingUpdates is the pre-reply buffer for one subscription id.
@@ -138,8 +143,14 @@ func (c *Client) Subscribe(relation string, filter map[int]any) (*Subscription, 
 		}
 		params = append(params, map[string]any{"filter": wire})
 	}
+	c.mu.Lock()
+	c.subscribing++
+	c.mu.Unlock()
 	var res subscribeResult
 	if err := c.conn.Call("subscribe", params, &res); err != nil {
+		c.mu.Lock()
+		c.subscribeDone()
+		c.mu.Unlock()
 		return nil, err
 	}
 	sub := &Subscription{
@@ -153,14 +164,15 @@ func (c *Client) Subscribe(relation string, filter map[int]any) (*Subscription, 
 	}
 	sub.Updates = sub.ch
 	c.mu.Lock()
+	p := c.pending[sub.ID]
+	delete(c.pending, sub.ID)
+	c.subscribeDone()
 	if c.closed {
 		c.mu.Unlock()
 		close(sub.ch)
 		return nil, errors.New("subscribe: connection closed")
 	}
 	c.subs[sub.ID] = sub
-	p := c.pending[sub.ID]
-	delete(c.pending, sub.ID)
 	if p != nil {
 		if len(p.ups) > cap(sub.ch) {
 			p.overflow = true
@@ -183,6 +195,16 @@ func (c *Client) Subscribe(relation string, filter map[int]any) (*Subscription, 
 		sub.close(true, "client replay buffer overflow; resubscribe")
 	}
 	return sub, nil
+}
+
+// subscribeDone ends one Subscribe call's buffering window; when no
+// other call is in flight, whatever is still buffered is for departed
+// subscriptions and goes. Called with c.mu held.
+func (c *Client) subscribeDone() {
+	c.subscribing--
+	if c.subscribing == 0 {
+		clear(c.pending)
+	}
 }
 
 // Relations asks the server for its subscribable relation names.
@@ -290,15 +312,15 @@ func (c *Client) handle(_ *jsonrpc.Conn, method string, params json.RawMessage) 
 	}
 }
 
-// dispatch routes one update to its subscription, buffering it when
-// the subscribe reply has not resolved the id yet. The send may block
-// on a full channel: that stalls the read loop and lets server-side
-// eviction handle the truly slow consumer.
+// dispatch routes one update to its subscription, buffering it when a
+// subscribe reply that may name its id is still outstanding. The send
+// may block on a full channel: that stalls the read loop and lets
+// server-side eviction handle the truly slow consumer.
 func (c *Client) dispatch(id uint64, u Update) {
 	c.mu.Lock()
 	sub := c.subs[id]
 	if sub == nil {
-		if !c.closed {
+		if c.subscribing > 0 && !c.closed {
 			p := c.pending[id]
 			if p == nil {
 				p = &pendingUpdates{}

@@ -40,6 +40,7 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -291,7 +292,11 @@ func (s *Service) Publish(txn uint64, delta engine.Delta) {
 	if s.closed {
 		return
 	}
-	s.lastTxn = txn
+	if txn != 0 {
+		// Digest-originated deltas (MAC learning) carry no transaction;
+		// the cursor stays at the last one that did.
+		s.lastTxn = txn
+	}
 	for rel, dz := range delta {
 		if dz.IsEmpty() {
 			continue
@@ -439,7 +444,7 @@ func (s *Service) ServeConn(rwc io.ReadWriteCloser) *jsonrpc.Conn {
 		limit = defaultWriteLimit
 	}
 	if limit > 0 {
-		conn.SetWriteLimit(limit, jsonrpc.FailConn)
+		conn.SetWriteLimit(limit)
 	}
 	cs := &connState{svc: s, conn: conn, subs: make(map[uint64]*subscriber)}
 	if nc, ok := rwc.(net.Conn); ok {
@@ -507,7 +512,7 @@ func (s *Service) Subscribers() int {
 	return s.nSubs
 }
 
-// LastTxn reports the last published transaction ID.
+// LastTxn reports the last published non-zero transaction ID.
 func (s *Service) LastTxn() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -698,8 +703,8 @@ func parseFilter(m map[string]any) ([]fieldFilter, error) {
 	}
 	fs := make([]fieldFilter, 0, len(m))
 	for k, v := range m {
-		var idx int
-		if _, err := fmt.Sscanf(k, "%d", &idx); err != nil || idx < 0 {
+		idx, err := strconv.Atoi(k)
+		if err != nil || idx < 0 {
 			return nil, fmt.Errorf("filter key %q: want a non-negative column index", k)
 		}
 		switch v.(type) {

@@ -377,3 +377,99 @@ func TestSubscribeKeepsNoAliasIntoReadBuffer(t *testing.T) {
 		t.Fatalf("update after the buffer was overwritten = %+v, want the one row matching the filter", m)
 	}
 }
+
+// TestUnsubscribeUnderLoadLeavesNothingPending: updates still in flight
+// for a subscription the client has already dropped must be discarded,
+// not parked in the pre-reply buffer where nothing would ever free them.
+func TestUnsubscribeUnderLoadLeavesNothingPending(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	cl := pair(t, svc)
+
+	txn := uint64(0)
+	for i := 0; i < 100; i++ {
+		sub, err := cl.Subscribe("R", nil)
+		if err != nil {
+			t.Fatalf("Subscribe %d: %v", i, err)
+		}
+		// A burst well inside the subscriber's queue: one update read
+		// proves the stream is live, the rest are still on their way
+		// when the client lets go of the subscription.
+		for n := 0; n < 64; n++ {
+			txn++
+			w := int64(1 - 2*(n%2)) // insert, delete, insert, ...: R stays small
+			svc.Publish(txn, d("R", zset.Entry{Rec: row(1), Weight: w}))
+		}
+		recv(t, sub)
+		if err := sub.Unsubscribe(); err != nil {
+			t.Fatalf("Unsubscribe %d: %v", i, err)
+		}
+	}
+	// Drain: a round trip behind every notification already on the wire.
+	if _, err := cl.Relations(); err != nil {
+		t.Fatalf("Relations: %v", err)
+	}
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	for id, p := range cl.pending {
+		t.Errorf("subscription %d, long gone, still buffers %d updates", id, len(p.ups))
+	}
+}
+
+// TestCursorSkipsUntaggedDeltas: a delta published without a transaction
+// (txn 0, every digest-originated delta) must not reset the cursor that
+// snapshots and eviction events report.
+func TestCursorSkipsUntaggedDeltas(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		txns []uint64
+		want uint64
+	}{
+		{"tagged only", []uint64{3, 4}, 4},
+		{"untagged after tagged", []uint64{7, 0}, 7},
+		{"untagged between tagged", []uint64{7, 0, 9, 0, 0}, 9},
+		{"untagged only", []uint64{0, 0}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := New(Config{})
+			defer svc.Close()
+			for i, txn := range tc.txns {
+				svc.Publish(txn, d("R", zset.Entry{Rec: row(int64(i)), Weight: 1}))
+			}
+			if got := svc.LastTxn(); got != tc.want {
+				t.Errorf("LastTxn() = %d, want %d", got, tc.want)
+			}
+			sub, err := pair(t, svc).Subscribe("R", nil)
+			if err != nil {
+				t.Fatalf("Subscribe: %v", err)
+			}
+			if sub.Txn != tc.want || len(sub.Rows) != len(tc.txns) {
+				t.Errorf("snapshot txn=%d rows=%d, want txn=%d rows=%d",
+					sub.Txn, len(sub.Rows), tc.want, len(tc.txns))
+			}
+		})
+	}
+}
+
+func TestParseFilterKeys(t *testing.T) {
+	for _, tc := range []struct {
+		key string
+		idx int // -1: rejected
+	}{
+		{"0", 0},
+		{"12", 12},
+		{"1x", -1},
+		{"x1", -1},
+		{"1 ", -1},
+		{"-1", -1},
+		{"", -1},
+	} {
+		fs, err := parseFilter(map[string]any{tc.key: "v"})
+		switch {
+		case tc.idx < 0 && err == nil:
+			t.Errorf("parseFilter key %q accepted as column %d", tc.key, fs[0].idx)
+		case tc.idx >= 0 && (err != nil || fs[0].idx != tc.idx):
+			t.Errorf("parseFilter key %q = %v, %v; want column %d", tc.key, fs, err, tc.idx)
+		}
+	}
+}
