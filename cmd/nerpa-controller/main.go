@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -114,6 +115,7 @@ func main() {
 			WriteLimit: *subWriteLimit,
 			Obs:        observer,
 		})
+		subSvc.SetKeepalive(*keepalive, 3)
 		defer subSvc.Close()
 		cfg.OnDelta = subSvc.Publish
 	}
@@ -140,9 +142,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("subscription listener on %s: %v", *subAddr, err)
 		}
-		defer ln.Close()
 		go func() {
-			if err := subSvc.Serve(ln); err != nil {
+			if err := subSvc.Serve(ln); err != nil && !errors.Is(err, net.ErrClosed) {
 				log.Fatalf("subscription server: %v", err)
 			}
 		}()

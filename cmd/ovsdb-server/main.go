@@ -77,9 +77,8 @@ func main() {
 	}
 
 	srv := ovsdb.NewServer(db)
-	if *keepalive > 0 {
-		srv.SetKeepalive(*keepalive, 3)
-	}
+	srv.SetObs(observer, "ovsdb")
+	srv.SetKeepalive(*keepalive, 3)
 	drained := observer.DrainOnSignal("ovsdb-server")
 	go func() {
 		<-drained

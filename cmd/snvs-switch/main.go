@@ -48,9 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("creating switch: %v", err)
 	}
-	if *keepalive > 0 {
-		sw.SetKeepalive(*keepalive, 3)
-	}
+	sw.SetKeepalive(*keepalive, 3)
 	observer := obsFlags.Start("snvs-switch", "switchsim")
 	if observer != nil {
 		sw.SetObs(observer)

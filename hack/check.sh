@@ -53,10 +53,14 @@ go test -race -run 'TestRedial|TestResilient|TestResync|TestPushToleratesUnavail
 go run ./cmd/nerpa-bench -exp reconnect -reconnect-ports 50,250 -reconnect-restarts 3 -reconnect-out BENCH_reconnect.json
 test -s BENCH_reconnect.json
 # Pub/sub fan-out: the subscription service e2e (snapshot-then-delta
-# ordering, slow-consumer eviction and resubscribe) and the jsonrpc
-# bounded-write regressions run under the race detector.
+# ordering, slow-consumer eviction and resubscribe), the jsonrpc
+# bounded-write regressions and the one server all three planes serve on
+# run under the race detector.
 go test -race -run 'TestSnapshotThenDelta|TestSlowConsumerEviction' -count=1 ./internal/subscribe/
-go test -race -run 'TestWriteLimit|TestCloseFlushes' -count=1 ./internal/jsonrpc/
+go test -race -run 'TestWriteLimit|TestCloseFlushes|TestServer' -count=1 ./internal/jsonrpc/
+# Three tests that used to lose to a timer or a clock on a loaded box:
+# twenty runs each under the race detector hold the de-flaking.
+go test -race -count=20 -run 'TestRenderWireMatchesMarshal|TestDigestBatching|TestAggregatorStitchesAcrossMembers' ./internal/ovsdb/ ./internal/switchsim/ ./internal/obs/fleet/
 # Coalescing under race: merged monitor deliveries must stay
 # data-race-free and preserve per-txn attribution.
 go test -race -run 'TestCoalesc' -count=1 ./internal/core/

@@ -91,13 +91,6 @@ type Config struct {
 	Rules string
 	// Database is the OVSDB database name.
 	Database string
-	// PushWorkers bounds how many devices receive their P4Runtime writes
-	// concurrently when a delta touches several switches. 0 selects the
-	// default (8); 1 serializes all writes. Updates destined for the same
-	// device are always issued in order on one goroutine, and the push
-	// reports success only after every device's writes complete (barrier
-	// before ack).
-	PushWorkers int
 	// CoalesceMaxTxns bounds how many adjacent OVSDB-delivered commits the
 	// event loop merges into a single engine transaction before applying.
 	// 0 or 1 disables coalescing (every commit applies individually).
@@ -148,9 +141,9 @@ type Config struct {
 	Profile bool
 }
 
-// defaultPushWorkers is the device-write concurrency used when
-// Config.PushWorkers is zero.
-const defaultPushWorkers = 8
+// pushWorkers bounds how many devices receive their P4Runtime writes
+// concurrently when a delta touches several switches.
+const pushWorkers = 8
 
 // defaultCoalesceMaxUpdates is the merged-batch size bound used when
 // Config.CoalesceMaxUpdates is zero.
@@ -1098,7 +1091,7 @@ func (c *Controller) push(ev *event, delta engine.Delta) (int, error) {
 		}
 		addBatch(tg.class, tg.device, dp, updates)
 	}
-	if err := c.writeDevices(writes); err != nil {
+	if err := c.writeDevices(writes, pushWorkers); err != nil {
 		return total, err
 	}
 	c.rec.Append(obs.Ev("core", "push.barrier").WithTxn(ev.txnID).
@@ -1172,15 +1165,11 @@ func (c *Controller) flushObserved(dw *devWrite) error {
 }
 
 // writeDevices issues each device's write stream, fanning out across up to
-// Config.PushWorkers goroutines. Per-device ordering is preserved (one
-// goroutine owns a device's whole stream), all writes complete before the
-// push returns (barrier), and on failure the error of the first device in
-// delta order is reported.
-func (c *Controller) writeDevices(writes []*devWrite) error {
-	nw := c.cfg.PushWorkers
-	if nw <= 0 {
-		nw = defaultPushWorkers
-	}
+// nw goroutines. Per-device ordering is preserved (one goroutine owns a
+// device's whole stream), all writes complete before the push returns
+// (barrier), and on failure the error of the first device in delta order
+// is reported.
+func (c *Controller) writeDevices(writes []*devWrite, nw int) error {
 	if nw > len(writes) {
 		nw = len(writes)
 	}

@@ -58,19 +58,19 @@ func deviceWrites(n, batches int, fail map[int]error) ([]*devWrite, []*slowDP) {
 // batch stream, in order, before writeDevices returns, at any worker
 // count (run under -race this also exercises the fan-out for data races).
 func TestWriteDevicesOrderingAndBarrier(t *testing.T) {
-	for _, pw := range []int{1, 4, 64} {
-		c := &Controller{cfg: Config{PushWorkers: pw}}
+	for _, pw := range []int{1, 2, 8, 64} {
+		c := &Controller{}
 		writes, dps := deviceWrites(16, 5, nil)
-		if err := c.writeDevices(writes); err != nil {
-			t.Fatalf("PushWorkers=%d: %v", pw, err)
+		if err := c.writeDevices(writes, pw); err != nil {
+			t.Fatalf("workers=%d: %v", pw, err)
 		}
 		for i, dp := range dps {
 			if len(dp.writes) != 5 {
-				t.Fatalf("PushWorkers=%d: device %d got %d batches, want 5", pw, i, len(dp.writes))
+				t.Fatalf("workers=%d: device %d got %d batches, want 5", pw, i, len(dp.writes))
 			}
 			for b, w := range dp.writes {
 				if want := fmt.Sprintf("t%d", b); w[0].Entry.Table != want {
-					t.Fatalf("PushWorkers=%d: device %d batch %d hit table %s, want %s",
+					t.Fatalf("workers=%d: device %d batch %d hit table %s, want %s",
 						pw, i, b, w[0].Entry.Table, want)
 				}
 			}
@@ -83,11 +83,11 @@ func TestWriteDevicesOrderingAndBarrier(t *testing.T) {
 // order, regardless of which goroutine hit its error first.
 func TestWriteDevicesFirstError(t *testing.T) {
 	errA, errB := errors.New("dev3"), errors.New("dev11")
-	for _, pw := range []int{1, 8} {
-		c := &Controller{cfg: Config{PushWorkers: pw}}
+	for _, pw := range []int{1, 2, 8} {
+		c := &Controller{}
 		writes, _ := deviceWrites(16, 3, map[int]error{3: errA, 11: errB})
-		if err := c.writeDevices(writes); !errors.Is(err, errA) {
-			t.Fatalf("PushWorkers=%d: got error %v, want %v", pw, err, errA)
+		if err := c.writeDevices(writes, pw); !errors.Is(err, errA) {
+			t.Fatalf("workers=%d: got error %v, want %v", pw, err, errA)
 		}
 	}
 }
@@ -100,12 +100,12 @@ func BenchmarkConcurrentDeviceWrite(b *testing.B) {
 	const devices, batches = 32, 4
 	for _, pw := range []int{1, 4, 16, 32} {
 		b.Run(fmt.Sprintf("pushworkers-%d", pw), func(b *testing.B) {
-			c := &Controller{cfg: Config{PushWorkers: pw}}
+			c := &Controller{}
 			writes, dps := deviceWrites(devices, batches, nil)
 			var total atomic.Int64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := c.writeDevices(writes); err != nil {
+				if err := c.writeDevices(writes, pw); err != nil {
 					b.Fatal(err)
 				}
 				total.Add(int64(devices))

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,6 +18,9 @@ import (
 )
 
 func isNull(raw []byte) bool { return string(raw) == "null" }
+
+// emptyArray is the echo reply to a request that carried no params.
+var emptyArray = []byte("[]")
 
 // RPCError is a protocol-level error returned by a peer.
 type RPCError struct {
@@ -31,9 +35,11 @@ func (e *RPCError) Error() string {
 	return "jsonrpc: " + e.Code
 }
 
-// Handler serves incoming requests and notifications on a connection.
-// Handle runs on the connection's read loop: implementations must not
-// block indefinitely. For a notification the result is discarded.
+// Handler serves incoming requests and notifications on a connection,
+// except "echo", which the connection answers itself with the request's
+// params. Handle runs on the connection's read loop: implementations
+// must not block indefinitely. For a notification the result is
+// discarded.
 //
 // params is a sub-slice of the connection's read buffer (nil when the
 // message carried none) and is overwritten by the next message: it is
@@ -119,8 +125,8 @@ var ErrWriteOverflow = errors.New("jsonrpc: write queue overflow")
 const closeFlushTimeout = 2 * time.Second
 
 // NewConn starts a connection over rwc. handler may be nil if the peer
-// never sends requests. The read loop runs until the stream fails or the
-// connection is closed.
+// sends no request but "echo". The read loop runs until the stream fails
+// or the connection is closed.
 func NewConn(rwc io.ReadWriteCloser, handler Handler) *Conn {
 	c := NewConnPending(rwc)
 	c.Start(handler)
@@ -159,6 +165,15 @@ func (c *Conn) SetWriteLimit(limit int) {
 	c.writeMu.Lock()
 	c.writeLimit = limit
 	c.writeMu.Unlock()
+}
+
+// RemoteAddr names the peer when the stream is a network connection
+// ("" when it is not).
+func (c *Conn) RemoteAddr() string {
+	if nc, ok := c.rwc.(net.Conn); ok {
+		return nc.RemoteAddr().String()
+	}
+	return ""
 }
 
 // WriteQueueLen reports the messages accepted by send but not yet
@@ -364,9 +379,17 @@ func (c *Conn) deliver(d *wirejson.Dec, rawID, result, rpcErr []byte) {
 func (c *Conn) serve(method string, params, id []byte) {
 	var result any
 	var rpcErr *RPCError
-	if c.handler == nil {
+	switch {
+	case method == "echo":
+		// The heartbeat StartKeepalive sends (RFC 7047 §4.1.11): every
+		// connection answers it, whatever its handler.
+		if len(params) == 0 || isNull(params) {
+			params = emptyArray
+		}
+		result = json.RawMessage(params)
+	case c.handler == nil:
 		rpcErr = &RPCError{Code: "unknown method", Details: method}
-	} else {
+	default:
 		result, rpcErr = c.handler.Handle(c, method, params)
 	}
 	if id == nil {

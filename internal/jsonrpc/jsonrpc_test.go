@@ -26,7 +26,7 @@ func pipePair(t *testing.T, hA, hB Handler) (*Conn, *Conn) {
 func echoHandler() Handler {
 	return HandlerFunc(func(_ *Conn, method string, params json.RawMessage) (any, *RPCError) {
 		switch method {
-		case "echo":
+		case "mirror": // "echo" itself never reaches a handler
 			var v any
 			if err := json.Unmarshal(params, &v); err != nil {
 				return nil, &RPCError{Code: "bad params"}
@@ -43,11 +43,11 @@ func echoHandler() Handler {
 func TestCallRoundTrip(t *testing.T) {
 	ca, _ := pipePair(t, nil, echoHandler())
 	var got []string
-	if err := ca.Call("echo", []string{"hello", "world"}, &got); err != nil {
+	if err := ca.Call("mirror", []string{"hello", "world"}, &got); err != nil {
 		t.Fatalf("Call: %v", err)
 	}
 	if len(got) != 2 || got[0] != "hello" {
-		t.Errorf("echo result = %v", got)
+		t.Errorf("mirror result = %v", got)
 	}
 }
 

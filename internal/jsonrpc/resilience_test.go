@@ -90,12 +90,15 @@ func TestConnUsableAfterTimeout(t *testing.T) {
 }
 
 func TestKeepaliveFailsUnresponsiveConn(t *testing.T) {
-	// The peer's read side stalls (nothing consumes our echo requests'
-	// replies because the handler never answers): heartbeats miss and the
-	// connection must fail within a few intervals.
+	// The peer's read loop stalls inside a handler that never returns, so
+	// it never reaches our echo requests (which it would answer itself):
+	// heartbeats miss and the connection must fail within a few intervals.
 	block := make(chan struct{})
 	defer close(block)
 	ca, _ := pipePair(t, nil, hungHandler(block))
+	if err := ca.Notify("hang", nil); err != nil {
+		t.Fatal(err)
+	}
 	ca.StartKeepalive(20*time.Millisecond, 2)
 	select {
 	case <-ca.Done():

@@ -68,13 +68,6 @@ func (c *Client) Done() <-chan struct{} { return c.conn.Done() }
 
 func (c *Client) handle(_ *jsonrpc.Conn, method string, params json.RawMessage) (any, *jsonrpc.RPCError) {
 	switch method {
-	case "echo":
-		var v any
-		_ = json.Unmarshal(params, &v)
-		if v == nil {
-			v = []any{}
-		}
-		return v, nil
 	case "update":
 		// The optional third element is the server-minted txn ID (this
 		// repo's extension for cross-plane tracing).

@@ -3,103 +3,40 @@ package ovsdb
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"sync"
-	"time"
 
 	"repro/internal/jsonrpc"
-	"repro/internal/obs"
 	"repro/internal/wirejson"
 )
 
 // Server exposes one or more databases over the OVSDB JSON-RPC protocol:
-// list_dbs, get_schema, transact, monitor, monitor_cancel, and echo.
+// list_dbs, get_schema, transact, monitor and monitor_cancel (echo is the
+// connection's own). The endpoint — Serve, ListenAndServe, ServeConn,
+// SetKeepalive, SetObs, Close — is the embedded jsonrpc.Server.
 type Server struct {
+	*jsonrpc.Server
+
 	mu  sync.Mutex
 	dbs map[string]*Database
-
-	lnMu      sync.Mutex
-	listeners map[net.Listener]bool
-	conns     map[*jsonrpc.Conn]bool
-	closed    bool
-
-	// kaInterval/kaMisses, when set, start echo keepalives on every
-	// accepted connection so half-open clients are reaped.
-	kaInterval time.Duration
-	kaMisses   int
-
-	// wrLimit caps each accepted connection's JSON-RPC write queue
-	// (0 = default, <0 = unlimited); see SetWriteLimit.
-	wrLimit int
-	// overflowBase accumulates departed connections' overflow counts so
-	// the jsonrpc_write_overflows_total reading stays monotonic.
-	overflowBase uint64
 }
 
-// defaultWriteLimit bounds an accepted connection's write queue unless
-// SetWriteLimit overrides it. Monitor fan-out (handleMonitor) enqueues
-// every committed transaction into each monitoring client's queue, so
-// a stalled monitor previously grew server memory without bound; at
-// the cap the connection fails, and the resilient client redials and
-// resyncs (the PR-5 reconnection path).
-const defaultWriteLimit = 16384
-
-// SetKeepalive makes every subsequently accepted connection probe its
-// peer with echo heartbeats: misses consecutive failures fail the
-// connection. Call before Serve; 0 disables.
-func (s *Server) SetKeepalive(interval time.Duration, misses int) {
-	s.lnMu.Lock()
-	s.kaInterval, s.kaMisses = interval, misses
-	s.lnMu.Unlock()
-}
-
-// SetWriteLimit caps the JSON-RPC write queue of every subsequently
-// accepted connection; overflow fails the connection (the client's
-// reconnect-and-resync path recovers). 0 restores the default
-// (16384); negative disables the cap. Call before Serve.
-func (s *Server) SetWriteLimit(limit int) {
-	s.lnMu.Lock()
-	s.wrLimit = limit
-	s.lnMu.Unlock()
-}
-
-// SetObs registers the server's jsonrpc queue instrumentation (depth
-// gauge and overflow counter, labeled server="ovsdb") with the given
-// observer. Nil-safe.
-func (s *Server) SetObs(o *obs.Observer) {
-	reg := o.Reg()
-	reg.GaugeFunc("jsonrpc_write_queue_depth",
-		"Messages queued in JSON-RPC write queues.", func() float64 {
-			s.lnMu.Lock()
-			defer s.lnMu.Unlock()
-			n := 0
-			for c := range s.conns {
-				n += c.WriteQueueLen()
-			}
-			return float64(n)
-		}, obs.L("server", "ovsdb"))
-	reg.CounterFunc("jsonrpc_write_overflows_total",
-		"Sends rejected by the JSON-RPC write-queue cap.", func() uint64 {
-			s.lnMu.Lock()
-			defer s.lnMu.Unlock()
-			n := s.overflowBase
-			for c := range s.conns {
-				n += c.WriteOverflows()
-			}
-			return n
-		}, obs.L("server", "ovsdb"))
-}
+// writeLimit bounds an accepted connection's write queue. Monitor
+// fan-out (handleMonitor) enqueues every committed transaction into each
+// monitoring client's queue, so a stalled monitor would grow server
+// memory without bound; at the cap the connection fails, and the
+// resilient client redials and resyncs.
+const writeLimit = 16384
 
 // NewServer creates a server hosting the given databases.
 func NewServer(dbs ...*Database) *Server {
-	s := &Server{
-		dbs:       make(map[string]*Database),
-		listeners: make(map[net.Listener]bool),
-		conns:     make(map[*jsonrpc.Conn]bool),
-	}
+	s := &Server{dbs: make(map[string]*Database)}
 	for _, db := range dbs {
 		s.dbs[db.Schema().Name] = db
 	}
+	s.Server = jsonrpc.NewServer(writeLimit, func(c *jsonrpc.Conn) (jsonrpc.Handler, func()) {
+		sc := &serverConn{server: s, conn: c, monitors: make(map[string]*Monitor)}
+		return sc, sc.teardown
+	})
 	return s
 }
 
@@ -108,86 +45,6 @@ func (s *Server) Database(name string) *Database {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dbs[name]
-}
-
-// Serve accepts connections on ln until the listener is closed. It always
-// returns a non-nil error (net.ErrClosed after Close).
-func (s *Server) Serve(ln net.Listener) error {
-	s.lnMu.Lock()
-	if s.closed {
-		s.lnMu.Unlock()
-		ln.Close()
-		return net.ErrClosed
-	}
-	s.listeners[ln] = true
-	s.lnMu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return err
-		}
-		s.serveConn(conn)
-	}
-}
-
-// ListenAndServe listens on a TCP address and serves it.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
-// Close stops all listeners and connections.
-func (s *Server) Close() {
-	s.lnMu.Lock()
-	s.closed = true
-	for ln := range s.listeners {
-		ln.Close()
-	}
-	conns := make([]*jsonrpc.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.lnMu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-// serveConn wires one client connection. The connection is published into
-// the handler state before its loops start, so request handling never
-// observes a half-built serverConn.
-func (s *Server) serveConn(nc net.Conn) {
-	sc := &serverConn{server: s, monitors: make(map[string]*Monitor)}
-	conn := jsonrpc.NewConnPending(nc)
-	sc.conn = conn
-	s.lnMu.Lock()
-	limit := s.wrLimit
-	s.lnMu.Unlock()
-	if limit == 0 {
-		limit = defaultWriteLimit
-	}
-	if limit > 0 {
-		conn.SetWriteLimit(limit)
-	}
-	conn.Start(sc)
-	s.lnMu.Lock()
-	s.conns[conn] = true
-	ka, misses := s.kaInterval, s.kaMisses
-	s.lnMu.Unlock()
-	if ka > 0 {
-		conn.StartKeepalive(ka, misses)
-	}
-	go func() {
-		<-conn.Done()
-		sc.teardown()
-		s.lnMu.Lock()
-		delete(s.conns, conn)
-		s.overflowBase += conn.WriteOverflows()
-		s.lnMu.Unlock()
-	}()
 }
 
 // serverConn is the per-connection protocol state.
@@ -219,17 +76,6 @@ func rpcErr(code, details string) *jsonrpc.RPCError {
 // Handle dispatches one OVSDB method.
 func (sc *serverConn) Handle(_ *jsonrpc.Conn, method string, params json.RawMessage) (any, *jsonrpc.RPCError) {
 	switch method {
-	case "echo":
-		var v any
-		if len(params) > 0 {
-			if err := json.Unmarshal(params, &v); err != nil {
-				return nil, rpcErr("bad params", err.Error())
-			}
-		}
-		if v == nil {
-			v = []any{}
-		}
-		return v, nil
 	case "list_dbs":
 		sc.server.mu.Lock()
 		names := make([]string, 0, len(sc.server.dbs))

@@ -329,6 +329,10 @@ func TestRenderWireMatchesMarshal(t *testing.T) {
 			}
 			mustTransact(t, db, ops...)
 		}
+		// A sentinel every request set above selects (a Port insert), so
+		// both monitors report it; each delivers in commit order, so once
+		// both have, neither has anything still in flight.
+		mustTransact(t, db, OpInsert("Port", map[string]Value{"name": "sentinel"}))
 		last := db.LastTxnID()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
@@ -336,12 +340,14 @@ func TestRenderWireMatchesMarshal(t *testing.T) {
 			_, a := values[last]
 			_, b := wire[last]
 			mu.Unlock()
-			if a == b || time.Now().After(deadline) {
-				break // both saw the last txn, or it changed nothing either monitors
+			if a && b {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: sentinel txn %d seen as values: %v, rendered: %v", name, last, a, b)
 			}
 			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(10 * time.Millisecond)
 		mu.Lock()
 		if len(values) == 0 || len(values) != len(wire) {
 			t.Errorf("%s: %d updates as values, %d rendered", name, len(values), len(wire))
@@ -397,7 +403,7 @@ func TestServerKeepsNoAliasIntoReadBuffer(t *testing.T) {
 	defer srv.Close()
 	a, b := net.Pipe()
 	defer b.Close()
-	srv.serveConn(a)
+	srv.ServeConn(a)
 	peer := json.NewDecoder(b)
 	send := func(method string, params ...any) {
 		t.Helper()

@@ -78,14 +78,6 @@ func (c *Client) SetAutoAck(on bool) {
 
 func (c *Client) handle(_ *jsonrpc.Conn, method string, params json.RawMessage) (any, *jsonrpc.RPCError) {
 	switch method {
-	case "echo":
-		// Answer server-side keepalive probes.
-		var v any
-		_ = json.Unmarshal(params, &v)
-		if v == nil {
-			v = []any{}
-		}
-		return v, nil
 	case "digest":
 		dl, err := parseDigest(params)
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/jsonrpc"
 	"repro/internal/p4"
 )
 
@@ -464,5 +465,30 @@ func TestDigestTxnRoundTrip(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("digest never delivered")
 		}
+	}
+}
+
+// TestStalledControllerIsFailedAtCap: a controller that stops reading
+// its digests must cost the switch a bounded queue and then its
+// connection (the resilient client redials), not memory without bound.
+func TestStalledControllerIsFailedAtCap(t *testing.T) {
+	srv := NewServer(&fakeDevice{info: &p4.P4Info{Program: "fake"}})
+	defer srv.Close()
+	a, b := net.Pipe() // nobody reads b
+	defer b.Close()
+	conn := srv.ServeConn(a)
+	for i := 0; i < 2*writeLimit; i++ {
+		srv.NotifyDigest(DigestList{Digest: "learn", ListID: uint64(i)})
+		if n := conn.WriteQueueLen(); n > writeLimit {
+			t.Fatalf("queue toward a stalled controller grew to %d, past the cap of %d", n, writeLimit)
+		}
+	}
+	select {
+	case <-conn.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatalf("stalled controller still connected with %d messages queued", conn.WriteQueueLen())
+	}
+	if err := conn.Err(); !errors.Is(err, jsonrpc.ErrWriteOverflow) {
+		t.Errorf("Err() = %v, want ErrWriteOverflow", err)
 	}
 }

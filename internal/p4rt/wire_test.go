@@ -141,7 +141,7 @@ func TestWriteKeepsNoAliasIntoReadBuffer(t *testing.T) {
 	defer srv.Close()
 	a, b := net.Pipe()
 	defer b.Close()
-	srv.addConn(a)
+	srv.ServeConn(a)
 
 	first := []Update{InsertEntry(TableEntry{Table: "first_table", Action: "first_action",
 		Matches: []p4.FieldMatch{{Value: 11, Mask: 12}}, Params: []uint64{13}}), SetMulticast(14, []uint16{15, 16})}

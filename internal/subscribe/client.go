@@ -303,10 +303,6 @@ func (c *Client) handle(_ *jsonrpc.Conn, method string, params json.RawMessage) 
 			sub.close(true, msgs[0].Reason)
 		}
 		return nil, nil
-	case "echo":
-		var v any
-		json.Unmarshal(params, &v)
-		return v, nil
 	default:
 		return nil, &jsonrpc.RPCError{Code: "unknown method", Details: method}
 	}

@@ -36,8 +36,6 @@ package subscribe
 import (
 	"encoding/json"
 	"fmt"
-	"io"
-	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -156,8 +154,11 @@ type subscribeResult struct {
 
 // Service is the derived-relation pub/sub fan-out. Create with New,
 // feed with Publish (normally via core.Config.OnDelta), serve clients
-// with Serve/ServeConn.
+// with Serve/ServeConn. The endpoint — those two, SetKeepalive and
+// Close, which ends every connection and with it every subscription —
+// is the embedded jsonrpc.Server.
 type Service struct {
+	*jsonrpc.Server
 	cfg Config
 	rec *obs.Recorder
 	// softLimit is the write-queue depth at which delivery goroutines
@@ -167,14 +168,9 @@ type Service struct {
 	mu      sync.Mutex
 	rels    map[string]*relState
 	catalog map[string]bool // nil = accept any relation name
-	conns   map[*connState]bool
 	lastTxn uint64
 	nextSub uint64
 	nSubs   int
-	closed  bool
-	// overflowBase accumulates WriteOverflows of departed connections so
-	// the jsonrpc overflow counter stays monotonic.
-	overflowBase uint64
 
 	m struct {
 		subscribers  *obs.Gauge
@@ -199,14 +195,19 @@ func New(cfg Config) *Service {
 		rec:       cfg.Obs.Rec(),
 		softLimit: defaultSoftLimit,
 		rels:      make(map[string]*relState),
-		conns:     make(map[*connState]bool),
 	}
-	if limit := cfg.WriteLimit; limit > 0 && s.softLimit > limit/2 {
-		s.softLimit = limit / 2
-		if s.softLimit < 1 {
-			s.softLimit = 1
-		}
+	limit := cfg.WriteLimit
+	if limit == 0 {
+		limit = defaultWriteLimit
 	}
+	if limit > 0 && s.softLimit > limit/2 {
+		s.softLimit = max(limit/2, 1)
+	}
+	s.Server = jsonrpc.NewServer(limit, func(c *jsonrpc.Conn) (jsonrpc.Handler, func()) {
+		cs := &connState{svc: s, conn: c, remote: c.RemoteAddr(), subs: make(map[uint64]*subscriber)}
+		return cs, cs.teardown
+	})
+	s.SetObs(cfg.Obs, "subscribe")
 	reg := cfg.Obs.Reg()
 	s.m.subscribers = reg.Gauge("sub_subscribers",
 		"Active subscriptions across all connections.")
@@ -225,11 +226,7 @@ func New(cfg Config) *Service {
 	s.m.dropped = reg.Counter("sub_dropped_updates_total",
 		"Updates discarded with their evicted subscriber's queue.")
 	reg.GaugeFunc("sub_connections",
-		"Open subscriber connections.", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(len(s.conns))
-		})
+		"Open subscriber connections.", func() float64 { return float64(s.Conns()) })
 	reg.GaugeFunc("sub_pending_updates",
 		"Updates queued across all subscribers, awaiting delivery.",
 		func() float64 {
@@ -243,26 +240,6 @@ func New(cfg Config) *Service {
 			}
 			return float64(n)
 		})
-	reg.GaugeFunc("jsonrpc_write_queue_depth",
-		"Messages queued in JSON-RPC write queues.", func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			n := 0
-			for cs := range s.conns {
-				n += cs.conn.WriteQueueLen()
-			}
-			return float64(n)
-		}, obs.L("server", "subscribe"))
-	reg.CounterFunc("jsonrpc_write_overflows_total",
-		"Sends rejected by the JSON-RPC write-queue cap.", func() uint64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			n := s.overflowBase
-			for cs := range s.conns {
-				n += cs.conn.WriteOverflows()
-			}
-			return n
-		}, obs.L("server", "subscribe"))
 	cfg.Obs.RegisterDebug("/debug/subscribers", http.HandlerFunc(s.handleDebug))
 	return s
 }
@@ -289,9 +266,6 @@ func (s *Service) Publish(txn uint64, delta engine.Delta) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
 	if txn != 0 {
 		// Digest-originated deltas (MAC learning) carry no transaction;
 		// the cursor stays at the last one that did.
@@ -418,90 +392,13 @@ func (sub *subscriber) deliver() {
 	}
 }
 
-// Serve accepts subscriber connections until the listener closes.
-func (s *Service) Serve(ln net.Listener) error {
-	for {
-		nc, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			closed := s.closed
-			s.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return err
-		}
-		s.ServeConn(nc)
-	}
-}
-
-// ServeConn attaches one client stream to the service and returns its
-// JSON-RPC connection (tests drive in-memory pipes through this).
-func (s *Service) ServeConn(rwc io.ReadWriteCloser) *jsonrpc.Conn {
-	conn := jsonrpc.NewConnPending(rwc)
-	limit := s.cfg.WriteLimit
-	if limit == 0 {
-		limit = defaultWriteLimit
-	}
-	if limit > 0 {
-		conn.SetWriteLimit(limit)
-	}
-	cs := &connState{svc: s, conn: conn, subs: make(map[uint64]*subscriber)}
-	if nc, ok := rwc.(net.Conn); ok {
-		cs.remote = nc.RemoteAddr().String()
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		rwc.Close()
-		conn.Start(nil)
-		conn.Close()
-		return conn
-	}
-	s.conns[cs] = true
-	s.mu.Unlock()
-	conn.Start(cs)
-	go func() {
-		<-conn.Done()
-		s.dropConn(cs)
-	}()
-	return conn
-}
-
-// dropConn tears down a departed connection's subscriptions.
-func (s *Service) dropConn(cs *connState) {
+// teardown drops a departed connection's subscriptions.
+func (cs *connState) teardown() {
+	s := cs.svc
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.conns[cs] {
-		return
-	}
-	delete(s.conns, cs)
-	s.overflowBase += cs.conn.WriteOverflows()
 	for _, sub := range cs.subs {
 		s.removeLocked(sub)
-	}
-}
-
-// Close shuts the service down: every subscriber queue closes, every
-// connection flushes and closes. The Serve loop (if any) returns once
-// its listener is closed by the caller.
-func (s *Service) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	var conns []*connState
-	for cs := range s.conns {
-		conns = append(conns, cs)
-		for _, sub := range cs.subs {
-			s.removeLocked(sub)
-		}
-	}
-	s.mu.Unlock()
-	for _, cs := range conns {
-		cs.conn.Close()
 	}
 }
 
@@ -522,12 +419,6 @@ func (s *Service) LastTxn() uint64 {
 // Handle implements jsonrpc.Handler for one client connection.
 func (cs *connState) Handle(c *jsonrpc.Conn, method string, params json.RawMessage) (any, *jsonrpc.RPCError) {
 	switch method {
-	case "echo":
-		var v any
-		if len(params) > 0 {
-			json.Unmarshal(params, &v)
-		}
-		return v, nil
 	case "subscribe":
 		return cs.handleSubscribe(params)
 	case "unsubscribe":
@@ -569,9 +460,13 @@ func (cs *connState) handleSubscribe(params json.RawMessage) (any, *jsonrpc.RPCE
 
 	s := cs.svc
 	s.mu.Lock()
-	if s.closed || !s.conns[cs] {
+	select {
+	case <-cs.conn.Done():
+		// teardown, which runs once the connection is done, may already
+		// have swept cs.subs: a subscriber added now would never be removed.
 		s.mu.Unlock()
 		return nil, &jsonrpc.RPCError{Code: "shutting down"}
+	default:
 	}
 	if s.catalog != nil && !s.catalog[rel] {
 		s.mu.Unlock()
@@ -656,6 +551,7 @@ func (s *Service) handleDebug(w http.ResponseWriter, r *http.Request) {
 		Rows        int `json:"rows"`
 		Subscribers int `json:"subscribers"`
 	}
+	conns := s.Conns()
 	s.mu.Lock()
 	out := struct {
 		Txn         uint64             `json:"txn"`
@@ -664,7 +560,7 @@ func (s *Service) handleDebug(w http.ResponseWriter, r *http.Request) {
 		Relations   map[string]relInfo `json:"relations"`
 	}{
 		Txn:         s.lastTxn,
-		Connections: len(s.conns),
+		Connections: conns,
 		Relations:   make(map[string]relInfo, len(s.rels)),
 	}
 	now := time.Now()

@@ -84,9 +84,11 @@ func (sw *Switch) SetWriteFault(f func([]p4rt.Update) error) {
 }
 
 // SetObs registers the switch's packet and control-plane counters in o's
-// registry, labelled with the switch name, and attaches the flight
-// recorder. A nil observer is a no-op.
+// registry, labelled with the switch name, and its p4rt server's queue
+// instruments, and attaches the flight recorder. A nil observer is a
+// no-op.
 func (sw *Switch) SetObs(o *obs.Observer) {
+	sw.srv.SetObs(o, "p4rt")
 	reg := o.Reg()
 	sw.rec = o.Rec()
 	sw.tracer = o.Tr()
