@@ -63,7 +63,7 @@ func TestWALCrashRecoveryEndToEnd(t *testing.T) {
 	// state before the crash" means below — it only ever advances on
 	// server-acked commits.
 	var mu sync.Mutex
-	mirror := make(map[string]map[string]any)
+	mirror := make(map[string]ovsdb.Row)
 	var crashed bool
 	var postCrashRows int
 	var maxTxn uint64
@@ -215,11 +215,11 @@ func TestWALCrashRecoveryEndToEnd(t *testing.T) {
 	}
 	recovered := make(map[string]string)
 	for _, row := range res[0].Rows {
-		ref, _ := row["_uuid"].([]any)
-		if len(ref) != 2 {
+		uuid, ok := row["_uuid"].(ovsdb.UUID)
+		if !ok {
 			t.Fatalf("select row without _uuid: %v", row)
 		}
-		id, _ := ref[1].(string)
+		id := string(uuid)
 		if row["name"] == "probe" {
 			continue
 		}

@@ -198,7 +198,6 @@ type Controller struct {
 	prog      *dl.Program
 	rt        *engine.Runtime
 	mp        ManagementPlane
-	schema    *ovsdb.DatabaseSchema
 	events    chan event
 	done      chan struct{}
 	stopOnce  sync.Once
@@ -476,7 +475,6 @@ func NewWithClasses(cfg Config, mp ManagementPlane, classes []DeviceClass) (*Con
 		p4Tables:  make(map[string]bool),
 		mcastRel:  make(map[string]*classState),
 		mp:        mp,
-		schema:    schema,
 		events:    make(chan event, 1024),
 		done:      make(chan struct{}),
 		devClass:  make(map[string]*classState),
@@ -837,7 +835,7 @@ func (c *Controller) dispatch(ev *event) {
 			// rule made the delta slow, not just that it was slow.
 			var detail any
 			if len(ruleSamples) > 0 {
-				detail = map[string]any{"rules": ruleSamples}
+				detail = map[string][]obs.RuleSample{"rules": ruleSamples}
 			}
 			o.PinIncident("delta", ev.txnID, ev.source, engineTime, detail)
 		}
@@ -1301,12 +1299,8 @@ func (c *Controller) ovsdbUpdates(tu ovsdb.TableUpdates) ([]engine.Update, error
 		if !ok {
 			continue
 		}
-		ts := c.schema.Tables[b.Table]
 		for uuid, ru := range table {
-			oldRow, newRow, err := rowsOf(ts, ru)
-			if err != nil {
-				return nil, err
-			}
+			oldRow, newRow := rowsOf(ru)
 			if oldRow != nil {
 				rec, err := b.RowRecord(uuid, oldRow)
 				if err != nil {
@@ -1328,12 +1322,8 @@ func (c *Controller) ovsdbUpdates(tu ovsdb.TableUpdates) ([]engine.Update, error
 		if !ok {
 			continue
 		}
-		ts := c.schema.Tables[b.Table]
 		for uuid, ru := range table {
-			oldRow, newRow, err := rowsOf(ts, ru)
-			if err != nil {
-				return nil, err
-			}
+			oldRow, newRow := rowsOf(ru)
 			if oldRow != nil {
 				recs, err := b.ElementRecords(uuid, oldRow)
 				if err != nil {
@@ -1359,31 +1349,19 @@ func (c *Controller) ovsdbUpdates(tu ovsdb.TableUpdates) ([]engine.Update, error
 
 // rowsOf reconstructs the full old and new rows of a RowUpdate. For a
 // modify, Old carries only the changed columns, so the full old row is New
-// overlaid with Old.
-func rowsOf(ts *ovsdb.TableSchema, ru ovsdb.RowUpdate) (oldRow, newRow ovsdb.Row, err error) {
-	if ru.New != nil {
-		newRow, err = ovsdb.RowFromJSON(ts, ru.New)
-		if err != nil {
-			return nil, nil, err
-		}
+// overlaid with Old (in a fresh map: delivered rows are read-only).
+func rowsOf(ru ovsdb.RowUpdate) (oldRow, newRow ovsdb.Row) {
+	if ru.Old == nil || ru.New == nil {
+		return ru.Old, ru.New
 	}
-	if ru.Old != nil {
-		oldRow, err = ovsdb.RowFromJSON(ts, ru.Old)
-		if err != nil {
-			return nil, nil, err
-		}
-		if ru.New != nil {
-			merged := make(ovsdb.Row, len(newRow))
-			for k, v := range newRow {
-				merged[k] = v
-			}
-			for k, v := range oldRow {
-				merged[k] = v
-			}
-			oldRow = merged
-		}
+	oldRow = make(ovsdb.Row, len(ru.New))
+	for k, v := range ru.New {
+		oldRow[k] = v
 	}
-	return oldRow, newRow, nil
+	for k, v := range ru.Old {
+		oldRow[k] = v
+	}
+	return oldRow, ru.New
 }
 
 // handleDigest runs on a p4rt client's delivery goroutine.

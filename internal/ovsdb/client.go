@@ -1,11 +1,11 @@
 package ovsdb
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 
 	"repro/internal/jsonrpc"
@@ -18,6 +18,10 @@ type Client struct {
 	conn *jsonrpc.Conn
 
 	mu sync.Mutex
+	// schemas caches GetSchema per database: decoding a row takes its
+	// table's column types, so every reply and update that carries rows is
+	// read against the schema of the database it came from.
+	schemas map[string]*DatabaseSchema
 	// monitors is keyed by the monitor id's canonical JSON.
 	monitors map[string]*clientMonitor
 	// updates queues decoded update notifications for the delivery
@@ -26,11 +30,12 @@ type Client struct {
 	upWake  chan struct{}
 }
 
-// clientMonitor is one registered monitor: its key in Client.monitors
-// and the callback its updates go to.
+// clientMonitor is one registered monitor: its key in Client.monitors,
+// the schema that types its updates and the callback they go to.
 type clientMonitor struct {
-	id string
-	cb func(uint64, TableUpdates)
+	id     string
+	schema *DatabaseSchema
+	cb     func(uint64, TableUpdates)
 }
 
 // clientUpdate is one decoded update notification awaiting delivery.
@@ -52,6 +57,7 @@ func Dial(addr string) (*Client, error) {
 // NewClient wraps an established byte stream.
 func NewClient(rwc io.ReadWriteCloser) *Client {
 	c := &Client{
+		schemas:  make(map[string]*DatabaseSchema),
 		monitors: make(map[string]*clientMonitor),
 		upWake:   make(chan struct{}, 1),
 	}
@@ -71,24 +77,32 @@ func (c *Client) handle(_ *jsonrpc.Conn, method string, params json.RawMessage) 
 	case "update":
 		// The optional third element is the server-minted txn ID (this
 		// repo's extension for cross-plane tracing).
-		id, tu, txn, err := parseUpdate(params)
+		// A server echoes the id as this client sent it, which is its
+		// canonical form unless it holds numbers float64 cannot carry.
+		var mon *clientMonitor
+		_, tu, txn, err := parseUpdate(params, func(id []byte) *DatabaseSchema {
+			c.mu.Lock()
+			defer c.mu.Unlock()
+			if mon = c.monitors[string(id)]; mon == nil {
+				mon = c.monitors[canonicalJSON(id)]
+			}
+			if mon == nil {
+				return nil
+			}
+			return mon.schema
+		})
 		if err != nil {
 			return nil, &jsonrpc.RPCError{Code: "bad params", Details: err.Error()}
 		}
-		// A server echoes the id as this client sent it, which is its
-		// canonical form unless it holds numbers float64 cannot carry.
+		if mon == nil {
+			return nil, nil
+		}
 		// Queue for the delivery goroutine rather than calling the
 		// callback here: handlers run on the connection's read loop, so
 		// a callback that blocked on (or issued) an RPC on this same
 		// connection would deadlock against its own reply.
 		c.mu.Lock()
-		mon := c.monitors[string(id)]
-		if mon == nil {
-			mon = c.monitors[canonicalJSON(id)]
-		}
-		if mon != nil {
-			c.updates = append(c.updates, clientUpdate{mon: mon, txn: txn, tu: tu})
-		}
+		c.updates = append(c.updates, clientUpdate{mon: mon, txn: txn, tu: tu})
 		c.mu.Unlock()
 		select {
 		case c.upWake <- struct{}{}:
@@ -154,7 +168,25 @@ func (c *Client) GetSchema(db string) (*DatabaseSchema, error) {
 	if err := c.conn.Call("get_schema", []any{db}, &raw); err != nil {
 		return nil, err
 	}
-	return ParseSchema(raw)
+	schema, err := ParseSchema(raw)
+	if err == nil {
+		c.mu.Lock()
+		c.schemas[db] = schema
+		c.mu.Unlock()
+	}
+	return schema, err
+}
+
+// schemaOf returns the schema rows of db are decoded against: the one
+// the last GetSchema fetched, fetching it if there was none.
+func (c *Client) schemaOf(db string) (*DatabaseSchema, error) {
+	c.mu.Lock()
+	schema := c.schemas[db]
+	c.mu.Unlock()
+	if schema != nil {
+		return schema, nil
+	}
+	return c.GetSchema(db)
 }
 
 // Echo round-trips a keepalive.
@@ -166,11 +198,17 @@ func (c *Client) Echo() error {
 // Transact runs operations against the named database and parses the
 // per-operation results.
 func (c *Client) Transact(db string, ops ...Operation) ([]OpResult, error) {
-	var results transactReply
-	if err := c.conn.Call("transact", transactParams{db: db, ops: ops}, &results); err != nil {
+	reply := transactReply{ops: ops}
+	if slices.ContainsFunc(ops, func(op Operation) bool { return op.Op == "select" }) {
+		var err error // a select's is the one result that carries rows
+		if reply.schema, err = c.schemaOf(db); err != nil {
+			return nil, err
+		}
+	}
+	if err := c.conn.Call("transact", transactParams{db: db, ops: ops}, &reply); err != nil {
 		return nil, err
 	}
-	return results, nil
+	return reply.results, nil
 }
 
 // TransactErr is like Transact but turns any per-operation error into a Go
@@ -199,39 +237,9 @@ func (c *Client) Monitor(db string, id any, requests map[string]*MonitorRequest,
 // receives the txn ID the server minted at commit (0 when the server does
 // not send one), enabling cross-plane trace correlation.
 func (c *Client) MonitorTxn(db string, id any, requests map[string]*MonitorRequest, cb func(uint64, TableUpdates)) (TableUpdates, error) {
-	idRaw, err := json.Marshal(id)
-	if err != nil {
-		return nil, err
-	}
-	monID := canonicalJSON(idRaw)
-	c.mu.Lock()
-	if _, dup := c.monitors[monID]; dup {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("ovsdb: duplicate monitor id %s", monID)
-	}
-	c.monitors[monID] = &clientMonitor{id: monID, cb: cb}
-	c.mu.Unlock()
-
-	var raw json.RawMessage
-	if err := c.conn.Call("monitor", []any{db, id, requests}, &raw); err != nil {
-		c.mu.Lock()
-		delete(c.monitors, monID)
-		c.mu.Unlock()
-		return nil, err
-	}
-	var initial TableUpdates
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	if err := dec.Decode(&initial); err != nil {
-		// Unregister on this failure path too: leaving the callback behind
-		// would make every later monitor with the same id report a spurious
-		// duplicate (and leak the closure for the connection's lifetime).
-		c.mu.Lock()
-		delete(c.monitors, monID)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("ovsdb: bad initial monitor reply: %w", err)
-	}
-	return initial, nil
+	var reply monitorReply
+	err := c.monitor(db, id, requests, 0, cb, &reply)
+	return reply.initial, err
 }
 
 // MonitorSince is MonitorTxn with a transaction cursor (this repo's
@@ -242,49 +250,48 @@ func (c *Client) MonitorTxn(db string, id any, requests map[string]*MonitorReque
 // Either way lastTxn is the caller's new cursor. Live updates beyond
 // lastTxn are delivered to cb as usual.
 func (c *Client) MonitorSince(db string, id any, requests map[string]*MonitorRequest, since uint64, cb func(uint64, TableUpdates)) (found bool, lastTxn uint64, initial TableUpdates, gap []GapUpdate, err error) {
+	reply := monitorReply{cursor: true}
+	if err := c.monitor(db, id, requests, since, cb, &reply); err != nil {
+		return false, 0, nil, nil, err
+	}
+	return reply.found, reply.lastTxn, reply.initial, reply.gap, nil
+}
+
+// monitor registers cb under id and calls monitor, with the cursor since
+// if the reply is to be a cursor's. The registration, with the schema
+// that types the monitor's rows, precedes the call: an update can reach
+// the read loop before the reply does.
+func (c *Client) monitor(db string, id any, requests map[string]*MonitorRequest, since uint64, cb func(uint64, TableUpdates), reply *monitorReply) error {
 	idRaw, err := json.Marshal(id)
 	if err != nil {
-		return false, 0, nil, nil, err
+		return err
+	}
+	if reply.schema, err = c.schemaOf(db); err != nil {
+		return err
 	}
 	monID := canonicalJSON(idRaw)
 	c.mu.Lock()
 	if _, dup := c.monitors[monID]; dup {
 		c.mu.Unlock()
-		return false, 0, nil, nil, fmt.Errorf("ovsdb: duplicate monitor id %s", monID)
+		return fmt.Errorf("ovsdb: duplicate monitor id %s", monID)
 	}
-	c.monitors[monID] = &clientMonitor{id: monID, cb: cb}
+	c.monitors[monID] = &clientMonitor{id: monID, schema: reply.schema, cb: cb}
 	c.mu.Unlock()
-	// Every error path must unregister the callback (see MonitorTxn).
-	fail := func(err error) (bool, uint64, TableUpdates, []GapUpdate, error) {
+	params := []any{db, id, requests}
+	if reply.cursor {
+		params = append(params, since)
+	}
+	if err := c.conn.Call("monitor", params, reply); err != nil {
+		// Unregister on every failure, a reply that does not decode
+		// among them: leaving the callback behind would make every later
+		// monitor with the same id report a spurious duplicate (and leak
+		// the closure for the connection's lifetime).
 		c.mu.Lock()
 		delete(c.monitors, monID)
 		c.mu.Unlock()
-		return false, 0, nil, nil, err
+		return err
 	}
-	var raw []json.RawMessage
-	if err := c.conn.Call("monitor", []any{db, id, requests, since}, &raw); err != nil {
-		return fail(err)
-	}
-	if len(raw) != 3 {
-		return fail(fmt.Errorf("ovsdb: bad cursor monitor reply: %d elements", len(raw)))
-	}
-	if err := json.Unmarshal(raw[0], &found); err != nil {
-		return fail(fmt.Errorf("ovsdb: bad cursor monitor reply: %w", err))
-	}
-	if err := json.Unmarshal(raw[1], &lastTxn); err != nil {
-		return fail(fmt.Errorf("ovsdb: bad cursor monitor reply: %w", err))
-	}
-	dec := json.NewDecoder(bytes.NewReader(raw[2]))
-	dec.UseNumber()
-	if found {
-		gap = []GapUpdate{}
-		if err := dec.Decode(&gap); err != nil {
-			return fail(fmt.Errorf("ovsdb: bad monitor gap reply: %w", err))
-		}
-	} else if err := dec.Decode(&initial); err != nil {
-		return fail(fmt.Errorf("ovsdb: bad initial monitor reply: %w", err))
-	}
-	return found, lastTxn, initial, gap, nil
+	return nil
 }
 
 // MonitorCancel cancels a previously registered monitor.
@@ -319,24 +326,15 @@ func Cond(column, op string, v Value) [3]json.RawMessage { return clause(column,
 // Mutation builds a mutation [column, mutator, value] from a typed Value.
 func Mutation(column, mutator string, v Value) [3]json.RawMessage { return clause(column, mutator, v) }
 
-// JSONRow converts typed column values to a JSON row object.
-func JSONRow(row map[string]Value) map[string]any {
-	out := make(map[string]any, len(row))
-	for col, v := range row {
-		out[col] = ValueToJSON(v)
-	}
-	return out
-}
-
 // OpInsert builds an insert operation.
 func OpInsert(table string, row map[string]Value) Operation {
-	return Operation{Op: "insert", Table: table, Row: JSONRow(row)}
+	return Operation{Op: "insert", Table: table, Row: row}
 }
 
 // OpInsertNamed builds an insert with a named UUID usable later in the
 // same transaction.
 func OpInsertNamed(table, uuidName string, row map[string]Value) Operation {
-	return Operation{Op: "insert", Table: table, Row: JSONRow(row), UUIDName: uuidName}
+	return Operation{Op: "insert", Table: table, Row: row, UUIDName: uuidName}
 }
 
 // OpSelect builds a select operation.
@@ -346,7 +344,7 @@ func OpSelect(table string, where ...[3]json.RawMessage) Operation {
 
 // OpUpdate builds an update operation.
 func OpUpdate(table string, row map[string]Value, where ...[3]json.RawMessage) Operation {
-	return Operation{Op: "update", Table: table, Row: JSONRow(row), Where: where}
+	return Operation{Op: "update", Table: table, Row: row, Where: where}
 }
 
 // OpDelete builds a delete operation.
@@ -357,23 +355,4 @@ func OpDelete(table string, where ...[3]json.RawMessage) Operation {
 // OpMutate builds a mutate operation.
 func OpMutate(table string, mutations [][3]json.RawMessage, where ...[3]json.RawMessage) Operation {
 	return Operation{Op: "mutate", Table: table, Mutations: mutations, Where: where}
-}
-
-// RowFromJSON converts a JSON row object (as found in monitor updates and
-// select results) back to typed column values. Unknown columns (including
-// _uuid) are skipped unless listed in the table schema.
-func RowFromJSON(ts *TableSchema, obj map[string]any) (Row, error) {
-	row := make(Row, len(obj))
-	for col, rv := range obj {
-		cs := ts.Columns[col]
-		if cs == nil {
-			continue
-		}
-		v, err := ValueFromJSON(rv, &cs.Type)
-		if err != nil {
-			return nil, fmt.Errorf("ovsdb: column %q: %w", col, err)
-		}
-		row[col] = v
-	}
-	return row, nil
 }

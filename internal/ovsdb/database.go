@@ -12,7 +12,10 @@ import (
 )
 
 // Row is one table row: column name → value. The _uuid pseudo-column is
-// stored separately as the row key.
+// stored separately as the row key (a select result carries it as a UUID
+// column). This is the only in-memory form of a row (wire.go turns it into
+// bytes and back), shared, not copied, between the database, operations,
+// results and monitors: a Row handed out or handed in is read-only.
 type Row map[string]Value
 
 // clone returns a shallow copy (values are immutable by convention).
@@ -191,8 +194,8 @@ func (db *Database) LastTxnID() uint64 {
 type Operation struct {
 	Op        string               `json:"op"`
 	Table     string               `json:"table,omitempty"`
-	Row       map[string]any       `json:"row,omitempty"`
-	Rows      []map[string]any     `json:"rows,omitempty"`
+	Row       Row                  `json:"row,omitempty"`
+	Rows      []Row                `json:"rows,omitempty"`
 	Where     [][3]json.RawMessage `json:"where,omitempty"`
 	Columns   []string             `json:"columns,omitempty"`
 	Mutations [][3]json.RawMessage `json:"mutations,omitempty"`
@@ -200,15 +203,21 @@ type Operation struct {
 	Until     string               `json:"until,omitempty"`
 	Timeout   int                  `json:"timeout,omitempty"`
 	Comment   string               `json:"comment,omitempty"`
+
+	// rowWire and rowsWire are what a transact request carried as row and
+	// rows, in place of Row and Rows: bytes typeRow types once the
+	// operation's table is known.
+	rowWire  json.RawMessage
+	rowsWire []json.RawMessage
 }
 
 // OpResult is the result of one operation.
 type OpResult struct {
-	Count   int              `json:"count,omitempty"`
-	UUID    any              `json:"uuid,omitempty"`
-	Rows    []map[string]any `json:"rows,omitempty"`
-	Error   string           `json:"error,omitempty"`
-	Details string           `json:"details,omitempty"`
+	Count   int    `json:"count,omitempty"`
+	UUID    UUID   `json:"uuid,omitempty"`
+	Rows    []Row  `json:"rows,omitempty"`
+	Error   string `json:"error,omitempty"`
+	Details string `json:"details,omitempty"`
 }
 
 // rowChange records a row's before/after images for rollback and monitor
@@ -542,18 +551,24 @@ func (db *Database) tableSchema(name string) (*TableSchema, map[UUID]Row, error)
 	return ts, db.tables[name], nil
 }
 
-// parseRow converts a JSON row object into typed column values.
-func parseRow(ts *TableSchema, raw map[string]any) (Row, error) {
-	row := make(Row, len(raw))
-	for col, rv := range raw {
+// typeRow returns the row an operation carries as ts types it: decoded
+// from the request's bytes if there are any, else a checked copy of the
+// Row an in-process caller built and still owns.
+func typeRow(ts *TableSchema, wire []byte, given Row) (Row, error) {
+	if wire != nil {
+		row, err := decodeWireRow(wire, ts, true)
+		if row == nil && err == nil { // "row": null
+			row = make(Row, len(ts.Columns))
+		}
+		return row, err
+	}
+	row := make(Row, len(ts.Columns))
+	for col, v := range given {
 		cs := ts.Columns[col]
 		if cs == nil {
 			return nil, fmt.Errorf("unknown column %q", col)
 		}
-		v, err := ValueFromJSON(rv, &cs.Type)
-		if err != nil {
-			return nil, fmt.Errorf("column %q: %w", col, err)
-		}
+		v = cs.Type.normal(v)
 		if err := cs.Type.CheckValue(v); err != nil {
 			return nil, fmt.Errorf("column %q: %w", col, err)
 		}
@@ -567,7 +582,7 @@ func (db *Database) opInsert(tx *txn, op *Operation) OpResult {
 	if err != nil {
 		return OpResult{Error: "unknown table", Details: err.Error()}
 	}
-	row, err := parseRow(ts, op.Row)
+	row, err := typeRow(ts, op.rowWire, op.Row)
 	if err != nil {
 		return OpResult{Error: "constraint violation", Details: err.Error()}
 	}
@@ -593,7 +608,7 @@ func (db *Database) opInsert(tx *txn, op *Operation) OpResult {
 	}
 	tx.change(op.Table, id) // records old == nil
 	table[id] = row
-	return OpResult{UUID: []any{"uuid", string(id)}}
+	return OpResult{UUID: id}
 }
 
 // matchRows returns the UUIDs of rows satisfying all where clauses, sorted
@@ -658,9 +673,9 @@ func (db *Database) opSelect(op *Operation) OpResult {
 	if err != nil {
 		return OpResult{Error: "constraint violation", Details: err.Error()}
 	}
-	rows := make([]map[string]any, 0, len(ids))
+	rows := make([]Row, 0, len(ids))
 	for _, id := range ids {
-		rows = append(rows, rowToJSON(ts, id, table[id], op.Columns))
+		rows = append(rows, selectRow(id, table[id], op.Columns))
 	}
 	return OpResult{Rows: rows}
 }
@@ -670,7 +685,7 @@ func (db *Database) opUpdate(tx *txn, op *Operation) OpResult {
 	if err != nil {
 		return OpResult{Error: "unknown table", Details: err.Error()}
 	}
-	newVals, err := parseRow(ts, op.Row)
+	newVals, err := typeRow(ts, op.rowWire, op.Row)
 	if err != nil {
 		return OpResult{Error: "constraint violation", Details: err.Error()}
 	}
@@ -741,13 +756,20 @@ func (db *Database) opWait(op *Operation) OpResult {
 		}
 		got = append(got, proj)
 	}
-	want := make([]Row, 0, len(op.Rows))
-	for _, raw := range op.Rows {
-		row, err := parseRow(ts, raw)
+	n := len(op.Rows)
+	if op.rowsWire != nil {
+		n = len(op.rowsWire)
+	}
+	want := make([]Row, n)
+	for i := range want {
+		if op.rowsWire != nil {
+			want[i], err = typeRow(ts, op.rowsWire[i], nil)
+		} else {
+			want[i], err = typeRow(ts, nil, op.Rows[i])
+		}
 		if err != nil {
 			return OpResult{Error: "constraint violation", Details: err.Error()}
 		}
-		want = append(want, row)
 	}
 	equal := rowMultisetEqual(got, want)
 	switch op.Until {
@@ -796,24 +818,20 @@ func rowMultisetEqual(a, b []Row) bool {
 	return true
 }
 
-// rowToJSON renders a row (with _uuid) as a JSON object, optionally
-// projected onto columns.
-func rowToJSON(ts *TableSchema, id UUID, row Row, columns []string) map[string]any {
-	out := make(map[string]any)
+// selectRow is a select's result for one row: the row with its _uuid, or
+// its projection onto columns.
+func selectRow(id UUID, row Row, columns []string) Row {
 	if columns == nil {
-		out["_uuid"] = []any{"uuid", string(id)}
-		for col, v := range row {
-			out[col] = ValueToJSON(v)
-		}
+		out := row.clone()
+		out["_uuid"] = id
 		return out
 	}
+	out := make(Row, len(columns))
 	for _, col := range columns {
 		if col == "_uuid" {
-			out["_uuid"] = []any{"uuid", string(id)}
-			continue
-		}
-		if v, ok := row[col]; ok {
-			out[col] = ValueToJSON(v)
+			out[col] = id
+		} else if v, ok := row[col]; ok {
+			out[col] = v
 		}
 	}
 	return out

@@ -96,8 +96,7 @@ func TestInsertAndSelect(t *testing.T) {
 		"trunks":  NewSet(int64(10), int64(20)),
 		"options": NewMap([2]Atom{"speed", "fast"}),
 	}))
-	id, ok := res[0].UUID.([]any)
-	if !ok || len(id) != 2 {
+	if len(res[0].UUID) != 36 {
 		t.Fatalf("insert result uuid = %v", res[0].UUID)
 	}
 	sel := mustTransact(t, db, OpSelect("Port", Cond("name", "==", "eth0")))
@@ -117,11 +116,11 @@ func TestInsertAndSelect(t *testing.T) {
 func TestInsertDefaultsAndUnknownColumn(t *testing.T) {
 	db := newTestDB(t)
 	res := db.Transact([]Operation{{Op: "insert", Table: "Port",
-		Row: map[string]any{"nope": 1}}})
+		Row: Row{"nope": int64(1)}}})
 	if res[0].Error == "" {
 		t.Fatalf("insert with unknown column succeeded")
 	}
-	res = db.Transact([]Operation{{Op: "insert", Table: "Port", Row: map[string]any{}}})
+	res = db.Transact([]Operation{{Op: "insert", Table: "Port", Row: Row{}}})
 	if res[0].Error != "" {
 		t.Fatalf("insert with all defaults failed: %v", res[0])
 	}
@@ -177,11 +176,11 @@ func TestMutateSetAndMap(t *testing.T) {
 	}, Cond("name", "==", "p")))
 	sel := mustTransact(t, db, OpSelect("Port"))
 	row := sel[0].Rows[0]
-	trunks := row["trunks"].([]any)
-	if trunks[0] != "set" {
+	trunks, ok := row["trunks"].(*Set)
+	if !ok {
 		t.Fatalf("trunks = %v", row["trunks"])
 	}
-	if n := len(trunks[1].([]any)); n != 3 {
+	if n := len(trunks.Atoms); n != 3 {
 		t.Fatalf("trunks has %d elements", n)
 	}
 	mustTransact(t, db, OpMutate("Port", [][3]json.RawMessage{
@@ -232,19 +231,17 @@ func TestNamedUUID(t *testing.T) {
 	db := newTestDB(t)
 	mustTransact(t, db,
 		OpInsertNamed("Port", "myport", map[string]Value{"name": "p1"}),
-		Operation{Op: "insert", Table: "Bridge", Row: map[string]any{
+		Operation{Op: "insert", Table: "Bridge", Row: Row{
 			"name":  "br0",
-			"ports": []any{"set", []any{[]any{"named-uuid", "myport"}}},
+			"ports": NewSet(namedUUID("myport")),
 		}},
 	)
 	sel := mustTransact(t, db,
 		OpSelect("Port", Cond("name", "==", "p1")),
 		OpSelect("Bridge"),
 	)
-	portUUID := sel[0].Rows[0]["_uuid"].([]any)[1].(string)
-	ports := sel[1].Rows[0]["ports"].([]any)
-	// Singleton sets serialize as the bare atom.
-	if ports[0] != "uuid" || ports[1].(string) != portUUID {
+	portUUID := sel[0].Rows[0]["_uuid"].(UUID)
+	if ports := sel[1].Rows[0]["ports"]; !ValueEqual(ports, NewSet(portUUID)) {
 		t.Fatalf("bridge ports = %v, want uuid %s", ports, portUUID)
 	}
 }
@@ -257,7 +254,7 @@ func TestWaitOp(t *testing.T) {
 		Op: "wait", Table: "Port", Until: "==",
 		Where:   [][3]json.RawMessage{Cond("name", "==", "w")},
 		Columns: []string{"number"},
-		Rows:    []map[string]any{{"number": 3}},
+		Rows:    []Row{{"number": int64(3)}},
 	}})
 	if res[0].Error != "" {
 		t.Fatalf("wait == failed: %+v", res[0])
@@ -267,7 +264,7 @@ func TestWaitOp(t *testing.T) {
 		Op: "wait", Table: "Port", Until: "==",
 		Where:   [][3]json.RawMessage{Cond("name", "==", "w")},
 		Columns: []string{"number"},
-		Rows:    []map[string]any{{"number": 4}},
+		Rows:    []Row{{"number": int64(4)}},
 	}})
 	if res[0].Error != "timed out" {
 		t.Fatalf("wait mismatch = %+v", res[0])
@@ -277,7 +274,7 @@ func TestWaitOp(t *testing.T) {
 func TestSelectByUUIDAndRelops(t *testing.T) {
 	db := newTestDB(t)
 	res := mustTransact(t, db, OpInsert("Port", map[string]Value{"name": "u", "number": int64(7)}))
-	id := UUID(res[0].UUID.([]any)[1].(string))
+	id := res[0].UUID
 	sel := mustTransact(t, db, OpSelect("Port", Cond("_uuid", "==", id)))
 	if len(sel[0].Rows) != 1 {
 		t.Fatalf("select by uuid found %d rows", len(sel[0].Rows))
@@ -301,13 +298,12 @@ func TestUnknownTableAndOp(t *testing.T) {
 	}
 }
 
-func TestValueJSONRoundTrip(t *testing.T) {
+func TestValueWireRoundTrip(t *testing.T) {
 	ct := &ColumnType{Key: BaseType{Type: "integer"}, Min: 0, Max: Unlimited}
 	orig := NewSet(int64(3), int64(1), int64(2))
-	j := ValueToJSON(orig)
-	back, err := ValueFromJSON(jsonRoundTrip(t, j), ct)
+	back, err := decodeWireValue(wireValue(t, orig), ct)
 	if err != nil {
-		t.Fatalf("ValueFromJSON: %v", err)
+		t.Fatalf("decodeWireValue: %v", err)
 	}
 	if !ValueEqual(orig, back) {
 		t.Fatalf("set round trip: %v != %v", orig, back)
@@ -315,27 +311,22 @@ func TestValueJSONRoundTrip(t *testing.T) {
 	mct := &ColumnType{Key: BaseType{Type: "string"}, Value: &BaseType{Type: "uuid"}, Min: 0, Max: Unlimited}
 	u := NewUUID()
 	om := NewMap([2]Atom{"a", u})
-	back, err = ValueFromJSON(jsonRoundTrip(t, ValueToJSON(om)), mct)
+	back, err = decodeWireValue(wireValue(t, om), mct)
 	if err != nil {
-		t.Fatalf("map ValueFromJSON: %v", err)
+		t.Fatalf("map decodeWireValue: %v", err)
 	}
 	if !ValueEqual(om, back) {
 		t.Fatalf("map round trip: %v != %v", om, back)
 	}
 }
 
-// jsonRoundTrip forces a value through encoding/json the way the wire does.
-func jsonRoundTrip(t *testing.T, v any) any {
+func wireValue(t *testing.T, v Value) []byte {
 	t.Helper()
-	b, err := json.Marshal(v)
+	b, err := appendWireValue(nil, v)
 	if err != nil {
-		t.Fatalf("marshal: %v", err)
+		t.Fatalf("appendWireValue: %v", err)
 	}
-	out, err := decodeRawJSON(b)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	return out
+	return b
 }
 
 func TestUUIDFormat(t *testing.T) {

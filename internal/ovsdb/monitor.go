@@ -43,10 +43,12 @@ func (mr *MonitorRequest) wants(kind string) bool {
 	}
 }
 
-// RowUpdate is one row's change in a monitor notification (RFC 7047 §4.1.6).
+// RowUpdate is one row's change in a monitor notification (RFC 7047
+// §4.1.6). The rows may be the database's own images, and one update may
+// reach several subscribers: they are read-only.
 type RowUpdate struct {
-	Old map[string]any `json:"old,omitempty"`
-	New map[string]any `json:"new,omitempty"`
+	Old Row `json:"old,omitempty"`
+	New Row `json:"new,omitempty"`
 }
 
 // TableUpdate maps row UUIDs to their updates.
@@ -185,7 +187,7 @@ func (db *Database) addMonitor(requests map[string]*MonitorRequest, since uint64
 			}
 			tu := make(TableUpdate)
 			for id, row := range db.tables[table] {
-				tu[string(id)] = RowUpdate{New: projectRow(row, m.cols[table])}
+				tu[string(id)] = RowUpdate{New: project(row, m.cols[table])}
 			}
 			if len(tu) > 0 {
 				initial[table] = tu
@@ -278,7 +280,11 @@ func (m *Monitor) run() {
 			} else {
 				var err error
 				if wire, tables, err = m.renderWire(qu.changes); err != nil {
-					continue // a value JSON cannot express (a non-finite real)
+					// CheckValue keeps out the one value JSON cannot
+					// express (a non-finite real), so this is a bug's
+					// trace, not an expected drop.
+					m.db.rec.Append(obs.Ev("ovsdb", "monitor.render_error").WithTxn(qu.txn))
+					continue
 				}
 			}
 			if tables == 0 {
@@ -308,19 +314,23 @@ func (m *Monitor) run() {
 	}
 }
 
-// projectRow renders the requested columns of a row to JSON form.
-// A nil column list means all columns.
-func projectRow(row Row, columns []string) map[string]any {
-	out := make(map[string]any, len(row))
-	if columns == nil {
-		for col, v := range row {
-			out[col] = ValueToJSON(v)
+// project returns row's image over cols (sorted, no repeats): row itself
+// when that is all of it, since rows are copy-on-write and never change
+// under whoever shares one.
+func project(row Row, cols []string) Row {
+	n := 0
+	for _, col := range cols {
+		if _, ok := row[col]; ok {
+			n++
 		}
-		return out
 	}
-	for _, col := range columns {
+	if n == len(row) {
+		return row
+	}
+	out := make(Row, n)
+	for _, col := range cols {
 		if v, ok := row[col]; ok {
-			out[col] = ValueToJSON(v)
+			out[col] = v
 		}
 	}
 	return out
@@ -378,19 +388,23 @@ func (req *MonitorRequest) selection(c *changeRef, cols []string) (oldCols, newC
 	return oldCols, cols, len(oldCols) > 0
 }
 
+// selected calls yield for each change in flat the monitor reports, with
+// the columns of its old and of its new image.
+func (m *Monitor) selected(flat []changeRef, yield func(c *changeRef, oldCols, newCols []string)) {
+	for i := range flat {
+		c := &flat[i]
+		if req := m.requests[c.table]; req != nil {
+			if oldCols, newCols, ok := req.selection(c, m.cols[c.table]); ok {
+				yield(c, oldCols, newCols)
+			}
+		}
+	}
+}
+
 // render builds the TableUpdates a notify monitor receives for flat.
 func (m *Monitor) render(flat []changeRef) TableUpdates {
 	out := make(TableUpdates)
-	for i := range flat {
-		c := &flat[i]
-		req := m.requests[c.table]
-		if req == nil {
-			continue
-		}
-		oldCols, newCols, ok := req.selection(c, m.cols[c.table])
-		if !ok {
-			continue
-		}
+	m.selected(flat, func(c *changeRef, oldCols, newCols []string) {
 		tu := out[c.table]
 		if tu == nil {
 			tu = make(TableUpdate)
@@ -398,13 +412,13 @@ func (m *Monitor) render(flat []changeRef) TableUpdates {
 		}
 		var ru RowUpdate
 		if c.old != nil {
-			ru.Old = projectRow(c.old, oldCols)
+			ru.Old = project(c.old, oldCols)
 		}
 		if c.new != nil {
-			ru.New = projectRow(c.new, newCols)
+			ru.New = project(c.new, newCols)
 		}
 		tu[string(c.id)] = ru
-	}
+	})
 	return out
 }
 
@@ -414,15 +428,9 @@ func (m *Monitor) render(flat []changeRef) TableUpdates {
 func (m *Monitor) renderWire(flat []changeRef) (out []byte, tables int, err error) {
 	out = append(out, '{')
 	table, rows := "", 0 // the table whose object is open (rows > 0) and how many rows it holds
-	for i := range flat {
-		c := &flat[i]
-		req := m.requests[c.table]
-		if req == nil {
-			continue
-		}
-		oldCols, newCols, ok := req.selection(c, m.cols[c.table])
-		if !ok {
-			continue
+	m.selected(flat, func(c *changeRef, oldCols, newCols []string) {
+		if err != nil {
+			return
 		}
 		if rows > 0 && c.table != table {
 			out, rows = append(out, '}'), 0
@@ -441,10 +449,10 @@ func (m *Monitor) renderWire(flat []changeRef) (out []byte, tables int, err erro
 		if c.new != nil && err == nil {
 			out, _, err = appendImage(out, `"new":`, c.new, newCols, members)
 		}
-		if err != nil {
-			return nil, 0, err
-		}
 		out = append(out, '}')
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	if rows > 0 {
 		out = append(out, '}')

@@ -13,7 +13,7 @@ import (
 // mirror converges to exactly the table's contents.
 type mirror struct {
 	mu   sync.Mutex
-	rows map[string]map[string]any // uuid → row (JSON form)
+	rows map[string]Row // uuid → row
 	seen int
 }
 
@@ -35,7 +35,7 @@ func (m *mirror) apply(tu TableUpdates) {
 
 func TestPropMonitorMirrorsTable(t *testing.T) {
 	db := newTestDB(t)
-	m := &mirror{rows: make(map[string]map[string]any)}
+	m := &mirror{rows: make(map[string]Row)}
 	_, initial, err := db.AddMonitor(map[string]*MonitorRequest{
 		"Port": {Columns: []string{"name", "number", "enabled"}},
 	}, func(_ uint64, tu TableUpdates) { m.apply(tu) })
@@ -105,44 +105,22 @@ func TestPropMonitorMirrorsTable(t *testing.T) {
 	if res[0].Error != "" {
 		t.Fatal(res[0].Error)
 	}
-	ts := db.Schema().Tables["Port"]
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(res[0].Rows) != len(m.rows) {
 		t.Fatalf("mirror %d rows, select %d", len(m.rows), len(res[0].Rows))
 	}
 	for _, sel := range res[0].Rows {
-		uuid := sel["_uuid"].([]any)[1].(string)
+		uuid := string(sel["_uuid"].(UUID))
 		mrow, ok := m.rows[uuid]
 		if !ok {
 			t.Fatalf("mirror missing row %s", uuid)
 		}
-		// Compare the monitored columns through typed values.
-		selTyped, err := RowFromJSON(ts, sel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mTyped, err := RowFromJSON(ts, jsonNumberize(t, mrow))
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, col := range []string{"name", "number", "enabled"} {
-			if !ValueEqual(selTyped[col], mTyped[col]) {
+			if !ValueEqual(sel[col], mrow[col]) {
 				t.Fatalf("row %s column %s: mirror %v, table %v",
-					uuid, col, mTyped[col], selTyped[col])
+					uuid, col, mrow[col], sel[col])
 			}
 		}
 	}
-}
-
-// jsonNumberize round-trips a JSON object so numbers become json.Number,
-// matching what a wire client would hold.
-func jsonNumberize(t *testing.T, obj map[string]any) map[string]any {
-	t.Helper()
-	out := make(map[string]any, len(obj))
-	for k, v := range obj {
-		rt := jsonRoundTrip(t, v)
-		out[k] = rt
-	}
-	return out
 }

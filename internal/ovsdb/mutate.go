@@ -2,9 +2,8 @@ package ovsdb
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-
-	"repro/internal/wirejson"
 )
 
 // condition is a parsed where clause: [column, op, value].
@@ -25,21 +24,15 @@ func parseConditions(tx *txn, ts *TableSchema, where [][3]json.RawMessage) ([]co
 		if err := json.Unmarshal(w[1], &op); err != nil {
 			return nil, fmt.Errorf("bad condition operator: %w", err)
 		}
-		var ct *ColumnType
-		if col == "_uuid" {
-			ct = &ColumnType{Key: BaseType{Type: "uuid"}, Min: 1, Max: 1}
-		} else {
+		ct := &uuidType
+		if col != "_uuid" {
 			cs := ts.Columns[col]
 			if cs == nil {
 				return nil, fmt.Errorf("unknown column %q in condition", col)
 			}
 			ct = &cs.Type
 		}
-		raw, err := decodeRawJSON(w[2])
-		if err != nil {
-			return nil, err
-		}
-		v, err := ValueFromJSON(raw, ct)
+		v, err := decodeWireValue(w[2], ct)
 		if err != nil {
 			return nil, fmt.Errorf("condition on %q: %w", col, err)
 		}
@@ -77,17 +70,6 @@ func resolveValueNamed(tx *txn, v Value) Value {
 	default:
 		return resolve(v)
 	}
-}
-
-// decodeRawJSON decodes one JSON value, numbers as json.Number.
-func decodeRawJSON(raw json.RawMessage) (any, error) {
-	var d wirejson.Dec
-	d.Init(raw)
-	v := d.Any(true)
-	if err := d.End(); err != nil {
-		return nil, fmt.Errorf("bad JSON value: %w", err)
-	}
-	return v, nil
 }
 
 func (c *condition) matches(id UUID, row Row) (bool, error) {
@@ -221,10 +203,6 @@ func (db *Database) opMutate(tx *txn, op *Operation) OpResult {
 		if !cs.Mutable {
 			return OpResult{Error: "constraint violation", Details: fmt.Sprintf("column %q is immutable", col)}
 		}
-		raw, err := decodeRawJSON(m[2])
-		if err != nil {
-			return OpResult{Error: "constraint violation", Details: err.Error()}
-		}
 		// Argument typing depends on the mutator: arithmetic mutators take
 		// one scalar (applied to each element of set columns); map
 		// "delete" accepts a set of keys as well as exact pairs.
@@ -233,10 +211,10 @@ func (db *Database) opMutate(tx *txn, op *Operation) OpResult {
 		case "+=", "-=", "*=", "/=", "%=":
 			argType = &ColumnType{Key: cs.Type.Key, Min: 1, Max: 1}
 		}
-		v, verr := ValueFromJSON(raw, argType)
+		v, verr := decodeWireValue(m[2], argType)
 		if verr != nil && cs.Type.IsMap() && mutator == "delete" {
 			keyType := ColumnType{Key: cs.Type.Key, Min: 0, Max: Unlimited}
-			v, verr = ValueFromJSON(raw, &keyType)
+			v, verr = decodeWireValue(m[2], &keyType)
 		}
 		if verr != nil {
 			return OpResult{Error: "constraint violation", Details: verr.Error()}
@@ -255,7 +233,9 @@ func (db *Database) opMutate(tx *txn, op *Operation) OpResult {
 				return OpResult{Error: "constraint violation",
 					Details: fmt.Sprintf("column %q: %v", m.column, err)}
 			}
-			if err := m.cs.Type.CheckValue(nv); err != nil {
+			if err := m.cs.Type.CheckValue(nv); errors.Is(err, errNotFinite) {
+				return OpResult{Error: "range error", Details: fmt.Sprintf("column %q: %v", m.column, err)}
+			} else if err != nil {
 				return OpResult{Error: "constraint violation", Details: err.Error()}
 			}
 			row[m.column] = nv

@@ -2,7 +2,10 @@ package ovsdb
 
 import (
 	"encoding/json"
+	"math"
 	"testing"
+
+	"repro/internal/ovsdb/wal"
 )
 
 const mutSchema = `{
@@ -30,7 +33,7 @@ func newMutDB(t *testing.T) *Database {
 	return NewDatabase(schema)
 }
 
-func selectOne(t *testing.T, db *Database) map[string]any {
+func selectOne(t *testing.T, db *Database) Row {
 	t.Helper()
 	res := db.Transact([]Operation{OpSelect("T")})
 	if res[0].Error != "" || len(res[0].Rows) != 1 {
@@ -178,7 +181,7 @@ func TestIncludesExcludesScalars(t *testing.T) {
 func TestDatabaseGet(t *testing.T) {
 	db := newMutDB(t)
 	res := mustTransact(t, db, OpInsert("T", map[string]Value{"name": "g"}))
-	id := UUID(res[0].UUID.([]any)[1].(string))
+	id := res[0].UUID
 	row, ok := db.Get("T", id)
 	if !ok || row["name"] != "g" {
 		t.Fatalf("Get = %v, %v", row, ok)
@@ -209,5 +212,57 @@ func TestSelectColumnsProjection(t *testing.T) {
 	}
 	if row["name"] != "p" {
 		t.Errorf("projection row = %v", row)
+	}
+}
+
+// TestNonFiniteRealIsRangeError: a real that overflows to infinity is no
+// value JSON (so the wire, so the WAL) can carry. It is refused where
+// every written value is checked, as that operation's error, and the log
+// stays usable.
+func TestNonFiniteRealIsRangeError(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*Database, *wal.Log) {
+		db := newMutDB(t)
+		l, recovered, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Restore(recovered); err != nil {
+			t.Fatal(err)
+		}
+		db.AttachWAL(l)
+		return db, l
+	}
+	db, l := open()
+	mustTransact(t, db, OpInsert("T", map[string]Value{"name": "x", "weight": 1e308}))
+	res := db.Transact([]Operation{
+		OpUpdate("T", map[string]Value{"count": int64(1)}, Cond("name", "==", "x")),
+		OpMutate("T", [][3]json.RawMessage{Mutation("weight", "*=", 1e308)}, Cond("name", "==", "x")),
+	})
+	if res[0].Count != 1 || res[1].Error != "range error" {
+		t.Fatalf("weight *= 1e308 on 1e308: %+v", res)
+	}
+	if row := selectOne(t, db); row["weight"] != 1e308 || row["count"] != int64(0) {
+		t.Errorf("the transaction was not rolled back: %v", row)
+	}
+	for name, op := range map[string]Operation{
+		"insert": OpInsert("T", map[string]Value{"name": "inf", "weight": math.Inf(1)}),
+		"update": OpUpdate("T", map[string]Value{"weight": math.NaN()}, Cond("name", "==", "x")),
+	} {
+		if res := db.Transact([]Operation{op}); res[0].Error != "constraint violation" {
+			t.Errorf("%s of a non-finite real: %+v", name, res[0])
+		}
+	}
+	if !db.WALHealthy() {
+		t.Fatal("the refused values killed the log")
+	}
+	mustTransact(t, db, OpInsert("T", map[string]Value{"name": "after"}))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2, l2 := open()
+	defer l2.Close()
+	if n := db2.RowCount("T"); n != 2 {
+		t.Errorf("%d rows recovered, want the 2 committed around the refused ones", n)
 	}
 }

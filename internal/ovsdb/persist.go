@@ -1,7 +1,6 @@
 package ovsdb
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -148,10 +147,10 @@ func (db *Database) walAppendLocked(txnID uint64, flat []changeRef) <-chan error
 			t[string(c.id)] = jsonNull
 			continue
 		}
-		b, err := json.Marshal(projectRow(c.new, nil))
+		b, _, err := appendWireRow(nil, c.new, nil)
 		if err != nil {
-			// Row values are always marshallable; a failure here is a
-			// WAL fault, reported through the ticket like any other.
+			// CheckValue keeps out what JSON cannot carry; a failure here
+			// is a WAL fault, reported through the ticket like any other.
 			done := make(chan error, 1)
 			done <- fmt.Errorf("ovsdb: encoding row %s/%s for wal: %w", c.table, c.id, err)
 			return done
@@ -184,7 +183,7 @@ func (db *Database) captureSnapshotLocked(txnID uint64) {
 		for t, rows := range tables {
 			out := make(map[string]json.RawMessage, len(rows))
 			for id, row := range rows {
-				b, err := json.Marshal(projectRow(row, nil))
+				b, _, err := appendWireRow(nil, row, nil)
 				if err != nil {
 					return nil, fmt.Errorf("ovsdb: encoding row %s/%s for snapshot: %w", t, id, err)
 				}
@@ -238,7 +237,7 @@ func (db *Database) Restore(recov *wal.Recovered) error {
 			return fmt.Errorf("ovsdb: recovered snapshot references unknown table %q", table)
 		}
 		for id, raw := range rows {
-			row, err := decodeWireRow(ts, raw)
+			row, err := recoverRow(ts, raw)
 			if err != nil {
 				return fmt.Errorf("ovsdb: snapshot row %s/%s: %w", table, id, err)
 			}
@@ -258,7 +257,7 @@ func (db *Database) Restore(recov *wal.Recovered) error {
 			for id, raw := range rows {
 				uid := UUID(id)
 				old := db.tables[table][uid]
-				row, err := decodeWireRow(ts, raw)
+				row, err := recoverRow(ts, raw)
 				if err != nil {
 					return fmt.Errorf("ovsdb: recovered txn %d row %s/%s: %w", rec.Txn, table, id, err)
 				}
@@ -279,23 +278,13 @@ func (db *Database) Restore(recov *wal.Recovered) error {
 	return nil
 }
 
-// decodeWireRow parses a WAL row image back into typed column values;
-// a JSON null (the delete marker) returns (nil, nil). Columns the image
-// omits get schema defaults, guarding replay of logs written before a
-// column was added.
-func decodeWireRow(ts *TableSchema, raw json.RawMessage) (Row, error) {
-	trimmed := bytes.TrimSpace(raw)
-	if string(trimmed) == "null" {
-		return nil, nil
-	}
-	var obj map[string]any
-	dec := json.NewDecoder(bytes.NewReader(trimmed))
-	dec.UseNumber()
-	if err := dec.Decode(&obj); err != nil {
-		return nil, err
-	}
-	row, err := RowFromJSON(ts, obj)
-	if err != nil {
+// recoverRow parses a WAL row image back into typed column values; a JSON
+// null (the delete marker) returns (nil, nil). Columns the image omits
+// get schema defaults, guarding replay of logs written before a column
+// was added.
+func recoverRow(ts *TableSchema, raw json.RawMessage) (Row, error) {
+	row, err := decodeWireRow(raw, ts, false)
+	if err != nil || row == nil {
 		return nil, err
 	}
 	for col, cs := range ts.Columns {

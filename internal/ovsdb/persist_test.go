@@ -1,8 +1,11 @@
 package ovsdb
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/ovsdb/wal"
@@ -30,17 +33,16 @@ func tableJSON(t *testing.T, db *Database, table string) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
 	for _, r := range mustTransact(t, db, OpSelect(table))[0].Rows {
-		ref, _ := r["_uuid"].([]any)
-		if len(ref) != 2 {
+		id, ok := r["_uuid"].(UUID)
+		if !ok {
 			t.Fatalf("row without _uuid: %v", r)
 		}
-		id, _ := ref[1].(string)
 		delete(r, "_uuid")
 		b, err := json.Marshal(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[id] = string(b)
+		out[string(id)] = string(b)
 	}
 	return out
 }
@@ -301,6 +303,123 @@ func TestWALSnapshotCompactionRestore(t *testing.T) {
 	for id, w := range want {
 		if got[id] != w {
 			t.Errorf("row %s diverged:\n want %s\n  got %s", id, w, got[id])
+		}
+	}
+}
+
+// TestWALRecoversParentLog recovers a log directory (a snapshot and a
+// segment over every kind of value, testdata/parent-wal) written by the
+// commit before rows were typed end to end, when the WAL went through
+// json.Marshal of boxed rows: the rows come back as that commit read
+// them, and appending the same transactions again writes the same bytes.
+func TestWALRecoversParentLog(t *testing.T) {
+	src := filepath.Join("testdata", "parent-wal")
+	dir := t.TempDir() // Open tidies the directory it is given
+	for _, name := range []string{"seg-0000000000000008.wal", "snap-0000000000000006.snap"} {
+		b, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	schemaJSON, err := os.ReadFile(filepath.Join(src, "schema.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	schema, err := ParseSchema(schemaJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]map[string]json.RawMessage
+	if b, err := os.ReadFile(filepath.Join(src, "rows.json")); err != nil || json.Unmarshal(b, &want) != nil {
+		t.Fatalf("rows.json: %v", err)
+	}
+
+	l, recovered, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if recovered.Snapshot.Txn == 0 || len(recovered.Tail) == 0 || recovered.Truncated {
+		t.Fatalf("recovered snapshot txn %d, %d tail records, truncated %v", recovered.Snapshot.Txn, len(recovered.Tail), recovered.Truncated)
+	}
+	db := NewDatabase(schema)
+	if err := db.Restore(recovered); err != nil {
+		t.Fatal(err)
+	}
+	for table, rows := range want {
+		got := tableJSON(t, db, table)
+		if len(got) != len(rows) {
+			t.Errorf("%s: recovered %d rows, want %d", table, len(got), len(rows))
+		}
+		for id, row := range rows {
+			var written bytes.Buffer // rows.json is indented
+			if err := json.Compact(&written, row); err != nil {
+				t.Fatal(err)
+			}
+			if got[id] != written.String() {
+				t.Errorf("%s row %s:\n recovered %s\n   written %s", table, id, got[id], &written)
+			}
+		}
+	}
+
+	// The same transactions through this commit's appender, into a second
+	// log: record for record the bytes the parent wrote.
+	dir2 := t.TempDir()
+	l2, _, err := wal.Open(wal.Options{Dir: dir2, Fsync: wal.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db2 := NewDatabase(schema)
+	db2.AttachWAL(l2)
+	for _, rec := range recovered.Tail {
+		var flat []changeRef
+		for table, rows := range rec.Tables {
+			for id, raw := range rows {
+				row, err := recoverRow(schema.Tables[table], raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				flat = append(flat, changeRef{table: table, id: UUID(id), new: row})
+			}
+		}
+		db2.mu.Lock()
+		ticket := db2.walAppendLocked(rec.Txn, flat)
+		db2.mu.Unlock()
+		if err := <-ticket; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l3, again, err := wal.Open(wal.Options{Dir: dir2, Fsync: wal.FsyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l3.Close()
+	if len(again.Tail) != len(recovered.Tail) {
+		t.Fatalf("re-appended %d records, read back %d", len(recovered.Tail), len(again.Tail))
+	}
+	for i, rec := range recovered.Tail {
+		want, err1 := wal.AppendRecord(nil, rec)
+		got, err2 := wal.AppendRecord(nil, again.Tail[i])
+		if err1 != nil || err2 != nil || !bytes.Equal(got, want) {
+			t.Errorf("txn %d re-appended as\n %s (%v)\nthe parent wrote\n %s (%v)", rec.Txn, got, err2, want, err1)
+		}
+	}
+	// And the snapshot's images, which compaction renders the same way.
+	for table, rows := range recovered.Snapshot.Tables {
+		for id, raw := range rows {
+			row, err := recoverRow(schema.Tables[table], raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, _, err := appendWireRow(nil, row, nil); err != nil || !bytes.Equal(got, raw) {
+				t.Errorf("snapshot row %s/%s re-rendered as %s (%v), the parent wrote %s", table, id, got, err, raw)
+			}
 		}
 	}
 }

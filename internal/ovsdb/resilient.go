@@ -1,7 +1,6 @@
 package ovsdb
 
 import (
-	"encoding/json"
 	"errors"
 	"io"
 	"sync"
@@ -55,8 +54,9 @@ type monState struct {
 	id       any
 	requests map[string]*MonitorRequest
 	cb       func(uint64, TableUpdates)
-	// cache is table → row UUID → projected row (wire JSON form).
-	cache map[string]map[string]map[string]any
+	// cache is table → row UUID → projected row, as delivered (shared
+	// with the subscriber: read-only).
+	cache map[string]map[string]Row
 	// lastTxn is the resumption cursor: the newest transaction the
 	// cache reflects. Reconnection passes it as the monitor's since so
 	// a server retaining the gap replays only the missed commits.
@@ -246,10 +246,10 @@ func (r *ResilientClient) ResyncStats() (gapReplays, snapshotResyncs uint64) {
 }
 
 // cacheOf seeds a row cache from an initial snapshot.
-func cacheOf(initial TableUpdates) map[string]map[string]map[string]any {
-	cache := make(map[string]map[string]map[string]any, len(initial))
+func cacheOf(initial TableUpdates) map[string]map[string]Row {
+	cache := make(map[string]map[string]Row, len(initial))
 	for table, tu := range initial {
-		rows := make(map[string]map[string]any, len(tu))
+		rows := make(map[string]Row, len(tu))
 		for uuid, ru := range tu {
 			if ru.New != nil {
 				rows[uuid] = ru.New
@@ -267,7 +267,7 @@ func (m *monState) apply(tu TableUpdates) {
 	for table, rows := range tu {
 		cached := m.cache[table]
 		if cached == nil {
-			cached = make(map[string]map[string]any)
+			cached = make(map[string]Row)
 			m.cache[table] = cached
 		}
 		for uuid, ru := range rows {
@@ -278,15 +278,6 @@ func (m *monState) apply(tu TableUpdates) {
 			}
 		}
 	}
-}
-
-// rowEqual compares two wire-form rows structurally. Both sides were
-// decoded from server JSON (numbers as json.Number), so marshaling is a
-// faithful canonical form.
-func rowEqual(a, b map[string]any) bool {
-	ab, err1 := json.Marshal(a)
-	bb, err2 := json.Marshal(b)
-	return err1 == nil && err2 == nil && string(ab) == string(bb)
 }
 
 // diff computes the synthetic update turning the cached state into
@@ -312,7 +303,7 @@ func (m *monState) diff(fresh TableUpdates) TableUpdates {
 			switch {
 			case !ok:
 				tu[uuid] = RowUpdate{Old: oldRow}
-			case !rowEqual(oldRow, newRow):
+			case !rowsEqual(oldRow, newRow):
 				tu[uuid] = RowUpdate{Old: oldRow, New: newRow}
 			}
 		}

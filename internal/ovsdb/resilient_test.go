@@ -23,6 +23,9 @@ func TestMonitorTxnUnregistersOnBadInitialReply(t *testing.T) {
 	a, b := net.Pipe()
 	var calls int // touched only on the server conn's read loop
 	srv := jsonrpc.NewConn(b, jsonrpc.HandlerFunc(func(_ *jsonrpc.Conn, method string, _ json.RawMessage) (any, *jsonrpc.RPCError) {
+		if method == "get_schema" { // rows are typed by it, so the client asks first
+			return json.RawMessage(testSchema), nil
+		}
 		if method != "monitor" {
 			return nil, &jsonrpc.RPCError{Code: "unknown method", Details: method}
 		}
@@ -87,11 +90,20 @@ func (c *txnCollector) waitFor(t *testing.T, n int) []TableUpdates {
 // fault-injecting dialer, with a direct (unkillable) client for mutations.
 func startResilient(t *testing.T, o *obs.Observer) (*ResilientClient, *Client, *faultnet.Dialer) {
 	t.Helper()
+	r, direct, d, _ := startResilientDB(t, o)
+	return r, direct, d
+}
+
+// startResilientDB is startResilient for a test that configures the
+// database before the first transaction.
+func startResilientDB(t *testing.T, o *obs.Observer) (*ResilientClient, *Client, *faultnet.Dialer, *Database) {
+	t.Helper()
 	schema, err := ParseSchema([]byte(testSchema))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(NewDatabase(schema))
+	db := NewDatabase(schema)
+	srv := NewServer(db)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +128,7 @@ func startResilient(t *testing.T, o *obs.Observer) (*ResilientClient, *Client, *
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { direct.Close() })
-	return r, direct, d
+	return r, direct, d, db
 }
 
 func portMonitorReqs() map[string]*MonitorRequest {
@@ -215,23 +227,38 @@ func TestResilientResyncDeliversOutageDiff(t *testing.T) {
 }
 
 func TestResilientResyncNoSpuriousDeltas(t *testing.T) {
-	r, direct, d := startResilient(t, nil)
+	// No gap window: a reconnection after any commit takes the snapshot
+	// path, which compares each cached row with the fresh one. All of Port's columns
+	// are monitored, so the comparison sees a set, a map and an optional
+	// scalar, set and empty, beside the plain scalars.
+	r, direct, d, db := startResilientDB(t, nil)
+	db.SetGapWindow(-1)
 	var col txnCollector
-	if _, err := r.MonitorTxn("TestDB", "m", portMonitorReqs(), col.add); err != nil {
+	if _, err := r.MonitorTxn("TestDB", "m", map[string]*MonitorRequest{"Port": {}}, col.add); err != nil {
 		t.Fatalf("MonitorTxn: %v", err)
 	}
+	peer := NewUUID()
 	if _, err := direct.TransactErr("TestDB",
-		OpInsert("Port", map[string]Value{"name": "eth0", "number": int64(1)})); err != nil {
+		OpInsert("Port", map[string]Value{"name": "eth0", "number": int64(1), "trunks": NewSet(int64(7), int64(3)),
+			"options": NewMap([2]Atom{"k", "v"}, [2]Atom{"a", "b"}), "peer": NewSet(peer)}),
+		OpInsert("Port", map[string]Value{"name": "bare"})); err != nil {
 		t.Fatal(err)
 	}
 	col.waitFor(t, 1)
 
-	// Nothing changes during the outage: the subscriber must see no
+	// Nothing the monitor selects changes (the commit to Bridge only moves
+	// the server past the client's cursor): the subscriber must see no
 	// synthetic update at all, not a no-op one.
+	if _, err := direct.TransactErr("TestDB", OpInsert("Bridge", map[string]Value{"name": "br0"})); err != nil {
+		t.Fatal(err)
+	}
 	killAndWaitRedial(t, r, d)
 	time.Sleep(20 * time.Millisecond)
 	if n := col.count(); n != 1 {
 		t.Fatalf("unchanged state produced %d extra updates", n-1)
+	}
+	if _, snaps := r.ResyncStats(); snaps != 1 {
+		t.Fatalf("%d snapshot resyncs, want 1: the comparison under test did not run", snaps)
 	}
 
 	// A change made after the heal arrives exactly once.
@@ -243,6 +270,30 @@ func TestResilientResyncNoSpuriousDeltas(t *testing.T) {
 	ru := ups[1]["Port"]
 	if len(ru) != 1 {
 		t.Fatalf("post-heal update = %v", ups[1])
+	}
+
+	// And a change of each kind of value made during an outage is what the
+	// comparison finds: one synthetic update, of that row alone.
+	for i, change := range []map[string]Value{
+		{"trunks": NewSet(int64(7))}, {"options": NewMap([2]Atom{"k", "w"}, [2]Atom{"a", "b"})}, {"peer": NewSet()}, {"enabled": true},
+	} {
+		d.KillAll()
+		if _, err := direct.TransactErr("TestDB", OpUpdate("Port", change, Cond("name", "==", "eth0"))); err != nil {
+			t.Fatal(err)
+		}
+		ups := col.waitFor(t, 3+i)
+		rows := ups[2+i]["Port"]
+		if len(rows) != 1 {
+			t.Fatalf("outage change %v resynced as %v", change, ups[2+i])
+		}
+		for _, ru := range rows {
+			for c, v := range change {
+				if !ValueEqual(ru.New[c], v) || ValueEqual(ru.Old[c], v) {
+					t.Fatalf("outage change %v resynced as %+v", change, ru)
+				}
+			}
+		}
+		waitConnected(t, r)
 	}
 }
 
@@ -349,7 +400,7 @@ func TestResilientDropsSupersededConnectionUpdates(t *testing.T) {
 	// A callback bound to generation 0 predates the current registration
 	// (generation 1): the update must vanish without a trace.
 	r.deliver(0, 42, TableUpdates{"Port": {
-		"00000000-dead-beef-0000-000000000000": RowUpdate{New: map[string]any{"name": "stale", "number": int64(9)}},
+		"00000000-dead-beef-0000-000000000000": RowUpdate{New: Row{"name": "stale", "number": int64(9)}},
 	}})
 	if n := col.count(); n != 1 {
 		t.Fatalf("superseded-generation update forwarded (%d updates)", n)

@@ -1,9 +1,10 @@
 package ovsdb
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 )
 
 // BaseType is the type of an atom: integer, real, boolean, string, or uuid.
@@ -213,21 +214,13 @@ func parseBase(raw json.RawMessage) (*BaseType, error) {
 	}
 	bt := &BaseType{Type: rb.Type}
 	if rb.Enum != nil {
-		dec := json.NewDecoder(bytes.NewReader(rb.Enum))
-		dec.UseNumber()
-		var ev any
-		if err := dec.Decode(&ev); err != nil {
-			return nil, fmt.Errorf("bad enum: %w", err)
-		}
-		v, err := ValueFromJSON(ev, &ColumnType{Key: BaseType{Type: rb.Type}, Min: 0, Max: Unlimited})
+		// Read as a set column's value, so it is a *Set whichever way it
+		// is written.
+		v, err := decodeWireValue(rb.Enum, &ColumnType{Key: BaseType{Type: rb.Type}, Min: 0, Max: Unlimited})
 		if err != nil {
 			return nil, fmt.Errorf("bad enum: %w", err)
 		}
-		set, ok := v.(*Set)
-		if !ok {
-			set = NewSet(v)
-		}
-		bt.Enum = set
+		bt.Enum = v.(*Set)
 	}
 	return bt, nil
 }
@@ -271,16 +264,39 @@ func (ct *ColumnType) DefaultValue() Value {
 	return defaultEmptySet
 }
 
+// normal returns v in the one form a column of this type stores. RFC
+// 7047 writes a singleton set and its atom the same way, so a peer (or an
+// in-process caller) may give either for either: a scalar column keeps
+// the atom, a set column the set.
+func (ct *ColumnType) normal(v Value) Value {
+	switch s, isSet := v.(*Set); {
+	case isSet && ct.IsScalar() && len(s.Atoms) == 1:
+		return s.Atoms[0]
+	case !isSet && !ct.IsScalar() && !ct.IsMap():
+		if _, isMap := v.(*Map); !isMap {
+			return NewSet(v)
+		}
+	}
+	return v
+}
+
+// errNotFinite is CheckValue's error for a real that is NaN or infinite:
+// JSON, so the wire and the WAL, cannot carry one.
+var errNotFinite = errors.New("ovsdb: real value is not finite")
+
 // CheckValue validates a value against the column type, including
 // cardinality and enum constraints.
 func (ct *ColumnType) CheckValue(v Value) error {
 	checkAtom := func(a Atom, bt *BaseType) error {
 		want := bt.Type
 		ok := false
-		switch a.(type) {
+		switch a := a.(type) {
 		case int64:
 			ok = want == "integer"
 		case float64:
+			if math.IsNaN(a) || math.IsInf(a, 0) {
+				return errNotFinite
+			}
 			ok = want == "real"
 		case bool:
 			ok = want == "boolean"
@@ -333,11 +349,8 @@ func (ct *ColumnType) CheckValue(v Value) error {
 		if ct.IsMap() {
 			return fmt.Errorf("ovsdb: atom value for map column")
 		}
-		if !ct.IsScalar() && ct.Max != 1 {
-			// A bare atom is acceptable for a set column (singleton set),
-			// mirroring the JSON encoding.
-			return checkAtom(v, &ct.Key)
-		}
+		// A bare atom is acceptable for a set column (singleton set),
+		// mirroring the JSON encoding.
 		return checkAtom(v, &ct.Key)
 	}
 }

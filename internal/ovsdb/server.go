@@ -114,7 +114,7 @@ func (sc *serverConn) handleTransact(params json.RawMessage) (any, *jsonrpc.RPCE
 	if db == nil {
 		return nil, rpcErr("unknown database", dbName)
 	}
-	return transactReply(db.Transact(ops)), nil
+	return transactReply{results: db.Transact(ops)}, nil
 }
 
 func (sc *serverConn) handleMonitor(params json.RawMessage) (any, *jsonrpc.RPCError) {
@@ -286,5 +286,5 @@ func baseTypeToJSON(bt *BaseType) any {
 	if bt.Enum == nil {
 		return bt.Type
 	}
-	return map[string]any{"type": bt.Type, "enum": ValueToJSON(bt.Enum)}
+	return map[string]any{"type": bt.Type, "enum": bt.Enum}
 }

@@ -70,19 +70,14 @@ func TestClientTransactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Transact: %v", err)
 	}
-	id, ok := results[0].UUID.(UUID)
-	if !ok || id == "" {
+	if results[0].UUID == "" {
 		t.Fatalf("insert uuid = %v", results[0].UUID)
 	}
 	if len(results[1].Rows) != 1 {
 		t.Fatalf("select rows = %v", results[1].Rows)
 	}
-	// Parse the row back into typed values.
-	ts := db.Schema().Tables["Port"]
-	row, err := RowFromJSON(ts, results[1].Rows[0])
-	if err != nil {
-		t.Fatalf("RowFromJSON: %v", err)
-	}
+	// The row comes back as typed values.
+	row := results[1].Rows[0]
 	if row["number"] != int64(4) {
 		t.Fatalf("number = %v (%T)", row["number"], row["number"])
 	}
@@ -334,8 +329,7 @@ func TestMonitorOrderingUnderLoad(t *testing.T) {
 		defer mu.Unlock()
 		for _, ru := range tu["Port"] {
 			if ru.New != nil {
-				num, _ := ru.New["number"].(json.Number)
-				v, _ := num.Int64()
+				v, _ := ru.New["number"].(int64)
 				seen = append(seen, numbered{n: v, op: "ins"})
 			}
 		}
@@ -371,5 +365,72 @@ func TestMonitorOrderingUnderLoad(t *testing.T) {
 		if seen[i].n != int64(i) {
 			t.Fatalf("update %d out of order: got number %d", i, seen[i].n)
 		}
+	}
+}
+
+// TestTransactIntegerExact: integers cross the wire and come back as the
+// int64 they are, beyond what a float64 holds; a number that is not an
+// integer is that operation's error, not a rounded value.
+func TestTransactIntegerExact(t *testing.T) {
+	_, client, db := startServer(t)
+	var mu sync.Mutex
+	seen := map[string]Value{} // name → number, as the monitor reported it
+	if _, err := client.Monitor("TestDB", "exact", map[string]*MonitorRequest{"Port": {Columns: []string{"name", "number"}}},
+		func(tu TableUpdates) {
+			mu.Lock()
+			defer mu.Unlock()
+			for _, ru := range tu["Port"] {
+				seen[ru.New["name"].(string)] = ru.New["number"]
+			}
+		}); err != nil {
+		t.Fatal(err)
+	}
+	exact := map[string]int64{"big": 9007199254740993, "min": -9223372036854775808}
+	for name, n := range exact {
+		if _, err := client.TransactErr("TestDB", OpInsert("Port", map[string]Value{"name": name, "number": n})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, n := range exact {
+		res, err := client.TransactErr("TestDB", OpSelect("Port", Cond("number", "==", n)))
+		if err != nil || len(res[0].Rows) != 1 || res[0].Rows[0]["name"] != name || res[0].Rows[0]["number"] != n {
+			t.Errorf("select number == %d: %+v, %v", n, res, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		mu.Lock()
+		done := len(seen) == len(exact)
+		mu.Unlock()
+		if done || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	mu.Lock()
+	for name, n := range exact {
+		if seen[name] != n {
+			t.Errorf("monitor reported %s as %v (%T), want %d", name, seen[name], seen[name], n)
+		}
+	}
+	mu.Unlock()
+
+	for _, number := range []string{"1.5", "1e3"} {
+		var reply []struct {
+			UUID  json.RawMessage
+			Error string
+			Count *int
+		}
+		params := json.RawMessage(`["TestDB",{"op":"insert","table":"Port","row":{"name":"before"}},` +
+			`{"op":"insert","row":{"name":"n","number":` + number + `},"table":"Port"},{"op":"comment"}]`)
+		if err := client.conn.Call("transact", params, &reply); err != nil {
+			t.Fatalf("transact with number %s failed as a whole: %v", number, err)
+		}
+		if len(reply) != 3 || reply[0].UUID == nil || reply[1].Error != "constraint violation" || reply[2].Count == nil {
+			t.Errorf("number %s in an integer column: reply %+v", number, reply)
+		}
+	}
+	if n := db.RowCount("Port"); n != len(exact) {
+		t.Errorf("%d rows after the refused inserts, want %d", n, len(exact))
 	}
 }

@@ -7,7 +7,6 @@ package ovsdb
 
 import (
 	"crypto/rand"
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -175,172 +174,6 @@ func valueKey(v Value) string {
 // ValueEqual reports deep equality of two OVSDB values.
 func ValueEqual(a, b Value) bool { return valueKey(a) == valueKey(b) }
 
-// atomToJSON converts an atom to its RFC 7047 JSON form.
-func atomToJSON(a Atom) any {
-	switch v := a.(type) {
-	case UUID:
-		return []any{"uuid", string(v)}
-	case namedUUID:
-		return []any{"named-uuid", string(v)}
-	default:
-		return a
-	}
-}
-
-// emptySetJSON is the shared JSON form of the empty set. JSON-form
-// values are read-only by convention (they are either marshaled to the
-// wire or converted back into Values), so one instance serves every
-// defaulted column.
-var emptySetJSON = []any{"set", []any{}}
-
-// ValueToJSON converts a Value to its RFC 7047 JSON form.
-func ValueToJSON(v Value) any {
-	switch v := v.(type) {
-	case *Set:
-		if len(v.Atoms) == 1 {
-			return atomToJSON(v.Atoms[0])
-		}
-		if len(v.Atoms) == 0 {
-			return emptySetJSON
-		}
-		elems := make([]any, len(v.Atoms))
-		for i, a := range v.Atoms {
-			elems[i] = atomToJSON(a)
-		}
-		return []any{"set", elems}
-	case *Map:
-		pairs := make([]any, len(v.Pairs))
-		for i, p := range v.Pairs {
-			pairs[i] = []any{atomToJSON(p[0]), atomToJSON(p[1])}
-		}
-		return []any{"map", pairs}
-	default:
-		return atomToJSON(v)
-	}
-}
-
-// atomFromJSON parses a JSON value as an atom of the given base type.
-func atomFromJSON(raw any, base string) (Atom, error) {
-	switch base {
-	case "integer":
-		// Accept both wire forms (json.Number, float64) and in-process Go
-		// values (int64, int) so operation builders can pass typed values.
-		switch n := raw.(type) {
-		case json.Number:
-			i, err := n.Int64()
-			if err != nil {
-				return nil, fmt.Errorf("ovsdb: %q is not an integer", n)
-			}
-			return i, nil
-		case float64:
-			return int64(n), nil
-		case int64:
-			return n, nil
-		case int:
-			return int64(n), nil
-		}
-	case "real":
-		switch n := raw.(type) {
-		case json.Number:
-			f, err := n.Float64()
-			if err != nil {
-				return nil, fmt.Errorf("ovsdb: %q is not a number", n)
-			}
-			return f, nil
-		case float64:
-			return n, nil
-		case int64:
-			return float64(n), nil
-		case int:
-			return float64(n), nil
-		}
-	case "boolean":
-		if b, ok := raw.(bool); ok {
-			return b, nil
-		}
-	case "string":
-		if s, ok := raw.(string); ok {
-			return s, nil
-		}
-	case "uuid":
-		if pair, ok := raw.([]any); ok && len(pair) == 2 {
-			tag, _ := pair[0].(string)
-			id, idOK := pair[1].(string)
-			if (tag == "uuid" || tag == "named-uuid") && idOK {
-				if tag == "named-uuid" {
-					return namedUUID(id), nil
-				}
-				return UUID(id), nil
-			}
-		}
-	default:
-		return nil, fmt.Errorf("ovsdb: unknown base type %q", base)
-	}
-	return nil, fmt.Errorf("ovsdb: JSON value %v is not a valid %s", raw, base)
-}
-
 // namedUUID marks a not-yet-resolved named UUID reference inside a
 // transaction. It must never escape a committed row.
 type namedUUID string
-
-// ValueFromJSON parses a JSON value (already decoded with json.Number) as
-// a value of the given column type.
-func ValueFromJSON(raw any, ct *ColumnType) (Value, error) {
-	// Sets and maps arrive as ["set", [...]] / ["map", [...]]; a singleton
-	// set may arrive as a bare atom.
-	if arr, ok := raw.([]any); ok && len(arr) == 2 {
-		if tag, _ := arr[0].(string); tag == "set" || tag == "map" {
-			elems, ok := arr[1].([]any)
-			if !ok {
-				return nil, fmt.Errorf("ovsdb: malformed %s payload", tag)
-			}
-			switch tag {
-			case "set":
-				if len(elems) == 0 {
-					return defaultEmptySet, nil // shared: values are copy-on-write
-				}
-				atoms := make([]Atom, 0, len(elems))
-				for _, e := range elems {
-					a, err := atomFromJSON(e, ct.Key.Type)
-					if err != nil {
-						return nil, err
-					}
-					atoms = append(atoms, a)
-				}
-				return NewSet(atoms...), nil
-			case "map":
-				if ct.Value == nil {
-					return nil, fmt.Errorf("ovsdb: map value for non-map column")
-				}
-				pairs := make([][2]Atom, 0, len(elems))
-				for _, e := range elems {
-					kv, ok := e.([]any)
-					if !ok || len(kv) != 2 {
-						return nil, fmt.Errorf("ovsdb: malformed map pair %v", e)
-					}
-					k, err := atomFromJSON(kv[0], ct.Key.Type)
-					if err != nil {
-						return nil, err
-					}
-					v, err := atomFromJSON(kv[1], ct.Value.Type)
-					if err != nil {
-						return nil, err
-					}
-					pairs = append(pairs, [2]Atom{k, v})
-				}
-				return NewMap(pairs...), nil
-			}
-		}
-	}
-	atom, err := atomFromJSON(raw, ct.Key.Type)
-	if err != nil {
-		return nil, err
-	}
-	if ct.IsScalar() {
-		return atom, nil
-	}
-	if ct.Value != nil {
-		return nil, fmt.Errorf("ovsdb: atom given for map column")
-	}
-	return NewSet(atom), nil
-}

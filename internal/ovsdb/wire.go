@@ -3,16 +3,20 @@ package ovsdb
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/wirejson"
 )
 
-// The transact request and reply and the update notification are what a
-// steady-state deployment exchanges for every change, so they are encoded
-// and decoded by hand (wirejson) instead of by reflection. The bytes are
-// what json.Marshal makes of the same values and the decoders accept what
-// json.Unmarshal accepts: wire_test.go holds both to that.
+// A row has two forms: the typed Row the database stores, monitors
+// deliver and clients hold, and RFC 7047 JSON bytes on the socket and in
+// the WAL. This file is the one codec between them (appendWireRow and
+// parseWireRow, with their value and atom parts) and the hand-written
+// shapes of the messages a steady-state deployment exchanges for every
+// change: the transact request and reply and the update notification.
+// Decoding a row needs its table's schema; wire_test.go holds the bytes to
+// json.Marshal of a boxed reference and the decoders to encoding/json.
 
 // transactParams is the transact request's params: [db-name, op…].
 type transactParams struct {
@@ -70,12 +74,12 @@ func appendOperation(dst []byte, op *Operation) (_ []byte, err error) {
 	dst = wirejson.AppendString(append(dst, `{"op":`...), op.Op)
 	dst = appendStr(dst, `,"table":`, op.Table)
 	if len(op.Row) > 0 {
-		if dst, err = wirejson.AppendMap(append(dst, `,"row":`...), op.Row); err != nil {
+		if dst, _, err = appendWireRow(append(dst, `,"row":`...), op.Row, nil); err != nil {
 			return dst, err
 		}
 	}
 	if len(op.Rows) > 0 {
-		if dst, err = appendRows(append(dst, `,"rows":`...), op.Rows); err != nil {
+		if dst, err = appendWireRows(append(dst, `,"rows":`...), op.Rows); err != nil {
 			return dst, err
 		}
 	}
@@ -101,19 +105,21 @@ func appendOperation(dst []byte, op *Operation) (_ []byte, err error) {
 	return append(dst, '}'), nil
 }
 
-func appendRows(dst []byte, rows []map[string]any) (_ []byte, err error) {
+func appendWireRows(dst []byte, rows []Row) (_ []byte, err error) {
 	dst = append(dst, '[')
 	for i, row := range rows {
-		if dst, err = wirejson.AppendMap(sep(dst, i), row); err != nil {
+		if dst, _, err = appendWireRow(sep(dst, i), row, nil); err != nil {
 			return dst, err
 		}
 	}
 	return append(dst, ']'), nil
 }
 
-// parseTransact decodes the transact params. The operations' where and
-// mutation clauses alias params: they are for db.Transact to consume
-// before the handler returns, not to keep.
+// parseTransact decodes the transact params. The operations' rows and
+// where and mutation clauses are params' own bytes, typed only once
+// db.Transact knows the operation's table (JSON member order lets "row"
+// precede "table"): they are for it to consume before the handler
+// returns, not to keep.
 func parseTransact(params []byte) (db string, ops []Operation, err error) {
 	var d wirejson.Dec
 	d.Init(params)
@@ -144,9 +150,9 @@ func parseOperation(d *wirejson.Dec, op *Operation) {
 		case 1:
 			d.String(&op.Table)
 		case 2:
-			d.AnyMap(&op.Row, false)
+			op.rowWire = d.Raw()
 		case 3:
-			wirejson.Slice(d, &op.Rows, func(d *wirejson.Dec, m *map[string]any) { d.AnyMap(m, false) })
+			wirejson.Slice(d, &op.rowsWire, func(d *wirejson.Dec, raw *json.RawMessage) { *raw = d.Raw() })
 		case 4:
 			wirejson.Slice(d, &op.Where, parseClause)
 		case 5:
@@ -185,14 +191,20 @@ func parseClause(d *wirejson.Dec, c *[3]json.RawMessage) {
 }
 
 // transactReply is the transact result: one object per operation, with
-// meaningful zeroes kept (a count of 0 is reported, not omitted).
-type transactReply []OpResult
+// meaningful zeroes kept (a count of 0 is reported, not omitted). The
+// server fills results and encodes; the client decodes, typing the rows
+// of result i by the table of ops[i] in schema.
+type transactReply struct {
+	results []OpResult
+	ops     []Operation
+	schema  *DatabaseSchema
+}
 
 func (rs transactReply) AppendJSON(dst []byte) (_ []byte, err error) {
 	dst = append(dst, '[')
-	for i := range rs {
+	for i := range rs.results {
 		dst = sep(dst, i)
-		r := &rs[i]
+		r := &rs.results[i]
 		switch {
 		case r.Error != "":
 			dst = append(dst, '{')
@@ -201,22 +213,20 @@ func (rs transactReply) AppendJSON(dst []byte) (_ []byte, err error) {
 				dst = append(dst, ',')
 			}
 			dst = wirejson.AppendString(append(dst, `"error":`...), r.Error)
-		case r.UUID == nil && r.Rows == nil:
+		case r.UUID == "" && r.Rows == nil:
 			dst = strconv.AppendInt(append(dst, `{"count":`...), int64(r.Count), 10)
 		default:
 			dst = append(dst, '{')
 			if r.Rows != nil {
-				if dst, err = appendRows(append(dst, `"rows":`...), r.Rows); err != nil {
+				if dst, err = appendWireRows(append(dst, `"rows":`...), r.Rows); err != nil {
 					return dst, err
 				}
 			}
-			if r.UUID != nil {
+			if r.UUID != "" {
 				if r.Rows != nil {
 					dst = append(dst, ',')
 				}
-				if dst, err = wirejson.AppendValue(append(dst, `"uuid":`...), r.UUID); err != nil {
-					return dst, err
-				}
+				dst = append(wirejson.AppendString(append(dst, `"uuid":["uuid",`...), string(r.UUID)), ']')
 			}
 		}
 		dst = append(dst, '}')
@@ -224,35 +234,40 @@ func (rs transactReply) AppendJSON(dst []byte) (_ []byte, err error) {
 	return append(dst, ']'), nil
 }
 
-// ParseJSON decodes the transact result on the client: the uuid member
-// ["uuid", id] becomes a UUID, numbers in rows stay json.Number.
+// ParseJSON decodes the transact result on the client.
 func (rs *transactReply) ParseJSON(data []byte) error {
 	var d wirejson.Dec
 	d.Init(data)
-	wirejson.Slice(&d, (*[]OpResult)(rs), func(d *wirejson.Dec, r *OpResult) {
+	i := 0
+	wirejson.Slice(&d, &rs.results, func(d *wirejson.Dec, r *OpResult) {
+		var ts *TableSchema
+		if i < len(rs.ops) && rs.schema != nil {
+			ts = rs.schema.Tables[rs.ops[i].Table]
+		}
+		i++
 		if d.Null() || !d.Object() {
 			return
 		}
-		var uuid []any
 		for k := d.Key(); k != nil; k = d.Key() {
 			switch wirejson.Field(k, "count", "uuid", "rows", "error", "details") {
 			case 0:
 				wirejson.Int(d, &r.Count)
 			case 1:
-				wirejson.Slice(d, &uuid, func(d *wirejson.Dec, v *any) { *v = d.Any(true) })
+				if !d.Null() {
+					r.UUID, _ = parseWireAtom(d, "uuid").(UUID)
+				}
 			case 2:
-				wirejson.Slice(d, &r.Rows, func(d *wirejson.Dec, m *map[string]any) { d.AnyMap(m, true) })
+				if ts == nil {
+					d.Skip() // rows of no select this client sent
+					break
+				}
+				wirejson.Slice(d, &r.Rows, func(d *wirejson.Dec, row *Row) { *row = parseWireRow(d, ts, false) })
 			case 3:
 				d.String(&r.Error)
 			case 4:
 				d.String(&r.Details)
 			default:
 				d.Skip()
-			}
-		}
-		if len(uuid) == 2 {
-			if s, ok := uuid[1].(string); ok {
-				r.UUID = UUID(s)
 			}
 		}
 	})
@@ -275,9 +290,11 @@ func (p updateParams) AppendJSON(dst []byte) ([]byte, error) {
 	return append(strconv.AppendUint(dst, p.txn, 10), ']'), nil
 }
 
-// parseUpdate decodes the update notification's params. id aliases
-// params; nothing else does. A missing or malformed txn is 0.
-func parseUpdate(params []byte) (id []byte, tu TableUpdates, txn uint64, err error) {
+// parseUpdate decodes the update notification's params, typing the rows
+// by the schema schemaOf gives for the monitor id (nil, for an id not
+// registered, skips them). id aliases params; nothing else does. A
+// missing or malformed txn is 0.
+func parseUpdate(params []byte, schemaOf func(id []byte) *DatabaseSchema) (id []byte, tu TableUpdates, txn uint64, err error) {
 	var d wirejson.Dec
 	d.Init(params)
 	n := 0
@@ -287,7 +304,11 @@ func parseUpdate(params []byte) (id []byte, tu TableUpdates, txn uint64, err err
 			case 0:
 				id = d.Raw()
 			case 1:
-				parseTableUpdates(&d, &tu)
+				if schema := schemaOf(id); schema != nil {
+					tu = parseTableUpdates(&d, schema)
+				} else {
+					d.Skip()
+				}
 			case 2:
 				var num wirejson.Dec
 				num.Init(d.Raw())
@@ -305,19 +326,21 @@ func parseUpdate(params []byte) (id []byte, tu TableUpdates, txn uint64, err err
 	return id, tu, txn, d.End()
 }
 
-func parseTableUpdates(d *wirejson.Dec, tu *TableUpdates) {
-	if d.Null() {
-		*tu = nil
-		return
+// parseTableUpdates decodes a table-updates object (an update's, or a
+// monitor reply's); null is nil. A table the schema lacks is skipped, as
+// its columns would be.
+func parseTableUpdates(d *wirejson.Dec, schema *DatabaseSchema) TableUpdates {
+	if d.Null() || !d.Object() {
+		return nil
 	}
-	if !d.Object() {
-		return
-	}
-	if *tu == nil {
-		*tu = make(TableUpdates)
-	}
+	tu := make(TableUpdates)
 	for k := d.Key(); k != nil; k = d.Key() {
 		table := string(k)
+		ts := schema.Tables[table]
+		if ts == nil {
+			d.Skip()
+			continue
+		}
 		var rows TableUpdate
 		if !d.Null() && d.Object() {
 			rows = make(TableUpdate)
@@ -328,9 +351,9 @@ func parseTableUpdates(d *wirejson.Dec, tu *TableUpdates) {
 					for k := d.Key(); k != nil; k = d.Key() {
 						switch wirejson.Field(k, "old", "new") {
 						case 0:
-							d.AnyMap(&ru.Old, true)
+							ru.Old = parseWireRow(d, ts, false)
 						case 1:
-							d.AnyMap(&ru.New, true)
+							ru.New = parseWireRow(d, ts, false)
 						default:
 							d.Skip()
 						}
@@ -339,12 +362,66 @@ func parseTableUpdates(d *wirejson.Dec, tu *TableUpdates) {
 				rows[uuid] = ru
 			}
 		}
-		(*tu)[table] = rows
+		tu[table] = rows
 	}
+	return tu
 }
 
-// appendWireValue appends v's RFC 7047 JSON form: what json.Marshal
-// makes of ValueToJSON(v).
+// monitorReply decodes a monitor call's result: the initial table
+// updates, or for a call with a cursor [found, last-txn, gap-or-initial].
+type monitorReply struct {
+	schema *DatabaseSchema
+	cursor bool
+
+	found   bool
+	lastTxn uint64
+	initial TableUpdates
+	gap     []GapUpdate
+}
+
+func (r *monitorReply) ParseJSON(data []byte) error {
+	var d wirejson.Dec
+	d.Init(data)
+	if r.cursor {
+		// Read by position: an element that is missing leaves the decoder
+		// at punctuation, which fails whatever reads next.
+		d.Array()
+		d.Elem()
+		d.Bool(&r.found)
+		d.Elem()
+		wirejson.Uint(&d, &r.lastTxn)
+		d.Elem()
+	}
+	if r.found {
+		wirejson.Slice(&d, &r.gap, func(d *wirejson.Dec, g *GapUpdate) {
+			if d.Null() || !d.Object() {
+				return
+			}
+			for k := d.Key(); k != nil; k = d.Key() {
+				switch wirejson.Field(k, "txn", "updates") {
+				case 0:
+					wirejson.Uint(d, &g.Txn)
+				case 1:
+					g.Updates = parseTableUpdates(d, r.schema)
+				default:
+					d.Skip()
+				}
+			}
+		})
+	} else {
+		r.initial = parseTableUpdates(&d, r.schema)
+	}
+	if r.cursor {
+		endArray(&d)
+	}
+	if err := d.End(); err != nil {
+		return fmt.Errorf("ovsdb: bad monitor reply: %w", err)
+	}
+	return nil
+}
+
+// appendWireValue appends v's RFC 7047 JSON form: an atom, ["set",[…]]
+// (a singleton set as its bare atom) or ["map",[[k,v]…]].
 func appendWireValue(dst []byte, v Value) ([]byte, error) {
 	switch v := v.(type) {
 	case *Set:
@@ -376,19 +453,41 @@ func appendWireValue(dst []byte, v Value) ([]byte, error) {
 	return appendWireAtom(dst, v)
 }
 
+// appendWireAtom appends an atom; the only one JSON cannot carry is a
+// non-finite real.
 func appendWireAtom(dst []byte, a Atom) ([]byte, error) {
 	switch a := a.(type) {
+	case string:
+		return wirejson.AppendString(dst, a), nil
+	case int64:
+		return strconv.AppendInt(dst, a, 10), nil
+	case bool:
+		return strconv.AppendBool(dst, a), nil
+	case float64:
+		return wirejson.AppendFloat(dst, a)
 	case UUID:
 		return append(wirejson.AppendString(append(dst, `["uuid",`...), string(a)), ']'), nil
 	case namedUUID:
 		return append(wirejson.AppendString(append(dst, `["named-uuid",`...), string(a)), ']'), nil
 	}
-	return wirejson.AppendValue(dst, a)
+	return dst, fmt.Errorf("ovsdb: %v (%T) is not an atom", a, a)
 }
 
-// appendWireRow appends the columns of row named in cols (sorted) as a
-// JSON object and reports how many it wrote.
+// appendWireRow appends the columns of row named in cols (sorted; nil
+// for all of them) as a JSON object and reports how many it wrote. A nil
+// row is null.
 func appendWireRow(dst []byte, row Row, cols []string) (_ []byte, n int, err error) {
+	if row == nil {
+		return append(dst, "null"...), 0, nil
+	}
+	if cols == nil {
+		var stack [16]string
+		cols = stack[:0]
+		for col := range row {
+			cols = append(cols, col)
+		}
+		slices.Sort(cols)
+	}
 	dst = append(dst, '{')
 	for _, col := range cols {
 		v, ok := row[col]
@@ -404,4 +503,189 @@ func appendWireRow(dst []byte, row Row, cols []string) (_ []byte, n int, err err
 		}
 	}
 	return append(dst, '}'), n, nil
+}
+
+// MarshalJSON renders the row in wire form, so whatever still goes
+// through encoding/json (a monitor's first reply, debug output) reads the
+// same as the hand-encoded messages.
+func (r Row) MarshalJSON() ([]byte, error) {
+	b, _, err := appendWireRow(nil, r, nil)
+	return b, err
+}
+
+// MarshalJSON renders the set in wire form (a schema's enum).
+func (s *Set) MarshalJSON() ([]byte, error) { return appendWireValue(nil, s) }
+
+// uuidType types the _uuid pseudo-column.
+var uuidType = ColumnType{Key: BaseType{Type: "uuid"}, Min: 1, Max: 1}
+
+// parseWireRow decodes a JSON object as a row of ts; null is the nil row.
+// strict is the server reading what a client wants written: every column
+// must be the table's and hold a value its type admits. Otherwise it is a
+// row some server rendered (an update, a select result, a WAL image):
+// _uuid is read as a UUID and any other column ts lacks is skipped.
+func parseWireRow(d *wirejson.Dec, ts *TableSchema, strict bool) Row {
+	if d.Null() || !d.Object() {
+		return nil
+	}
+	row := make(Row, len(ts.Columns))
+	for k := d.Key(); k != nil; k = d.Key() {
+		col := string(k)
+		ct := &uuidType
+		if cs := ts.Columns[col]; cs != nil {
+			ct = &cs.Type
+		} else if strict {
+			d.Fail("unknown column %q", col)
+			return nil
+		} else if col != "_uuid" {
+			d.Skip()
+			continue
+		}
+		v := parseWireValue(d, ct)
+		if strict && d.Err() == nil {
+			if err := ct.CheckValue(v); err != nil {
+				d.Fail("column %q: %v", col, err)
+			}
+		}
+		row[col] = v
+	}
+	return row
+}
+
+// parseWireValue decodes a column value of type ct from its RFC 7047
+// form into the form a column of that type stores (see normal). Integers
+// are read exactly: a fraction or an exponent in one is an error. Where
+// an element is missing the decoder is left at punctuation, which no atom
+// starts with, so the next read fails.
+func parseWireValue(d *wirejson.Dec, ct *ColumnType) Value {
+	var atom Atom
+	if d.Kind() != '[' {
+		atom = parseWireAtom(d, ct.Key.Type)
+	} else {
+		d.Array()
+		d.Elem()
+		switch tag, _ := d.StringBytes(); string(tag) {
+		case "set", "map":
+			isMap := tag[0] == 'm'
+			if isMap != ct.IsMap() {
+				d.Fail("%s value for a column that holds none", tag)
+				return nil
+			}
+			var atoms []Atom // a map's keys and values alternate
+			if d.Elem(); d.Array() {
+				for d.Elem() {
+					if isMap {
+						d.Array()
+						d.Elem()
+						atoms = append(atoms, parseWireAtom(d, ct.Key.Type))
+						d.Elem()
+						atoms = append(atoms, parseWireAtom(d, ct.Value.Type))
+						endArray(d)
+					} else {
+						atoms = append(atoms, parseWireAtom(d, ct.Key.Type))
+					}
+				}
+			}
+			endArray(d)
+			switch {
+			case d.Err() != nil:
+				return nil
+			case isMap:
+				pairs := make([][2]Atom, len(atoms)/2)
+				for i := range pairs {
+					pairs[i] = [2]Atom{atoms[2*i], atoms[2*i+1]}
+				}
+				return NewMap(pairs...)
+			case len(atoms) == 0:
+				return defaultEmptySet // shared: values are copy-on-write
+			}
+			return ct.normal(NewSet(atoms...))
+		default:
+			atom = parseUUIDRest(d, string(tag), ct.Key.Type)
+		}
+	}
+	// A bare atom stands for itself or for the singleton set; a map
+	// column has no atoms.
+	if ct.IsMap() {
+		d.Fail("atom given for map column")
+	}
+	if d.Err() != nil {
+		return nil
+	}
+	return ct.normal(atom)
+}
+
+// decodeWireValue decodes a whole JSON text as a value of type ct (no
+// value to speak of when it reports an error).
+func decodeWireValue(raw []byte, ct *ColumnType) (Value, error) {
+	var d wirejson.Dec
+	d.Init(raw)
+	v := parseWireValue(&d, ct)
+	return v, d.End()
+}
+
+// decodeWireRow decodes a whole JSON text as a row of ts, likewise.
+func decodeWireRow(raw []byte, ts *TableSchema, strict bool) (Row, error) {
+	var d wirejson.Dec
+	d.Init(raw)
+	row := parseWireRow(&d, ts, strict)
+	return row, d.End()
+}
+
+// endArray consumes the ']' that has to come next.
+func endArray(d *wirejson.Dec) {
+	if d.Elem() {
+		d.Fail("too many elements")
+	}
+}
+
+// parseWireAtom decodes an atom of the given base type.
+func parseWireAtom(d *wirejson.Dec, base string) Atom {
+	k := d.Kind()
+	number := k == '-' || '0' <= k && k <= '9'
+	switch {
+	case base == "integer" && number:
+		i, err := strconv.ParseInt(string(d.Raw()), 10, 64) // exact, or not an integer
+		if err != nil {
+			d.Fail("%v", err)
+		}
+		return i
+	case base == "real" && number:
+		f, err := strconv.ParseFloat(string(d.Raw()), 64)
+		if err != nil {
+			d.Fail("%v", err)
+		}
+		return f
+	case base == "boolean" && (k == 't' || k == 'f'):
+		var b bool
+		d.Bool(&b)
+		return b
+	case base == "string" && k == '"':
+		var s string
+		d.String(&s)
+		return s
+	case k == '[':
+		d.Array()
+		d.Elem()
+		tag, _ := d.StringBytes()
+		return parseUUIDRest(d, string(tag), base)
+	}
+	d.Fail("value is not a valid %s", base)
+	return nil
+}
+
+// parseUUIDRest decodes the rest of a ["uuid", id] or ["named-uuid", id]
+// pair whose tag has been read, as an atom of the given base type.
+func parseUUIDRest(d *wirejson.Dec, tag, base string) Atom {
+	var id string
+	if d.Elem(); base != "uuid" || tag != "uuid" && tag != "named-uuid" || d.Kind() != '"' {
+		d.Fail("value is not a valid %s", base)
+		return nil
+	}
+	d.String(&id)
+	endArray(d)
+	if tag == "named-uuid" {
+		return namedUUID(id)
+	}
+	return UUID(id)
 }

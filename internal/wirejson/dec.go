@@ -11,7 +11,6 @@
 package wirejson
 
 import (
-	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
@@ -487,76 +486,6 @@ func (d *Dec) Raw() []byte {
 		return nil
 	}
 	return d.buf[start:d.pos]
-}
-
-// Any decodes the next value as encoding/json decodes into an empty
-// interface: objects to map[string]any, arrays to []any, numbers to
-// json.Number if useNumber and float64 otherwise.
-func (d *Dec) Any(useNumber bool) any {
-	if d.err != nil {
-		return nil
-	}
-	switch d.ws() {
-	case '{':
-		var m map[string]any
-		d.AnyMap(&m, useNumber)
-		return m
-	case '[':
-		a := []any{}
-		if d.Array() {
-			for d.Elem() {
-				a = append(a, d.Any(useNumber))
-			}
-		}
-		return a
-	case '"':
-		return string(d.str())
-	case 'n':
-		d.lit("null")
-		return nil
-	case 't':
-		d.lit("true")
-		return d.err == nil
-	case 'f':
-		d.lit("false")
-		return false
-	case '-', '0', '1', '2', '3', '4', '5', '6', '7', '8', '9':
-	default:
-		d.Fail("invalid value")
-		return nil
-	}
-	tok, _ := d.num()
-	if d.err != nil {
-		return nil
-	}
-	if useNumber {
-		return json.Number(tok)
-	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		d.Fail("number %s does not fit a float64", tok)
-	}
-	return f
-}
-
-// AnyMap decodes a JSON object into *p the way encoding/json fills a
-// map[string]any field: null clears it, otherwise members are added to
-// the existing map (allocating one if nil).
-func (d *Dec) AnyMap(p *map[string]any, useNumber bool) {
-	if d.Null() {
-		*p = nil
-		return
-	}
-	if !d.Object() {
-		return
-	}
-	if *p == nil {
-		*p = make(map[string]any)
-	}
-	for k := d.Key(); k != nil; k = d.Key() {
-		key := string(k)
-		(*p)[key] = d.Any(useNumber)
-	}
 }
 
 // Slice decodes a JSON array into *p with encoding/json's slice rules:

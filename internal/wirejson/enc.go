@@ -1,10 +1,8 @@
 package wirejson
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"unicode/utf8"
 )
@@ -128,75 +126,4 @@ func AppendCompact(dst, src []byte) ([]byte, error) {
 		}
 	}
 	return append(dst, src[start:]...), nil
-}
-
-// AppendValue appends a value in JSON form — what decoding JSON into an
-// empty interface yields, plus the Go integers and raw messages the
-// in-process builders put there — as json.Marshal would, object keys
-// sorted. Any other type goes through json.Marshal itself.
-func AppendValue(dst []byte, v any) ([]byte, error) {
-	switch v := v.(type) {
-	case nil:
-		return append(dst, "null"...), nil
-	case string:
-		return AppendString(dst, v), nil
-	case bool:
-		return strconv.AppendBool(dst, v), nil
-	case int64:
-		return strconv.AppendInt(dst, v, 10), nil
-	case int:
-		return strconv.AppendInt(dst, int64(v), 10), nil
-	case uint64:
-		return strconv.AppendUint(dst, v, 10), nil
-	case float64:
-		return AppendFloat(dst, v)
-	case []any:
-		if v == nil {
-			return append(dst, "null"...), nil
-		}
-		dst = append(dst, '[')
-		for i, e := range v {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			var err error
-			if dst, err = AppendValue(dst, e); err != nil {
-				return dst, err
-			}
-		}
-		return append(dst, ']'), nil
-	case map[string]any:
-		return AppendMap(dst, v)
-	case json.RawMessage:
-		return AppendCompact(dst, v)
-	case Appender:
-		return v.AppendJSON(dst)
-	}
-	b, err := json.Marshal(v)
-	return append(dst, b...), err
-}
-
-// AppendMap appends m as a JSON object with sorted keys (null if nil).
-func AppendMap(dst []byte, m map[string]any) ([]byte, error) {
-	if m == nil {
-		return append(dst, "null"...), nil
-	}
-	var stack [16]string
-	keys := stack[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	dst = append(dst, '{')
-	for i, k := range keys {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(AppendString(dst, k), ':')
-		var err error
-		if dst, err = AppendValue(dst, m[k]); err != nil {
-			return dst, err
-		}
-	}
-	return append(dst, '}'), nil
 }

@@ -9,21 +9,6 @@ import (
 	"testing"
 )
 
-// oracleAny decodes text the way the wire path used to: json.Decoder,
-// optionally UseNumber, into an empty interface, nothing after the value.
-func oracleAny(text []byte, useNumber bool) (any, error) {
-	if !json.Valid(text) {
-		return nil, &json.SyntaxError{}
-	}
-	dec := json.NewDecoder(bytes.NewReader(text))
-	if useNumber {
-		dec.UseNumber()
-	}
-	var v any
-	err := dec.Decode(&v)
-	return v, err
-}
-
 // checkValue holds one JSON text to every guarantee the package makes
 // about it.
 func checkValue(t *testing.T, text []byte) {
@@ -34,28 +19,15 @@ func checkValue(t *testing.T, text []byte) {
 	if ok := d.End() == nil; ok != json.Valid(text) {
 		t.Fatalf("Skip accepts %q = %v, json.Valid = %v (%v)", text, ok, json.Valid(text), d.Err())
 	}
-	for _, useNumber := range []bool{true, false} {
-		want, wantErr := oracleAny(text, useNumber)
-		d.Init(text)
-		got := d.Any(useNumber)
-		err := d.End()
-		if (err != nil) != (wantErr != nil) {
-			t.Fatalf("Any(%q, %v) error = %v, encoding/json: %v", text, useNumber, err, wantErr)
-		}
-		if err != nil {
-			continue
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("Any(%q, %v) = %#v, encoding/json: %#v", text, useNumber, got, want)
-		}
-		wantText, err := json.Marshal(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotText, err := AppendValue(nil, got)
-		if err != nil || !bytes.Equal(gotText, wantText) {
-			t.Fatalf("AppendValue(%#v) = %s, %v; json.Marshal: %s", got, gotText, err, wantText)
-		}
+	// The string reader against json.Unmarshal into a string: same texts
+	// accepted, same value (U+FFFD for bad UTF-8 and lone surrogates,
+	// null leaving the target alone).
+	var got, want string
+	wantStrErr := json.Unmarshal(text, &want)
+	d.Init(text)
+	d.String(&got)
+	if err := d.End(); (err != nil) != (wantStrErr != nil) || err == nil && got != want {
+		t.Fatalf("String(%q) = %q, %v; encoding/json: %q, %v", text, got, err, want, wantStrErr)
 	}
 	wantText, wantErr := json.Marshal(json.RawMessage(text))
 	gotText, err := AppendCompact(nil, text)
@@ -106,23 +78,16 @@ func TestAppendStringMatchesMarshal(t *testing.T) {
 	}
 }
 
-func TestAppendValueMatchesMarshal(t *testing.T) {
-	for _, v := range []any{
-		nil, true, "s", int64(-7), 7, uint64(math.MaxUint64), 0.0, -0.5, 1e21, 1e-7, 123456789.125, float64(1 << 60),
-		[]any(nil), []any{}, map[string]any(nil), map[string]any{},
-		map[string]any{"z": []any{"uuid", "u"}, "a": int64(1), "m": map[string]any{"<": "&"}},
-		json.RawMessage(` [1, "<"] `), json.RawMessage(nil), json.Number("12"),
-		[]string{"falls", "through"}, struct{ A int }{1},
-	} {
-		want, wantErr := json.Marshal(v)
-		got, err := AppendValue(nil, v)
-		if (err != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
-			t.Errorf("AppendValue(%#v) = %s, %v; json.Marshal: %s, %v", v, got, err, want, wantErr)
+func TestAppendFloatMatchesMarshal(t *testing.T) {
+	for _, f := range []float64{0, -0.5, 1e21, 1e-7, 123456789.125, float64(1 << 60), math.MaxFloat64, math.SmallestNonzeroFloat64} {
+		want, _ := json.Marshal(f)
+		if got, err := AppendFloat(nil, f); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("AppendFloat(%v) = %s, %v; json.Marshal: %s", f, got, err, want)
 		}
 	}
-	for _, v := range []any{math.NaN(), math.Inf(1), json.RawMessage(`{`), []any{math.Inf(-1)}} {
-		if _, err := AppendValue(nil, v); err == nil {
-			t.Errorf("AppendValue(%#v) succeeded", v)
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := AppendFloat(nil, f); err == nil {
+			t.Errorf("AppendFloat(%v) succeeded", f)
 		}
 	}
 }
