@@ -58,27 +58,15 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experiments, ", ")+", all")
 	check := flag.String("check", "", "gates file (hack/gates.json): after the experiments have run, hold their BENCH_*.json reports to its thresholds, with the reports as they stood before the run as baselines; exit 1 if a gate fails")
 	n := flag.Int("n", 2000, "ports for -exp ports")
-	vips := flag.Int("vips", 50, "load balancers for -exp lb")
-	backends := flag.Int("backends", 500, "backends per load balancer for -exp lb")
 	changes := flag.Int("changes", 50, "changes for -exp incr")
 	nodes := flag.Int("nodes", 20000, "nodes for -exp label")
 	churn := flag.Int("churn", 100, "link events for -exp label")
-	provOut := flag.String("provenance-out", "BENCH_provenance.json", "machine-readable output for -exp provenance")
 	obsTxns := flag.Int("obs-txns", 300, "transactions per mode for -exp obs-overhead")
-	obsOut := flag.String("obs-overhead-out", "BENCH_obs_overhead.json", "machine-readable output for -exp obs-overhead")
 	reconnectPorts := flag.String("reconnect-ports", "50,250,1000", "comma-separated port counts for -exp reconnect")
 	reconnectRestarts := flag.Int("reconnect-restarts", 5, "switch restarts per size for -exp reconnect")
-	reconnectOut := flag.String("reconnect-out", "BENCH_reconnect.json", "machine-readable output for -exp reconnect")
 	tpWorkers := flag.Int("throughput-workers", 16, "concurrent OVSDB clients for -exp throughput")
 	tpTxns := flag.Int("throughput-txns", 2000, "measured transactions per worker for -exp throughput")
-	tpOut := flag.String("throughput-out", "BENCH_throughput.json", "machine-readable output for -exp throughput")
 	recoveryTxns := flag.Int("recovery-txns", 4000, "WAL commits for -exp recovery cold-restart measurement")
-	recoveryGap := flag.Int("recovery-gap", 50, "commits missed during the outage for -exp recovery")
-	recoveryOut := flag.String("recovery-out", "BENCH_recovery.json", "machine-readable output for -exp recovery")
-	fanoutSubs := flag.Int("fanout-subs", 10000, "concurrent subscriptions for -exp fanout")
-	fanoutConns := flag.Int("fanout-conns", 200, "client connections carrying the subscriptions for -exp fanout")
-	fanoutChurn := flag.Int("fanout-churn", 256, "port-churn commits driving the fan-out for -exp fanout")
-	fanoutOut := flag.String("fanout-out", "BENCH_fanout.json", "machine-readable output for -exp fanout")
 	flag.Parse()
 
 	var gates *gateSet
@@ -126,7 +114,7 @@ func main() {
 		run("loc", func() (fmt.Stringer, error) { return bench.RunLOC() })
 	}
 	if want("lb") {
-		run("lb", func() (fmt.Stringer, error) { return bench.RunLoadBalancer(*vips, *backends) })
+		run("lb", func() (fmt.Stringer, error) { return bench.RunLoadBalancer(50, 500) })
 	}
 	if want("incr") {
 		run("incr", func() (fmt.Stringer, error) {
@@ -139,13 +127,13 @@ func main() {
 	if want("provenance") {
 		run("provenance", func() (fmt.Stringer, error) {
 			res, err := bench.RunProvenance(1000, 32, 200)
-			return report(*provOut, res, err)
+			return report("BENCH_provenance.json", res, err)
 		})
 	}
 	if want("obs-overhead") {
 		run("obs-overhead", func() (fmt.Stringer, error) {
 			res, err := bench.RunObsOverhead(*obsTxns)
-			return report(*obsOut, res, err)
+			return report("BENCH_obs_overhead.json", res, err)
 		})
 	}
 	if want("reconnect") {
@@ -155,29 +143,25 @@ func main() {
 				return nil, fmt.Errorf("bad -reconnect-ports: %w", err)
 			}
 			res, err := bench.RunReconnect(sizes, *reconnectRestarts)
-			return report(*reconnectOut, res, err)
+			return report("BENCH_reconnect.json", res, err)
 		})
 	}
 	if want("throughput") {
 		run("throughput", func() (fmt.Stringer, error) {
 			res, err := bench.RunThroughput(*tpWorkers, *tpTxns)
-			return report(*tpOut, res, err)
+			return report("BENCH_throughput.json", res, err)
 		})
 	}
 	if want("recovery") {
 		run("recovery", func() (fmt.Stringer, error) {
-			res, err := bench.RunRecovery(*recoveryTxns, *recoveryGap)
-			return report(*recoveryOut, res, err)
+			res, err := bench.RunRecovery(*recoveryTxns, 50)
+			return report("BENCH_recovery.json", res, err)
 		})
 	}
 	if want("fanout") {
 		run("fanout", func() (fmt.Stringer, error) {
-			res, err := bench.RunFanout(bench.FanoutConfig{
-				Subscribers: *fanoutSubs,
-				Conns:       *fanoutConns,
-				ChurnTxns:   *fanoutChurn,
-			})
-			return report(*fanoutOut, res, err)
+			res, err := bench.RunFanout(bench.FanoutConfig{})
+			return report("BENCH_fanout.json", res, err)
 		})
 	}
 	if want("label-dense") {

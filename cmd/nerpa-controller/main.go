@@ -4,7 +4,7 @@
 // synchronizes state incrementally until interrupted.
 //
 //	nerpa-controller -ovsdb 127.0.0.1:6640 -db snvs \
-//	    -p4rt 127.0.0.1:9559[,more...] [-rules rules.dl] [-v]
+//	    -p4rt 127.0.0.1:9559[,more...] [-rules rules.dl] [-obs-addr 127.0.0.1:8080]
 package main
 
 import (
@@ -34,14 +34,12 @@ func main() {
 	subAddr := flag.String("sub-addr", "", "serve derived-relation subscriptions (nerpa-watch clients) on this address (off when empty)")
 	subQueue := flag.Int("sub-queue", 0, "per-subscriber pending-update queue; a full queue evicts the subscriber (0 = default 256)")
 	subWriteLimit := flag.Int("sub-write-limit", 0, "per-subscriber-connection JSON-RPC write-queue cap (0 = default 4096, negative = unlimited)")
-	obsProfile := flag.Bool("obs-profile", true, "continuous workload profiler: per-rule cost attribution (/debug/rules, dl_rule_*) and memory accounting (/debug/memory, dl_mem_*)")
 	reconnectBackoff := flag.Duration("reconnect-backoff", 5*time.Second, "maximum redial backoff after a connection drops (must be positive)")
 	rpcTimeout := flag.Duration("rpc-timeout", 30*time.Second, "per-RPC deadline on OVSDB and P4Runtime calls (0 = none)")
 	keepalive := flag.Duration("keepalive", 10*time.Second, "echo-heartbeat interval on every connection; 3 misses fail it (0 = off)")
 	coalesceTxns := flag.Int("coalesce-max-txns", 1, "merge up to this many queued OVSDB commits into one engine transaction (<=1 disables coalescing)")
 	coalesceUpdates := flag.Int("coalesce-max-updates", 0, "flush a merged batch once it carries this many input updates (0 = default 1024)")
 	coalesceWindow := flag.Duration("coalesce-window", 0, "wait up to this long for further commits before applying a partial batch (0 = merge only already-queued commits)")
-	verbose := flag.Bool("v", false, "log every applied transaction")
 	flag.Parse()
 	if *reconnectBackoff <= 0 {
 		log.Fatalf("-reconnect-backoff must be positive, got %v", *reconnectBackoff)
@@ -106,7 +104,6 @@ func main() {
 		CoalesceMaxTxns:    *coalesceTxns,
 		CoalesceMaxUpdates: *coalesceUpdates,
 		CoalesceWindow:     *coalesceWindow,
-		Profile:            *obsProfile,
 	}
 	var subSvc *subscribe.Service
 	if *subAddr != "" {
@@ -118,12 +115,6 @@ func main() {
 		subSvc.SetKeepalive(*keepalive, 3)
 		defer subSvc.Close()
 		cfg.OnDelta = subSvc.Publish
-	}
-	if *verbose {
-		cfg.OnTxn = func(st core.TxnStats) {
-			log.Printf("txn source=%s inputs=%d outputs=%d engine=%v push=%v",
-				st.Source, st.InputUpdates, st.OutputChanges, st.EngineTime, st.PushTime)
-		}
 	}
 	ctrl, err := core.New(cfg, mp, devices...)
 	if err != nil {

@@ -116,7 +116,6 @@ func main() {
 	relation := flag.String("relation", "", "P4 table, derived relation, or input relation to explain (required)")
 	key := flag.String("key", "", "entry match rendering or record rendering (optional when unique)")
 	depth := flag.Int("depth", 0, "maximum derivation tree depth (0 = server default)")
-	nodes := flag.Int("nodes", 0, "maximum derivation tree nodes (0 = server default)")
 	rawJSON := flag.Bool("json", false, "print the raw JSON response instead of the tree")
 	flag.Parse()
 	if *relation == "" {
@@ -130,9 +129,6 @@ func main() {
 	}
 	if *depth > 0 {
 		q.Set("depth", strconv.Itoa(*depth))
-	}
-	if *nodes > 0 {
-		q.Set("nodes", strconv.Itoa(*nodes))
 	}
 	u := "http://" + *addr + "/debug/explain?" + q.Encode()
 	resp, err := http.Get(u)

@@ -40,7 +40,7 @@ func TestWALCrashRecoveryEndToEnd(t *testing.T) {
 	}
 
 	walDir := t.TempDir()
-	addr := freeAddr(t)
+	addr := freeAddrs(t, 1)[0]
 	start := func() *exec.Cmd {
 		cmd := exec.Command(filepath.Join(bin, "ovsdb-server"),
 			"-addr", addr, "-wal-dir", walDir, "-wal-fsync", "commit")

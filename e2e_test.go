@@ -32,11 +32,8 @@ func TestProcessLevelEndToEnd(t *testing.T) {
 			t.Fatalf("building %s: %v\n%s", cmd, err, out)
 		}
 	}
-	ovsdbAddr := freeAddr(t)
-	p4rtAddr := freeAddr(t)
-	ovsdbObs := freeAddr(t)
-	switchObs := freeAddr(t)
-	ctrlObs := freeAddr(t)
+	addrs := freeAddrs(t, 5)
+	ovsdbAddr, p4rtAddr, ovsdbObs, switchObs, ctrlObs := addrs[0], addrs[1], addrs[2], addrs[3], addrs[4]
 
 	start := func(name string, args ...string) *exec.Cmd {
 		cmd := exec.Command(filepath.Join(bin, name), args...)
@@ -154,15 +151,23 @@ func fetchURL(t *testing.T, url string, deadline time.Time) string {
 	}
 }
 
-func freeAddr(t *testing.T) string {
+// freeAddrs reserves n distinct loopback addresses for child processes
+// to listen on. Every probe listener stays open until all n are taken
+// and they are closed together, so the kernel cannot hand one port to two
+// probes (closing each before the next probe let two children race for
+// the same port: "bind: address already in use").
+func freeAddrs(t *testing.T, n int) []string {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]string, n)
+	for i := range addrs {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		addrs[i] = ln.Addr().String()
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr
+	return addrs
 }
 
 func waitDialable(t *testing.T, addr string) {

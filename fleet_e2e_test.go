@@ -31,12 +31,8 @@ func TestFleetEndToEnd(t *testing.T) {
 			t.Fatalf("building %s: %v\n%s", cmd, err, out)
 		}
 	}
-	ovsdbAddr := freeAddr(t)
-	p4rtAddr := freeAddr(t)
-	ovsdbObs := freeAddr(t)
-	switchObs := freeAddr(t)
-	ctrlObs := freeAddr(t)
-	topAddr := freeAddr(t)
+	addrs := freeAddrs(t, 6)
+	ovsdbAddr, p4rtAddr, ovsdbObs, switchObs, ctrlObs, topAddr := addrs[0], addrs[1], addrs[2], addrs[3], addrs[4], addrs[5]
 
 	start := func(name string, args ...string) *exec.Cmd {
 		cmd := exec.Command(filepath.Join(bin, name), args...)
@@ -176,8 +172,8 @@ func TestFleetEndToEnd(t *testing.T) {
 
 	// One-shot mode prints the member table on stdout, plus the
 	// fleet-wide hot-rule table scraped from the controller's profiler
-	// (-obs-profile defaults on): rule IDs ranked by EWMA cost with the
-	// hottest member attributed.
+	// (on whenever the controller is observed): rule IDs ranked by EWMA
+	// cost with the hottest member attributed.
 	out, err := exec.Command(filepath.Join(bin, "nerpa-top"), "-targets", targets, "-once").CombinedOutput()
 	if err != nil {
 		t.Fatalf("nerpa-top -once: %v\n%s", err, out)

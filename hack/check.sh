@@ -33,14 +33,12 @@ for target in jsonrpc:FuzzFrame p4rt:FuzzWriteParams p4rt:FuzzDigestParams \
     go test -run='^$' -fuzz="^${target#*:}\$" -fuzztime=10s "./internal/${target%:*}/"
 done
 # Provenance overhead smoke: the experiment must run end to end and emit
-# its machine-readable report, and the collection-off hot path must stay
-# allocation-free (the PR's overhead budget).
-go run ./cmd/nerpa-bench -exp provenance -provenance-out BENCH_provenance.json
+# its machine-readable report, and the unobserved engine's hot path
+# (collection off: no statistics, rule profiling or provenance) must stay
+# allocation-free.
+go run ./cmd/nerpa-bench -exp provenance
 test -s BENCH_provenance.json
-go test -run 'TestProvenanceOffZeroAlloc' -count=1 ./internal/dl/engine/
-# Workload profiler: with profiling off the per-rule attribution path
-# must stay allocation-free (the always-on cost is zero).
-go test -run 'TestRuleProfOffZeroAlloc' -count=1 ./internal/dl/engine/
+go test -run 'TestArrangementProbeZeroAlloc' -count=1 ./internal/dl/engine/
 # Flight-recorder: the event hot path must stay allocation-free.
 go test -run 'TestEventHotPathZeroAlloc' -count=1 ./internal/obs/
 # Fleet observability: the nerpa-top aggregator e2e (builds the real
@@ -54,7 +52,7 @@ go test -race -run 'TestKillRestartEndToEnd' -count=1 .
 # The one redial supervisor, both resilient clients on it, and the
 # engine-derived resync, in one -race line.
 go test -race -run 'TestRedial|TestResilient|TestResync|TestPushToleratesUnavailableDevice|TestTransactIntegerExact' -count=1 ./internal/redial/ ./internal/ovsdb/ ./internal/p4rt/ ./internal/core/
-go run ./cmd/nerpa-bench -exp reconnect -reconnect-ports 50,250 -reconnect-restarts 3 -reconnect-out BENCH_reconnect.json
+go run ./cmd/nerpa-bench -exp reconnect -reconnect-ports 50,250 -reconnect-restarts 3
 test -s BENCH_reconnect.json
 # Pub/sub fan-out: the subscription service e2e (snapshot-then-delta
 # ordering, slow-consumer eviction and resubscribe), the jsonrpc
@@ -77,10 +75,10 @@ go test -race -run 'TestLog|TestWAL' -count=1 ./internal/ovsdb/wal/ ./internal/o
 # holds their reports to its thresholds (one line per gate). Relative
 # gates compare against the committed BENCH_*.json, which the driver
 # reads before the experiments overwrite them.
-#   obs-overhead  p50 overhead vs the metrics baseline: events <= 15%,
-#                 events+dataplane and profiler <= 20% (measured 4-14%
-#                 with ~5pp run-to-run noise: wide enough not to flake,
-#                 tight enough to catch a hot-path regression)
+#   obs-overhead  p50 overhead of the event ring vs the metrics baseline
+#                 (both observed controllers): events <= 15% (wide
+#                 enough for the box's run-to-run noise, tight enough to
+#                 catch a hot-path regression)
 #   throughput    neither mode's txn/s more than 15% below baseline; wire
 #                 allocs/txn at most 5% above it (the swing in how many
 #                 transactions a coalesced batch absorbs)

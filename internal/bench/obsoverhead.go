@@ -5,27 +5,24 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/ovsdb"
 )
 
 // ---------------------------------------------------------------------
 // Flight-recorder overhead — the same full-stack insert/delete workload
-// with no observer at all, with the observer but the event ring
-// disabled, with events on, with events plus txn-ID propagation into
-// the data plane (WriteTxn wire metadata and the switch-applied trace
-// stage), with events plus the metrics-history sampler, and with the
-// workload profiler (per-rule stats collection in the engine plus the
-// EWMA aggregation and memory accounting). Overhead is computed
-// against the "metrics" row (observer minus recorder), which isolates
-// what each layer adds on top of the pre-existing metrics/tracing
-// instrumentation: the events-only delta is the always-on acceptance
-// budget, events+dataplane prices the end-to-end tracing extension,
-// and profiler prices the per-rule attribution path.
+// on observed controllers (engine statistics, per-rule profiling,
+// provenance and txn-carrying switch writes all on) with the event ring
+// disabled, with events on, and with events plus the metrics-history
+// sampler. Overhead is computed against the "metrics" row (observer minus
+// recorder), which isolates what each layer adds on top of the metrics,
+// tracing and profiling every observed controller carries: the
+// events-only delta is the always-on acceptance budget. Each
+// transaction's apply+push latency is read from the controller's own
+// "delta" and "push" trace stages, so the experiment has no timer of its
+// own — and an unobserved row cannot be read at all.
 // ---------------------------------------------------------------------
 
 // obsOverheadBaseMode is the row overheads are computed against.
@@ -33,10 +30,10 @@ const obsOverheadBaseMode = "metrics"
 
 // ObsOverheadRow is one recorder configuration's measurement.
 type ObsOverheadRow struct {
-	Mode string `json:"mode"` // "off", "metrics", "events", "events+dataplane", "events+history", "profiler"
+	Mode string `json:"mode"` // "metrics", "events", "events+history"
 	Txns int    `json:"txns"`
 	// P50/P99 are apply+push latency percentiles (engine evaluation plus
-	// data-plane push, per transaction, as measured by the controller).
+	// data-plane push, per transaction, from the controller's trace).
 	P50 time.Duration `json:"p50_ns"`
 	P99 time.Duration `json:"p99_ns"`
 	// P50OverheadPct is this row's p50 relative to the "metrics"
@@ -54,45 +51,6 @@ type ObsOverheadResult struct {
 	Rows []ObsOverheadRow `json:"rows"`
 }
 
-// obsOverheadSamples collects per-transaction apply+push latencies from
-// the controller's OnTxn hook. The hook runs on the event-loop
-// goroutine while the driver reads counts concurrently, hence the lock.
-type obsOverheadSamples struct {
-	mu        sync.Mutex
-	armed     bool
-	latencies []time.Duration
-}
-
-func (c *obsOverheadSamples) onTxn(ts core.TxnStats) {
-	if ts.Source != "ovsdb" || ts.InputUpdates == 0 {
-		return
-	}
-	c.mu.Lock()
-	if c.armed {
-		c.latencies = append(c.latencies, ts.EngineTime+ts.PushTime)
-	}
-	c.mu.Unlock()
-}
-
-func (c *obsOverheadSamples) arm() {
-	c.mu.Lock()
-	c.armed = true
-	c.latencies = c.latencies[:0]
-	c.mu.Unlock()
-}
-
-func (c *obsOverheadSamples) count() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.latencies)
-}
-
-func (c *obsOverheadSamples) snapshot() []time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]time.Duration(nil), c.latencies...)
-}
-
 // obsOverheadRounds is how many interleaved chunks the measured pass is
 // split into per mode.
 const obsOverheadRounds = 10
@@ -103,25 +61,28 @@ type obsModeRun struct {
 	mode string
 	o    *obs.Observer
 	s    *Stack
-	coll *obsOverheadSamples
 	sent int
+	// read is the last txn ID whose latency has been read; latencies
+	// holds the measured pass's samples.
+	read      uint64
+	latencies []time.Duration
 }
 
 // RunObsOverhead boots the full stack for every recorder mode up front,
 // runs one discarded warmup pass per mode, then interleaves the measured
 // transactions round-robin across the modes in small chunks. The
 // interleaving is the noise-floor fix: a sequential mode-after-mode run
-// lets clock, thermal, and allocator drift show up as phantom overhead
-// (the off row previously measured a few tenths of a percent against
-// itself); round-robin chunks spread that drift evenly across all modes.
-// The insert/delete alternation keeps table sizes constant, so every
-// mode measures the same steady state.
+// lets clock, thermal, and allocator drift show up as phantom overhead;
+// round-robin chunks spread that drift evenly across all modes. The
+// insert/delete alternation keeps table sizes constant, so every mode
+// measures the same steady state.
 func RunObsOverhead(txns int) (*ObsOverheadResult, error) {
 	if txns <= 0 {
 		txns = 300
 	}
 	// Per-mode chunk: even (to keep the alternation balanced) and at
-	// least 2, so txns rounds up to chunk*obsOverheadRounds.
+	// least 2, so txns rounds up to chunk*obsOverheadRounds. A chunk's
+	// traces must all still be in the tracer's ring when it is read.
 	chunk := txns / obsOverheadRounds
 	if chunk%2 != 0 {
 		chunk++
@@ -129,42 +90,30 @@ func RunObsOverhead(txns int) (*ObsOverheadResult, error) {
 	if chunk < 2 {
 		chunk = 2
 	}
+	if chunk > obs.DefaultTraceCapacity {
+		return nil, fmt.Errorf("bench: obs-overhead: %d txns per round exceed the %d-trace ring",
+			chunk, obs.DefaultTraceCapacity)
+	}
 	txns = chunk * obsOverheadRounds
 	res := &ObsOverheadResult{Txns: txns}
 	var runs []*obsModeRun
 	defer func() {
 		for _, m := range runs {
-			if m.o != nil {
-				m.o.StopHistory()
-			}
+			m.o.StopHistory()
 			m.s.Close()
 		}
 	}()
-	for _, mode := range []string{"off", obsOverheadBaseMode, "events", "events+dataplane", "events+history", "profiler"} {
-		var o *obs.Observer
-		switch mode {
-		case "off":
-		case obsOverheadBaseMode, "profiler":
-			// profiler uses the metrics baseline (event ring disabled) plus
-			// the workload profiler, so its delta prices exactly the
-			// per-rule attribution path.
-			o = obs.NewObserverWith(obs.ObserverConfig{EventCapacity: -1})
-		default:
-			o = obs.NewObserver()
+	for _, mode := range []string{obsOverheadBaseMode, "events", "events+history"} {
+		var cfg obs.ObserverConfig
+		if mode == obsOverheadBaseMode {
+			cfg.EventCapacity = -1
 		}
-		coll := &obsOverheadSamples{}
-		// Txn-ID propagation into the data plane is priced as its own
-		// mode: every row but events+dataplane and events+history pins it
-		// off so the recorder deltas stay comparable to prior baselines.
-		s, err := StartStackConfig(StackConfig{
-			Obs: o, OnTxn: coll.onTxn,
-			DisableTxnWrites: mode != "events+dataplane" && mode != "events+history",
-			Profile:          mode == "profiler",
-		})
+		o := obs.NewObserverWith(cfg)
+		s, err := StartStackObs(o)
 		if err != nil {
 			return nil, err
 		}
-		m := &obsModeRun{mode: mode, o: o, s: s, coll: coll}
+		m := &obsModeRun{mode: mode, o: o, s: s}
 		runs = append(runs, m)
 		if mode == "events+history" {
 			o.StartHistory(10 * time.Millisecond)
@@ -179,18 +128,19 @@ func RunObsOverhead(txns int) (*ObsOverheadResult, error) {
 		if err := s.WaitEntries("in_vlan", 1, 10*time.Second); err != nil {
 			return nil, err
 		}
+		m.read = s.DB.LastTxnID()
 	}
-	// Warmup pass: full per-mode transaction count, discarded by the
-	// re-arm below. Warms the allocator, connection buffers, table state,
-	// and the pools the measured pass exercises.
+	// Warmup pass: a full per-mode transaction count, read and discarded
+	// in ring-sized chunks. Warms the allocator, connection buffers, table
+	// state, and the pools the measured pass exercises.
 	for _, m := range runs {
-		m.coll.arm()
-		m.sent = 0
-		if err := driveObsChunk(m, txns); err != nil {
-			return nil, err
-		}
-		if err := drainObsMode(m, "warmup"); err != nil {
-			return nil, err
+		for n := 0; n < txns; n += chunk {
+			if err := driveObsChunk(m, chunk); err != nil {
+				return nil, err
+			}
+			if err := m.readLatencies(false); err != nil {
+				return nil, err
+			}
 		}
 	}
 	// Measured pass: interleaved chunks, with the within-round order
@@ -199,10 +149,6 @@ func RunObsOverhead(txns int) (*ObsOverheadResult, error) {
 	// modes instead of always billing the same one. The explicit GC
 	// before each chunk keeps one mode's garbage from triggering a
 	// collection pause inside the next mode's measurement window.
-	for _, m := range runs {
-		m.coll.arm()
-		m.sent = 0
-	}
 	for r := 0; r < obsOverheadRounds; r++ {
 		for i := range runs {
 			m := runs[(r+i)%len(runs)]
@@ -210,32 +156,23 @@ func RunObsOverhead(txns int) (*ObsOverheadResult, error) {
 			if err := driveObsChunk(m, chunk); err != nil {
 				return nil, err
 			}
-			if err := drainObsMode(m, "measure"); err != nil {
+			if err := m.readLatencies(true); err != nil {
 				return nil, err
 			}
 		}
 	}
 	for _, m := range runs {
-		lats := m.coll.snapshot()
+		lats := m.latencies
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		row := ObsOverheadRow{
-			Mode: m.mode,
-			Txns: len(lats),
-			P50:  percentileDur(lats, 50),
-			P99:  percentileDur(lats, 99),
-		}
-		if m.o != nil {
-			row.Events = m.o.Rec().Total()
-		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, ObsOverheadRow{
+			Mode:   m.mode,
+			Txns:   len(lats),
+			P50:    percentileDur(lats, 50),
+			P99:    percentileDur(lats, 99),
+			Events: m.o.Rec().Total(),
+		})
 	}
-	var base float64
-	for _, row := range res.Rows {
-		if row.Mode == obsOverheadBaseMode {
-			base = float64(row.P50)
-		}
-	}
-	if base > 0 {
+	if base := float64(res.Rows[0].P50); base > 0 {
 		for i := range res.Rows {
 			res.Rows[i].P50OverheadPct = (float64(res.Rows[i].P50)/base - 1) * 100
 		}
@@ -263,22 +200,51 @@ func driveObsChunk(m *obsModeRun, n int) error {
 	return nil
 }
 
-// drainObsMode waits until every transaction submitted to the mode so
-// far has been applied and pushed, so chunk latencies never bleed into
-// the next mode's measurement window.
-func drainObsMode(m *obsModeRun, pass string) error {
+// readLatencies waits until the mode's last commit has been pushed, so
+// chunk latencies never bleed into the next mode's measurement window,
+// then reads every commit since the previous read from the tracer: its
+// apply+push latency is its delta stage plus its push stage. keep says
+// whether the samples join the measured pass.
+func (m *obsModeRun) readLatencies(keep bool) error {
+	last := m.s.DB.LastTxnID()
+	tr := m.o.Tr()
 	deadline := time.Now().Add(30 * time.Second)
-	for m.coll.count() < m.sent {
+	for {
+		if t, ok := tr.Get(last); ok && len(stageDurations(t)) == 2 {
+			break
+		}
 		if err := m.s.Ctrl.Err(); err != nil {
 			return err
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("bench: obs-overhead %s/%s: %d/%d transactions applied",
-				m.mode, pass, m.coll.count(), m.sent)
+			return fmt.Errorf("bench: obs-overhead %s: txn %d never pushed", m.mode, last)
 		}
 		time.Sleep(time.Millisecond)
 	}
+	for id := m.read + 1; id <= last; id++ {
+		t, _ := tr.Get(id)
+		d := stageDurations(t)
+		if len(d) != 2 {
+			return fmt.Errorf("bench: obs-overhead %s: txn %d has %d of its delta/push stages", m.mode, id, len(d))
+		}
+		if keep {
+			m.latencies = append(m.latencies, d[0]+d[1])
+		}
+	}
+	m.read = last
 	return nil
+}
+
+// stageDurations returns the durations of a trace's delta and push
+// stages (the controller records each once per uncoalesced commit).
+func stageDurations(t obs.Trace) []time.Duration {
+	var out []time.Duration
+	for _, st := range t.Stages {
+		if st.Name == "delta" || st.Name == "push" {
+			out = append(out, st.End.Sub(st.Start))
+		}
+	}
+	return out
 }
 
 // percentileDur returns the p-th percentile of sorted latencies.

@@ -13,11 +13,12 @@ import (
 )
 
 // ---------------------------------------------------------------------
-// Provenance overhead — Options.CollectProvenance off vs on across the
-// snvs control-plane program. The off row is the PR's overhead budget
-// baseline (the hot path must stay allocation-free; see
-// TestProvenanceOffZeroAlloc); the on row prices what /debug/explain
-// costs when enabled.
+// Provenance overhead — Options.Collect off vs on across the snvs
+// control-plane program. The off row is the unobserved engine (the hot
+// path must stay allocation-free; see TestArrangementProbeZeroAlloc); the
+// on row prices what an observed controller's engine pays for
+// /debug/explain together with the statistics and per-rule profiling
+// that come with it.
 // ---------------------------------------------------------------------
 
 // ProvenanceRow is one configuration's measurement.
@@ -63,7 +64,7 @@ func RunProvenance(ports, batch, rounds int) (*ProvenanceResult, error) {
 	}
 	modes := []*modeRun{{collect: false}, {collect: true}}
 	for _, m := range modes {
-		rt, err := SnvsEngineOpts(engine.Options{CollectProvenance: m.collect})
+		rt, err := SnvsEngineOpts(engine.Options{Collect: m.collect})
 		if err != nil {
 			return nil, err
 		}

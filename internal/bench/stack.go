@@ -14,6 +14,7 @@ import (
 	"repro/internal/dl/engine"
 	"repro/internal/obs"
 	"repro/internal/ovsdb"
+	"repro/internal/p4"
 	"repro/internal/p4rt"
 	"repro/internal/snvs"
 	"repro/internal/switchsim"
@@ -41,18 +42,11 @@ func StartStack() (*Stack, error) { return StartStackObs(nil) }
 
 // StartStackObs boots the full snvs deployment with every plane wired to
 // the observer's registry and tracer (nil behaves like StartStack).
-func StartStackObs(o *obs.Observer) (*Stack, error) { return StartStackWith(o, nil) }
-
-// StartStackWith is StartStackObs plus a per-transaction stats hook
-// passed through to the controller (used by latency experiments).
-func StartStackWith(o *obs.Observer, onTxn func(core.TxnStats)) (*Stack, error) {
-	return StartStackConfig(StackConfig{Obs: o, OnTxn: onTxn})
-}
+func StartStackObs(o *obs.Observer) (*Stack, error) { return StartStackConfig(StackConfig{Obs: o}) }
 
 // StackConfig selects optional stack features beyond the defaults.
 type StackConfig struct {
-	Obs   *obs.Observer
-	OnTxn func(core.TxnStats)
+	Obs *obs.Observer
 	// Coalesce* pass through to core.Config (zero values keep
 	// coalescing off).
 	CoalesceMaxTxns    int
@@ -64,14 +58,6 @@ type StackConfig struct {
 	// monitor), but monitor delivery skips the wire codec — used to
 	// measure the stack's absorption rate without the socket hop.
 	DirectMP bool
-	// DisableTxnWrites passes through to core.Config: with an observer
-	// attached the controller normally propagates txn IDs into its
-	// device writes (WriteTxn); this turns that off so benchmarks can
-	// isolate the propagation cost.
-	DisableTxnWrites bool
-	// Profile passes through to core.Config: the continuous workload
-	// profiler (per-rule stats, memory accounting). Needs Obs.
-	Profile bool
 	// Rules overrides the control-plane program (default snvs.Rules) —
 	// profiler experiments append deliberately expensive rules to it.
 	Rules string
@@ -94,7 +80,7 @@ func (d directMP) MonitorTxn(_ string, _ any, requests map[string]*ovsdb.Monitor
 // StartStackConfig boots the full snvs deployment with the given
 // feature selection.
 func StartStackConfig(cfg StackConfig) (*Stack, error) {
-	o, onTxn := cfg.Obs, cfg.OnTxn
+	o := cfg.Obs
 	schema, err := snvs.Schema()
 	if err != nil {
 		return nil, err
@@ -152,13 +138,11 @@ func StartStackConfig(cfg StackConfig) (*Stack, error) {
 		rules = snvs.Rules
 	}
 	s.Ctrl, err = core.New(core.Config{
-		Rules: rules, Database: "snvs", Obs: o, OnTxn: onTxn,
+		Rules: rules, Database: "snvs", Obs: o,
 		OnDelta:            cfg.OnDelta,
 		CoalesceMaxTxns:    cfg.CoalesceMaxTxns,
 		CoalesceMaxUpdates: cfg.CoalesceMaxUpdates,
 		CoalesceWindow:     cfg.CoalesceWindow,
-		DisableTxnWrites:   cfg.DisableTxnWrites,
-		Profile:            cfg.Profile,
 	}, mp, p4c)
 	if err != nil {
 		return fail(err)
@@ -179,6 +163,40 @@ func (s *Stack) Close() {
 func (s *Stack) Transact(ops ...ovsdb.Operation) error {
 	_, err := s.DBC.TransactErr("snvs", ops...)
 	return err
+}
+
+// Drain waits until the controller has applied and pushed every commit
+// made so far, the way the benchmark's sink does: it toggles a sentinel
+// Port row and waits for the switch to hold (or drop) its in_vlan entry.
+// The controller applies commits in order, so once the sentinel's write
+// has landed so has every commit before it. Table sizes stay constant
+// across an even number of drains.
+func (s *Stack) Drain(timeout time.Duration) error {
+	const sentinelPort = 65000
+	match := []p4.FieldMatch{{Value: sentinelPort}}
+	_, present := s.Switch.Runtime().GetEntry("in_vlan", match)
+	op := ovsdb.OpInsert("Port", map[string]ovsdb.Value{
+		"name": "drain-sentinel", "port_num": int64(sentinelPort), "vlan_mode": "access", "tag": int64(10),
+	})
+	if present {
+		op = ovsdb.OpDelete("Port", ovsdb.Cond("name", "==", "drain-sentinel"))
+	}
+	if err := s.Transact(op); err != nil {
+		return err
+	}
+	deadline := time.Now().Add(timeout)
+	for {
+		if err := s.Ctrl.Err(); err != nil {
+			return err
+		}
+		if _, ok := s.Switch.Runtime().GetEntry("in_vlan", match); ok != present {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("bench: drain sentinel not applied within %v", timeout)
+		}
+		time.Sleep(20 * time.Microsecond)
+	}
 }
 
 // WaitEntries polls until the data-plane table holds want entries.

@@ -6,10 +6,8 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/ovsdb"
 )
 
@@ -31,8 +29,7 @@ import (
 //
 // The headline number is end-to-end transactions per second: committed,
 // applied, and pushed. Commit latency percentiles and process-wide
-// allocations per transaction ride along, and the coalescing columns
-// show how many engine applies the input stream collapsed into.
+// allocations per transaction ride along.
 // ---------------------------------------------------------------------
 
 // ThroughputRow is one transport mode's measurement.
@@ -49,10 +46,6 @@ type ThroughputRow struct {
 	// AllocsPerTxn is process-wide heap allocations per measured
 	// transaction (all planes: server, controller, switch, clients).
 	AllocsPerTxn float64 `json:"allocs_per_txn"`
-	// EngineApplies is how many engine transactions absorbed the
-	// measured commits; AvgBatch = merged commits / applies.
-	EngineApplies int     `json:"engine_applies"`
-	AvgBatch      float64 `json:"avg_coalesce_batch"`
 }
 
 // ThroughputResult is the sustained-throughput report.
@@ -60,21 +53,6 @@ type ThroughputResult struct {
 	Workers       int             `json:"workers"`
 	TxnsPerWorker int             `json:"txns_per_worker"`
 	Rows          []ThroughputRow `json:"rows"`
-}
-
-// throughputStats counts applies and merged commits from the
-// controller's OnTxn hook (runs on the event-loop goroutine).
-type throughputStats struct {
-	applies atomic.Int64
-	merged  atomic.Int64
-}
-
-func (t *throughputStats) onTxn(ts core.TxnStats) {
-	if ts.Source != "ovsdb" || ts.InputUpdates == 0 {
-		return
-	}
-	t.applies.Add(1)
-	t.merged.Add(int64(ts.CoalescedTxns))
 }
 
 // RunThroughput drives workers*txnsPerWorker transactions through the
@@ -101,9 +79,7 @@ func RunThroughput(workers, txnsPerWorker int) (*ThroughputResult, error) {
 }
 
 func runThroughputMode(mode string, workers, txnsPerWorker int) (*ThroughputRow, error) {
-	stats := &throughputStats{}
 	s, err := StartStackConfig(StackConfig{
-		OnTxn:    stats.onTxn,
 		DirectMP: mode == "direct",
 		// Large merge budget, zero window: drain whatever is queued
 		// without ever delaying a lone commit.
@@ -153,7 +129,6 @@ func runThroughputMode(mode string, workers, txnsPerWorker int) (*ThroughputRow,
 		}
 	}
 
-	var sent atomic.Int64
 	// drive runs n alternating insert/delete commits on worker w's own
 	// port, recording commit round-trip latencies when lats != nil.
 	drive := func(w, n int, lats *[]time.Duration) error {
@@ -175,24 +150,6 @@ func runThroughputMode(mode string, workers, txnsPerWorker int) (*ThroughputRow,
 			if lats != nil {
 				*lats = append(*lats, time.Since(start))
 			}
-			sent.Add(1)
-		}
-		return nil
-	}
-	// drain waits until every commit so far (plus the one setup commit
-	// above, which the monitor also delivers) has been applied and
-	// pushed.
-	drain := func(pass string) error {
-		deadline := time.Now().Add(60 * time.Second)
-		for stats.merged.Load() < sent.Load()+1 {
-			if err := s.Ctrl.Err(); err != nil {
-				return err
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("%s pass: %d/%d commits applied",
-					pass, stats.merged.Load(), sent.Load()+1)
-			}
-			time.Sleep(time.Millisecond)
 		}
 		return nil
 	}
@@ -231,8 +188,8 @@ func runThroughputMode(mode string, workers, txnsPerWorker int) (*ThroughputRow,
 	if err := runAll(warm, nil); err != nil {
 		return nil, err
 	}
-	if err := drain("warmup"); err != nil {
-		return nil, err
+	if err := s.Drain(60 * time.Second); err != nil {
+		return nil, fmt.Errorf("warmup pass: %w", err)
 	}
 
 	// Median of three measured rounds: a GC cycle or scheduling stall
@@ -244,8 +201,6 @@ func runThroughputMode(mode string, workers, txnsPerWorker int) (*ThroughputRow,
 	var best *ThroughputRow
 	rows := make([]*ThroughputRow, 0, measuredRounds)
 	for r := 0; r < measuredRounds; r++ {
-		appliesBefore := stats.applies.Load()
-		mergedBefore := stats.merged.Load()
 		runtime.GC()
 		var msBefore runtime.MemStats
 		runtime.ReadMemStats(&msBefore)
@@ -255,8 +210,8 @@ func runThroughputMode(mode string, workers, txnsPerWorker int) (*ThroughputRow,
 		if err := runAll(txnsPerWorker, lats); err != nil {
 			return nil, err
 		}
-		if err := drain("measure"); err != nil {
-			return nil, err
+		if err := s.Drain(60 * time.Second); err != nil {
+			return nil, fmt.Errorf("measure pass: %w", err)
 		}
 		elapsed := time.Since(start)
 
@@ -269,22 +224,15 @@ func runThroughputMode(mode string, workers, txnsPerWorker int) (*ThroughputRow,
 		}
 		sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 		total := len(all)
-		applies := int(stats.applies.Load() - appliesBefore)
-		merged := stats.merged.Load() - mergedBefore
-		row := &ThroughputRow{
-			Mode:          mode,
-			Txns:          total,
-			Seconds:       elapsed.Seconds(),
-			TxnsPerSec:    float64(total) / elapsed.Seconds(),
-			CommitP50:     percentileDur(all, 50),
-			CommitP99:     percentileDur(all, 99),
-			AllocsPerTxn:  float64(msAfter.Mallocs-msBefore.Mallocs) / float64(total),
-			EngineApplies: applies,
-		}
-		if applies > 0 {
-			row.AvgBatch = float64(merged) / float64(applies)
-		}
-		rows = append(rows, row)
+		rows = append(rows, &ThroughputRow{
+			Mode:         mode,
+			Txns:         total,
+			Seconds:      elapsed.Seconds(),
+			TxnsPerSec:   float64(total) / elapsed.Seconds(),
+			CommitP50:    percentileDur(all, 50),
+			CommitP99:    percentileDur(all, 99),
+			AllocsPerTxn: float64(msAfter.Mallocs-msBefore.Mallocs) / float64(total),
+		})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].TxnsPerSec < rows[j].TxnsPerSec })
 	best = rows[len(rows)/2]
@@ -296,12 +244,11 @@ func (r *ThroughputResult) String() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Sustained throughput: %d workers × %d txns end-to-end (ovsdb→engine→p4rt→switch)\n",
 		r.Workers, r.TxnsPerWorker)
-	fmt.Fprintf(&sb, "  %-7s  %12s  %12s  %12s  %10s  %9s  %9s\n",
-		"mode", "txn/s", "commit p50", "commit p99", "allocs/txn", "applies", "avg batch")
+	fmt.Fprintf(&sb, "  %-7s  %12s  %12s  %12s  %10s\n",
+		"mode", "txn/s", "commit p50", "commit p99", "allocs/txn")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&sb, "  %-7s  %12.0f  %12v  %12v  %10.1f  %9d  %9.1f\n",
-			row.Mode, row.TxnsPerSec, row.CommitP50, row.CommitP99, row.AllocsPerTxn,
-			row.EngineApplies, row.AvgBatch)
+		fmt.Fprintf(&sb, "  %-7s  %12.0f  %12v  %12v  %10.1f\n",
+			row.Mode, row.TxnsPerSec, row.CommitP50, row.CommitP99, row.AllocsPerTxn)
 	}
 	return sb.String()
 }

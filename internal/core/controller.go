@@ -108,10 +108,6 @@ type Config struct {
 	// arrive after the first before applying a not-yet-full batch. 0
 	// merges only commits already queued (no added latency).
 	CoalesceWindow time.Duration
-	// OnTxn, when set, is called after every applied transaction with
-	// processing statistics (used by the evaluation harness). The same
-	// numbers also feed the Obs registry, so the two always agree.
-	OnTxn func(TxnStats)
 	// OnDelta, when set, receives every non-empty output delta right
 	// after the data-plane push, on the event-loop goroutine, attributed
 	// with the transaction that produced it (0 for the initial sync; a
@@ -120,25 +116,14 @@ type Config struct {
 	// inside the serialization point of the controller. This is the tap
 	// the pub/sub fan-out (internal/subscribe) attaches to.
 	OnDelta func(txn uint64, delta engine.Delta)
-	// Obs, when set, receives controller metrics (registry) and per-txn
-	// commit→delta→push timelines (tracer). Setting it also enables
-	// engine statistics collection so per-stratum and per-worker timings
-	// are exposed. nil disables all instrumentation at zero cost.
+	// Obs is the controller's one instrumentation switch. When set, the
+	// controller feeds its registry, tracer and flight recorder, the
+	// engine collects statistics, per-rule costs (dl_rule_*,
+	// /debug/rules), memory accounting (dl_mem_*, /debug/memory) and
+	// provenance (/debug/explain), and writes to TxnWriter devices carry
+	// the transaction ID so the switch extends the trace. nil disables
+	// all of it at zero cost.
 	Obs *obs.Observer
-	// DisableTxnWrites keeps device writes in the legacy wire form even
-	// when the controller is observed and the data plane implements
-	// TxnWriter: no transaction metadata crosses the P4RT boundary.
-	// Useful against pre-txn switches and for isolating the propagation's
-	// cost in benchmarks. The default (false) propagates txn IDs whenever
-	// the controller is observed.
-	DisableTxnWrites bool
-	// Profile enables the continuous workload profiler: per-rule
-	// cost/cardinality attribution (dl_rule_* metrics, /debug/rules,
-	// incident rule breakdowns) and periodic memory accounting snapshots
-	// (dl_mem_*, /debug/memory). Requires Obs. The attribution adds
-	// bookkeeping to the engine's evaluation paths, so it is opt-in; the
-	// obs-overhead benchmark's "profiler" mode prices it.
-	Profile bool
 }
 
 // pushWorkers bounds how many devices receive their P4Runtime writes
@@ -148,19 +133,6 @@ const pushWorkers = 8
 // defaultCoalesceMaxUpdates is the merged-batch size bound used when
 // Config.CoalesceMaxUpdates is zero.
 const defaultCoalesceMaxUpdates = 1024
-
-// TxnStats describes one applied transaction.
-type TxnStats struct {
-	Source        string // "ovsdb", "digest", or "initial"
-	TxnID         uint64 // OVSDB-minted transaction ID (0 when unknown)
-	InputUpdates  int
-	OutputChanges int
-	EngineTime    time.Duration
-	PushTime      time.Duration
-	// CoalescedTxns is how many monitor-delivered commits this apply
-	// merged (1 when coalescing is off or nothing was queued).
-	CoalescedTxns int
-}
 
 // mcastKey identifies one multicast group on one device ("" = whole
 // class).
@@ -185,24 +157,21 @@ type outputRoute struct {
 
 // Controller is a running full-stack controller instance.
 type Controller struct {
-	cfg Config
-	// ruleStats is whether the engine collects per-rule statistics
-	// (Config.Profile on an observed controller).
-	ruleStats bool
-	inputGen  *codegen.Generated
-	classes   []*classState
-	outputs   map[string]*outputRoute
-	p4Tables  map[string]bool
-	mcastRel  map[string]*classState
-	prov      *provState
-	prog      *dl.Program
-	rt        *engine.Runtime
-	mp        ManagementPlane
-	events    chan event
-	done      chan struct{}
-	stopOnce  sync.Once
-	evMu      sync.RWMutex
-	evClosed  bool
+	cfg      Config
+	inputGen *codegen.Generated
+	classes  []*classState
+	outputs  map[string]*outputRoute
+	p4Tables map[string]bool
+	mcastRel map[string]*classState
+	prov     *provState
+	prog     *dl.Program
+	rt       *engine.Runtime
+	mp       ManagementPlane
+	events   chan event
+	done     chan struct{}
+	stopOnce sync.Once
+	evMu     sync.RWMutex
+	evClosed bool
 
 	// devClass resolves a device ID to its class for Resync (see
 	// resilience.go).
@@ -366,9 +335,8 @@ func (c *Controller) initObs() {
 // profiler after every transaction, so /debug/memory is always current
 // as of the last apply (a burst's final state, not its first).
 // MemoryStats runs off maintained counters in O(#relations), so the
-// per-txn cost is a short walk, priced by the obs-overhead "profiler"
-// row. Event-loop goroutine only: Runtime.MemoryStats reads state that
-// Apply mutates.
+// per-txn cost is a short walk. Event-loop goroutine only:
+// Runtime.MemoryStats reads state that Apply mutates.
 func (c *Controller) publishMemory() {
 	ms := c.rt.MemoryStats()
 	snap := obs.MemSnapshot{
@@ -448,17 +416,6 @@ func NewWithClasses(cfg Config, mp ManagementPlane, classes []DeviceClass) (*Con
 	if len(classes) == 0 {
 		return nil, fmt.Errorf("core: no device classes")
 	}
-	// An observed controller turns the engine's collection on: per-stratum
-	// and per-worker metrics need its statistics, /debug/explain needs its
-	// provenance store, and sharing the process flight recorder interleaves
-	// apply/stratum events with the controller's own on one timeline.
-	observed := cfg.Obs.Reg() != nil
-	engOpts := engine.Options{
-		CollectStats:      observed,
-		CollectProvenance: observed,
-		CollectRuleStats:  observed && cfg.Profile,
-		Events:            cfg.Obs.Rec(),
-	}
 	schema, err := mp.GetSchema(cfg.Database)
 	if err != nil {
 		return nil, fmt.Errorf("core: fetching schema: %w", err)
@@ -468,16 +425,15 @@ func NewWithClasses(cfg Config, mp ManagementPlane, classes []DeviceClass) (*Con
 		return nil, err
 	}
 	c := &Controller{
-		cfg:       cfg,
-		ruleStats: engOpts.CollectRuleStats,
-		inputGen:  inputGen,
-		outputs:   make(map[string]*outputRoute),
-		p4Tables:  make(map[string]bool),
-		mcastRel:  make(map[string]*classState),
-		mp:        mp,
-		events:    make(chan event, 1024),
-		done:      make(chan struct{}),
-		devClass:  make(map[string]*classState),
+		cfg:      cfg,
+		inputGen: inputGen,
+		outputs:  make(map[string]*outputRoute),
+		p4Tables: make(map[string]bool),
+		mcastRel: make(map[string]*classState),
+		mp:       mp,
+		events:   make(chan event, 1024),
+		done:     make(chan struct{}),
+		devClass: make(map[string]*classState),
 	}
 	decls := inputGen.Decls
 	seen := make(map[string]bool)
@@ -553,16 +509,18 @@ func NewWithClasses(cfg Config, mp ManagementPlane, classes []DeviceClass) (*Con
 		}
 	}
 	c.prog = prog
-	c.rt, err = prog.NewRuntime(engOpts)
+	// An observed controller turns the engine's collection on: the dl_*
+	// series and the profiler need its statistics, /debug/explain needs
+	// its provenance store, and sharing the process flight recorder
+	// interleaves apply/stratum events with the controller's own.
+	c.rt, err = prog.NewRuntime(engine.Options{Collect: cfg.Obs != nil, Events: cfg.Obs.Rec()})
 	if err != nil {
 		return nil, err
 	}
-	if observed {
-		c.prov = newProvState(0)
-	}
 	c.initObs()
-	if c.prov != nil {
-		c.cfg.Obs.SetExplainer(c)
+	if cfg.Obs != nil {
+		c.prov = newProvState(0)
+		cfg.Obs.SetExplainer(c)
 	}
 	go c.loop()
 
@@ -844,15 +802,7 @@ func (c *Controller) dispatch(ev *event) {
 				c.prov.originsForTxn(ev.txnID, incidentOriginLimit))
 		}
 	}
-	c.record(TxnStats{
-		Source:        ev.source,
-		TxnID:         ev.txnID,
-		InputUpdates:  len(ev.updates),
-		OutputChanges: n,
-		EngineTime:    engineTime,
-		PushTime:      pushTime,
-		CoalescedTxns: ev.coalesced(),
-	})
+	c.record(ev, n, engineTime, pushTime)
 	if ev.source == "initial" {
 		// Monitor established and initial sync pushed: the controller
 		// is serving the database's current state.
@@ -868,37 +818,36 @@ func pushAttrs(n int) map[string]int64 {
 }
 
 // observeEngine translates the engine's per-transaction statistics into
-// dl_* metrics and the "delta" trace stage. When profiling is on, it
-// also feeds the workload profiler and returns the transaction's
-// per-rule breakdown for incident enrichment (nil otherwise).
+// dl_* metrics, the workload profiler and the "delta" trace stage, and
+// returns the transaction's per-rule breakdown for incident enrichment.
+// Unobserved, the engine collects nothing and neither does this.
 func (c *Controller) observeEngine(ev *event, start time.Time, engineTime time.Duration) []obs.RuleSample {
 	st := c.rt.LastApplyStats()
-	if st != nil {
-		for _, ss := range st.Strata {
-			if ss.Stratum < len(c.m.evalStratum) {
-				c.m.evalStratum[ss.Stratum].ObserveDuration(ss.Duration)
-			}
-		}
-		c.m.deltaSize.Observe(float64(st.DeltaSize))
-		c.m.derivations.Add(uint64(st.Derivations))
+	if st == nil {
+		return nil
 	}
+	for _, ss := range st.Strata {
+		if ss.Stratum < len(c.m.evalStratum) {
+			c.m.evalStratum[ss.Stratum].ObserveDuration(ss.Duration)
+		}
+	}
+	c.m.deltaSize.Observe(float64(st.DeltaSize))
+	c.m.derivations.Add(uint64(st.Derivations))
 	var ruleSamples []obs.RuleSample
-	if c.ruleStats {
-		if st != nil && len(st.Rules) > 0 {
-			ruleSamples = make([]obs.RuleSample, len(st.Rules))
-			for i, r := range st.Rules {
-				ruleSamples[i] = obs.RuleSample{
-					ID: r.ID, Label: r.Label, Stratum: r.Stratum, Recursive: r.Recursive,
-					Seedings: r.Seedings, Derivations: r.Derivations,
-					DeltaTuples: r.DeltaTuples, EvalNs: int64(r.Duration),
-				}
+	if len(st.Rules) > 0 {
+		ruleSamples = make([]obs.RuleSample, len(st.Rules))
+		for i, r := range st.Rules {
+			ruleSamples[i] = obs.RuleSample{
+				ID: r.ID, Label: r.Label, Stratum: r.Stratum, Recursive: r.Recursive,
+				Seedings: r.Seedings, Derivations: r.Derivations,
+				DeltaTuples: r.DeltaTuples, EvalNs: int64(r.Duration),
 			}
 		}
-		// Observe even an empty transaction: idle rules' EWMA costs decay
-		// so stale hot spots sink out of the top-K.
-		c.cfg.Obs.Prof().ObserveTxn(ruleSamples)
-		c.publishMemory()
 	}
+	// Observe even an empty transaction: idle rules' EWMA costs decay
+	// so stale hot spots sink out of the top-K.
+	c.cfg.Obs.Prof().ObserveTxn(ruleSamples)
+	c.publishMemory()
 	if c.tracer != nil {
 		// Each merged commit gets its own delta stage carrying its own
 		// update count, so /debug/traces stays per-commit even when the
@@ -908,10 +857,8 @@ func (c *Controller) observeEngine(ev *event, start time.Time, engineTime time.D
 		ev.eachSeg(func(txn uint64, ups []engine.Update) {
 			attrs := obs.NewAttrs()
 			attrs["input_updates"] = int64(len(ups))
-			if st != nil {
-				attrs["delta_size"] = int64(st.DeltaSize)
-				attrs["derivations"] = st.Derivations
-			}
+			attrs["delta_size"] = int64(st.DeltaSize)
+			attrs["derivations"] = st.Derivations
 			if coalesced > 1 {
 				attrs["coalesced_txns"] = coalesced
 			}
@@ -927,17 +874,14 @@ func (c *Controller) observeEngine(ev *event, start time.Time, engineTime time.D
 }
 
 // record is the single accounting site for per-transaction statistics:
-// the obs registry and the OnTxn hook both see exactly these numbers.
-func (c *Controller) record(ts TxnStats) {
-	c.m.txnTotal[ts.Source].Inc()
-	c.m.engineSecs.ObserveDuration(ts.EngineTime)
-	c.m.pushSecs.ObserveDuration(ts.PushTime)
-	c.m.inputSize.Observe(float64(ts.InputUpdates))
-	c.m.outputSize.Observe(float64(ts.OutputChanges))
+// the core_* series are the controller's only per-transaction record.
+func (c *Controller) record(ev *event, outputs int, engineTime, pushTime time.Duration) {
+	c.m.txnTotal[ev.source].Inc()
+	c.m.engineSecs.ObserveDuration(engineTime)
+	c.m.pushSecs.ObserveDuration(pushTime)
+	c.m.inputSize.Observe(float64(len(ev.updates)))
+	c.m.outputSize.Observe(float64(outputs))
 	c.observeProvenance()
-	if c.cfg.OnTxn != nil {
-		c.cfg.OnTxn(ts)
-	}
 }
 
 // target identifies one write destination: a device of a class, or the
@@ -1048,12 +992,15 @@ func (c *Controller) push(ev *event, delta engine.Delta) (int, error) {
 	total := 0
 	var writes []*devWrite
 	byDev := make(map[target]*devWrite)
+	var txn uint64
+	if c.cfg.Obs != nil {
+		txn = ev.txnID // observed: TxnWriter devices extend the trace
+	}
 	addBatch := func(cs *classState, id string, dp DataPlane, updates []p4rt.Update) {
 		key := target{class: cs, device: id}
 		dw := byDev[key]
 		if dw == nil {
-			dw = &devWrite{id: id, dp: dp, txn: ev.txnID,
-				txnWrite: c.cfg.Obs != nil && !c.cfg.DisableTxnWrites}
+			dw = &devWrite{id: id, dp: dp, txn: txn}
 			byDev[key] = dw
 			writes = append(writes, dw)
 		}
@@ -1111,20 +1058,18 @@ func (c *Controller) push(ev *event, delta engine.Delta) (int, error) {
 }
 
 // devWrite is the ordered write stream destined for one device within one
-// push.
+// push. A non-zero txn (observed controllers only) selects the
+// txn-carrying wire form on TxnWriter devices.
 type devWrite struct {
 	id      string
 	dp      DataPlane
 	txn     uint64
 	batches [][]p4rt.Update
-	// txnWrite selects the txn-carrying wire form (TxnWriter) so the
-	// device can extend the transaction's trace with its apply.
-	txnWrite bool
 }
 
 func (dw *devWrite) flush() error {
 	tw, ok := dw.dp.(TxnWriter)
-	useTxn := ok && dw.txnWrite && dw.txn != 0
+	useTxn := ok && dw.txn != 0
 	for _, b := range dw.batches {
 		var err error
 		if useTxn {

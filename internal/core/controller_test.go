@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/ovsdb"
 	"repro/internal/p4"
 	"repro/internal/p4rt"
@@ -289,16 +290,12 @@ func TestControllerWriteFailureStops(t *testing.T) {
 	}
 }
 
+// TestControllerTxnStats reads one applied OVSDB transaction back from
+// the core_* series, the controller's per-transaction record.
 func TestControllerTxnStats(t *testing.T) {
 	mp, dp := newFakes(t)
-	var mu sync.Mutex
-	var stats []TxnStats
-	cfg := Config{Rules: snvs.Rules, Database: "snvs", OnTxn: func(s TxnStats) {
-		mu.Lock()
-		stats = append(stats, s)
-		mu.Unlock()
-	}}
-	ctrl, err := New(cfg, mp, dp)
+	o := obs.NewObserver()
+	ctrl, err := New(Config{Rules: snvs.Rules, Database: "snvs", Obs: o}, mp, dp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,23 +303,93 @@ func TestControllerTxnStats(t *testing.T) {
 	transact(t, mp, ovsdb.OpInsert("Port", map[string]ovsdb.Value{
 		"name": "p1", "port_num": int64(1), "vlan_mode": "access", "tag": int64(10),
 	}))
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		var ovsdbSeen bool
-		for _, s := range stats {
-			if s.Source == "ovsdb" && s.InputUpdates > 0 {
-				ovsdbSeen = true
+	waitUpdates(t, dp, 1)
+	if err := ctrl.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	// The initial sync of the empty database and the one insert.
+	snap := o.Reg().Snapshot()
+	for series, want := range map[string]float64{
+		`core_txn_total{source="initial"}`: 1,
+		`core_txn_total{source="ovsdb"}`:   1,
+		`core_input_updates_count`:         2,
+		`core_input_updates_sum`:           1,
+		`core_output_changes_count`:        2,
+	} {
+		if got := snap[series]; got != want {
+			t.Errorf("%s = %v, want %v", series, got, want)
+		}
+	}
+	if got, want := snap[`core_output_changes_sum`], float64(len(dp.allUpdates())); got != want {
+		t.Errorf("core_output_changes_sum = %v, want the %v updates the device received", got, want)
+	}
+}
+
+// txnDP is a fake device that also implements TxnWriter, recording the
+// transaction ID each txn-carrying write was tagged with.
+type txnDP struct {
+	*fakeDP
+	txns []uint64
+}
+
+func (d *txnDP) WriteTxn(txn uint64, updates ...p4rt.Update) error {
+	d.mu.Lock()
+	d.txns = append(d.txns, txn)
+	d.mu.Unlock()
+	return d.Write(updates...)
+}
+
+// TestObsDecidesCollection: Config.Obs alone decides what the controller
+// and engine collect. Unobserved, the engine keeps no statistics or
+// provenance and devices get plain writes; observed, all of it is on and
+// each commit's writes carry its transaction ID.
+func TestObsDecidesCollection(t *testing.T) {
+	for _, observed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("observed=%v", observed), func(t *testing.T) {
+			mp, base := newFakes(t)
+			dp := &txnDP{fakeDP: base}
+			var o *obs.Observer
+			if observed {
+				o = obs.NewObserver()
 			}
-		}
-		mu.Unlock()
-		if ovsdbSeen {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no ovsdb TxnStats observed: %+v", stats)
-		}
-		time.Sleep(time.Millisecond)
+			ctrl, err := New(Config{Rules: snvs.Rules, Database: "snvs", Obs: o}, mp, dp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ctrl.Stop()
+			transact(t, mp, ovsdb.OpInsert("Port", map[string]ovsdb.Value{
+				"name": "p1", "port_num": int64(1), "vlan_mode": "access", "tag": int64(10),
+			}))
+			commit := mp.db.LastTxnID()
+			waitUpdates(t, base, 1)
+			if err := ctrl.Barrier(); err != nil {
+				t.Fatal(err)
+			}
+			// The barrier ordered the event loop's last apply before us.
+			st, prov := ctrl.rt.LastApplyStats(), ctrl.rt.ProvenanceEnabled()
+			dp.mu.Lock()
+			txns := dp.txns
+			dp.mu.Unlock()
+			if !observed {
+				if st != nil || prov || len(txns) != 0 {
+					t.Fatalf("unobserved: stats=%+v provenance=%v WriteTxn calls=%v, want none", st, prov, txns)
+				}
+				return
+			}
+			if st == nil || len(st.Rules) == 0 || !prov {
+				t.Fatalf("observed: stats=%+v provenance=%v, want stats with rule rows and provenance", st, prov)
+			}
+			var ruleSeries bool
+			for series := range o.Reg().Snapshot() {
+				ruleSeries = ruleSeries || strings.HasPrefix(series, "dl_rule_eval_ns_total{")
+			}
+			if !ruleSeries {
+				t.Fatal("observed: no dl_rule_* series registered")
+			}
+			if len(txns) != 1 || txns[0] != commit {
+				t.Fatalf("observed: WriteTxn txn IDs = %v, want [%d] (the commit)", txns, commit)
+			}
+		})
 	}
 }
 

@@ -45,29 +45,21 @@ type Options struct {
 	// capping the cost at one recomputation. 0 disables the fallback;
 	// 0 < f <= 1 enables it.
 	RecursiveDeleteFallback float64
-	// CollectStats enables per-transaction evaluation statistics
-	// (per-stratum timings, delta sizes), retrievable
-	// via LastApplyStats. Off by default: the hot path then contains no
-	// timing calls at all.
-	CollectStats bool
-	// CollectRuleStats extends CollectStats to per-rule granularity:
-	// every plan seeding is timed and attributed to its rule, and
-	// ApplyStats.Rules reports per-rule eval time, seedings, derivations,
-	// and delta tuples. Off by default: the hot path then carries only a
-	// length check per seeding (no clock reads, no allocation).
-	CollectRuleStats bool
-	// CollectProvenance records, per derived fact, the rule and input
-	// facts of each derivation into a bounded store queryable via
-	// Explain. Off by default: like CollectStats, the evaluation hot
-	// path then stays allocation-free.
-	CollectProvenance bool
+	// Collect turns the engine's instrumentation on: per-transaction
+	// statistics via LastApplyStats (per-stratum timings, delta size, and
+	// per-rule eval time, seedings, derivations and delta tuples in
+	// ApplyStats.Rules), and, per derived fact, the rule and input facts
+	// of each derivation in a bounded store queryable via Explain. Off by
+	// default: the evaluation hot path then carries only nil checks — no
+	// clock reads, no allocation.
+	Collect bool
 	// ProvenanceCapacity bounds the number of facts the provenance store
 	// retains (FIFO eviction); 0 selects DefaultProvenanceCapacity.
 	ProvenanceCapacity int
 	// Events, when set, receives flight-recorder events (apply.start,
-	// apply.end, per-stratum stratum.eval at debug level). Stratum events
-	// reuse the CollectStats timings, so they add no clock reads of their
-	// own; with a nil recorder the hot path emits nothing.
+	// apply.end, and, when collecting, per-stratum stratum.eval at debug
+	// level, reusing the statistics' timings); with a nil recorder the
+	// hot path emits nothing.
 	Events *obs.Recorder
 }
 
@@ -98,16 +90,16 @@ type Runtime struct {
 	// source (and GC-assist magnet) on the apply path.
 	jobsBuf []seedJob
 	// stats is the in-progress ApplyStats of the current transaction (nil
-	// unless Options.CollectStats); lastStats is the completed record of
+	// unless Options.Collect); lastStats is the completed record of
 	// the previous transaction. statJobs is the current stratum's seeding
 	// count.
 	stats     *ApplyStats
 	lastStats *ApplyStats
 	statJobs  int
 	// ruleProf is the per-rule transaction accumulator (nil unless
-	// Options.CollectRuleStats).
+	// Options.Collect).
 	ruleProf []ruleAcc
-	// prov is the provenance store (nil unless Options.CollectProvenance).
+	// prov is the provenance store (nil unless Options.Collect).
 	prov *provStore
 	// eventTxn tags the next Apply's flight-recorder events with a
 	// transaction ID (set via SetEventTxn by the single-goroutine caller).
@@ -142,7 +134,7 @@ type aggSpec struct {
 	label     string
 	labelHash uint64
 	// idx/id place the aggregation in the rule-profiling accumulator
-	// space (profile.go; zero values unless CollectRuleStats).
+	// space (profile.go; zero values unless Collect).
 	idx int
 	id  string
 }
@@ -230,7 +222,7 @@ func New(prog *typecheck.Program, opts Options) (*Runtime, error) {
 		}
 	}
 	rt.initRuleProf()
-	if opts.CollectProvenance {
+	if opts.Collect {
 		rt.prov = newProvStore(opts.ProvenanceCapacity)
 		// Every relation (including hidden group relations) drops a
 		// fact's provenance when the fact is retracted.
@@ -349,7 +341,7 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 		F("updates", int64(len(updates))))
 	rt.derivations = 0
 	rt.stats = nil
-	if rt.opts.CollectStats {
+	if rt.opts.Collect {
 		rt.stats = &ApplyStats{}
 	}
 	// Apply effective input changes.
@@ -403,15 +395,8 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 	for _, rs := range rt.rels {
 		rs.clearTxn()
 	}
-	if rt.ruleProf != nil {
-		// Render and reset the per-rule accumulator even when CollectStats
-		// is off, so counters never leak across transactions.
-		rules := rt.buildRuleStats()
-		if rt.stats != nil {
-			rt.stats.Rules = rules
-		}
-	}
 	if rt.stats != nil {
+		rt.stats.Rules = rt.buildRuleStats()
 		rt.stats.Derivations = rt.derivations
 		for _, z := range out {
 			rt.stats.DeltaSize += z.Len()
@@ -419,7 +404,7 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 		rt.lastStats, rt.stats = rt.stats, nil
 	}
 	if rec := rt.opts.Events; rec != nil {
-		if st := rt.lastStats; st != nil && rt.opts.CollectStats {
+		if st := rt.lastStats; st != nil {
 			for _, ss := range st.Strata {
 				recursive := int64(0)
 				if ss.Recursive {

@@ -87,7 +87,7 @@ type compiledRule struct {
 	label     string
 	labelHash uint64
 	// idx/id place the rule in the rule-profiling accumulator space
-	// (profile.go; zero values unless CollectRuleStats).
+	// (profile.go; zero values unless Collect).
 	idx   int
 	id    string
 	body  []typecheck.Term // excludes any GroupBy term

@@ -6,7 +6,7 @@ import "time"
 // cost/cardinality attribution and per-relation memory accounting.
 //
 // Plan runs accumulate directly into the runtime's per-transaction
-// accumulator. With Options.CollectRuleStats off, the only residue on the
+// accumulator. With Options.Collect off, the only residue on the
 // hot path is a nil check per plan seeding — no clock reads, no
 // allocation.
 
@@ -19,7 +19,7 @@ type ruleAcc struct {
 }
 
 // RuleStats is one rule's (or aggregation's) share of a transaction's
-// evaluation, reported in ApplyStats.Rules when Options.CollectRuleStats
+// evaluation, reported in ApplyStats.Rules when Options.Collect
 // is set.
 type RuleStats struct {
 	// Rule is the runtime-wide rule index (stable for the Runtime's
@@ -57,7 +57,7 @@ type RuleInfo struct {
 func (rt *Runtime) ruleCount() int { return len(rt.rules) + len(rt.aggs) }
 
 // RuleInfos lists the program's rules and aggregations in accumulator
-// order (nil unless Options.CollectRuleStats).
+// order (nil unless Options.Collect).
 func (rt *Runtime) RuleInfos() []RuleInfo {
 	if rt.ruleProf == nil {
 		return nil
@@ -85,7 +85,7 @@ func (rt *Runtime) RuleInfos() []RuleInfo {
 // and aggregations are compiled).
 func (rt *Runtime) initRuleProf() {
 	n := rt.ruleCount()
-	if !rt.opts.CollectRuleStats || n == 0 {
+	if !rt.opts.Collect || n == 0 {
 		return
 	}
 	// Short IDs: head relation name plus a per-head ordinal.

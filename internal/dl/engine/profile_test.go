@@ -18,22 +18,18 @@ Hot(a, c) :- In(a, b), In(c, b).
 `
 
 func TestRuleStatsOff(t *testing.T) {
-	rt, err := New(compile(t, twoRuleSrc), Options{CollectStats: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rt := newRT(t, twoRuleSrc)
 	apply(t, rt, Insert("In", strRec("x", "y")))
-	st := rt.LastApplyStats()
-	if st == nil || st.Rules != nil {
-		t.Fatalf("Rules = %+v with CollectRuleStats unset, want nil", st)
+	if st := rt.LastApplyStats(); st != nil {
+		t.Fatalf("stats = %+v with Collect unset, want nil", st)
 	}
 	if rt.RuleInfos() != nil {
-		t.Fatalf("RuleInfos non-nil with CollectRuleStats unset")
+		t.Fatalf("RuleInfos non-nil with Collect unset")
 	}
 }
 
 func TestRuleStatsAttribution(t *testing.T) {
-	rt, err := New(compile(t, twoRuleSrc), Options{CollectStats: true, CollectRuleStats: true})
+	rt, err := New(compile(t, twoRuleSrc), Options{Collect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +99,7 @@ func TestRuleStatsAttribution(t *testing.T) {
 
 func TestRuleStatsMultiKeyCounting(t *testing.T) {
 	rt, err := New(compile(t, twoRuleSrc),
-		Options{CollectStats: true, CollectRuleStats: true})
+		Options{Collect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +134,7 @@ Reach(x, z) :- Reach(x, y), Edge(y, z).
 
 func TestRuleStatsRecursive(t *testing.T) {
 	rt, err := New(compile(t, tcSrc),
-		Options{CollectStats: true, CollectRuleStats: true})
+		Options{Collect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +182,7 @@ func TestRuleStatsAggregate(t *testing.T) {
 		input relation Item(k: string, v: int)
 		output relation Total(k: string, n: int)
 		Total(k, n) :- Item(k, v), var n = count() group_by (k).
-	`), Options{CollectStats: true, CollectRuleStats: true})
+	`), Options{Collect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +246,7 @@ func TestMemoryStats(t *testing.T) {
 	}
 
 	// Provenance share appears when collection is on.
-	rtp, err := New(compile(t, twoRuleSrc), Options{CollectProvenance: true})
+	rtp, err := New(compile(t, twoRuleSrc), Options{Collect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,9 +256,9 @@ func TestMemoryStats(t *testing.T) {
 	}
 }
 
-// TestRuleProfOffZeroAlloc guards the tentpole's budget: with
-// CollectRuleStats off, the profiling hooks add no allocations to the
-// plan-evaluation hot path (the only residue is a length check).
+// TestRuleProfOffZeroAlloc guards the profiling budget: with
+// Options.Collect off, the profiling hooks add no allocations to the
+// plan-evaluation hot path (the only residue is a nil check).
 func TestRuleProfOffZeroAlloc(t *testing.T) {
 	rt, p, seed := probeSetup(t)
 	ctx := &evalCtx{}

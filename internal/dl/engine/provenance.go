@@ -11,10 +11,9 @@ import (
 
 // This file implements the provenance layer: an optional record of *why*
 // each derived fact exists — per derivation, the rule and the input facts
-// that produced it. It is gated exactly like CollectStats: when
-// Options.CollectProvenance is off the hot path carries only a single
-// boolean write per plan run and stays allocation-free
-// (TestProvenanceOffZeroAlloc).
+// that produced it. It is gated by Options.Collect: when off, the hot path
+// carries only a single boolean write per plan run and stays
+// allocation-free (TestArrangementProbeZeroAlloc).
 //
 // When on, emits do not touch the store directly. Every record, retract,
 // and drop is appended to the apply goroutine's journal and the whole

@@ -12,7 +12,7 @@ import (
 
 func newProvRT(t *testing.T, src string, opts Options) *Runtime {
 	t.Helper()
-	opts.CollectProvenance = true
+	opts.Collect = true
 	rt, err := New(compile(t, src), opts)
 	if err != nil {
 		t.Fatalf("engine.New: %v", err)
@@ -310,7 +310,7 @@ func TestProvenanceVsNaive(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := compile(t, tc.src)
-			rt, err := New(prog, Options{CollectProvenance: true})
+			rt, err := New(prog, Options{Collect: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -393,7 +393,7 @@ func TestProvenanceVsNaive(t *testing.T) {
 // relation state.
 func TestProvenanceConcurrentExplainHammer(t *testing.T) {
 	prog := compile(t, reachProvSrc)
-	rt, err := New(prog, Options{CollectProvenance: true, ProvenanceCapacity: 256})
+	rt, err := New(prog, Options{Collect: true, ProvenanceCapacity: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,8 +437,8 @@ func TestProvenanceConcurrentExplainHammer(t *testing.T) {
 }
 
 // TestProvenanceOffZeroAlloc pins the gating contract: with
-// CollectProvenance off, the arrangement probe path performs zero
-// allocations — provenance costs exactly one boolean write per plan run.
+// Options.Collect off, the arrangement probe path performs zero
+// allocations and the provenance store stays empty.
 func TestProvenanceOffZeroAlloc(t *testing.T) {
 	rt, p, seed := probeSetup(t)
 	if rt.ProvenanceEnabled() {

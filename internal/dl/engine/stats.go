@@ -13,22 +13,21 @@ type StratumStats struct {
 	Duration time.Duration
 }
 
-// ApplyStats describes one transaction's evaluation when
-// Options.CollectStats is set. Collection adds two clock reads per
-// stratum; with CollectStats false none of this code runs.
+// ApplyStats describes one transaction's evaluation when Options.Collect
+// is set; with Collect false none of this code runs.
 type ApplyStats struct {
 	Strata      []StratumStats
 	Derivations int64
 	// DeltaSize is the total number of tuple changes across all output
 	// relations' deltas.
 	DeltaSize int
-	// Rules attributes the transaction's evaluation per rule (nil unless
-	// Options.CollectRuleStats; rules with no activity are omitted).
+	// Rules attributes the transaction's evaluation per rule (rules with
+	// no activity are omitted).
 	Rules []RuleStats
 }
 
 // LastApplyStats returns the statistics of the most recent Apply, or nil
-// when Options.CollectStats is unset. The returned value is owned by the
+// when Options.Collect is unset. The returned value is owned by the
 // runtime and valid until the next Apply.
 func (rt *Runtime) LastApplyStats() *ApplyStats { return rt.lastStats }
 

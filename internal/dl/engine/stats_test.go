@@ -6,19 +6,19 @@ func TestCollectStatsOff(t *testing.T) {
 	rt := newRT(t, projSrc)
 	apply(t, rt, Insert("In", strRec("x", "y")))
 	if rt.LastApplyStats() != nil {
-		t.Fatalf("stats collected with CollectStats unset")
+		t.Fatalf("stats collected with Collect unset")
 	}
 }
 
 func TestCollectStats(t *testing.T) {
-	rt, err := New(compile(t, projSrc), Options{CollectStats: true})
+	rt, err := New(compile(t, projSrc), Options{Collect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	apply(t, rt, Insert("In", strRec("x", "y")))
 	st := rt.LastApplyStats()
 	if st == nil {
-		t.Fatalf("no stats with CollectStats set")
+		t.Fatalf("no stats with Collect set")
 	}
 	if len(st.Strata) != rt.NumStrata() {
 		t.Fatalf("stats cover %d strata, runtime has %d", len(st.Strata), rt.NumStrata())

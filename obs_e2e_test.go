@@ -231,7 +231,7 @@ PortPair(a, b) :- InVlan(a, v), InVlan(b, v).
 func TestProfilerRanksExpensiveRule(t *testing.T) {
 	o := obs.NewObserver()
 	s, err := bench.StartStackConfig(bench.StackConfig{
-		Obs: o, Profile: true, Rules: profilerRules,
+		Obs: o, Rules: profilerRules,
 	})
 	if err != nil {
 		t.Fatal(err)
