@@ -15,38 +15,51 @@ type gate struct {
 	// "rows[mode=wire]" selects the element of array "rows" whose "mode"
 	// field is "wire". Booleans read as 0 and 1.
 	Path string `json:"path"`
-	// Rule is min or max (inclusive), below (strict), or
-	// at-least-x-baseline / at-most-x-baseline, which scale the same
-	// path's value in the report as it stood before this run.
+	// Rule is min or max (inclusive), or below (strict).
 	Rule string `json:"rule"`
-	// Value is the threshold: a number, or for min/max/below another
-	// path in the same report.
+	// Value is the threshold: a number, or another path in the same
+	// report, i.e. a control measured by the same run.
 	Value any `json:"value"`
 }
 
-// gateSet is a gates file plus the baseline reports it is judged against.
-type gateSet struct {
-	gates     []gate
-	baselines map[string]any // file → decoded report; absent when unreadable
-}
-
-// loadGates reads the gates file and snapshots every report it names, so
-// that experiments run afterwards may overwrite them.
-func loadGates(path string) (*gateSet, error) {
+// loadGates reads the gates file.
+func loadGates(path string) ([]gate, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	gs := &gateSet{baselines: map[string]any{}}
-	if err := json.Unmarshal(data, &gs.gates); err != nil {
+	var gates []gate
+	if err := json.Unmarshal(data, &gates); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	for _, g := range gs.gates {
-		if doc, err := readReport(g.File); err == nil {
-			gs.baselines[g.File] = doc
+	return gates, nil
+}
+
+// checkGates reads each report the gates name once, evaluates every gate
+// against it, prints one line per gate, and reports whether all of them
+// held.
+func checkGates(gates []gate) bool {
+	docs := map[string]any{}
+	errs := map[string]error{}
+	ok := true
+	for _, g := range gates {
+		if _, read := docs[g.File]; !read {
+			docs[g.File], errs[g.File] = readReport(g.File)
+		}
+		if err := errs[g.File]; err != nil {
+			fmt.Printf("FAIL %s %s: %v\n", g.File, g.Path, err)
+			ok = false
+			continue
+		}
+		line, held := g.eval(docs[g.File])
+		if held {
+			fmt.Println("ok  ", line)
+		} else {
+			fmt.Println("FAIL", line)
+			ok = false
 		}
 	}
-	return gs, nil
+	return ok
 }
 
 func readReport(file string) (any, error) {
@@ -61,30 +74,8 @@ func readReport(file string) (any, error) {
 	return doc, nil
 }
 
-// check evaluates every gate against the reports as they stand now,
-// prints one line per gate, and reports whether all of them held.
-func (gs *gateSet) check() bool {
-	ok := true
-	for _, g := range gs.gates {
-		doc, err := readReport(g.File)
-		if err != nil {
-			fmt.Printf("FAIL %s %s: %v\n", g.File, g.Path, err)
-			ok = false
-			continue
-		}
-		line, held := g.eval(doc, gs.baselines[g.File])
-		if held {
-			fmt.Println("ok  ", line)
-		} else {
-			fmt.Println("FAIL", line)
-			ok = false
-		}
-	}
-	return ok
-}
-
 // eval judges one gate and renders its line.
-func (g gate) eval(doc, baseline any) (string, bool) {
+func (g gate) eval(doc any) (string, bool) {
 	name := g.File + " " + g.Path
 	got, err := lookup(doc, g.Path)
 	if err != nil {
@@ -103,19 +94,11 @@ func (g gate) eval(doc, baseline any) (string, bool) {
 	default:
 		return fmt.Sprintf("%s: value %v is neither a number nor a path", name, g.Value), false
 	}
-	if strings.HasSuffix(g.Rule, "-x-baseline") {
-		base, err := lookup(baseline, g.Path)
-		if err != nil || base <= 0 {
-			return fmt.Sprintf("%s = %g (no baseline, %s not applied)", name, got, g.Rule), true
-		}
-		limitText = fmt.Sprintf("%g x baseline %g", limit, base)
-		limit *= base
-	}
 	var held bool
 	switch g.Rule {
-	case "min", "at-least-x-baseline":
+	case "min":
 		held = got >= limit
-	case "max", "at-most-x-baseline":
+	case "max":
 		held = got <= limit
 	case "below":
 		held = got < limit

@@ -14,7 +14,6 @@ func TestGateEval(t *testing.T) {
 		return v
 	}
 	doc := decode(`{"n": 10, "limit": 10, "ok": true, "rows": [{"mode": "a+b", "v": 5}, {"mode": "wire", "v": 90}]}`)
-	base := decode(`{"n": 8, "rows": [{"mode": "wire", "v": 100}]}`)
 	for _, tc := range []struct {
 		path, rule string
 		value      any
@@ -26,20 +25,17 @@ func TestGateEval(t *testing.T) {
 		{"n", "max", 9.0, false},
 		{"n", "max", "limit", true},
 		{"n", "below", "limit", false},
+		{"rows[mode=a+b].v", "below", "n", true},
+		{"n", "below", "absent", false}, // a missing same-run control fails its gate
 		{"ok", "min", 1.0, true},
 		{"rows[mode=a+b].v", "max", 5.0, true},
-		{"rows[mode=wire].v", "at-least-x-baseline", 0.85, true},
-		{"rows[mode=wire].v", "at-least-x-baseline", 0.95, false},
-		{"n", "at-most-x-baseline", 1.25, true},
-		{"n", "at-most-x-baseline", 1.2, false},
-		{"rows[mode=a+b].v", "at-most-x-baseline", 0.1, true}, // no baseline row: not applied
-		{"rows[mode=gone].v", "max", 100.0, false},            // a missing row fails its gate
+		{"rows[mode=gone].v", "max", 100.0, false}, // a missing row fails its gate
 		{"absent", "min", 0.0, false},
 		{"n", "about", 10.0, false},
 		{"n", "max", []any{}, false},
 	} {
 		g := gate{File: "f.json", Path: tc.path, Rule: tc.rule, Value: tc.value}
-		if line, held := g.eval(doc, base); held != tc.held {
+		if line, held := g.eval(doc); held != tc.held {
 			t.Errorf("%s %s %v: held = %v, want %v (%s)", tc.path, tc.rule, tc.value, held, tc.held, line)
 		}
 	}

@@ -39,7 +39,6 @@ func main() {
 	keepalive := flag.Duration("keepalive", 10*time.Second, "echo-heartbeat interval on every connection; 3 misses fail it (0 = off)")
 	coalesceTxns := flag.Int("coalesce-max-txns", 1, "merge up to this many queued OVSDB commits into one engine transaction (<=1 disables coalescing)")
 	coalesceUpdates := flag.Int("coalesce-max-updates", 0, "flush a merged batch once it carries this many input updates (0 = default 1024)")
-	coalesceWindow := flag.Duration("coalesce-window", 0, "wait up to this long for further commits before applying a partial batch (0 = merge only already-queued commits)")
 	flag.Parse()
 	if *reconnectBackoff <= 0 {
 		log.Fatalf("-reconnect-backoff must be positive, got %v", *reconnectBackoff)
@@ -103,7 +102,6 @@ func main() {
 		Rules: rules, Database: *dbName, Obs: observer,
 		CoalesceMaxTxns:    *coalesceTxns,
 		CoalesceMaxUpdates: *coalesceUpdates,
-		CoalesceWindow:     *coalesceWindow,
 	}
 	var subSvc *subscribe.Service
 	if *subAddr != "" {

@@ -242,37 +242,63 @@ func SnvsEngineOpts(opts engine.Options) (*engine.Runtime, error) {
 	return prog.NewRuntime(opts)
 }
 
+// incrVlans is how many VLANs T4's ports spread over.
+const incrVlans = 10
+
+// incrNetwork returns the snvs engine loaded with T4's populated
+// network: n access ports and one learned MAC per port.
+func incrNetwork(n int, opts engine.Options) (*engine.Runtime, error) {
+	rt, err := SnvsEngineOpts(opts)
+	if err != nil {
+		return nil, err
+	}
+	load := []engine.Update{engine.Insert("SwitchCfg", value.Record{
+		value.String("u-cfg"), value.Bool(true), value.String("snvs0"),
+	})}
+	for i := 0; i < n; i++ {
+		load = append(load, engine.Insert("Port", workload.PortRecord(i, incrVlans)))
+		load = append(load, engine.Insert("Learn", workload.LearnedRecord(i, i, incrVlans)))
+	}
+	if _, err := rt.Apply(load); err != nil {
+		return nil, err
+	}
+	return rt, nil
+}
+
+// recomputeNetwork is the same network as the recompute-and-diff
+// controller's state.
+func recomputeNetwork(n int) *baseline.SNVSState {
+	state := baseline.NewSNVSState()
+	state.FloodUnknown = true
+	for i := 0; i < n; i++ {
+		p := workload.PortCfg(i, incrVlans)
+		state.Ports[p.Name] = p
+		state.Learned = append(state.Learned, baseline.LearnedMac{
+			Mac: uint64(0xaa0000000000 + i), Vlan: p.Tag, Port: p.Num,
+		})
+	}
+	return state
+}
+
 // RunIncrVsRecompute runs T4 across network sizes.
 func RunIncrVsRecompute(sizes []int, changes int) (*IncrResult, error) {
-	const nVlans = 10
 	res := &IncrResult{Changes: changes}
 	for _, n := range sizes {
 		// Incremental side: engine loaded with n ports + learned MACs.
-		rt, err := SnvsEngine()
+		rt, err := incrNetwork(n, engine.Options{})
 		if err != nil {
-			return nil, err
-		}
-		var load []engine.Update
-		load = append(load, engine.Insert("SwitchCfg", value.Record{
-			value.String("u-cfg"), value.Bool(true), value.String("snvs0"),
-		}))
-		for i := 0; i < n; i++ {
-			load = append(load, engine.Insert("Port", workload.PortRecord(i, nVlans)))
-			load = append(load, engine.Insert("Learn", workload.LearnedRecord(i, i, nVlans)))
-		}
-		if _, err := rt.Apply(load); err != nil {
 			return nil, err
 		}
 		start := time.Now()
 		for c := 0; c < changes; c++ {
 			i := n + c
 			if _, err := rt.Apply([]engine.Update{
-				engine.Insert("Port", workload.PortRecord(i, nVlans)),
+				engine.Insert("Port", workload.PortRecord(i, incrVlans)),
 			}); err != nil {
 				return nil, err
 			}
 			if _, err := rt.Apply([]engine.Update{
-				engine.Delete("Port", workload.PortRecord(i, nVlans)),
+				engine.Delete("Port", workload.PortRecord(i, incrVlans)),
 			}); err != nil {
 				return nil, err
 			}
@@ -280,19 +306,11 @@ func RunIncrVsRecompute(sizes []int, changes int) (*IncrResult, error) {
 		incrPer := time.Since(start) / time.Duration(2*changes)
 
 		// Conventional side: recompute-everything-and-diff per change.
-		state := baseline.NewSNVSState()
-		state.FloodUnknown = true
-		for i := 0; i < n; i++ {
-			p := workload.PortCfg(i, nVlans)
-			state.Ports[p.Name] = p
-			state.Learned = append(state.Learned, baseline.LearnedMac{
-				Mac: uint64(0xaa0000000000 + i), Vlan: p.Tag, Port: p.Num,
-			})
-		}
+		state := recomputeNetwork(n)
 		installed := state.DesiredEntries()
 		start = time.Now()
 		for c := 0; c < changes; c++ {
-			p := workload.PortCfg(n+c, nVlans)
+			p := workload.PortCfg(n+c, incrVlans)
 			state.Ports[p.Name] = p
 			next := state.DesiredEntries()
 			baseline.Diff(installed, next)

@@ -36,10 +36,13 @@ type ObsOverheadRow struct {
 	// data-plane push, per transaction, from the controller's trace).
 	P50 time.Duration `json:"p50_ns"`
 	P99 time.Duration `json:"p99_ns"`
-	// P50OverheadPct is this row's p50 relative to the "metrics"
-	// baseline (observer on, event ring disabled), as a percentage
-	// increase.
-	P50OverheadPct float64 `json:"p50_overhead_pct"`
+	// P50OverheadPct is the median, over the interleaved rounds, of this
+	// mode's p50 relative to the "metrics" baseline's p50 in the same
+	// round (observer on, event ring disabled), as a percentage increase;
+	// P50OverheadIQRPct is the distance between those per-round
+	// overheads' quartiles, the noise bound the median is read against.
+	P50OverheadPct    float64 `json:"p50_overhead_pct"`
+	P50OverheadIQRPct float64 `json:"p50_overhead_iqr_pct"`
 	// Events is the flight recorder's total appended-event count at the
 	// end of the run (0 when the ring is off).
 	Events uint64 `json:"events"`
@@ -63,9 +66,11 @@ type obsModeRun struct {
 	s    *Stack
 	sent int
 	// read is the last txn ID whose latency has been read; latencies
-	// holds the measured pass's samples.
+	// holds the measured pass's samples and overheads its per-round p50
+	// overheads over the baseline mode.
 	read      uint64
 	latencies []time.Duration
+	overheads []float64
 }
 
 // RunObsOverhead boots the full stack for every recorder mode up front,
@@ -138,7 +143,7 @@ func RunObsOverhead(txns int) (*ObsOverheadResult, error) {
 			if err := driveObsChunk(m, chunk); err != nil {
 				return nil, err
 			}
-			if err := m.readLatencies(false); err != nil {
+			if _, err := m.readLatencies(); err != nil {
 				return nil, err
 			}
 		}
@@ -148,34 +153,43 @@ func RunObsOverhead(txns int) (*ObsOverheadResult, error) {
 	// the round period (GC cycles chief among them) is spread across all
 	// modes instead of always billing the same one. The explicit GC
 	// before each chunk keeps one mode's garbage from triggering a
-	// collection pause inside the next mode's measurement window.
+	// collection pause inside the next mode's measurement window. Each
+	// round pairs every mode with the baseline's chunk of the same round,
+	// so drift between rounds cancels out of that round's overhead.
+	roundP50 := make([]time.Duration, len(runs))
 	for r := 0; r < obsOverheadRounds; r++ {
 		for i := range runs {
-			m := runs[(r+i)%len(runs)]
+			j := (r + i) % len(runs)
+			m := runs[j]
 			runtime.GC()
 			if err := driveObsChunk(m, chunk); err != nil {
 				return nil, err
 			}
-			if err := m.readLatencies(true); err != nil {
+			lats, err := m.readLatencies()
+			if err != nil {
 				return nil, err
 			}
+			m.latencies = append(m.latencies, lats...)
+			sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
+			roundP50[j] = percentileDur(lats, 50)
+		}
+		for j, m := range runs {
+			m.overheads = append(m.overheads, (float64(roundP50[j])/float64(roundP50[0])-1)*100)
 		}
 	}
 	for _, m := range runs {
 		lats := m.latencies
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+		med, iqr := medianIQR(m.overheads)
 		res.Rows = append(res.Rows, ObsOverheadRow{
-			Mode:   m.mode,
-			Txns:   len(lats),
-			P50:    percentileDur(lats, 50),
-			P99:    percentileDur(lats, 99),
-			Events: m.o.Rec().Total(),
+			Mode:              m.mode,
+			Txns:              len(lats),
+			P50:               percentileDur(lats, 50),
+			P99:               percentileDur(lats, 99),
+			P50OverheadPct:    med,
+			P50OverheadIQRPct: iqr,
+			Events:            m.o.Rec().Total(),
 		})
-	}
-	if base := float64(res.Rows[0].P50); base > 0 {
-		for i := range res.Rows {
-			res.Rows[i].P50OverheadPct = (float64(res.Rows[i].P50)/base - 1) * 100
-		}
 	}
 	return res, nil
 }
@@ -202,10 +216,9 @@ func driveObsChunk(m *obsModeRun, n int) error {
 
 // readLatencies waits until the mode's last commit has been pushed, so
 // chunk latencies never bleed into the next mode's measurement window,
-// then reads every commit since the previous read from the tracer: its
-// apply+push latency is its delta stage plus its push stage. keep says
-// whether the samples join the measured pass.
-func (m *obsModeRun) readLatencies(keep bool) error {
+// then returns the latency of every commit since the previous read from
+// the tracer: its delta stage plus its push stage.
+func (m *obsModeRun) readLatencies() ([]time.Duration, error) {
 	last := m.s.DB.LastTxnID()
 	tr := m.o.Tr()
 	deadline := time.Now().Add(30 * time.Second)
@@ -214,25 +227,24 @@ func (m *obsModeRun) readLatencies(keep bool) error {
 			break
 		}
 		if err := m.s.Ctrl.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("bench: obs-overhead %s: txn %d never pushed", m.mode, last)
+			return nil, fmt.Errorf("bench: obs-overhead %s: txn %d never pushed", m.mode, last)
 		}
 		time.Sleep(time.Millisecond)
 	}
+	lats := make([]time.Duration, 0, last-m.read)
 	for id := m.read + 1; id <= last; id++ {
 		t, _ := tr.Get(id)
 		d := stageDurations(t)
 		if len(d) != 2 {
-			return fmt.Errorf("bench: obs-overhead %s: txn %d has %d of its delta/push stages", m.mode, id, len(d))
+			return nil, fmt.Errorf("bench: obs-overhead %s: txn %d has %d of its delta/push stages", m.mode, id, len(d))
 		}
-		if keep {
-			m.latencies = append(m.latencies, d[0]+d[1])
-		}
+		lats = append(lats, d[0]+d[1])
 	}
 	m.read = last
-	return nil
+	return lats, nil
 }
 
 // stageDurations returns the durations of a trace's delta and push
@@ -256,15 +268,38 @@ func percentileDur(sorted []time.Duration, p int) time.Duration {
 	return sorted[i]
 }
 
+// medianIQR returns the median of vs and the distance between its first
+// and third quartiles, by the rule benchmark/stats.go uses (Python's
+// statistics.quantiles, exclusive method), so both harnesses report the
+// same spread for the same draws.
+func medianIQR(vs []float64) (median, iqr float64) {
+	s := append([]float64(nil), vs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n < 2 {
+		if n == 1 {
+			return s[0], 0
+		}
+		return 0, 0
+	}
+	// quartile interpolates the i-th of the 4 cut points.
+	quartile := func(i int) float64 {
+		j := min(max(i*(n+1)/4, 1), n-1)
+		delta := float64(i*(n+1) - j*4)
+		return (s[j-1]*(4-delta) + s[j]*delta) / 4
+	}
+	return (s[(n-1)/2] + s[n/2]) / 2, quartile(3) - quartile(1)
+}
+
 // String renders the report.
 func (r *ObsOverheadResult) String() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Flight-recorder overhead: %d txns per mode (apply+push latency, vs %s)\n",
-		r.Txns, obsOverheadBaseMode)
-	fmt.Fprintf(&sb, "  %-14s  %12s  %12s  %9s  %8s\n", "mode", "p50", "p99", "overhead", "events")
+	fmt.Fprintf(&sb, "Flight-recorder overhead: %d txns per mode (apply+push latency, vs %s; overhead is the median over %d interleaved rounds)\n",
+		r.Txns, obsOverheadBaseMode, obsOverheadRounds)
+	fmt.Fprintf(&sb, "  %-14s  %12s  %12s  %9s  %8s  %8s\n", "mode", "p50", "p99", "overhead", "IQR", "events")
 	for _, row := range r.Rows {
-		fmt.Fprintf(&sb, "  %-14s  %12v  %12v  %8.1f%%  %8d\n",
-			row.Mode, row.P50, row.P99, row.P50OverheadPct, row.Events)
+		fmt.Fprintf(&sb, "  %-14s  %12v  %12v  %8.1f%%  %6.1fpp  %8d\n",
+			row.Mode, row.P50, row.P99, row.P50OverheadPct, row.P50OverheadIQRPct, row.Events)
 	}
 	return sb.String()
 }

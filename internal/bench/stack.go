@@ -14,7 +14,6 @@ import (
 	"repro/internal/dl/engine"
 	"repro/internal/obs"
 	"repro/internal/ovsdb"
-	"repro/internal/p4"
 	"repro/internal/p4rt"
 	"repro/internal/snvs"
 	"repro/internal/switchsim"
@@ -47,34 +46,12 @@ func StartStackObs(o *obs.Observer) (*Stack, error) { return StartStackConfig(St
 // StackConfig selects optional stack features beyond the defaults.
 type StackConfig struct {
 	Obs *obs.Observer
-	// Coalesce* pass through to core.Config (zero values keep
-	// coalescing off).
-	CoalesceMaxTxns    int
-	CoalesceMaxUpdates int
-	CoalesceWindow     time.Duration
-	// DirectMP attaches the controller's monitor straight to the
-	// in-process database instead of over a JSON-RPC connection. The
-	// OVSDB server still runs (commits through it notify the same
-	// monitor), but monitor delivery skips the wire codec — used to
-	// measure the stack's absorption rate without the socket hop.
-	DirectMP bool
 	// Rules overrides the control-plane program (default snvs.Rules) —
 	// profiler experiments append deliberately expensive rules to it.
 	Rules string
 	// OnDelta passes through to core.Config: the post-push output-delta
 	// tap the subscription fan-out attaches to.
 	OnDelta func(txn uint64, delta engine.Delta)
-}
-
-// directMP is the in-process management plane: the real ovsdb.Database
-// fronted without the wire protocol.
-type directMP struct{ db *ovsdb.Database }
-
-func (d directMP) GetSchema(string) (*ovsdb.DatabaseSchema, error) { return d.db.Schema(), nil }
-
-func (d directMP) MonitorTxn(_ string, _ any, requests map[string]*ovsdb.MonitorRequest, cb func(uint64, ovsdb.TableUpdates)) (ovsdb.TableUpdates, error) {
-	_, initial, err := d.db.AddMonitor(requests, cb)
-	return initial, err
 }
 
 // StartStackConfig boots the full snvs deployment with the given
@@ -129,21 +106,13 @@ func StartStackConfig(cfg StackConfig) (*Stack, error) {
 	s.closers = append(s.closers, func() { p4c.Close() })
 	p4c.SetObs(o, "snvs0")
 
-	var mp core.ManagementPlane = s.DBC
-	if cfg.DirectMP {
-		mp = directMP{s.DB}
-	}
 	rules := cfg.Rules
 	if rules == "" {
 		rules = snvs.Rules
 	}
 	s.Ctrl, err = core.New(core.Config{
-		Rules: rules, Database: "snvs", Obs: o,
-		OnDelta:            cfg.OnDelta,
-		CoalesceMaxTxns:    cfg.CoalesceMaxTxns,
-		CoalesceMaxUpdates: cfg.CoalesceMaxUpdates,
-		CoalesceWindow:     cfg.CoalesceWindow,
-	}, mp, p4c)
+		Rules: rules, Database: "snvs", Obs: o, OnDelta: cfg.OnDelta,
+	}, s.DBC, p4c)
 	if err != nil {
 		return fail(err)
 	}
@@ -163,40 +132,6 @@ func (s *Stack) Close() {
 func (s *Stack) Transact(ops ...ovsdb.Operation) error {
 	_, err := s.DBC.TransactErr("snvs", ops...)
 	return err
-}
-
-// Drain waits until the controller has applied and pushed every commit
-// made so far, the way the benchmark's sink does: it toggles a sentinel
-// Port row and waits for the switch to hold (or drop) its in_vlan entry.
-// The controller applies commits in order, so once the sentinel's write
-// has landed so has every commit before it. Table sizes stay constant
-// across an even number of drains.
-func (s *Stack) Drain(timeout time.Duration) error {
-	const sentinelPort = 65000
-	match := []p4.FieldMatch{{Value: sentinelPort}}
-	_, present := s.Switch.Runtime().GetEntry("in_vlan", match)
-	op := ovsdb.OpInsert("Port", map[string]ovsdb.Value{
-		"name": "drain-sentinel", "port_num": int64(sentinelPort), "vlan_mode": "access", "tag": int64(10),
-	})
-	if present {
-		op = ovsdb.OpDelete("Port", ovsdb.Cond("name", "==", "drain-sentinel"))
-	}
-	if err := s.Transact(op); err != nil {
-		return err
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		if err := s.Ctrl.Err(); err != nil {
-			return err
-		}
-		if _, ok := s.Switch.Runtime().GetEntry("in_vlan", match); ok != present {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("bench: drain sentinel not applied within %v", timeout)
-		}
-		time.Sleep(20 * time.Microsecond)
-	}
 }
 
 // WaitEntries polls until the data-plane table holds want entries.

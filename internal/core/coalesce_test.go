@@ -2,29 +2,94 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dl/engine"
 	"repro/internal/obs"
 	"repro/internal/ovsdb"
+	"repro/internal/p4rt"
 	"repro/internal/snvs"
 )
 
-// startCoalescingCtrl boots a controller with monitor-delivery coalescing
-// enabled and observability on (so provenance attribution is collected).
-func startCoalescingCtrl(t *testing.T, mp *fakeMP, dp *fakeDP, window time.Duration) (*Controller, *obs.Observer) {
+// heldDP is a fakeDP whose first writes each announce themselves on
+// entered and then wait for one receive from release, so the test decides
+// when each push completes and commits made meanwhile queue up behind the
+// busy event loop.
+type heldDP struct {
+	*fakeDP
+	mu               sync.Mutex
+	held             int // writes still to hold
+	entered, release chan struct{}
+}
+
+func (h *heldDP) Write(updates ...p4rt.Update) error {
+	h.mu.Lock()
+	hold := h.held > 0
+	h.held--
+	h.mu.Unlock()
+	if hold {
+		h.entered <- struct{}{}
+		<-h.release
+	}
+	return h.fakeDP.Write(updates...)
+}
+
+// waitEntered waits for the next held write to start.
+func (h *heldDP) waitEntered(t *testing.T) {
 	t.Helper()
+	select {
+	case <-h.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("held device write never started")
+	}
+}
+
+// portRow is an access port's row.
+func portRow(name string, num, tag int64) map[string]ovsdb.Value {
+	return map[string]ovsdb.Value{"name": name, "port_num": num, "vlan_mode": "access", "tag": tag}
+}
+
+// startQueuedCommits boots a controller with monitor-delivery coalescing
+// and observability on (so provenance attribution is collected), holds
+// the device write of a first commit, and returns once ports p1 and p2,
+// committed separately while it is held, are queued behind it. Releasing
+// that write lets the loop drain the queue, which coalescing merges into
+// one apply. The device holds its first held writes, that one included.
+func startQueuedCommits(t *testing.T, held int) (*Controller, *obs.Observer, *heldDP) {
+	t.Helper()
+	mp, fake := newFakes(t)
+	dp := &heldDP{fakeDP: fake, held: held, entered: make(chan struct{}, held), release: make(chan struct{})}
 	o := obs.NewObserver()
 	ctrl, err := New(Config{
-		Rules: snvs.Rules, Database: "snvs", Obs: o,
-		CoalesceMaxTxns: 8, CoalesceWindow: window,
+		Rules: snvs.Rules, Database: "snvs", Obs: o, CoalesceMaxTxns: 8,
 	}, mp, dp)
 	if err != nil {
 		t.Fatalf("core.New: %v", err)
 	}
 	t.Cleanup(ctrl.Stop)
-	return ctrl, o
+	t.Cleanup(func() { close(dp.release) }) // a failed test leaves no write held
+
+	transact(t, mp, ovsdb.OpInsert("SwitchCfg", map[string]ovsdb.Value{"name": "s", "flood_unknown": true}),
+		ovsdb.OpInsert("Port", portRow("p0", 7, 30)))
+	dp.waitEntered(t)
+	transact(t, mp, ovsdb.OpInsert("Port", portRow("p1", 1, 10)))
+	transact(t, mp, ovsdb.OpInsert("Port", portRow("p2", 2, 20)))
+	waitQueued(t, ctrl, 2)
+	return ctrl, o, dp
+}
+
+// waitQueued waits until n events wait in the controller's queue.
+func waitQueued(t *testing.T, ctrl *Controller, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for len(ctrl.events) < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d events queued, want %d", len(ctrl.events), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // findInputLeaf walks an explain tree for the input leaf whose record
@@ -82,27 +147,16 @@ func portOrigins(t *testing.T, ctrl *Controller, names ...string) map[string]uin
 // pushed entry back to the commit that inserted its port — not to the
 // merged batch's (last) transaction ID.
 func TestCoalescingPreservesAttribution(t *testing.T) {
-	mp, dp := newFakes(t)
-	ctrl, o := startCoalescingCtrl(t, mp, dp, 500*time.Millisecond)
-
-	// Three separate commits, delivered asynchronously by the monitor.
-	// The coalesce window all but guarantees the port commits land in one
-	// merged apply.
-	transact(t, mp, ovsdb.OpInsert("SwitchCfg", map[string]ovsdb.Value{"name": "s", "flood_unknown": true}))
-	transact(t, mp, ovsdb.OpInsert("Port", map[string]ovsdb.Value{
-		"name": "p1", "port_num": int64(1), "vlan_mode": "access", "tag": int64(10),
-	}))
-	transact(t, mp, ovsdb.OpInsert("Port", map[string]ovsdb.Value{
-		"name": "p2", "port_num": int64(2), "vlan_mode": "access", "tag": int64(20),
-	}))
+	ctrl, o, dp := startQueuedCommits(t, 1)
+	dp.release <- struct{}{}
 
 	txnByPort := portOrigins(t, ctrl, "p1", "p2")
 	if err := ctrl.Barrier(); err != nil {
 		t.Fatalf("barrier: %v", err)
 	}
 
-	if merged := o.Reg().Counter("core_coalesced_txns_total", "").Value(); merged < 2 {
-		t.Fatalf("core_coalesced_txns_total = %d, want >= 2 (no batch merged; coalescing inactive?)", merged)
+	if merged := o.Reg().Counter("core_coalesced_txns_total", "").Value(); merged != 2 {
+		t.Fatalf("core_coalesced_txns_total = %d, want 2 (p1 and p2 merged; coalescing inactive?)", merged)
 	}
 	if txnByPort["p1"] == 0 || txnByPort["p2"] == 0 {
 		t.Fatalf("zero txn in input origins: %v", txnByPort)
@@ -147,36 +201,42 @@ func TestCoalescingPreservesAttribution(t *testing.T) {
 }
 
 // TestCoalesceBarrierFlushes pins the control-event interaction: a
-// barrier enqueued behind a partially-filled batch cuts the coalesce
-// window short instead of waiting it out.
+// barrier queued behind commits is the event that ends their merged batch,
+// and it returns only after that batch has been pushed.
 func TestCoalesceBarrierFlushes(t *testing.T) {
-	mp, dp := newFakes(t)
-	// A window far longer than the test's budget: if a barrier did not
-	// cut it short, the poll below would take > 30s and time out.
-	ctrl, _ := startCoalescingCtrl(t, mp, dp, 30*time.Second)
+	ctrl, o, dp := startQueuedCommits(t, 2)
+	barrier := make(chan error, 1)
+	go func() { barrier <- ctrl.Barrier() }()
+	waitQueued(t, ctrl, 3)
+	dp.release <- struct{}{}
 
-	transact(t, mp, ovsdb.OpInsert("SwitchCfg", map[string]ovsdb.Value{"name": "s", "flood_unknown": true}))
-	transact(t, mp, ovsdb.OpInsert("Port", map[string]ovsdb.Value{
-		"name": "p1", "port_num": int64(1), "vlan_mode": "access", "tag": int64(10),
-	}))
-	// Monitor delivery is asynchronous, so a single barrier could sneak
-	// in ahead of the commits; barriers are issued repeatedly until the
-	// port's entries reach the device. Each one must return promptly.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		bStart := time.Now()
-		if err := ctrl.Barrier(); err != nil {
+	// The merged batch's write is now in flight and held: the barrier
+	// behind it must not return until that write completes.
+	dp.waitEntered(t)
+	select {
+	case <-barrier:
+		t.Fatal("barrier returned before the merged batch's push")
+	case <-time.After(50 * time.Millisecond):
+	}
+	dp.release <- struct{}{}
+	select {
+	case err := <-barrier:
+		if err != nil {
 			t.Fatalf("barrier: %v", err)
 		}
-		if d := time.Since(bStart); d > 2*time.Second {
-			t.Fatalf("barrier took %v; coalesce window not cut short", d)
+	case <-time.After(5 * time.Second):
+		t.Fatal("barrier queued behind a merged batch never returned")
+	}
+	pushed := map[uint64]bool{}
+	for _, u := range dp.allUpdates() {
+		if u.Entry != nil && u.Entry.Table == "in_vlan" {
+			pushed[u.Entry.Matches[0].Value] = true
 		}
-		if len(dp.allUpdates()) >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("port never applied; coalesced batch stuck behind its window")
-		}
-		time.Sleep(time.Millisecond)
+	}
+	if !pushed[1] || !pushed[2] {
+		t.Fatalf("barrier returned before the merged batch's push: in_vlan ports %v, want 1 and 2", pushed)
+	}
+	if merged := o.Reg().Counter("core_coalesced_txns_total", "").Value(); merged != 2 {
+		t.Fatalf("core_coalesced_txns_total = %d, want 2 (p1 and p2 merged; coalescing inactive?)", merged)
 	}
 }

@@ -93,7 +93,9 @@ type Config struct {
 	Database string
 	// CoalesceMaxTxns bounds how many adjacent OVSDB-delivered commits the
 	// event loop merges into a single engine transaction before applying.
-	// 0 or 1 disables coalescing (every commit applies individually).
+	// Only commits already queued behind the first are merged, so a lone
+	// commit is never delayed. 0 or 1 disables coalescing (every commit
+	// applies individually).
 	// Merging amortizes the fixed per-apply cost (evaluation setup, delta
 	// collection, data-plane push barrier) across a burst of small
 	// commits; per-commit trace and provenance attribution is preserved
@@ -104,10 +106,6 @@ type Config struct {
 	// far. 0 selects the default (1024). Only meaningful when
 	// CoalesceMaxTxns > 1.
 	CoalesceMaxUpdates int
-	// CoalesceWindow is how long the loop waits for further commits to
-	// arrive after the first before applying a not-yet-full batch. 0
-	// merges only commits already queued (no added latency).
-	CoalesceWindow time.Duration
 	// OnDelta, when set, receives every non-empty output delta right
 	// after the data-plane push, on the event-loop goroutine, attributed
 	// with the transaction that produced it (0 for the initial sync; a
@@ -651,39 +649,24 @@ func (c *Controller) loop() {
 	}
 }
 
-// coalesce merges queued (and, within CoalesceWindow, soon-arriving)
-// OVSDB commits into ev, bounded by CoalesceMaxTxns commits and
-// CoalesceMaxUpdates input updates. The merged event's txnID is the last
-// merged non-zero commit ID; per-commit attribution is preserved in
-// ev.segs. Returns the first non-mergeable event popped off the queue
-// (a barrier, resync, or digest that must run after the merged batch),
-// or nil.
+// coalesce merges the OVSDB commits already queued behind ev into it,
+// bounded by CoalesceMaxTxns commits and CoalesceMaxUpdates input
+// updates. The merged event's txnID is the last merged non-zero commit
+// ID; per-commit attribution is preserved in ev.segs. Returns the first
+// non-mergeable event popped off the queue (a barrier, resync, or digest
+// that must run after the merged batch), or nil.
 func (c *Controller) coalesce(ev *event) *event {
 	maxUpdates := c.cfg.CoalesceMaxUpdates
 	if maxUpdates <= 0 {
 		maxUpdates = defaultCoalesceMaxUpdates
 	}
-	var window <-chan time.Time
-	if c.cfg.CoalesceWindow > 0 {
-		timer := time.NewTimer(c.cfg.CoalesceWindow)
-		defer timer.Stop()
-		window = timer.C
-	}
 	for ev.coalesced() < c.cfg.CoalesceMaxTxns && len(ev.updates) < maxUpdates {
 		var next event
 		var ok bool
-		if window != nil {
-			select {
-			case next, ok = <-c.events:
-			case <-window:
-				return nil
-			}
-		} else {
-			select {
-			case next, ok = <-c.events:
-			default:
-				return nil
-			}
+		select {
+		case next, ok = <-c.events:
+		default:
+			return nil
 		}
 		if !ok {
 			// Channel closed mid-drain; dispatch what we merged, the
