@@ -40,11 +40,14 @@ for target in jsonrpc:FuzzFrame p4rt:FuzzWriteParams p4rt:FuzzDigestParams \
     go test -run='^$' -fuzz="^${target#*:}\$" -fuzztime=10s "./internal/${target%:*}/"
 done
 # Provenance overhead smoke: the experiment must run end to end and emit
-# its machine-readable report, and the unobserved engine's hot path
+# its machine-readable report, the unobserved engine's hot path
 # (collection off: no statistics, rule profiling or provenance) must stay
-# allocation-free.
+# allocation-free, and so must the provenance store's write paths.
 (cd "$bench_dir" && ./nerpa-bench -exp provenance && test -s BENCH_provenance.json)
-go test -run 'TestArrangementProbeZeroAlloc' -count=1 ./internal/dl/engine/
+go test -run 'TestArrangementProbeZeroAlloc|TestProvenanceRecordPoolZeroAlloc|TestProvenanceOffZeroAlloc|TestRuleProfOffZeroAlloc' -count=1 ./internal/dl/engine/
+# Apply writes the provenance store in place under its lock while Explain
+# reads it: twenty runs under the race detector.
+go test -race -count=20 -run 'TestProvenanceConcurrentExplainHammer|TestProvenanceVsNaive|TestProvenanceRecursive' ./internal/dl/engine/
 # Flight-recorder: the event hot path must stay allocation-free.
 go test -run 'TestEventHotPathZeroAlloc' -count=1 ./internal/obs/
 # Fleet observability: the nerpa-top aggregator e2e (builds the real

@@ -66,8 +66,7 @@ type provState struct {
 	evicted uint64
 }
 
-// defaultOriginCapacity bounds each origin map when the engine's
-// provenance capacity is not configured.
+// defaultOriginCapacity bounds each origin map.
 const defaultOriginCapacity = 1 << 16
 
 func newProvState(capacity int) *provState {

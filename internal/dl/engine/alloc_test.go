@@ -69,16 +69,15 @@ func TestArrangementProbeZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestProvenanceRecordPoolZeroAlloc guards the journaled provenance store
+// TestProvenanceRecordPoolZeroAlloc guards the provenance store's write
 // paths: re-recording an already-known derivation (the steady-state case —
-// every re-derivation of a live fact), journaling and flushing a
-// retraction, and full record/retract/drop churn all run allocation-free
-// once warm — sigs are order-independent hashes computed in caller-owned
-// scratch buffers, journal and ref arenas retain their capacity across
-// flushes, and derivation/fact containers recycle through the store's
-// freelists.
+// every re-derivation of a live fact), retracting a derivation the fact
+// does not hold, and full record/retract/drop churn all run
+// allocation-free once warm — sigs are order-independent hashes computed
+// in caller-owned scratch buffers, and derivation/fact containers recycle
+// through the store's freelists.
 func TestProvenanceRecordPoolZeroAlloc(t *testing.T) {
-	ps := newProvStore(0)
+	ps := newProvStore()
 	head := &relState{id: 1}
 	in := &relState{id: 2}
 	rec := value.Record{value.Int(7), value.Int(8)}
@@ -92,29 +91,24 @@ func TestProvenanceRecordPoolZeroAlloc(t *testing.T) {
 	var sigBuf []byte
 	sig := sigHash(&sigBuf, lh, trail)
 	dg := provDigest(head.id, key)
-	ps.j.record(dg, head.id, rec, sig, label, 0, trail, false)
-	ps.flush()
+	ps.record(dg, head.id, rec, sig, label, 0, trail, false)
 
-	// Duplicate record: sig hashed in caller scratch, journaled, matched
-	// at replay, seq refreshed, dropped.
+	// Duplicate record: sig hashed in caller scratch, matched, kept.
 	if allocs := testing.AllocsPerRun(200, func() {
 		s := sigHash(&sigBuf, lh, trail)
-		ps.j.record(dg, head.id, rec, s, label, 0, trail, false)
-		ps.flush()
+		ps.record(dg, head.id, rec, s, label, 0, trail, false)
 	}); allocs != 0 {
-		t.Errorf("duplicate record+flush: %v allocs/op, want 0", allocs)
+		t.Errorf("duplicate record: %v allocs/op, want 0", allocs)
 	}
 
-	// Journaled retraction with no matching derivation left after the
-	// first cycle: sig hash, journal append, deferred replay scan.
-	ps.j.unrecord(dg, sig)
-	ps.flush()
+	// Retraction with no matching derivation left after the first cycle:
+	// sig hash, table probe, derivation scan.
+	ps.unrecord(dg, sig)
 	if allocs := testing.AllocsPerRun(200, func() {
 		s := sigHash(&sigBuf, lh, trail)
-		ps.j.unrecord(dg, s)
-		ps.flush()
+		ps.unrecord(dg, s)
 	}); allocs != 0 {
-		t.Errorf("unrecord+flush: %v allocs/op, want 0", allocs)
+		t.Errorf("unrecord: %v allocs/op, want 0", allocs)
 	}
 
 	// Steady-state churn (record a new derivation, retract it, drop the
@@ -122,10 +116,9 @@ func TestProvenanceRecordPoolZeroAlloc(t *testing.T) {
 	// materialized per cycle.
 	churn := func() {
 		s := sigHash(&sigBuf, lh, trail)
-		ps.j.record(dg, head.id, rec, s, label, 0, trail, false)
-		ps.j.unrecord(dg, s)
-		ps.j.drop(dg)
-		ps.flush()
+		ps.record(dg, head.id, rec, s, label, 0, trail, false)
+		ps.unrecord(dg, s)
+		ps.drop(dg)
 	}
 	churn()
 	if allocs := testing.AllocsPerRun(200, churn); allocs != 0 {

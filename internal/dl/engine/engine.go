@@ -53,9 +53,6 @@ type Options struct {
 	// default: the evaluation hot path then carries only nil checks — no
 	// clock reads, no allocation.
 	Collect bool
-	// ProvenanceCapacity bounds the number of facts the provenance store
-	// retains (FIFO eviction); 0 selects DefaultProvenanceCapacity.
-	ProvenanceCapacity int
 	// Events, when set, receives flight-recorder events (apply.start,
 	// apply.end, and, when collecting, per-stratum stratum.eval at debug
 	// level, reusing the statistics' timings); with a nil recorder the
@@ -85,17 +82,11 @@ type Runtime struct {
 	derivations int64
 	// ctx is the evaluation scratch every plan run of a transaction uses.
 	ctx evalCtx
-	// jobsBuf is the reusable seed-job buffer for counting strata; a
-	// fresh slice per stratum per transaction was a steady allocation
-	// source (and GC-assist magnet) on the apply path.
-	jobsBuf []seedJob
 	// stats is the in-progress ApplyStats of the current transaction (nil
 	// unless Options.Collect); lastStats is the completed record of
-	// the previous transaction. statJobs is the current stratum's seeding
-	// count.
+	// the previous transaction.
 	stats     *ApplyStats
 	lastStats *ApplyStats
-	statJobs  int
 	// ruleProf is the per-rule transaction accumulator (nil unless
 	// Options.Collect).
 	ruleProf []ruleAcc
@@ -223,7 +214,7 @@ func New(prog *typecheck.Program, opts Options) (*Runtime, error) {
 	}
 	rt.initRuleProf()
 	if opts.Collect {
-		rt.prov = newProvStore(opts.ProvenanceCapacity)
+		rt.prov = newProvStore()
 		// Every relation (including hidden group relations) drops a
 		// fact's provenance when the fact is retracted.
 		for _, rs := range rt.rels {
@@ -344,6 +335,12 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 	if rt.opts.Collect {
 		rt.stats = &ApplyStats{}
 	}
+	if rt.prov != nil {
+		// Emit sites write the provenance store in place; holding its
+		// lock for the whole transaction shows Explain only whole ones.
+		rt.prov.mu.Lock()
+		defer rt.prov.mu.Unlock()
+	}
 	// Apply effective input changes.
 	for rs, m := range stagedByRel {
 		for recKey, s := range m {
@@ -358,7 +355,6 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 	for s := range rt.strata {
 		var t0 time.Time
 		if rt.stats != nil {
-			rt.statJobs = 0
 			t0 = time.Now()
 		}
 		var err error
@@ -375,15 +371,9 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 			rt.stats.Strata = append(rt.stats.Strata, StratumStats{
 				Stratum:   s,
 				Recursive: rt.recStratum[s],
-				Jobs:      rt.statJobs,
 				Duration:  time.Since(t0),
 			})
 		}
-	}
-	// Replay the transaction's provenance journal into the store under a
-	// single lock acquisition (provenance.go flush).
-	if rt.prov != nil {
-		rt.prov.flush()
 	}
 	// Collect output deltas and reset per-transaction state.
 	out := make(Delta)
@@ -421,19 +411,6 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 			F("changed_rels", int64(len(out))))
 	}
 	return out, nil
-}
-
-// seedJob is one unit of evaluation work: a plan seeded with a tuple (or
-// a negation transition key, or nothing for unit plans).
-type seedJob struct {
-	p    *plan
-	seed value.Record
-	// key is the seed's canonical record key (counting-stratum deltas are
-	// keyed Z-sets); empty for negation keys and unit plans. Provenance
-	// capture hashes it instead of re-encoding the seed at every emit.
-	key  string
-	w    int64
-	mode viewMode
 }
 
 // evalCtx is plan-evaluation scratch: the variable environment and the
@@ -481,7 +458,7 @@ var errFallbackRecompute = errors.New("engine: overdelete budget exceeded")
 // emitFunc receives head contributions. key is rec's canonical encoding,
 // computed once at emit so downstream map operations (counts, Z-sets) never
 // re-encode the record. hh is the maphash of key when the emitting plan
-// already computed it for the provenance journal (zero otherwise);
+// already computed it for the provenance store (zero otherwise);
 // applyCount caches it so fact identity is hashed at most once.
 type emitFunc func(rec value.Record, key string, hh uint64, w int64) error
 
@@ -726,14 +703,33 @@ func (rt *Runtime) negTransitions(lit *typecheck.LiteralTerm) []negTransition {
 	return out
 }
 
-// gatherCountingJobs collects every plan seeding a non-recursive stratum
-// needs. The stratum's inputs are settled lower strata, so the whole job
-// list can be computed before any evaluation runs.
-func (rt *Runtime) gatherCountingJobs(head *relState, initial bool) []seedJob {
-	jobs := rt.jobsBuf[:0]
+// runCountingStratum propagates settled lower-stratum deltas into one
+// non-recursive relation using derivation counting: each changed body
+// fact seeds its plan as the delta is walked, and every seeding's head
+// contributions are applied to the head's counts as they are emitted. The
+// head never appears in its own rule bodies, so evaluation neither reads
+// what it writes nor changes the deltas it walks.
+func (rt *Runtime) runCountingStratum(s int, initial bool) error {
+	head := rt.rels[rt.strata[s][0]]
+	emit := func(rec value.Record, key string, hh uint64, w int64) error {
+		if err := rt.countDerivation(); err != nil {
+			return err
+		}
+		tr, err := head.applyCount(rec, key, w, hh)
+		if tr != 0 && rt.ruleProf != nil {
+			rt.ruleProf[rt.ctx.curRule].delta++
+		}
+		return err
+	}
+	var err error
+	run := func(p *plan, seed value.Record, key string, w int64, mode viewMode) {
+		if err == nil {
+			err = rt.runPlan(&rt.ctx, p, seed, key, w, mode, emit)
+		}
+	}
 	for _, cr := range rt.rulesByHead[head] {
 		if initial && cr.unitPlan != nil {
-			jobs = append(jobs, seedJob{p: cr.unitPlan, w: 1, mode: viewAllNew})
+			run(cr.unitPlan, nil, "", 1, viewAllNew)
 		}
 		for idx, p := range cr.plansByBody {
 			if p == nil {
@@ -746,53 +742,23 @@ func (rt *Runtime) gatherCountingJobs(head *relState, initial bool) []seedJob {
 			}
 			if lit.Negated {
 				for _, tr := range rt.negTransitions(lit) {
-					jobs = append(jobs, seedJob{p: p, seed: tr.keyRec, w: tr.factor, mode: viewConvention})
+					run(p, tr.keyRec, "", tr.factor, viewConvention)
 				}
 				continue
 			}
 			litRel.txnDelta.EachKeyed(func(key string, rec value.Record, w int64) {
-				jobs = append(jobs, seedJob{p: p, seed: rec, key: key, w: w, mode: viewConvention})
+				run(p, rec, key, w, viewConvention)
 			})
 		}
 	}
-	rt.jobsBuf = jobs
-	return jobs
-}
-
-// runCountingStratum propagates settled lower-stratum deltas into one
-// non-recursive relation using derivation counting: every seeding's head
-// contributions are applied to the head's counts as they are emitted (the
-// head never appears in its own rule bodies, so evaluation does not read
-// what it writes).
-func (rt *Runtime) runCountingStratum(s int, initial bool) error {
-	head := rt.rels[rt.strata[s][0]]
-	jobs := rt.gatherCountingJobs(head, initial)
-	if rt.stats != nil {
-		rt.statJobs += len(jobs)
-	}
-	emit := func(rec value.Record, key string, hh uint64, w int64) error {
-		if err := rt.countDerivation(); err != nil {
-			return err
-		}
-		tr, err := head.applyCount(rec, key, w, hh)
-		if tr != 0 && rt.ruleProf != nil {
-			rt.ruleProf[rt.ctx.curRule].delta++
-		}
+	if err != nil {
 		return err
-	}
-	for _, j := range jobs {
-		if err := rt.runPlan(&rt.ctx, j.p, j.seed, j.key, j.w, j.mode, emit); err != nil {
-			return err
-		}
 	}
 	for _, spec := range rt.aggsByHead[head] {
 		if err := rt.runAggregate(spec); err != nil {
 			return err
 		}
 	}
-	// Drop the job buffer's record/key references so the reused backing
-	// array doesn't pin the previous transaction's seeds.
-	clear(jobs)
 	return head.checkSettled()
 }
 
@@ -862,7 +828,7 @@ func (rt *Runtime) runAggregate(spec *aggSpec) error {
 			}
 			key := rec.Key()
 			if rt.prov != nil {
-				rt.prov.j.unrecordByLabel(provDigest(spec.head.id, key), spec.label)
+				rt.prov.unrecordByLabel(provDigest(spec.head.id, key), spec.label)
 			}
 			tr, err := spec.head.applyCount(rec, key, -1, 0)
 			if err != nil {
@@ -965,7 +931,8 @@ func (rt *Runtime) aggCompute(spec *aggSpec, keyEnc []byte, old bool, env []valu
 // runRecursiveStratum runs DRed (overdelete, rederive) plus semi-naive
 // insertion for one recursive stratum.
 func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
-	inStratum := make(map[*relState]bool)
+	wl := &worklist{rt: rt, inStratum: make(map[*relState]bool)}
+	inStratum := wl.inStratum
 	var stratumRules []*compiledRule
 	for _, id := range rt.strata[s] {
 		rs := rt.rels[id]
@@ -990,14 +957,8 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 		return nil
 	}
 
-	type pending struct {
-		rel *relState
-		rec value.Record
-	}
-
 	// ---- Phase 1: overdelete ----
 	od := make(map[*relState]map[string]value.Record)
-	var queue []pending
 	// The DRed fallback: when overdeletion cascades beyond the configured
 	// fraction of the stratum (dense cyclic data), recomputing the stratum
 	// is cheaper than delete+rederive.
@@ -1036,68 +997,19 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 			if odBudget >= 0 && odTotal > odBudget {
 				return errFallbackRecompute
 			}
-			queue = append(queue, pending{rel: rs, rec: rec})
+			wl.queue = append(wl.queue, pending{rel: rs, rec: rec})
 			return nil
 		}
 	}
 	if !initial {
-		phase1 := func() error {
-			for _, cr := range stratumRules {
-				emit := addOD(cr.head)
-				for idx, p := range cr.plansByBody {
-					if p == nil {
-						continue
-					}
-					lit := cr.body[idx].(*typecheck.LiteralTerm)
-					litRel := rt.relStateOf(lit.Rel)
-					if inStratum[litRel] || litRel.txnDelta.IsEmpty() {
-						continue
-					}
-					if lit.Negated {
-						for _, tr := range rt.negTransitions(lit) {
-							if tr.factor < 0 { // matches appeared: support lost
-								if err := rt.runPlan(&rt.ctx, p, tr.keyRec, "", 1, viewAllOld, emit); err != nil {
-									return err
-								}
-							}
-						}
-						continue
-					}
-					var seedErr error
-					litRel.txnDelta.Each(func(rec value.Record, w int64) {
-						if seedErr != nil || w >= 0 {
-							return
-						}
-						seedErr = rt.runPlan(&rt.ctx, p, rec, "", 1, viewAllOld, emit)
-					})
-					if seedErr != nil {
-						return seedErr
-					}
-				}
-			}
-			for len(queue) > 0 {
-				pd := queue[len(queue)-1]
-				queue = queue[:len(queue)-1]
-				for _, occ := range rt.occsByRel[pd.rel.id] {
-					if !inStratum[occ.rule.head] {
-						continue
-					}
-					lit := occ.rule.body[occ.bodyIdx].(*typecheck.LiteralTerm)
-					if lit.Negated {
-						continue // in-stratum negation is impossible (stratified)
-					}
-					if err := rt.runPlan(&rt.ctx, occ.rule.plansByBody[occ.bodyIdx], pd.rec, "", 1,
-						viewAllOld, addOD(occ.rule.head)); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
+		err := wl.seed(stratumRules, false, -1, viewAllOld, addOD)
+		if err == nil {
+			err = wl.drain(viewAllOld, addOD)
 		}
-		if err := phase1(); err != nil {
-			if errors.Is(err, errFallbackRecompute) {
-				return rt.recomputeStratum(inStratum, stratumRules)
-			}
+		if errors.Is(err, errFallbackRecompute) {
+			return rt.recomputeStratum(inStratum, stratumRules)
+		}
+		if err != nil {
 			return err
 		}
 		// ---- Phase 2: apply overdeletions ----
@@ -1109,23 +1021,8 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 	}
 
 	// ---- Phase 3: rederive candidates, then semi-naive insertion ----
-	queue = queue[:0]
-	tryInsert := func(rs *relState) emitFunc {
-		return func(rec value.Record, key string, _ uint64, _ int64) error {
-			if err := rt.countDerivation(); err != nil {
-				return err
-			}
-			if rs.setPresent(rec, key) {
-				queue = append(queue, pending{rel: rs, rec: rec})
-				if rt.ruleProf != nil {
-					rt.ruleProf[rt.ctx.curRule].delta++
-				}
-			}
-			return nil
-		}
-	}
 	for rs, m := range od {
-		insert := tryInsert(rs)
+		insert := wl.inserter(rs)
 		for key, rec := range m {
 			for _, cr := range rt.rulesByHead[rs] {
 				if cr.checkPlan == nil {
@@ -1144,10 +1041,57 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 			}
 		}
 	}
-	for _, cr := range stratumRules {
-		insert := tryInsert(cr.head)
-		if initial && cr.unitPlan != nil {
-			if err := rt.runPlan(&rt.ctx, cr.unitPlan, nil, "", 1, viewAllNew, insert); err != nil {
+	if err := wl.seed(stratumRules, initial, 1, viewAllNew, wl.inserter); err != nil {
+		return err
+	}
+	return wl.drain(viewAllNew, wl.inserter)
+}
+
+// pending is a fact a recursive stratum's evaluation just changed,
+// waiting to seed the in-stratum occurrences of its relation.
+type pending struct {
+	rel *relState
+	rec value.Record
+}
+
+// worklist is a recursive stratum's semi-naive queue: DRed's overdelete
+// and insertion phases and recomputeStratum each push the facts they
+// change and drain the queue to the stratum's fixpoint.
+type worklist struct {
+	rt        *Runtime
+	inStratum map[*relState]bool
+	queue     []pending
+}
+
+// inserter returns the emit that makes rs facts present, queueing each
+// one that was absent.
+func (wl *worklist) inserter(rs *relState) emitFunc {
+	rt := wl.rt
+	return func(rec value.Record, key string, _ uint64, _ int64) error {
+		if err := rt.countDerivation(); err != nil {
+			return err
+		}
+		if rs.setPresent(rec, key) {
+			wl.queue = append(wl.queue, pending{rel: rs, rec: rec})
+			if rt.ruleProf != nil {
+				rt.ruleProf[rt.ctx.curRule].delta++
+			}
+		}
+		return nil
+	}
+}
+
+// seed runs the stratum's rules seeded at their changed lower-stratum
+// literals, keeping the changes of one sign: -1 (support lost: deleted
+// facts, negated keys whose matches appeared) for overdeletion, +1
+// (support gained) for insertion. With units, each rule's unit plan runs
+// first. Emits go through mk(head).
+func (wl *worklist) seed(rules []*compiledRule, units bool, sign int64, mode viewMode, mk func(*relState) emitFunc) error {
+	rt := wl.rt
+	for _, cr := range rules {
+		emit := mk(cr.head)
+		if units && cr.unitPlan != nil {
+			if err := rt.runPlan(&rt.ctx, cr.unitPlan, nil, "", 1, mode, emit); err != nil {
 				return err
 			}
 		}
@@ -1157,44 +1101,51 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 			}
 			lit := cr.body[idx].(*typecheck.LiteralTerm)
 			litRel := rt.relStateOf(lit.Rel)
-			if inStratum[litRel] || litRel.txnDelta.IsEmpty() {
+			if wl.inStratum[litRel] || litRel.txnDelta.IsEmpty() {
 				continue
 			}
 			if lit.Negated {
 				for _, tr := range rt.negTransitions(lit) {
-					if tr.factor > 0 { // matches disappeared: support gained
-						if err := rt.runPlan(&rt.ctx, p, tr.keyRec, "", 1, viewAllNew, insert); err != nil {
+					if tr.factor == sign {
+						if err := rt.runPlan(&rt.ctx, p, tr.keyRec, "", 1, mode, emit); err != nil {
 							return err
 						}
 					}
 				}
 				continue
 			}
-			var seedErr error
+			var err error
 			litRel.txnDelta.Each(func(rec value.Record, w int64) {
-				if seedErr != nil || w <= 0 {
-					return
+				if err == nil && w*sign > 0 {
+					err = rt.runPlan(&rt.ctx, p, rec, "", 1, mode, emit)
 				}
-				seedErr = rt.runPlan(&rt.ctx, p, rec, "", 1, viewAllNew, insert)
 			})
-			if seedErr != nil {
-				return seedErr
+			if err != nil {
+				return err
 			}
 		}
 	}
-	for len(queue) > 0 {
-		pd := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
+	return nil
+}
+
+// drain pops queued facts until the stratum reaches its fixpoint: each
+// seeds every positive in-stratum occurrence of its relation under mode,
+// emitting through mk(head).
+func (wl *worklist) drain(mode viewMode, mk func(*relState) emitFunc) error {
+	rt := wl.rt
+	for len(wl.queue) > 0 {
+		pd := wl.queue[len(wl.queue)-1]
+		wl.queue = wl.queue[:len(wl.queue)-1]
 		for _, occ := range rt.occsByRel[pd.rel.id] {
-			if !inStratum[occ.rule.head] {
+			if !wl.inStratum[occ.rule.head] {
 				continue
 			}
 			lit := occ.rule.body[occ.bodyIdx].(*typecheck.LiteralTerm)
 			if lit.Negated {
-				continue
+				continue // in-stratum negation is impossible (stratified)
 			}
 			if err := rt.runPlan(&rt.ctx, occ.rule.plansByBody[occ.bodyIdx], pd.rec, "", 1,
-				viewAllNew, tryInsert(occ.rule.head)); err != nil {
+				mode, mk(occ.rule.head)); err != nil {
 				return err
 			}
 		}
@@ -1209,10 +1160,6 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 // RecursiveDeleteFallback path; its cost is one stratum recomputation
 // regardless of how pathological the deletion's overdelete set would be.
 func (rt *Runtime) recomputeStratum(inStratum map[*relState]bool, stratumRules []*compiledRule) error {
-	type pending struct {
-		rel *relState
-		rec value.Record
-	}
 	for rs := range inStratum {
 		recs := make([]countEntry, 0, len(rs.counts))
 		for _, e := range rs.counts {
@@ -1222,26 +1169,12 @@ func (rt *Runtime) recomputeStratum(inStratum map[*relState]bool, stratumRules [
 			rs.setAbsent(e.rec, e.rec.Key())
 		}
 	}
-	var queue []pending
-	tryInsert := func(rs *relState) emitFunc {
-		return func(rec value.Record, key string, _ uint64, _ int64) error {
-			if err := rt.countDerivation(); err != nil {
-				return err
-			}
-			if rs.setPresent(rec, key) {
-				queue = append(queue, pending{rel: rs, rec: rec})
-				if rt.ruleProf != nil {
-					rt.ruleProf[rt.ctx.curRule].delta++
-				}
-			}
-			return nil
-		}
-	}
+	wl := &worklist{rt: rt, inStratum: inStratum}
 	// Seed: unit rules, plus one full scan of the first positive context
 	// occurrence of each rule (a plan seeded at any occurrence joins the
 	// whole remaining body, so one seeding per rule is complete).
 	for _, cr := range stratumRules {
-		insert := tryInsert(cr.head)
+		insert := wl.inserter(cr.head)
 		if cr.unitPlan != nil {
 			if err := rt.runPlan(&rt.ctx, cr.unitPlan, nil, "", 1, viewAllNew, insert); err != nil {
 				return err
@@ -1268,24 +1201,7 @@ func (rt *Runtime) recomputeStratum(inStratum map[*relState]bool, stratumRules [
 			break // one complete seeding per rule suffices
 		}
 	}
-	for len(queue) > 0 {
-		pd := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, occ := range rt.occsByRel[pd.rel.id] {
-			if !inStratum[occ.rule.head] {
-				continue
-			}
-			lit := occ.rule.body[occ.bodyIdx].(*typecheck.LiteralTerm)
-			if lit.Negated {
-				continue
-			}
-			if err := rt.runPlan(&rt.ctx, occ.rule.plansByBody[occ.bodyIdx], pd.rec, "", 1,
-				viewAllNew, tryInsert(occ.rule.head)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return wl.drain(viewAllNew, wl.inserter)
 }
 
 // Contents returns a sorted snapshot of a relation's records.

@@ -186,7 +186,7 @@ func (rs *relState) present(recKey string) bool { return rs.counts[recKey].count
 // be applied before the matching insertions); checkSettled verifies
 // non-negativity once the stratum settles.
 // hh, when non-zero, is the caller's already-computed maphash of recKey
-// (plan emits hash the head key for the provenance journal); zero means
+// (plan emits hash the head key for the provenance store); zero means
 // "compute it here if provenance needs it".
 func (rs *relState) applyCount(rec value.Record, recKey string, w int64, hh uint64) (int, error) {
 	e, ok := rs.counts[recKey]
@@ -279,11 +279,11 @@ func (rs *relState) noteRemove(rec value.Record, recKey string, phash uint64) {
 	rs.keyBytes -= int64(len(recKey))
 	rs.txnDelta.AddKeyed(rec, recKey, -1)
 	// Only rule and aggregate heads record provenance; input facts are
-	// never in the store, so skip the journal append for them. The drop is
-	// journaled by digest — the entry's cached key hash folded with the
-	// relation id — so the flush replay never hashes.
+	// never in the store, so skip the drop for them. The fact's digest is
+	// the entry's cached key hash folded with the relation id, so the drop
+	// never hashes.
 	if rs.prov != nil && !rs.isInput() {
-		rs.prov.j.drop(provFold(phash, rs.id))
+		rs.prov.drop(provFold(phash, rs.id))
 	}
 }
 

@@ -134,11 +134,13 @@ func runEquivalence(t *testing.T, src string, gen func(r *rand.Rand, insert bool
 }
 
 // runEquivalenceWide runs one seed under plain DRed and under the
-// recompute fallback, the two ways a recursive deletion can be served.
+// recompute fallback, the two ways a recursive deletion can be served, and
+// with collection on, where every emit also writes the provenance store.
 func runEquivalenceWide(t *testing.T, src string, gen func(r *rand.Rand, insert bool) Update, txns, opsPerTxn int, seed int64) {
 	t.Helper()
-	runEquivalenceOpts(t, src, Options{}, gen, txns, opsPerTxn, seed)
-	runEquivalenceOpts(t, src, Options{RecursiveDeleteFallback: 0.5}, gen, txns, opsPerTxn, seed)
+	for _, opts := range []Options{{}, {RecursiveDeleteFallback: 0.5}, {Collect: true}} {
+		runEquivalenceOpts(t, src, opts, gen, txns, opsPerTxn, seed)
+	}
 }
 
 // The generators below draw from wider universes and the runs use larger

@@ -15,42 +15,37 @@ import (
 // carries only a single boolean write per plan run and stays
 // allocation-free (TestArrangementProbeZeroAlloc).
 //
-// When on, emits do not touch the store directly. Every record, retract,
-// and drop is appended to the apply goroutine's journal and the whole
-// journal is replayed into the store under one mutex acquisition at the
-// end of Apply. Buffering keeps the per-emit cost to a signature hash and
-// a slice append, makes a transaction's provenance visible atomically,
-// and lets the replay use a single-writer open-addressing table and
-// store-local freelists instead of per-op locked map and sync.Pool
-// traffic.
+// When on, Apply holds the store's mutex for the whole transaction and
+// emit sites write the store in place: a record, retraction or drop is
+// one open-addressing probe plus a slice edit, with fact containers and
+// input arrays recycled through store-local freelists. Explain takes the
+// same mutex, so it waits for an Apply in progress and only ever sees
+// whole transactions.
 //
 // Correctness under the engine's evaluation modes:
 //
-//   - Counting strata: insertions (w>0) journal a record, retractions
-//     (w<0) journal an unrecord. A derivation's identity (sig) is an
+//   - Counting strata: insertions (w>0) record a derivation, retractions
+//     (w<0) unrecord one. A derivation's identity (sig) is an
 //     order-independent hash of its rule label and input facts, so the
 //     seeding plan used to produce or retract it is irrelevant — the
 //     retraction emitted by any seeding of a rule removes the derivation
-//     the matching insertion recorded. Unrecords replay after all other
-//     ops, and a per-derivation sequence number makes them skip
-//     derivations re-recorded after the retraction was journaled; facts
-//     dropped wholesale in the same transaction are simply absent by
-//     then, so their unrecords never pay the derivation-matching scan.
+//     the matching insertion recorded. An unrecord can only remove a
+//     derivation recorded before it, and a fact dropped later in the same
+//     transaction is wiped whatever its unrecords did.
 //   - DRed (recursive strata): the overdelete phase runs with viewAllOld
 //     and captures nothing; applying the overdeletions drops each
-//     retracted fact's provenance wholesale (relState.noteRemove →
-//     journal drop). Rederivation runs check plans under viewAllNew with
-//     capture on, so a surviving fact's provenance is rebuilt from its
-//     post-deletion proof. RecursiveDeleteFallback's recomputeStratum
-//     behaves identically: setAbsent drops, re-insertion re-records.
+//     retracted fact's provenance wholesale (relState.noteRemove → drop).
+//     Rederivation runs check plans under viewAllNew with capture on, so
+//     a surviving fact's provenance is rebuilt from its post-deletion
+//     proof. RecursiveDeleteFallback's recomputeStratum behaves
+//     identically: setAbsent drops, re-insertion re-records.
 //
-// The store is bounded (ProvenanceCapacity facts, FIFO eviction;
+// The store is bounded (DefaultProvenanceCapacity facts, FIFO eviction;
 // maxDerivationsPerFact alternates per fact) and Explain reads only the
-// store under its mutex — never relation state, never the journal — so
-// explaining while a transaction applies is race-free by construction.
+// store, never relation state.
 
-// DefaultProvenanceCapacity bounds the store when
-// Options.ProvenanceCapacity is zero.
+// DefaultProvenanceCapacity bounds the number of facts the provenance
+// store retains (FIFO eviction).
 const DefaultProvenanceCapacity = 1 << 16
 
 // maxDerivationsPerFact caps the alternate derivations retained per fact;
@@ -94,20 +89,17 @@ type factRef struct {
 }
 
 // derivation is one recorded way a fact was produced. sig is the
-// order-independent 64-bit identity hash (rule label plus input facts);
-// seq is the store-global sequence at the last (re-)record, used by the
-// unrecord replay to avoid removing a derivation re-recorded after its
-// retraction was journaled. Derivations live by value in their fact's
-// slice (their inputs backing arrays recycle through the store), so the
-// store's live-object population — what every GC mark phase must walk —
-// stays proportional to facts, not derivations.
+// order-independent 64-bit identity hash (rule label plus input facts).
+// Derivations live by value in their fact's slice (their inputs backing
+// arrays recycle through the store), so the store's live-object
+// population — what every GC mark phase must walk — stays proportional to
+// facts, not derivations.
 type derivation struct {
 	label     string
 	stratum   int32
 	truncated bool
 	inputs    []factRef
 	sig       uint64
-	seq       uint64
 }
 
 // factProv is one fact's recorded provenance. digest is the facts-table
@@ -134,75 +126,6 @@ type factProv struct {
 // provNil is the arena-index null.
 const provNil = int32(-1)
 
-// provOp kinds (provOp.kind).
-const (
-	opRecord = iota
-	opUnrec
-	opDrop
-	opUnrecLabel
-)
-
-// provOp is one journaled store mutation. Record ops reference their
-// input facts as a [refLo, refHi) window of the journal's shared refs
-// arena, so buffering an op never allocates once the journal is warm.
-type provOp struct {
-	kind         uint8
-	truncated    bool
-	stratum      int32
-	rel          int32
-	refLo, refHi int32
-	sig          uint64
-	// dg is the fact's digest (provDigest), computed where the key hash
-	// was already at hand — emit sites hash the freshly built head key
-	// once, drops reuse the count entry's cached hash — so the flush
-	// replay performs no hashing at all.
-	dg    uint64
-	label string
-	rec   value.Record
-}
-
-// provJournal buffers the apply goroutine's provenance ops for the
-// end-of-transaction replay; the store owns it.
-type provJournal struct {
-	ops  []provOp
-	refs []factRef
-}
-
-func (j *provJournal) record(dg uint64, rel int, rec value.Record, sig uint64, label string, stratum int, trail []provInput, truncated bool) {
-	lo := int32(len(j.refs))
-	for i := range trail {
-		t := &trail[i]
-		j.refs = append(j.refs, factRef{rel: t.rs.id, rec: t.rec})
-	}
-	j.ops = append(j.ops, provOp{
-		kind: opRecord, truncated: truncated,
-		stratum: int32(stratum), rel: int32(rel),
-		refLo: lo, refHi: int32(len(j.refs)),
-		sig: sig, dg: dg, label: label, rec: rec,
-	})
-}
-
-func (j *provJournal) unrecord(dg, sig uint64) {
-	j.ops = append(j.ops, provOp{kind: opUnrec, dg: dg, sig: sig})
-}
-
-func (j *provJournal) drop(dg uint64) {
-	j.ops = append(j.ops, provOp{kind: opDrop, dg: dg})
-}
-
-func (j *provJournal) unrecordByLabel(dg uint64, label string) {
-	j.ops = append(j.ops, provOp{kind: opUnrecLabel, dg: dg, label: label})
-}
-
-// reset empties the journal for the next transaction, retaining capacity.
-// Slots are not cleared: the next transaction overwrites them before any
-// replay reads them, and the record/string references they pin are (at
-// most) one transaction's worth of already-retired facts.
-func (j *provJournal) reset() {
-	j.ops = j.ops[:0]
-	j.refs = j.refs[:0]
-}
-
 // provSlot is one open-addressing table slot; ref is the fact's arena
 // index plus one, so the zero value marks an empty slot. Slots carry no
 // pointers: the whole table is skipped by the garbage collector's mark
@@ -216,7 +139,7 @@ type provSlot struct {
 // Digests are already uniform 64-bit hashes (provDigest), so the slot
 // index is just the digest's low bits; deletion backward-shifts the probe
 // cluster, so there are no tombstones and lookups never degrade. It
-// replaces a built-in map on the replay path: inserts, hits, misses, and
+// replaces a built-in map on the record path: inserts, hits, misses, and
 // deletes are each a couple of cache lines with no hashing or bucket
 // machinery.
 type provTable struct {
@@ -335,9 +258,9 @@ func (t *provTable) grow() {
 	}
 }
 
-// provStore is the bounded provenance store. The facts table, eviction
-// list, and freelists are guarded by mu; the journal j is owned by the
-// apply goroutine and only read under mu during flush.
+// provStore is the bounded provenance store. Every field is guarded by
+// mu, which Apply holds for the whole transaction while emit sites write
+// the store and which Explain and the statistics readers take.
 type provStore struct {
 	mu       sync.Mutex
 	capacity int
@@ -349,27 +272,11 @@ type provStore struct {
 	arena []factProv
 	// head/tail are the FIFO eviction list (arena indices), oldest first.
 	head, tail int32
-	// seq stamps replayed ops in order across transactions (see
-	// derivation.seq).
-	seq uint64
-	j   provJournal
-	// pending indexes the journal's unrecord ops during a flush, so they
-	// replay after every drop.
-	pending []int32
 	// factFree recycles arena slots; inputsFree recycles the factRef
 	// backing arrays of removed derivations. Only touched under mu, so
-	// plain slice stacks beat sync.Pool on the replay path.
+	// plain slice stacks beat sync.Pool on the record path.
 	factFree   []int32
 	inputsFree [][]factRef
-	// dropTab notes the digests dropped during the current flush so the
-	// deferred unrecord pass can skip its facts-table probe for them (the
-	// common retraction shape: a fact loses its last derivation and is
-	// dropped wholesale in the same transaction). Entries are validated
-	// by epoch, so the table is never cleared; dropOverflow falls back to
-	// the real probe when a flush drops more facts than the table holds.
-	dropTab      []dropEnt
-	dropEpoch    uint32
-	dropOverflow bool
 	// live counts non-tombstone facts; facts.n additionally counts
 	// tombstones still occupying table slots.
 	live          int
@@ -377,60 +284,8 @@ type provStore struct {
 	droppedDerivs uint64
 }
 
-// dropEnt is one dropTab slot: the dropped digest, the journal index of
-// the drop, and the flush epoch that wrote it.
-type dropEnt struct {
-	dg    uint64
-	idx   int32
-	epoch uint32
-}
-
-const dropTabSlots = 1024 // power of two; L1/L2-resident (16 KiB)
-
-// noteDropped records that dg was dropped by the op at journal index idx.
-func (ps *provStore) noteDropped(dg uint64, idx int32) {
-	if ps.dropOverflow {
-		return
-	}
-	mask := uint64(dropTabSlots - 1)
-	for i, probes := dg&mask, 0; probes < 16; i, probes = (i+1)&mask, probes+1 {
-		e := &ps.dropTab[i]
-		if e.epoch != ps.dropEpoch {
-			*e = dropEnt{dg: dg, idx: idx, epoch: ps.dropEpoch}
-			return
-		}
-		if e.dg == dg {
-			if idx > e.idx {
-				e.idx = idx
-			}
-			return
-		}
-	}
-	ps.dropOverflow = true
-}
-
-// droppedAfter reports whether dg was dropped by an op later in the
-// journal than idx; a deferred unrecord at idx can then skip its probe —
-// every derivation it could match was wiped by that drop (re-records
-// after the drop carry later seqs, which the seq guard protects anyway).
-func (ps *provStore) droppedAfter(dg uint64, idx int32) bool {
-	mask := uint64(dropTabSlots - 1)
-	for i := dg & mask; ; i = (i + 1) & mask {
-		e := &ps.dropTab[i]
-		if e.epoch != ps.dropEpoch {
-			return false
-		}
-		if e.dg == dg {
-			return e.idx > idx
-		}
-	}
-}
-
-func newProvStore(capacity int) *provStore {
-	if capacity <= 0 {
-		capacity = DefaultProvenanceCapacity
-	}
-	return &provStore{capacity: capacity, head: provNil, tail: provNil}
+func newProvStore() *provStore {
+	return &provStore{capacity: DefaultProvenanceCapacity, head: provNil, tail: provNil}
 }
 
 // provSeed keys every provenance hash; identities are stable within a
@@ -439,7 +294,7 @@ var provSeed = maphash.MakeSeed()
 
 // provDigest identifies the fact (rel, key) in the facts table. Keying
 // the table by a 64-bit digest instead of the full (int, string) pair
-// keeps the replay off the long record-key strings. A collision would
+// keeps the store off the long record-key strings. A collision would
 // merge two facts' provenance trees; at the store's default 2^16
 // capacity the probability of any collision existing is ~2^-32 —
 // acceptable for a debugging aid.
@@ -575,8 +430,8 @@ func inputHash(buf *[]byte, t *provInput) uint64 {
 // Addition commutes, so the identity is independent of which body literal
 // seeded the plan that produced (or retracts) the derivation — no
 // sorting, no string materialization, no per-emit allocation (buf is the
-// caller's per-goroutine scratch). Input hashes are cached in the trail
-// entries, so a fact feeding many emits is encoded and hashed once.
+// caller's scratch). Input hashes are cached in the trail entries, so a
+// fact feeding many emits is encoded and hashed once.
 func sigHash(buf *[]byte, labelHash uint64, trail []provInput) uint64 {
 	sig := labelHash
 	for i := range trail {
@@ -589,82 +444,17 @@ func sigHash(buf *[]byte, labelHash uint64, trail []provInput) uint64 {
 	return sig
 }
 
-// flush replays the transaction's journal into the store under one lock
-// acquisition. Ops replay in journal order — the apply goroutine's
-// chronological order — except unrecords, which are deferred to a second
-// pass: a fact retracted outright later in the transaction is gone by
-// then (its unrecords never pay the derivation scan), while the seq
-// stamps keep an unrecord from removing a derivation that was
-// re-recorded after it.
-func (ps *provStore) flush() {
-	j := &ps.j
-	if len(j.ops) == 0 {
-		return
-	}
-	ps.mu.Lock()
-	if ps.dropTab == nil {
-		ps.dropTab = make([]dropEnt, dropTabSlots)
-	}
-	ps.dropEpoch++
-	ps.dropOverflow = false
-	base := ps.seq
-	for i := range j.ops {
-		op := &j.ops[i]
-		switch op.kind {
-		case opRecord:
-			ps.applyRecord(op, base+uint64(i)+1, j.refs)
-		case opUnrec:
-			ps.pending = append(ps.pending, int32(i))
-		case opDrop:
-			if ref := ps.facts.get(op.dg); ref != provNil {
-				if fp := &ps.arena[ref]; !fp.dead {
-					fp.dead = true
-					ps.live--
-					ps.wipeDerivs(fp)
-				}
-			}
-			ps.noteDropped(op.dg, int32(i))
-		case opUnrecLabel:
-			ps.applyUnrecLabel(op)
-		}
-	}
-	for _, idx := range ps.pending {
-		op := &j.ops[idx]
-		if !ps.dropOverflow && ps.droppedAfter(op.dg, idx) {
-			continue
-		}
-		ref := ps.facts.get(op.dg)
-		if ref == provNil {
-			continue
-		}
-		fp := &ps.arena[ref]
-		if fp.dead {
-			continue
-		}
-		unrecSeq := base + uint64(idx) + 1
-		for k := range fp.derivs {
-			if d := &fp.derivs[k]; d.sig == op.sig && d.seq < unrecSeq {
-				ps.dropDeriv(fp, k)
-				break
-			}
-		}
-	}
-	ps.pending = ps.pending[:0]
-	ps.seq = base + uint64(len(j.ops))
-	ps.mu.Unlock()
-	j.reset()
-}
-
-// applyRecord adds one derivation of the op's fact; duplicates (same sig)
-// are collapsed with their seq refreshed. The duplicate path — every
-// re-derivation of an existing fact — is allocation-free.
-func (ps *provStore) applyRecord(op *provOp, seq uint64, refs []factRef) {
+// record adds one derivation of the fact dg (relation rel, record rec)
+// whose inputs are the trail's facts. A derivation already recorded (same
+// sig) is kept as it is, so the re-derivation path — every re-derivation
+// of a live fact — is allocation-free.
+func (ps *provStore) record(dg uint64, rel int, rec value.Record, sig uint64, label string, stratum int, trail []provInput, truncated bool) {
 	ps.evictLocked()
-	ref := ps.facts.getOrInsert(op.dg, func() int32 {
+	ref := ps.facts.getOrInsert(dg, func() int32 {
 		r := ps.allocFact()
 		fp := &ps.arena[r]
-		fp.digest = op.dg
-		fp.rel = op.rel
+		fp.digest = dg
+		fp.rel = int32(rel)
 		ps.pushBack(r)
 		ps.live++
 		return r
@@ -674,10 +464,9 @@ func (ps *provStore) applyRecord(op *provOp, seq uint64, refs []factRef) {
 		fp.dead = false
 		ps.live++
 	}
-	fp.rec = op.rec
+	fp.rec = rec
 	for k := range fp.derivs {
-		if fp.derivs[k].sig == op.sig {
-			fp.derivs[k].seq = seq
+		if fp.derivs[k].sig == sig {
 			return
 		}
 	}
@@ -685,29 +474,61 @@ func (ps *provStore) applyRecord(op *provOp, seq uint64, refs []factRef) {
 		ps.droppedDerivs++
 		return
 	}
+	in := ps.newInputs()
+	for i := range trail {
+		in = append(in, factRef{rel: trail[i].rs.id, rec: trail[i].rec})
+	}
 	fp.derivs = append(fp.derivs, derivation{
-		label: op.label, stratum: op.stratum, truncated: op.truncated,
-		inputs: append(ps.newInputs(), refs[op.refLo:op.refHi]...),
-		sig:    op.sig, seq: seq,
+		label: label, stratum: int32(stratum), truncated: truncated, inputs: in, sig: sig,
 	})
 }
 
-// applyUnrecLabel removes every derivation of the op's fact recorded
-// under the op's label, regardless of inputs (aggregate re-derivations
-// replace the whole group's contribution).
-func (ps *provStore) applyUnrecLabel(op *provOp) {
-	ref := ps.facts.get(op.dg)
-	if ref == provNil {
+// liveFact returns the container of fact dg, or nil when the fact has no
+// entry or is a tombstone.
+func (ps *provStore) liveFact(dg uint64) *factProv {
+	ref := ps.facts.get(dg)
+	if ref == provNil || ps.arena[ref].dead {
+		return nil
+	}
+	return &ps.arena[ref]
+}
+
+// unrecord removes the fact's derivation with the given sig, if recorded.
+func (ps *provStore) unrecord(dg, sig uint64) {
+	fp := ps.liveFact(dg)
+	if fp == nil {
 		return
 	}
-	fp := &ps.arena[ref]
-	if fp.dead {
+	for k := range fp.derivs {
+		if fp.derivs[k].sig == sig {
+			ps.dropDeriv(fp, k)
+			return
+		}
+	}
+}
+
+// unrecordByLabel removes every derivation of the fact recorded under
+// label, regardless of inputs (aggregate re-derivations replace the whole
+// group's contribution).
+func (ps *provStore) unrecordByLabel(dg uint64, label string) {
+	fp := ps.liveFact(dg)
+	if fp == nil {
 		return
 	}
 	for k := len(fp.derivs) - 1; k >= 0; k-- {
-		if fp.derivs[k].label == op.label {
+		if fp.derivs[k].label == label {
 			ps.dropDeriv(fp, k)
 		}
+	}
+}
+
+// drop wipes a retracted fact's derivations and leaves its container as
+// a tombstone (factProv.dead).
+func (ps *provStore) drop(dg uint64) {
+	if fp := ps.liveFact(dg); fp != nil {
+		fp.dead = true
+		ps.live--
+		ps.wipeDerivs(fp)
 	}
 }
 
@@ -794,7 +615,8 @@ type ExplainNode struct {
 // false when provenance is off, the relation is unknown, hidden, or an
 // input, or the fact has no recorded provenance (never derived,
 // retracted, or evicted). It reads only the provenance store, so it is
-// safe to call concurrently with Apply.
+// safe to call concurrently with Apply; it waits for an Apply in
+// progress to finish.
 func (rt *Runtime) Explain(relation string, rec value.Record, opt ExplainOptions) (*ExplainNode, bool) {
 	rs := rt.relByName[relation]
 	if rt.prov == nil || rs == nil || rs.hidden || rs.isInput() {
@@ -838,12 +660,8 @@ func (ps *provStore) explain(rt *Runtime, rs *relState, key string, opt ExplainO
 	}
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	ref := ps.facts.get(provDigest(rs.id, key))
-	if ref == provNil {
-		return nil, false
-	}
-	fp := &ps.arena[ref]
-	if fp.dead || len(fp.derivs) == 0 {
+	fp := ps.liveFact(provDigest(rs.id, key))
+	if fp == nil || len(fp.derivs) == 0 {
 		return nil, false
 	}
 	budget := nodes
@@ -868,13 +686,8 @@ func (ps *provStore) nodeLocked(rt *Runtime, rel int, key string, rec value.Reco
 		n.Kind = "input"
 		return n
 	}
-	ref := ps.facts.get(dg)
-	if ref == provNil {
-		n.Kind = "unknown"
-		return n
-	}
-	fp := &ps.arena[ref]
-	if fp.dead || len(fp.derivs) == 0 {
+	fp := ps.liveFact(dg)
+	if fp == nil || len(fp.derivs) == 0 {
 		n.Kind = "unknown"
 		return n
 	}
@@ -931,9 +744,9 @@ func (ps *provStore) nodeLocked(rt *Runtime, rel int, key string, rec value.Reco
 	return n
 }
 
-// recordProv journals one derivation record (w>0) or retraction (w<0) at
-// plan emit time. Called only when the emitting context has capture on;
-// ctx supplies the sig-hash scratch. It returns the head key's hash so the
+// recordProv records one derivation (w>0) or retracts it (w<0) at plan
+// emit time. Called only when the emitting context has capture on; ctx
+// supplies the sig-hash scratch. It returns the head key's hash so the
 // emit path can hand it onward to applyCount — the count entry caches it,
 // making this the only time the fact's identity is hashed.
 func (rt *Runtime) recordProv(ctx *evalCtx, cr *compiledRule, rec value.Record, key string, w int64, trail []provInput) uint64 {
@@ -941,14 +754,14 @@ func (rt *Runtime) recordProv(ctx *evalCtx, cr *compiledRule, rec value.Record, 
 	hh := maphash.String(provSeed, key)
 	dg := provFold(hh, cr.head.id)
 	if w > 0 {
-		rt.prov.j.record(dg, cr.head.id, rec, sig, cr.label, cr.head.stratum, trail, false)
+		rt.prov.record(dg, cr.head.id, rec, sig, cr.label, cr.head.stratum, trail, false)
 	} else if w < 0 {
-		rt.prov.j.unrecord(dg, sig)
+		rt.prov.unrecord(dg, sig)
 	}
 	return hh
 }
 
-// recordAggProv journals an aggregate head fact with its (capped) group
+// recordAggProv records an aggregate head fact with its (capped) group
 // bucket as the input set.
 func (rt *Runtime) recordAggProv(spec *aggSpec, keyEnc []byte, rec value.Record, key string) {
 	var trail []provInput
@@ -966,7 +779,7 @@ func (rt *Runtime) recordAggProv(spec *aggSpec, keyEnc []byte, rec value.Record,
 		return true
 	})
 	sig := sigHash(&rt.ctx.sigBuf, spec.labelHash, trail)
-	rt.prov.j.record(provDigest(spec.head.id, key), spec.head.id, rec, sig, spec.label, spec.head.stratum, trail, truncated)
+	rt.prov.record(provDigest(spec.head.id, key), spec.head.id, rec, sig, spec.label, spec.head.stratum, trail, truncated)
 }
 
 // ruleLabel renders a compact operator-facing identity for a compiled

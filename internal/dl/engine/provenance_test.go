@@ -188,7 +188,8 @@ func TestProvenanceAggregate(t *testing.T) {
 }
 
 func TestProvenanceEviction(t *testing.T) {
-	rt := newProvRT(t, projSrc, Options{ProvenanceCapacity: 8})
+	rt := newProvRT(t, projSrc, Options{})
+	rt.prov.capacity = 8
 	for i := 0; i < 32; i++ {
 		apply(t, rt, Insert("In", strRec(fmt.Sprint(i), fmt.Sprint(i))))
 	}
@@ -393,10 +394,11 @@ func TestProvenanceVsNaive(t *testing.T) {
 // relation state.
 func TestProvenanceConcurrentExplainHammer(t *testing.T) {
 	prog := compile(t, reachProvSrc)
-	rt, err := New(prog, Options{Collect: true, ProvenanceCapacity: 256})
+	rt, err := New(prog, Options{Collect: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.prov.capacity = 256
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {

@@ -6,11 +6,7 @@ import "time"
 type StratumStats struct {
 	Stratum   int
 	Recursive bool
-	// Jobs counts the plan seedings of a counting stratum's settled job
-	// list. Recursive strata report 0: their LIFO cascade has no batch
-	// boundary to count at.
-	Jobs     int
-	Duration time.Duration
+	Duration  time.Duration
 }
 
 // ApplyStats describes one transaction's evaluation when Options.Collect

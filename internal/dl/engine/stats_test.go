@@ -29,11 +29,4 @@ func TestCollectStats(t *testing.T) {
 	if st.Derivations < 1 {
 		t.Fatalf("Derivations = %d, want >= 1", st.Derivations)
 	}
-	var jobs int
-	for _, ss := range st.Strata {
-		jobs += ss.Jobs
-	}
-	if jobs < 1 {
-		t.Fatalf("no jobs counted: %+v", st.Strata)
-	}
 }

@@ -477,13 +477,14 @@ func (o *Observer) Handler() http.Handler {
 	})
 }
 
-// parseLimit reads the result-cap query parameter shared by every
-// /debug/* handler: ?limit= is the documented form, ?n= the accepted
-// alias. Absent means 0 (no cap). A negative or non-numeric value is a
-// client error: parseLimit answers 400 and returns ok=false, and the
-// handler must not write anything further.
-func parseLimit(w http.ResponseWriter, q url.Values) (n int, ok bool) {
-	for _, p := range []string{"limit", "n"} {
+// parseCount reads a non-negative integer query parameter, the first of
+// names present: every /debug/* handler's result cap (?limit=, the
+// documented form, or its alias ?n=) and /debug/explain's tree bounds
+// (?depth=, ?nodes=). Absent means 0 (no cap, or the default bound). A
+// negative or non-numeric value is a client error: parseCount answers 400
+// and returns ok=false, and the handler must not write anything further.
+func parseCount(w http.ResponseWriter, q url.Values, names ...string) (n int, ok bool) {
+	for _, p := range names {
 		s := q.Get(p)
 		if s == "" {
 			continue
@@ -515,7 +516,7 @@ func (o *Observer) handleTraces(w http.ResponseWriter, r *http.Request) {
 		writeTraceJSON(w, tr)
 		return
 	}
-	n, ok := parseLimit(w, q)
+	n, ok := parseCount(w, q, "limit", "n")
 	if !ok {
 		return
 	}
@@ -546,7 +547,7 @@ func (o *Observer) handleEvents(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	n, ok := parseLimit(w, q)
+	n, ok := parseCount(w, q, "limit", "n")
 	if !ok {
 		return
 	}
@@ -576,7 +577,7 @@ func (o *Observer) handleIncidents(w http.ResponseWriter, r *http.Request) {
 
 func (o *Observer) handleHistory(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	n, ok := parseLimit(w, q)
+	n, ok := parseCount(w, q, "limit", "n")
 	if !ok {
 		return
 	}
@@ -592,7 +593,7 @@ func (o *Observer) handleHistory(w http.ResponseWriter, r *http.Request) {
 }
 
 func (o *Observer) handleRules(w http.ResponseWriter, r *http.Request) {
-	n, ok := parseLimit(w, r.URL.Query())
+	n, ok := parseCount(w, r.URL.Query(), "limit", "n")
 	if !ok {
 		return
 	}
@@ -612,16 +613,20 @@ func (o *Observer) handleExplain(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "missing relation parameter", http.StatusBadRequest)
 		return
 	}
-	atoi := func(p string) int {
-		v, _ := strconv.Atoi(q.Get(p))
-		return v
+	depth, ok := parseCount(w, q, "depth")
+	if !ok {
+		return
+	}
+	nodes, ok := parseCount(w, q, "nodes")
+	if !ok {
+		return
 	}
 	e := o.explainer()
 	if e == nil {
 		http.Error(w, "no explainer registered (provenance disabled?)", http.StatusServiceUnavailable)
 		return
 	}
-	res, err := e.Explain(relation, q.Get("key"), atoi("depth"), atoi("nodes"))
+	res, err := e.Explain(relation, q.Get("key"), depth, nodes)
 	if err != nil {
 		code := http.StatusBadRequest
 		if errors.Is(err, ErrNotFound) {

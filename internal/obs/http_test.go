@@ -186,6 +186,11 @@ func TestExplainEndpoint(t *testing.T) {
 	if code, _ := get(t, srv, "/debug/explain?relation=other"); code != http.StatusBadRequest {
 		t.Fatalf("other error = %d, want 400", code)
 	}
+	for _, bad := range []string{"depth=abc", "nodes=-3"} {
+		if code, _ := get(t, srv, "/debug/explain?relation=known&key=k&"+bad); code != http.StatusBadRequest {
+			t.Fatalf("%s = %d, want 400", bad, code)
+		}
+	}
 }
 
 // parseHistogram pulls one histogram's buckets, sum, and count out of a
