@@ -15,7 +15,10 @@ sh hack/lint_names.sh
 # One row form: the boxed map[string]any rows and their json.Number
 # atoms must not come back between the socket and the WAL. (server.go
 # renders the schema, and the empty-object replies, as generic JSON.)
-if grep -nE 'map\[string\]any|AnyMap|json\.Number' internal/core/controller.go $(ls internal/ovsdb/*.go | grep -v -e _test.go -e /server.go); then exit 1; fi
+if grep -nE 'map\[string\]any|AnyMap|json\.Number' internal/core/controller.go internal/core/step.go $(ls internal/ovsdb/*.go | grep -v -e _test.go -e /server.go); then exit 1; fi
+# The controller's step stays pure: no goroutine, clock, channel, lock or
+# device I/O (the driver in controller.go owns those).
+if grep -nE '\bgo |time\.|chan |\.Write\(|WriteTxn\(|ReadTable\(|"sync' internal/core/step.go; then exit 1; fi
 go build ./...
 # Every nerpa-bench experiment writes its BENCH_*.json report into the
 # working directory: build the runner once and run it from a temporary
@@ -76,6 +79,10 @@ go test -race -count=20 -run 'TestRenderWireMatchesMarshal|TestDigestBatching|Te
 # data-race-free, preserve per-txn attribution, and hold a barrier queued
 # behind them until their push.
 go test -race -run 'TestCoalesc' -count=20 ./internal/core/
+# The controller's step against NaiveEval on every small-scope event
+# order and coalescing split, and the live commit that overtakes the
+# initial snapshot.
+go test -count=1 -run 'TestStepEventOrders|TestLiveCommitBeforeInitialSnapshot' ./internal/core/
 # Durability: the SIGKILL crash-recovery e2e must reconverge under the
 # race detector, and the WAL append/recover paths get a dedicated -race
 # smoke (group commit is the concurrency hot spot).

@@ -17,18 +17,19 @@
 // column so rules compute different entries for different switches.
 //
 // All events are serialized through one loop goroutine, so the engine sees
-// a single totally-ordered stream of transactions.
+// a single totally-ordered stream of transactions. The controller is a
+// pure step (step.go: the engine, routing, conversion — what gets
+// written) and the driver in this file (the event channel, coalescing,
+// clocks and observability, device writes and failure latching).
 package core
 
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/codegen"
 	"repro/internal/dl"
 	"repro/internal/dl/ast"
 	"repro/internal/dl/engine"
@@ -98,8 +99,7 @@ type Config struct {
 	// applies individually).
 	// Merging amortizes the fixed per-apply cost (evaluation setup, delta
 	// collection, data-plane push barrier) across a burst of small
-	// commits; per-commit trace and provenance attribution is preserved
-	// via per-segment accounting.
+	// commits; trace and provenance attribution stay per commit.
 	CoalesceMaxTxns int
 	// CoalesceMaxUpdates flushes a merged batch once it carries at least
 	// this many input updates, regardless of how many commits merged so
@@ -132,48 +132,17 @@ const pushWorkers = 8
 // Config.CoalesceMaxUpdates is zero.
 const defaultCoalesceMaxUpdates = 1024
 
-// mcastKey identifies one multicast group on one device ("" = whole
-// class).
-type mcastKey struct {
-	device string
-	group  uint16
-}
-
-// classState is the runtime state of one device class.
-type classState struct {
-	cls     DeviceClass
-	gen     *codegen.Generated
-	devByID map[string]DataPlane
-	mcast   map[mcastKey]map[uint16]bool
-}
-
-// outputRoute resolves an output relation to its class and binding.
-type outputRoute struct {
-	class   *classState
-	binding *codegen.OutputTableBinding
-}
-
-// Controller is a running full-stack controller instance.
+// Controller is a running full-stack controller instance: the driver
+// around its step.
 type Controller struct {
+	*step
 	cfg      Config
-	inputGen *codegen.Generated
-	classes  []*classState
-	outputs  map[string]*outputRoute
-	p4Tables map[string]bool
-	mcastRel map[string]*classState
-	prov     *provState
-	prog     *dl.Program
-	rt       *engine.Runtime
-	mp       ManagementPlane
+	devs     map[string]DataPlane // device ID → its connection
 	events   chan event
 	done     chan struct{}
 	stopOnce sync.Once
 	evMu     sync.RWMutex
 	evClosed bool
-
-	// devClass resolves a device ID to its class for Resync (see
-	// resilience.go).
-	devClass map[string]*classState
 
 	tracer *obs.Tracer
 	rec    *obs.Recorder
@@ -240,9 +209,9 @@ func (c *Controller) initObs() {
 		"Monitor-delivered commits merged into coalesced applies.")
 	c.m.devPush = map[string]*obs.Histogram{}
 	for _, cs := range c.classes {
-		for _, dev := range cs.cls.Devices {
-			c.m.devPush[dev.ID] = reg.Histogram("core_device_push_seconds",
-				"Per-device write-stream latency within a push.", nil, obs.L("device", dev.ID))
+		for _, id := range cs.devices {
+			c.m.devPush[id] = reg.Histogram("core_device_push_seconds",
+				"Per-device write-stream latency within a push.", nil, obs.L("device", id))
 		}
 	}
 	c.m.devBatch = reg.Histogram("core_device_push_updates",
@@ -269,13 +238,9 @@ func (c *Controller) initObs() {
 	// applied-transaction rate (summed across sources), event-queue depth,
 	// and the latency averages behind "what did push latency look like".
 	o := c.cfg.Obs
-	srcCounters := make([]*obs.Counter, 0, len(c.m.txnTotal))
-	for _, ctr := range c.m.txnTotal {
-		srcCounters = append(srcCounters, ctr)
-	}
 	o.TrackRate(obs.SeriesApplies, func() float64 {
 		var sum uint64
-		for _, ctr := range srcCounters {
+		for _, ctr := range c.m.txnTotal { // never written after this setup
 			sum += ctr.Value()
 		}
 		return float64(sum)
@@ -354,45 +319,15 @@ func (c *Controller) publishMemory() {
 	c.cfg.Obs.Prof().SetMemory(snap)
 }
 
-// txnSeg attributes one contiguous slice of a merged event's updates to
-// its originating commit: after coalescing, updates[start:start+n] of
-// segment k came from txnID, where start is the sum of the preceding
-// segments' n. A nil segs slice means the event is a single commit
-// (txnID covers every update).
-type txnSeg struct {
-	txnID uint64
-	n     int
-}
-
+// event is one entry of the controller's queue: a transaction (an
+// initial snapshot, a commit or a digest, with its engine updates) or a
+// control event (a barrier, a resync), run on the loop between
+// transactions.
 type event struct {
 	source  string
 	txnID   uint64
 	updates []engine.Update
-	segs    []txnSeg
-	barrier chan struct{}
-	resync  *resyncReq
-}
-
-// eachSeg visits the event's per-commit segments in order: the commit's
-// txn ID and its slice of the event's updates.
-func (ev *event) eachSeg(f func(txnID uint64, ups []engine.Update)) {
-	if ev.segs == nil {
-		f(ev.txnID, ev.updates)
-		return
-	}
-	i := 0
-	for _, seg := range ev.segs {
-		f(seg.txnID, ev.updates[i:i+seg.n])
-		i += seg.n
-	}
-}
-
-// coalesced is how many commits the event carries (1 when unmerged).
-func (ev *event) coalesced() int {
-	if ev.segs == nil {
-		return 1
-	}
-	return len(ev.segs)
+	control func()
 }
 
 // New builds and starts a controller managing a single class of devices
@@ -418,118 +353,48 @@ func NewWithClasses(cfg Config, mp ManagementPlane, classes []DeviceClass) (*Con
 	if err != nil {
 		return nil, fmt.Errorf("core: fetching schema: %w", err)
 	}
-	inputGen, err := codegen.Generate(schema, nil, codegen.Options{})
-	if err != nil {
-		return nil, err
-	}
 	c := &Controller{
-		cfg:      cfg,
-		inputGen: inputGen,
-		outputs:  make(map[string]*outputRoute),
-		p4Tables: make(map[string]bool),
-		mcastRel: make(map[string]*classState),
-		mp:       mp,
-		events:   make(chan event, 1024),
-		done:     make(chan struct{}),
-		devClass: make(map[string]*classState),
+		cfg:    cfg,
+		devs:   make(map[string]DataPlane),
+		events: make(chan event, 1024),
+		done:   make(chan struct{}),
 	}
-	decls := inputGen.Decls
-	seen := make(map[string]bool)
-	for _, cls := range classes {
+	infos := make([]*p4.P4Info, len(classes))
+	for i, cls := range classes {
 		if len(cls.Devices) == 0 {
 			return nil, fmt.Errorf("core: class %q has no devices", cls.Name)
 		}
-		if seen[cls.Name] {
-			return nil, fmt.Errorf("core: duplicate device class %q", cls.Name)
-		}
-		seen[cls.Name] = true
-		info, err := cls.Devices[0].DP.GetP4Info()
-		if err != nil {
-			return nil, fmt.Errorf("core: class %q: fetching p4info: %w", cls.Name, err)
-		}
-		for _, dev := range cls.Devices[1:] {
-			other, err := dev.DP.GetP4Info()
+		for _, dev := range cls.Devices {
+			info, err := dev.DP.GetP4Info()
 			if err != nil {
 				return nil, fmt.Errorf("core: class %q: fetching p4info: %w", cls.Name, err)
 			}
-			if other.Program != info.Program {
+			if infos[i] != nil && info.Program != infos[i].Program {
 				return nil, fmt.Errorf("core: class %q: device %s runs %q, class runs %q",
-					cls.Name, dev.ID, other.Program, info.Program)
+					cls.Name, dev.ID, info.Program, infos[i].Program)
 			}
-		}
-		gen, err := codegen.Generate(nil, info, codegen.Options{
-			WithMulticast: true, Prefix: cls.Name, PerDevice: cls.PerDevice,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cs := &classState{
-			cls:     cls,
-			gen:     gen,
-			devByID: make(map[string]DataPlane, len(cls.Devices)),
-			mcast:   make(map[mcastKey]map[uint16]bool),
-		}
-		for _, dev := range cls.Devices {
-			if _, dup := cs.devByID[dev.ID]; dup {
-				return nil, fmt.Errorf("core: class %q: duplicate device id %q", cls.Name, dev.ID)
-			}
-			// Resync addresses a device by ID alone, so IDs are unique
-			// across classes, not just within one.
-			if other, dup := c.devClass[dev.ID]; dup {
-				return nil, fmt.Errorf("core: device id %q is in both class %q and class %q",
-					dev.ID, other.cls.Name, cls.Name)
-			}
-			cs.devByID[dev.ID] = dev.DP
-			c.devClass[dev.ID] = cs
-		}
-		for rel, b := range gen.Outputs {
-			if _, dup := c.outputs[rel]; dup {
-				return nil, fmt.Errorf("core: output relation %q generated by two classes", rel)
-			}
-			c.outputs[rel] = &outputRoute{class: cs, binding: b}
-			c.p4Tables[b.Table] = true
-		}
-		c.mcastRel[gen.MulticastName] = cs
-		c.classes = append(c.classes, cs)
-		decls += gen.Decls
-	}
-
-	prog, err := dl.Compile(decls + "\n" + cfg.Rules)
-	if err != nil {
-		return nil, fmt.Errorf("core: compiling control plane: %w", err)
-	}
-	if err := inputGen.Verify(prog); err != nil {
-		return nil, err
-	}
-	for _, cs := range c.classes {
-		if err := cs.gen.Verify(prog); err != nil {
-			return nil, err
+			infos[i], c.devs[dev.ID] = info, dev.DP
 		}
 	}
-	c.prog = prog
 	// An observed controller turns the engine's collection on: the dl_*
 	// series and the profiler need its statistics, /debug/explain needs
 	// its provenance store, and sharing the process flight recorder
 	// interleaves apply/stratum events with the controller's own.
-	c.rt, err = prog.NewRuntime(engine.Options{Collect: cfg.Obs != nil, Events: cfg.Obs.Rec()})
+	c.step, err = newStep(schema, cfg.Rules, classes, infos,
+		engine.Options{Collect: cfg.Obs != nil, Events: cfg.Obs.Rec()})
 	if err != nil {
 		return nil, err
 	}
 	c.initObs()
 	if cfg.Obs != nil {
-		c.prov = newProvState(0)
 		cfg.Obs.SetExplainer(c)
 	}
 	go c.loop()
 
 	// Digest subscriptions feed the event queue, tagged with the
 	// originating device.
-	for _, cs := range c.classes {
-		for _, dev := range cs.cls.Devices {
-			cs := cs
-			id := dev.ID
-			dev.DP.OnDigest(func(dl p4rt.DigestList) { c.handleDigest(cs, id, dl) })
-		}
+	for id, dp := range c.devs {
+		dp.OnDigest(func(dl p4rt.DigestList) { c.handleDigest(id, dl) })
 	}
 	// Monitor every bound table with exactly the bound columns.
 	initial, err := mp.MonitorTxn(cfg.Database, "nerpa", c.monitorRequests(), c.handleOVSDB)
@@ -560,10 +425,6 @@ func NewWithClasses(cfg Config, mp ManagementPlane, classes []DeviceClass) (*Con
 
 // Program returns the compiled control-plane program.
 func (c *Controller) Program() *dl.Program { return c.prog }
-
-// Generated returns the management-plane bindings (the schema side).
-// Class bindings are internal; tests reach them through the program.
-func (c *Controller) Generated() *codegen.Generated { return c.inputGen }
 
 // Contents exposes a relation snapshot (diagnostics and tests).
 func (c *Controller) Contents(rel string) ([]value.Record, error) { return c.rt.Contents(rel) }
@@ -606,7 +467,7 @@ func (c *Controller) Stop() {
 // processed (including data-plane pushes).
 func (c *Controller) Barrier() error {
 	ch := make(chan struct{})
-	if !c.enqueue(event{barrier: ch}) {
+	if !c.enqueue(event{control: func() { close(ch) }}) {
 		return c.Err()
 	}
 	select {
@@ -632,112 +493,114 @@ func (c *Controller) fail(err error) {
 
 func (c *Controller) loop() {
 	defer close(c.done)
+	// The monitor and digest callbacks can run before MonitorTxn has
+	// returned the snapshot their changes follow: hold their events until
+	// the initial event, then run them right behind it, in arrival order.
+	early := []event{}
 	for ev := range c.events {
-		// A dispatched event may have pulled the next event off the queue
-		// while coalescing; keep dispatching until none is carried over.
-		for {
-			var deferred *event
-			if ev.source == "ovsdb" && c.cfg.CoalesceMaxTxns > 1 {
-				deferred = c.coalesce(&ev)
+		if early != nil {
+			if ev.source != "initial" {
+				early = append(early, ev)
+				continue
 			}
-			c.dispatch(&ev)
-			if deferred == nil {
+			for _, ev := range append([]event{ev}, early...) {
+				c.dispatch([]event{ev})
+			}
+			early = nil
+			continue
+		}
+		// Coalescing may have pulled the next event off the queue; keep
+		// dispatching until none is carried over.
+		for {
+			batch, next := c.coalesce(ev)
+			c.dispatch(batch)
+			if next == nil {
 				break
 			}
-			ev = *deferred
+			ev = *next
 		}
 	}
 }
 
-// coalesce merges the OVSDB commits already queued behind ev into it,
+// coalesce batches the OVSDB commits already queued behind ev with it,
 // bounded by CoalesceMaxTxns commits and CoalesceMaxUpdates input
-// updates. The merged event's txnID is the last merged non-zero commit
-// ID; per-commit attribution is preserved in ev.segs. Returns the first
-// non-mergeable event popped off the queue (a barrier, resync, or digest
-// that must run after the merged batch), or nil.
-func (c *Controller) coalesce(ev *event) *event {
+// updates. It also returns the first non-mergeable event it popped off
+// the queue (a barrier, resync, or digest that must run after the
+// batch), or nil.
+func (c *Controller) coalesce(ev event) ([]event, *event) {
+	batch := []event{ev}
 	maxUpdates := c.cfg.CoalesceMaxUpdates
 	if maxUpdates <= 0 {
 		maxUpdates = defaultCoalesceMaxUpdates
 	}
-	for ev.coalesced() < c.cfg.CoalesceMaxTxns && len(ev.updates) < maxUpdates {
-		var next event
-		var ok bool
+	for n := len(ev.updates); ev.source == "ovsdb" && len(batch) < c.cfg.CoalesceMaxTxns && n < maxUpdates; {
 		select {
-		case next, ok = <-c.events:
+		case next, ok := <-c.events:
+			if !ok {
+				// Closed mid-drain: dispatch the batch, the outer range
+				// loop terminates right after.
+				return batch, nil
+			}
+			if next.source != "ovsdb" {
+				return batch, &next
+			}
+			batch = append(batch, next)
+			n += len(next.updates)
 		default:
-			return nil
-		}
-		if !ok {
-			// Channel closed mid-drain; dispatch what we merged, the
-			// outer range loop terminates right after.
-			return nil
-		}
-		if next.source != "ovsdb" {
-			return &next
-		}
-		if ev.segs == nil {
-			ev.segs = append(ev.segs, txnSeg{txnID: ev.txnID, n: len(ev.updates)})
-		}
-		ev.segs = append(ev.segs, txnSeg{txnID: next.txnID, n: len(next.updates)})
-		ev.updates = append(ev.updates, next.updates...)
-		if next.txnID != 0 {
-			ev.txnID = next.txnID
+			return batch, nil
 		}
 	}
-	return nil
+	return batch, nil
 }
 
-// dispatch processes one event: control events (barrier, resync)
-// immediately, transaction events through the apply→observe→push
-// sequence.
-func (c *Controller) dispatch(ev *event) {
-	if ev.barrier != nil {
-		close(ev.barrier)
-		return
-	}
-	if ev.resync != nil {
-		// Reconciliation runs even though it interleaves with normal
-		// transactions: the event loop serializes it against pushes, so
-		// it sees a consistent desired state.
-		if err := c.Err(); err != nil {
-			ev.resync.done <- fmt.Errorf("core: resync %s: controller failed: %w",
-				ev.resync.device, err)
-		} else {
-			ev.resync.done <- c.doResync(ev.resync.device, ev.resync.dp)
-		}
+// dispatch processes one batch: a control event immediately, a
+// transaction (one event, or a coalesced run of commits) through the
+// apply→observe→push sequence.
+func (c *Controller) dispatch(batch []event) {
+	ev := &batch[0]
+	if ev.control != nil {
+		ev.control()
 		return
 	}
 	if c.Err() != nil {
 		return // drain after failure
 	}
-	c.rt.SetEventTxn(ev.txnID)
+	// A coalesced batch is attributed as a whole to its last commit.
+	var txn uint64
+	inputs := 0
+	for _, ev := range batch {
+		inputs += len(ev.updates)
+		if ev.txnID != 0 {
+			txn = ev.txnID
+		}
+	}
+	c.rt.SetEventTxn(txn)
 	start := time.Now()
-	delta, err := c.rt.Apply(ev.updates)
+	delta, err := c.apply(batch)
 	engineTime := time.Since(start)
 	if err != nil {
 		c.fail(fmt.Errorf("core: engine: %w", err))
 		return
 	}
-	ruleSamples := c.observeEngine(ev, start, engineTime)
-	c.noteInputs(ev)
-	if k := ev.coalesced(); k > 1 {
+	ruleSamples := c.observeEngine(batch, start, engineTime)
+	c.noteInputs(batch)
+	if k := len(batch); k > 1 {
 		c.m.coalesceBatches.Inc()
 		c.m.coalescedTxns.Add(uint64(k))
-		c.rec.Append(obs.Ev("core", "txn.coalesce").WithTxn(ev.txnID).
-			F("txns", int64(k)).F("updates", int64(len(ev.updates))))
+		c.rec.Append(obs.Ev("core", "txn.coalesce").WithTxn(txn).
+			F("txns", int64(k)).F("updates", int64(inputs)))
 	}
-	c.rec.Append(obs.Ev("core", "delta.done").WithTxn(ev.txnID).
-		F("input_updates", int64(len(ev.updates))).
+	c.rec.Append(obs.Ev("core", "delta.done").WithTxn(txn).
+		F("input_updates", int64(inputs)).
 		F("changed_rels", int64(len(delta))).
 		F("eval_us", engineTime.Microseconds()))
 	pushStart := time.Now()
-	c.rec.Append(obs.Ev("core", "push.start").WithTxn(ev.txnID).At(pushStart))
-	n, err := c.push(ev, delta)
+	c.rec.Append(obs.Ev("core", "push.start").WithTxn(txn).At(pushStart))
+	n, err := c.push(txn, ev.source, delta)
 	pushTime := time.Since(pushStart)
 	if err != nil {
 		c.m.pushErrors.Inc()
-		c.rec.Append(obs.Ev("core", "push.error").WithTxn(ev.txnID).
+		c.rec.Append(obs.Ev("core", "push.error").WithTxn(txn).
 			F("updates", int64(n)))
 		// A device that is merely unreachable does not poison the
 		// controller: its desired state kept advancing, and the resync
@@ -752,19 +615,21 @@ func (c *Controller) dispatch(ev *event) {
 		// Subscribers observe the delta only once the data plane accepted
 		// it (or the device was merely unreachable and will resync): the
 		// published stream never runs ahead of a delta the push rejected.
-		c.cfg.OnDelta(ev.txnID, delta)
+		c.cfg.OnDelta(txn, delta)
 	}
 	if c.tracer != nil {
 		// Each merged commit gets its own push stage (with its own attrs
 		// map: pooled maps must not be shared across traces).
-		ev.eachSeg(func(txn uint64, _ []engine.Update) {
-			c.tracer.Record(txn, "core", obs.Stage{
+		for _, ev := range batch {
+			attrs := obs.NewAttrs()
+			attrs["updates"] = int64(n)
+			c.tracer.Record(ev.txnID, "core", obs.Stage{
 				Name:  "push",
 				Start: pushStart,
 				End:   pushStart.Add(pushTime),
-				Attrs: pushAttrs(n),
+				Attrs: attrs,
 			})
-		})
+		}
 	}
 	// Budget checks run only after the push completed, so an incident
 	// pinned for a slow delta still captures the full commit→push
@@ -778,14 +643,20 @@ func (c *Controller) dispatch(ev *event) {
 			if len(ruleSamples) > 0 {
 				detail = map[string][]obs.RuleSample{"rules": ruleSamples}
 			}
-			o.PinIncident("delta", ev.txnID, ev.source, engineTime, detail)
+			o.PinIncident("delta", txn, ev.source, engineTime, detail)
 		}
 		if o.BudgetExceeded("push", pushTime) {
-			o.PinIncident("push", ev.txnID, ev.source, pushTime,
-				c.prov.originsForTxn(ev.txnID, incidentOriginLimit))
+			o.PinIncident("push", txn, ev.source, pushTime,
+				c.prov.originsForTxn(txn, incidentOriginLimit))
 		}
 	}
-	c.record(ev, n, engineTime, pushTime)
+	// The core_* series are the controller's only per-transaction record.
+	c.m.txnTotal[ev.source].Inc()
+	c.m.engineSecs.ObserveDuration(engineTime)
+	c.m.pushSecs.ObserveDuration(pushTime)
+	c.m.inputSize.Observe(float64(inputs))
+	c.m.outputSize.Observe(float64(n))
+	c.observeProvenance()
 	if ev.source == "initial" {
 		// Monitor established and initial sync pushed: the controller
 		// is serving the database's current state.
@@ -793,18 +664,11 @@ func (c *Controller) dispatch(ev *event) {
 	}
 }
 
-// pushAttrs builds the pooled attr map for the push trace stage.
-func pushAttrs(n int) map[string]int64 {
-	a := obs.NewAttrs()
-	a["updates"] = int64(n)
-	return a
-}
-
 // observeEngine translates the engine's per-transaction statistics into
 // dl_* metrics, the workload profiler and the "delta" trace stage, and
 // returns the transaction's per-rule breakdown for incident enrichment.
 // Unobserved, the engine collects nothing and neither does this.
-func (c *Controller) observeEngine(ev *event, start time.Time, engineTime time.Duration) []obs.RuleSample {
+func (c *Controller) observeEngine(batch []event, start time.Time, engineTime time.Duration) []obs.RuleSample {
 	st := c.rt.LastApplyStats()
 	if st == nil {
 		return nil
@@ -816,15 +680,12 @@ func (c *Controller) observeEngine(ev *event, start time.Time, engineTime time.D
 	}
 	c.m.deltaSize.Observe(float64(st.DeltaSize))
 	c.m.derivations.Add(uint64(st.Derivations))
-	var ruleSamples []obs.RuleSample
-	if len(st.Rules) > 0 {
-		ruleSamples = make([]obs.RuleSample, len(st.Rules))
-		for i, r := range st.Rules {
-			ruleSamples[i] = obs.RuleSample{
-				ID: r.ID, Label: r.Label, Stratum: r.Stratum, Recursive: r.Recursive,
-				Seedings: r.Seedings, Derivations: r.Derivations,
-				DeltaTuples: r.DeltaTuples, EvalNs: int64(r.Duration),
-			}
+	ruleSamples := make([]obs.RuleSample, len(st.Rules))
+	for i, r := range st.Rules {
+		ruleSamples[i] = obs.RuleSample{
+			ID: r.ID, Label: r.Label, Stratum: r.Stratum, Recursive: r.Recursive,
+			Seedings: r.Seedings, Derivations: r.Derivations,
+			DeltaTuples: r.DeltaTuples, EvalNs: int64(r.Duration),
 		}
 	}
 	// Observe even an empty transaction: idle rules' EWMA costs decay
@@ -835,209 +696,48 @@ func (c *Controller) observeEngine(ev *event, start time.Time, engineTime time.D
 		// Each merged commit gets its own delta stage carrying its own
 		// update count, so /debug/traces stays per-commit even when the
 		// engine applied several commits at once. Attrs maps are pooled
-		// and per-trace, hence built per segment.
-		coalesced := int64(ev.coalesced())
-		ev.eachSeg(func(txn uint64, ups []engine.Update) {
+		// and per-trace, hence built per commit.
+		for _, ev := range batch {
 			attrs := obs.NewAttrs()
-			attrs["input_updates"] = int64(len(ups))
+			attrs["input_updates"] = int64(len(ev.updates))
 			attrs["delta_size"] = int64(st.DeltaSize)
 			attrs["derivations"] = st.Derivations
-			if coalesced > 1 {
-				attrs["coalesced_txns"] = coalesced
+			if len(batch) > 1 {
+				attrs["coalesced_txns"] = int64(len(batch))
 			}
-			c.tracer.Record(txn, "core", obs.Stage{
+			c.tracer.Record(ev.txnID, "core", obs.Stage{
 				Name:  "delta",
 				Start: start,
 				End:   start.Add(engineTime),
 				Attrs: attrs,
 			})
-		})
+		}
 	}
 	return ruleSamples
 }
 
-// record is the single accounting site for per-transaction statistics:
-// the core_* series are the controller's only per-transaction record.
-func (c *Controller) record(ev *event, outputs int, engineTime, pushTime time.Duration) {
-	c.m.txnTotal[ev.source].Inc()
-	c.m.engineSecs.ObserveDuration(engineTime)
-	c.m.pushSecs.ObserveDuration(pushTime)
-	c.m.inputSize.Observe(float64(len(ev.updates)))
-	c.m.outputSize.Observe(float64(outputs))
-	c.observeProvenance()
-}
-
-// target identifies one write destination: a device of a class, or the
-// whole class (device "").
-type target struct {
-	class  *classState
-	device string
-}
-
-// push converts output deltas to data-plane writes, grouped per target.
-// Deletes are issued before inserts so match-key replacements land
-// correctly. Relations are visited in sorted name order and Z-set entries
-// in sorted record order, so the write stream is deterministic regardless
-// of map iteration or engine worker interleaving. Entry-origin records
-// are staged during conversion and applied only once every device
-// acknowledged its writes, so the origin maps never describe entries the
-// switches rejected.
-func (c *Controller) push(ev *event, delta engine.Delta) (int, error) {
-	dels := make(map[target][]p4rt.Update)
-	ins := make(map[target][]p4rt.Update)
-	mcastDirty := make(map[target]map[uint16]bool)
-	var origins []pendingOrigin
-	var order []target
-	seen := make(map[target]bool)
-	touch := func(tg target) {
-		if !seen[tg] {
-			seen[tg] = true
-			order = append(order, tg)
+// push plans the delta's writes, writes every device's stream, and once
+// all of them are acknowledged settles the plan's entry origins. It
+// reports the delta's change count.
+func (c *Controller) push(txn uint64, source string, delta engine.Delta) (int, error) {
+	p, err := c.plan(delta, txn, source)
+	if err != nil {
+		return 0, err
+	}
+	for _, dw := range p.writes {
+		dw.dp = c.devs[dw.id]
+		if c.cfg.Obs != nil {
+			dw.txn = txn // observed: TxnWriter devices extend the trace
 		}
 	}
-
-	rels := make([]string, 0, len(delta))
-	for rel := range delta {
-		rels = append(rels, rel)
+	if err := c.writeDevices(p.writes, pushWorkers); err != nil {
+		return p.changes, err
 	}
-	slices.Sort(rels)
-	for _, rel := range rels {
-		z := delta[rel]
-		if cs, ok := c.mcastRel[rel]; ok {
-			for _, e := range z.Entries() {
-				var device string
-				var group, port uint16
-				var err error
-				if cs.cls.PerDevice {
-					device, group, port, err = codegen.MulticastDeviceFromRecord(e.Rec)
-				} else {
-					group, port, err = codegen.MulticastFromRecord(e.Rec)
-				}
-				if err != nil {
-					return 0, err
-				}
-				key := mcastKey{device: device, group: group}
-				members := cs.mcast[key]
-				if members == nil {
-					members = make(map[uint16]bool)
-					cs.mcast[key] = members
-				}
-				if e.Weight > 0 {
-					members[port] = true
-				} else {
-					delete(members, port)
-				}
-				tg := target{class: cs, device: device}
-				touch(tg)
-				if mcastDirty[tg] == nil {
-					mcastDirty[tg] = make(map[uint16]bool)
-				}
-				mcastDirty[tg][group] = true
-			}
-			continue
-		}
-		route := c.outputs[rel]
-		if route == nil {
-			continue // internal or unbound output relation
-		}
-		for _, e := range z.Entries() {
-			entry, err := route.binding.EntryFromRecord(e.Rec)
-			if err != nil {
-				return 0, err
-			}
-			tg := target{class: route.class, device: route.binding.Device(e.Rec)}
-			touch(tg)
-			if e.Weight > 0 {
-				ins[tg] = append(ins[tg], p4rt.InsertEntry(entry))
-			} else {
-				dels[tg] = append(dels[tg], p4rt.DeleteEntry(entry))
-			}
-			if c.prov != nil {
-				match := renderMatches(route.binding, entry)
-				ek := entryKey{device: tg.device, table: entry.Table, match: match}
-				if e.Weight > 0 {
-					origins = append(origins, pendingOrigin{key: ek, origin: &EntryOrigin{
-						Table: entry.Table, Device: tg.device, Matches: match,
-						Action: entry.Action, Relation: rel, Record: e.Rec.String(),
-						TxnID: ev.txnID, Source: ev.source, rec: e.Rec,
-					}})
-				} else {
-					origins = append(origins, pendingOrigin{key: ek})
-				}
-			}
-		}
-	}
-
-	// Flatten targets into per-device batch lists: class-wide targets
-	// expand to every device of the class, and a device touched by several
-	// targets keeps its batches in target order. Devices are then mutually
-	// independent and their writes can proceed concurrently.
-	total := 0
-	var writes []*devWrite
-	byDev := make(map[target]*devWrite)
-	var txn uint64
-	if c.cfg.Obs != nil {
-		txn = ev.txnID // observed: TxnWriter devices extend the trace
-	}
-	addBatch := func(cs *classState, id string, dp DataPlane, updates []p4rt.Update) {
-		key := target{class: cs, device: id}
-		dw := byDev[key]
-		if dw == nil {
-			dw = &devWrite{id: id, dp: dp, txn: txn}
-			byDev[key] = dw
-			writes = append(writes, dw)
-		}
-		dw.batches = append(dw.batches, updates)
-	}
-	for _, tg := range order {
-		var updates []p4rt.Update
-		updates = append(updates, dels[tg]...)
-		updates = append(updates, ins[tg]...)
-		groups := make([]uint16, 0, len(mcastDirty[tg]))
-		for g := range mcastDirty[tg] {
-			groups = append(groups, g)
-		}
-		slices.Sort(groups)
-		for _, g := range groups {
-			members := tg.class.mcast[mcastKey{device: tg.device, group: g}]
-			updates = append(updates, p4rt.SetMulticast(g, sortedPorts(members)))
-		}
-		if len(updates) == 0 {
-			continue
-		}
-		total += len(updates)
-		if tg.device == "" {
-			for _, dev := range tg.class.cls.Devices {
-				addBatch(tg.class, dev.ID, dev.DP, updates)
-			}
-			continue
-		}
-		dp := tg.class.devByID[tg.device]
-		if dp == nil {
-			return 0, fmt.Errorf("core: rules target unknown device %q of class %q",
-				tg.device, tg.class.cls.Name)
-		}
-		addBatch(tg.class, tg.device, dp, updates)
-	}
-	if err := c.writeDevices(writes, pushWorkers); err != nil {
-		return total, err
-	}
-	c.rec.Append(obs.Ev("core", "push.barrier").WithTxn(ev.txnID).
-		F("devices", int64(len(writes))).
-		F("updates", int64(total)))
-	// Drops first: a same-match replacement (delete old + insert new in
-	// one delta) must end with the new origin regardless of record order.
-	for _, po := range origins {
-		if po.origin == nil {
-			c.prov.dropEntry(po.key)
-		}
-	}
-	for _, po := range origins {
-		if po.origin != nil {
-			c.prov.noteEntry(po.key, po.origin)
-		}
-	}
-	return total, nil
+	c.rec.Append(obs.Ev("core", "push.barrier").WithTxn(txn).
+		F("devices", int64(len(p.writes))).
+		F("updates", int64(p.changes)))
+	c.prov.settle(p.origins)
+	return p.changes, nil
 }
 
 // devWrite is the ordered write stream destined for one device within one
@@ -1050,34 +750,27 @@ type devWrite struct {
 	batches [][]p4rt.Update
 }
 
-func (dw *devWrite) flush() error {
-	tw, ok := dw.dp.(TxnWriter)
-	useTxn := ok && dw.txn != 0
-	for _, b := range dw.batches {
-		var err error
-		if useTxn {
-			err = tw.WriteTxn(dw.txn, b...)
-		} else {
-			err = dw.dp.Write(b...)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// flushObserved is flush plus per-device latency and batch-size metrics
-// and the device.write flight-recorder event.
+// flushObserved writes one device's batches in order, stopping at the
+// first error, and records per-device latency and batch-size metrics and
+// the device.write flight-recorder event.
 func (c *Controller) flushObserved(dw *devWrite) error {
 	t0 := time.Now()
-	err := dw.flush()
-	elapsed := time.Since(t0)
-	c.m.devPush[dw.id].ObserveDuration(elapsed)
+	tw, ok := dw.dp.(TxnWriter)
+	useTxn := ok && dw.txn != 0
+	var err error
 	n := 0
 	for _, b := range dw.batches {
 		n += len(b)
+		switch {
+		case err != nil:
+		case useTxn:
+			err = tw.WriteTxn(dw.txn, b...)
+		default:
+			err = dw.dp.Write(b...)
+		}
 	}
+	elapsed := time.Since(t0)
+	c.m.devPush[dw.id].ObserveDuration(elapsed)
 	c.m.devBatch.Observe(float64(n))
 	failed := int64(0)
 	if err != nil {
@@ -1091,37 +784,26 @@ func (c *Controller) flushObserved(dw *devWrite) error {
 }
 
 // writeDevices issues each device's write stream, fanning out across up to
-// nw goroutines. Per-device ordering is preserved (one goroutine owns a
-// device's whole stream), all writes complete before the push returns
-// (barrier), and on failure the error of the first device in delta order
-// is reported.
+// nw workers: the calling goroutine and nw-1 more. Per-device ordering is
+// preserved (one worker owns a device's whole stream), all writes
+// complete before the push returns (barrier), and on failure the error of
+// the first device in delta order is reported.
 func (c *Controller) writeDevices(writes []*devWrite, nw int) error {
-	if nw > len(writes) {
-		nw = len(writes)
-	}
-	if nw <= 1 {
-		errs := make([]error, len(writes))
-		for i, dw := range writes {
-			errs[i] = c.flushObserved(dw)
-		}
-		return pickPushErr(errs)
-	}
 	errs := make([]error, len(writes))
-	var next int64
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for wi := 0; wi < nw; wi++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(writes) {
-					return
-				}
-				errs[i] = c.flushObserved(writes[i])
-			}
-		}()
+	work := func() {
+		defer wg.Done()
+		for i := int(next.Add(1)) - 1; i < len(writes); i = int(next.Add(1)) - 1 {
+			errs[i] = c.flushObserved(writes[i])
+		}
 	}
+	workers := max(min(nw, len(writes)), 1)
+	wg.Add(workers)
+	for range workers - 1 {
+		go work()
+	}
+	work()
 	wg.Wait()
 	return pickPushErr(errs)
 }
@@ -1148,51 +830,6 @@ func pickPushErr(errs []error) error {
 	return unavail
 }
 
-// sortedPorts lists a multicast group's member ports in ascending order.
-func sortedPorts(members map[uint16]bool) []uint16 {
-	ports := make([]uint16, 0, len(members))
-	for p := range members {
-		ports = append(ports, p)
-	}
-	slices.Sort(ports)
-	return ports
-}
-
-// monitorRequests builds the per-table monitor covering every bound
-// column.
-func (c *Controller) monitorRequests() map[string]*ovsdb.MonitorRequest {
-	cols := make(map[string]map[string]bool)
-	add := func(table, col string) {
-		m := cols[table]
-		if m == nil {
-			m = make(map[string]bool)
-			cols[table] = m
-		}
-		m[col] = true
-	}
-	for _, b := range c.inputGen.Inputs {
-		for _, col := range b.Columns {
-			add(b.Table, col)
-		}
-		if _, ok := cols[b.Table]; !ok {
-			cols[b.Table] = make(map[string]bool)
-		}
-	}
-	for _, b := range c.inputGen.Aux {
-		add(b.Table, b.Column)
-	}
-	out := make(map[string]*ovsdb.MonitorRequest, len(cols))
-	for table, set := range cols {
-		req := &ovsdb.MonitorRequest{}
-		for col := range set {
-			req.Columns = append(req.Columns, col)
-		}
-		slices.Sort(req.Columns)
-		out[table] = req
-	}
-	return out
-}
-
 // handleOVSDB runs on the OVSDB client's delivery goroutine, with the ID
 // of the transaction that produced the update.
 func (c *Controller) handleOVSDB(txn uint64, tu ovsdb.TableUpdates) {
@@ -1202,6 +839,18 @@ func (c *Controller) handleOVSDB(txn uint64, tu ovsdb.TableUpdates) {
 		return
 	}
 	c.enqueue(event{source: "ovsdb", txnID: txn, updates: ups})
+}
+
+// handleDigest runs on a p4rt client's delivery goroutine.
+func (c *Controller) handleDigest(device string, dl p4rt.DigestList) {
+	ups, err := c.digestUpdates(device, dl)
+	if err != nil {
+		c.fail(err)
+		return
+	}
+	if len(ups) > 0 {
+		c.enqueue(event{source: "digest", updates: ups})
+	}
 }
 
 // enqueue submits an event unless the controller has stopped, reporting
@@ -1217,98 +866,4 @@ func (c *Controller) enqueue(ev event) bool {
 	}
 	c.events <- ev
 	return true
-}
-
-// ovsdbUpdates converts a monitor notification into engine updates.
-func (c *Controller) ovsdbUpdates(tu ovsdb.TableUpdates) ([]engine.Update, error) {
-	var ups []engine.Update
-	for _, b := range c.inputGen.Inputs {
-		table, ok := tu[b.Table]
-		if !ok {
-			continue
-		}
-		for uuid, ru := range table {
-			oldRow, newRow := rowsOf(ru)
-			if oldRow != nil {
-				rec, err := b.RowRecord(uuid, oldRow)
-				if err != nil {
-					return nil, err
-				}
-				ups = append(ups, engine.Delete(b.Relation, rec))
-			}
-			if newRow != nil {
-				rec, err := b.RowRecord(uuid, newRow)
-				if err != nil {
-					return nil, err
-				}
-				ups = append(ups, engine.Insert(b.Relation, rec))
-			}
-		}
-	}
-	for _, b := range c.inputGen.Aux {
-		table, ok := tu[b.Table]
-		if !ok {
-			continue
-		}
-		for uuid, ru := range table {
-			oldRow, newRow := rowsOf(ru)
-			if oldRow != nil {
-				recs, err := b.ElementRecords(uuid, oldRow)
-				if err != nil {
-					return nil, err
-				}
-				for _, rec := range recs {
-					ups = append(ups, engine.Delete(b.Relation, rec))
-				}
-			}
-			if newRow != nil {
-				recs, err := b.ElementRecords(uuid, newRow)
-				if err != nil {
-					return nil, err
-				}
-				for _, rec := range recs {
-					ups = append(ups, engine.Insert(b.Relation, rec))
-				}
-			}
-		}
-	}
-	return ups, nil
-}
-
-// rowsOf reconstructs the full old and new rows of a RowUpdate. For a
-// modify, Old carries only the changed columns, so the full old row is New
-// overlaid with Old (in a fresh map: delivered rows are read-only).
-func rowsOf(ru ovsdb.RowUpdate) (oldRow, newRow ovsdb.Row) {
-	if ru.Old == nil || ru.New == nil {
-		return ru.Old, ru.New
-	}
-	oldRow = make(ovsdb.Row, len(ru.New))
-	for k, v := range ru.New {
-		oldRow[k] = v
-	}
-	for k, v := range ru.Old {
-		oldRow[k] = v
-	}
-	return oldRow, ru.New
-}
-
-// handleDigest runs on a p4rt client's delivery goroutine.
-func (c *Controller) handleDigest(cs *classState, deviceID string, dl p4rt.DigestList) {
-	var ups []engine.Update
-	for _, b := range cs.gen.Digests {
-		if b.Digest != dl.Digest {
-			continue
-		}
-		for _, msg := range dl.Messages {
-			rec, err := b.DigestRecordFrom(deviceID, msg)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			ups = append(ups, engine.Insert(b.Relation, rec))
-		}
-	}
-	if len(ups) > 0 {
-		c.enqueue(event{source: "digest", updates: ups})
-	}
 }

@@ -22,11 +22,6 @@ type fakeMP struct {
 
 func (f *fakeMP) GetSchema(string) (*ovsdb.DatabaseSchema, error) { return f.db.Schema(), nil }
 
-func (f *fakeMP) Monitor(_ string, _ any, requests map[string]*ovsdb.MonitorRequest, cb func(ovsdb.TableUpdates)) (ovsdb.TableUpdates, error) {
-	_, initial, err := f.db.AddMonitor(requests, func(_ uint64, tu ovsdb.TableUpdates) { cb(tu) })
-	return initial, err
-}
-
 func (f *fakeMP) MonitorTxn(_ string, _ any, requests map[string]*ovsdb.MonitorRequest, cb func(uint64, ovsdb.TableUpdates)) (ovsdb.TableUpdates, error) {
 	_, initial, err := f.db.AddMonitor(requests, cb)
 	return initial, err
@@ -396,7 +391,7 @@ func TestObsDecidesCollection(t *testing.T) {
 func TestControllerContentsAndProgram(t *testing.T) {
 	mp, dp := newFakes(t)
 	ctrl := startCtrl(t, mp, dp)
-	if ctrl.Program() == nil || ctrl.Generated() == nil {
+	if ctrl.Program() == nil {
 		t.Fatalf("accessors returned nil")
 	}
 	if _, err := ctrl.Contents("InVlan"); err != nil {

@@ -83,24 +83,39 @@ func newProvState(capacity int) *provState {
 // inputKey keys an input-relation record.
 func inputKey(rel, recKey string) string { return rel + "\x00" + recKey }
 
+// fifoPut sets k in a map bounded to capacity keys: a new key first
+// evicts the oldest live ones while the map is full. order is the
+// insertion order; deleted keys stay in it as tombstones until they
+// outnumber the capacity, then it is compacted. Returns the evictions.
+func fifoPut[K comparable, V any](m map[K]V, order *[]K, k K, v V, capacity int) (evicted uint64) {
+	if _, exists := m[k]; !exists {
+		for len(m) >= capacity && len(*order) > 0 {
+			old := (*order)[0]
+			*order = (*order)[1:]
+			if _, ok := m[old]; ok {
+				delete(m, old)
+				evicted++
+			}
+		}
+		*order = append(*order, k)
+	}
+	m[k] = v
+	if len(*order) > 2*capacity {
+		live := (*order)[:0]
+		for _, k := range *order {
+			if _, ok := m[k]; ok {
+				live = append(live, k)
+			}
+		}
+		*order = live
+	}
+	return evicted
+}
+
 func (p *provState) noteEntry(k entryKey, o *EntryOrigin) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, exists := p.entries[k]; !exists {
-		for len(p.entries) >= p.cap && len(p.eorder) > 0 {
-			old := p.eorder[0]
-			p.eorder = p.eorder[1:]
-			if _, ok := p.entries[old]; ok {
-				delete(p.entries, old)
-				p.evicted++
-			}
-		}
-		p.eorder = append(p.eorder, k)
-	}
-	p.entries[k] = o
-	if len(p.eorder) > 2*p.cap {
-		p.compactEntriesLocked()
-	}
+	p.evicted += fifoPut(p.entries, &p.eorder, k, o, p.cap)
 }
 
 func (p *provState) dropEntry(k entryKey) {
@@ -132,41 +147,10 @@ func (p *provState) originsForTxn(txn uint64, max int) []*EntryOrigin {
 	return out
 }
 
-func (p *provState) compactEntriesLocked() {
-	live := p.eorder[:0]
-	for _, k := range p.eorder {
-		if _, ok := p.entries[k]; ok {
-			live = append(live, k)
-		}
-	}
-	p.eorder = live
-}
-
 func (p *provState) noteInput(rel, recKey string, o inputOrigin) {
-	k := inputKey(rel, recKey)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, exists := p.inputs[k]; !exists {
-		for len(p.inputs) >= p.cap && len(p.iorder) > 0 {
-			old := p.iorder[0]
-			p.iorder = p.iorder[1:]
-			if _, ok := p.inputs[old]; ok {
-				delete(p.inputs, old)
-				p.evicted++
-			}
-		}
-		p.iorder = append(p.iorder, k)
-	}
-	p.inputs[k] = o
-	if len(p.iorder) > 2*p.cap {
-		live := p.iorder[:0]
-		for _, k := range p.iorder {
-			if _, ok := p.inputs[k]; ok {
-				live = append(live, k)
-			}
-		}
-		p.iorder = live
-	}
+	p.evicted += fifoPut(p.inputs, &p.iorder, inputKey(rel, recKey), o, p.cap)
 }
 
 func (p *provState) dropInput(rel, recKey string) {
@@ -363,34 +347,50 @@ func (c *Controller) annotate(n *engine.ExplainNode) {
 }
 
 // noteInputs records (or drops) the origin of each input update of one
-// applied transaction. Runs on the event-loop goroutine after a
-// successful Apply. For a coalesced event, each update is attributed to
-// the commit whose segment delivered it — not the merged event's txnID —
-// so /debug/explain keeps naming the true originating transaction.
-func (c *Controller) noteInputs(ev *event) {
-	if c.prov == nil {
+// applied batch, after a successful apply. In a coalesced batch each
+// update is attributed to the commit that delivered it — not the batch's
+// txn — so /debug/explain keeps naming the true originating transaction.
+func (s *step) noteInputs(batch []event) {
+	if s.prov == nil {
 		return
 	}
-	ev.eachSeg(func(txnID uint64, ups []engine.Update) {
-		for _, up := range ups {
+	for _, ev := range batch {
+		for _, up := range ev.updates {
 			if up.Insert {
-				c.prov.noteInput(up.Relation, up.Rec.Key(), inputOrigin{txnID: txnID, source: ev.source})
+				s.prov.noteInput(up.Relation, up.Rec.Key(), inputOrigin{txnID: ev.txnID, source: ev.source})
 			} else {
-				c.prov.dropInput(up.Relation, up.Rec.Key())
+				s.prov.dropInput(up.Relation, up.Rec.Key())
 			}
 		}
-	})
+	}
 }
 
-// pendingOrigin is one entry-origin mutation staged during push and
-// applied only once the data-plane writes succeed.
+// pendingOrigin is one entry-origin mutation staged by plan and applied
+// only once the data-plane writes succeed.
 type pendingOrigin struct {
 	key    entryKey
 	origin *EntryOrigin // nil = delete
 }
 
-// observeProvenance refreshes the obs_provenance_* gauges. Called from
-// record(), i.e. once per transaction on the event loop.
+// settle applies a push's staged entry origins. Drops first: a
+// same-match replacement (delete old + insert new in one delta) must end
+// with the new origin regardless of record order. Nil-safe: an
+// unobserved step stages nothing.
+func (p *provState) settle(origins []pendingOrigin) {
+	for _, po := range origins {
+		if po.origin == nil {
+			p.dropEntry(po.key)
+		}
+	}
+	for _, po := range origins {
+		if po.origin != nil {
+			p.noteEntry(po.key, po.origin)
+		}
+	}
+}
+
+// observeProvenance refreshes the obs_provenance_* gauges, once per
+// transaction on the event loop.
 func (c *Controller) observeProvenance() {
 	if c.prov == nil {
 		return

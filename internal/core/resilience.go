@@ -1,23 +1,22 @@
 // Resilience: the controller's side of surviving connection loss.
 //
 // What a device should hold is a function of the engine's state: the
-// records of its class's output relations (converted exactly as push
+// records of its class's output relations (converted exactly as a push
 // converts them) plus the class's multicast membership. The controller
 // keeps no second copy. Pushes to an unreachable device fail and are
 // tolerated while the engine keeps advancing; when the connection heals,
-// Resync diffs the device's actual tables (ReadTable) against what the
-// engine says now and writes only the difference, so reconvergence costs
-// one snapshot plus the drift, not a full replay.
+// Resync reads the device's actual tables (ReadTable), asks the step
+// how far they drift from what the engine says now, and writes only the
+// difference, so reconvergence costs one snapshot plus the drift, not a
+// full replay.
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"slices"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/p4"
 	"repro/internal/p4rt"
 )
 
@@ -29,31 +28,6 @@ type TableReader interface {
 	Write(updates ...p4rt.Update) error
 }
 
-// entryIdent canonically identifies an entry slot: same table, matches
-// and priority → same slot (action and params are the slot's value).
-func entryIdent(e *p4rt.TableEntry) string {
-	// Marshalling strings, ints and FieldMatch values cannot fail.
-	b, _ := json.Marshal(struct {
-		T string          `json:"t"`
-		M []p4.FieldMatch `json:"m"`
-		P int             `json:"p"`
-	}{T: e.Table, M: e.Matches, P: e.Priority})
-	return string(b)
-}
-
-// sameValue reports whether two entries program the same action.
-func sameValue(a, b *p4rt.TableEntry) bool {
-	return a.Action == b.Action && slices.Equal(a.Params, b.Params)
-}
-
-// resyncReq asks the event loop to reconcile one device against the
-// engine's state using the given (freshly reconnected) connection.
-type resyncReq struct {
-	device string
-	dp     TableReader
-	done   chan error
-}
-
 // Resync reconciles device's actual tables against what the engine's
 // output relations say it should hold, writing only the difference
 // through dp. It is safe to call from any goroutine — the reconciliation
@@ -62,76 +36,39 @@ type resyncReq struct {
 // ResilientClient OnReconnect hook, where dp is the fresh
 // not-yet-published client.
 func (c *Controller) Resync(device string, dp TableReader) error {
-	req := &resyncReq{device: device, dp: dp, done: make(chan error, 1)}
-	if !c.enqueue(event{source: "resync", resync: req}) {
+	done := make(chan error, 1)
+	resync := func() {
+		if err := c.Err(); err != nil {
+			done <- fmt.Errorf("core: resync %s: controller failed: %w", device, err)
+		} else {
+			done <- c.doResync(device, dp)
+		}
+	}
+	if !c.enqueue(event{source: "resync", control: resync}) {
 		return fmt.Errorf("core: resync %s: controller stopped", device)
 	}
 	select {
-	case err := <-req.done:
+	case err := <-done:
 		return err
 	case <-c.done:
 		return fmt.Errorf("core: resync %s: controller stopped", device)
 	}
 }
 
-// sortedKeys lists a map's keys in ascending order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
-// desiredEntries derives what device should hold from the engine: every
-// record of its class's output relations that targets it (or the whole
-// class), keyed by entryIdent. Event-loop goroutine only.
-func (c *Controller) desiredEntries(cs *classState, device string) (map[string]p4rt.TableEntry, error) {
-	desired := make(map[string]p4rt.TableEntry)
-	for rel, b := range cs.gen.Outputs {
-		recs, err := c.rt.Contents(rel)
-		if err != nil {
-			return nil, err
-		}
-		for _, rec := range recs {
-			if dev := b.Device(rec); dev != "" && dev != device {
-				continue
-			}
-			e, err := b.EntryFromRecord(rec)
-			if err != nil {
-				return nil, err
-			}
-			desired[entryIdent(&e)] = e
-		}
-	}
-	return desired, nil
-}
-
 // doResync runs on the event loop. It reads every bound table of the
-// device's class, diffs against the engine-derived entries, and writes
-// deletes for stale entries, inserts for missing ones, and modifies for
-// entries whose action drifted. Multicast groups cannot be read back, so
-// every group of the class's membership state is re-pushed — SetMulticast
-// is absolute, making that idempotent. Returns the first error (the
-// caller's redial loop retries).
+// device's class, takes the step's drift against them, and writes what
+// closes it: deletes for stale entries, inserts for missing ones,
+// modifies for entries whose action drifted, and every multicast group
+// of the device (groups cannot be read back). Returns the first error
+// (the caller's redial loop retries).
 func (c *Controller) doResync(device string, dp TableReader) error {
 	start := time.Now()
 	cs := c.devClass[device]
 	if cs == nil {
 		return fmt.Errorf("core: resync: unknown device %q", device)
 	}
-	desired, err := c.desiredEntries(cs, device)
-	if err != nil {
-		return fmt.Errorf("core: resync %s: %w", device, err)
-	}
-
-	tables := make(map[string]bool)
-	for _, b := range cs.gen.Outputs {
-		tables[b.Table] = true
-	}
-	actual := make(map[string]p4rt.TableEntry)
-	for _, table := range sortedKeys(tables) {
+	var actual []p4rt.TableEntry
+	for _, table := range cs.tables {
 		entries, err := dp.ReadTable(table)
 		if err != nil {
 			return fmt.Errorf("core: resync %s: reading %s: %w", device, table, err)
@@ -140,42 +77,14 @@ func (c *Controller) doResync(device string, dp TableReader) error {
 			if e.Table == "" {
 				e.Table = table
 			}
-			actual[entryIdent(&e)] = e
+			actual = append(actual, e)
 		}
 	}
-
-	var updates []p4rt.Update
-	for _, key := range sortedKeys(actual) {
-		if _, ok := desired[key]; !ok {
-			updates = append(updates, p4rt.DeleteEntry(actual[key]))
-		}
+	d, err := c.drift(device, actual)
+	if err != nil {
+		return fmt.Errorf("core: resync %s: %w", device, err)
 	}
-	deleted := len(updates)
-	for _, key := range sortedKeys(desired) {
-		want := desired[key]
-		got, ok := actual[key]
-		switch {
-		case !ok:
-			updates = append(updates, p4rt.InsertEntry(want))
-		case !sameValue(&got, &want):
-			updates = append(updates, p4rt.ModifyEntry(want))
-		}
-	}
-	// Class-wide groups first, then the device's own, so where rules
-	// define a group both ways the device-specific membership lands last.
-	for _, dev := range []string{"", device} {
-		var groups []uint16
-		for key := range cs.mcast {
-			if key.device == dev {
-				groups = append(groups, key.group)
-			}
-		}
-		slices.Sort(groups)
-		for _, g := range groups {
-			updates = append(updates, p4rt.SetMulticast(g, sortedPorts(cs.mcast[mcastKey{device: dev, group: g}])))
-		}
-	}
-
+	updates := slices.Concat(d.stale, d.missing, d.modified, d.groups)
 	if len(updates) > 0 {
 		if err := dp.Write(updates...); err != nil {
 			return fmt.Errorf("core: resync %s: %w", device, err)
@@ -183,8 +92,8 @@ func (c *Controller) doResync(device string, dp TableReader) error {
 	}
 	c.m.resyncs.Inc()
 	c.rec.Append(obs.Ev("core", "conn.resync").WithDevice(device).
-		F("deleted", int64(deleted)).
-		F("written", int64(len(updates)-deleted)).
+		F("deleted", int64(len(d.stale))).
+		F("written", int64(len(updates)-len(d.stale))).
 		F("resync_us", time.Since(start).Microseconds()))
 	return nil
 }
