@@ -37,9 +37,11 @@ go test -race ./...
 go test -run=NONE -bench=. -benchtime=1x ./...
 # Wire codec: the hand-written encoders and decoders are held to
 # encoding/json on their seed corpora by the runs above (a fuzz target's
-# seeds run as a plain test); give each target a short fuzz as well.
+# seeds run as a plain test), and the lowered P4 pipeline to the
+# reference walker; give each target a short fuzz as well.
 for target in jsonrpc:FuzzFrame p4rt:FuzzWriteParams p4rt:FuzzDigestParams \
-    ovsdb:FuzzWireRow ovsdb:FuzzTransactParams ovsdb:FuzzTransactReply ovsdb:FuzzUpdateParams; do
+    ovsdb:FuzzWireRow ovsdb:FuzzTransactParams ovsdb:FuzzTransactReply ovsdb:FuzzUpdateParams \
+    p4:FuzzProcess; do
     go test -run='^$' -fuzz="^${target#*:}\$" -fuzztime=10s "./internal/${target%:*}/"
 done
 # Provenance overhead smoke: the experiment must run end to end and emit
@@ -53,6 +55,12 @@ go test -run 'TestArrangementProbeZeroAlloc|TestProvenanceRecordPoolZeroAlloc|Te
 go test -race -count=20 -run 'TestProvenanceConcurrentExplainHammer|TestProvenanceVsNaive|TestProvenanceRecursive' ./internal/dl/engine/
 # Flight-recorder: the event hot path must stay allocation-free.
 go test -run 'TestEventHotPathZeroAlloc' -count=1 ./internal/obs/
+# Data plane: a known-unicast frame crosses the lowered pipeline and the
+# switch without allocating, and injectors re-entering the switch from
+# its output handler share the pooled packet state with a table writer:
+# ten runs under the race detector.
+go test -run 'TestInjectKnownUnicastZeroAlloc' -count=1 ./internal/switchsim/
+go test -race -count=10 -run 'TestInjectReentrant' ./internal/switchsim/
 # Fleet observability: the nerpa-top aggregator e2e (builds the real
 # binaries, stitches a cross-process trace into the data plane, and
 # verifies health flips on member death) must pass under the race

@@ -1,46 +1,23 @@
 package p4
 
-// bitReader extracts big-endian bit-packed fields from a byte slice.
-type bitReader struct {
-	data []byte
-	pos  int // bit offset
-}
-
-// read extracts the next n bits (n <= 64) as a big-endian unsigned value.
-// ok is false when the data is exhausted.
-func (r *bitReader) read(n int) (v uint64, ok bool) {
-	if r.pos+n > len(r.data)*8 {
-		return 0, false
+// readBits returns the big-endian value held in b, less the trail bits
+// after it in b's last byte. b spans at most nine bytes, so a 64-bit
+// field at any bit offset fits.
+func readBits(b []byte, trail uint) uint64 {
+	var hi, v uint64
+	for _, c := range b {
+		hi, v = v>>56, v<<8|uint64(c)
 	}
-	for i := 0; i < n; i++ {
-		byteIdx := r.pos >> 3
-		bitIdx := 7 - r.pos&7
-		v = v<<1 | uint64(r.data[byteIdx]>>bitIdx&1)
-		r.pos++
-	}
-	return v, true
+	return v>>trail | hi<<(64-trail)
 }
 
-// bytesConsumed returns how many whole bytes have been consumed; the
-// parser only extracts byte-aligned headers so this is exact at header
-// boundaries.
-func (r *bitReader) bytesConsumed() int { return (r.pos + 7) / 8 }
-
-// bitWriter packs big-endian bit fields into a byte slice.
-type bitWriter struct {
-	data []byte
-	pos  int
-}
-
-// write appends the low n bits of v.
-func (w *bitWriter) write(v uint64, n int) {
-	for i := n - 1; i >= 0; i-- {
-		if w.pos&7 == 0 {
-			w.data = append(w.data, 0)
-		}
-		bit := byte(v >> uint(i) & 1)
-		w.data[w.pos>>3] |= bit << (7 - w.pos&7)
-		w.pos++
+// writeBits ORs v into b, ending trail bits before b's end: the inverse
+// of readBits on zeroed bytes.
+func writeBits(b []byte, v uint64, trail uint) {
+	lo, hi := v<<trail, v>>(64-trail)
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] |= byte(lo)
+		lo, hi = lo>>8|hi<<56, hi>>8
 	}
 }
 

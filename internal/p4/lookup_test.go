@@ -272,3 +272,60 @@ func BenchmarkLinearLookupBaseline(b *testing.B) {
 		})
 	}
 }
+
+// lookupLinear is the reference O(entries) scan the tuple-space lookup
+// is held to.
+func (ts *tableState) lookupLinear(vals []uint64) *entry {
+	if ts.allExact {
+		return ts.lookup(vals)
+	}
+	var best *entry
+	bestPrefix := -1
+	for _, e := range ts.entries {
+		if !ts.matches(e, vals) {
+			continue
+		}
+		if best == nil {
+			best = e
+			bestPrefix = ts.totalPrefix(e)
+			continue
+		}
+		// Priority first, then total LPM prefix length.
+		if e.Priority > best.Priority ||
+			e.Priority == best.Priority && ts.totalPrefix(e) > bestPrefix {
+			best = e
+			bestPrefix = ts.totalPrefix(e)
+		}
+	}
+	return best
+}
+
+func (ts *tableState) matches(e *entry, vals []uint64) bool {
+	for i, k := range ts.table.Keys {
+		m := e.Matches[i]
+		v := vals[i]
+		switch k.Match {
+		case MatchExact:
+			if v != m.Value {
+				return false
+			}
+		case MatchLPM:
+			shift := uint(k.Bits - m.PrefixLen)
+			if m.PrefixLen == 0 {
+				continue
+			}
+			if v>>shift != m.Value>>shift {
+				return false
+			}
+		case MatchTernary:
+			if v&m.Mask != m.Value&m.Mask {
+				return false
+			}
+		case MatchOptional:
+			if !m.Wildcard && v != m.Value {
+				return false
+			}
+		}
+	}
+	return true
+}

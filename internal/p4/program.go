@@ -1,8 +1,8 @@
 // Package p4 models programmable data planes: a P4-16-subset program IR
 // (headers, a parser state machine, match-action tables, actions, digests),
-// a behavioral interpreter executing the IR on real packet bytes (the
-// BMv2 stand-in), and P4Info-style metadata consumed by the control plane
-// for code generation and cross-plane type checking.
+// a runtime that lowers the IR once and executes it on real packet bytes
+// (the BMv2 stand-in), and P4Info-style metadata consumed by the control
+// plane for code generation and cross-plane type checking.
 package p4
 
 import (
@@ -596,6 +596,9 @@ func (p *Program) validateBool(b BoolExpr) error {
 		}
 		return nil
 	case *BoolOp:
+		if _, ok := boolOps[b.Op]; !ok || (b.R == nil) != (b.Op == "not") {
+			return fmt.Errorf("malformed boolean operator %q", b.Op)
+		}
 		if err := p.validateBool(b.L); err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package p4
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -49,6 +50,12 @@ func entryKey(matches []FieldMatch) string {
 	return string(buf)
 }
 
+// entry is an installed Entry with its action resolved at insert time.
+type entry struct {
+	Entry
+	act *action
+}
+
 // maskGroup is one tuple-space class: every entry whose matches reduce to
 // the same effective-mask vector lives in one group, indexed by the masked
 // key-field values. Entries sharing a slot match exactly the same packets,
@@ -59,23 +66,24 @@ type maskGroup struct {
 	masks       []uint64 // effective mask per key field
 	totalPrefix int      // summed LPM prefix bits (tie-break rank)
 	maxPriority int      // max entry priority across the group
-	byKey       map[string][]*Entry
+	byKey       map[string][]*entry
 }
 
 // tableState holds installed entries for one table.
 type tableState struct {
 	table *Table
 	// exactIdx accelerates all-exact tables.
-	exactIdx map[string]*Entry
+	exactIdx map[string]*entry
 	allExact bool
-	entries  map[string]*Entry
+	entries  map[string]*entry
 	// groups/ordered implement tuple-space search for tables with
 	// lpm/ternary/optional keys: one hash probe per distinct mask vector
 	// instead of a scan over all entries. ordered is sorted by
 	// (maxPriority desc, totalPrefix desc) so lookups can stop early.
-	groups  map[string]*maskGroup
-	ordered []*maskGroup
-	defact  ActionCall
+	groups   map[string]*maskGroup
+	ordered  []*maskGroup
+	keySlots []int   // value-vector slot of each key
+	defact   *action // nil: a miss is a no-op
 	// hits/misses are atomic: lookups run under the runtime's read lock.
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -91,10 +99,9 @@ func newTableState(t *Table) *tableState {
 	return &tableState{
 		table:    t,
 		allExact: allExact,
-		exactIdx: make(map[string]*Entry),
-		entries:  make(map[string]*Entry),
+		exactIdx: make(map[string]*entry),
+		entries:  make(map[string]*entry),
 		groups:   make(map[string]*maskGroup),
-		defact:   t.DefaultAction,
 	}
 }
 
@@ -104,7 +111,7 @@ func newTableState(t *Table) *tableState {
 // full value, lpm compares the bits at and above the prefix shift (with a
 // zero-length prefix matching everything), ternary compares under the
 // entry's mask verbatim, and wildcard-optional compares nothing.
-func (ts *tableState) effectiveMasks(e *Entry, masks []uint64) []uint64 {
+func (ts *tableState) effectiveMasks(e *entry, masks []uint64) []uint64 {
 	for i, k := range ts.table.Keys {
 		m := e.Matches[i]
 		switch k.Match {
@@ -132,17 +139,14 @@ func (ts *tableState) effectiveMasks(e *Entry, masks []uint64) []uint64 {
 // appendMaskedKey encodes vals&masks into buf, the group's slot key.
 func appendMaskedKey(buf []byte, vals, masks []uint64) []byte {
 	for i, v := range vals {
-		v &= masks[i]
-		for s := 56; s >= 0; s -= 8 {
-			buf = append(buf, byte(v>>uint(s)))
-		}
+		buf = binary.BigEndian.AppendUint64(buf, v&masks[i])
 	}
 	return buf
 }
 
 // groupInsert adds e to its tuple-space group, creating the group on
 // first use, and keeps ordered sorted. Caller holds the write lock.
-func (ts *tableState) groupInsert(e *Entry) {
+func (ts *tableState) groupInsert(e *entry) {
 	var mbuf [16]uint64
 	masks := ts.effectiveMasks(e, mbuf[:0])
 	var kbuf [128]byte
@@ -154,7 +158,7 @@ func (ts *tableState) groupInsert(e *Entry) {
 			masks:       append([]uint64(nil), masks...),
 			totalPrefix: ts.totalPrefix(e),
 			maxPriority: e.Priority,
-			byKey:       make(map[string][]*Entry),
+			byKey:       make(map[string][]*entry),
 		}
 		ts.groups[g.sig] = g
 		ts.ordered = append(ts.ordered, g)
@@ -174,7 +178,7 @@ func (ts *tableState) groupInsert(e *Entry) {
 
 // groupDelete removes the entry (by pointer identity) from its group,
 // dropping the group when it empties. Caller holds the write lock.
-func (ts *tableState) groupDelete(e *Entry) {
+func (ts *tableState) groupDelete(e *entry) {
 	var mbuf [16]uint64
 	masks := ts.effectiveMasks(e, mbuf[:0])
 	var kbuf [128]byte
@@ -260,16 +264,6 @@ func exactKey(matches []FieldMatch) string {
 	return string(buf)
 }
 
-func exactKeyVals(vals []uint64) string {
-	buf := make([]byte, 0, len(vals)*8)
-	for _, v := range vals {
-		for i := 56; i >= 0; i -= 8 {
-			buf = append(buf, byte(v>>uint(i)))
-		}
-	}
-	return string(buf)
-}
-
 // lookup finds the best matching entry for the key field values.
 //
 // Tables with lpm/ternary/optional keys use tuple-space search (the Open
@@ -278,13 +272,13 @@ func exactKeyVals(vals []uint64) string {
 // stops as soon as no remaining group can beat the current best. Cost is
 // O(#mask vectors), not O(#entries) — a 10k-route LPM table with 24
 // distinct prefix lengths costs at most 24 probes.
-func (ts *tableState) lookup(vals []uint64) *Entry {
-	if ts.allExact {
-		return ts.exactIdx[exactKeyVals(vals)]
-	}
-	var best *Entry
-	bestPrefix := -1
+func (ts *tableState) lookup(vals []uint64) *entry {
 	var kbuf [128]byte
+	if ts.allExact {
+		return ts.exactIdx[string(appendMaskedKey(kbuf[:0], vals, allOnes(len(vals))))]
+	}
+	var best *entry
+	bestPrefix := -1
 	for _, g := range ts.ordered {
 		if best != nil {
 			if g.maxPriority < best.Priority ||
@@ -309,34 +303,7 @@ func (ts *tableState) lookup(vals []uint64) *Entry {
 	return best
 }
 
-// lookupLinear is the reference O(entries) scan, kept for the
-// naive-equivalence property test.
-func (ts *tableState) lookupLinear(vals []uint64) *Entry {
-	if ts.allExact {
-		return ts.exactIdx[exactKeyVals(vals)]
-	}
-	var best *Entry
-	bestPrefix := -1
-	for _, e := range ts.entries {
-		if !ts.matches(e, vals) {
-			continue
-		}
-		if best == nil {
-			best = e
-			bestPrefix = ts.totalPrefix(e)
-			continue
-		}
-		// Priority first, then total LPM prefix length.
-		if e.Priority > best.Priority ||
-			e.Priority == best.Priority && ts.totalPrefix(e) > bestPrefix {
-			best = e
-			bestPrefix = ts.totalPrefix(e)
-		}
-	}
-	return best
-}
-
-func (ts *tableState) totalPrefix(e *Entry) int {
+func (ts *tableState) totalPrefix(e *entry) int {
 	total := 0
 	for i, k := range ts.table.Keys {
 		if k.Match == MatchLPM {
@@ -344,36 +311,6 @@ func (ts *tableState) totalPrefix(e *Entry) int {
 		}
 	}
 	return total
-}
-
-func (ts *tableState) matches(e *Entry, vals []uint64) bool {
-	for i, k := range ts.table.Keys {
-		m := e.Matches[i]
-		v := vals[i]
-		switch k.Match {
-		case MatchExact:
-			if v != m.Value {
-				return false
-			}
-		case MatchLPM:
-			shift := uint(k.Bits - m.PrefixLen)
-			if m.PrefixLen == 0 {
-				continue
-			}
-			if v>>shift != m.Value>>shift {
-				return false
-			}
-		case MatchTernary:
-			if v&m.Mask != m.Value&m.Mask {
-				return false
-			}
-		case MatchOptional:
-			if !m.Wildcard && v != m.Value {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // DigestMessage is one emitted digest record.
@@ -405,9 +342,9 @@ type Runtime struct {
 	tables map[string]*tableState
 	mcast  map[uint16][]uint16 // multicast group → ports
 
-	headerIdx map[string]*HeaderType
-	metaIdx   map[string]int
-	stateIdx  map[string]*ParserState
+	plan  *plan
+	pktMu sync.Mutex
+	pkts  []*pkt // idle packet states, reused by Run and Process
 }
 
 // NewRuntime validates the program and prepares an empty runtime.
@@ -416,25 +353,14 @@ func NewRuntime(prog *Program) (*Runtime, error) {
 		return nil, err
 	}
 	rt := &Runtime{
-		prog:      prog,
-		tables:    make(map[string]*tableState),
-		mcast:     make(map[uint16][]uint16),
-		headerIdx: make(map[string]*HeaderType),
-		metaIdx:   make(map[string]int),
-		stateIdx:  make(map[string]*ParserState),
+		prog:   prog,
+		tables: make(map[string]*tableState),
+		mcast:  make(map[uint16][]uint16),
 	}
 	for _, t := range prog.Tables {
 		rt.tables[t.Name] = newTableState(t)
 	}
-	for _, h := range prog.Headers {
-		rt.headerIdx[h.Name] = h
-	}
-	for i, m := range prog.Metadata {
-		rt.metaIdx[m.Name] = i
-	}
-	for _, st := range prog.Parser {
-		rt.stateIdx[st.Name] = st
-	}
+	rt.plan = lower(prog, rt.tables)
 	return rt, nil
 }
 
@@ -450,18 +376,20 @@ func (rt *Runtime) InsertEntry(table string, e Entry) error {
 	if ts == nil {
 		return fmt.Errorf("p4: unknown table %q", table)
 	}
-	if err := rt.checkEntry(ts, &e); err != nil {
+	act, err := rt.checkEntry(ts, &e)
+	if err != nil {
 		return err
 	}
+	ne := &entry{Entry: e, act: act}
 	key := entryKey(e.Matches)
 	if old := ts.entries[key]; old != nil && !ts.allExact {
 		ts.groupDelete(old)
 	}
-	ts.entries[key] = &e
+	ts.entries[key] = ne
 	if ts.allExact {
-		ts.exactIdx[exactKey(e.Matches)] = &e
+		ts.exactIdx[exactKey(e.Matches)] = ne
 	} else {
-		ts.groupInsert(&e)
+		ts.groupInsert(ne)
 	}
 	return nil
 }
@@ -503,7 +431,7 @@ func (rt *Runtime) Entries(table string) ([]Entry, error) {
 	sort.Strings(keys)
 	out := make([]Entry, 0, len(keys))
 	for _, k := range keys {
-		out = append(out, *ts.entries[k])
+		out = append(out, ts.entries[k].Entry)
 	}
 	return out, nil
 }
@@ -538,7 +466,7 @@ func (rt *Runtime) GetEntry(table string, matches []FieldMatch) (Entry, bool) {
 	if !ok {
 		return Entry{}, false
 	}
-	return *e, true
+	return e.Entry, true
 }
 
 // EntryCount returns the number of installed entries in a table.
@@ -569,25 +497,26 @@ func (rt *Runtime) MulticastGroup(group uint16) []uint16 {
 	return append([]uint16(nil), rt.mcast[group]...)
 }
 
-func (rt *Runtime) checkEntry(ts *tableState, e *Entry) error {
+// checkEntry validates e against its table and returns its resolved action.
+func (rt *Runtime) checkEntry(ts *tableState, e *Entry) (*action, error) {
 	t := ts.table
 	if len(e.Matches) != len(t.Keys) {
-		return fmt.Errorf("p4: table %q takes %d keys, got %d", t.Name, len(t.Keys), len(e.Matches))
+		return nil, fmt.Errorf("p4: table %q takes %d keys, got %d", t.Name, len(t.Keys), len(e.Matches))
 	}
 	for i, k := range t.Keys {
 		m := &e.Matches[i]
 		if m.Value&^maskBits(k.Bits) != 0 {
-			return fmt.Errorf("p4: table %q key %s: value %#x overflows %d bits",
+			return nil, fmt.Errorf("p4: table %q key %s: value %#x overflows %d bits",
 				t.Name, k.Name, m.Value, k.Bits)
 		}
 		if k.Match == MatchLPM && (m.PrefixLen < 0 || m.PrefixLen > k.Bits) {
-			return fmt.Errorf("p4: table %q key %s: prefix length %d out of range",
+			return nil, fmt.Errorf("p4: table %q key %s: prefix length %d out of range",
 				t.Name, k.Name, m.PrefixLen)
 		}
 	}
-	act := rt.prog.ActionByName(e.Action)
+	act := rt.plan.actions[e.Action]
 	if act == nil {
-		return fmt.Errorf("p4: unknown action %q", e.Action)
+		return nil, fmt.Errorf("p4: unknown action %q", e.Action)
 	}
 	allowed := false
 	for _, a := range t.Actions {
@@ -596,432 +525,90 @@ func (rt *Runtime) checkEntry(ts *tableState, e *Entry) error {
 		}
 	}
 	if !allowed {
-		return fmt.Errorf("p4: table %q does not allow action %q", t.Name, e.Action)
+		return nil, fmt.Errorf("p4: table %q does not allow action %q", t.Name, e.Action)
 	}
-	if len(e.Params) != len(act.Params) {
-		return fmt.Errorf("p4: action %q takes %d params, got %d", e.Action, len(act.Params), len(e.Params))
+	if len(e.Params) != len(act.decl.Params) {
+		return nil, fmt.Errorf("p4: action %q takes %d params, got %d", e.Action, len(act.decl.Params), len(e.Params))
 	}
-	for i, p := range act.Params {
+	for i, p := range act.decl.Params {
 		if e.Params[i]&^maskBits(p.Bits) != 0 {
-			return fmt.Errorf("p4: action %q param %s: value %#x overflows %d bits",
+			return nil, fmt.Errorf("p4: action %q param %s: value %#x overflows %d bits",
 				e.Action, p.Name, e.Params[i], p.Bits)
 		}
 	}
 	if t.Size > 0 && len(ts.entries) >= t.Size {
 		if _, replacing := ts.entries[entryKey(e.Matches)]; !replacing {
-			return fmt.Errorf("p4: table %q is full (%d entries)", t.Name, t.Size)
+			return nil, fmt.Errorf("p4: table %q is full (%d entries)", t.Name, t.Size)
 		}
 	}
-	return nil
+	return act, nil
 }
 
-// pktState is the per-packet execution state.
-type pktState struct {
-	rt          *Runtime
-	headerVals  map[string][]uint64
-	headerValid map[string]bool
-	meta        []uint64
-	std         map[string]uint64
-	payload     []byte
-	dropped     bool
-	mcastGroup  uint16
-	digests     []DigestMessage
-	clones      []uint16
+// Emitter receives what Run produced for one packet: first its digests,
+// then its frames, in the order Process lists them. Run calls it after
+// releasing the runtime's lock, so it may re-enter the runtime. fields
+// and data are valid only for the duration of the call.
+type Emitter interface {
+	Digest(name string, fields []uint64)
+	Frame(port uint16, data []byte)
 }
 
-// Process runs one packet received on ingressPort through the pipeline.
+// Run processes one packet received on ingressPort, hands its digests
+// and frames to to, and reports Result.Dropped and the number of frames.
+// Unlike Process it allocates nothing.
+func (rt *Runtime) Run(ingressPort uint16, data []byte, to Emitter) (dropped bool, frames int) {
+	p := rt.getPkt()
+	defer rt.putPkt(p)
+	rt.run(ingressPort, data, p)
+	for _, d := range p.digests {
+		to.Digest(d.d.name, p.dvals[d.off:d.off+len(d.d.args)])
+	}
+	for _, o := range p.outs {
+		to.Frame(o.port, p.buf[o.start:o.end])
+	}
+	return p.dropped, len(p.outs)
+}
+
+// Process runs one packet received on ingressPort through the pipeline
+// and returns copies of what it produced.
 func (rt *Runtime) Process(ingressPort uint16, data []byte) (Result, error) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-
-	st := &pktState{
-		rt:          rt,
-		headerVals:  make(map[string][]uint64, len(rt.prog.Headers)),
-		headerValid: make(map[string]bool, len(rt.prog.Headers)),
-		meta:        make([]uint64, len(rt.prog.Metadata)),
-		std:         map[string]uint64{FieldIngress: uint64(ingressPort)},
-	}
-	if err := st.parse(data); err != nil {
-		// Parse errors drop the packet, as BMv2 does by default.
-		return Result{Dropped: true}, nil
-	}
-	if err := st.runControl(rt.prog.Ingress.Apply); err != nil {
-		return Result{}, err
-	}
-
-	var res Result
-	// Clone-session copies are emitted even for dropped originals
-	// (mirroring must see denied traffic too).
-	for _, port := range st.clones {
-		out, err := st.egressAndDeparse(port)
-		if err != nil {
-			return Result{}, err
-		}
-		if out != nil {
-			res.Outputs = append(res.Outputs, PortOut{Port: port, Data: out})
+	p := rt.getPkt()
+	defer rt.putPkt(p)
+	rt.run(ingressPort, data, p)
+	res := Result{Dropped: p.dropped}
+	if len(p.outs) > 0 {
+		buf := append([]byte(nil), p.buf...)
+		res.Outputs = make([]PortOut, len(p.outs))
+		for i, o := range p.outs {
+			res.Outputs[i] = PortOut{Port: o.port, Data: buf[o.start:o.end:o.end]}
 		}
 	}
-	if st.dropped {
-		res.Dropped = true
-		res.Digests = st.digests
-		return res, nil
-	}
-	// Replication: multicast beats unicast, matching v1model semantics
-	// when mcast_grp is set.
-	if st.mcastGroup != 0 {
-		ports := rt.mcast[st.mcastGroup]
-		for _, port := range ports {
-			if port == ingressPort {
-				continue // no reflection back to the source port
-			}
-			out, err := st.egressAndDeparse(port)
-			if err != nil {
-				return Result{}, err
-			}
-			if out != nil {
-				res.Outputs = append(res.Outputs, PortOut{Port: port, Data: out})
-			}
+	if len(p.digests) > 0 {
+		vals := append(make([]uint64, 0, len(p.dvals)), p.dvals...)
+		res.Digests = make([]DigestMessage, len(p.digests))
+		for i, d := range p.digests {
+			end := d.off + len(d.d.args)
+			res.Digests[i] = DigestMessage{Digest: d.d.name, Fields: vals[d.off:end:end]}
 		}
-		res.Digests = st.digests
-		return res, nil
 	}
-	if egress, ok := st.std[FieldEgress]; ok {
-		port := uint16(egress)
-		out, err := st.egressAndDeparse(port)
-		if err != nil {
-			return Result{}, err
-		}
-		if out != nil {
-			res.Outputs = append(res.Outputs, PortOut{Port: port, Data: out})
-		}
-		res.Digests = st.digests
-		return res, nil
-	}
-	// No egress decision: drop.
-	res.Dropped = true
-	res.Digests = st.digests
 	return res, nil
 }
 
-// egressAndDeparse runs the egress control (on a copy of the packet state
-// for multicast replicas) and deparses. A nil return means the replica was
-// dropped.
-func (st *pktState) egressAndDeparse(port uint16) ([]byte, error) {
-	repl := st.cloneForReplica()
-	repl.std[FieldEgress] = uint64(port)
-	if eg := st.rt.prog.Egress; eg != nil {
-		if err := repl.runControl(eg.Apply); err != nil {
-			return nil, err
-		}
-		if repl.dropped {
-			return nil, nil
-		}
+func (rt *Runtime) getPkt() *pkt {
+	rt.pktMu.Lock()
+	defer rt.pktMu.Unlock()
+	n := len(rt.pkts)
+	if n == 0 {
+		return rt.plan.newPkt()
 	}
-	st.digests = append(st.digests, repl.digests...)
-	return repl.deparse(), nil
+	p := rt.pkts[n-1]
+	rt.pkts = rt.pkts[:n-1]
+	return p
 }
 
-func (st *pktState) cloneForReplica() *pktState {
-	c := &pktState{
-		rt:          st.rt,
-		headerVals:  make(map[string][]uint64, len(st.headerVals)),
-		headerValid: make(map[string]bool, len(st.headerValid)),
-		meta:        append([]uint64(nil), st.meta...),
-		std:         make(map[string]uint64, len(st.std)),
-		payload:     st.payload,
-	}
-	for k, v := range st.headerVals {
-		c.headerVals[k] = append([]uint64(nil), v...)
-	}
-	for k, v := range st.headerValid {
-		c.headerValid[k] = v
-	}
-	for k, v := range st.std {
-		c.std[k] = v
-	}
-	return c
-}
-
-func (st *pktState) parse(data []byte) error {
-	r := &bitReader{data: data}
-	state := st.rt.prog.Parser[0]
-	for steps := 0; ; steps++ {
-		if steps > 1000 {
-			return fmt.Errorf("p4: parser did not terminate")
-		}
-		if state.Extract != "" {
-			h := st.rt.headerIdx[state.Extract]
-			vals := make([]uint64, len(h.Fields))
-			for i, f := range h.Fields {
-				v, ok := r.read(f.Bits)
-				if !ok {
-					return fmt.Errorf("p4: packet too short extracting %s", h.Name)
-				}
-				vals[i] = v
-			}
-			st.headerVals[h.Name] = vals
-			st.headerValid[h.Name] = true
-		}
-		next := state.Next
-		if state.Select != nil {
-			v, err := st.readField(state.Select.Field)
-			if err != nil {
-				return err
-			}
-			next = state.Select.Default
-			for _, c := range state.Select.Cases {
-				mask := c.Mask
-				if mask == 0 {
-					mask = ^uint64(0)
-				}
-				if v&mask == c.Value&mask {
-					next = c.Next
-					break
-				}
-			}
-		}
-		switch next {
-		case "accept":
-			st.payload = data[r.bytesConsumed():]
-			return nil
-		case "reject":
-			return fmt.Errorf("p4: parser rejected packet")
-		default:
-			state = st.rt.stateIdx[next]
-		}
-	}
-}
-
-func (st *pktState) readField(ref FieldRef) (uint64, error) {
-	switch ref.Header {
-	case StdMetaHeader:
-		return st.std[ref.Field], nil
-	case MetaHeader:
-		idx, ok := st.rt.metaIdx[ref.Field]
-		if !ok {
-			return 0, fmt.Errorf("p4: unknown metadata field %q", ref.Field)
-		}
-		return st.meta[idx], nil
-	default:
-		h := st.rt.headerIdx[ref.Header]
-		if h == nil {
-			return 0, fmt.Errorf("p4: unknown header %q", ref.Header)
-		}
-		if !st.headerValid[ref.Header] {
-			return 0, nil // reading an invalid header yields zero
-		}
-		i := h.FieldIndex(ref.Field)
-		if i < 0 {
-			return 0, fmt.Errorf("p4: header %s has no field %q", ref.Header, ref.Field)
-		}
-		return st.headerVals[ref.Header][i], nil
-	}
-}
-
-func (st *pktState) writeField(ref FieldRef, v uint64) error {
-	switch ref.Header {
-	case StdMetaHeader:
-		switch ref.Field {
-		case FieldMcastGrp:
-			st.mcastGroup = uint16(v)
-		default:
-			st.std[ref.Field] = v
-		}
-		return nil
-	case MetaHeader:
-		idx, ok := st.rt.metaIdx[ref.Field]
-		if !ok {
-			return fmt.Errorf("p4: unknown metadata field %q", ref.Field)
-		}
-		st.meta[idx] = v
-		return nil
-	default:
-		h := st.rt.headerIdx[ref.Header]
-		if h == nil {
-			return fmt.Errorf("p4: unknown header %q", ref.Header)
-		}
-		i := h.FieldIndex(ref.Field)
-		if i < 0 {
-			return fmt.Errorf("p4: header %s has no field %q", ref.Header, ref.Field)
-		}
-		if !st.headerValid[ref.Header] {
-			return nil // writing an invalid header is a no-op
-		}
-		st.headerVals[ref.Header][i] = v & maskBits(h.Fields[i].Bits)
-		return nil
-	}
-}
-
-func (st *pktState) evalExpr(e Expr, params []uint64) (uint64, error) {
-	switch e := e.(type) {
-	case *ConstExpr:
-		return e.Value, nil
-	case *ParamExpr:
-		return params[e.Index], nil
-	case *FieldExpr:
-		return st.readField(e.Ref)
-	default:
-		return 0, fmt.Errorf("p4: unknown expression %T", e)
-	}
-}
-
-func (st *pktState) evalBool(b BoolExpr) (bool, error) {
-	switch b := b.(type) {
-	case *Compare:
-		l, err := st.evalExpr(b.L, nil)
-		if err != nil {
-			return false, err
-		}
-		r, err := st.evalExpr(b.R, nil)
-		if err != nil {
-			return false, err
-		}
-		if b.Op == "!=" {
-			return l != r, nil
-		}
-		return l == r, nil
-	case *IsValid:
-		return st.headerValid[b.Header], nil
-	case *BoolOp:
-		l, err := st.evalBool(b.L)
-		if err != nil {
-			return false, err
-		}
-		switch b.Op {
-		case "not":
-			return !l, nil
-		case "and":
-			if !l {
-				return false, nil
-			}
-			return st.evalBool(b.R)
-		case "or":
-			if l {
-				return true, nil
-			}
-			return st.evalBool(b.R)
-		}
-		return false, fmt.Errorf("p4: unknown boolean operator %q", b.Op)
-	default:
-		return false, fmt.Errorf("p4: unknown condition %T", b)
-	}
-}
-
-func (st *pktState) runControl(stmts []ControlStmt) error {
-	for _, cs := range stmts {
-		switch cs := cs.(type) {
-		case *ApplyTable:
-			if err := st.applyTable(cs.Table); err != nil {
-				return err
-			}
-		case *If:
-			cond, err := st.evalBool(cs.Cond)
-			if err != nil {
-				return err
-			}
-			branch := cs.Then
-			if !cond {
-				branch = cs.Else
-			}
-			if err := st.runControl(branch); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-func (st *pktState) applyTable(name string) error {
-	ts := st.rt.tables[name]
-	vals := make([]uint64, len(ts.table.Keys))
-	for i, k := range ts.table.Keys {
-		v, err := st.readField(k.Ref)
-		if err != nil {
-			return err
-		}
-		vals[i] = v
-	}
-	var call ActionCall
-	if e := ts.lookup(vals); e != nil {
-		ts.hits.Add(1)
-		call = ActionCall{Action: e.Action, Params: e.Params}
-	} else {
-		ts.misses.Add(1)
-		call = ts.defact
-		if call.Action == "" {
-			return nil // no default action: miss is a no-op
-		}
-	}
-	act := st.rt.prog.ActionByName(call.Action)
-	return st.runAction(act, call.Params)
-}
-
-func (st *pktState) runAction(act *Action, params []uint64) error {
-	for _, stmt := range act.Body {
-		switch s := stmt.(type) {
-		case *SetField:
-			v, err := st.evalExpr(s.Expr, params)
-			if err != nil {
-				return err
-			}
-			if err := st.writeField(s.Ref, v); err != nil {
-				return err
-			}
-		case *Output:
-			v, err := st.evalExpr(s.Port, params)
-			if err != nil {
-				return err
-			}
-			st.std[FieldEgress] = v
-			st.dropped = false
-		case *Multicast:
-			v, err := st.evalExpr(s.Group, params)
-			if err != nil {
-				return err
-			}
-			st.mcastGroup = uint16(v)
-		case *Clone:
-			v, err := st.evalExpr(s.Port, params)
-			if err != nil {
-				return err
-			}
-			st.clones = append(st.clones, uint16(v))
-		case *Drop:
-			st.dropped = true
-		case *EmitDigest:
-			d := st.rt.prog.DigestByName(s.Digest)
-			fields := make([]uint64, len(s.Fields))
-			for i, fe := range s.Fields {
-				v, err := st.evalExpr(fe, params)
-				if err != nil {
-					return err
-				}
-				fields[i] = v & maskBits(d.Fields[i].Bits)
-			}
-			st.digests = append(st.digests, DigestMessage{Digest: s.Digest, Fields: fields})
-		case *SetValid:
-			if s.Valid && !st.headerValid[s.Header] {
-				h := st.rt.headerIdx[s.Header]
-				st.headerVals[s.Header] = make([]uint64, len(h.Fields))
-			}
-			st.headerValid[s.Header] = s.Valid
-		}
-	}
-	return nil
-}
-
-// deparse emits valid headers in deparser order followed by the payload.
-func (st *pktState) deparse() []byte {
-	w := &bitWriter{}
-	for _, hn := range st.rt.prog.Deparser {
-		if !st.headerValid[hn] {
-			continue
-		}
-		h := st.rt.headerIdx[hn]
-		vals := st.headerVals[hn]
-		for i, f := range h.Fields {
-			w.write(vals[i], f.Bits)
-		}
-	}
-	return append(w.data, st.payload...)
+func (rt *Runtime) putPkt(p *pkt) {
+	p.payload = nil // keep no reference to the caller's frame
+	rt.pktMu.Lock()
+	rt.pkts = append(rt.pkts, p)
+	rt.pktMu.Unlock()
 }

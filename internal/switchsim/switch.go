@@ -153,6 +153,9 @@ func (sw *Switch) ListenAndServe(addr string) error { return sw.srv.ListenAndSer
 func (sw *Switch) Close() { sw.srv.Close() }
 
 // SetOutputHandler installs the function receiving every emitted frame.
+// The frame is valid only for the duration of the call: a handler that
+// keeps it must copy it. The handler may inject into any switch,
+// including this one.
 func (sw *Switch) SetOutputHandler(f func(port uint16, data []byte)) {
 	sw.outMu.Lock()
 	defer sw.outMu.Unlock()
@@ -160,39 +163,42 @@ func (sw *Switch) SetOutputHandler(f func(port uint16, data []byte)) {
 }
 
 // Inject delivers a frame arriving on the given port and runs the
-// pipeline; outputs are passed to the output handler.
+// pipeline; digests are queued, then outputs are passed to the output
+// handler. It always returns nil.
 func (sw *Switch) Inject(port uint16, data []byte) error {
 	sw.statsMu.Lock()
 	sw.portStats(port).RxPackets++
 	sw.statsMu.Unlock()
 	sw.mRx.Inc()
 
-	res, err := sw.rt.Process(port, data)
-	if err != nil {
-		return fmt.Errorf("switchsim %s: %w", sw.name, err)
-	}
-	if res.Dropped && len(res.Outputs) == 0 {
+	if dropped, frames := sw.rt.Run(port, data, (*emitter)(sw)); dropped && frames == 0 {
 		sw.statsMu.Lock()
 		sw.dropped++
 		sw.statsMu.Unlock()
 		sw.mDropped.Inc()
 	}
-	for _, d := range res.Digests {
-		sw.queueDigest(d)
-	}
+	return nil
+}
+
+// emitter is the p4.Emitter Inject hands the pipeline's results to.
+type emitter Switch
+
+func (e *emitter) Digest(name string, fields []uint64) {
+	(*Switch)(e).queueDigest(p4.DigestMessage{Digest: name, Fields: append([]uint64(nil), fields...)})
+}
+
+func (e *emitter) Frame(port uint16, data []byte) {
+	sw := (*Switch)(e)
+	sw.statsMu.Lock()
+	sw.portStats(port).TxPackets++
+	sw.statsMu.Unlock()
+	sw.mTx.Inc()
 	sw.outMu.RLock()
 	out := sw.output
 	sw.outMu.RUnlock()
-	for _, o := range res.Outputs {
-		sw.statsMu.Lock()
-		sw.portStats(o.Port).TxPackets++
-		sw.statsMu.Unlock()
-		sw.mTx.Inc()
-		if out != nil {
-			out(o.Port, o.Data)
-		}
+	if out != nil {
+		out(port, data)
 	}
-	return nil
 }
 
 func (sw *Switch) portStats(port uint16) *PortStats {

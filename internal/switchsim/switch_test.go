@@ -2,12 +2,15 @@ package switchsim
 
 import (
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/p4"
 	"repro/internal/p4rt"
 	"repro/internal/packet"
+	"repro/internal/snvs"
 )
 
 // l2Program is a minimal learning L2 switch: flood unknown destinations,
@@ -377,5 +380,128 @@ func TestCountersOverP4RT(t *testing.T) {
 	}
 	if _, err := client.ReadCounters("nope"); err == nil {
 		t.Fatalf("unknown table counters succeeded")
+	}
+}
+
+// knownUnicastSwitch loads snvs with one access VLAN whose two hosts know
+// each other and returns a frame from the host on port 1 to the one on
+// port 2.
+func knownUnicastSwitch(t *testing.T) (*Switch, []byte) {
+	sw, err := New("s1", Config{Program: snvs.Pipeline()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := func(table string, keys []uint64, action string, params ...uint64) p4rt.Update {
+		e := p4rt.TableEntry{Table: table, Action: action, Params: params}
+		for _, k := range keys {
+			e.Matches = append(e.Matches, p4.FieldMatch{Value: k})
+		}
+		return p4rt.InsertEntry(e)
+	}
+	if err := sw.Write([]p4rt.Update{
+		entry("in_vlan", []uint64{1}, "set_vlan", 10),
+		entry("vlan_ok", []uint64{1, 10}, "vlan_allow"),
+		entry("smac", []uint64{10, 0xaa}, "known"),
+		entry("dmac", []uint64{10, 0xbb}, "forward", 2),
+		entry("strip_tag", []uint64{2}, "pop_tag"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return sw, frame(0xbb, 0xaa)
+}
+
+// TestInjectKnownUnicastZeroAlloc: forwarding a known-unicast frame to an
+// installed output handler allocates nothing.
+func TestInjectKnownUnicastZeroAlloc(t *testing.T) {
+	sw, fr := knownUnicastSwitch(t)
+	var got int
+	sw.SetOutputHandler(func(port uint16, data []byte) {
+		if port == 2 && len(data) == len(fr) {
+			got++
+		}
+	})
+	if n := testing.AllocsPerRun(1000, func() { sw.Inject(1, fr) }); n != 0 {
+		t.Fatalf("Inject allocates %v per known-unicast frame", n)
+	}
+	if got == 0 {
+		t.Fatalf("no frame reached port 2")
+	}
+}
+
+// TestInjectReentrant: frames reach the output handler after the
+// pipeline's lock is released, so a handler can wait for a table write
+// and then inject into the same switch. Injectors running beside a writer
+// share the pooled packet state under the race detector.
+func TestInjectReentrant(t *testing.T) {
+	sw, fr := knownUnicastSwitch(t)
+	rt := sw.Runtime()
+	var reinjected atomic.Int64
+	sw.SetOutputHandler(func(port uint16, data []byte) {
+		if data[5] == 0xcc {
+			reinjected.Add(1)
+		}
+		if data[5] != 0xbb || reinjected.Load() > 0 {
+			return
+		}
+		done := make(chan error, 1)
+		go func() {
+			done <- rt.InsertEntry("dmac", p4.Entry{
+				Matches: []p4.FieldMatch{{Value: 10}, {Value: 0xcc}},
+				Action:  "forward", Params: []uint64{2},
+			})
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Error("InsertEntry blocked while the output handler ran")
+			return
+		}
+		sw.Inject(1, frame(0xcc, 0xaa))
+	})
+	if err := sw.Inject(1, fr); err != nil {
+		t.Fatal(err)
+	}
+	if reinjected.Load() != 1 {
+		t.Fatalf("re-injected frame delivered %d times", reinjected.Load())
+	}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		m := []p4.FieldMatch{{Value: 10}, {Value: 0xdd}}
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				rt.InsertEntry("dmac", p4.Entry{Matches: m, Action: "forward", Params: []uint64{2}})
+			} else {
+				rt.DeleteEntry("dmac", m)
+			}
+		}
+	}()
+	var inj sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		inj.Add(1)
+		go func() {
+			defer inj.Done()
+			for i := 0; i < 500; i++ {
+				sw.Inject(1, frame(0xdd, 0xaa))
+				sw.Inject(1, fr)
+			}
+		}()
+	}
+	inj.Wait()
+	close(stop)
+	wg.Wait()
+	if st := sw.Stats(2); st.TxPackets < 4*500 {
+		t.Fatalf("port 2 sent %d frames, want at least %d", st.TxPackets, 4*500)
 	}
 }
