@@ -8,10 +8,10 @@ package nerpa
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/bench"
+	"repro/internal/deploy"
 	"repro/internal/dl"
 	"repro/internal/dl/engine"
 	"repro/internal/dl/value"
@@ -23,7 +23,7 @@ import (
 // --- T1 (§4.3): per-port latency through the full stack ---
 
 func BenchmarkT1PortScaleFullStack(b *testing.B) {
-	s, err := bench.StartStack()
+	s, err := deploy.Start(bench.SnvsSpec(nil))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func BenchmarkT1PortScaleFullStack(b *testing.B) {
 		if err := s.Transact(ovsdb.OpInsert("Port", workload.AccessPortRow(i, 10))); err != nil {
 			b.Fatal(err)
 		}
-		if err := s.WaitEntries("in_vlan", i+1, 10*time.Second); err != nil {
+		if err := s.WaitEntries("snvs0", "in_vlan", i+1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -333,9 +333,9 @@ func BenchmarkAblationNaiveRecompute(b *testing.B) {
 
 // --- Ablation 3: digest batching in the switch ---
 
-func benchDigestStack(b *testing.B, batch int) (*bench.Stack, func(i int)) {
+func benchDigestStack(b *testing.B, batch int) (*deploy.Stack, func(i int)) {
 	b.Helper()
-	s, err := bench.StartStack()
+	s, err := deploy.Start(bench.SnvsSpec(nil))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -351,12 +351,12 @@ func benchDigestStack(b *testing.B, batch int) (*bench.Stack, func(i int)) {
 	if err := s.Transact(ovsdb.OpInsert("Port", workload.AccessPortRow(0, 1))); err != nil {
 		b.Fatal(err)
 	}
-	if err := s.WaitEntries("in_vlan", 1, 5*time.Second); err != nil {
+	if err := s.WaitEntries("snvs0", "in_vlan", 1); err != nil {
 		b.Fatal(err)
 	}
 	inject := func(i int) {
 		e := packet.Ethernet{Dst: 0xffffffffffff, Src: packet.MAC(0x100000 + i), EtherType: 0x1234}
-		if err := s.Switch.Inject(1, e.Append(nil)); err != nil {
+		if err := s.Switch("snvs0").Inject(1, e.Append(nil)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -369,7 +369,7 @@ func BenchmarkAblationDigestLearn(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inject(i)
-		if err := s.WaitEntries("smac", i+1, 10*time.Second); err != nil {
+		if err := s.WaitEntries("snvs0", "smac", i+1); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -73,14 +73,11 @@ func main() {
 	defer mp.Close()
 
 	var devices []core.DataPlane
-	var rclients []*p4rt.ResilientClient
 	for _, addr := range strings.Split(*p4rtAddrs, ",") {
 		addr = strings.TrimSpace(addr)
 		if addr == "" {
 			continue
 		}
-		// core.New names devices dev0, dev1, ... in argument order; the
-		// reconnect hook below resyncs by that name.
 		rc, err := p4rt.DialResilient(p4rt.ResilientConfig{
 			Addr:              addr,
 			Target:            fmt.Sprintf("dev%d", len(devices)),
@@ -94,7 +91,6 @@ func main() {
 			log.Fatalf("connecting to data plane at %s: %v", addr, err)
 		}
 		defer rc.Close()
-		rclients = append(rclients, rc)
 		devices = append(devices, rc)
 	}
 
@@ -117,13 +113,6 @@ func main() {
 	ctrl, err := core.New(cfg, mp, devices...)
 	if err != nil {
 		log.Fatalf("starting controller: %v", err)
-	}
-	// When a device session is re-established, reconcile its tables
-	// against the engine's current output before republishing it.
-	for i, rc := range rclients {
-		id := fmt.Sprintf("dev%d", i)
-		rc := rc
-		rc.OnReconnect(func(cl *p4rt.Client) error { return ctrl.Resync(id, cl) })
 	}
 	if subSvc != nil {
 		subSvc.SetCatalog(ctrl.OutputRelations())

@@ -14,46 +14,26 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
-	"time"
 
-	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/overlay"
 	"repro/internal/ovsdb"
-	"repro/internal/p4"
-	"repro/internal/p4rt"
 	"repro/internal/packet"
-	"repro/internal/switchsim"
 )
 
 func main() {
 	schema, err := overlay.Schema()
 	check(err)
-	db := ovsdb.NewDatabase(schema)
-	srv := ovsdb.NewServer(db)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	s, err := deploy.Start(deploy.Spec{Schema: schema, Rules: overlay.Rules, Classes: []deploy.Class{
+		{Name: "Leaf", PerDevice: true, Program: overlay.LeafPipeline(), IDs: []string{"leaf1", "leaf2"}},
+		{Name: "Spine", Program: overlay.SpinePipeline(), IDs: []string{"spine"}},
+	}})
 	check(err)
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	fabric := switchsim.NewFabric()
-	mk := func(name string, prog *p4.Program) (*switchsim.Switch, *p4rt.Client) {
-		sw, err := switchsim.New(name, switchsim.Config{Program: prog})
-		check(err)
-		swLn, err := net.Listen("tcp", "127.0.0.1:0")
-		check(err)
-		go sw.Serve(swLn)
-		check(fabric.AddSwitch(sw))
-		c, err := p4rt.Dial(swLn.Addr().String())
-		check(err)
-		return sw, c
-	}
-	leaf1, c1 := mk("leaf1", overlay.LeafPipeline())
-	leaf2, c2 := mk("leaf2", overlay.LeafPipeline())
-	spine, cs := mk("spine", overlay.SpinePipeline())
-	_ = leaf2
+	defer s.Close()
+	leaf1, spine := s.Switch("leaf1"), s.Switch("spine")
 
 	// tenant 100: red; tenant 200: blue. Both have a host with MAC 0xA1.
+	fabric := s.Fabric
 	red1, err := fabric.AttachHost("red1", "leaf1", 1)
 	check(err)
 	red2, err := fabric.AttachHost("red2", "leaf2", 1)
@@ -65,21 +45,7 @@ func main() {
 	check(fabric.LinkSwitches("leaf1", overlay.UplinkPort, "spine", 1))
 	check(fabric.LinkSwitches("leaf2", overlay.UplinkPort, "spine", 2))
 
-	dbc, err := ovsdb.Dial(ln.Addr().String())
-	check(err)
-	defer dbc.Close()
-	ctrl, err := core.NewWithClasses(core.Config{
-		Rules: overlay.Rules, Database: "overlay",
-	}, dbc, []core.DeviceClass{
-		{Name: "Leaf", PerDevice: true, Devices: []core.Device{
-			{ID: "leaf1", DP: c1}, {ID: "leaf2", DP: c2},
-		}},
-		{Name: "Spine", Devices: []core.Device{{ID: "spine", DP: cs}}},
-	})
-	check(err)
-	defer ctrl.Stop()
-
-	_, err = dbc.TransactErr("overlay",
+	check(s.Transact(
 		ovsdb.OpInsert("Leaf", map[string]ovsdb.Value{"name": "leaf1", "id": int64(1), "spine_port": int64(1)}),
 		ovsdb.OpInsert("Leaf", map[string]ovsdb.Value{"name": "leaf2", "id": int64(2), "spine_port": int64(2)}),
 		// red tenant (VNI 100): MAC 0xA1 on leaf1, 0xA2 on leaf2.
@@ -88,12 +54,9 @@ func main() {
 		// blue tenant (VNI 200): ALSO MAC 0xA1 (on leaf2!) plus 0xB1.
 		ovsdb.OpInsert("Host", map[string]ovsdb.Value{"mac": int64(0xB1), "leaf": "leaf1", "port": int64(2), "tenant": int64(200)}),
 		ovsdb.OpInsert("Host", map[string]ovsdb.Value{"mac": int64(0xA1), "leaf": "leaf2", "port": int64(2), "tenant": int64(200)}),
-	)
-	check(err)
-	waitFor(func() bool {
-		return leaf1.Runtime().EntryCount("dmac_remote") == 2 &&
-			spine.Runtime().EntryCount("route") == 2
-	})
+	))
+	check(s.WaitEntries("leaf1", "dmac_remote", 2))
+	check(s.WaitEntries("spine", "route", 2))
 	fmt.Println("overlay plumbed: tenant tables, encap/decap, spine routes")
 
 	frame := func(dst, src packet.MAC) []byte {
@@ -115,16 +78,6 @@ func main() {
 	check(red1.Send(frame(0xB1, 0xA1)))
 	fmt.Printf("red1 -> blue MAC: dropped=%v (tenants cannot reach each other)\n",
 		leaf1.Dropped() > before)
-}
-
-func waitFor(cond func() bool) {
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			log.Fatal("timed out waiting for convergence")
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 func check(err error) {

@@ -13,28 +13,23 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
-	"time"
 
-	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/ovsdb"
-	"repro/internal/p4rt"
 	"repro/internal/packet"
 	"repro/internal/snvs"
 	"repro/internal/switchsim"
 )
 
 type demo struct {
-	db     *ovsdb.Client
-	sw     *switchsim.Switch
-	fabric *switchsim.Fabric
-	ctrl   *core.Controller
-	hosts  map[string]*switchsim.Host
+	*deploy.Stack
+	sw    *switchsim.Switch
+	hosts map[string]*switchsim.Host
 }
 
 func main() {
 	d := start()
-	defer d.ctrl.Stop()
+	defer d.Close()
 
 	fmt.Println("=== configuration through the management plane ===")
 	d.transact(
@@ -108,54 +103,21 @@ func main() {
 func start() *demo {
 	schema, err := snvs.Schema()
 	must(err)
-	db := ovsdb.NewDatabase(schema)
-	srv := ovsdb.NewServer(db)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	s, err := deploy.Start(deploy.Spec{Schema: schema, Rules: snvs.Rules,
+		Classes: []deploy.Class{{Program: snvs.Pipeline(), IDs: []string{"snvs0"}}}})
 	must(err)
-	go srv.Serve(ln)
-
-	sw, err := switchsim.New("snvs0", switchsim.Config{Program: snvs.Pipeline()})
-	must(err)
-	p4Ln, err := net.Listen("tcp", "127.0.0.1:0")
-	must(err)
-	go sw.Serve(p4Ln)
-
-	fabric := switchsim.NewFabric()
-	must(fabric.AddSwitch(sw))
-	d := &demo{sw: sw, fabric: fabric, hosts: make(map[string]*switchsim.Host)}
+	d := &demo{Stack: s, sw: s.Switch("snvs0"), hosts: make(map[string]*switchsim.Host)}
 	for i, name := range []string{"h1", "h2", "h3", "h4"} {
-		h, err := fabric.AttachHost(name, "snvs0", uint16(i+1))
+		h, err := s.Fabric.AttachHost(name, "snvs0", uint16(i+1))
 		must(err)
 		d.hosts[name] = h
 	}
-
-	d.db, err = ovsdb.Dial(ln.Addr().String())
-	must(err)
-	p4c, err := p4rt.Dial(p4Ln.Addr().String())
-	must(err)
-	d.ctrl, err = core.New(core.Config{Rules: snvs.Rules, Database: "snvs"}, d.db, p4c)
-	must(err)
 	return d
 }
 
-func (d *demo) transact(ops ...ovsdb.Operation) {
-	_, err := d.db.TransactErr("snvs", ops...)
-	must(err)
-}
+func (d *demo) transact(ops ...ovsdb.Operation) { must(d.Transact(ops...)) }
 
-func (d *demo) wait(table string, want int) {
-	deadline := time.Now().Add(5 * time.Second)
-	for d.sw.Runtime().EntryCount(table) != want {
-		if err := d.ctrl.Err(); err != nil {
-			log.Fatalf("controller: %v", err)
-		}
-		if time.Now().After(deadline) {
-			log.Fatalf("table %s: have %d entries, want %d",
-				table, d.sw.Runtime().EntryCount(table), want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
+func (d *demo) wait(table string, want int) { must(d.WaitEntries("snvs0", table, want)) }
 
 func (d *demo) report(when string) {
 	fmt.Printf("data-plane tables %s:\n", when)

@@ -14,82 +14,44 @@ package main
 import (
 	"fmt"
 	"log"
-	"net"
-	"time"
 
-	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/ovsdb"
-	"repro/internal/p4"
-	"repro/internal/p4rt"
 	"repro/internal/packet"
 	"repro/internal/spineleaf"
 	"repro/internal/switchsim"
 )
 
 func main() {
-	// --- Management plane. ---
+	// --- One management database, two leaves + one spine wired into a
+	// fabric, and one controller over two classes. ---
 	schema, err := spineleaf.Schema()
 	check(err)
-	db := ovsdb.NewDatabase(schema)
-	srv := ovsdb.NewServer(db)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	s, err := deploy.Start(deploy.Spec{Schema: schema, Rules: spineleaf.Rules, Classes: []deploy.Class{
+		{Name: "Leaf", PerDevice: true, Program: spineleaf.LeafPipeline(), IDs: []string{"leaf1", "leaf2"}},
+		{Name: "Spine", Program: spineleaf.SpinePipeline(), IDs: []string{"spine"}},
+	}})
 	check(err)
-	go srv.Serve(ln)
-	defer srv.Close()
-
-	// --- Data plane: two leaves + one spine, wired into a fabric. ---
-	fabric := switchsim.NewFabric()
-	mk := func(name string, prog *p4.Program) (*switchsim.Switch, *p4rt.Client) {
-		sw, err := switchsim.New(name, switchsim.Config{Program: prog})
-		check(err)
-		swLn, err := net.Listen("tcp", "127.0.0.1:0")
-		check(err)
-		go sw.Serve(swLn)
-		check(fabric.AddSwitch(sw))
-		client, err := p4rt.Dial(swLn.Addr().String())
-		check(err)
-		return sw, client
-	}
-	leaf1, c1 := mk("leaf1", spineleaf.LeafPipeline())
-	leaf2, c2 := mk("leaf2", spineleaf.LeafPipeline())
-	spine, cs := mk("spine", spineleaf.SpinePipeline())
-	h1, err := fabric.AttachHost("h1", "leaf1", 1)
+	defer s.Close()
+	leaf1, leaf2, spine := s.Switch("leaf1"), s.Switch("leaf2"), s.Switch("spine")
+	h1, err := s.Fabric.AttachHost("h1", "leaf1", 1)
 	check(err)
-	h2, err := fabric.AttachHost("h2", "leaf2", 1)
+	h2, err := s.Fabric.AttachHost("h2", "leaf2", 1)
 	check(err)
-	check(fabric.LinkSwitches("leaf1", spineleaf.UplinkPort, "spine", 1))
-	check(fabric.LinkSwitches("leaf2", spineleaf.UplinkPort, "spine", 2))
-
-	// --- One controller, two classes. ---
-	dbc, err := ovsdb.Dial(ln.Addr().String())
-	check(err)
-	defer dbc.Close()
-	ctrl, err := core.NewWithClasses(core.Config{
-		Rules:    spineleaf.Rules,
-		Database: "spineleaf",
-	}, dbc, []core.DeviceClass{
-		{Name: "Leaf", PerDevice: true, Devices: []core.Device{
-			{ID: "leaf1", DP: c1}, {ID: "leaf2", DP: c2},
-		}},
-		{Name: "Spine", Devices: []core.Device{{ID: "spine", DP: cs}}},
-	})
-	check(err)
-	defer ctrl.Stop()
+	check(s.Fabric.LinkSwitches("leaf1", spineleaf.UplinkPort, "spine", 1))
+	check(s.Fabric.LinkSwitches("leaf2", spineleaf.UplinkPort, "spine", 2))
 	fmt.Println("controller up: leaf and spine programs type-checked against shared rules")
 
 	// --- Configure the fabric through the database. ---
-	_, err = dbc.TransactErr("spineleaf",
+	check(s.Transact(
 		ovsdb.OpInsert("Leaf", map[string]ovsdb.Value{"name": "leaf1", "spine_port": int64(1)}),
 		ovsdb.OpInsert("Leaf", map[string]ovsdb.Value{"name": "leaf2", "spine_port": int64(2)}),
 		ovsdb.OpInsert("Host", map[string]ovsdb.Value{"mac": int64(0xaa01), "leaf": "leaf1", "port": int64(1)}),
 		ovsdb.OpInsert("Host", map[string]ovsdb.Value{"mac": int64(0xaa02), "leaf": "leaf2", "port": int64(1)}),
-	)
-	check(err)
-	waitFor(func() bool {
-		return leaf1.Runtime().EntryCount("dmac") == 2 &&
-			leaf2.Runtime().EntryCount("dmac") == 2 &&
-			spine.Runtime().EntryCount("fwd") == 2
-	})
+	))
+	check(s.WaitEntries("leaf1", "dmac", 2))
+	check(s.WaitEntries("leaf2", "dmac", 2))
+	check(s.WaitEntries("spine", "fwd", 2))
 	fmt.Println("configured: 2 hosts, 2 leaves")
 	show := func(sw *switchsim.Switch, table string) {
 		entries, err := sw.Runtime().Entries(table)
@@ -109,16 +71,6 @@ func main() {
 	check(h1.Send(append(e.Append(nil), 'h', 'i')))
 	fmt.Printf("\nh1 -> h2 across leaf1/spine/leaf2: h2 received %d frame(s)\n",
 		h2.ReceivedCount())
-}
-
-func waitFor(cond func() bool) {
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			log.Fatal("timed out waiting for convergence")
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 func check(err error) {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/deploy"
 	"repro/internal/obs"
 	"repro/internal/ovsdb"
 	"repro/internal/p4rt"
@@ -22,7 +23,7 @@ import (
 // timeline, and /debug/history must show a nonzero push-latency sample.
 func TestFlightRecorderSlowPushIncident(t *testing.T) {
 	o := obs.NewObserver()
-	s, err := bench.StartStackObs(o)
+	s, err := deploy.Start(bench.SnvsSpec(o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,14 +43,14 @@ func TestFlightRecorderSlowPushIncident(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WaitEntries("in_vlan", 1, 5*time.Second); err != nil {
+	if err := s.WaitEntries("snvs0", "in_vlan", 1); err != nil {
 		t.Fatal(err)
 	}
 
 	// Slow device: every write now stalls 25ms before applying (the hook
 	// returns nil, so the write itself still succeeds).
 	const stall = 25 * time.Millisecond
-	s.Switch.SetWriteFault(func([]p4rt.Update) error {
+	s.Switch("snvs0").SetWriteFault(func([]p4rt.Update) error {
 		time.Sleep(stall)
 		return nil
 	})
@@ -61,7 +62,7 @@ func TestFlightRecorderSlowPushIncident(t *testing.T) {
 		t.Fatal(err)
 	}
 	txn := s.DB.LastTxnID()
-	if err := s.WaitEntries("in_vlan", 2, 5*time.Second); err != nil {
+	if err := s.WaitEntries("snvs0", "in_vlan", 2); err != nil {
 		t.Fatal(err)
 	}
 

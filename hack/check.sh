@@ -19,7 +19,13 @@ if grep -nE 'map\[string\]any|AnyMap|json\.Number' internal/core/controller.go i
 # The controller's step stays pure: no goroutine, clock, channel, lock or
 # device I/O (the driver in controller.go owns those).
 if grep -nE '\bgo |time\.|chan |\.Write\(|WriteTxn\(|ReadTable\(|"sync' internal/core/step.go; then exit 1; fi
+# One in-process deployment: only internal/deploy boots switches. The
+# standalone switch binary, the quickstart walkthrough of the public
+# constructors and the benchmark module wire their own.
+if grep -rln --include='*.go' 'switchsim\.New(' . | grep -v -e '^\./internal/deploy/' -e '^\./cmd/' -e '^\./examples/quickstart/' -e '^\./benchmark/'; then exit 1; fi
 go build ./...
+# Every example runs to completion.
+for ex in examples/*/; do go run "./$ex" >/dev/null; done
 # Every nerpa-bench experiment writes its BENCH_*.json report into the
 # working directory: build the runner once and run it from a temporary
 # directory, so a check leaves the tree as it found it.
@@ -69,9 +75,11 @@ go test -race -run 'TestFleetEndToEnd' -count=1 .
 # Resilience: the kill-and-restart e2e must reconverge under the race
 # detector, and the reconnect experiment must emit its recovery report.
 go test -race -run 'TestKillRestartEndToEnd' -count=1 .
-# The one redial supervisor, both resilient clients on it, and the
-# engine-derived resync, in one -race line.
-go test -race -run 'TestRedial|TestResilient|TestResync|TestPushToleratesUnavailableDevice|TestTransactIntegerExact' -count=1 ./internal/redial/ ./internal/ovsdb/ ./internal/p4rt/ ./internal/core/
+# The one redial supervisor, both resilient clients on it, the
+# engine-derived resync the controller installs itself, and the
+# in-process deployment's restarts back to its pre-boot goroutine
+# count, in one -race line.
+go test -race -run 'TestRedial|TestResilient|TestResync|TestPushToleratesUnavailableDevice|TestTransactIntegerExact|TestControllerInstallsResyncHook|TestRestartAndQuiesce' -count=1 ./internal/redial/ ./internal/ovsdb/ ./internal/p4rt/ ./internal/core/ ./internal/deploy/
 (cd "$bench_dir" && ./nerpa-bench -exp reconnect -reconnect-ports 50,250 -reconnect-restarts 3 &&
     test -s BENCH_reconnect.json)
 # Pub/sub fan-out: the subscription service e2e (snapshot-then-delta
@@ -80,9 +88,10 @@ go test -race -run 'TestRedial|TestResilient|TestResync|TestPushToleratesUnavail
 # run under the race detector.
 go test -race -run 'TestSnapshotThenDelta|TestSlowConsumerEviction' -count=1 ./internal/subscribe/
 go test -race -run 'TestWriteLimit|TestCloseFlushes|TestServer' -count=1 ./internal/jsonrpc/
-# Three tests that used to lose to a timer or a clock on a loaded box:
-# twenty runs each under the race detector hold the de-flaking.
-go test -race -count=20 -run 'TestRenderWireMatchesMarshal|TestDigestBatching|TestAggregatorStitchesAcrossMembers' ./internal/ovsdb/ ./internal/switchsim/ ./internal/obs/fleet/
+# Four tests that used to lose to a timer, a clock or a publication
+# race on a loaded box: twenty runs each under the race detector hold
+# the de-flaking.
+go test -race -count=20 -run 'TestRenderWireMatchesMarshal|TestDigestBatching|TestAggregatorStitchesAcrossMembers|TestResilientReconnectRunsHookAndHeals' ./internal/ovsdb/ ./internal/switchsim/ ./internal/obs/fleet/ ./internal/p4rt/
 # Coalescing under race: merged monitor deliveries must stay
 # data-race-free, preserve per-txn attribution, and hold a barrier queued
 # behind them until their push.

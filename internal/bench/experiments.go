@@ -1,21 +1,50 @@
+// Package bench is the evaluation harness: one runner per table/figure of
+// the paper, each returning a report whose rows mirror what the paper
+// published. cmd/nerpa-bench prints them; bench_test.go wraps them as
+// testing.B benchmarks. The full-stack experiments run the snvs
+// deployment (SnvsSpec) booted by internal/deploy.
 package bench
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/baseline"
 	"repro/internal/codegen"
+	"repro/internal/deploy"
 	"repro/internal/dl"
 	"repro/internal/dl/engine"
 	"repro/internal/dl/value"
+	"repro/internal/obs"
 	"repro/internal/ovsdb"
 	"repro/internal/p4"
 	"repro/internal/snvs"
 	"repro/internal/workload"
 )
+
+// SnvsSpec is the paper's snvs system on one switch, snvs0: the
+// deployment every full-stack experiment boots. o instruments every
+// plane (nil: none).
+func SnvsSpec(o *obs.Observer) deploy.Spec {
+	schema, err := snvs.Schema()
+	if err != nil {
+		panic(err) // the schema is compiled in: TestSchemaParses holds it
+	}
+	return deploy.Spec{Schema: schema, Rules: snvs.Rules, Obs: o, Classes: []deploy.Class{
+		{Program: snvs.Pipeline(), IDs: []string{"snvs0"}},
+	}}
+}
+
+// heapAlloc returns live heap bytes after a forced GC.
+func heapAlloc() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
 
 // ---------------------------------------------------------------------
 // T1 — §4.3 scalability: add N ports through the full stack, measuring
@@ -35,7 +64,7 @@ type PortScaleResult struct {
 
 // RunPortScale runs T1 with n ports over the full TCP stack.
 func RunPortScale(n int) (*PortScaleResult, error) {
-	s, err := StartStack()
+	s, err := deploy.Start(SnvsSpec(nil))
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +81,7 @@ func RunPortScale(n int) (*PortScaleResult, error) {
 		if err := s.Transact(ovsdb.OpInsert("Port", workloadPortRow(i, nVlans))); err != nil {
 			return nil, err
 		}
-		if err := s.WaitEntries("in_vlan", i+1, 10*time.Second); err != nil {
+		if err := s.WaitEntries("snvs0", "in_vlan", i+1); err != nil {
 			return nil, err
 		}
 		lats = append(lats, time.Since(t0))

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/deploy"
 	"repro/internal/obs"
 	"repro/internal/ovsdb"
 	"repro/internal/subscribe"
@@ -190,7 +191,9 @@ func RunFanout(cfg FanoutConfig) (*FanoutResult, error) {
 	o := obs.NewObserver()
 	svc := subscribe.New(subscribe.Config{QueueLen: 64, Obs: o})
 	defer svc.Close()
-	s, err := StartStackConfig(StackConfig{OnDelta: svc.Publish})
+	spec := SnvsSpec(nil)
+	spec.OnDelta = svc.Publish
+	s, err := deploy.Start(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -210,7 +213,7 @@ func RunFanout(cfg FanoutConfig) (*FanoutResult, error) {
 	})); err != nil {
 		return nil, err
 	}
-	if err := s.WaitEntries("in_vlan", 1, 10*time.Second); err != nil {
+	if err := s.WaitEntries("snvs0", "in_vlan", 1); err != nil {
 		return nil, err
 	}
 

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/deploy"
 	"repro/internal/obs"
 	"repro/internal/ovsdb"
 )
@@ -63,7 +64,7 @@ const obsOverheadRounds = 10
 type obsModeRun struct {
 	mode string
 	o    *obs.Observer
-	s    *Stack
+	s    *deploy.Stack
 	sent int
 	// read is the last txn ID whose latency has been read; latencies
 	// holds the measured pass's samples and overheads its per-round p50
@@ -114,7 +115,7 @@ func RunObsOverhead(txns int) (*ObsOverheadResult, error) {
 			cfg.EventCapacity = -1
 		}
 		o := obs.NewObserverWith(cfg)
-		s, err := StartStackObs(o)
+		s, err := deploy.Start(SnvsSpec(o))
 		if err != nil {
 			return nil, err
 		}
@@ -130,7 +131,7 @@ func RunObsOverhead(txns int) (*ObsOverheadResult, error) {
 		})); err != nil {
 			return nil, err
 		}
-		if err := s.WaitEntries("in_vlan", 1, 10*time.Second); err != nil {
+		if err := s.WaitEntries("snvs0", "in_vlan", 1); err != nil {
 			return nil, err
 		}
 		m.read = s.DB.LastTxnID()

@@ -2,17 +2,13 @@ package bench
 
 import (
 	"fmt"
-	"net"
 	"sort"
 	"strings"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/obs"
 	"repro/internal/ovsdb"
-	"repro/internal/p4rt"
-	"repro/internal/snvs"
-	"repro/internal/switchsim"
 )
 
 // ---------------------------------------------------------------------
@@ -23,13 +19,6 @@ import (
 // The clock starts when the restarted switch is listening again, so a
 // row measures detection + redial + diff + re-push, not the outage.
 // ---------------------------------------------------------------------
-
-// reconnectBackoffMin/Max bound the redial backoff during the runs: tight,
-// so the measurement is dominated by the resync itself.
-const (
-	reconnectBackoffMin = time.Millisecond
-	reconnectBackoffMax = 20 * time.Millisecond
-)
 
 // ReconnectRow is the recovery measurement at one device-state size.
 type ReconnectRow struct {
@@ -72,61 +61,11 @@ func RunReconnect(portCounts []int, restarts int) (*ReconnectResult, error) {
 }
 
 func runReconnectSize(ports, restarts int) (*ReconnectRow, error) {
-	schema, err := snvs.Schema()
+	s, err := deploy.Start(SnvsSpec(obs.NewObserverWith(obs.ObserverConfig{EventCapacity: -1})))
 	if err != nil {
 		return nil, err
 	}
-	db := ovsdb.NewDatabase(schema)
-	dbSrv := ovsdb.NewServer(db)
-	dbLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	go dbSrv.Serve(dbLn)
-	defer dbSrv.Close()
-
-	newSwitch := func() (*switchsim.Switch, error) {
-		return switchsim.New("snvs0", switchsim.Config{Program: snvs.Pipeline()})
-	}
-	sw, err := newSwitch()
-	if err != nil {
-		return nil, err
-	}
-	swLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	p4rtAddr := swLn.Addr().String()
-	go sw.Serve(swLn)
-
-	o := obs.NewObserverWith(obs.ObserverConfig{EventCapacity: -1})
-	mp, err := ovsdb.DialResilient(ovsdb.ResilientConfig{
-		Addr:       dbLn.Addr().String(),
-		BackoffMin: reconnectBackoffMin,
-		BackoffMax: reconnectBackoffMax,
-		Obs:        o,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer mp.Close()
-	dp, err := p4rt.DialResilient(p4rt.ResilientConfig{
-		Addr:       p4rtAddr,
-		Target:     "dev0",
-		BackoffMin: reconnectBackoffMin,
-		BackoffMax: reconnectBackoffMax,
-		Obs:        o,
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer dp.Close()
-	ctrl, err := core.New(core.Config{Rules: snvs.Rules, Database: "snvs", Obs: o}, mp, dp)
-	if err != nil {
-		return nil, err
-	}
-	defer ctrl.Stop()
-	dp.OnReconnect(func(cl *p4rt.Client) error { return ctrl.Resync("dev0", cl) })
+	defer s.Close()
 
 	ops := []ovsdb.Operation{ovsdb.OpInsert("SwitchCfg", map[string]ovsdb.Value{
 		"name": "snvs0", "flood_unknown": true,
@@ -139,34 +78,24 @@ func runReconnectSize(ports, restarts int) (*ReconnectRow, error) {
 			"tag":       int64(10),
 		}))
 	}
-	for i, r := range db.Transact(ops) {
-		if r.Error != "" {
-			return nil, fmt.Errorf("bench: reconnect seed op %d: %s (%s)", i, r.Error, r.Details)
-		}
+	if err := s.Transact(ops...); err != nil {
+		return nil, fmt.Errorf("bench: reconnect seed: %w", err)
 	}
-	if err := waitEntryCount(ctrl, sw, "in_vlan", ports); err != nil {
+	if err := s.WaitEntries("snvs0", "in_vlan", ports); err != nil {
 		return nil, err
 	}
 
 	var lats []time.Duration
 	for i := 0; i < restarts; i++ {
-		sw.Close()
-		swLn, err := relisten(p4rtAddr, 5*time.Second)
-		if err != nil {
-			return nil, err
-		}
-		sw, err = newSwitch()
-		if err != nil {
+		if err := s.Restart("snvs0"); err != nil {
 			return nil, err
 		}
 		start := time.Now()
-		go sw.Serve(swLn)
-		if err := waitEntryCount(ctrl, sw, "in_vlan", ports); err != nil {
+		if err := s.WaitEntries("snvs0", "in_vlan", ports); err != nil {
 			return nil, fmt.Errorf("bench: reconnect restart %d: %w", i, err)
 		}
 		lats = append(lats, time.Since(start))
 	}
-	sw.Close()
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 	return &ReconnectRow{
 		Ports:    ports,
@@ -174,40 +103,6 @@ func runReconnectSize(ports, restarts int) (*ReconnectRow, error) {
 		P50:      percentileDur(lats, 50),
 		Max:      lats[len(lats)-1],
 	}, nil
-}
-
-// waitEntryCount polls the switch's runtime until the table holds want
-// entries (or the controller fails, or 30s pass).
-func waitEntryCount(ctrl *core.Controller, sw *switchsim.Switch, table string, want int) error {
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if err := ctrl.Err(); err != nil {
-			return err
-		}
-		if sw.Runtime().EntryCount(table) == want {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("bench: table %s has %d entries, want %d",
-				table, sw.Runtime().EntryCount(table), want)
-		}
-		time.Sleep(200 * time.Microsecond)
-	}
-}
-
-// relisten rebinds addr, retrying while the old listener's port frees up.
-func relisten(addr string, timeout time.Duration) (net.Listener, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		ln, err := net.Listen("tcp", addr)
-		if err == nil {
-			return ln, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("bench: rebinding %s: %w", addr, err)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 // String renders the report.

@@ -392,9 +392,14 @@ func NewWithClasses(cfg Config, mp ManagementPlane, classes []DeviceClass) (*Con
 	go c.loop()
 
 	// Digest subscriptions feed the event queue, tagged with the
-	// originating device.
+	// originating device. A self-healing device (*p4rt.ResilientClient)
+	// reconciles each fresh session against the engine before publishing
+	// it.
 	for id, dp := range c.devs {
 		dp.OnDigest(func(dl p4rt.DigestList) { c.handleDigest(id, dl) })
+		if rd, ok := dp.(reconnector); ok {
+			rd.OnReconnect(func(cl *p4rt.Client) error { return c.Resync(id, cl) })
+		}
 	}
 	// Monitor every bound table with exactly the bound columns.
 	initial, err := mp.MonitorTxn(cfg.Database, "nerpa", c.monitorRequests(), c.handleOVSDB)

@@ -1,15 +1,12 @@
-package core
+package core_test
 
 import (
-	"net"
 	"testing"
-	"time"
 
+	"repro/internal/deploy"
 	"repro/internal/ovsdb"
 	"repro/internal/p4"
-	"repro/internal/p4rt"
 	"repro/internal/packet"
-	"repro/internal/switchsim"
 )
 
 // The L3 router scenario drives the LPM and ternary codegen paths through
@@ -84,56 +81,23 @@ Routes(p as bit<32>, plen, port as bit<16>) :- Route(_, plen, port, p).
 Acl(s as bit<32>, m as bit<32>, prio) :- AclRule(_, m, prio, s).
 `
 
-func startRouterStack(t *testing.T) (*ovsdb.Client, *switchsim.Switch, *switchsim.Fabric, *Controller) {
+func startRouterStack(t *testing.T) *deploy.Stack {
 	t.Helper()
 	schema, err := ovsdb.ParseSchema([]byte(routerSchema))
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := ovsdb.NewDatabase(schema)
-	srv := ovsdb.NewServer(db)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(srv.Close)
-
 	prog, err := p4.ParseProgram("router", routerP4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sw, err := switchsim.New("r0", switchsim.Config{Program: prog})
+	s, err := deploy.Start(deploy.Spec{Schema: schema, Rules: routerRules,
+		Classes: []deploy.Class{{Program: prog, IDs: []string{"r0"}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	swLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go sw.Serve(swLn)
-	t.Cleanup(sw.Close)
-	fabric := switchsim.NewFabric()
-	if err := fabric.AddSwitch(sw); err != nil {
-		t.Fatal(err)
-	}
-
-	dbc, err := ovsdb.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dbc.Close() })
-	p4c, err := p4rt.Dial(swLn.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p4c.Close() })
-	ctrl, err := New(Config{Rules: routerRules, Database: "router"}, dbc, p4c)
-	if err != nil {
-		t.Fatalf("core.New: %v", err)
-	}
-	t.Cleanup(ctrl.Stop)
-	return dbc, sw, fabric, ctrl
+	t.Cleanup(s.Close)
+	return s
 }
 
 func ipFrame(src, dst packet.IPv4) []byte {
@@ -143,18 +107,19 @@ func ipFrame(src, dst packet.IPv4) []byte {
 }
 
 func TestControllerLPMAndTernary(t *testing.T) {
-	dbc, sw, fabric, ctrl := startRouterStack(t)
-	h1, err := fabric.AttachHost("h1", "r0", 1)
+	s := startRouterStack(t)
+	sw := s.Switch("r0")
+	h1, err := s.Fabric.AttachHost("h1", "r0", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, _ := fabric.AttachHost("h2", "r0", 2)
-	h3, _ := fabric.AttachHost("h3", "r0", 3)
+	h2, _ := s.Fabric.AttachHost("h2", "r0", 2)
+	h3, _ := s.Fabric.AttachHost("h3", "r0", 3)
 
 	net10, _ := packet.ParseIPv4("10.0.0.0")
 	net10_1, _ := packet.ParseIPv4("10.1.0.0")
 	blockNet, _ := packet.ParseIPv4("192.168.0.0")
-	if _, err := dbc.TransactErr("router",
+	if err := s.Transact(
 		ovsdb.OpInsert("Route", map[string]ovsdb.Value{
 			"prefix": int64(net10), "plen": int64(8), "port": int64(2),
 		}),
@@ -169,15 +134,8 @@ func TestControllerLPMAndTernary(t *testing.T) {
 	}
 	waitCount := func(table string, want int) {
 		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for sw.Runtime().EntryCount(table) != want {
-			if err := ctrl.Err(); err != nil {
-				t.Fatalf("controller: %v", err)
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("%s has %d entries, want %d", table, sw.Runtime().EntryCount(table), want)
-			}
-			time.Sleep(time.Millisecond)
+		if err := s.WaitEntries("r0", table, want); err != nil {
+			t.Fatal(err)
 		}
 	}
 	waitCount("routes", 2)
@@ -227,7 +185,7 @@ func TestControllerLPMAndTernary(t *testing.T) {
 	}
 
 	// Withdrawing the /16 shifts traffic to the /8.
-	if _, err := dbc.TransactErr("router",
+	if err := s.Transact(
 		ovsdb.OpDelete("Route", ovsdb.Cond("plen", "==", int64(16)))); err != nil {
 		t.Fatal(err)
 	}

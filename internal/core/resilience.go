@@ -28,13 +28,20 @@ type TableReader interface {
 	Write(updates ...p4rt.Update) error
 }
 
+// reconnector is a self-healing device (*p4rt.ResilientClient): the
+// controller installs Resync as the hook every fresh session runs before
+// it is published.
+type reconnector interface {
+	OnReconnect(func(*p4rt.Client) error)
+}
+
 // Resync reconciles device's actual tables against what the engine's
 // output relations say it should hold, writing only the difference
 // through dp. It is safe to call from any goroutine — the reconciliation
 // itself runs serialized on the controller's event loop, so it observes
-// the engine between transactions. Intended as the body of a p4rt
-// ResilientClient OnReconnect hook, where dp is the fresh
-// not-yet-published client.
+// the engine between transactions. The controller installs it as the
+// OnReconnect hook of every device that has one (p4rt.ResilientClient),
+// where dp is the fresh not-yet-published client.
 func (c *Controller) Resync(device string, dp TableReader) error {
 	done := make(chan error, 1)
 	resync := func() {

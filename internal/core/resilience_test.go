@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -374,5 +375,75 @@ func waitErr(t *testing.T, ctrl *Controller) error {
 			t.Fatalf("controller never failed")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// reconnectingDP is a fake device with the OnReconnect method of
+// p4rt.ResilientClient: it keeps the hook the controller installs.
+type reconnectingDP struct {
+	*fakeDP
+	hook func(*p4rt.Client) error
+}
+
+func (r *reconnectingDP) OnReconnect(f func(*p4rt.Client) error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.hook = f
+}
+
+// trDevice serves a fakeTR over a p4rt server, so the hook gets the
+// real *p4rt.Client a redial hands it.
+type trDevice struct {
+	*fakeTR
+	info *p4.P4Info
+}
+
+func (d trDevice) P4Info() *p4.P4Info                    { return d.info }
+func (d trDevice) Write(updates []p4rt.Update) error     { return d.fakeTR.Write(updates...) }
+func (d trDevice) PacketOut(port uint16, b []byte) error { return nil }
+func (d trDevice) AckDigest(uint64)                      {}
+
+// TestControllerInstallsResyncHook: a device with an OnReconnect method
+// gets the controller's Resync as its hook, under its own device id, with
+// no wiring by the caller. Handing the hook a fresh session to an empty
+// device restores the desired state through it.
+func TestControllerInstallsResyncHook(t *testing.T) {
+	mp, dp := newFakes(t)
+	insertPorts(t, mp)
+	rdp := &reconnectingDP{fakeDP: dp}
+	ctrl, err := New(Config{Rules: snvs.Rules, Database: "snvs"}, mp, rdp)
+	if err != nil {
+		t.Fatalf("core.New: %v", err)
+	}
+	t.Cleanup(ctrl.Stop)
+	if err := ctrl.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	rdp.mu.Lock()
+	hook := rdp.hook
+	rdp.mu.Unlock()
+	if hook == nil {
+		t.Fatal("controller installed no OnReconnect hook")
+	}
+
+	tr := newFakeTR()
+	srv := p4rt.NewServer(trDevice{tr, dp.info})
+	defer srv.Close()
+	a, b := net.Pipe()
+	srv.ServeConn(a)
+	cl := p4rt.NewClient(b)
+	defer cl.Close()
+	if err := hook(cl); err != nil {
+		t.Fatalf("hook: %v", err)
+	}
+	var inVlan int
+	for _, e := range tr.entries {
+		if e.Table == "in_vlan" {
+			inVlan++
+		}
+	}
+	if inVlan != 2 || len(tr.mcast) == 0 {
+		t.Fatalf("hook left the device with %d in_vlan entries and %d groups, want 2 and some",
+			inVlan, len(tr.mcast))
 	}
 }

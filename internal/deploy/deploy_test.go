@@ -1,0 +1,96 @@
+package deploy_test
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/deploy"
+	"repro/internal/ovsdb"
+	"repro/internal/snvs"
+)
+
+func snvsSpec(t *testing.T) deploy.Spec {
+	t.Helper()
+	schema, err := snvs.Schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return deploy.Spec{Schema: schema, Rules: snvs.Rules, Classes: []deploy.Class{
+		{Program: snvs.Pipeline(), IDs: []string{"snvs0"}},
+	}}
+}
+
+func port(i int) ovsdb.Operation {
+	return ovsdb.OpInsert("Port", map[string]ovsdb.Value{
+		"name": fmt.Sprintf("p%d", i), "port_num": int64(i), "vlan_mode": "access", "tag": int64(10),
+	})
+}
+
+// TestRestartAndQuiesce boots the stack, commits ports, restarts the
+// switch (which comes back empty) and the database server, and checks
+// that the controller heals the switch and that Close leaves no
+// goroutine behind.
+func TestRestartAndQuiesce(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s, err := deploy.Start(snvsSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Transact(
+		ovsdb.OpInsert("SwitchCfg", map[string]ovsdb.Value{"name": "snvs0", "flood_unknown": true}),
+		port(1), port(2), port(3),
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitEntries("snvs0", "in_vlan", 3); err != nil {
+		t.Fatal(err)
+	}
+
+	old := s.Switch("snvs0")
+	if err := s.Restart("snvs0"); err != nil {
+		t.Fatal(err)
+	}
+	if s.Switch("snvs0") == old {
+		t.Fatal("restart kept the old switch")
+	}
+	if err := s.WaitEntries("snvs0", "in_vlan", 3); err != nil {
+		t.Fatal(err)
+	}
+
+	s.Kill(deploy.DB)
+	for i, r := range s.DB.Transact([]ovsdb.Operation{port(4)}) {
+		if r.Error != "" {
+			t.Fatalf("op %d: %s", i, r.Error)
+		}
+	}
+	if err := s.Restart(deploy.DB); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitEntries("snvs0", "in_vlan", 4); err != nil {
+		t.Fatal(err)
+	}
+	// The management client is usable again once it has redialed.
+	deadline := time.Now().Add(10 * time.Second)
+	for s.Transact(port(5)) != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("no commit through the management client after the restart")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.WaitEntries("snvs0", "in_vlan", 5); err != nil {
+		t.Fatal(err)
+	}
+
+	s.Close()
+	deadline = time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines after Close, %d before Start:\n%s",
+				runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

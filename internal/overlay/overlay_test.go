@@ -1,14 +1,10 @@
 package overlay
 
 import (
-	"net"
 	"testing"
-	"time"
 
-	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/ovsdb"
-	"repro/internal/p4"
-	"repro/internal/p4rt"
 	"repro/internal/packet"
 	"repro/internal/switchsim"
 )
@@ -23,13 +19,10 @@ func TestPipelinesValidate(t *testing.T) {
 }
 
 type overlayTopo struct {
-	t     *testing.T
-	db    *ovsdb.Client
-	leaf1 *switchsim.Switch
-	leaf2 *switchsim.Switch
-	spine *switchsim.Switch
-	ctrl  *core.Controller
-	hosts map[string]*switchsim.Host
+	*deploy.Stack
+	t                   *testing.T
+	leaf1, leaf2, spine *switchsim.Switch
+	hosts               map[string]*switchsim.Host
 }
 
 func startOverlay(t *testing.T) *overlayTopo {
@@ -38,45 +31,16 @@ func startOverlay(t *testing.T) *overlayTopo {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := ovsdb.NewDatabase(schema)
-	srv := ovsdb.NewServer(db)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	d, err := deploy.Start(deploy.Spec{Schema: schema, Rules: Rules, Classes: []deploy.Class{
+		{Name: "Leaf", PerDevice: true, Program: LeafPipeline(), IDs: []string{"leaf1", "leaf2"}},
+		{Name: "Spine", Program: SpinePipeline(), IDs: []string{"spine"}},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(ln)
-	t.Cleanup(srv.Close)
-
-	mk := func(name string, prog *p4.Program) (*switchsim.Switch, *p4rt.Client) {
-		sw, err := switchsim.New(name, switchsim.Config{Program: prog})
-		if err != nil {
-			t.Fatal(err)
-		}
-		swLn, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go sw.Serve(swLn)
-		t.Cleanup(sw.Close)
-		c, err := p4rt.Dial(swLn.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { c.Close() })
-		return sw, c
-	}
-	leaf1, c1 := mk("leaf1", LeafPipeline())
-	leaf2, c2 := mk("leaf2", LeafPipeline())
-	spine, cs := mk("spine", SpinePipeline())
-
-	fabric := switchsim.NewFabric()
-	for _, sw := range []*switchsim.Switch{leaf1, leaf2, spine} {
-		if err := fabric.AddSwitch(sw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tp := &overlayTopo{t: t, leaf1: leaf1, leaf2: leaf2, spine: spine,
-		hosts: make(map[string]*switchsim.Host)}
+	t.Cleanup(d.Close)
+	tp := &overlayTopo{Stack: d, t: t, leaf1: d.Switch("leaf1"), leaf2: d.Switch("leaf2"),
+		spine: d.Switch("spine"), hosts: make(map[string]*switchsim.Host)}
 	for name, loc := range map[string]struct {
 		sw   string
 		port uint16
@@ -84,51 +48,25 @@ func startOverlay(t *testing.T) *overlayTopo {
 		"h1": {"leaf1", 1}, "h3": {"leaf1", 2}, "h5": {"leaf1", 3},
 		"h2": {"leaf2", 1}, "h4": {"leaf2", 2},
 	} {
-		h, err := fabric.AttachHost(name, loc.sw, loc.port)
+		h, err := d.Fabric.AttachHost(name, loc.sw, loc.port)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tp.hosts[name] = h
 	}
-	if err := fabric.LinkSwitches("leaf1", UplinkPort, "spine", 1); err != nil {
+	if err := d.Fabric.LinkSwitches("leaf1", UplinkPort, "spine", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := fabric.LinkSwitches("leaf2", UplinkPort, "spine", 2); err != nil {
+	if err := d.Fabric.LinkSwitches("leaf2", UplinkPort, "spine", 2); err != nil {
 		t.Fatal(err)
 	}
-
-	tp.db, err = ovsdb.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { tp.db.Close() })
-	tp.ctrl, err = core.NewWithClasses(core.Config{
-		Rules: Rules, Database: "overlay",
-	}, tp.db, []core.DeviceClass{
-		{Name: "Leaf", PerDevice: true, Devices: []core.Device{
-			{ID: "leaf1", DP: c1}, {ID: "leaf2", DP: c2},
-		}},
-		{Name: "Spine", Devices: []core.Device{{ID: "spine", DP: cs}}},
-	})
-	if err != nil {
-		t.Fatalf("controller: %v", err)
-	}
-	t.Cleanup(tp.ctrl.Stop)
 	return tp
 }
 
 func (tp *overlayTopo) wait(sw *switchsim.Switch, table string, want int) {
 	tp.t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for sw.Runtime().EntryCount(table) != want {
-		if err := tp.ctrl.Err(); err != nil {
-			tp.t.Fatalf("controller: %v", err)
-		}
-		if time.Now().After(deadline) {
-			tp.t.Fatalf("%s.%s = %d entries, want %d",
-				sw.Name(), table, sw.Runtime().EntryCount(table), want)
-		}
-		time.Sleep(time.Millisecond)
+	if err := tp.WaitEntries(sw.Name(), table, want); err != nil {
+		tp.t.Fatal(err)
 	}
 }
 
@@ -146,7 +84,7 @@ func TestOverlayTenantFabric(t *testing.T) {
 		macB4 = packet.MAC(0xB4) // h4 (tenant 200)
 		macA5 = packet.MAC(0xA5) // h5 (tenant 100)
 	)
-	if _, err := tp.db.TransactErr("overlay",
+	if err := tp.Transact(
 		ovsdb.OpInsert("Leaf", map[string]ovsdb.Value{"name": "leaf1", "id": int64(1), "spine_port": int64(1)}),
 		ovsdb.OpInsert("Leaf", map[string]ovsdb.Value{"name": "leaf2", "id": int64(2), "spine_port": int64(2)}),
 		ovsdb.OpInsert("Host", map[string]ovsdb.Value{"mac": int64(macA1), "leaf": "leaf1", "port": int64(1), "tenant": int64(100)}),
@@ -223,7 +161,7 @@ func TestOverlayTenantFabric(t *testing.T) {
 	}
 
 	// --- Moving a host between leaves re-plumbs the overlay. ---
-	if _, err := tp.db.TransactErr("overlay",
+	if err := tp.Transact(
 		ovsdb.OpUpdate("Host",
 			map[string]ovsdb.Value{"leaf": "leaf1", "port": int64(4)},
 			ovsdb.Cond("mac", "==", int64(macA2)),
@@ -232,7 +170,7 @@ func TestOverlayTenantFabric(t *testing.T) {
 	}
 	tp.wait(tp.leaf1, "dmac_local", 4)
 	tp.wait(tp.leaf1, "dmac_remote", 1)
-	if err := tp.ctrl.Err(); err != nil {
+	if err := tp.Ctrl.Err(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -141,12 +141,28 @@ func (s *Supervisor[C]) Close() error {
 	return nil
 }
 
-// unpublish withdraws the current session, reporting false once closed.
-func (s *Supervisor[C]) unpublish() bool {
+// publish makes c the session Get returns, or withdraws it when c is
+// nil (reporting false once closed). Readiness changes in the same
+// step: a publication counts a reconnect and clears the degraded flag
+// and the disconnected gauge, a withdrawal raises both, so no caller
+// can use a session the observer still reports down or not yet
+// reconnected.
+func (s *Supervisor[C]) publish(c *C) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.up = false
-	return !s.closed
+	if s.closed {
+		return false
+	}
+	if s.up = c != nil; s.up {
+		s.cur = *c
+		s.cfg.Reconnects.Inc()
+		s.cfg.Disconnected.Set(0)
+		s.cfg.Obs.ClearDegraded(s.cfg.DegradedKey)
+	} else {
+		s.cfg.Disconnected.Set(1)
+		s.cfg.Obs.SetDegraded(s.cfg.DegradedKey, "connection lost; reconnecting")
+	}
+	return true
 }
 
 // run watches the live session and heals it on failure.
@@ -158,11 +174,9 @@ func (s *Supervisor[C]) run(c C) {
 		case <-s.done:
 			return
 		}
-		if !s.unpublish() {
+		if !s.publish(nil) {
 			return
 		}
-		s.cfg.Disconnected.Set(1)
-		s.cfg.Obs.SetDegraded(s.cfg.DegradedKey, "connection lost; reconnecting")
 		rec.Append(obs.Ev(s.cfg.Plane, "conn.drop").WithDevice(s.cfg.Device))
 		b := newBackoff(s.cfg.BackoffMin, s.cfg.BackoffMax)
 		for attempts := 1; ; attempts++ {
@@ -173,9 +187,6 @@ func (s *Supervisor[C]) run(c C) {
 			}
 			var err error
 			if c, err = s.attempt(); err == nil {
-				s.cfg.Reconnects.Inc()
-				s.cfg.Disconnected.Set(0)
-				s.cfg.Obs.ClearDegraded(s.cfg.DegradedKey)
 				rec.Append(obs.Ev(s.cfg.Plane, "conn.redial").WithDevice(s.cfg.Device).
 					F("attempts", int64(attempts)))
 				break
@@ -198,18 +209,12 @@ func (s *Supervisor[C]) attempt() (C, error) {
 	if s.cfg.Rearm != nil {
 		err = s.cfg.Rearm(c)
 	}
-	if err == nil {
-		s.mu.Lock()
-		if s.closed {
-			err = errClosed
-		} else {
-			s.cur, s.up = c, true
-		}
-		s.mu.Unlock()
+	if err == nil && !s.publish(&c) {
+		err = errClosed
 	}
 	if err == nil && s.cfg.Settle != nil {
 		if err = s.cfg.Settle(c); err != nil {
-			s.unpublish()
+			s.publish(nil)
 		}
 	}
 	if err != nil {

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestRedialBackoffSchedule(t *testing.T) {
@@ -269,5 +271,60 @@ func TestRedialConnectedAfterCloseIsClosed(t *testing.T) {
 	}
 	if _, err := s.Get(); err != errTestClosed {
 		t.Fatalf("Get after Close = %v", err)
+	}
+}
+
+// Publication and readiness are one step: a session is never published
+// while the supervisor still reports the connection degraded or before
+// it counts the reconnect, and a settle that fails reports it degraded
+// again.
+func TestRedialPublishClearsDegraded(t *testing.T) {
+	o := obs.NewObserver()
+	d := &dialer{}
+	var settles atomic.Int32
+	reconnects := o.Reg().Counter("test_reconnects_total", "")
+	var s *Supervisor[*fakeConn]
+	s = start(t, d, Config[*fakeConn]{
+		Obs: o, DegradedKey: "test", Reconnects: reconnects,
+		Disconnected: o.Reg().Gauge("test_disconnected", ""),
+		Rearm: func(c *fakeConn) error {
+			if r := o.DegradedReasons(); len(r) != 1 {
+				t.Errorf("re-arming session %d while reported healthy: %v", c.id, r)
+			}
+			return nil
+		},
+		Settle: func(c *fakeConn) error {
+			if _, err := s.Get(); err != nil {
+				t.Errorf("Get during settle = %v", err)
+			}
+			if r := o.DegradedReasons(); len(r) != 0 {
+				t.Errorf("session %d published while degraded: %v", c.id, r)
+			}
+			if n := reconnects.Value(); n != uint64(c.id) {
+				t.Errorf("session %d published with %d reconnects counted", c.id, n)
+			}
+			if settles.Add(1) == 1 {
+				return errors.New("test: settle failed")
+			}
+			return nil
+		},
+	})
+	first, _ := s.Get()
+	d.set(func() { d.fail = true })
+	first.Close()
+	waitFor(t, "drop noticed", func() bool { return !s.Connected() })
+	if len(o.DegradedReasons()) != 1 {
+		t.Fatalf("degraded after a drop = %v, want one reason", o.DegradedReasons())
+	}
+	d.set(func() { d.fail = false })
+	waitFor(t, "session 2 published", func() bool {
+		c, err := s.Get()
+		return err == nil && c.id == 2
+	})
+	if r := o.DegradedReasons(); len(r) != 0 {
+		t.Fatalf("degraded after republication = %v", r)
+	}
+	if !d.conn(1).isClosed() {
+		t.Fatal("session 1 failed settle but was not closed")
 	}
 }

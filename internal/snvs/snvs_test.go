@@ -2,13 +2,11 @@ package snvs
 
 import (
 	"encoding/json"
-	"net"
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/ovsdb"
-	"repro/internal/p4rt"
 	"repro/internal/packet"
 	"repro/internal/switchsim"
 )
@@ -29,15 +27,12 @@ func TestSchemaParses(t *testing.T) {
 	}
 }
 
-// stack is a fully wired in-process deployment over real TCP sockets.
+// stack is the snvs deployment on one switch, snvs0.
 type stack struct {
-	t      *testing.T
-	db     *ovsdb.Database
-	dbc    *ovsdb.Client
-	sw     *switchsim.Switch
-	fabric *switchsim.Fabric
-	ctrl   *core.Controller
-	hosts  map[string]*switchsim.Host
+	*deploy.Stack
+	t     *testing.T
+	sw    *switchsim.Switch
+	hosts map[string]*switchsim.Host
 }
 
 func startStack(t *testing.T) *stack {
@@ -46,59 +41,18 @@ func startStack(t *testing.T) *stack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := ovsdb.NewDatabase(schema)
-	ovsdbSrv := ovsdb.NewServer(db)
-	ovsdbLn, err := net.Listen("tcp", "127.0.0.1:0")
+	d, err := deploy.Start(deploy.Spec{Schema: schema, Rules: Rules,
+		Classes: []deploy.Class{{Program: Pipeline(), IDs: []string{"snvs0"}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go ovsdbSrv.Serve(ovsdbLn)
-	t.Cleanup(ovsdbSrv.Close)
-
-	sw, err := switchsim.New("snvs0", switchsim.Config{Program: Pipeline()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p4Ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go sw.Serve(p4Ln)
-	t.Cleanup(sw.Close)
-
-	fabric := switchsim.NewFabric()
-	if err := fabric.AddSwitch(sw); err != nil {
-		t.Fatal(err)
-	}
-
-	dbc, err := ovsdb.Dial(ovsdbLn.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dbc.Close() })
-	p4c, err := p4rt.Dial(p4Ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { p4c.Close() })
-
-	ctrl, err := core.New(core.Config{
-		Rules:    Rules,
-		Database: "snvs",
-	}, dbc, p4c)
-	if err != nil {
-		t.Fatalf("core.New: %v", err)
-	}
-	t.Cleanup(ctrl.Stop)
-
-	s := &stack{t: t, db: db, dbc: dbc, sw: sw, fabric: fabric, ctrl: ctrl,
-		hosts: make(map[string]*switchsim.Host)}
-	return s
+	t.Cleanup(d.Close)
+	return &stack{Stack: d, t: t, sw: d.Switch("snvs0"), hosts: make(map[string]*switchsim.Host)}
 }
 
 func (s *stack) host(name string, port uint16) *switchsim.Host {
 	s.t.Helper()
-	h, err := s.fabric.AttachHost(name, "snvs0", port)
+	h, err := s.Fabric.AttachHost(name, "snvs0", port)
 	if err != nil {
 		s.t.Fatal(err)
 	}
@@ -108,27 +62,15 @@ func (s *stack) host(name string, port uint16) *switchsim.Host {
 
 func (s *stack) transact(ops ...ovsdb.Operation) {
 	s.t.Helper()
-	if _, err := s.dbc.TransactErr("snvs", ops...); err != nil {
+	if err := s.Transact(ops...); err != nil {
 		s.t.Fatalf("transact: %v", err)
 	}
 }
 
-// waitEntries polls until the table holds want entries.
 func (s *stack) waitEntries(table string, want int) {
 	s.t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if err := s.ctrl.Err(); err != nil {
-			s.t.Fatalf("controller failed: %v", err)
-		}
-		if s.sw.Runtime().EntryCount(table) == want {
-			return
-		}
-		if time.Now().After(deadline) {
-			s.t.Fatalf("table %s has %d entries, want %d",
-				table, s.sw.Runtime().EntryCount(table), want)
-		}
-		time.Sleep(2 * time.Millisecond)
+	if err := s.WaitEntries("snvs0", table, want); err != nil {
+		s.t.Fatal(err)
 	}
 }
 
@@ -303,7 +245,7 @@ func TestFullStackSNVS(t *testing.T) {
 	s.waitEntries("vlan_ok", 3)
 	s.waitMulticast(4096+10, 2)
 
-	if err := s.ctrl.Err(); err != nil {
+	if err := s.Ctrl.Err(); err != nil {
 		t.Fatalf("controller error: %v", err)
 	}
 }
@@ -374,8 +316,10 @@ func TestTrunkSetModification(t *testing.T) {
 }
 
 func TestControllerSurfacesDataPlaneDeath(t *testing.T) {
-	// Killing the switch's P4Runtime server mid-run must surface as a
-	// controller error on the next push, not hang or panic.
+	// A data-plane connection gone for good (closed, not merely down: a
+	// killed switch is redialed and resynced, see TestKillRestartEndToEnd)
+	// must surface as a controller error on the next push, not hang or
+	// panic.
 	s := startStack(t)
 	s.transact(ovsdb.OpInsert("SwitchCfg", map[string]ovsdb.Value{
 		"name": "snvs0", "flood_unknown": true,
@@ -383,24 +327,24 @@ func TestControllerSurfacesDataPlaneDeath(t *testing.T) {
 	s.addAccessPort("p1", 1, 10)
 	s.waitEntries("in_vlan", 1)
 
-	s.sw.Close()
-	// The next management-plane change forces a push onto the dead
+	s.Device("snvs0").Close()
+	// The next management-plane change forces a push onto the closed
 	// connection.
 	s.addAccessPort("p2", 2, 10)
 	deadline := time.Now().Add(5 * time.Second)
-	for s.ctrl.Err() == nil {
+	for s.Ctrl.Err() == nil {
 		if time.Now().After(deadline) {
 			t.Fatal("controller never noticed the dead data plane")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	// Stop after failure is safe and idempotent.
-	s.ctrl.Stop()
-	s.ctrl.Stop()
+	s.Ctrl.Stop()
+	s.Ctrl.Stop()
 }
 
 func TestControllerSurfacesManagementPlaneDeath(t *testing.T) {
-	// Killing the OVSDB connection must likewise surface via Err().
+	// Closing the OVSDB connection must likewise surface via Err().
 	s := startStack(t)
 	s.transact(ovsdb.OpInsert("SwitchCfg", map[string]ovsdb.Value{
 		"name": "snvs0", "flood_unknown": true,
@@ -408,9 +352,9 @@ func TestControllerSurfacesManagementPlaneDeath(t *testing.T) {
 	s.addAccessPort("p1", 1, 10)
 	s.waitEntries("in_vlan", 1)
 
-	s.dbc.Close()
+	s.MP.Close()
 	deadline := time.Now().Add(5 * time.Second)
-	for s.ctrl.Err() == nil {
+	for s.Ctrl.Err() == nil {
 		if time.Now().After(deadline) {
 			t.Fatal("controller never noticed the dead management plane")
 		}

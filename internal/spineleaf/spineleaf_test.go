@@ -1,14 +1,11 @@
 package spineleaf
 
 import (
-	"net"
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/ovsdb"
-	"repro/internal/p4"
-	"repro/internal/p4rt"
 	"repro/internal/packet"
 	"repro/internal/switchsim"
 )
@@ -25,15 +22,12 @@ func TestPipelinesParse(t *testing.T) {
 	}
 }
 
-// topo is a 2-leaf, 1-spine deployment over real TCP with attached hosts.
+// topo is a 2-leaf, 1-spine deployment with attached hosts.
 type topo struct {
-	t      *testing.T
-	db     *ovsdb.Client
-	leaf1  *switchsim.Switch
-	leaf2  *switchsim.Switch
-	spine  *switchsim.Switch
-	ctrl   *core.Controller
-	h1, h2 *switchsim.Host
+	*deploy.Stack
+	t                   *testing.T
+	leaf1, leaf2, spine *switchsim.Switch
+	h1, h2              *switchsim.Host
 }
 
 func startTopo(t *testing.T) *topo {
@@ -42,99 +36,43 @@ func startTopo(t *testing.T) *topo {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := ovsdb.NewDatabase(schema)
-	srv := ovsdb.NewServer(db)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	d, err := deploy.Start(deploy.Spec{Schema: schema, Rules: Rules, Classes: []deploy.Class{
+		{Name: "Leaf", PerDevice: true, Program: LeafPipeline(), IDs: []string{"leaf1", "leaf2"}},
+		{Name: "Spine", Program: SpinePipeline(), IDs: []string{"spine"}},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	go srv.Serve(ln)
-	t.Cleanup(srv.Close)
-
-	mkSwitch := func(name string, prog *p4.Program) (*switchsim.Switch, *p4rt.Client) {
-		sw, err := switchsim.New(name, switchsim.Config{Program: prog})
-		if err != nil {
-			t.Fatal(err)
-		}
-		swLn, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go sw.Serve(swLn)
-		t.Cleanup(sw.Close)
-		client, err := p4rt.Dial(swLn.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { client.Close() })
-		return sw, client
-	}
-	leaf1, c1 := mkSwitch("leaf1", LeafPipeline())
-	leaf2, c2 := mkSwitch("leaf2", LeafPipeline())
-	spine, cs := mkSwitch("spine", SpinePipeline())
-
-	fabric := switchsim.NewFabric()
-	for _, sw := range []*switchsim.Switch{leaf1, leaf2, spine} {
-		if err := fabric.AddSwitch(sw); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h1, err := fabric.AttachHost("h1", "leaf1", 1)
+	t.Cleanup(d.Close)
+	h1, err := d.Fabric.AttachHost("h1", "leaf1", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := fabric.AttachHost("h2", "leaf2", 1)
+	h2, err := d.Fabric.AttachHost("h2", "leaf2", 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fabric.LinkSwitches("leaf1", UplinkPort, "spine", 1); err != nil {
+	if err := d.Fabric.LinkSwitches("leaf1", UplinkPort, "spine", 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := fabric.LinkSwitches("leaf2", UplinkPort, "spine", 2); err != nil {
+	if err := d.Fabric.LinkSwitches("leaf2", UplinkPort, "spine", 2); err != nil {
 		t.Fatal(err)
 	}
-
-	dbc, err := ovsdb.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { dbc.Close() })
-	ctrl, err := core.NewWithClasses(core.Config{
-		Rules:    Rules,
-		Database: "spineleaf",
-	}, dbc, []core.DeviceClass{
-		{Name: "Leaf", PerDevice: true, Devices: []core.Device{
-			{ID: "leaf1", DP: c1}, {ID: "leaf2", DP: c2},
-		}},
-		{Name: "Spine", Devices: []core.Device{{ID: "spine", DP: cs}}},
-	})
-	if err != nil {
-		t.Fatalf("NewWithClasses: %v", err)
-	}
-	t.Cleanup(ctrl.Stop)
-	return &topo{t: t, db: dbc, leaf1: leaf1, leaf2: leaf2, spine: spine,
-		ctrl: ctrl, h1: h1, h2: h2}
+	return &topo{Stack: d, t: t, leaf1: d.Switch("leaf1"), leaf2: d.Switch("leaf2"),
+		spine: d.Switch("spine"), h1: h1, h2: h2}
 }
 
 func (tp *topo) transact(ops ...ovsdb.Operation) {
 	tp.t.Helper()
-	if _, err := tp.db.TransactErr("spineleaf", ops...); err != nil {
+	if err := tp.Transact(ops...); err != nil {
 		tp.t.Fatal(err)
 	}
 }
 
 func (tp *topo) waitEntries(sw *switchsim.Switch, table string, want int) {
 	tp.t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for sw.Runtime().EntryCount(table) != want {
-		if err := tp.ctrl.Err(); err != nil {
-			tp.t.Fatalf("controller: %v", err)
-		}
-		if time.Now().After(deadline) {
-			tp.t.Fatalf("%s.%s has %d entries, want %d",
-				sw.Name(), table, sw.Runtime().EntryCount(table), want)
-		}
-		time.Sleep(time.Millisecond)
+	if err := tp.WaitEntries(sw.Name(), table, want); err != nil {
+		tp.t.Fatal(err)
 	}
 }
 
@@ -203,7 +141,7 @@ func TestSpineLeafForwarding(t *testing.T) {
 	tp.waitEntries(tp.leaf1, "dmac", 1)
 	tp.waitEntries(tp.leaf2, "dmac", 1)
 	tp.waitEntries(tp.spine, "fwd", 1)
-	if err := tp.ctrl.Err(); err != nil {
+	if err := tp.Ctrl.Err(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -223,7 +161,7 @@ func TestClassValidation(t *testing.T) {
 		ovsdb.OpInsert("Host", map[string]ovsdb.Value{"mac": int64(0xbb), "leaf": "leaf9", "port": int64(1)}),
 	)
 	deadline := time.Now().Add(5 * time.Second)
-	for tp.ctrl.Err() == nil {
+	for tp.Ctrl.Err() == nil {
 		if time.Now().After(deadline) {
 			t.Fatalf("rules targeting unknown device did not surface an error")
 		}

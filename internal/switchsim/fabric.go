@@ -8,6 +8,8 @@ import (
 // Fabric wires switches and hosts into a topology. A link connects a
 // switch port either to another switch's port or to a host endpoint;
 // frames emitted on a linked port are delivered synchronously to the peer.
+// Links and hosts refer to switches by name, so a restarted switch
+// (ReplaceSwitch) takes over its predecessor's links.
 type Fabric struct {
 	mu       sync.Mutex
 	switches map[string]*Switch
@@ -22,7 +24,7 @@ type endpoint struct {
 }
 
 type peer struct {
-	sw   *Switch
+	sw   string // switch name (empty for a host)
 	port uint16
 	host *Host
 }
@@ -33,7 +35,7 @@ type Host struct {
 	Name string
 
 	fabric *Fabric
-	sw     *Switch
+	sw     string
 	port   uint16
 
 	mu       sync.Mutex
@@ -61,12 +63,24 @@ func (f *Fabric) AddSwitch(sw *Switch) error {
 	return nil
 }
 
+// ReplaceSwitch puts sw in the place of the fabric's switch of the same
+// name, keeping its links and hosts.
+func (f *Fabric) ReplaceSwitch(sw *Switch) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.switches[sw.Name()] == nil {
+		return fmt.Errorf("switchsim: unknown switch %q", sw.Name())
+	}
+	f.switches[sw.Name()] = sw
+	sw.SetOutputHandler(func(port uint16, data []byte) { f.deliver(sw.Name(), port, data) })
+	return nil
+}
+
 // LinkSwitches connects two switch ports.
 func (f *Fabric) LinkSwitches(a string, aPort uint16, b string, bPort uint16) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	swA, swB := f.switches[a], f.switches[b]
-	if swA == nil || swB == nil {
+	if f.switches[a] == nil || f.switches[b] == nil {
 		return fmt.Errorf("switchsim: unknown switch in link %s-%s", a, b)
 	}
 	if err := f.checkFree(endpoint{a, aPort}); err != nil {
@@ -75,8 +89,8 @@ func (f *Fabric) LinkSwitches(a string, aPort uint16, b string, bPort uint16) er
 	if err := f.checkFree(endpoint{b, bPort}); err != nil {
 		return err
 	}
-	f.links[endpoint{a, aPort}] = peer{sw: swB, port: bPort}
-	f.links[endpoint{b, bPort}] = peer{sw: swA, port: aPort}
+	f.links[endpoint{a, aPort}] = peer{sw: b, port: bPort}
+	f.links[endpoint{b, bPort}] = peer{sw: a, port: aPort}
 	return nil
 }
 
@@ -84,8 +98,7 @@ func (f *Fabric) LinkSwitches(a string, aPort uint16, b string, bPort uint16) er
 func (f *Fabric) AttachHost(name, sw string, port uint16) (*Host, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s := f.switches[sw]
-	if s == nil {
+	if f.switches[sw] == nil {
 		return nil, fmt.Errorf("switchsim: unknown switch %q", sw)
 	}
 	if _, dup := f.hosts[name]; dup {
@@ -94,7 +107,7 @@ func (f *Fabric) AttachHost(name, sw string, port uint16) (*Host, error) {
 	if err := f.checkFree(endpoint{sw, port}); err != nil {
 		return nil, err
 	}
-	h := &Host{Name: name, fabric: f, sw: s, port: port}
+	h := &Host{Name: name, fabric: f, sw: sw, port: port}
 	f.hosts[name] = h
 	f.links[endpoint{sw, port}] = peer{host: h}
 	return h, nil
@@ -106,8 +119,8 @@ func (f *Fabric) Unlink(sw string, port uint16) {
 	defer f.mu.Unlock()
 	if p, ok := f.links[endpoint{sw, port}]; ok {
 		delete(f.links, endpoint{sw, port})
-		if p.sw != nil {
-			delete(f.links, endpoint{p.sw.Name(), p.port})
+		if p.host == nil {
+			delete(f.links, endpoint{p.sw, p.port})
 		}
 	}
 }
@@ -124,6 +137,7 @@ func (f *Fabric) checkFree(e endpoint) error {
 func (f *Fabric) deliver(sw string, port uint16, data []byte) {
 	f.mu.Lock()
 	p, ok := f.links[endpoint{sw, port}]
+	next := f.switches[p.sw]
 	f.mu.Unlock()
 	if !ok {
 		return
@@ -135,11 +149,16 @@ func (f *Fabric) deliver(sw string, port uint16, data []byte) {
 		return
 	}
 	// Frame copies cross links so switches never share buffers.
-	p.sw.Inject(p.port, append([]byte(nil), data...))
+	next.Inject(p.port, append([]byte(nil), data...))
 }
 
 // Send injects a frame from the host into its switch port.
-func (h *Host) Send(data []byte) error { return h.sw.Inject(h.port, data) }
+func (h *Host) Send(data []byte) error {
+	h.fabric.mu.Lock()
+	sw := h.fabric.switches[h.sw]
+	h.fabric.mu.Unlock()
+	return sw.Inject(h.port, data)
+}
 
 // Received drains and returns the frames the host has received.
 func (h *Host) Received() [][]byte {

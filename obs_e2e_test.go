@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/deploy"
 	"repro/internal/obs"
 	"repro/internal/ovsdb"
 	"repro/internal/snvs"
@@ -18,10 +19,10 @@ import (
 
 // startObservedStack boots the in-process snvs stack with every plane
 // sharing one observer, and applies a single configuration transaction.
-func startObservedStack(t *testing.T) (*obs.Observer, *bench.Stack) {
+func startObservedStack(t *testing.T) (*obs.Observer, *deploy.Stack) {
 	t.Helper()
 	o := obs.NewObserver()
-	s, err := bench.StartStackObs(o)
+	s, err := deploy.Start(bench.SnvsSpec(o))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func startObservedStack(t *testing.T) (*obs.Observer, *bench.Stack) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.WaitEntries("in_vlan", 1, 5*time.Second); err != nil {
+	if err := s.WaitEntries("snvs0", "in_vlan", 1); err != nil {
 		t.Fatal(err)
 	}
 	return o, s
@@ -230,9 +231,9 @@ PortPair(a, b) :- InVlan(a, v), InVlan(b, v).
 // series on /metrics, and account its tuples on /debug/memory.
 func TestProfilerRanksExpensiveRule(t *testing.T) {
 	o := obs.NewObserver()
-	s, err := bench.StartStackConfig(bench.StackConfig{
-		Obs: o, Rules: profilerRules,
-	})
+	spec := bench.SnvsSpec(o)
+	spec.Rules = profilerRules
+	s, err := deploy.Start(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +252,7 @@ func TestProfilerRanksExpensiveRule(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.WaitEntries("in_vlan", ports, 10*time.Second); err != nil {
+	if err := s.WaitEntries("snvs0", "in_vlan", ports); err != nil {
 		t.Fatal(err)
 	}
 

@@ -3,19 +3,17 @@ package nerpa
 import (
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/deploy"
 	"repro/internal/obs"
 	"repro/internal/ovsdb"
 	"repro/internal/p4rt"
 	"repro/internal/snvs"
-	"repro/internal/switchsim"
 )
 
 // TestKillRestartEndToEnd bounces both servers under a live controller:
@@ -34,64 +32,17 @@ func TestKillRestartEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := ovsdb.NewDatabase(schema)
-
-	// Both servers on fixed ports so restarts land on the same address.
-	ovsdbLn, err := net.Listen("tcp", "127.0.0.1:0")
+	s, err := deploy.Start(deploy.Spec{Schema: schema, Rules: snvs.Rules, Obs: o,
+		Classes: []deploy.Class{{Program: snvs.Pipeline(), IDs: []string{"sw0"}}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ovsdbAddr := ovsdbLn.Addr().String()
-	dbSrv := ovsdb.NewServer(db)
-	go dbSrv.Serve(ovsdbLn)
-
-	newSwitch := func() *switchsim.Switch {
-		sw, err := switchsim.New("sw0", switchsim.Config{Program: snvs.Pipeline()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sw
-	}
-	swLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p4rtAddr := swLn.Addr().String()
-	sw := newSwitch()
-	go sw.Serve(swLn)
-
-	rmp, err := ovsdb.DialResilient(ovsdb.ResilientConfig{
-		Addr:       ovsdbAddr,
-		BackoffMin: 5 * time.Millisecond,
-		BackoffMax: 100 * time.Millisecond,
-		Obs:        o,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rmp.Close()
-	rdp, err := p4rt.DialResilient(p4rt.ResilientConfig{
-		Addr:       p4rtAddr,
-		Target:     "dev0",
-		BackoffMin: 5 * time.Millisecond,
-		BackoffMax: 100 * time.Millisecond,
-		Obs:        o,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rdp.Close()
-
-	ctrl, err := core.New(core.Config{Rules: snvs.Rules, Database: "snvs", Obs: o}, rmp, rdp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Stop()
-	rdp.OnReconnect(func(cl *p4rt.Client) error { return ctrl.Resync("dev0", cl) })
+	defer s.Close()
+	p4rtAddr := s.Addr("sw0")
 
 	transact := func(ops ...ovsdb.Operation) {
 		t.Helper()
-		for i, r := range db.Transact(ops) {
+		for i, r := range s.DB.Transact(ops) {
 			if r.Error != "" {
 				t.Fatalf("op %d: %s (%s)", i, r.Error, r.Details)
 			}
@@ -108,8 +59,8 @@ func TestKillRestartEndToEnd(t *testing.T) {
 
 	// --- Outage: kill both servers, then change the network while the
 	// controller cannot see or reach anything.
-	dbSrv.Close()
-	sw.Close()
+	s.Kill(deploy.DB)
+	s.Kill("sw0")
 	waitBody(t, obsSrv.URL+"/readyz", func(status int, body string) bool {
 		return status == 503 && strings.Contains(body, "degraded")
 	})
@@ -119,25 +70,12 @@ func TestKillRestartEndToEnd(t *testing.T) {
 
 	// --- Restart both servers on the same addresses. The switch comes
 	// back empty: a reboot wiped its tables.
-	relisten := func(addr string) net.Listener {
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			ln, err := net.Listen("tcp", addr)
-			if err == nil {
-				return ln
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("rebinding %s: %v", addr, err)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+	if err := s.Restart(deploy.DB); err != nil {
+		t.Fatal(err)
 	}
-	dbSrv2 := ovsdb.NewServer(db)
-	defer dbSrv2.Close()
-	go dbSrv2.Serve(relisten(ovsdbAddr))
-	sw2 := newSwitch()
-	defer sw2.Close()
-	go sw2.Serve(relisten(p4rtAddr))
+	if err := s.Restart("sw0"); err != nil {
+		t.Fatal(err)
+	}
 
 	// Convergence: the switch holds entries for BOTH ports — p1 from the
 	// resync replay, p2 from the OVSDB snapshot diff — and /readyz is ok.
@@ -145,7 +83,7 @@ func TestKillRestartEndToEnd(t *testing.T) {
 	waitBody(t, obsSrv.URL+"/readyz", func(status int, _ string) bool { return status == 200 })
 
 	// The diff is now empty: desired state and device agree exactly.
-	if err := ctrl.Barrier(); err != nil {
+	if err := s.Ctrl.Barrier(); err != nil {
 		t.Fatal(err)
 	}
 	cl, err := p4rt.Dial(p4rtAddr)
@@ -164,7 +102,7 @@ func TestKillRestartEndToEnd(t *testing.T) {
 	// Every plane counted its recovery.
 	waitBody(t, obsSrv.URL+"/metrics", func(_ int, body string) bool {
 		return hasCounterAtLeast(body, "ovsdb_reconnects_total", 1) &&
-			hasCounterAtLeast(body, `p4rt_reconnects_total{target="dev0"}`, 1) &&
+			hasCounterAtLeast(body, `p4rt_reconnects_total{target="sw0"}`, 1) &&
 			hasCounterAtLeast(body, "core_resyncs_total", 1)
 	})
 }
