@@ -23,6 +23,10 @@ if grep -nE '\bgo |time\.|chan |\.Write\(|WriteTxn\(|ReadTable\(|"sync' internal
 # standalone switch binary, the quickstart walkthrough of the public
 # constructors and the benchmark module wire their own.
 if grep -rln --include='*.go' 'switchsim\.New(' . | grep -v -e '^\./internal/deploy/' -e '^\./cmd/' -e '^\./examples/quickstart/' -e '^\./benchmark/'; then exit 1; fi
+# One fan-out rendering: subscribe appends each delta's bytes once per
+# filter class; the reflected message structs and the []any row
+# renderers live on only in its tests, as the oracle.
+if grep -nE 'updateMsg\{|subscribeResult\{|func render(Delta|Record|Value|Fields)\b|make\(\[\]any' $(ls internal/subscribe/*.go | grep -v _test.go); then exit 1; fi
 go build ./...
 # Every example runs to completion.
 for ex in examples/*/; do go run "./$ex" >/dev/null; done
@@ -47,7 +51,7 @@ go test -run=NONE -bench=. -benchtime=1x ./...
 # reference walker; give each target a short fuzz as well.
 for target in jsonrpc:FuzzFrame p4rt:FuzzWriteParams p4rt:FuzzDigestParams \
     ovsdb:FuzzWireRow ovsdb:FuzzTransactParams ovsdb:FuzzTransactReply ovsdb:FuzzUpdateParams \
-    p4:FuzzProcess; do
+    subscribe:FuzzSubUpdate wirejson:FuzzValue p4:FuzzProcess; do
     go test -run='^$' -fuzz="^${target#*:}\$" -fuzztime=10s "./internal/${target%:*}/"
 done
 # Provenance overhead smoke: the experiment must run end to end and emit
@@ -83,10 +87,11 @@ go test -race -run 'TestRedial|TestResilient|TestResync|TestPushToleratesUnavail
 (cd "$bench_dir" && ./nerpa-bench -exp reconnect -reconnect-ports 50,250 -reconnect-restarts 3 &&
     test -s BENCH_reconnect.json)
 # Pub/sub fan-out: the subscription service e2e (snapshot-then-delta
-# ordering, slow-consumer eviction and resubscribe), the jsonrpc
-# bounded-write regressions and the one server all three planes serve on
-# run under the race detector.
-go test -race -run 'TestSnapshotThenDelta|TestSlowConsumerEviction' -count=1 ./internal/subscribe/
+# ordering, slow-consumer eviction and resubscribe), one rendering per
+# filter class, an undecodable update ending its subscription, the
+# jsonrpc bounded-write regressions and the one server all three planes
+# serve on run under the race detector.
+go test -race -run 'TestSnapshotThenDelta|TestSlowConsumerEviction|TestPublishRendersOncePerClass|TestUndecodableUpdateEndsSubscription' -count=1 ./internal/subscribe/
 go test -race -run 'TestWriteLimit|TestCloseFlushes|TestServer' -count=1 ./internal/jsonrpc/
 # Four tests that used to lose to a timer, a clock or a publication
 # race on a loaded box: twenty runs each under the race detector hold

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/jsonrpc"
+	"repro/internal/wirejson"
 )
 
 // Client is the subscriber side of the wire protocol: it demultiplexes
@@ -36,9 +37,17 @@ type Client struct {
 
 // pendingUpdates is the pre-reply buffer for one subscription id.
 type pendingUpdates struct {
-	ups      []Update
-	overflow bool
+	ups []Update
+	// broken, when set, is why the stream already has a gap: Subscribe
+	// ends the subscription as evicted with this reason.
+	broken string
 }
+
+// The reasons a client ends a subscription whose stream has a gap.
+const (
+	reasonOverflow    = "client replay buffer overflow; resubscribe"
+	reasonUndecodable = "undecodable update; resubscribe"
+)
 
 // Update is one delta on a subscription stream, attributed with the
 // transaction that produced it.
@@ -146,7 +155,7 @@ func (c *Client) Subscribe(relation string, filter map[int]any) (*Subscription, 
 	c.mu.Lock()
 	c.subscribing++
 	c.mu.Unlock()
-	var res subscribeResult
+	var res subscribeReply
 	if err := c.conn.Call("subscribe", params, &res); err != nil {
 		c.mu.Lock()
 		c.subscribeDone()
@@ -154,10 +163,10 @@ func (c *Client) Subscribe(relation string, filter map[int]any) (*Subscription, 
 		return nil, err
 	}
 	sub := &Subscription{
-		ID:       res.Sub,
-		Relation: res.Relation,
-		Txn:      res.Txn,
-		Rows:     res.Rows,
+		ID:       res.sub,
+		Relation: res.relation,
+		Txn:      res.txn,
+		Rows:     res.rows,
 		c:        c,
 		ch:       make(chan Update, c.buffer()),
 		done:     make(chan struct{}),
@@ -172,11 +181,17 @@ func (c *Client) Subscribe(relation string, filter map[int]any) (*Subscription, 
 		close(sub.ch)
 		return nil, errors.New("subscribe: connection closed")
 	}
-	c.subs[sub.ID] = sub
+	broken := ""
 	if p != nil {
-		if len(p.ups) > cap(sub.ch) {
-			p.overflow = true
-		} else {
+		// An update that raced the reply was lost (more than we buffer)
+		// or did not decode.
+		if broken = p.broken; broken == "" && len(p.ups) > cap(sub.ch) {
+			broken = reasonOverflow
+		}
+	}
+	if broken == "" {
+		c.subs[sub.ID] = sub
+		if p != nil {
 			// Replay buffered updates under c.mu so they precede
 			// anything the read loop dispatches next; they fit the
 			// fresh channel, so the replay cannot block.
@@ -186,15 +201,36 @@ func (c *Client) Subscribe(relation string, filter map[int]any) (*Subscription, 
 		}
 	}
 	c.mu.Unlock()
-	if p != nil && p.overflow {
-		// Pathological: more updates raced the reply than we buffer.
-		// The stream has a gap, so the subscription is unusable —
-		// surface it as an eviction and let the caller resubscribe.
-		go c.conn.Call("unsubscribe", []uint64{sub.ID}, nil)
-		c.dropSub(sub.ID)
-		sub.close(true, "client replay buffer overflow; resubscribe")
+	if broken != "" {
+		c.abandon(sub, broken)
 	}
 	return sub, nil
+}
+
+// endSub ends a subscription whose stream has a gap (see abandon). An id
+// whose subscribe reply has not been processed yet is marked instead,
+// and Subscribe abandons it on arrival.
+func (c *Client) endSub(id uint64, reason string) {
+	c.mu.Lock()
+	sub := c.subs[id]
+	delete(c.subs, id)
+	if sub == nil {
+		if p := c.pendingLocked(id); p != nil && p.broken == "" {
+			p.broken = reason
+		}
+	}
+	c.mu.Unlock()
+	if sub != nil {
+		c.abandon(sub, reason)
+	}
+}
+
+// abandon ends an unregistered subscription whose stream has a gap and
+// is therefore unusable: it is surfaced as an eviction, the server is
+// told to drop it, and the caller's recovery is a fresh Subscribe.
+func (c *Client) abandon(sub *Subscription, reason string) {
+	go c.conn.Call("unsubscribe", []uint64{sub.ID}, nil)
+	sub.close(true, reason)
 }
 
 // subscribeDone ends one Subscribe call's buffering window; when no
@@ -288,11 +324,19 @@ func (c *Client) dropSub(id uint64) *Subscription {
 func (c *Client) handle(_ *jsonrpc.Conn, method string, params json.RawMessage) (any, *jsonrpc.RPCError) {
 	switch method {
 	case "sub_update":
-		var msgs []updateMsg
-		if err := json.Unmarshal(params, &msgs); err != nil || len(msgs) != 1 {
-			return nil, &jsonrpc.RPCError{Code: "bad update"}
+		id, u, err := parseUpdate(params)
+		if err != nil {
+			// A notification's error reaches nobody, and the stream it
+			// belonged to now has a gap: end that subscription, or the
+			// connection when the update does not even say whose it is.
+			if id, ok := updateSub(params); ok {
+				c.endSub(id, reasonUndecodable)
+			} else {
+				c.conn.Close()
+			}
+			return nil, &jsonrpc.RPCError{Code: "bad update", Details: err.Error()}
 		}
-		c.dispatch(msgs[0].Sub, Update{Txn: msgs[0].Txn, Changes: msgs[0].Changes})
+		c.dispatch(id, u)
 		return nil, nil
 	case "sub_evicted":
 		var msgs []evictMsg
@@ -316,12 +360,7 @@ func (c *Client) dispatch(id uint64, u Update) {
 	c.mu.Lock()
 	sub := c.subs[id]
 	if sub == nil {
-		if c.subscribing > 0 && !c.closed {
-			p := c.pending[id]
-			if p == nil {
-				p = &pendingUpdates{}
-				c.pending[id] = p
-			}
+		if p := c.pendingLocked(id); p != nil && p.broken == "" {
 			limit := c.bufLen
 			if limit <= 0 {
 				limit = updatesBuffer
@@ -329,7 +368,7 @@ func (c *Client) dispatch(id uint64, u Update) {
 			if len(p.ups) < limit {
 				p.ups = append(p.ups, u)
 			} else {
-				p.overflow = true
+				p.broken = reasonOverflow
 			}
 		}
 		c.mu.Unlock()
@@ -337,6 +376,21 @@ func (c *Client) dispatch(id uint64, u Update) {
 	}
 	c.mu.Unlock()
 	sub.send(u)
+}
+
+// pendingLocked returns the pre-reply buffer for an id with no
+// subscription, or nil when no Subscribe call is in flight (the id's
+// subscription is gone). Called with c.mu held.
+func (c *Client) pendingLocked(id uint64) *pendingUpdates {
+	if c.subscribing == 0 || c.closed {
+		return nil
+	}
+	p := c.pending[id]
+	if p == nil {
+		p = &pendingUpdates{}
+		c.pending[id] = p
+	}
+	return p
 }
 
 // teardown closes every subscription after connection failure.
@@ -353,5 +407,112 @@ func (c *Client) teardown() {
 	c.mu.Unlock()
 	for _, sub := range subs {
 		sub.close(false, "")
+	}
+}
+
+// subscribeReply decodes the "subscribe" result as json.Unmarshal would
+// into {"sub","relation","txn","rows"}.
+type subscribeReply struct {
+	sub      uint64
+	relation string
+	txn      uint64
+	rows     []Change
+}
+
+func (r *subscribeReply) ParseJSON(data []byte) error {
+	var d wirejson.Dec
+	d.Init(data)
+	if !d.Null() && d.Object() {
+		for k := d.Key(); k != nil; k = d.Key() {
+			switch wirejson.Field(k, "sub", "relation", "txn", "rows") {
+			case 0:
+				wirejson.Uint(&d, &r.sub)
+			case 1:
+				d.String(&r.relation)
+			case 2:
+				wirejson.Uint(&d, &r.txn)
+			case 3:
+				wirejson.Slice(&d, &r.rows, parseChange)
+			default:
+				d.Skip()
+			}
+		}
+	}
+	if err := d.End(); err != nil {
+		return fmt.Errorf("subscribe: bad reply: %w", err)
+	}
+	return nil
+}
+
+// parseUpdate decodes "sub_update" params as json.Unmarshal would into
+// a list of {"sub","txn","changes"} messages, and requires exactly one.
+func parseUpdate(params []byte) (id uint64, u Update, err error) {
+	var d wirejson.Dec
+	d.Init(params)
+	n := 0
+	if !d.Null() && d.Array() {
+		for ; d.Elem(); n++ {
+			if n > 0 {
+				d.Skip() // a second message fails the update anyway
+				continue
+			}
+			if d.Null() || !d.Object() {
+				continue
+			}
+			for k := d.Key(); k != nil; k = d.Key() {
+				switch wirejson.Field(k, "sub", "txn", "changes") {
+				case 0:
+					wirejson.Uint(&d, &id)
+				case 1:
+					wirejson.Uint(&d, &u.Txn)
+				case 2:
+					wirejson.Slice(&d, &u.Changes, parseChange)
+				default:
+					d.Skip()
+				}
+			}
+		}
+	}
+	if err = d.End(); err == nil && n != 1 {
+		err = fmt.Errorf("sub_update carries %d messages, want 1", n)
+	}
+	return id, u, err
+}
+
+// updateSub recovers whose an undecodable "sub_update" is: the first
+// message's "sub", if the params parse that far.
+func updateSub(params []byte) (id uint64, ok bool) {
+	var d wirejson.Dec
+	d.Init(params)
+	if d.Array() && d.Elem() && d.Object() {
+		for k := d.Key(); k != nil; k = d.Key() {
+			switch {
+			case wirejson.Field(k, "sub", "txn", "changes") != 0:
+				d.Skip()
+			case d.Null(): // names no subscription
+			default:
+				wirejson.Uint(&d, &id)
+				ok = d.Err() == nil
+			}
+		}
+	}
+	return id, ok
+}
+
+// parseChange decodes one {"row":[…],"w":n} over *c, as json.Unmarshal
+// decodes a slice element.
+func parseChange(d *wirejson.Dec, c *Change) {
+	if d.Null() || !d.Object() {
+		return
+	}
+	for k := d.Key(); k != nil; k = d.Key() {
+		switch wirejson.Field(k, "row", "w") {
+		case 0:
+			wirejson.Slice(d, &c.Row, func(d *wirejson.Dec, v *any) { *v = d.Any() })
+		case 1:
+			wirejson.Int(d, &c.W)
+		default:
+			d.Skip()
+		}
 	}
 }

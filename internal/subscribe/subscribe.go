@@ -8,12 +8,15 @@
 // own (fed by the controller's OnDelta tap), so a subscriber's snapshot
 // and its subsequent delta stream are cut under one lock: every delta
 // published after the snapshot is delivered exactly once, and none that
-// the snapshot already contains. Fan-out is a tree keyed by relation;
-// each subscriber owns a bounded queue drained by a dedicated delivery
-// goroutine. A subscriber whose queue is full when a delta arrives is
-// evicted — the service never blocks the controller's event loop on a
-// slow reader — and told so with a final "sub_evicted" notification;
-// the recovery path is to resubscribe, which yields a fresh snapshot.
+// the snapshot already contains. Fan-out is a tree keyed by relation,
+// then by filter class (the subscribers with the same filter): each
+// delta is rendered to wire bytes once per class, and every subscriber
+// of the class is queued those same bytes. Each subscriber owns a
+// bounded queue drained by a dedicated delivery goroutine. A subscriber
+// whose queue is full when a delta arrives is evicted — the service
+// never blocks the controller's event loop on a slow reader — and told
+// so with a final "sub_evicted" notification; the recovery path is to
+// resubscribe, which yields a fresh snapshot.
 //
 // Wire protocol (JSON-RPC 1.0, same framing as the OVSDB plane):
 //
@@ -34,11 +37,13 @@
 package subscribe
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,6 +53,7 @@ import (
 	"repro/internal/dl/zset"
 	"repro/internal/jsonrpc"
 	"repro/internal/obs"
+	"repro/internal/wirejson"
 )
 
 // defaultQueueLen bounds a subscriber's pending-update queue when
@@ -82,10 +88,19 @@ type Config struct {
 }
 
 // relState is one relation's fan-out node: the materialized contents
-// plus the subscribers watching it.
+// plus the subscribers watching it, grouped by filter class.
 type relState struct {
-	z    *zset.ZSet
-	subs map[uint64]*subscriber
+	z       *zset.ZSet
+	classes map[string]*filterClass
+}
+
+// filterClass is the subscribers of one relation that share one filter
+// (nil for the unfiltered class). Publish renders each delta once per
+// class and queues the same bytes to every member.
+type filterClass struct {
+	key    string // classKey of filter, its name in relState.classes
+	filter []fieldFilter
+	subs   map[uint64]*subscriber
 }
 
 // connState is the service's view of one client connection; it is also
@@ -97,17 +112,19 @@ type connState struct {
 	subs   map[uint64]*subscriber // guarded by svc.mu
 }
 
-// queuedUpdate is one delta pending delivery to one subscriber.
+// queuedUpdate is one delta pending delivery to one subscriber: the
+// "changes" array its filter class rendered, shared read-only by every
+// subscriber of the class.
 type queuedUpdate struct {
 	txn     uint64
-	changes []Change
+	changes []byte
 }
 
 // subscriber is one (connection, relation, filter) subscription.
 type subscriber struct {
 	id       uint64
 	relation string
-	filter   []fieldFilter
+	class    *filterClass
 	cs       *connState
 	queue    chan queuedUpdate
 	since    time.Time
@@ -123,18 +140,43 @@ type subscriber struct {
 	pending int
 }
 
-// Change is one weighted row on the wire: a record rendered as a JSON
-// array plus its Z-set weight (positive inserts, negative deletes).
+// Change is one weighted row as a client decodes it: a record's JSON
+// array (bool, float64, string, or []any for a tuple) plus its Z-set
+// weight (positive inserts, negative deletes).
 type Change struct {
 	Row []any `json:"row"`
 	W   int64 `json:"w"`
 }
 
-// updateMsg is the "sub_update" notification payload.
-type updateMsg struct {
-	Sub     uint64   `json:"sub"`
-	Txn     uint64   `json:"txn"`
-	Changes []Change `json:"changes"`
+// updateParams is the "sub_update" params, [{"sub":…,"txn":…,"changes":…}],
+// around a class's rendered changes.
+type updateParams struct {
+	sub, txn uint64
+	changes  []byte
+}
+
+func (p *updateParams) AppendJSON(dst []byte) ([]byte, error) {
+	dst = strconv.AppendUint(append(dst, `[{"sub":`...), p.sub, 10)
+	dst = strconv.AppendUint(append(dst, `,"txn":`...), p.txn, 10)
+	dst = append(append(dst, `,"changes":`...), p.changes...)
+	return append(dst, "}]"...), nil
+}
+
+// snapshotReply is the "subscribe" result,
+// {"sub":…,"relation":…,"txn":…,"rows":…}, around the rendered snapshot.
+type snapshotReply struct {
+	sub      uint64
+	relation string
+	txn      uint64
+	rows     []byte
+}
+
+func (r snapshotReply) AppendJSON(dst []byte) ([]byte, error) {
+	dst = strconv.AppendUint(append(dst, `{"sub":`...), r.sub, 10)
+	dst = wirejson.AppendString(append(dst, `,"relation":`...), r.relation)
+	dst = strconv.AppendUint(append(dst, `,"txn":`...), r.txn, 10)
+	dst = append(append(dst, `,"rows":`...), r.rows...)
+	return append(dst, '}'), nil
 }
 
 // evictMsg is the "sub_evicted" notification payload.
@@ -142,14 +184,6 @@ type evictMsg struct {
 	Sub     uint64 `json:"sub"`
 	Reason  string `json:"reason"`
 	Pending int    `json:"pending"`
-}
-
-// subscribeResult is the "subscribe" reply.
-type subscribeResult struct {
-	Sub      uint64   `json:"sub"`
-	Relation string   `json:"relation"`
-	Txn      uint64   `json:"txn"`
-	Rows     []Change `json:"rows"`
 }
 
 // Service is the derived-relation pub/sub fan-out. Create with New,
@@ -171,6 +205,7 @@ type Service struct {
 	lastTxn uint64
 	nextSub uint64
 	nSubs   int
+	buf     []byte // Publish renders a class here, then copies it out
 
 	m struct {
 		subscribers  *obs.Gauge
@@ -234,8 +269,10 @@ func New(cfg Config) *Service {
 			defer s.mu.Unlock()
 			n := 0
 			for _, rs := range s.rels {
-				for _, sub := range rs.subs {
-					n += len(sub.queue)
+				for _, cl := range rs.classes {
+					for _, sub := range cl.subs {
+						n += len(sub.queue)
+					}
 				}
 			}
 			return float64(n)
@@ -275,36 +312,30 @@ func (s *Service) Publish(txn uint64, delta engine.Delta) {
 		if dz.IsEmpty() {
 			continue
 		}
-		rs := s.rels[rel]
-		if rs == nil {
-			rs = &relState{z: zset.New(), subs: make(map[uint64]*subscriber)}
-			s.rels[rel] = rs
-		}
+		rs := s.relLocked(rel)
 		rs.z.AddAll(dz)
-		if len(rs.subs) == 0 {
+		if len(rs.classes) == 0 {
 			continue
 		}
-		var shared []Change // unfiltered rendering, built once per relation
+		entries := dz.Entries()
 		var evict []*subscriber
-		for _, sub := range rs.subs {
-			var changes []Change
-			if sub.filter == nil {
-				if shared == nil {
-					shared = renderDelta(dz, nil)
-				}
-				changes = shared
-			} else {
-				changes = renderDelta(dz, sub.filter)
-			}
-			if len(changes) == 0 {
+		for _, cl := range rs.classes {
+			var n int
+			s.buf, n = appendChanges(s.buf[:0], entries, cl.filter)
+			if n == 0 {
 				continue
 			}
-			select {
-			case sub.queue <- queuedUpdate{txn: txn, changes: changes}:
-				s.m.updates.Inc()
-				s.m.updateRows.Add(uint64(len(changes)))
-			default:
-				evict = append(evict, sub)
+			// The class's bytes are read by every member's delivery
+			// goroutine and written by nobody.
+			changes := bytes.Clone(s.buf)
+			for _, sub := range cl.subs {
+				select {
+				case sub.queue <- queuedUpdate{txn: txn, changes: changes}:
+					s.m.updates.Inc()
+					s.m.updateRows.Add(uint64(n))
+				default:
+					evict = append(evict, sub)
+				}
 			}
 		}
 		for _, sub := range evict {
@@ -331,11 +362,13 @@ func (s *Service) evictLocked(sub *subscriber, reason string) {
 // the delivery goroutine). Idempotence: only the caller that still
 // finds the subscriber registered may close the queue.
 func (s *Service) removeLocked(sub *subscriber) {
-	rs := s.rels[sub.relation]
-	if rs == nil || rs.subs[sub.id] == nil {
+	cl := sub.class
+	if cl.subs[sub.id] == nil {
 		return
 	}
-	delete(rs.subs, sub.id)
+	if delete(cl.subs, sub.id); len(cl.subs) == 0 {
+		delete(s.rels[sub.relation].classes, cl.key)
+	}
 	delete(sub.cs.subs, sub.id)
 	s.nSubs--
 	s.m.subscribers.Add(-1)
@@ -370,15 +403,15 @@ func (cs *connState) waitWritable(soft int) bool {
 // eviction, connection teardown, service close).
 func (sub *subscriber) deliver() {
 	soft := sub.cs.svc.softLimit
+	msg := &updateParams{sub: sub.id} // Notify renders it before returning
 	for u := range sub.queue {
 		if !sub.cs.waitWritable(soft) {
 			// Connection failed: keep draining so the publisher's
 			// sends stay non-blocking until teardown closes the queue.
 			continue
 		}
-		if err := sub.cs.conn.Notify("sub_update", []any{updateMsg{
-			Sub: sub.id, Txn: u.txn, Changes: u.changes,
-		}}); err != nil {
+		msg.txn, msg.changes = u.txn, u.changes
+		if err := sub.cs.conn.Notify("sub_update", msg); err != nil {
 			continue
 		}
 		sub.sent.Add(1)
@@ -472,32 +505,50 @@ func (cs *connState) handleSubscribe(params json.RawMessage) (any, *jsonrpc.RPCE
 		s.mu.Unlock()
 		return nil, &jsonrpc.RPCError{Code: "unknown relation", Details: rel}
 	}
-	rs := s.rels[rel]
-	if rs == nil {
-		rs = &relState{z: zset.New(), subs: make(map[uint64]*subscriber)}
-		s.rels[rel] = rs
+	sub, reply := s.subscribeLocked(cs, rel, filter)
+	s.mu.Unlock()
+
+	go sub.deliver()
+	return reply, nil
+}
+
+// subscribeLocked registers a subscriber in its filter class and cuts
+// its snapshot; starting its delivery goroutine is left to the caller.
+func (s *Service) subscribeLocked(cs *connState, rel string, filter []fieldFilter) (*subscriber, snapshotReply) {
+	rs := s.relLocked(rel)
+	key := classKey(filter)
+	cl := rs.classes[key]
+	if cl == nil {
+		cl = &filterClass{key: key, filter: filter, subs: make(map[uint64]*subscriber)}
+		rs.classes[key] = cl
 	}
 	s.nextSub++
 	sub := &subscriber{
 		id:       s.nextSub,
 		relation: rel,
-		filter:   filter,
+		class:    cl,
 		cs:       cs,
 		queue:    make(chan queuedUpdate, s.cfg.QueueLen),
 		since:    time.Now(),
 	}
-	rs.subs[sub.id] = sub
+	cl.subs[sub.id] = sub
 	cs.subs[sub.id] = sub
 	s.nSubs++
-	rows := renderDelta(rs.z, filter)
-	txn := s.lastTxn
+	rows, n := appendChanges(nil, rs.z.Entries(), cl.filter)
 	s.m.subscribers.Add(1)
 	s.m.subsTotal.Inc()
-	s.m.snapshotRows.Add(uint64(len(rows)))
-	s.mu.Unlock()
+	s.m.snapshotRows.Add(uint64(n))
+	return sub, snapshotReply{sub: sub.id, relation: rel, txn: s.lastTxn, rows: rows}
+}
 
-	go sub.deliver()
-	return subscribeResult{Sub: sub.id, Relation: rel, Txn: txn, Rows: rows}, nil
+// relLocked returns a relation's fan-out node, creating it empty.
+func (s *Service) relLocked(rel string) *relState {
+	rs := s.rels[rel]
+	if rs == nil {
+		rs = &relState{z: zset.New(), classes: make(map[string]*filterClass)}
+		s.rels[rel] = rs
+	}
+	return rs
 }
 
 func (cs *connState) handleUnsubscribe(params json.RawMessage) (any, *jsonrpc.RPCError) {
@@ -565,16 +616,20 @@ func (s *Service) handleDebug(w http.ResponseWriter, r *http.Request) {
 	}
 	now := time.Now()
 	for name, rs := range s.rels {
-		out.Relations[name] = relInfo{Rows: rs.z.Len(), Subscribers: len(rs.subs)}
-		for _, sub := range rs.subs {
-			out.Subscribers = append(out.Subscribers, subInfo{
-				Sub: sub.id, Relation: sub.relation, Remote: sub.cs.remote,
-				Filtered: sub.filter != nil,
-				Queue:    len(sub.queue), QueueCap: cap(sub.queue),
-				Sent:    sub.sent.Load(),
-				AgeSecs: int64(now.Sub(sub.since).Seconds()),
-			})
+		n := 0
+		for _, cl := range rs.classes {
+			n += len(cl.subs)
+			for _, sub := range cl.subs {
+				out.Subscribers = append(out.Subscribers, subInfo{
+					Sub: sub.id, Relation: sub.relation, Remote: sub.cs.remote,
+					Filtered: cl.filter != nil,
+					Queue:    len(sub.queue), QueueCap: cap(sub.queue),
+					Sent:    sub.sent.Load(),
+					AgeSecs: int64(now.Sub(sub.since).Seconds()),
+				})
+			}
 		}
+		out.Relations[name] = relInfo{Rows: rs.z.Len(), Subscribers: n}
 	}
 	s.mu.Unlock()
 	sort.Slice(out.Subscribers, func(i, j int) bool {
@@ -643,46 +698,73 @@ func matchValue(v value.Value, want any) bool {
 	return false
 }
 
-// renderDelta renders a Z-set as wire changes in the deterministic
-// Entries() order, keeping only records that pass the filter.
-func renderDelta(z *zset.ZSet, filter []fieldFilter) []Change {
-	entries := z.Entries()
-	out := make([]Change, 0, len(entries))
+// classKey names a filter's class: one "column=value" term per
+// predicate, the value in its JSON form so that the number 1 and the
+// string "1" are different classes, the terms sorted. The unfiltered
+// class is "".
+func classKey(filter []fieldFilter) string {
+	terms := make([]string, len(filter))
+	for i, f := range filter {
+		b := strconv.AppendInt(nil, int64(f.idx), 10)
+		b = append(b, '=')
+		switch w := f.want.(type) {
+		case bool:
+			b = strconv.AppendBool(b, w)
+		case float64:
+			b, _ = wirejson.AppendFloat(b, w) // finite: it was read from JSON
+		case string:
+			b = wirejson.AppendString(b, w)
+		}
+		terms[i] = string(b)
+	}
+	sort.Strings(terms)
+	return strings.Join(terms, ",")
+}
+
+// appendChanges appends the entries that pass the filter as a JSON
+// array of {"row":[…],"w":n} objects, in the entries' order, and
+// reports how many it wrote. The bytes are what json.Marshal makes of
+// the same rows as []Change.
+func appendChanges(dst []byte, entries []zset.Entry, filter []fieldFilter) ([]byte, int) {
+	dst = append(dst, '[')
+	n := 0
 	for _, e := range entries {
-		if filter != nil && !match(e.Rec, filter) {
+		if !match(e.Rec, filter) {
 			continue
 		}
-		out = append(out, Change{Row: renderRecord(e.Rec), W: e.Weight})
-	}
-	return out
-}
-
-// renderRecord renders a record as a JSON array value.
-func renderRecord(r value.Record) []any {
-	out := make([]any, len(r))
-	for i, v := range r {
-		out[i] = renderValue(v)
-	}
-	return out
-}
-
-func renderValue(v value.Value) any {
-	switch v.Kind() {
-	case value.KindBool:
-		return v.Bool()
-	case value.KindInt:
-		return v.Int()
-	case value.KindBit:
-		return v.Bit()
-	case value.KindString:
-		return v.Str()
-	case value.KindTuple:
-		fields := v.Tuple()
-		out := make([]any, len(fields))
-		for i, f := range fields {
-			out[i] = renderValue(f)
+		if n > 0 {
+			dst = append(dst, ',')
 		}
-		return out
+		n++
+		dst = appendRow(append(dst, `{"row":`...), e.Rec)
+		dst = strconv.AppendInt(append(dst, `,"w":`...), e.Weight, 10)
+		dst = append(dst, '}')
 	}
-	return nil
+	return append(dst, ']'), n
+}
+
+// appendRow appends a record, or a tuple's fields, as a JSON array:
+// bool, number, string, or a nested array for a tuple.
+func appendRow(dst []byte, fields []value.Value) []byte {
+	dst = append(dst, '[')
+	for i, v := range fields {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		switch v.Kind() {
+		case value.KindBool:
+			dst = strconv.AppendBool(dst, v.Bool())
+		case value.KindInt:
+			dst = strconv.AppendInt(dst, v.Int(), 10)
+		case value.KindBit:
+			dst = strconv.AppendUint(dst, v.Bit(), 10)
+		case value.KindString:
+			dst = wirejson.AppendString(dst, v.Str())
+		case value.KindTuple:
+			dst = appendRow(dst, v.Tuple())
+		default:
+			dst = append(dst, "null"...)
+		}
+	}
+	return append(dst, ']')
 }

@@ -431,16 +431,71 @@ func Uint[T ~uint8 | ~uint16 | ~uint32 | ~uint64](d *Dec, p *T) {
 	*p = T(v)
 }
 
-// Int decodes an integer into *p, failing on a fraction, exponent or
-// overflow; null leaves *p alone.
-func Int(d *Dec, p *int) {
+// Int decodes an integer into *p, failing on a fraction, exponent or a
+// value beyond T; null leaves *p alone.
+func Int[T ~int | ~int8 | ~int16 | ~int32 | ~int64](d *Dec, p *T) {
 	if tok, ok := d.integer(); ok {
-		v, err := strconv.ParseInt(string(tok), 10, strconv.IntSize)
-		if err != nil {
-			d.Fail("number %s does not fit an int", tok)
+		v, err := strconv.ParseInt(string(tok), 10, 64)
+		if err != nil || int64(T(v)) != v {
+			d.Fail("number %s does not fit the target", tok)
+			return
 		}
-		*p = int(v)
+		*p = T(v)
 	}
+}
+
+// Any decodes the next value the way json.Unmarshal decodes into an
+// any: null is nil, and the rest are bool, float64, string, []any and
+// map[string]any (a repeated key keeps its last value). A number beyond
+// float64's range fails, as it does there.
+func (d *Dec) Any() any {
+	if d.err != nil {
+		return nil
+	}
+	switch d.ws() {
+	case '{':
+		m := map[string]any{}
+		if d.Object() {
+			for k := d.Key(); k != nil; k = d.Key() {
+				key := string(k)
+				m[key] = d.Any()
+			}
+		}
+		return m
+	case '[':
+		a := []any{}
+		if d.Array() {
+			for d.Elem() {
+				a = append(a, d.Any())
+			}
+		}
+		return a
+	case '"':
+		if b := d.str(); d.err == nil {
+			return string(b)
+		}
+	case 'n':
+		d.lit("null")
+	case 't':
+		d.lit("true")
+		return true
+	case 'f':
+		d.lit("false")
+		return false
+	case '-', '0', '1', '2', '3', '4', '5', '6', '7', '8', '9':
+		tok, _ := d.num()
+		if d.err != nil {
+			return nil
+		}
+		f, err := strconv.ParseFloat(string(tok), 64)
+		if err != nil {
+			d.Fail("number %s does not fit a float64", tok)
+		}
+		return f
+	default:
+		d.Fail("invalid value")
+	}
+	return nil
 }
 
 // Skip validates and discards the next value.

@@ -38,6 +38,15 @@ func checkValue(t *testing.T, text []byte) {
 	if raw := d.Raw(); d.End() == nil && !bytes.Equal(raw, bytes.TrimSpace(text)) {
 		t.Fatalf("Raw(%q) = %q", text, raw)
 	}
+	// The untyped reader against json.Unmarshal into an any: same texts
+	// accepted (numbers out of float64's range refused), deeply equal value.
+	var wantAny any
+	wantAnyErr := json.Unmarshal(text, &wantAny)
+	d.Init(text)
+	gotAny := d.Any()
+	if err := d.End(); (err != nil) != (wantAnyErr != nil) || err == nil && !reflect.DeepEqual(gotAny, wantAny) {
+		t.Fatalf("Any(%q) = %#v, %v; encoding/json: %#v, %v", text, gotAny, err, wantAny, wantAnyErr)
+	}
 }
 
 var valueSeeds = []string{
@@ -46,6 +55,7 @@ var valueSeeds = []string{
 	"\"\xff\xfe\"", "\"a\xe2\x80\xa8b\"", `"<>&"`, "\"  \"",
 	`[]`, `[ ]`, `{}`, `{ }`, ` [1, 2 ,3] `, `{"a":1,"a":2}`, `{"b":[{"c":null}],"a":{"":""}}`,
 	`["set",[["uuid","7b1c"],["named-uuid","x"]]]`, "\t{\"k\" :\n[true , false]}\r\n",
+	`-1e400`, `1e-400`, `[1,1e309]`, `{"a":{"b":[null,{}]},"A":1,"a":[]}`, `{"é":1,"é":2}`, `[[],{},"",0,false]`,
 	// Malformed.
 	``, ` `, `nul`, `tru`, `nulll`, `01`, `-`, `1.`, `.5`, `1e`, `1e+`, `+1`, `0x10`, `"`, `"\x"`, `"\u12"`, `"\u12g4"`, "\"\x01\"", "\"\n\"", `"\'"`,
 	`[`, `]`, `[1`, `[1,`, `[1,]`, `[,1]`, `[1 2]`, `{`, `}`, `{"a"}`, `{"a":}`, `{"a":1,}`, `{a:1}`, `{1:1}`, `{"a":1 "b":2}`, `{"a":1]`, `[1}`,
@@ -102,13 +112,14 @@ func TestTypedQuirks(t *testing.T) {
 		C string
 		D int
 		E bool
+		F int8
 	}
 	decode := func(text string, p *pair) error {
 		var d Dec
 		d.Init([]byte(text))
 		if !d.Null() && d.Object() {
 			for k := d.Key(); k != nil; k = d.Key() {
-				switch Field(k, "A", "B", "C", "D", "E") {
+				switch Field(k, "A", "B", "C", "D", "E", "F") {
 				case 0:
 					Uint(&d, &p.A)
 				case 1:
@@ -119,6 +130,8 @@ func TestTypedQuirks(t *testing.T) {
 					Int(&d, &p.D)
 				case 4:
 					d.Bool(&p.E)
+				case 5:
+					Int(&d, &p.F)
 				default:
 					d.Skip()
 				}
@@ -131,7 +144,7 @@ func TestTypedQuirks(t *testing.T) {
 		`{"a":65535,"b":[],"c":null,"d":null,"e":null,"unknown":{"A":7}}`,
 		`{"A":65536}`, `{"A":-1}`, `{"A":-0}`, `{"D":-0}`, `{"A":1.0}`, `{"A":1e2}`, `{"D":9223372036854775808}`, `{"D":"1"}`,
 		`{"B":[1,2,3],"B":[null,9]}`, `{"B":[1,2,3],"B":[7],"B":[null,null,null]}`, `{"B":null}`, `{"B":[18446744073709551616]}`,
-		`{"A":3,"ſ":1}`, `{"C":"a","c":"b","C":null}`, `{"E":1}`, `{"B":{}}`, `null`, `[]`, `{"A":1}x`,
+		`{"A":3,"ſ":1}`, `{"C":"a","c":"b","C":null}`, `{"E":1}`, `{"B":{}}`, `{"F":127,"f":-128}`, `{"F":128}`, `{"F":-129}`, `{"F":null}`, `null`, `[]`, `{"A":1}x`,
 	} {
 		var want, got pair
 		wantErr := json.Unmarshal([]byte(text), &want)
