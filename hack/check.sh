@@ -57,9 +57,11 @@ done
 # Provenance overhead smoke: the experiment must run end to end and emit
 # its machine-readable report, the unobserved engine's hot path
 # (collection off: no statistics, rule profiling or provenance) must stay
-# allocation-free, and so must the provenance store's write paths.
+# allocation-free, and so must the provenance store's write paths, an
+# emit or retraction of an existing fact, and a user-function call.
 (cd "$bench_dir" && ./nerpa-bench -exp provenance && test -s BENCH_provenance.json)
-go test -run 'TestArrangementProbeZeroAlloc|TestProvenanceRecordPoolZeroAlloc|TestProvenanceOffZeroAlloc|TestRuleProfOffZeroAlloc' -count=1 ./internal/dl/engine/
+go test -run 'TestArrangementProbeZeroAlloc|TestProvenanceRecordPoolZeroAlloc|TestProvenanceOffZeroAlloc|TestRuleProfOffZeroAlloc|TestFactStoreZeroAlloc' -count=1 ./internal/dl/engine/
+go test -run 'TestFuncCallFrameInCallerScratch' -count=1 ./internal/dl/typecheck/
 # Apply writes the provenance store in place under its lock while Explain
 # reads it: twenty runs under the race detector.
 go test -race -count=20 -run 'TestProvenanceConcurrentExplainHammer|TestProvenanceVsNaive|TestProvenanceRecursive' ./internal/dl/engine/
@@ -93,10 +95,10 @@ go test -race -run 'TestRedial|TestResilient|TestResync|TestPushToleratesUnavail
 # serve on run under the race detector.
 go test -race -run 'TestSnapshotThenDelta|TestSlowConsumerEviction|TestPublishRendersOncePerClass|TestUndecodableUpdateEndsSubscription' -count=1 ./internal/subscribe/
 go test -race -run 'TestWriteLimit|TestCloseFlushes|TestServer' -count=1 ./internal/jsonrpc/
-# Four tests that used to lose to a timer, a clock or a publication
-# race on a loaded box: twenty runs each under the race detector hold
-# the de-flaking.
-go test -race -count=20 -run 'TestRenderWireMatchesMarshal|TestDigestBatching|TestAggregatorStitchesAcrossMembers|TestResilientReconnectRunsHookAndHeals' ./internal/ovsdb/ ./internal/switchsim/ ./internal/obs/fleet/ ./internal/p4rt/
+# Tests that used to lose to a timer, a clock, a publication race or a
+# stage order on a loaded box: twenty runs each under the race detector
+# hold the de-flaking.
+go test -race -count=20 -run 'TestRenderWireMatchesMarshal|TestDigestBatching|TestAggregatorStitchesAcrossMembers|TestResilientReconnectRunsHookAndHeals|TestTracerConvergenceEitherOrder|TestObsEndpointsServeAllPlanes' ./internal/ovsdb/ ./internal/switchsim/ ./internal/obs/fleet/ ./internal/p4rt/ ./internal/obs/ .
 # Coalescing under race: merged monitor deliveries must stay
 # data-race-free, preserve per-txn attribution, and hold a barrier queued
 # behind them until their push.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dl/parser"
@@ -152,5 +153,99 @@ func BenchmarkRecordKeyEncode(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = rec.Key()
+	}
+}
+
+// factStoreSetup settles a runtime whose head O holds n facts O(a, c),
+// each derived once through R(a, b) ⋈ S(b, c). The second rule arranges O
+// on a, a key longer than any stack conversion buffer, two facts to a
+// bucket. It returns the plan seeded at R and the seeds, one per O fact.
+func factStoreSetup(t testing.TB, n int) (*Runtime, *plan, []value.Record) {
+	t.Helper()
+	tree, err := parser.Parse(`
+		input relation R(a: string, b: int)
+		input relation S(b: int, c: int)
+		input relation T(a: string)
+		output relation O(a: string, c: int)
+		output relation Q(a: string)
+		O(a, c) :- R(a, b), S(b, c).
+		Q(a) :- T(a), O(a, _).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := typecheck.Check(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := New(prog, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ups []Update
+	var seeds []value.Record
+	for i := int64(0); i < int64(n); i++ {
+		a := fmt.Sprintf("arrangement-key-longer-than-a-stack-buffer-%d", i/2)
+		seed := value.Record{value.String(a), value.Int(i)}
+		seeds = append(seeds, seed)
+		ups = append(ups, Insert("R", seed), Insert("S", value.Record{value.Int(i), value.Int(100 + i)}))
+	}
+	if _, err := rt.Apply(ups); err != nil {
+		t.Fatal(err)
+	}
+	return rt, rt.rulesByHead[rt.relByName["O"]][0].plansByBody[0], seeds
+}
+
+// TestFactStoreZeroAlloc pins the interned fact store's hot paths: an
+// emit that only moves an existing fact's count looks the fact up from
+// the head built in scratch and allocates nothing, and neither does a
+// retraction — the presence flip, the touched-list mark and the sweep
+// that takes the fact out of its arrangement (swapping it out of its
+// bucket, or deleting the emptied bucket) and out of its relation.
+func TestFactStoreZeroAlloc(t *testing.T) {
+	const n = 256
+	rt, p, seeds := factStoreSetup(t, n)
+	head := rt.relByName["O"]
+	count := func(rec value.Record, key string, _ uint64, w int64) error {
+		head.applyCount(rec, key, w)
+		return nil
+	}
+	ctx := &evalCtx{}
+	emit := func(seed value.Record, w int64) {
+		if err := rt.runPlan(ctx, p, seed, "", w, viewConvention, count); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	bump := func() {
+		emit(seeds[0], 1)
+		emit(seeds[0], -1)
+	}
+	bump()
+	if allocs := testing.AllocsPerRun(200, bump); allocs != 0 {
+		t.Errorf("count bump of an existing fact: %.1f allocs, want 0", allocs)
+	}
+	if f := head.find([]byte(append(seeds[0][:1:1], value.Int(100)).Key())); f == nil || f.count != 1 || f.touched {
+		t.Fatalf("after balanced bumps: fact = %+v, want count 1 and untouched", f)
+	}
+
+	// Each run retracts both facts of one bucket: the sweep swaps the
+	// first out and deletes the emptied bucket with the second.
+	// (AllocsPerRun truncates its average, so every run must do both.)
+	next := 2
+	retract := func() {
+		emit(seeds[next], -1)
+		emit(seeds[next+1], -1)
+		next += 2
+		head.endTxn()
+	}
+	if allocs := testing.AllocsPerRun(n/2-2, retract); allocs != 0 {
+		t.Errorf("retraction and sweep: %.1f allocs, want 0", allocs)
+	}
+	if got := len(head.facts); got != 2 {
+		t.Fatalf("after retracting all but one bucket: %d O facts, want 2", got)
+	}
+	if st := rt.Stats(); st.IndexEntries != 2+2*n {
+		t.Fatalf("index entries = %d, want the two O facts plus R and S", st.IndexEntries)
 	}
 }

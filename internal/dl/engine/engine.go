@@ -303,13 +303,8 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 	if rt.failed != nil {
 		return nil, fmt.Errorf("engine: runtime is poisoned by a previous failure: %w", rt.failed)
 	}
-	// Stage and validate the updates before touching any state, so a bad
-	// transaction is rejected atomically.
-	type staged struct {
-		rec     value.Record
-		desired bool
-	}
-	stagedByRel := make(map[*relState]map[string]staged)
+	// Validate the updates before touching any state, so a bad transaction
+	// is rejected atomically.
 	for _, u := range updates {
 		rs := rt.relByName[u.Relation]
 		if rs == nil || rs.hidden {
@@ -321,12 +316,6 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 		if err := rs.rel.CheckRecord(u.Rec); err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
-		m := stagedByRel[rs]
-		if m == nil {
-			m = make(map[string]staged)
-			stagedByRel[rs] = m
-		}
-		m[u.Rec.Key()] = staged{rec: u.Rec, desired: u.Insert}
 	}
 	rt.opts.Events.Append(obs.Ev("dl", "apply.start").WithTxn(rt.eventTxn).
 		F("updates", int64(len(updates))))
@@ -341,14 +330,15 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 		rt.prov.mu.Lock()
 		defer rt.prov.mu.Unlock()
 	}
-	// Apply effective input changes.
-	for rs, m := range stagedByRel {
-		for recKey, s := range m {
-			if s.desired {
-				rs.setPresent(s.rec, recKey)
-			} else {
-				rs.setAbsent(s.rec, recKey)
-			}
+	// Apply the input changes in order, so the last update of a record
+	// decides its presence. Touching an existing fact allocates nothing.
+	for _, u := range updates {
+		rs := rt.relByName[u.Relation]
+		rt.ctx.keyBuf = u.Rec.AppendEncode(rt.ctx.keyBuf[:0])
+		if u.Insert {
+			rs.setPresent(rs.intern(u.Rec, rt.ctx.keyBuf))
+		} else if f := rs.find(rt.ctx.keyBuf); f != nil {
+			rs.setAbsent(f)
 		}
 	}
 	// Propagate stratum by stratum.
@@ -375,15 +365,21 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 			})
 		}
 	}
-	// Collect output deltas and reset per-transaction state.
+	// Collect output deltas off the touched lists, then sweep them.
 	out := make(Delta)
 	for _, rs := range rt.rels {
-		if rs.rel.Role == ast.RoleOutput && !rs.txnDelta.IsEmpty() {
-			out[rs.rel.Name] = rs.txnDelta.Clone()
+		if rs.rel.Role == ast.RoleOutput && rs.changed > 0 {
+			z := zset.NewSized(rs.changed)
+			for _, f := range rs.touched {
+				if w := f.delta(); w != 0 {
+					z.AddKeyed(f.rec, f.key, w)
+				}
+			}
+			out[rs.rel.Name] = z
 		}
 	}
 	for _, rs := range rt.rels {
-		rs.clearTxn()
+		rs.endTxn()
 	}
 	if rt.stats != nil {
 		rt.stats.Rules = rt.buildRuleStats()
@@ -413,12 +409,15 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 	return out, nil
 }
 
-// evalCtx is plan-evaluation scratch: the variable environment and the
-// key-encoding buffer. Reusing it across plan runs keeps the arrangement
-// probe path allocation-free.
+// evalCtx is plan-evaluation scratch: the variable environment, the
+// key-encoding buffer, and the head record and key an emit is built in.
+// Reusing it across plan runs keeps the arrangement probe path, and the
+// emit of a fact that already exists, allocation-free.
 type evalCtx struct {
-	env    []value.Value
-	keyBuf []byte
+	env     []value.Value
+	keyBuf  []byte
+	headRec value.Record
+	headKey []byte
 	// capture/trail implement provenance recording (provenance.go): when
 	// capture is on, trail is the stack of body facts the current plan
 	// run has joined so far. evalPlan resets both.
@@ -437,16 +436,15 @@ type evalCtx struct {
 	curRule int
 }
 
-// envFor returns a zeroed environment of at least size n backed by the
-// context's scratch slice. Plan execution is not re-entrant per context.
-func (c *evalCtx) envFor(n int) []value.Value {
-	if cap(c.env) < n {
-		c.env = make([]value.Value, n)
+// envFor returns a zeroed environment of size n backed by the context's
+// scratch slice, with spare capacity past n for user-function call frames
+// (typecheck.FuncCall). Plan execution is not re-entrant per context.
+func (c *evalCtx) envFor(n, spare int) []value.Value {
+	if cap(c.env) < n+spare {
+		c.env = make([]value.Value, n+spare)
 	}
 	env := c.env[:n]
-	for i := range env {
-		env[i] = value.Value{}
-	}
+	clear(env)
 	return env
 }
 
@@ -455,11 +453,10 @@ var errStop = errors.New("engine: stop iteration")
 // errFallbackRecompute aborts DRed in favour of recomputing the stratum.
 var errFallbackRecompute = errors.New("engine: overdelete budget exceeded")
 
-// emitFunc receives head contributions. key is rec's canonical encoding,
-// computed once at emit so downstream map operations (counts, Z-sets) never
-// re-encode the record. hh is the maphash of key when the emitting plan
-// already computed it for the provenance store (zero otherwise);
-// applyCount caches it so fact identity is hashed at most once.
+// emitFunc receives head contributions. rec and key are the interned head
+// fact's record and canonical key, so downstream map operations never
+// re-encode the record; hh is the fact's identity hash (zero with
+// provenance off).
 type emitFunc func(rec value.Record, key string, hh uint64, w int64) error
 
 // countDerivation enforces the per-transaction derivation budget.
@@ -517,7 +514,7 @@ func (rt *Runtime) evalPlan(ctx *evalCtx, p *plan, seed value.Record, seedKey st
 			}
 		}
 	}
-	env := ctx.envFor(p.envSize)
+	env := ctx.envFor(p.envSize, rt.prog.FrameSize)
 	for _, b := range p.seedBinds {
 		env[b.Slot] = seed[b.Col]
 	}
@@ -539,23 +536,32 @@ func (rt *Runtime) evalPlan(ctx *evalCtx, p *plan, seed value.Record, seedKey st
 
 func (rt *Runtime) execSteps(ctx *evalCtx, p *plan, si int, env []value.Value, w int64, mode viewMode, emit emitFunc) error {
 	if si == len(p.steps) {
-		rec := make(value.Record, len(p.rule.headExprs))
+		// Build the head in scratch and intern it: the emit gets the fact's
+		// own record and key, and only a fact new to the head allocates.
+		// A fact interned for an emit that adds nothing (a rederivation
+		// check, an overdelete probe) stays at count zero until the sweep.
+		head := p.rule.head
+		n := len(p.rule.headExprs)
+		if cap(ctx.headRec) < n {
+			ctx.headRec = make(value.Record, n)
+		}
+		scratch := ctx.headRec[:n]
 		for i, e := range p.rule.headExprs {
 			v, err := e.Eval(env)
 			if err != nil {
-				return fmt.Errorf("engine: %s: %w", p.rule.head.rel.Name, err)
+				return fmt.Errorf("engine: %s: %w", head.rel.Name, err)
 			}
-			rec[i] = v
+			scratch[i] = v
 		}
-		key := rec.Key()
-		var hh uint64
+		ctx.headKey = scratch.AppendEncode(ctx.headKey[:0])
+		f := head.intern(scratch, ctx.headKey)
 		if ctx.capture {
-			hh = rt.recordProv(ctx, p.rule, rec, key, w, ctx.trail)
+			rt.recordProv(ctx, p.rule, f, w, ctx.trail)
 		}
 		if rt.ruleProf != nil {
 			rt.ruleProf[p.rule.idx].derivs++
 		}
-		return emit(rec, key, hh, w)
+		return emit(f.rec, f.key, f.phash, w)
 	}
 	switch st := p.steps[si].(type) {
 	case *stepFilter:
@@ -589,27 +595,32 @@ func (rt *Runtime) execSteps(ctx *evalCtx, p *plan, si int, env []value.Value, w
 			return fmt.Errorf("engine: %s: %w", p.rule.head.rel.Name, err)
 		}
 		old := mode.useOld(st.bodyIdx, p.seedIdx)
-		var iterErr error
-		// iterBucket resolves its map lookups before yielding, so nested
-		// evalKey calls below may safely reuse (clobber) ctx.keyBuf.
-		st.rel.iterBucket(st.ix, key, old, func(rec value.Record, recKey string, phash uint64) bool {
+		// The bucket is resolved before the loop, so nested evalKey calls
+		// below may safely reuse (clobber) ctx.keyBuf. Facts appended to
+		// it meanwhile (recursive strata) are not visited: the worklist
+		// seeds them.
+	facts:
+		for _, f := range st.ix.factsOf(key) {
+			if !f.presentIn(old) {
+				continue
+			}
+			rec := f.rec
 			for _, b := range st.binds {
 				env[b.Slot] = rec[b.Col]
 			}
 			for _, c := range st.checks {
 				v, err := c.Expr.Eval(env)
 				if err != nil {
-					iterErr = err
-					return false
+					return err
 				}
 				if !v.Equal(rec[c.Col]) {
-					return true
+					continue facts
 				}
 			}
 			if ctx.capture {
-				ti := provInput{rs: st.rel, rec: rec, key: recKey}
-				if phash != 0 {
-					ti.hash = provFold(phash, st.rel.id)
+				ti := provInput{rs: st.rel, rec: rec, key: f.key}
+				if f.phash != 0 {
+					ti.hash = provFold(f.phash, st.rel.id)
 				}
 				ctx.trail = append(ctx.trail, ti)
 			}
@@ -618,15 +629,10 @@ func (rt *Runtime) execSteps(ctx *evalCtx, p *plan, si int, env []value.Value, w
 				ctx.trail = ctx.trail[:len(ctx.trail)-1]
 			}
 			if err != nil {
-				iterErr = err
-				return false
+				return err
 			}
-			return true
-		})
-		if iterErr != nil && !errors.Is(iterErr, errStop) {
-			return iterErr
 		}
-		return iterErr
+		return nil
 	default:
 		panic("engine: unknown plan step")
 	}
@@ -678,15 +684,18 @@ func (rt *Runtime) negTransitions(lit *typecheck.LiteralTerm) []negTransition {
 	var out []negTransition
 	bp := value.GetEncodeBuf()
 	enc := *bp
-	rs.txnDelta.Each(func(rec value.Record, _ int64) {
+	for _, f := range rs.touched {
+		if f.delta() == 0 {
+			continue
+		}
 		keyRec := make(value.Record, len(lit.Checks))
 		for i, chk := range lit.Checks {
-			keyRec[i] = rec[chk.Col]
+			keyRec[i] = f.rec[chk.Col]
 		}
 		// Checks are in column order, so this encoding matches the index key.
 		enc = keyRec.AppendEncode(enc[:0])
 		if seen[string(enc)] {
-			return
+			continue
 		}
 		seen[string(enc)] = true
 		oldNE := rs.bucketNonEmpty(ix, enc, true)
@@ -697,7 +706,7 @@ func (rt *Runtime) negTransitions(lit *typecheck.LiteralTerm) []negTransition {
 		case !oldNE && newNE:
 			out = append(out, negTransition{keyRec: keyRec, factor: -1})
 		}
-	})
+	}
 	*bp = enc
 	value.PutEncodeBuf(bp)
 	return out
@@ -715,11 +724,10 @@ func (rt *Runtime) runCountingStratum(s int, initial bool) error {
 		if err := rt.countDerivation(); err != nil {
 			return err
 		}
-		tr, err := head.applyCount(rec, key, w, hh)
-		if tr != 0 && rt.ruleProf != nil {
+		if head.applyCount(rec, key, w) != 0 && rt.ruleProf != nil {
 			rt.ruleProf[rt.ctx.curRule].delta++
 		}
-		return err
+		return nil
 	}
 	var err error
 	run := func(p *plan, seed value.Record, key string, w int64, mode viewMode) {
@@ -737,7 +745,7 @@ func (rt *Runtime) runCountingStratum(s int, initial bool) error {
 			}
 			lit := cr.body[idx].(*typecheck.LiteralTerm)
 			litRel := rt.relStateOf(lit.Rel)
-			if litRel.txnDelta.IsEmpty() {
+			if litRel.changed == 0 {
 				continue
 			}
 			if lit.Negated {
@@ -746,9 +754,11 @@ func (rt *Runtime) runCountingStratum(s int, initial bool) error {
 				}
 				continue
 			}
-			litRel.txnDelta.EachKeyed(func(key string, rec value.Record, w int64) {
-				run(p, rec, key, w, viewConvention)
-			})
+			for _, f := range litRel.touched {
+				if w := f.delta(); w != 0 {
+					run(p, f.rec, f.key, w, viewConvention)
+				}
+			}
 		}
 	}
 	if err != nil {
@@ -765,7 +775,7 @@ func (rt *Runtime) runCountingStratum(s int, initial bool) error {
 // runAggregate re-aggregates the groups affected by the hidden group
 // relation's delta and applies the head changes.
 func (rt *Runtime) runAggregate(spec *aggSpec) error {
-	if spec.groupRel.txnDelta.IsEmpty() {
+	if spec.groupRel.changed == 0 {
 		return nil
 	}
 	if rt.ruleProf != nil {
@@ -774,17 +784,20 @@ func (rt *Runtime) runAggregate(spec *aggSpec) error {
 			rt.ruleProf[spec.idx].ns += int64(time.Since(t0))
 		}()
 	}
-	env := make([]value.Value, spec.envSize)
+	env := make([]value.Value, spec.envSize, spec.envSize+rt.prog.FrameSize)
 	seen := make(map[string]bool)
 	var keys []value.Record
-	spec.groupRel.txnDelta.Each(func(rec value.Record, _ int64) {
-		keyRec := rec[:spec.numKeys]
-		keyEnc := value.Record(keyRec).Key()
+	for _, f := range spec.groupRel.touched {
+		if f.delta() == 0 {
+			continue
+		}
+		keyRec := f.rec[:spec.numKeys]
+		keyEnc := keyRec.Key()
 		if !seen[keyEnc] {
 			seen[keyEnc] = true
 			keys = append(keys, keyRec)
 		}
-	})
+	}
 	if rt.ruleProf != nil {
 		// One re-aggregated group is one seeding of the aggregation.
 		rt.ruleProf[spec.idx].seedings += int64(len(keys))
@@ -830,10 +843,7 @@ func (rt *Runtime) runAggregate(spec *aggSpec) error {
 			if rt.prov != nil {
 				rt.prov.unrecordByLabel(provDigest(spec.head.id, key), spec.label)
 			}
-			tr, err := spec.head.applyCount(rec, key, -1, 0)
-			if err != nil {
-				return err
-			}
+			tr := spec.head.applyCount(rec, key, -1)
 			if rt.ruleProf != nil {
 				a := &rt.ruleProf[spec.idx]
 				a.derivs++
@@ -851,10 +861,7 @@ func (rt *Runtime) runAggregate(spec *aggSpec) error {
 				return err
 			}
 			key := rec.Key()
-			tr, err := spec.head.applyCount(rec, key, 1, 0)
-			if err != nil {
-				return err
-			}
+			tr := spec.head.applyCount(rec, key, 1)
 			if rt.ruleProf != nil {
 				a := &rt.ruleProf[spec.idx]
 				a.derivs++
@@ -877,19 +884,20 @@ func (rt *Runtime) aggCompute(spec *aggSpec, keyEnc []byte, old bool, env []valu
 	var sum int64
 	var bitSum uint64
 	n := 0
-	var evalErr error
-	spec.groupRel.iterBucket(spec.keyIx, keyEnc, old, func(rec value.Record, _ string, _ uint64) bool {
+	for _, f := range spec.keyIx.factsOf(keyEnc) {
+		if !f.presentIn(old) {
+			continue
+		}
 		n++
 		if spec.argExpr == nil {
-			return true
+			continue
 		}
 		for i, s := range spec.slotOfCol {
-			env[s] = rec[i]
+			env[s] = f.rec[i]
 		}
 		v, err := spec.argExpr.Eval(env)
 		if err != nil {
-			evalErr = err
-			return false
+			return value.Value{}, false, err
 		}
 		switch spec.agg {
 		case "sum":
@@ -907,10 +915,6 @@ func (rt *Runtime) aggCompute(spec *aggSpec, keyEnc []byte, old bool, env []valu
 				acc = v
 			}
 		}
-		return true
-	})
-	if evalErr != nil {
-		return value.Value{}, false, evalErr
 	}
 	if n == 0 {
 		return value.Value{}, false, nil
@@ -948,7 +952,7 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 			}
 			lit := cr.body[idx].(*typecheck.LiteralTerm)
 			litRel := rt.relStateOf(lit.Rel)
-			if !inStratum[litRel] && !litRel.txnDelta.IsEmpty() {
+			if !inStratum[litRel] && litRel.changed > 0 {
 				changed = true
 			}
 		}
@@ -958,7 +962,9 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 	}
 
 	// ---- Phase 1: overdelete ----
-	od := make(map[*relState]map[string]value.Record)
+	// od lists each relation's overdeleted facts, once each (odSeen).
+	od := make(map[*relState][]*fact)
+	odSeen := make(map[*fact]bool)
 	// The DRed fallback: when overdeletion cascades beyond the configured
 	// fraction of the stratum (dense cyclic data), recomputing the stratum
 	// is cheaper than delete+rederive.
@@ -966,7 +972,7 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 	if f := rt.opts.RecursiveDeleteFallback; f > 0 && !initial {
 		size := 0
 		for rs := range inStratum {
-			size += len(rs.counts)
+			size += len(rs.facts)
 		}
 		odBudget = int(f * float64(size))
 	}
@@ -976,18 +982,12 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 			if err := rt.countDerivation(); err != nil {
 				return err
 			}
-			if !rs.present(key) {
+			f := rs.facts[key]
+			if f == nil || f.count <= 0 || odSeen[f] {
 				return nil
 			}
-			m := od[rs]
-			if m == nil {
-				m = make(map[string]value.Record)
-				od[rs] = m
-			}
-			if _, dup := m[key]; dup {
-				return nil
-			}
-			m[key] = rec
+			odSeen[f] = true
+			od[rs] = append(od[rs], f)
 			odTotal++
 			if rt.ruleProf != nil {
 				// Overdeletes count as the overdeleting rule's delta
@@ -997,7 +997,7 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 			if odBudget >= 0 && odTotal > odBudget {
 				return errFallbackRecompute
 			}
-			wl.queue = append(wl.queue, pending{rel: rs, rec: rec})
+			wl.queue = append(wl.queue, pending{rel: rs, rec: f.rec})
 			return nil
 		}
 	}
@@ -1013,27 +1013,27 @@ func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
 			return err
 		}
 		// ---- Phase 2: apply overdeletions ----
-		for rs, m := range od {
-			for key, rec := range m {
-				rs.setAbsent(rec, key)
+		for rs, facts := range od {
+			for _, f := range facts {
+				rs.setAbsent(f)
 			}
 		}
 	}
 
 	// ---- Phase 3: rederive candidates, then semi-naive insertion ----
-	for rs, m := range od {
+	for rs, facts := range od {
 		insert := wl.inserter(rs)
-		for key, rec := range m {
+		for _, f := range facts {
 			for _, cr := range rt.rulesByHead[rs] {
 				if cr.checkPlan == nil {
 					continue
 				}
-				ok, err := rt.runCheckPlan(&rt.ctx, cr, rec)
+				ok, err := rt.runCheckPlan(&rt.ctx, cr, f.rec)
 				if err != nil {
 					return err
 				}
 				if ok {
-					if err := insert(rec, key, 0, 1); err != nil {
+					if err := insert(f.rec, f.key, 0, 1); err != nil {
 						return err
 					}
 					break
@@ -1071,8 +1071,8 @@ func (wl *worklist) inserter(rs *relState) emitFunc {
 		if err := rt.countDerivation(); err != nil {
 			return err
 		}
-		if rs.setPresent(rec, key) {
-			wl.queue = append(wl.queue, pending{rel: rs, rec: rec})
+		if f := rs.internKey(rec, key); rs.setPresent(f) {
+			wl.queue = append(wl.queue, pending{rel: rs, rec: f.rec})
 			if rt.ruleProf != nil {
 				rt.ruleProf[rt.ctx.curRule].delta++
 			}
@@ -1101,7 +1101,7 @@ func (wl *worklist) seed(rules []*compiledRule, units bool, sign int64, mode vie
 			}
 			lit := cr.body[idx].(*typecheck.LiteralTerm)
 			litRel := rt.relStateOf(lit.Rel)
-			if wl.inStratum[litRel] || litRel.txnDelta.IsEmpty() {
+			if wl.inStratum[litRel] || litRel.changed == 0 {
 				continue
 			}
 			if lit.Negated {
@@ -1114,14 +1114,12 @@ func (wl *worklist) seed(rules []*compiledRule, units bool, sign int64, mode vie
 				}
 				continue
 			}
-			var err error
-			litRel.txnDelta.Each(func(rec value.Record, w int64) {
-				if err == nil && w*sign > 0 {
-					err = rt.runPlan(&rt.ctx, p, rec, "", 1, mode, emit)
+			for _, f := range litRel.touched {
+				if f.delta() == sign {
+					if err := rt.runPlan(&rt.ctx, p, f.rec, f.key, 1, mode, emit); err != nil {
+						return err
+					}
 				}
-			})
-			if err != nil {
-				return err
 			}
 		}
 	}
@@ -1155,18 +1153,14 @@ func (wl *worklist) drain(mode viewMode, mk func(*relState) emitFunc) error {
 
 // recomputeStratum rebuilds a recursive stratum from scratch: every
 // stratum tuple is retracted and the stratum's fixpoint is re-derived from
-// the (already settled) context relations. txnDelta consolidation turns
-// the clear+rebuild into the net output delta automatically. This is the
+// the (already settled) context relations. Facts keep their transaction
+// marks, so the clear+rebuild nets out to the true delta automatically. This is the
 // RecursiveDeleteFallback path; its cost is one stratum recomputation
 // regardless of how pathological the deletion's overdelete set would be.
 func (rt *Runtime) recomputeStratum(inStratum map[*relState]bool, stratumRules []*compiledRule) error {
 	for rs := range inStratum {
-		recs := make([]countEntry, 0, len(rs.counts))
-		for _, e := range rs.counts {
-			recs = append(recs, e)
-		}
-		for _, e := range recs {
-			rs.setAbsent(e.rec, e.rec.Key())
+		for _, f := range rs.facts {
+			rs.setAbsent(f)
 		}
 	}
 	wl := &worklist{rt: rt, inStratum: inStratum}
@@ -1189,13 +1183,12 @@ func (rt *Runtime) recomputeStratum(inStratum map[*relState]bool, stratumRules [
 			if lit.Negated || inStratum[litRel] {
 				continue
 			}
-			var seedErr error
-			for _, e := range litRel.counts {
-				if e.count <= 0 {
+			for _, f := range litRel.facts {
+				if f.count <= 0 {
 					continue
 				}
-				if seedErr = rt.runPlan(&rt.ctx, p, e.rec, "", 1, viewAllNew, insert); seedErr != nil {
-					return seedErr
+				if err := rt.runPlan(&rt.ctx, p, f.rec, f.key, 1, viewAllNew, insert); err != nil {
+					return err
 				}
 			}
 			break // one complete seeding per rule suffices
@@ -1247,11 +1240,11 @@ type Stats struct {
 func (rt *Runtime) Stats() Stats {
 	var st Stats
 	for _, rs := range rt.rels {
-		st.Tuples += len(rs.counts)
+		st.Tuples += len(rs.facts)
 		for _, ix := range rs.indexList {
 			st.Indexes++
 			for _, b := range ix.buckets {
-				st.IndexEntries += len(b)
+				st.IndexEntries += len(b.facts)
 			}
 		}
 	}

@@ -88,11 +88,12 @@ func NaiveEval(prog *typecheck.Program, inputs map[string][]value.Record) (map[s
 
 	out := make(map[string][]value.Record, len(prog.Relations))
 	for _, rel := range prog.Relations {
-		rs := &relState{counts: make(map[string]countEntry)}
-		for k, rec := range n.data[rel.Name] {
-			rs.counts[k] = countEntry{rec: rec, count: 1}
+		recs := make([]value.Record, 0, len(n.data[rel.Name]))
+		for _, rec := range n.data[rel.Name] {
+			recs = append(recs, rec)
 		}
-		out[rel.Name] = rs.contents()
+		sortRecords(recs)
+		out[rel.Name] = recs
 	}
 	return out, nil
 }

@@ -187,9 +187,9 @@ type RelMemStats struct {
 	// IndexEntries estimates tuple references held by arrangements
 	// (present tuples × arrangements).
 	IndexEntries int `json:"index_entries"`
-	// Bytes estimates the relation's resident footprint: canonical key
-	// strings (once in the counts map, once per arrangement bucket),
-	// record headers, and map-entry overheads.
+	// Bytes estimates the relation's resident footprint: one fact per
+	// tuple (its canonical key string, record and header), the facts map
+	// entry, and one fact reference per arrangement bucket.
 	Bytes int64 `json:"bytes"`
 }
 
@@ -208,11 +208,14 @@ type MemStats struct {
 	Provenance   ProvMemStats  `json:"provenance"`
 }
 
-// Per-entry overhead estimates (bytes): a counts/bucket map entry costs
-// roughly a bucket slot plus the string header; a record header is 24
-// bytes plus 16 per value.
+// Per-entry overhead estimates (bytes): a facts map entry costs roughly a
+// bucket slot plus the string header; a fact's fields besides its record
+// header are 72 bytes; an arrangement holds a pointer and a slot index
+// per fact; a record header is 24 bytes plus 16 per value.
 const (
 	memEntryOverhead = 48
+	memFactHeader    = 72
+	memArrangedRef   = 12
 	memValueSize     = 16
 	memRecordHeader  = 24
 )
@@ -223,12 +226,13 @@ const (
 func (rt *Runtime) MemoryStats() MemStats {
 	st := MemStats{Relations: make([]RelMemStats, 0, len(rt.rels))}
 	for _, rs := range rt.rels {
-		tuples := len(rs.counts)
+		tuples := len(rs.facts)
 		nix := len(rs.indexList)
 		recBytes := int64(tuples) * (memRecordHeader + memValueSize*int64(len(rs.rel.Cols)))
-		// Key strings are stored once in counts and once per arrangement
-		// bucket entry; each such entry adds map overhead.
-		bytes := (rs.keyBytes+int64(tuples)*memEntryOverhead)*int64(1+nix) + recBytes
+		// Key strings and records are stored once, in the fact; the
+		// arrangements hold references to it.
+		bytes := rs.keyBytes + recBytes +
+			int64(tuples)*(memFactHeader+memEntryOverhead+memArrangedRef*int64(nix))
 		rm := RelMemStats{
 			Name:         rs.rel.Name,
 			Hidden:       rs.hidden,

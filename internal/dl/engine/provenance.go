@@ -34,7 +34,7 @@ import (
 //     transaction is wiped whatever its unrecords did.
 //   - DRed (recursive strata): the overdelete phase runs with viewAllOld
 //     and captures nothing; applying the overdeletions drops each
-//     retracted fact's provenance wholesale (relState.noteRemove → drop).
+//     retracted fact's provenance wholesale (relState.add → drop).
 //     Rederivation runs check plans under viewAllNew with capture on, so
 //     a surviving fact's provenance is rebuilt from its post-deletion
 //     proof. RecursiveDeleteFallback's recomputeStratum behaves
@@ -744,21 +744,19 @@ func (ps *provStore) nodeLocked(rt *Runtime, rel int, key string, rec value.Reco
 	return n
 }
 
-// recordProv records one derivation (w>0) or retracts it (w<0) at plan
-// emit time. Called only when the emitting context has capture on; ctx
-// supplies the sig-hash scratch. It returns the head key's hash so the
-// emit path can hand it onward to applyCount — the count entry caches it,
-// making this the only time the fact's identity is hashed.
-func (rt *Runtime) recordProv(ctx *evalCtx, cr *compiledRule, rec value.Record, key string, w int64, trail []provInput) uint64 {
+// recordProv records one derivation (w>0) of the head fact f or retracts
+// it (w<0) at plan emit time. Called only when the emitting context has
+// capture on; ctx supplies the sig-hash scratch. The fact's digest folds
+// its cached key hash, so the fact's identity is hashed only when the
+// fact is created.
+func (rt *Runtime) recordProv(ctx *evalCtx, cr *compiledRule, f *fact, w int64, trail []provInput) {
 	sig := sigHash(&ctx.sigBuf, cr.labelHash, trail)
-	hh := maphash.String(provSeed, key)
-	dg := provFold(hh, cr.head.id)
+	dg := provFold(f.phash, cr.head.id)
 	if w > 0 {
-		rt.prov.record(dg, cr.head.id, rec, sig, cr.label, cr.head.stratum, trail, false)
+		rt.prov.record(dg, cr.head.id, f.rec, sig, cr.label, cr.head.stratum, trail, false)
 	} else if w < 0 {
 		rt.prov.unrecord(dg, sig)
 	}
-	return hh
 }
 
 // recordAggProv records an aggregate head fact with its (capped) group
@@ -766,18 +764,20 @@ func (rt *Runtime) recordProv(ctx *evalCtx, cr *compiledRule, rec value.Record, 
 func (rt *Runtime) recordAggProv(spec *aggSpec, keyEnc []byte, rec value.Record, key string) {
 	var trail []provInput
 	truncated := false
-	spec.groupRel.iterBucket(spec.keyIx, keyEnc, false, func(grec value.Record, gkey string, gph uint64) bool {
+	for _, f := range spec.keyIx.factsOf(keyEnc) {
+		if !f.presentIn(false) {
+			continue
+		}
 		if len(trail) >= maxAggProvInputs {
 			truncated = true
-			return false
+			break
 		}
-		ti := provInput{rs: spec.groupRel, rec: grec, key: gkey}
-		if gph != 0 {
-			ti.hash = provFold(gph, spec.groupRel.id)
+		ti := provInput{rs: spec.groupRel, rec: f.rec, key: f.key}
+		if f.phash != 0 {
+			ti.hash = provFold(f.phash, spec.groupRel.id)
 		}
 		trail = append(trail, ti)
-		return true
-	})
+	}
 	sig := sigHash(&rt.ctx.sigBuf, spec.labelHash, trail)
 	rt.prov.record(provDigest(spec.head.id, key), spec.head.id, rec, sig, spec.label, spec.head.stratum, trail, truncated)
 }

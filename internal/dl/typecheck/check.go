@@ -144,6 +144,11 @@ type Program struct {
 	Relations []*Relation
 	RelByName map[string]*Relation
 	Rules     []*Rule
+	// FrameSize is the deepest user-function frame any of the program's
+	// expressions pushes (FuncCall.Frame): an env with this much spare
+	// capacity past its length evaluates every expression without
+	// allocating a call frame.
+	FrameSize int
 }
 
 // Relation returns the named relation, or nil.
@@ -189,6 +194,8 @@ type funcSig struct {
 	params []*value.Type
 	ret    *value.Type
 	body   Expr
+	// frame is the deepest call frame the body pushes (frameOf).
+	frame int
 }
 
 func (c *checker) declareTypes(tds []*ast.Typedef) error {
@@ -348,6 +355,7 @@ func (c *checker) declareFunctions(decls []*ast.FuncDecl) error {
 		// environment is exactly the parameters.
 		sig.ret = ret
 		sig.body = body
+		sig.frame = frameOf(body)
 		c.funcs[fd.Name] = sig
 	}
 	return nil
@@ -872,14 +880,18 @@ func (c *checker) checkCall(e *ast.Call, scope *ruleScope, expected *value.Type)
 					e.Name, len(sig.params), len(e.Args))
 			}
 			args := make([]Expr, len(e.Args))
+			nested := sig.frame
 			for i, a := range e.Args {
 				ae, err := c.checkExpr(a, scope, sig.params[i])
 				if err != nil {
 					return nil, err
 				}
 				args[i] = ae
+				nested = max(nested, frameOf(ae))
 			}
-			return &FuncCall{Name: e.Name, Args: args, Body: sig.body, T: sig.ret}, nil
+			call := &FuncCall{Name: e.Name, Args: args, Body: sig.body, T: sig.ret, Frame: len(args) + nested}
+			c.out.FrameSize = max(c.out.FrameSize, call.Frame)
+			return call, nil
 		}
 		return nil, errorf(e.Pos, "unknown function %q", e.Name)
 	}

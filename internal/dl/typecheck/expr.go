@@ -425,13 +425,22 @@ func clampIdx(i int64, n int) int {
 }
 
 // FuncCall applies a user-defined function. The arguments are evaluated
-// into a fresh environment; the body's variable references are the
-// function's parameter slots.
+// into a frame in the spare capacity past the end of the caller's env, and
+// the body is evaluated with that frame as its environment (the body's
+// variable references are the function's parameter slots). Calls nest as
+// a stack in the same scratch: a caller that sizes env with
+// Program.FrameSize spare capacity evaluates any call without allocating;
+// with less, the call allocates its frame. The node itself holds no
+// scratch, so one Expr tree serves every runtime built from a program.
 type FuncCall struct {
 	Name string
 	Args []Expr
 	Body Expr
 	T    *value.Type
+	// Frame is the scratch this call needs past the caller's env: its
+	// parameters plus the deepest frame of a call nested in an argument
+	// or in the body.
+	Frame int
 }
 
 // Type returns the function's declared return type.
@@ -439,13 +448,61 @@ func (f *FuncCall) Type() *value.Type { return f.T }
 
 // Eval evaluates the arguments and then the body.
 func (f *FuncCall) Eval(env []value.Value) (value.Value, error) {
-	inner := make([]value.Value, len(f.Args))
+	base, n := len(env), len(f.Args)
+	if cap(env)-base < f.Frame {
+		grown := make([]value.Value, base, base+f.Frame)
+		copy(grown, env)
+		env = grown
+	}
+	// Arguments see the caller's slots; calls nested in them push their
+	// frames past this one.
+	frame := env[:base+n]
 	for i, a := range f.Args {
-		v, err := a.Eval(env)
+		v, err := a.Eval(frame)
 		if err != nil {
 			return value.Value{}, err
 		}
-		inner[i] = v
+		frame[base+i] = v
 	}
-	return f.Body.Eval(inner)
+	return f.Body.Eval(frame[base:])
+}
+
+// frameOf is the deepest call frame evaluating e pushes: the largest
+// Frame of a call in e (calls nested inside a call are counted in its
+// Frame).
+func frameOf(e Expr) int {
+	deepest := 0
+	var walk func(Expr)
+	walk = func(e Expr) {
+		switch e := e.(type) {
+		case *FuncCall:
+			deepest = max(deepest, e.Frame)
+		case *BinOp:
+			walk(e.L)
+			walk(e.R)
+		case *Cmp:
+			walk(e.L)
+			walk(e.R)
+		case *UnOp:
+			walk(e.E)
+		case *FieldGet:
+			walk(e.E)
+		case *CastOp:
+			walk(e.E)
+		case *IfOp:
+			walk(e.Cond)
+			walk(e.Then)
+			walk(e.Else)
+		case *MkTuple:
+			for _, x := range e.Elems {
+				walk(x)
+			}
+		case *CallOp:
+			for _, x := range e.Args {
+				walk(x)
+			}
+		}
+	}
+	walk(e)
+	return deepest
 }

@@ -107,3 +107,57 @@ func TestUserFunctionRuntimeError(t *testing.T) {
 		t.Fatalf("inv(4) = %v, %v", v, err)
 	}
 }
+
+// TestFuncCallFrameInCallerScratch: user-function calls evaluate their
+// arguments into the spare capacity of the caller's env, so an env with
+// Program.FrameSize to spare evaluates nested calls (in arguments and in
+// bodies) without allocating, and to the same values as an env with no
+// spare capacity, whose calls allocate their frames.
+func TestFuncCallFrameInCallerScratch(t *testing.T) {
+	src := `
+	function vgroup(v: bit<12>): bit<16> = ((v as int) + 4096) as bit<16>
+	function double(x: int): int = x * 2
+	function quad(x: int): int = double(double(x))
+	function clamp(x: int, lo: int, hi: int): int = if (x < lo) lo else if (x > hi) hi else x
+	input relation In(v: bit<12>, w: int)
+	output relation O(g: bit<16>, c: int, q: int)
+	O(vgroup(v), clamp(quad(w), double(w), quad(double(w)) - 1), quad(w) + double(w)) :- In(v, w).
+	`
+	tree, err := parser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Check(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// clamp(quad(w), ...): clamp's 3 parameters, then quad's 1, then the
+	// two nested doubles' 1 each.
+	if prog.FrameSize != 6 {
+		t.Fatalf("FrameSize = %d, want 6", prog.FrameSize)
+	}
+	head := prog.Rules[0].HeadExprs
+	want := []int64{4096 + 7, 20, 30}
+	eval := func(env []value.Value) {
+		for i, e := range head {
+			v, err := e.Eval(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := int64(v.Uint64())
+			if e.Type().Kind == value.TInt {
+				got = v.Int()
+			}
+			if got != want[i] {
+				t.Fatalf("head %d = %d, want %d", i, got, want[i])
+			}
+		}
+	}
+	args := []value.Value{value.BitW(7, 12), value.Int(5)}
+	eval(args) // no spare capacity: frames are allocated
+	env := make([]value.Value, 2, 2+prog.FrameSize)
+	copy(env, args)
+	if allocs := testing.AllocsPerRun(100, func() { eval(env) }); allocs != 0 {
+		t.Fatalf("calls with FrameSize spare capacity allocate %.1f times, want 0", allocs)
+	}
+}

@@ -47,8 +47,8 @@ func (z *ZSet) Add(rec value.Record, w int64) int64 {
 	return z.AddKeyed(rec, rec.Key(), w)
 }
 
-// AddKeyed is Add with the record's canonical key already computed, so hot
-// paths that hold the key (arrangements, the engine's emit path) avoid
+// AddKeyed is Add with the record's canonical key already computed, so
+// callers that hold the key (the engine's output deltas) avoid
 // re-encoding the record.
 func (z *ZSet) AddKeyed(rec value.Record, key string, w int64) int64 {
 	if w == 0 {
@@ -75,43 +75,14 @@ func (z *ZSet) AddAll(other *ZSet) {
 	}
 }
 
-// AddAllNegated subtracts every entry of other from z (z -= other).
-func (z *ZSet) AddAllNegated(other *ZSet) {
-	for k, e := range other.m {
-		z.AddKeyed(e.Rec, k, -e.Weight)
-	}
-}
-
 // Weight returns the weight of rec (zero if absent).
 func (z *ZSet) Weight(rec value.Record) int64 { return z.m[rec.Key()].Weight }
-
-// WeightKey returns the weight stored under a precomputed record key.
-func (z *ZSet) WeightKey(key string) int64 { return z.m[key].Weight }
-
-// Contains reports whether rec has nonzero weight.
-func (z *ZSet) Contains(rec value.Record) bool { return z.Weight(rec) != 0 }
 
 // Len returns the number of records with nonzero weight.
 func (z *ZSet) Len() int { return len(z.m) }
 
 // IsEmpty reports whether the Z-set has no entries.
 func (z *ZSet) IsEmpty() bool { return len(z.m) == 0 }
-
-// Each calls f for every entry. Iteration order is unspecified; use
-// Entries for deterministic order.
-func (z *ZSet) Each(f func(rec value.Record, w int64)) {
-	for _, e := range z.m {
-		f(e.Rec, e.Weight)
-	}
-}
-
-// EachKeyed calls f for every entry with its canonical key. Iteration order
-// is unspecified; use Entries for deterministic order.
-func (z *ZSet) EachKeyed(f func(key string, rec value.Record, w int64)) {
-	for k, e := range z.m {
-		f(k, e.Rec, e.Weight)
-	}
-}
 
 // Entries returns the entries sorted by record order (deterministic).
 func (z *ZSet) Entries() []Entry {
@@ -121,37 +92,6 @@ func (z *ZSet) Entries() []Entry {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Rec.Compare(out[j].Rec) < 0 })
 	return out
-}
-
-// Clone returns an independent copy.
-func (z *ZSet) Clone() *ZSet {
-	c := NewSized(len(z.m))
-	for k, e := range z.m {
-		c.m[k] = e
-	}
-	return c
-}
-
-// Negate returns a new Z-set with all weights negated.
-func (z *ZSet) Negate() *ZSet {
-	c := NewSized(len(z.m))
-	for k, e := range z.m {
-		c.m[k] = Entry{Rec: e.Rec, Weight: -e.Weight}
-	}
-	return c
-}
-
-// Distinct returns the set-semantics view: every record with positive
-// weight appears with weight exactly 1. Records with negative weight are
-// dropped (a well-formed relation never has them).
-func (z *ZSet) Distinct() *ZSet {
-	c := NewSized(len(z.m))
-	for k, e := range z.m {
-		if e.Weight > 0 {
-			c.m[k] = Entry{Rec: e.Rec, Weight: 1}
-		}
-	}
-	return c
 }
 
 // Equal reports whether two Z-sets hold exactly the same weighted records.
@@ -165,25 +105,4 @@ func (z *ZSet) Equal(other *ZSet) bool {
 		}
 	}
 	return true
-}
-
-// Clear removes all entries, retaining allocated capacity.
-func (z *ZSet) Clear() {
-	for k := range z.m {
-		delete(z.m, k)
-	}
-}
-
-// MinWeight returns the smallest weight present, or 0 if empty. A negative
-// result on a relation's contents indicates an engine invariant violation.
-func (z *ZSet) MinWeight() int64 {
-	var min int64
-	first := true
-	for _, e := range z.m {
-		if first || e.Weight < min {
-			min = e.Weight
-			first = false
-		}
-	}
-	return min
 }

@@ -91,8 +91,8 @@ type Tracer struct {
 	evicted uint64
 
 	// convergence, when set (NewObserver wires it), observes the
-	// commit→switch-applied latency whenever a trace that already carries
-	// its commit stage gains a switch-applied stage — the end-to-end SLO.
+	// commit→switch-applied latency whenever a trace gains the second of
+	// those two stages, in either order — the end-to-end SLO.
 	// Only single-process stacks see both stages in one tracer; across
 	// processes the fleet aggregator stitches the same measurement.
 	convergence *Histogram
@@ -146,12 +146,35 @@ func (t *Tracer) Record(txnID uint64, source string, st Stage) {
 	if tr.Source == "" {
 		tr.Source = source
 	}
+	if t.convergence != nil {
+		t.observeConvergence(tr, st)
+	}
 	tr.Stages = append(tr.Stages, st)
-	if t.convergence != nil && st.Name == StageSwitchApplied {
+}
+
+// observeConvergence observes commit→switch-applied when st completes
+// the pair, whichever of the two arrives second: the database notifies
+// its monitors before it records the commit stage, so under load the
+// switch can apply first. A commit pairs with every switch-applied stage
+// already present; a switch-applied stage with the first commit.
+func (t *Tracer) observeConvergence(tr *Trace, st Stage) {
+	switch st.Name {
+	case StageSwitchApplied:
 		for i := range tr.Stages {
 			if tr.Stages[i].Name == StageCommit {
 				t.convergence.ObserveDuration(st.End.Sub(tr.Stages[i].Start))
-				break
+				return
+			}
+		}
+	case StageCommit:
+		for i := range tr.Stages {
+			if tr.Stages[i].Name == StageCommit {
+				return // already paired with the earlier commit
+			}
+		}
+		for i := range tr.Stages {
+			if tr.Stages[i].Name == StageSwitchApplied {
+				t.convergence.ObserveDuration(tr.Stages[i].End.Sub(st.Start))
 			}
 		}
 	}

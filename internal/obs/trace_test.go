@@ -154,3 +154,26 @@ func TestTracerConcurrentHammer(t *testing.T) {
 		}
 	}
 }
+
+// TestTracerConvergenceEitherOrder: the convergence histogram observes a
+// transaction exactly once whether its commit or its switch-applied stage
+// is recorded first, and with the same commit-start to apply-end span.
+func TestTracerConvergenceEitherOrder(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	commit := stageAt(StageCommit, t0, time.Millisecond)
+	applied := stageAt(StageSwitchApplied, t0.Add(3*time.Millisecond), 2*time.Millisecond)
+	for _, order := range [][]Stage{{commit, applied}, {applied, commit}} {
+		tr := NewTracer(4)
+		tr.convergence = NewRegistry().Histogram("c", "c", nil)
+		tr.Record(9, "", stageAt("delta", t0.Add(time.Millisecond), time.Millisecond))
+		for _, st := range order {
+			tr.Record(9, "", st)
+		}
+		if n := tr.convergence.Count(); n != 1 {
+			t.Fatalf("order %s,%s: %d observations, want 1", order[0].Name, order[1].Name, n)
+		}
+		if got := tr.convergence.Sum(); got != 0.005 {
+			t.Fatalf("order %s,%s: observed %vs, want 0.005s", order[0].Name, order[1].Name, got)
+		}
+	}
+}
