@@ -70,8 +70,12 @@ go test -run 'TestEventHotPathZeroAlloc' -count=1 ./internal/obs/
 # Data plane: a known-unicast frame crosses the lowered pipeline and the
 # switch without allocating, and injectors re-entering the switch from
 # its output handler share the pooled packet state with a table writer:
-# ten runs under the race detector.
-go test -run 'TestInjectKnownUnicastZeroAlloc' -count=1 ./internal/switchsim/
+# ten runs under the race detector. On the write path, a switch write
+# allocates only the entry and keys it stores, and comparing OVSDB atoms
+# and looking up table entries build no key string.
+go test -run 'TestInjectKnownUnicastZeroAlloc|TestWriteAllocatesOnlyStoredState' -count=1 ./internal/switchsim/
+go test -run 'TestAtomCompareZeroAlloc' -count=1 ./internal/ovsdb/
+go test -run 'TestEntryLookupZeroAlloc' -count=1 ./internal/p4/
 go test -race -count=10 -run 'TestInjectReentrant' ./internal/switchsim/
 # Fleet observability: the nerpa-top aggregator e2e (builds the real
 # binaries, stitches a cross-process trace into the data plane, and
@@ -98,7 +102,7 @@ go test -race -run 'TestWriteLimit|TestCloseFlushes|TestServer' -count=1 ./inter
 # Tests that used to lose to a timer, a clock, a publication race or a
 # stage order on a loaded box: twenty runs each under the race detector
 # hold the de-flaking.
-go test -race -count=20 -run 'TestRenderWireMatchesMarshal|TestDigestBatching|TestAggregatorStitchesAcrossMembers|TestResilientReconnectRunsHookAndHeals|TestTracerConvergenceEitherOrder|TestObsEndpointsServeAllPlanes' ./internal/ovsdb/ ./internal/switchsim/ ./internal/obs/fleet/ ./internal/p4rt/ ./internal/obs/ .
+go test -race -count=20 -run 'TestRenderWireMatchesMarshal|TestDigestBatching|TestAggregatorStitchesAcrossMembers|TestResilientReconnectRunsHookAndHeals|TestTracerConvergenceEitherOrder|TestObsEndpointsServeAllPlanes|TestControllerTakeover' ./internal/ovsdb/ ./internal/switchsim/ ./internal/obs/fleet/ ./internal/p4rt/ ./internal/obs/ ./internal/deploy/ .
 # Coalescing under race: merged monitor deliveries must stay
 # data-race-free, preserve per-txn attribution, and hold a barrier queued
 # behind them until their push.

@@ -735,7 +735,12 @@ func (c *Controller) push(txn uint64, source string, delta engine.Delta) (int, e
 			dw.txn = txn // observed: TxnWriter devices extend the trace
 		}
 	}
-	if err := c.writeDevices(p.writes, pushWorkers); err != nil {
+	if source == "initial" {
+		err = c.takeOver(p.writes)
+	} else {
+		err = c.writeDevices(p.writes, pushWorkers)
+	}
+	if err != nil {
 		return p.changes, err
 	}
 	c.rec.Append(obs.Ev("core", "push.barrier").WithTxn(txn).
@@ -743,6 +748,26 @@ func (c *Controller) push(txn uint64, source string, delta engine.Delta) (int, e
 		F("updates", int64(p.changes)))
 	c.prov.settle(p.origins)
 	return p.changes, nil
+}
+
+// takeOver is the initial sync. A device may hold what an earlier
+// controller wrote, so each one that can be read is reconciled the way a
+// reconnect is: read, drift, write. A device that cannot be read gets
+// its planned writes. The error is ranked as writeDevices ranks it.
+func (c *Controller) takeOver(writes []*devWrite) error {
+	var errs []error
+	for _, id := range sortedKeys(c.devs) {
+		if tr, ok := c.devs[id].(TableReader); ok {
+			errs = append(errs, c.doResync(id, tr))
+			continue
+		}
+		for _, dw := range writes {
+			if dw.id == id {
+				errs = append(errs, c.flushObserved(dw))
+			}
+		}
+	}
+	return pickPushErr(errs)
 }
 
 // devWrite is the ordered write stream destined for one device within one

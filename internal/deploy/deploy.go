@@ -3,7 +3,8 @@
 // wired into one fabric, and the controller between them, over loopback
 // TCP. The controller dials the same self-healing clients nerpa-controller
 // does, so the database server or any switch can be killed and restarted
-// on its address while the controller keeps running.
+// on its address while the controller keeps running, and the controller
+// itself can be restarted against the running switches.
 package deploy
 
 import (
@@ -55,7 +56,8 @@ type Spec struct {
 }
 
 // Stack is a running deployment. Its methods are meant for one
-// goroutine: Restart swaps the switch that Switch returns.
+// goroutine: Restart swaps the switch that Switch returns, and
+// RestartController swaps Ctrl, MP and the clients Device returns.
 type Stack struct {
 	DB     *ovsdb.Database
 	Fabric *switchsim.Fabric
@@ -68,6 +70,7 @@ type Stack struct {
 	procs    map[string]*proc
 	switches map[string]*switchsim.Switch
 	devices  map[string]*p4rt.ResilientClient
+	ctrlStop func() // stops Ctrl and closes its clients; nil when stopped
 	closers  []func()
 }
 
@@ -79,9 +82,9 @@ type proc struct {
 	kill  func()
 }
 
-// Start boots the deployment: the OVSDB server, each switch and the
-// resilient client to it, then the controller. On error everything started so far
-// is torn down.
+// Start boots the deployment: the OVSDB server and each switch, then the
+// controller over its resilient clients. On error everything started so
+// far is torn down.
 func Start(spec Spec) (*Stack, error) {
 	s := &Stack{
 		DB:       ovsdb.NewDatabase(spec.Schema),
@@ -89,10 +92,9 @@ func Start(spec Spec) (*Stack, error) {
 		spec:     spec,
 		procs:    map[string]*proc{},
 		switches: map[string]*switchsim.Switch{},
-		devices:  map[string]*p4rt.ResilientClient{},
 	}
 	s.DB.SetObs(spec.Obs)
-	s.closers = append(s.closers, s.killAll)
+	s.closers = append(s.closers, s.killAll, s.stopController)
 	fail := func(err error) (*Stack, error) {
 		s.Close()
 		return nil, err
@@ -104,17 +106,7 @@ func Start(spec Spec) (*Stack, error) {
 	}); err != nil {
 		return fail(err)
 	}
-	var err error
-	s.MP, err = ovsdb.DialResilient(ovsdb.ResilientConfig{
-		Addr: s.Addr(DB), BackoffMin: backoffMin, BackoffMax: backoffMax, Obs: spec.Obs,
-	})
-	if err != nil {
-		return fail(err)
-	}
-	s.closers = append(s.closers, func() { s.MP.Close() })
-	var classes []core.DeviceClass
 	for _, cls := range spec.Classes {
-		dc := core.DeviceClass{Name: cls.Name, PerDevice: cls.PerDevice}
 		for _, id := range cls.IDs {
 			if _, dup := s.procs[id]; dup {
 				return fail(fmt.Errorf("deploy: duplicate name %q", id))
@@ -122,27 +114,76 @@ func Start(spec Spec) (*Stack, error) {
 			if err := s.boot(id, s.switchStarter(id, cls.Program)); err != nil {
 				return fail(err)
 			}
+		}
+	}
+	if err := s.startController(); err != nil {
+		return fail(err)
+	}
+	return s, nil
+}
+
+// startController dials the OVSDB server and every switch with fresh
+// resilient clients and starts a controller over them.
+func (s *Stack) startController() error {
+	var closers []func()
+	stop := func() {
+		for i := len(closers) - 1; i >= 0; i-- {
+			closers[i]()
+		}
+	}
+	mp, err := ovsdb.DialResilient(ovsdb.ResilientConfig{
+		Addr: s.Addr(DB), BackoffMin: backoffMin, BackoffMax: backoffMax, Obs: s.spec.Obs,
+	})
+	if err != nil {
+		return err
+	}
+	closers = append(closers, func() { mp.Close() })
+	devices := map[string]*p4rt.ResilientClient{}
+	var classes []core.DeviceClass
+	for _, cls := range s.spec.Classes {
+		dc := core.DeviceClass{Name: cls.Name, PerDevice: cls.PerDevice}
+		for _, id := range cls.IDs {
 			dp, err := p4rt.DialResilient(p4rt.ResilientConfig{
 				Addr: s.Addr(id), Target: id,
-				BackoffMin: backoffMin, BackoffMax: backoffMax, Obs: spec.Obs,
+				BackoffMin: backoffMin, BackoffMax: backoffMax, Obs: s.spec.Obs,
 			})
 			if err != nil {
-				return fail(err)
+				stop()
+				return err
 			}
-			s.closers = append(s.closers, func() { dp.Close() })
-			s.devices[id] = dp
+			closers = append(closers, func() { dp.Close() })
+			devices[id] = dp
 			dc.Devices = append(dc.Devices, core.Device{ID: id, DP: dp})
 		}
 		classes = append(classes, dc)
 	}
-	s.Ctrl, err = core.NewWithClasses(core.Config{
-		Rules: spec.Rules, Database: spec.Schema.Name, Obs: spec.Obs, OnDelta: spec.OnDelta,
-	}, s.MP, classes)
+	ctrl, err := core.NewWithClasses(core.Config{
+		Rules: s.spec.Rules, Database: s.spec.Schema.Name, Obs: s.spec.Obs, OnDelta: s.spec.OnDelta,
+	}, mp, classes)
 	if err != nil {
-		return fail(err)
+		stop()
+		return err
 	}
-	s.closers = append(s.closers, s.Ctrl.Stop)
-	return s, nil
+	closers = append(closers, ctrl.Stop)
+	s.MP, s.devices, s.Ctrl, s.ctrlStop = mp, devices, ctrl, stop
+	return nil
+}
+
+// stopController stops the controller and closes its clients.
+func (s *Stack) stopController() {
+	if s.ctrlStop != nil {
+		s.ctrlStop()
+		s.ctrlStop = nil
+	}
+}
+
+// RestartController stops the controller and closes its connections,
+// then starts a fresh controller over fresh connections, as restarting
+// the controller process would. The switches keep their tables: the new
+// controller takes them over as it finds them.
+func (s *Stack) RestartController() error {
+	s.stopController()
+	return s.startController()
 }
 
 // boot starts a server on a fresh loopback port and records it under name.

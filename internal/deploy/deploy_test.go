@@ -94,3 +94,47 @@ func TestRestartAndQuiesce(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestControllerTakeover: a controller started against switches that an
+// earlier controller programmed takes them over as it finds them. A
+// port deleted while no controller ran loses its entry, and the entries
+// still derived are not inserted a second time (which the switch would
+// refuse, latching the controller).
+func TestControllerTakeover(t *testing.T) {
+	s, err := deploy.Start(snvsSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Transact(
+		ovsdb.OpInsert("SwitchCfg", map[string]ovsdb.Value{"name": "snvs0", "flood_unknown": true}),
+		port(1), port(2), port(3),
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitEntries("snvs0", "in_vlan", 3); err != nil {
+		t.Fatal(err)
+	}
+	s.Ctrl.Stop()
+	for i, r := range s.DB.Transact([]ovsdb.Operation{ovsdb.OpDelete("Port", ovsdb.Cond("name", "==", "p2"))}) {
+		if r.Error != "" {
+			t.Fatalf("op %d: %s", i, r.Error)
+		}
+	}
+	if err := s.RestartController(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Ctrl.Barrier(); err != nil {
+		t.Fatalf("new controller: %v", err)
+	}
+	if err := s.WaitEntries("snvs0", "in_vlan", 2); err != nil {
+		t.Fatal(err)
+	}
+	// The new controller keeps serving commits.
+	if err := s.Transact(port(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitEntries("snvs0", "in_vlan", 3); err != nil {
+		t.Fatal(err)
+	}
+}

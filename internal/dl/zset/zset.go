@@ -6,7 +6,9 @@
 package zset
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/dl/value"
 )
@@ -92,6 +94,25 @@ func (z *ZSet) Entries() []Entry {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Rec.Compare(out[j].Rec) < 0 })
 	return out
+}
+
+// Keyed is an entry with the canonical key of its record.
+type Keyed struct {
+	Key string
+	Entry
+}
+
+// AppendSorted appends the entries to dst in the byte order of their
+// canonical keys and returns the extended slice. The order is a function
+// of the contents alone, and sorting compares the keys the Z-set already
+// holds, not the records; a caller that reuses dst allocates nothing.
+func (z *ZSet) AppendSorted(dst []Keyed) []Keyed {
+	n := len(dst)
+	for k, e := range z.m {
+		dst = append(dst, Keyed{Key: k, Entry: e})
+	}
+	slices.SortFunc(dst[n:], func(a, b Keyed) int { return strings.Compare(a.Key, b.Key) })
+	return dst
 }
 
 // Equal reports whether two Z-sets hold exactly the same weighted records.

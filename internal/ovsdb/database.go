@@ -99,11 +99,12 @@ func NewDatabase(schema *DatabaseSchema) *Database {
 
 // indexKeyOf computes the key of row under one declared index.
 func indexKeyOf(cols []string, row Row) string {
-	k := ""
+	var buf [128]byte
+	k := buf[:0]
 	for _, c := range cols {
-		k += valueKey(row[c]) + "\x00"
+		k = append(appendValueKey(k, row[c]), 0)
 	}
-	return k
+	return string(k)
 }
 
 // reindexRow validates and applies the index-map changes for one row
@@ -631,7 +632,8 @@ func (db *Database) matchRows(tx *txn, name string, ts *TableSchema, table map[U
 					if len(cols) != 1 || cols[0] != c.column {
 						continue
 					}
-					id, ok := db.idx[name][i][valueKey(c.value)+"\x00"]
+					var buf [64]byte
+					id, ok := db.idx[name][i][string(append(appendValueKey(buf[:0], c.value), 0))]
 					if !ok {
 						return nil, nil
 					}

@@ -275,13 +275,10 @@ func mutateValue(cur Value, mutator string, arg Value) (Value, error) {
 	case "delete":
 		switch c := cur.(type) {
 		case *Set:
-			drop := make(map[string]bool)
-			for _, a := range atomsOf(arg) {
-				drop[atomKey(a)] = true
-			}
+			drop := NewSet(atomsOf(arg)...)
 			var kept []Atom
 			for _, a := range c.Atoms {
-				if !drop[atomKey(a)] {
+				if !drop.Contains(a) {
 					kept = append(kept, a)
 				}
 			}
@@ -297,12 +294,9 @@ func mutateValue(cur Value, mutator string, arg Value) (Value, error) {
 					kept = append(kept, p)
 				}
 			default:
-				drop := make(map[string]bool)
-				for _, a := range atomsOf(arg) {
-					drop[atomKey(a)] = true
-				}
+				drop := NewSet(atomsOf(arg)...)
 				for _, p := range c.Pairs {
-					if !drop[atomKey(p[0])] {
+					if !drop.Contains(p[0]) {
 						kept = append(kept, p)
 					}
 				}

@@ -18,7 +18,8 @@ const mutSchema = `{
         "weight": {"type": "real"},
         "nums": {"type": {"key": "integer", "min": 0, "max": "unlimited"}},
         "opts": {"type": {"key": "string", "value": "string", "min": 0, "max": "unlimited"}},
-        "few": {"type": {"key": "integer", "min": 0, "max": 2}}
+        "few": {"type": {"key": "integer", "min": 0, "max": 2}},
+        "reals": {"type": {"key": "real", "min": 0, "max": "unlimited"}}
       }
     }
   }
@@ -264,5 +265,32 @@ func TestNonFiniteRealIsRangeError(t *testing.T) {
 	defer l2.Close()
 	if n := db2.RowCount("T"); n != 2 {
 		t.Errorf("%d rows recovered, want the 2 committed around the refused ones", n)
+	}
+}
+
+// TestRealZeroMutateAndWait: ±0 are one real in a mutate's set insert
+// and delete and in a wait's row comparison.
+func TestRealZeroMutateAndWait(t *testing.T) {
+	db := newMutDB(t)
+	negZero := math.Copysign(0, -1)
+	mustTransact(t, db, OpInsert("T", map[string]Value{
+		"name": "z", "weight": negZero, "reals": NewSet(negZero, 1.5),
+	}))
+	where := Cond("name", "==", "z")
+	res := db.Transact([]Operation{{
+		Op: "wait", Table: "T", Until: "==", Where: [][3]json.RawMessage{where},
+		Columns: []string{"weight", "reals"},
+		Rows:    []Row{{"weight": 0.0, "reals": NewSet(1.5, 0.0)}},
+	}})
+	if res[0].Error != "" {
+		t.Fatalf("wait for 0 on a row holding -0: %+v", res[0])
+	}
+	mustTransact(t, db, OpMutate("T", [][3]json.RawMessage{Mutation("reals", "insert", NewSet(0.0))}, where))
+	if got := selectOne(t, db)["reals"].(*Set).Atoms; len(got) != 2 {
+		t.Fatalf("inserting 0 into {-0, 1.5} gave %v", got)
+	}
+	mustTransact(t, db, OpMutate("T", [][3]json.RawMessage{Mutation("reals", "delete", NewSet(0.0))}, where))
+	if got := selectOne(t, db)["reals"].(*Set).Atoms; len(got) != 1 || got[0] != 1.5 {
+		t.Fatalf("deleting 0 from {-0, 1.5} gave %v, want [1.5]", got)
 	}
 }

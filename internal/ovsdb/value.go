@@ -6,9 +6,12 @@
 package ovsdb
 
 import (
+	"bytes"
+	"cmp"
 	"crypto/rand"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -48,12 +51,14 @@ const ZeroUUID = UUID("00000000-0000-0000-0000-000000000000")
 type Atom any
 
 // Set is an OVSDB set value (unordered, no duplicates). The atoms are kept
-// sorted by their canonical key for deterministic output.
+// in canonical order (atomCompare) for deterministic output, and Contains
+// searches them in it: build sets with NewSet.
 type Set struct {
 	Atoms []Atom
 }
 
-// Map is an OVSDB map value. Pairs are kept sorted by key.
+// Map is an OVSDB map value. Pairs are kept sorted by key in canonical
+// atom order, which Get searches in: build maps with NewMap.
 type Map struct {
 	Pairs [][2]Atom
 }
@@ -61,118 +66,203 @@ type Map struct {
 // Value is an OVSDB column value: an Atom, *Set, or *Map.
 type Value any
 
-// atomKey returns a canonical ordering/identity key for an atom.
-func atomKey(a Atom) string {
+// Atom kinds in canonical order: a set sorts its atoms by kind first,
+// then by value within the kind.
+const (
+	kindBool = iota
+	kindInt
+	kindNamedUUID
+	kindReal
+	kindString
+	kindUUID
+)
+
+func atomKind(a Atom) int {
+	switch a.(type) {
+	case bool:
+		return kindBool
+	case int64:
+		return kindInt
+	case namedUUID:
+		return kindNamedUUID
+	case float64:
+		return kindReal
+	case string:
+		return kindString
+	case UUID:
+		return kindUUID
+	default:
+		panic(fmt.Sprintf("ovsdb: bad atom type %T", a))
+	}
+}
+
+// atomCompare is the canonical atom order: by kind (bool, integer, named
+// UUID, real, string, UUID), then by value. Integers compare
+// numerically, strings and UUIDs bytewise, false before true. Reals
+// compare by their shortest decimal form (strconv 'g', as %v prints
+// them), with -0 written as 0, so ±0 are one value. The order is the
+// byte order of appendAtomKey's keys, which sets, maps and the wire
+// have always been sorted by.
+func atomCompare(a, b Atom) int {
+	ka, kb := atomKind(a), atomKind(b)
+	if ka != kb {
+		return cmp.Compare(ka, kb)
+	}
+	switch x := a.(type) {
+	case bool:
+		y := b.(bool)
+		switch {
+		case x == y:
+			return 0
+		case y:
+			return -1
+		}
+		return 1
+	case int64:
+		return cmp.Compare(x, b.(int64))
+	case namedUUID:
+		return strings.Compare(string(x), string(b.(namedUUID)))
+	case float64:
+		y := b.(float64)
+		if x == y {
+			return 0
+		}
+		var xb, yb [32]byte
+		return bytes.Compare(appendReal(xb[:0], x), appendReal(yb[:0], y))
+	case string:
+		return strings.Compare(x, b.(string))
+	default:
+		return strings.Compare(string(x.(UUID)), string(b.(UUID)))
+	}
+}
+
+// appendReal appends a real's canonical form: its shortest decimal, -0
+// as 0.
+func appendReal(dst []byte, v float64) []byte {
+	if v == 0 {
+		v = 0
+	}
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
+}
+
+// appendAtomKey appends an atom's canonical identity key: a kind letter
+// and the value, laid out so that keys compare bytewise in atomCompare's
+// order.
+func appendAtomKey(dst []byte, a Atom) []byte {
 	switch v := a.(type) {
 	case int64:
-		return fmt.Sprintf("i%020d", uint64(v)+1<<63)
+		u := uint64(v) + 1<<63
+		var digits [20]byte
+		for i := len(digits) - 1; i >= 0; i-- {
+			digits[i] = byte('0' + u%10)
+			u /= 10
+		}
+		return append(append(dst, 'i'), digits[:]...)
 	case float64:
-		return fmt.Sprintf("r%v", v)
+		return appendReal(append(dst, 'r'), v)
 	case bool:
 		if v {
-			return "b1"
+			return append(dst, "b1"...)
 		}
-		return "b0"
+		return append(dst, "b0"...)
 	case string:
-		return "s" + v
+		return append(append(dst, 's'), v...)
 	case UUID:
-		return "u" + string(v)
+		return append(append(dst, 'u'), v...)
 	case namedUUID:
-		return "n" + string(v)
+		return append(append(dst, 'n'), v...)
 	default:
 		panic(fmt.Sprintf("ovsdb: bad atom type %T", a))
 	}
 }
 
 // atomEqual reports equality of two atoms.
-func atomEqual(a, b Atom) bool { return atomKey(a) == atomKey(b) }
+func atomEqual(a, b Atom) bool { return atomCompare(a, b) == 0 }
 
-// NewSet builds a set, deduplicating and sorting its atoms.
+// NewSet builds a set, deduplicating and sorting its atoms. Of equal
+// atoms (±0) the first is kept.
 func NewSet(atoms ...Atom) *Set {
-	seen := make(map[string]bool, len(atoms))
-	out := make([]Atom, 0, len(atoms))
-	for _, a := range atoms {
-		k := atomKey(a)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, a)
-		}
-	}
-	sortAtoms(out)
-	return &Set{Atoms: out}
-}
-
-func sortAtoms(atoms []Atom) {
-	sort.Slice(atoms, func(i, j int) bool { return atomKey(atoms[i]) < atomKey(atoms[j]) })
+	out := append(make([]Atom, 0, len(atoms)), atoms...)
+	slices.SortStableFunc(out, atomCompare)
+	return &Set{Atoms: slices.CompactFunc(out, atomEqual)}
 }
 
 // Contains reports whether the set holds the atom.
 func (s *Set) Contains(a Atom) bool {
-	k := atomKey(a)
-	for _, x := range s.Atoms {
-		if atomKey(x) == k {
-			return true
-		}
-	}
-	return false
+	_, found := slices.BinarySearchFunc(s.Atoms, a, atomCompare)
+	return found
 }
 
 // NewMap builds a map value from key/value pairs, keeping the last value
 // for duplicate keys and sorting by key.
 func NewMap(pairs ...[2]Atom) *Map {
-	byKey := make(map[string][2]Atom, len(pairs))
-	for _, p := range pairs {
-		byKey[atomKey(p[0])] = p
+	out := append(make([][2]Atom, 0, len(pairs)), pairs...)
+	byKey := func(p, q [2]Atom) int { return atomCompare(p[0], q[0]) }
+	slices.SortStableFunc(out, byKey)
+	// Keep the last pair of each run of equal keys.
+	n := 0
+	for i, p := range out {
+		if i+1 < len(out) && byKey(p, out[i+1]) == 0 {
+			continue
+		}
+		out[n] = p
+		n++
 	}
-	out := make([][2]Atom, 0, len(byKey))
-	for _, p := range byKey {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return atomKey(out[i][0]) < atomKey(out[j][0]) })
-	return &Map{Pairs: out}
+	clear(out[n:])
+	return &Map{Pairs: out[:n]}
 }
 
 // Get returns the value stored under key, if any.
 func (m *Map) Get(key Atom) (Atom, bool) {
-	k := atomKey(key)
-	for _, p := range m.Pairs {
-		if atomKey(p[0]) == k {
-			return p[1], true
-		}
+	i, found := slices.BinarySearchFunc(m.Pairs, key, func(p [2]Atom, k Atom) int { return atomCompare(p[0], k) })
+	if !found {
+		return nil, false
 	}
-	return nil, false
+	return m.Pairs[i][1], true
+}
+
+// appendValueKey appends a canonical identity key for any Value.
+func appendValueKey(dst []byte, v Value) []byte {
+	switch v := v.(type) {
+	case *Set:
+		dst = append(dst, "S{"...)
+		for _, a := range v.Atoms {
+			dst = append(appendAtomKey(dst, a), ';')
+		}
+		return append(dst, '}')
+	case *Map:
+		dst = append(dst, "M{"...)
+		for _, p := range v.Pairs {
+			dst = append(appendAtomKey(dst, p[0]), '=')
+			dst = append(appendAtomKey(dst, p[1]), ';')
+		}
+		return append(dst, '}')
+	default:
+		return appendAtomKey(dst, v)
+	}
 }
 
 // valueKey returns a canonical identity key for any Value.
-func valueKey(v Value) string {
-	switch v := v.(type) {
-	case *Set:
-		var sb strings.Builder
-		sb.WriteString("S{")
-		for _, a := range v.Atoms {
-			sb.WriteString(atomKey(a))
-			sb.WriteByte(';')
-		}
-		sb.WriteByte('}')
-		return sb.String()
-	case *Map:
-		var sb strings.Builder
-		sb.WriteString("M{")
-		for _, p := range v.Pairs {
-			sb.WriteString(atomKey(p[0]))
-			sb.WriteByte('=')
-			sb.WriteString(atomKey(p[1]))
-			sb.WriteByte(';')
-		}
-		sb.WriteByte('}')
-		return sb.String()
-	default:
-		return atomKey(v)
-	}
-}
+func valueKey(v Value) string { return string(appendValueKey(nil, v)) }
 
 // ValueEqual reports deep equality of two OVSDB values.
-func ValueEqual(a, b Value) bool { return valueKey(a) == valueKey(b) }
+func ValueEqual(a, b Value) bool {
+	switch x := a.(type) {
+	case *Set:
+		y, ok := b.(*Set)
+		return ok && slices.EqualFunc(x.Atoms, y.Atoms, atomEqual)
+	case *Map:
+		y, ok := b.(*Map)
+		return ok && slices.EqualFunc(x.Pairs, y.Pairs, func(p, q [2]Atom) bool {
+			return atomEqual(p[0], q[0]) && atomEqual(p[1], q[1])
+		})
+	}
+	switch b.(type) {
+	case *Set, *Map:
+		return false
+	}
+	return atomEqual(a, b)
+}
 
 // namedUUID marks a not-yet-resolved named UUID reference inside a
 // transaction. It must never escape a committed row.

@@ -70,6 +70,12 @@ type Switch struct {
 	// configuration generation the pipeline ran under).
 	lastTxn atomic.Uint64
 
+	// writeMu serializes writes. undoEntries and undoPorts are the running
+	// write's undo log (see applyLocked), scratch kept across writes.
+	writeMu     sync.Mutex
+	undoEntries []p4.Entry
+	undoPorts   [][]uint16
+
 	// writeFault, when set, runs at the start of every Write (fault
 	// injection for tests: delays, forced errors).
 	writeFault atomic.Value // func([]p4rt.Update) error
@@ -322,75 +328,85 @@ func (sw *Switch) applyWrite(txn uint64, updates []p4rt.Update) error {
 	sw.mUpdates.Add(uint64(len(updates)))
 	sw.rec.Append(obs.Ev("switchsim", "write.apply").WithTxn(txn).WithDevice(sw.name).
 		F("updates", int64(len(updates))))
-	type undo func()
-	var undos []undo
-	rollback := func() {
-		for i := len(undos) - 1; i >= 0; i-- {
-			undos[i]()
-		}
+	sw.writeMu.Lock()
+	defer sw.writeMu.Unlock()
+	n, err := sw.applyLocked(updates)
+	if err != nil {
+		sw.rollback(updates[:n])
 	}
+	// Keep the scratch, but no entry or port list alive past the write.
+	clear(sw.undoEntries)
+	clear(sw.undoPorts)
+	sw.undoEntries, sw.undoPorts = sw.undoEntries[:0], sw.undoPorts[:0]
+	return err
+}
+
+// applyLocked applies updates in order and stops at the first failure,
+// returning how many it applied. It logs what rollback needs to invert
+// them: an applied insert added a new entry, which a delete inverts; an
+// applied modify or delete is inverted by reinstalling the entry it
+// replaced, logged in undoEntries; a multicast write by restoring the
+// ports it replaced, logged in undoPorts. writeMu must be held.
+func (sw *Switch) applyLocked(updates []p4rt.Update) (int, error) {
 	for i := range updates {
 		u := &updates[i]
 		switch {
 		case u.Entry != nil:
 			e := u.Entry
-			prev := sw.findEntry(e.Table, e.Matches)
+			prev, had := sw.rt.GetEntry(e.Table, e.Matches)
 			switch u.Type {
 			case p4rt.UpdateInsert, p4rt.UpdateModify:
-				if u.Type == p4rt.UpdateInsert && prev != nil {
-					rollback()
-					return fmt.Errorf("switchsim %s: table %s: entry already exists", sw.name, e.Table)
+				if u.Type == p4rt.UpdateInsert && had {
+					return i, fmt.Errorf("switchsim %s: table %s: entry already exists", sw.name, e.Table)
 				}
-				if u.Type == p4rt.UpdateModify && prev == nil {
-					rollback()
-					return fmt.Errorf("switchsim %s: table %s: no entry to modify", sw.name, e.Table)
+				if u.Type == p4rt.UpdateModify && !had {
+					return i, fmt.Errorf("switchsim %s: table %s: no entry to modify", sw.name, e.Table)
 				}
 				if err := sw.rt.InsertEntry(e.Table, p4.Entry{
 					Matches: e.Matches, Priority: e.Priority,
 					Action: e.Action, Params: e.Params,
 				}); err != nil {
-					rollback()
-					return err
+					return i, err
 				}
-				table, matches, old := e.Table, e.Matches, prev
-				undos = append(undos, func() {
-					if old != nil {
-						sw.rt.InsertEntry(table, *old)
-					} else {
-						sw.rt.DeleteEntry(table, matches)
-					}
-				})
 			case p4rt.UpdateDelete:
 				if err := sw.rt.DeleteEntry(e.Table, e.Matches); err != nil {
-					rollback()
-					return err
+					return i, err
 				}
-				table, old := e.Table, prev
-				undos = append(undos, func() { sw.rt.InsertEntry(table, *old) })
 			default:
-				rollback()
-				return fmt.Errorf("switchsim %s: unknown update type %q", sw.name, u.Type)
+				return i, fmt.Errorf("switchsim %s: unknown update type %q", sw.name, u.Type)
+			}
+			if had {
+				sw.undoEntries = append(sw.undoEntries, prev)
 			}
 		case u.Multicast != nil:
 			group := u.Multicast.Group
-			old := sw.rt.MulticastGroup(group)
+			sw.undoPorts = append(sw.undoPorts, sw.rt.MulticastGroup(group))
 			sw.rt.SetMulticastGroup(group, u.Multicast.Ports)
-			undos = append(undos, func() { sw.rt.SetMulticastGroup(group, old) })
 		default:
-			rollback()
-			return fmt.Errorf("switchsim %s: empty update", sw.name)
+			return i, fmt.Errorf("switchsim %s: empty update", sw.name)
 		}
 	}
-	return nil
+	return len(updates), nil
 }
 
-// findEntry returns a copy of the entry with the given matches, or nil.
-func (sw *Switch) findEntry(table string, matches []p4.FieldMatch) *p4.Entry {
-	e, ok := sw.rt.GetEntry(table, matches)
-	if !ok {
-		return nil
+// rollback inverts the applied updates, newest first, from the undo log
+// applyLocked wrote. writeMu must be held.
+func (sw *Switch) rollback(applied []p4rt.Update) {
+	for i := len(applied) - 1; i >= 0; i-- {
+		u := &applied[i]
+		switch {
+		case u.Multicast != nil:
+			last := len(sw.undoPorts) - 1
+			sw.rt.SetMulticastGroup(u.Multicast.Group, sw.undoPorts[last])
+			sw.undoPorts = sw.undoPorts[:last]
+		case u.Type == p4rt.UpdateInsert:
+			sw.rt.DeleteEntry(u.Entry.Table, u.Entry.Matches)
+		default:
+			last := len(sw.undoEntries) - 1
+			sw.rt.InsertEntry(u.Entry.Table, sw.undoEntries[last])
+			sw.undoEntries = sw.undoEntries[:last]
+		}
 	}
-	return &e
 }
 
 // ReadTable snapshots a table.
