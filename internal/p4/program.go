@@ -452,7 +452,11 @@ func (p *Program) Validate() error {
 			if err != nil {
 				return fmt.Errorf("p4: table %q: %w", t.Name, err)
 			}
-			k.Bits = bits
+			// A program is validated again by every runtime built on it (a
+			// restarted switch) while others execute it: write only a change.
+			if k.Bits != bits {
+				k.Bits = bits
+			}
 		}
 		if len(t.Actions) == 0 {
 			return fmt.Errorf("p4: table %q allows no actions", t.Name)
