@@ -383,14 +383,13 @@ func (r *monitorReply) ParseJSON(data []byte) error {
 	var d wirejson.Dec
 	d.Init(data)
 	if r.cursor {
-		// Read by position: an element that is missing leaves the decoder
-		// at punctuation, which fails whatever reads next.
+		// Read by position: a missing element fails the reply.
 		d.Array()
-		d.Elem()
+		nextElem(&d)
 		d.Bool(&r.found)
-		d.Elem()
+		nextElem(&d)
 		wirejson.Uint(&d, &r.lastTxn)
-		d.Elem()
+		nextElem(&d)
 	}
 	if r.found {
 		wirejson.Slice(&d, &r.gap, func(d *wirejson.Dec, g *GapUpdate) {
@@ -554,16 +553,15 @@ func parseWireRow(d *wirejson.Dec, ts *TableSchema, strict bool) Row {
 
 // parseWireValue decodes a column value of type ct from its RFC 7047
 // form into the form a column of that type stores (see normal). Integers
-// are read exactly: a fraction or an exponent in one is an error. Where
-// an element is missing the decoder is left at punctuation, which no atom
-// starts with, so the next read fails.
+// are read exactly: a fraction or an exponent in one is an error. A
+// missing element fails the decode (nextElem).
 func parseWireValue(d *wirejson.Dec, ct *ColumnType) Value {
 	var atom Atom
 	if d.Kind() != '[' {
 		atom = parseWireAtom(d, ct.Key.Type)
 	} else {
 		d.Array()
-		d.Elem()
+		nextElem(d)
 		switch tag, _ := d.StringBytes(); string(tag) {
 		case "set", "map":
 			isMap := tag[0] == 'm'
@@ -572,13 +570,13 @@ func parseWireValue(d *wirejson.Dec, ct *ColumnType) Value {
 				return nil
 			}
 			var atoms []Atom // a map's keys and values alternate
-			if d.Elem(); d.Array() {
+			if nextElem(d); d.Array() {
 				for d.Elem() {
 					if isMap {
 						d.Array()
-						d.Elem()
+						nextElem(d)
 						atoms = append(atoms, parseWireAtom(d, ct.Key.Type))
-						d.Elem()
+						nextElem(d)
 						atoms = append(atoms, parseWireAtom(d, ct.Value.Type))
 						endArray(d)
 					} else {
@@ -632,6 +630,13 @@ func decodeWireRow(raw []byte, ts *TableSchema, strict bool) (Row, error) {
 	return row, d.End()
 }
 
+// nextElem moves to an array element that has to come next.
+func nextElem(d *wirejson.Dec) {
+	if !d.Elem() {
+		d.Fail("missing element")
+	}
+}
+
 // endArray consumes the ']' that has to come next.
 func endArray(d *wirejson.Dec) {
 	if d.Elem() {
@@ -666,9 +671,10 @@ func parseWireAtom(d *wirejson.Dec, base string) Atom {
 		return s
 	case k == '[':
 		d.Array()
-		d.Elem()
-		tag, _ := d.StringBytes()
-		return parseUUIDRest(d, string(tag), base)
+		if d.Elem() { // "[]" is no atom
+			tag, _ := d.StringBytes()
+			return parseUUIDRest(d, string(tag), base)
+		}
 	}
 	d.Fail("value is not a valid %s", base)
 	return nil
@@ -678,7 +684,7 @@ func parseWireAtom(d *wirejson.Dec, base string) Atom {
 // pair whose tag has been read, as an atom of the given base type.
 func parseUUIDRest(d *wirejson.Dec, tag, base string) Atom {
 	var id string
-	if d.Elem(); base != "uuid" || tag != "uuid" && tag != "named-uuid" || d.Kind() != '"' {
+	if nextElem(d); base != "uuid" || tag != "uuid" && tag != "named-uuid" || d.Kind() != '"' {
 		d.Fail("value is not a valid %s", base)
 		return nil
 	}
