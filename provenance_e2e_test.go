@@ -193,6 +193,12 @@ func TestProvenanceRetractionE2E(t *testing.T) {
 	if err := s.Transact(ovsdb.OpDelete("Port", ovsdb.Cond("name", "==", "p1"))); err != nil {
 		t.Fatal(err)
 	}
+	// The monitor delivers the delete apart from the commit's reply: once
+	// the switch dropped the entry the loop holds the delete, and a
+	// barrier then runs after its origins are settled.
+	if err := s.WaitEntries("snvs0", "in_vlan", 0); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Ctrl.Barrier(); err != nil {
 		t.Fatal(err)
 	}
