@@ -331,18 +331,15 @@ func BenchmarkAblationNaiveRecompute(b *testing.B) {
 	}
 }
 
-// --- Ablation 3: digest batching in the switch ---
+// --- Ablation 3: the unbatched digest learn loop ---
 
-func benchDigestStack(b *testing.B, batch int) (*deploy.Stack, func(i int)) {
+func benchDigestStack(b *testing.B) (*deploy.Stack, func(i int)) {
 	b.Helper()
 	s, err := deploy.Start(bench.SnvsSpec(nil))
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(s.Close)
-	// Rebuild the switch's digest config is not possible post-hoc; instead
-	// drive learns through the existing stack and vary the controller-side
-	// batching by sending bursts.
 	if err := s.Transact(ovsdb.OpInsert("SwitchCfg", map[string]ovsdb.Value{
 		"name": "snvs0", "flood_unknown": true,
 	})); err != nil {
@@ -360,12 +357,11 @@ func benchDigestStack(b *testing.B, batch int) (*deploy.Stack, func(i int)) {
 			b.Fatal(err)
 		}
 	}
-	_ = batch
 	return s, inject
 }
 
 func BenchmarkAblationDigestLearn(b *testing.B) {
-	s, inject := benchDigestStack(b, 1)
+	s, inject := benchDigestStack(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inject(i)

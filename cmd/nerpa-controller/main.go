@@ -64,7 +64,6 @@ func main() {
 		BackoffMax:        *reconnectBackoff,
 		CallTimeout:       *rpcTimeout,
 		KeepaliveInterval: *keepalive,
-		KeepaliveMisses:   3,
 		Obs:               observer,
 	})
 	if err != nil {
@@ -84,7 +83,6 @@ func main() {
 			BackoffMax:        *reconnectBackoff,
 			CallTimeout:       *rpcTimeout,
 			KeepaliveInterval: *keepalive,
-			KeepaliveMisses:   3,
 			Obs:               observer,
 		})
 		if err != nil {
@@ -106,7 +104,7 @@ func main() {
 			WriteLimit: *subWriteLimit,
 			Obs:        observer,
 		})
-		subSvc.SetKeepalive(*keepalive, 3)
+		subSvc.SetKeepalive(*keepalive)
 		defer subSvc.Close()
 		cfg.OnDelta = subSvc.Publish
 	}

@@ -41,7 +41,7 @@ func main() {
 	}
 	defer cl.Close()
 	if *keepalive > 0 {
-		cl.Conn().StartKeepalive(*keepalive, 3)
+		cl.Conn().StartKeepalive(*keepalive)
 	}
 
 	if *list {

@@ -78,7 +78,7 @@ func main() {
 
 	srv := ovsdb.NewServer(db)
 	srv.SetObs(observer, "ovsdb")
-	srv.SetKeepalive(*keepalive, 3)
+	srv.SetKeepalive(*keepalive)
 	drained := observer.DrainOnSignal("ovsdb-server")
 	go func() {
 		<-drained

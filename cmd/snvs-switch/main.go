@@ -48,7 +48,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("creating switch: %v", err)
 	}
-	sw.SetKeepalive(*keepalive, 3)
+	sw.SetKeepalive(*keepalive)
 	observer := obsFlags.Start("snvs-switch", "switchsim")
 	if observer != nil {
 		sw.SetObs(observer)

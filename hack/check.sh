@@ -89,7 +89,7 @@ go test -race -run 'TestKillRestartEndToEnd' -count=1 .
 # engine-derived resync the controller installs itself, and the
 # in-process deployment's restarts back to its pre-boot goroutine
 # count, in one -race line.
-go test -race -run 'TestRedial|TestResilient|TestResync|TestPushToleratesUnavailableDevice|TestTransactIntegerExact|TestControllerInstallsResyncHook|TestRestartAndQuiesce' -count=1 ./internal/redial/ ./internal/ovsdb/ ./internal/p4rt/ ./internal/core/ ./internal/deploy/
+go test -race -run 'TestRedial|TestResilient|TestResync|TestPushToleratesUnavailableDevice|TestMissedWriteResyncsInsteadOfDelta|TestTransactIntegerExact|TestControllerInstallsResyncHook|TestRestartAndQuiesce' -count=1 ./internal/redial/ ./internal/ovsdb/ ./internal/p4rt/ ./internal/core/ ./internal/deploy/
 (cd "$bench_dir" && ./nerpa-bench -exp reconnect -reconnect-ports 50,250 -reconnect-restarts 3 &&
     test -s BENCH_reconnect.json)
 # Pub/sub fan-out: the subscription service e2e (snapshot-then-delta
@@ -102,7 +102,7 @@ go test -race -run 'TestWriteLimit|TestCloseFlushes|TestServer' -count=1 ./inter
 # Tests that used to lose to a timer, a clock, a publication race or a
 # stage order on a loaded box: twenty runs each under the race detector
 # hold the de-flaking.
-go test -race -count=20 -run 'TestRenderWireMatchesMarshal|TestDigestBatching|TestAggregatorStitchesAcrossMembers|TestResilientReconnectRunsHookAndHeals|TestTracerConvergenceEitherOrder|TestObsEndpointsServeAllPlanes|TestControllerTakeover' ./internal/ovsdb/ ./internal/switchsim/ ./internal/obs/fleet/ ./internal/p4rt/ ./internal/obs/ ./internal/deploy/ .
+go test -race -count=20 -run 'TestRenderWireMatchesMarshal|TestAggregatorStitchesAcrossMembers|TestResilientReconnectRunsHookAndHeals|TestTracerConvergenceEitherOrder|TestObsEndpointsServeAllPlanes|TestControllerTakeover' ./internal/ovsdb/ ./internal/obs/fleet/ ./internal/p4rt/ ./internal/obs/ ./internal/deploy/ .
 # Coalescing under race: merged monitor deliveries must stay
 # data-race-free, preserve per-txn attribution, and hold a barrier queued
 # behind them until their push.
@@ -111,6 +111,12 @@ go test -race -run 'TestCoalesc' -count=20 ./internal/core/
 # order and coalescing split, and the live commit that overtakes the
 # initial snapshot.
 go test -count=1 -run 'TestStepEventOrders|TestLiveCommitBeforeInitialSnapshot' ./internal/core/
+# The full-stack harness under the race detector, every seed: a random
+# schedule of commits and restarts of the database server, each switch
+# and the controller, then the invariant once the stack is quiet (no
+# switch drifts from the engine, the engine's inputs are the database's
+# rows and its outputs are NaiveEval's) and no goroutine left after Close.
+go test -race -count=1 -run 'TestHarness' ./internal/core/
 # Durability: the SIGKILL crash-recovery e2e must reconverge under the
 # race detector, and the WAL append/recover paths get a dedicated -race
 # smoke (group commit is the concurrency hot spot).

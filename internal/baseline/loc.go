@@ -14,19 +14,12 @@ var labelsSource string
 //go:embed snvs.go
 var snvsSource string
 
-//go:embed lb.go
-var lbSource string
-
 // LabelsLoC is the measured size of the full-recompute labeling code.
 func LabelsLoC() int { return codeLines(extractFunc(labelsSource, "func ComputeLabels")) }
 
 // SNVSImperativeLoC is the measured size of the imperative snvs
 // controller (state types + full recomputation + diff).
 func SNVSImperativeLoC() int { return codeLines(snvsSource) }
-
-// LBImperativeLoC is the measured size of the imperative load-balancer
-// translation.
-func LBImperativeLoC() int { return codeLines(extractFunc(lbSource, "func LBEntries")) }
 
 // extractFunc returns the source of one top-level function (from its
 // signature to the closing brace at column zero).

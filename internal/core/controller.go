@@ -144,6 +144,13 @@ type Controller struct {
 	evMu     sync.RWMutex
 	evClosed bool
 
+	// behind holds the readable devices that may not hold what the
+	// engine's last push left them: a write to one failed as unavailable,
+	// perhaps after the device applied it, or missed the device while its
+	// session was being restored. A delta no longer applies to such a
+	// device, so its next push is a resync instead. Event loop only.
+	behind map[string]bool
+
 	tracer *obs.Tracer
 	rec    *obs.Recorder
 	m      ctrlMetrics
@@ -356,6 +363,7 @@ func NewWithClasses(cfg Config, mp ManagementPlane, classes []DeviceClass) (*Con
 	c := &Controller{
 		cfg:    cfg,
 		devs:   make(map[string]DataPlane),
+		behind: make(map[string]bool),
 		events: make(chan event, 1024),
 		done:   make(chan struct{}),
 	}
@@ -640,7 +648,7 @@ func (c *Controller) dispatch(batch []event) {
 	// pinned for a slow delta still captures the full commit→push
 	// timeline (and slow pushes pin the provenance of what they wrote).
 	if o := c.cfg.Obs; o != nil {
-		if o.BudgetExceeded("delta", engineTime) {
+		if o.BudgetExceeded(engineTime) {
 			// With profiling on, the incident carries the pinned
 			// transaction's own per-rule breakdown, so it answers *which*
 			// rule made the delta slow, not just that it was slow.
@@ -650,7 +658,7 @@ func (c *Controller) dispatch(batch []event) {
 			}
 			o.PinIncident("delta", txn, ev.source, engineTime, detail)
 		}
-		if o.BudgetExceeded("push", pushTime) {
+		if o.BudgetExceeded(pushTime) {
 			o.PinIncident("push", txn, ev.source, pushTime,
 				c.prov.originsForTxn(txn, incidentOriginLimit))
 		}
@@ -735,10 +743,23 @@ func (c *Controller) push(txn uint64, source string, delta engine.Delta) (int, e
 			dw.txn = txn // observed: TxnWriter devices extend the trace
 		}
 	}
-	if source == "initial" {
+	switch {
+	case source == "initial":
 		err = c.takeOver(p.writes)
-	} else {
+	case len(c.behind) == 0:
 		err = c.writeDevices(p.writes, pushWorkers)
+	default:
+		// A device left behind gets a resync in place of its stream.
+		var errs []error
+		var level []*devWrite
+		for _, dw := range p.writes {
+			if c.behind[dw.id] {
+				errs = append(errs, c.doResync(dw.id, dw.dp.(TableReader)))
+			} else {
+				level = append(level, dw)
+			}
+		}
+		err = pickPushErr(append(errs, c.writeDevices(level, pushWorkers)))
 	}
 	if err != nil {
 		return p.changes, err
@@ -817,7 +838,8 @@ func (c *Controller) flushObserved(dw *devWrite) error {
 // nw workers: the calling goroutine and nw-1 more. Per-device ordering is
 // preserved (one worker owns a device's whole stream), all writes
 // complete before the push returns (barrier), and on failure the error of
-// the first device in delta order is reported.
+// the first device in delta order is reported. A readable device whose
+// write failed as unavailable is left behind.
 func (c *Controller) writeDevices(writes []*devWrite, nw int) error {
 	errs := make([]error, len(writes))
 	var next atomic.Int64
@@ -835,6 +857,14 @@ func (c *Controller) writeDevices(writes []*devWrite, nw int) error {
 	}
 	work()
 	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, p4rt.ErrUnavailable) {
+			continue
+		}
+		if _, ok := writes[i].dp.(TableReader); ok {
+			c.behind[writes[i].id] = true
+		}
+	}
 	return pickPushErr(errs)
 }
 

@@ -66,19 +66,44 @@ func (c *Controller) Resync(device string, dp TableReader) error {
 // device's class, takes the step's drift against them, and writes what
 // closes it: deletes for stale entries, inserts for missing ones,
 // modifies for entries whose action drifted, and every multicast group
-// of the device (groups cannot be read back). Returns the first error
-// (the caller's redial loop retries).
+// of the device (groups cannot be read back), which leaves the device
+// level with the engine. Returns the first error (the caller's redial
+// loop retries).
 func (c *Controller) doResync(device string, dp TableReader) error {
 	start := time.Now()
+	d, err := c.readDrift(device, dp)
+	if err != nil {
+		return fmt.Errorf("core: resync %s: %w", device, err)
+	}
+	updates := slices.Concat(d.stale, d.missing, d.modified, d.groups)
+	if len(updates) > 0 {
+		if err := dp.Write(updates...); err != nil {
+			c.behind[device] = true
+			return fmt.Errorf("core: resync %s: %w", device, err)
+		}
+	}
+	delete(c.behind, device)
+	c.m.resyncs.Inc()
+	c.rec.Append(obs.Ev("core", "conn.resync").WithDevice(device).
+		F("deleted", int64(len(d.stale))).
+		F("written", int64(len(updates)-len(d.stale))).
+		F("resync_us", time.Since(start).Microseconds()))
+	return nil
+}
+
+// readDrift reads every bound table of device's class through dp and
+// returns the step's drift against what it holds. It runs on the event
+// loop.
+func (c *Controller) readDrift(device string, dp TableReader) (*drift, error) {
 	cs := c.devClass[device]
 	if cs == nil {
-		return fmt.Errorf("core: resync: unknown device %q", device)
+		return nil, fmt.Errorf("unknown device %q", device)
 	}
 	var actual []p4rt.TableEntry
 	for _, table := range cs.tables {
 		entries, err := dp.ReadTable(table)
 		if err != nil {
-			return fmt.Errorf("core: resync %s: reading %s: %w", device, table, err)
+			return nil, fmt.Errorf("reading %s: %w", table, err)
 		}
 		for _, e := range entries {
 			if e.Table == "" {
@@ -87,20 +112,5 @@ func (c *Controller) doResync(device string, dp TableReader) error {
 			actual = append(actual, e)
 		}
 	}
-	d, err := c.drift(device, actual)
-	if err != nil {
-		return fmt.Errorf("core: resync %s: %w", device, err)
-	}
-	updates := slices.Concat(d.stale, d.missing, d.modified, d.groups)
-	if len(updates) > 0 {
-		if err := dp.Write(updates...); err != nil {
-			return fmt.Errorf("core: resync %s: %w", device, err)
-		}
-	}
-	c.m.resyncs.Inc()
-	c.rec.Append(obs.Ev("core", "conn.resync").WithDevice(device).
-		F("deleted", int64(len(d.stale))).
-		F("written", int64(len(updates)-len(d.stale))).
-		F("resync_us", time.Since(start).Microseconds()))
-	return nil
+	return c.drift(device, actual)
 }

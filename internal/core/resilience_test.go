@@ -341,6 +341,84 @@ func TestPushStillFailsOnRejectedWrite(t *testing.T) {
 	}
 }
 
+// readableDP is a strict device that can be read back, as a
+// p4rt.ResilientClient can: a modelDevice behind a lock, whose writes and
+// reads fail with p4rt.ErrUnavailable while it is down.
+type readableDP struct {
+	info *p4.P4Info
+	mu   sync.Mutex
+	dev  *modelDevice
+}
+
+func (d *readableDP) GetP4Info() (*p4.P4Info, error) { return d.info, nil }
+func (d *readableDP) OnDigest(func(p4rt.DigestList)) {}
+
+func (d *readableDP) Write(updates ...p4rt.Update) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.dev.write(updates)
+}
+
+func (d *readableDP) ReadTable(table string) ([]p4rt.TableEntry, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.dev.down {
+		return nil, fmt.Errorf("model device down: %w", p4rt.ErrUnavailable)
+	}
+	return d.dev.read(table), nil
+}
+
+func (d *readableDP) setDown(on bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.dev.down = on
+}
+
+// TestMissedWriteResyncsInsteadOfDelta: a device that missed a write (it
+// failed as unavailable) comes back holding what it held before, with no
+// reconnect hook run yet, as when a write is refused while a restored
+// session awaits publication. The next delta does not apply to it: here
+// it re-inserts the entry whose delete the device missed, which the
+// device would refuse as held, latching the controller. The controller
+// resyncs the device instead.
+func TestMissedWriteResyncsInsteadOfDelta(t *testing.T) {
+	o := obs.NewObserver()
+	mp, fake := newFakes(t)
+	dp := &readableDP{info: fake.info, dev: newModelDevice()}
+	port := ovsdb.OpInsert("Port", map[string]ovsdb.Value{
+		"name": "p1", "port_num": int64(1), "vlan_mode": "access", "tag": int64(10),
+	})
+	transact(t, mp, port)
+	ctrl, err := New(Config{Rules: snvs.Rules, Database: "snvs", Obs: o}, mp, dp)
+	if err != nil {
+		t.Fatalf("core.New: %v", err)
+	}
+	t.Cleanup(ctrl.Stop)
+	if err := ctrl.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+
+	dp.setDown(true)
+	transact(t, mp, ovsdb.OpDelete("Port", ovsdb.Cond("name", "==", "p1")))
+	waitCounter(t, o, "core_push_errors_total", 1)
+	dp.setDown(false)
+	transact(t, mp, port)
+	deadline := time.Now().Add(5 * time.Second)
+	for counterValue(t, o, "core_resyncs_total") < 2 { // the takeover's, then this one
+		if err := ctrl.Err(); err != nil {
+			t.Fatalf("controller failed: %v", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the device was not resynced")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	n, err := ctrl.DriftCount("dev0", dp)
+	if err != nil || n != 0 {
+		t.Fatalf("drift after the resync = %d, %v; want 0", n, err)
+	}
+}
+
 // counterValue reads a registered counter's current value (duplicate
 // registration returns the existing series).
 func counterValue(t *testing.T, o *obs.Observer, name string) uint64 {

@@ -121,9 +121,6 @@ type Rule struct {
 	GroupBy *GroupByTerm
 }
 
-// NumSlots returns the environment size the rule requires.
-func (r *Rule) NumSlots() int { return len(r.Slots) }
-
 // HeadIsPattern reports whether every head argument is a plain variable
 // reference or constant, which makes the head invertible (required for
 // efficient delete/re-derive in recursive strata).

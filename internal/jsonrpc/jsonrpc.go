@@ -213,17 +213,18 @@ func (c *Conn) SetCallTimeout(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// keepaliveMisses is the number of heartbeats in a row that must fail
+// before a connection with a keepalive is failed.
+const keepaliveMisses = 3
+
 // StartKeepalive begins an echo-based heartbeat: every interval the
 // connection issues an "echo" call bounded by the same interval, and
-// after misses consecutive failures the connection is failed (Done
-// closes, pending calls error). It must be called at most once; the
-// goroutine stops on StopKeepalive, Close, or connection failure.
-func (c *Conn) StartKeepalive(interval time.Duration, misses int) {
+// after keepaliveMisses consecutive failures the connection is failed
+// (Done closes, pending calls error). It must be called at most once;
+// the goroutine stops on StopKeepalive, Close, or connection failure.
+func (c *Conn) StartKeepalive(interval time.Duration) {
 	if interval <= 0 {
 		return
-	}
-	if misses < 1 {
-		misses = 1
 	}
 	c.mu.Lock()
 	if c.kaStop != nil || c.closed {
@@ -233,7 +234,7 @@ func (c *Conn) StartKeepalive(interval time.Duration, misses int) {
 	stop := make(chan struct{})
 	c.kaStop = stop
 	c.mu.Unlock()
-	go c.keepalive(interval, misses, stop)
+	go c.keepalive(interval, stop)
 }
 
 // StopKeepalive terminates the heartbeat goroutine, if running.
@@ -246,7 +247,7 @@ func (c *Conn) StopKeepalive() {
 	}
 }
 
-func (c *Conn) keepalive(interval time.Duration, misses int, stop chan struct{}) {
+func (c *Conn) keepalive(interval time.Duration, stop chan struct{}) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	missed := 0
@@ -261,7 +262,7 @@ func (c *Conn) keepalive(interval time.Duration, misses int, stop chan struct{})
 		var out any
 		if err := c.CallTimeout("echo", []any{"keepalive"}, &out, interval); err != nil {
 			missed++
-			if missed >= misses {
+			if missed >= keepaliveMisses {
 				c.fail(fmt.Errorf("%w: %d heartbeats missed: %v", ErrKeepalive, missed, err))
 				c.rwc.Close()
 				return

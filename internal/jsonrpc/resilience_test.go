@@ -99,7 +99,7 @@ func TestKeepaliveFailsUnresponsiveConn(t *testing.T) {
 	if err := ca.Notify("hang", nil); err != nil {
 		t.Fatal(err)
 	}
-	ca.StartKeepalive(20*time.Millisecond, 2)
+	ca.StartKeepalive(20 * time.Millisecond)
 	select {
 	case <-ca.Done():
 		if !errors.Is(ca.Err(), ErrKeepalive) {
@@ -112,7 +112,7 @@ func TestKeepaliveFailsUnresponsiveConn(t *testing.T) {
 
 func TestKeepaliveKeepsHealthyConnAlive(t *testing.T) {
 	ca, _ := pipePair(t, nil, echoHandler())
-	ca.StartKeepalive(10*time.Millisecond, 2)
+	ca.StartKeepalive(10 * time.Millisecond)
 	select {
 	case <-ca.Done():
 		t.Fatalf("healthy connection failed: %v", ca.Err())
@@ -210,7 +210,7 @@ func TestConnGoroutinesTerminateOnClose(t *testing.T) {
 		a, b := net.Pipe()
 		ca := NewConn(a, echoHandler())
 		cb := NewConn(b, echoHandler())
-		ca.StartKeepalive(time.Millisecond, 3)
+		ca.StartKeepalive(time.Millisecond)
 		var out string
 		if err := ca.CallTimeout("echo", "x", &out, time.Second); err != nil {
 			t.Fatalf("call: %v", err)
@@ -226,7 +226,7 @@ func TestConnGoroutinesTerminateOnPeerFailure(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a, b := net.Pipe()
 		ca := NewConn(a, nil)
-		ca.StartKeepalive(time.Millisecond, 1)
+		ca.StartKeepalive(time.Millisecond)
 		b.Close() // remote failure, not local Close
 		<-ca.Done()
 	}

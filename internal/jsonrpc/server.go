@@ -26,7 +26,6 @@ type Server struct {
 	// Close returns only after every teardown hook has run.
 	watchers   sync.WaitGroup
 	kaInterval time.Duration
-	kaMisses   int
 	// overflowBase accumulates departed connections' overflow counts so
 	// jsonrpc_write_overflows_total stays monotonic.
 	overflowBase uint64
@@ -47,11 +46,11 @@ func NewServer(writeLimit int, accept func(c *Conn) (h Handler, closed func())) 
 }
 
 // SetKeepalive makes every subsequently accepted connection probe its
-// peer with echo heartbeats, so half-open peers are reaped: misses
-// consecutive failures fail the connection. 0 disables.
-func (s *Server) SetKeepalive(interval time.Duration, misses int) {
+// peer with echo heartbeats, so half-open peers are reaped (see
+// Conn.StartKeepalive). 0 disables.
+func (s *Server) SetKeepalive(interval time.Duration) {
 	s.mu.Lock()
-	s.kaInterval, s.kaMisses = interval, misses
+	s.kaInterval = interval
 	s.mu.Unlock()
 }
 
@@ -124,11 +123,11 @@ func (s *Server) ServeConn(rwc io.ReadWriteCloser) *Conn {
 	}
 	s.conns[c] = true
 	s.watchers.Add(1)
-	interval, misses := s.kaInterval, s.kaMisses
+	interval := s.kaInterval
 	s.mu.Unlock()
 	h, closed := s.accept(c)
 	c.Start(h)
-	c.StartKeepalive(interval, misses)
+	c.StartKeepalive(interval)
 	go func() {
 		defer s.watchers.Done()
 		<-c.Done()

@@ -93,7 +93,7 @@ func TestServer(t *testing.T) {
 				return nil, nil
 			})
 			defer ts.Close()
-			ts.SetKeepalive(10*time.Millisecond, 2)
+			ts.SetKeepalive(10 * time.Millisecond)
 			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)

@@ -43,9 +43,7 @@ func (f *Flags) Start(proc, plane string) *Observer {
 	}
 	o := NewObserverWith(ObserverConfig{EventCapacity: *f.events})
 	o.SetIdentity(plane, *f.instance)
-	if *f.slowBudget > 0 {
-		o.SetSlowBudget(AllBudget(*f.slowBudget))
-	}
+	o.SetSlowBudget(*f.slowBudget)
 	if *f.historyInterval > 0 {
 		o.StartHistory(*f.historyInterval)
 	}

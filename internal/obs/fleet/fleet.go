@@ -45,17 +45,19 @@ type Config struct {
 	// StaleAfter marks a member stale when its last successful scrape is
 	// older than this (default 3×Interval).
 	StaleAfter time.Duration
-	// TraceLimit caps the traces fetched per member per poll (default
-	// 128).
-	TraceLimit int
-	// TraceCapacity bounds the stitched-trace store (default 512).
-	TraceCapacity int
-	// ScrapeTimeout bounds each HTTP scrape (default 2s).
-	ScrapeTimeout time.Duration
-	// RuleLimit caps the fleet-wide hot-rule table merged from the
-	// members' /debug/rules reports (default 16).
-	RuleLimit int
 }
+
+const (
+	// traceLimit caps the traces fetched per member per poll.
+	traceLimit = 128
+	// traceCapacity bounds the stitched-trace store.
+	traceCapacity = 512
+	// scrapeTimeout bounds each HTTP scrape.
+	scrapeTimeout = 2 * time.Second
+	// ruleLimit caps the fleet-wide hot-rule table merged from the
+	// members' /debug/rules reports.
+	ruleLimit = 16
+)
 
 func (c *Config) withDefaults() {
 	if c.Interval <= 0 {
@@ -63,18 +65,6 @@ func (c *Config) withDefaults() {
 	}
 	if c.StaleAfter <= 0 {
 		c.StaleAfter = 3 * c.Interval
-	}
-	if c.TraceLimit <= 0 {
-		c.TraceLimit = 128
-	}
-	if c.TraceCapacity <= 0 {
-		c.TraceCapacity = 512
-	}
-	if c.ScrapeTimeout <= 0 {
-		c.ScrapeTimeout = 2 * time.Second
-	}
-	if c.RuleLimit <= 0 {
-		c.RuleLimit = 16
 	}
 }
 
@@ -126,6 +116,9 @@ type Aggregator struct {
 	cfg     Config
 	members []*member
 	client  *http.Client
+	// ruleLimit caps the hot-rule table: the ruleLimit constant, which
+	// tests lower.
+	ruleLimit int
 
 	mu       sync.Mutex
 	stitched map[uint64]*StitchedTrace
@@ -153,7 +146,8 @@ func New(cfg Config) (*Aggregator, error) {
 	}
 	a := &Aggregator{
 		cfg:        cfg,
-		client:     &http.Client{Timeout: cfg.ScrapeTimeout},
+		client:     &http.Client{Timeout: scrapeTimeout},
+		ruleLimit:  ruleLimit,
 		stitched:   make(map[uint64]*StitchedTrace),
 		convSeen:   make(map[uint64]bool),
 		reg:        obs.NewRegistry(),
@@ -280,7 +274,7 @@ func (a *Aggregator) scrape(m *member) {
 // scrapeRules fetches the member's /debug/rules hot-rule report.
 // Any failure (endpoint absent, decode error) reports ok=false.
 func (a *Aggregator) scrapeRules(base string) (obs.RuleReport, bool) {
-	resp, err := a.client.Get(base + "/debug/rules?limit=" + strconv.Itoa(a.cfg.RuleLimit))
+	resp, err := a.client.Get(base + "/debug/rules?limit=" + strconv.Itoa(a.ruleLimit))
 	if err != nil {
 		return obs.RuleReport{}, false
 	}
@@ -330,7 +324,7 @@ func (a *Aggregator) scrapeReadyz(base string) (health, detail string, hdr http.
 // the request interval on the local clock.
 func (a *Aggregator) scrapeTraces(base string) ([]obs.Trace, http.Header, time.Duration, error) {
 	reqStart := time.Now()
-	resp, err := a.client.Get(base + "/debug/traces?limit=" + strconv.Itoa(a.cfg.TraceLimit))
+	resp, err := a.client.Get(base + "/debug/traces?limit=" + strconv.Itoa(traceLimit))
 	if err != nil {
 		return nil, nil, 0, err
 	}

@@ -410,10 +410,11 @@ func TestAggregatorRuleLimitRollsUp(t *testing.T) {
 	}
 	m.Prof().ObserveTxn(samples)
 
-	agg, err := New(Config{Targets: []string{"m=" + mSrv.URL}, RuleLimit: 2})
+	agg, err := New(Config{Targets: []string{"m=" + mSrv.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	agg.ruleLimit = 2
 	agg.PollOnce()
 	hr := agg.Status().HotRules
 	if len(hr.Rules) != 2 || hr.Rules[0].ID != "R5#0" {

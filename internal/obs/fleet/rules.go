@@ -110,7 +110,7 @@ func (a *Aggregator) hotRules() FleetRules {
 	}
 	totalEwma += other.EwmaNs
 	for i, r := range rows {
-		if i < a.cfg.RuleLimit {
+		if i < a.ruleLimit {
 			if totalEwma > 0 {
 				r.Share = r.EwmaNs / totalEwma
 			}

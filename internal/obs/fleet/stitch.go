@@ -133,7 +133,7 @@ func (a *Aggregator) restitch() {
 		a.stitched[txn] = st
 	}
 	// FIFO-evict beyond capacity.
-	for len(a.order) > a.cfg.TraceCapacity {
+	for len(a.order) > traceCapacity {
 		old := a.order[0]
 		a.order = a.order[1:]
 		delete(a.stitched, old)

@@ -68,9 +68,8 @@ func (s *hSeries) last(k int) []Sample {
 	return out
 }
 
-// DefaultHistorySamples is the per-series ring size when NewHistory is
-// given n <= 0.
-const DefaultHistorySamples = 512
+// historySamples is the per-series ring size of an observer's history.
+const historySamples = 512
 
 // DefaultHistoryInterval is the sampling interval when Start is given
 // d <= 0.
@@ -91,12 +90,10 @@ type History struct {
 	onSample func(*History)
 }
 
-// NewHistory creates a history whose series each retain n samples.
-func NewHistory(n int) *History {
-	if n <= 0 {
-		n = DefaultHistorySamples
-	}
-	return &History{cap: n, byName: make(map[string]*hSeries)}
+// newHistory creates a history whose series each retain historySamples
+// samples.
+func newHistory() *History {
+	return &History{cap: historySamples, byName: make(map[string]*hSeries)}
 }
 
 // track registers one series; the first registration of a name wins.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestHistorySampleKinds(t *testing.T) {
-	h := NewHistory(8)
+	h := newHistory()
 	var counter, gauge, hSum, hCount float64
 	h.TrackRate("rate_total", func() float64 { return counter })
 	h.TrackValue("depth", func() float64 { return gauge })
@@ -48,7 +48,8 @@ func TestHistorySampleKinds(t *testing.T) {
 }
 
 func TestHistoryRingAndDuplicateTrack(t *testing.T) {
-	h := NewHistory(4)
+	h := newHistory()
+	h.cap = 4
 	var v float64
 	h.TrackValue("depth", func() float64 { return v })
 	// Duplicate registration: first wins, no second series.
@@ -117,7 +118,7 @@ func TestDebugHistoryEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(get2(t, srv, "/debug/history")), &names); err != nil {
 		t.Fatal(err)
 	}
-	if len(names.Series) != 2 || names.Capacity != DefaultHistorySamples {
+	if len(names.Series) != 2 || names.Capacity != historySamples {
 		t.Fatalf("name catalog has %d series, capacity %d", len(names.Series), names.Capacity)
 	}
 	if names.Series[0] != "core_queue_depth" || names.Series[1] != "other_series" {

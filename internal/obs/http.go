@@ -70,8 +70,8 @@ type Observer struct {
 	// currently holding all planes in sync.
 	degradedMu sync.Mutex
 	degraded   map[string]string
-	// budgets holds the per-stage slow-transaction Budgets.
-	budgets atomic.Value
+	// budget holds the slow-transaction budget in nanoseconds.
+	budget atomic.Int64
 	// expl holds the registered Explainer (nil until a provenance-capable
 	// component wires itself in).
 	expl atomic.Value
@@ -107,21 +107,12 @@ type Identity struct {
 	Start    time.Time `json:"start"`
 }
 
-// ObserverConfig sizes the flight-recorder parts of an observer. The
-// zero value selects every default.
+// ObserverConfig sizes the flight-recorder event ring of an observer.
+// The zero value selects the default.
 type ObserverConfig struct {
 	// EventCapacity sizes the event ring; 0 selects
 	// DefaultEventCapacity, negative disables event recording entirely.
 	EventCapacity int
-	// IncidentCapacity sizes the incident store (0 = default).
-	IncidentCapacity int
-	// HistorySamples sizes each history ring (0 = default).
-	HistorySamples int
-	// ProfileTopK bounds /debug/rules and fleet hot-rule reports to the
-	// K most expensive rules by EWMA cost (0 = DefaultProfileTopK).
-	ProfileTopK int
-	// Watchdog tunes the stall rules (zero = defaults).
-	Watchdog WatchdogConfig
 }
 
 // NewObserver creates an enabled observer with default-sized registry,
@@ -135,10 +126,10 @@ func NewObserverWith(cfg ObserverConfig) *Observer {
 	o := &Observer{
 		Registry:  NewRegistry(),
 		Tracer:    NewTracer(0),
-		Incidents: NewIncidentStore(cfg.IncidentCapacity),
-		History:   NewHistory(cfg.HistorySamples),
-		Watchdog:  NewWatchdog(cfg.Watchdog),
-		Profiler:  NewRuleProfiler(cfg.ProfileTopK),
+		Incidents: newIncidentStore(),
+		History:   newHistory(),
+		Watchdog:  newWatchdog(),
+		Profiler:  newRuleProfiler(),
 		start:     time.Now(),
 	}
 	if cfg.EventCapacity >= 0 {

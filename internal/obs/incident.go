@@ -7,40 +7,13 @@ import (
 	"time"
 )
 
-// Slow-path auto-capture: each pipeline stage (commit→monitor delivery,
-// delta evaluation, data-plane push) has a latency budget; when a
-// transaction exceeds one, its full flight-recorder event set, trace and
-// any caller-supplied detail (e.g. the pushed entries' provenance) are
-// pinned into a small FIFO incident store. Pinned incidents survive
+// Slow-path auto-capture: one latency budget bounds every pipeline stage
+// (commit→monitor delivery, delta evaluation, data-plane push); when a
+// transaction's stage exceeds it, its full flight-recorder event set,
+// trace and any caller-supplied detail (e.g. the pushed entries'
+// provenance) are pinned into a small FIFO incident store. Pinned incidents survive
 // ring eviction, so slow outliers remain inspectable at /debug/incidents
 // long after their events have been overwritten.
-
-// Budgets holds the per-stage latency budgets. A zero budget disables
-// capture for that stage.
-type Budgets struct {
-	// Monitor bounds commit→monitor-delivery lag.
-	Monitor time.Duration `json:"monitor"`
-	// Delta bounds incremental evaluation per transaction.
-	Delta time.Duration `json:"delta"`
-	// Push bounds the data-plane push (all devices, barrier).
-	Push time.Duration `json:"push"`
-}
-
-// AllBudget sets the same budget for every stage.
-func AllBudget(d time.Duration) Budgets { return Budgets{Monitor: d, Delta: d, Push: d} }
-
-// For returns the budget of one stage ("monitor", "delta", "push").
-func (b Budgets) For(stage string) time.Duration {
-	switch stage {
-	case "monitor":
-		return b.Monitor
-	case "delta":
-		return b.Delta
-	case "push":
-		return b.Push
-	}
-	return 0
-}
 
 // Incident is one pinned slow-transaction capture.
 type Incident struct {
@@ -62,9 +35,8 @@ type Incident struct {
 	Detail any `json:"detail,omitempty"`
 }
 
-// DefaultIncidentCapacity bounds the store when NewIncidentStore is
-// given n <= 0.
-const DefaultIncidentCapacity = 32
+// incidentCapacity bounds an observer's incident store.
+const incidentCapacity = 32
 
 // IncidentStore retains the most recent incidents, FIFO. A nil store
 // ignores pins.
@@ -76,12 +48,10 @@ type IncidentStore struct {
 	evicted uint64
 }
 
-// NewIncidentStore creates a store retaining the last n incidents.
-func NewIncidentStore(n int) *IncidentStore {
-	if n <= 0 {
-		n = DefaultIncidentCapacity
-	}
-	return &IncidentStore{cap: n}
+// newIncidentStore creates a store retaining the last incidentCapacity
+// incidents.
+func newIncidentStore() *IncidentStore {
+	return &IncidentStore{cap: incidentCapacity}
 }
 
 // Add pins one incident, evicting the oldest beyond capacity.
@@ -147,32 +117,29 @@ func (s *IncidentStore) WriteJSON(w io.Writer, txn uint64) error {
 	return enc.Encode(incidentDump{Evicted: evicted, Incidents: incidents})
 }
 
-// SetSlowBudget installs the per-stage latency budgets (typically once
-// at startup from -obs-slow-budget). Nil-safe.
-func (o *Observer) SetSlowBudget(b Budgets) {
+// SetSlowBudget installs the latency budget every stage is held to
+// (typically once at startup from -obs-slow-budget; 0 disables capture).
+// Nil-safe.
+func (o *Observer) SetSlowBudget(d time.Duration) {
 	if o == nil {
 		return
 	}
-	o.budgets.Store(b)
+	o.budget.Store(int64(d))
 }
 
-// SlowBudget returns the installed budgets (zero when unset/disabled).
-func (o *Observer) SlowBudget() Budgets {
+// SlowBudget returns the installed budget (zero when unset/disabled).
+func (o *Observer) SlowBudget() time.Duration {
 	if o == nil {
-		return Budgets{}
+		return 0
 	}
-	b, _ := o.budgets.Load().(Budgets)
-	return b
+	return time.Duration(o.budget.Load())
 }
 
-// BudgetExceeded reports whether a stage's measured latency blew its
+// BudgetExceeded reports whether a stage's measured latency blew the
 // budget. Callers pair it with PinIncident so they can assemble
 // stage-specific detail only on the (rare) slow path.
-func (o *Observer) BudgetExceeded(stage string, actual time.Duration) bool {
-	if o == nil {
-		return false
-	}
-	b := o.SlowBudget().For(stage)
+func (o *Observer) BudgetExceeded(actual time.Duration) bool {
+	b := o.SlowBudget()
 	return b > 0 && actual > b
 }
 
@@ -187,7 +154,7 @@ func (o *Observer) PinIncident(stage string, txn uint64, source string, actual t
 		Txn:    txn,
 		Source: source,
 		Stage:  stage,
-		Budget: o.SlowBudget().For(stage),
+		Budget: o.SlowBudget(),
 		Actual: actual,
 		Detail: detail,
 	}

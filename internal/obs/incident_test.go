@@ -9,33 +9,27 @@ import (
 
 func TestBudgetExceeded(t *testing.T) {
 	o := NewObserver()
-	if o.BudgetExceeded("push", time.Hour) {
-		t.Fatal("zero budgets must disable capture")
+	if o.BudgetExceeded(time.Hour) {
+		t.Fatal("zero budget must disable capture")
 	}
-	o.SetSlowBudget(Budgets{Push: 10 * time.Millisecond})
-	if !o.BudgetExceeded("push", 20*time.Millisecond) {
+	o.SetSlowBudget(10 * time.Millisecond)
+	if !o.BudgetExceeded(20 * time.Millisecond) {
 		t.Fatal("20ms over a 10ms budget not exceeded")
 	}
-	if o.BudgetExceeded("push", 5*time.Millisecond) {
+	if o.BudgetExceeded(5 * time.Millisecond) {
 		t.Fatal("5ms under a 10ms budget exceeded")
 	}
-	if o.BudgetExceeded("delta", time.Hour) {
-		t.Fatal("unset delta budget exceeded")
-	}
-	if o.BudgetExceeded("bogus", time.Hour) {
-		t.Fatal("unknown stage exceeded")
-	}
 	var nilo *Observer
-	if nilo.BudgetExceeded("push", time.Hour) {
+	if nilo.BudgetExceeded(time.Hour) {
 		t.Fatal("nil observer exceeded")
 	}
 	nilo.PinIncident("push", 1, "ovsdb", time.Second, nil) // must not panic
-	nilo.SetSlowBudget(AllBudget(time.Second))
+	nilo.SetSlowBudget(time.Second)
 }
 
 func TestPinIncidentCapturesEventsAndTrace(t *testing.T) {
 	o := NewObserver()
-	o.SetSlowBudget(AllBudget(time.Millisecond))
+	o.SetSlowBudget(time.Millisecond)
 	base := time.Unix(3000, 0)
 	o.Rec().Append(Ev("ovsdb", "txn.commit").WithTxn(5).At(base))
 	o.Rec().Append(Ev("core", "push.start").WithTxn(5).At(base.Add(time.Second)))
@@ -74,7 +68,7 @@ func TestPinIncidentCapturesEventsAndTrace(t *testing.T) {
 
 func TestPinIncidentTxnZeroPinsNoEvents(t *testing.T) {
 	o := NewObserver()
-	o.SetSlowBudget(AllBudget(time.Millisecond))
+	o.SetSlowBudget(time.Millisecond)
 	o.Rec().Append(Ev("core", "push.start").WithTxn(1))
 	o.Rec().Append(Ev("core", "push.start")) // txn-less
 	o.PinIncident("push", 0, "initial", time.Second, nil)
@@ -90,7 +84,8 @@ func TestPinIncidentTxnZeroPinsNoEvents(t *testing.T) {
 }
 
 func TestIncidentStoreFIFOEviction(t *testing.T) {
-	s := NewIncidentStore(3)
+	s := newIncidentStore()
+	s.cap = 3
 	for i := 1; i <= 5; i++ {
 		s.Add(Incident{Txn: uint64(i)})
 	}
@@ -110,7 +105,7 @@ func TestIncidentStoreFIFOEviction(t *testing.T) {
 
 func TestDebugIncidentsEndpoint(t *testing.T) {
 	o := NewObserver()
-	o.SetSlowBudget(AllBudget(time.Millisecond))
+	o.SetSlowBudget(time.Millisecond)
 	o.PinIncident("delta", 3, "ovsdb", 4*time.Millisecond, nil)
 	o.PinIncident("push", 4, "ovsdb", 9*time.Millisecond, nil)
 	srv := httptest.NewServer(o.Handler())

@@ -110,9 +110,9 @@ type memReport struct {
 	MemSnapshot
 }
 
-// DefaultProfileTopK bounds report cardinality when NewRuleProfiler is
-// given k <= 0.
-const DefaultProfileTopK = 16
+// profileTopK bounds /debug/rules and fleet hot-rule reports to the K
+// most expensive rules by EWMA cost.
+const profileTopK = 16
 
 // profileAlpha is the EWMA smoothing factor applied per observed
 // transaction: new = alpha*sample + (1-alpha)*old. 0.2 weights the
@@ -138,13 +138,10 @@ type RuleProfiler struct {
 	memAt time.Time
 }
 
-// NewRuleProfiler creates a profiler reporting the top k rules by EWMA
-// cost (k <= 0 selects DefaultProfileTopK).
-func NewRuleProfiler(k int) *RuleProfiler {
-	if k <= 0 {
-		k = DefaultProfileTopK
-	}
-	return &RuleProfiler{topK: k, byID: make(map[string]*ruleEntry)}
+// newRuleProfiler creates a profiler reporting the top profileTopK rules
+// by EWMA cost.
+func newRuleProfiler() *RuleProfiler {
+	return &RuleProfiler{topK: profileTopK, byID: make(map[string]*ruleEntry)}
 }
 
 // entry finds or creates one rule's state. Caller holds p.mu.

@@ -9,7 +9,8 @@ import (
 )
 
 func TestRuleProfilerTopKAndOther(t *testing.T) {
-	p := NewRuleProfiler(3)
+	p := newRuleProfiler()
+	p.topK = 3
 	var samples []RuleSample
 	for i := 0; i < 10; i++ {
 		samples = append(samples, RuleSample{
@@ -55,7 +56,7 @@ func TestRuleProfilerTopKAndOther(t *testing.T) {
 }
 
 func TestRuleProfilerEwmaDecay(t *testing.T) {
-	p := NewRuleProfiler(0)
+	p := newRuleProfiler()
 	p.ObserveTxn([]RuleSample{{ID: "A#0", EvalNs: 1_000_000}})
 	hot := p.RuleEwmaSeconds("A#0")
 	if hot != 1e-3 {
@@ -88,7 +89,8 @@ func TestRuleProfilerNil(t *testing.T) {
 }
 
 func TestDebugRulesAndMemoryEndpoints(t *testing.T) {
-	o := NewObserverWith(ObserverConfig{ProfileTopK: 2})
+	o := NewObserver()
+	o.Profiler.topK = 2
 	o.Prof().ObserveTxn([]RuleSample{
 		{ID: "Hot#0", Label: "Hot(a,c) :- In(a,b), In(c,b).", Stratum: 2, EvalNs: 9000, Derivations: 100, DeltaTuples: 50},
 		{ID: "Cheap#0", Label: "Cheap(b,a) :- In(a,b).", Stratum: 1, EvalNs: 100, Derivations: 10, DeltaTuples: 10},

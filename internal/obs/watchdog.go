@@ -26,36 +26,28 @@ const (
 	SeriesEngineLatency = "core_engine_seconds"       // avg: incremental evaluation latency
 )
 
-// WatchdogConfig tunes the stall rules.
-type WatchdogConfig struct {
-	// Window is how many consecutive samples a condition must hold for
-	// (default 5).
-	Window int
-	// QueueHighWater is the event-queue depth considered "high"
-	// (default 256; the controller queue caps at 1024).
-	QueueHighWater float64
-	// LagFloor is the minimum monitor lag before growth counts as a
-	// stall (default 250ms; filters out microsecond-scale jitter).
-	LagFloor time.Duration
-}
+// The stall rules' thresholds.
+const (
+	// watchdogWindow is how many consecutive samples a condition must
+	// hold for.
+	watchdogWindow = 5
+	// watchdogQueueHighWater is the event-queue depth considered "high"
+	// (the controller queue caps at 1024).
+	watchdogQueueHighWater = 256
+	// watchdogLagFloor is the minimum monitor lag before growth counts as
+	// a stall (filters out microsecond-scale jitter).
+	watchdogLagFloor = 250 * time.Millisecond
+)
 
 // Watchdog evaluates the stall rules against a History.
 type Watchdog struct {
-	cfg WatchdogConfig
+	window         int
+	queueHighWater float64
+	lagFloor       time.Duration
 }
 
-// NewWatchdog builds a watchdog, filling config defaults.
-func NewWatchdog(cfg WatchdogConfig) *Watchdog {
-	if cfg.Window <= 0 {
-		cfg.Window = 5
-	}
-	if cfg.QueueHighWater <= 0 {
-		cfg.QueueHighWater = 256
-	}
-	if cfg.LagFloor <= 0 {
-		cfg.LagFloor = 250 * time.Millisecond
-	}
-	return &Watchdog{cfg: cfg}
+func newWatchdog() *Watchdog {
+	return &Watchdog{window: watchdogWindow, queueHighWater: watchdogQueueHighWater, lagFloor: watchdogLagFloor}
 }
 
 // Evaluate returns "" when healthy, or a human-readable stall reason.
@@ -65,7 +57,7 @@ func (w *Watchdog) Evaluate(h *History) string {
 	if w == nil || h == nil {
 		return ""
 	}
-	win := w.cfg.Window
+	win := w.window
 
 	// Rule 1: commits flowing, zero applies — the controller is wedged
 	// between monitor delivery and the engine.
@@ -90,13 +82,13 @@ func (w *Watchdog) Evaluate(h *History) string {
 	if len(queue) == win {
 		high := true
 		for _, s := range queue {
-			if s.Value < w.cfg.QueueHighWater {
+			if s.Value < w.queueHighWater {
 				high = false
 				break
 			}
 		}
 		if high && queue[win-1].Value >= queue[0].Value {
-			return fmt.Sprintf("push queue depth flat-high: %d samples >= %g (now %g)", win, w.cfg.QueueHighWater, queue[win-1].Value)
+			return fmt.Sprintf("push queue depth flat-high: %d samples >= %g (now %g)", win, w.queueHighWater, queue[win-1].Value)
 		}
 	}
 
@@ -104,7 +96,7 @@ func (w *Watchdog) Evaluate(h *History) string {
 	// monitor fan-out is falling behind commit order.
 	lag := h.Last(SeriesMonitorLag, win)
 	if len(lag) == win {
-		growing := lag[win-1].Value > w.cfg.LagFloor.Seconds()
+		growing := lag[win-1].Value > w.lagFloor.Seconds()
 		for i := 1; i < win && growing; i++ {
 			if lag[i].Value <= lag[i-1].Value || lag[i-1].Value == 0 {
 				growing = false

@@ -36,9 +36,10 @@ func feedHistory(h *History, n int, commits, applies, queue, lag func(i int) flo
 }
 
 func TestWatchdogCommitsWithoutApplies(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{Window: 3})
+	w := newWatchdog()
+	w.window = 3
 
-	stalled := NewHistory(8)
+	stalled := newHistory()
 	feedHistory(stalled, 3,
 		func(i int) float64 { return float64(10 * i) }, // commits flowing
 		func(i int) float64 { return 0 },               // nothing applied
@@ -47,7 +48,7 @@ func TestWatchdogCommitsWithoutApplies(t *testing.T) {
 		t.Fatalf("Evaluate = %q, want commits-without-applies", r)
 	}
 
-	healthy := NewHistory(8)
+	healthy := newHistory()
 	feedHistory(healthy, 3,
 		func(i int) float64 { return float64(10 * i) },
 		func(i int) float64 { return float64(10 * i) },
@@ -56,7 +57,7 @@ func TestWatchdogCommitsWithoutApplies(t *testing.T) {
 		t.Fatalf("healthy Evaluate = %q, want \"\"", r)
 	}
 
-	idle := NewHistory(8)
+	idle := newHistory()
 	feedHistory(idle, 3,
 		func(i int) float64 { return 0 }, // no commits: idle, not stalled
 		func(i int) float64 { return 0 },
@@ -65,7 +66,7 @@ func TestWatchdogCommitsWithoutApplies(t *testing.T) {
 		t.Fatalf("idle Evaluate = %q, want \"\"", r)
 	}
 
-	short := NewHistory(8)
+	short := newHistory()
 	feedHistory(short, 2, // only 2 of the 3 required samples
 		func(i int) float64 { return float64(10 * i) },
 		func(i int) float64 { return 0 },
@@ -76,21 +77,22 @@ func TestWatchdogCommitsWithoutApplies(t *testing.T) {
 }
 
 func TestWatchdogQueueFlatHigh(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{Window: 3, QueueHighWater: 100})
+	w := newWatchdog()
+	w.window, w.queueHighWater = 3, 100
 
-	wedged := NewHistory(8)
+	wedged := newHistory()
 	feedHistory(wedged, 3, nil, nil, func(i int) float64 { return 300 }, nil)
 	if r := w.Evaluate(wedged); !strings.Contains(r, "queue depth flat-high") {
 		t.Fatalf("Evaluate = %q, want queue-flat-high", r)
 	}
 
-	draining := NewHistory(8)
+	draining := newHistory()
 	feedHistory(draining, 3, nil, nil, func(i int) float64 { return 400 - float64(100*i) }, nil)
 	if r := w.Evaluate(draining); r != "" {
 		t.Fatalf("draining Evaluate = %q, want \"\" (depth falling)", r)
 	}
 
-	low := NewHistory(8)
+	low := newHistory()
 	feedHistory(low, 3, nil, nil, func(i int) float64 { return 50 }, nil)
 	if r := w.Evaluate(low); r != "" {
 		t.Fatalf("low-depth Evaluate = %q, want \"\"", r)
@@ -98,22 +100,23 @@ func TestWatchdogQueueFlatHigh(t *testing.T) {
 }
 
 func TestWatchdogMonitorLagGrowing(t *testing.T) {
-	w := NewWatchdog(WatchdogConfig{Window: 3, LagFloor: 100 * time.Millisecond})
+	w := newWatchdog()
+	w.window, w.lagFloor = 3, 100*time.Millisecond
 
-	falling := NewHistory(8)
+	falling := newHistory()
 	feedHistory(falling, 3, nil, nil, nil, func(i int) float64 { return 1.0 / float64(i+1) })
 	if r := w.Evaluate(falling); r != "" {
 		t.Fatalf("falling-lag Evaluate = %q, want \"\"", r)
 	}
 
-	growing := NewHistory(8)
+	growing := newHistory()
 	feedHistory(growing, 3, nil, nil, nil, func(i int) float64 { return 0.2 * float64(i+1) })
 	if r := w.Evaluate(growing); !strings.Contains(r, "monitor lag growing") {
 		t.Fatalf("Evaluate = %q, want lag-growing", r)
 	}
 
 	// Growing but under the floor: jitter, not a stall.
-	tiny := NewHistory(8)
+	tiny := newHistory()
 	feedHistory(tiny, 3, nil, nil, nil, func(i int) float64 { return 0.0001 * float64(i+1) })
 	if r := w.Evaluate(tiny); r != "" {
 		t.Fatalf("tiny-lag Evaluate = %q, want \"\"", r)
@@ -124,7 +127,8 @@ func TestWatchdogMonitorLagGrowing(t *testing.T) {
 // stalled history must flip /readyz to 503 with the reason and raise
 // obs_watchdog_stalled; recovery must clear both.
 func TestWatchdogFlipsReadyzAndGauge(t *testing.T) {
-	o := NewObserverWith(ObserverConfig{Watchdog: WatchdogConfig{Window: 3}})
+	o := NewObserver()
+	o.Watchdog.window = 3
 	o.SetReady(true)
 	commits, applies := 0.0, 0.0
 	o.TrackRate(SeriesCommits, func() float64 { return commits })
@@ -177,7 +181,8 @@ func TestWatchdogFlipsReadyzAndGauge(t *testing.T) {
 // flips /readyz and the gauge, then the queue draining back down clears
 // the stall, restores /readyz to 200, and zeroes the gauge.
 func TestWatchdogQueueRecoveryClearsStall(t *testing.T) {
-	o := NewObserverWith(ObserverConfig{Watchdog: WatchdogConfig{Window: 3, QueueHighWater: 100}})
+	o := NewObserver()
+	o.Watchdog.window, o.Watchdog.queueHighWater = 3, 100
 	o.SetReady(true)
 	depth := 0.0
 	o.TrackValue(SeriesQueueDepth, func() float64 { return depth })

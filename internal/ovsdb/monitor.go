@@ -302,7 +302,7 @@ func (m *Monitor) run() {
 			m.db.rec.Append(obs.Ev("ovsdb", "monitor.deliver").WithTxn(qu.txn).At(delivered).
 				F("tables", int64(tables)).
 				F("lag_us", lag.Microseconds()))
-			if m.db.obs.BudgetExceeded("monitor", lag) {
+			if m.db.obs.BudgetExceeded(lag) {
 				m.db.obs.PinIncident("monitor", qu.txn, "ovsdb", lag, nil)
 			}
 			if m.notifyWire != nil {

@@ -34,10 +34,8 @@ type ResilientConfig struct {
 	// CallTimeout bounds every RPC on every connection (0 = no deadline).
 	CallTimeout time.Duration
 	// KeepaliveInterval enables echo heartbeats on every connection
-	// (0 = disabled); KeepaliveMisses heartbeat failures in a row fail
-	// the connection (minimum 1).
+	// (0 = disabled).
 	KeepaliveInterval time.Duration
-	KeepaliveMisses   int
 	// Obs receives ovsdb_reconnects_total / ovsdb_disconnected and the
 	// conn.drop / conn.redial / conn.resync events; the client also
 	// flags itself in the observer's degraded set while down. nil
@@ -139,7 +137,7 @@ func (r *ResilientClient) connect() (*Client, error) {
 		c.conn.SetCallTimeout(r.cfg.CallTimeout)
 	}
 	if r.cfg.KeepaliveInterval > 0 {
-		c.conn.StartKeepalive(r.cfg.KeepaliveInterval, r.cfg.KeepaliveMisses)
+		c.conn.StartKeepalive(r.cfg.KeepaliveInterval)
 	}
 	return c, nil
 }

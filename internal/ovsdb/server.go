@@ -54,6 +54,10 @@ type serverConn struct {
 
 	mu       sync.Mutex
 	monitors map[string]*Monitor // keyed by canonical monitor-id JSON
+	// closed is set by teardown. A Close from another goroutine ends the
+	// connection while its read loop may still be serving a monitor
+	// request, which must then not register its monitor.
+	closed bool
 }
 
 func (sc *serverConn) teardown() {
@@ -63,6 +67,7 @@ func (sc *serverConn) teardown() {
 		mons = append(mons, m)
 	}
 	sc.monitors = make(map[string]*Monitor)
+	sc.closed = true
 	sc.mu.Unlock()
 	for _, m := range mons {
 		m.Cancel()
@@ -178,6 +183,11 @@ func (sc *serverConn) handleMonitor(params json.RawMessage) (any, *jsonrpc.RPCEr
 		return nil, rpcErr("bad request", err.Error())
 	}
 	sc.mu.Lock()
+	if sc.closed {
+		sc.mu.Unlock()
+		mon.Cancel()
+		return nil, rpcErr("connection closed", monID)
+	}
 	sc.monitors[monID] = mon
 	sc.mu.Unlock()
 	if !hasSince {

@@ -244,6 +244,29 @@ func TestMonitorCancel(t *testing.T) {
 	}
 }
 
+// TestMonitorAfterTeardownIsCancelled: a Close from another goroutine
+// (a server shutting down) ends a connection, and runs its teardown,
+// while the read loop may still be serving a monitor request. The monitor
+// that request registers must not outlive the connection.
+func TestMonitorAfterTeardownIsCancelled(t *testing.T) {
+	schema, err := ParseSchema([]byte(testSchema))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabase(schema)
+	sc := &serverConn{server: NewServer(db), monitors: make(map[string]*Monitor)}
+	sc.teardown()
+	if _, rpcErr := sc.handleMonitor(json.RawMessage(`["TestDB","m",{"Port":{}}]`)); rpcErr == nil {
+		t.Error("monitor on a torn-down connection succeeded")
+	}
+	db.monMu.Lock()
+	n := len(db.monitors)
+	db.monMu.Unlock()
+	if n != 0 {
+		t.Fatalf("%d monitors registered after teardown, want 0", n)
+	}
+}
+
 func TestMonitorErrors(t *testing.T) {
 	_, client, _ := startServer(t)
 	if _, err := client.Monitor("TestDB", "bad", map[string]*MonitorRequest{

@@ -38,16 +38,19 @@ type Options struct {
 	// SnapshotEvery is the number of appended records between snapshot
 	// compactions (default 8192; negative disables automatic snapshots).
 	SnapshotEvery int
-	// SnapshotStaleAfter is the last-snapshot age beyond which the log
-	// surfaces a staleness line in the observer's healthy /readyz detail
-	// (default 15m; negative disables the detail line). The
-	// ovsdb_wal_last_snapshot_age_seconds gauge reports the age
-	// regardless.
-	SnapshotStaleAfter time.Duration
 	// Obs receives ovsdb_wal_* metrics and wal.* flight-recorder events;
 	// nil disables all instrumentation.
 	Obs *obs.Observer
+
+	// staleAfter, when positive, replaces snapshotStaleAfter (tests).
+	staleAfter time.Duration
 }
+
+// snapshotStaleAfter is the last-snapshot age beyond which the log
+// surfaces a staleness line in the observer's healthy /readyz detail.
+// The ovsdb_wal_last_snapshot_age_seconds gauge reports the age
+// regardless.
+const snapshotStaleAfter = 15 * time.Minute
 
 // Recovered is the state reconstructed by Open.
 type Recovered struct {
@@ -189,20 +192,18 @@ func Open(opts Options) (*Log, *Recovered, error) {
 	reg.GaugeFunc("ovsdb_wal_last_snapshot_age_seconds",
 		"Seconds since the durable image was last compacted into a snapshot (since open when none exists yet).",
 		func() float64 { return time.Since(time.Unix(0, l.snapAnchor.Load())).Seconds() })
-	staleAfter := opts.SnapshotStaleAfter
-	if staleAfter == 0 {
-		staleAfter = 15 * time.Minute
+	staleAfter := snapshotStaleAfter
+	if opts.staleAfter > 0 {
+		staleAfter = opts.staleAfter
 	}
-	if staleAfter > 0 {
-		opts.Obs.AddReadyDetail(func() string {
-			age := time.Since(time.Unix(0, l.snapAnchor.Load()))
-			if age <= staleAfter {
-				return ""
-			}
-			return fmt.Sprintf("wal: last snapshot %s old (stale after %s)",
-				age.Round(time.Second), staleAfter)
-		})
-	}
+	opts.Obs.AddReadyDetail(func() string {
+		age := time.Since(time.Unix(0, l.snapAnchor.Load()))
+		if age <= staleAfter {
+			return ""
+		}
+		return fmt.Sprintf("wal: last snapshot %s old (stale after %s)",
+			age.Round(time.Second), staleAfter)
+	})
 	go l.run()
 	l.rec.Append(obs.Ev("ovsdb", "wal.recover").
 		F("last_txn", int64(recovered.LastTxn)).

@@ -460,7 +460,7 @@ func TestLogFreshnessGaugesAndReadyDetail(t *testing.T) {
 	dir := t.TempDir()
 	o := obs.NewObserver()
 	o.SetReady(true)
-	l, _, err := Open(Options{Dir: dir, SnapshotEvery: -1, SnapshotStaleAfter: time.Nanosecond, Obs: o})
+	l, _, err := Open(Options{Dir: dir, SnapshotEvery: -1, staleAfter: time.Nanosecond, Obs: o})
 	if err != nil {
 		t.Fatal(err)
 	}

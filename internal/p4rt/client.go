@@ -232,8 +232,8 @@ func (c *Client) Echo() error {
 // SetCallTimeout bounds every RPC issued on this connection (0 = none).
 func (c *Client) SetCallTimeout(d time.Duration) { c.conn.SetCallTimeout(d) }
 
-// StartKeepalive begins echo heartbeats on the connection: misses
-// consecutive failures fail it (see jsonrpc.Conn.StartKeepalive).
-func (c *Client) StartKeepalive(interval time.Duration, misses int) {
-	c.conn.StartKeepalive(interval, misses)
+// StartKeepalive begins echo heartbeats on the connection (see
+// jsonrpc.Conn.StartKeepalive).
+func (c *Client) StartKeepalive(interval time.Duration) {
+	c.conn.StartKeepalive(interval)
 }

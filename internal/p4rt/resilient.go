@@ -34,10 +34,8 @@ type ResilientConfig struct {
 	BackoffMax time.Duration
 	// CallTimeout bounds every RPC on every connection (0 = none).
 	CallTimeout time.Duration
-	// KeepaliveInterval enables echo heartbeats (0 = disabled);
-	// KeepaliveMisses consecutive failures fail the connection.
+	// KeepaliveInterval enables echo heartbeats (0 = disabled).
 	KeepaliveInterval time.Duration
-	KeepaliveMisses   int
 	// Obs receives p4rt_reconnects_total / p4rt_disconnected (labelled
 	// with Target) and the conn.drop / conn.redial events, plus the
 	// degraded-readiness flag while the device is down.
@@ -122,7 +120,7 @@ func (r *ResilientClient) connect() (*Client, error) {
 		c.SetCallTimeout(r.cfg.CallTimeout)
 	}
 	if r.cfg.KeepaliveInterval > 0 {
-		c.StartKeepalive(r.cfg.KeepaliveInterval, r.cfg.KeepaliveMisses)
+		c.StartKeepalive(r.cfg.KeepaliveInterval)
 	}
 	if r.cfg.Obs != nil {
 		c.SetObs(r.cfg.Obs, r.cfg.Target)

@@ -1,6 +1,6 @@
 // Package switchsim is the behavioral software switch: it executes a p4
 // pipeline on injected packets (the BMv2 stand-in), exposes the p4rt
-// control API, batches digests toward the controller, and keeps per-port
+// control API, sends digests to the controller, and keeps per-port
 // counters. A Fabric wires multiple switches and hosts into a topology.
 package switchsim
 
@@ -20,12 +20,6 @@ import (
 type Config struct {
 	// Program is the pipeline to execute (required).
 	Program *p4.Program
-	// DigestMaxBatch flushes a digest list when it reaches this many
-	// messages (default 1: immediate delivery).
-	DigestMaxBatch int
-	// DigestMaxDelay flushes a non-empty batch after this delay
-	// (default: immediate).
-	DigestMaxDelay time.Duration
 }
 
 // PortStats counts packets per port.
@@ -40,7 +34,6 @@ type Switch struct {
 	rt   *p4.Runtime
 	info *p4.P4Info
 	srv  *p4rt.Server
-	cfg  Config
 
 	outMu  sync.RWMutex
 	output func(port uint16, data []byte)
@@ -50,10 +43,8 @@ type Switch struct {
 	dropped uint64
 
 	digestMu   sync.Mutex
-	digestBuf  map[string][][]uint64
 	nextListID uint64
 	acked      map[uint64]bool
-	flushTimer *time.Timer
 
 	// Data-plane instruments (nil-safe; zero overhead when unset).
 	mRx      *obs.Counter
@@ -120,17 +111,12 @@ func New(name string, cfg Config) (*Switch, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.DigestMaxBatch <= 0 {
-		cfg.DigestMaxBatch = 1
-	}
 	sw := &Switch{
-		name:      name,
-		rt:        rt,
-		info:      info,
-		cfg:       cfg,
-		stats:     make(map[uint16]*PortStats),
-		digestBuf: make(map[string][][]uint64),
-		acked:     make(map[uint64]bool),
+		name:  name,
+		rt:    rt,
+		info:  info,
+		stats: make(map[uint16]*PortStats),
+		acked: make(map[uint64]bool),
 	}
 	sw.srv = p4rt.NewServer(sw)
 	return sw, nil
@@ -143,10 +129,10 @@ func (sw *Switch) Name() string { return sw.name }
 func (sw *Switch) Runtime() *p4.Runtime { return sw.rt }
 
 // SetKeepalive makes the p4rt server probe every subsequently accepted
-// controller connection with echo heartbeats: misses consecutive
-// failures fail the connection (half-open controllers are reaped).
-func (sw *Switch) SetKeepalive(interval time.Duration, misses int) {
-	sw.srv.SetKeepalive(interval, misses)
+// controller connection with echo heartbeats, so half-open controllers
+// are reaped (see jsonrpc.Conn.StartKeepalive).
+func (sw *Switch) SetKeepalive(interval time.Duration) {
+	sw.srv.SetKeepalive(interval)
 }
 
 // Serve accepts p4rt controller connections on ln.
@@ -190,7 +176,7 @@ func (sw *Switch) Inject(port uint16, data []byte) error {
 type emitter Switch
 
 func (e *emitter) Digest(name string, fields []uint64) {
-	(*Switch)(e).queueDigest(p4.DigestMessage{Digest: name, Fields: append([]uint64(nil), fields...)})
+	(*Switch)(e).sendDigest(name, append([]uint64(nil), fields...))
 }
 
 func (e *emitter) Frame(port uint16, data []byte) {
@@ -230,56 +216,20 @@ func (sw *Switch) Dropped() uint64 {
 	return sw.dropped
 }
 
-// --- digest batching ---
+// --- digests ---
 
-func (sw *Switch) queueDigest(d p4.DigestMessage) {
+// sendDigest sends one digest message to the controller at once, as a
+// one-message list.
+func (sw *Switch) sendDigest(name string, fields []uint64) {
 	sw.digestMu.Lock()
-	sw.digestBuf[d.Digest] = append(sw.digestBuf[d.Digest], d.Fields)
-	full := len(sw.digestBuf[d.Digest]) >= sw.cfg.DigestMaxBatch
-	if full {
-		sw.flushDigestLocked(d.Digest)
-		sw.digestMu.Unlock()
-		return
-	}
-	if sw.cfg.DigestMaxDelay > 0 {
-		if sw.flushTimer == nil {
-			sw.flushTimer = time.AfterFunc(sw.cfg.DigestMaxDelay, sw.FlushDigests)
-		}
-		sw.digestMu.Unlock()
-		return
-	}
-	// No delay configured: flush immediately.
-	sw.flushDigestLocked(d.Digest)
-	sw.digestMu.Unlock()
-}
-
-// FlushDigests sends all buffered digest lists immediately.
-func (sw *Switch) FlushDigests() {
-	sw.digestMu.Lock()
-	for name := range sw.digestBuf {
-		sw.flushDigestLocked(name)
-	}
-	sw.digestMu.Unlock()
-}
-
-// flushDigestLocked sends one digest's buffer; digestMu must be held.
-func (sw *Switch) flushDigestLocked(name string) {
-	msgs := sw.digestBuf[name]
-	if len(msgs) == 0 {
-		return
-	}
-	delete(sw.digestBuf, name)
-	if sw.flushTimer != nil {
-		sw.flushTimer.Stop()
-		sw.flushTimer = nil
-	}
+	defer sw.digestMu.Unlock()
 	sw.nextListID++
 	sw.mDigests.Inc()
 	txn := sw.lastTxn.Load()
 	sw.rec.Append(obs.Ev("switchsim", "digest.send").WithTxn(txn).WithDevice(sw.name).
 		F("list_id", int64(sw.nextListID)).
-		F("messages", int64(len(msgs))))
-	dl := p4rt.DigestList{Digest: name, ListID: sw.nextListID, Messages: msgs, Txn: txn}
+		F("messages", 1))
+	dl := p4rt.DigestList{Digest: name, ListID: sw.nextListID, Messages: [][]uint64{fields}, Txn: txn}
 	// Notify without holding digestMu against reentrant acks: the server
 	// send path is asynchronous, so holding it is safe, but release anyway.
 	go sw.srv.NotifyDigest(dl)

@@ -290,48 +290,6 @@ func TestP4RTEndToEnd(t *testing.T) {
 	}
 }
 
-func TestDigestBatching(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		delay  time.Duration
-		frames int
-	}{
-		// Three unknown sources fill one batch. The timer is out of reach,
-		// so a slow run cannot flush the first frames early on it.
-		{"size flush", time.Hour, 3},
-		// A single message, well short of the batch, flushes on the timer.
-		{"timer flush", 20 * time.Millisecond, 1},
-	} {
-		sw, _ := New("s1", Config{
-			Program:        l2Program(),
-			DigestMaxBatch: 3,
-			DigestMaxDelay: tc.delay,
-		})
-		f := NewFabric()
-		f.AddSwitch(sw)
-		h1, _ := f.AttachHost("h1", "s1", 1)
-		client := startP4RT(t, sw)
-		digests := make(chan p4rt.DigestList, 8)
-		client.OnDigest(func(dl p4rt.DigestList) { digests <- dl })
-		// One round trip: the server has registered the connection, so
-		// the digest broadcast cannot miss it.
-		if _, err := client.GetP4Info(); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < tc.frames; i++ {
-			h1.Send(frame(0xbb, packet.MAC(0x100+i)))
-		}
-		select {
-		case dl := <-digests:
-			if len(dl.Messages) != tc.frames {
-				t.Fatalf("%s: batch size = %d, want %d", tc.name, len(dl.Messages), tc.frames)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("%s: digest never flushed", tc.name)
-		}
-	}
-}
-
 func TestFabricErrors(t *testing.T) {
 	f := NewFabric()
 	sw, _ := New("s1", Config{Program: l2Program()})
