@@ -94,7 +94,7 @@ type Config struct {
 	Database string
 	// CoalesceMaxTxns bounds how many adjacent OVSDB-delivered commits the
 	// event loop merges into a single engine transaction before applying.
-	// Only commits already queued behind the first are merged, so a lone
+	// Only commits already queued after the first are merged, so a lone
 	// commit is never delayed. 0 or 1 disables coalescing (every commit
 	// applies individually).
 	// Merging amortizes the fixed per-apply cost (evaluation setup, delta
@@ -143,13 +143,6 @@ type Controller struct {
 	stopOnce sync.Once
 	evMu     sync.RWMutex
 	evClosed bool
-
-	// behind holds the readable devices that may not hold what the
-	// engine's last push left them: a write to one failed as unavailable,
-	// perhaps after the device applied it, or missed the device while its
-	// session was being restored. A delta no longer applies to such a
-	// device, so its next push is a resync instead. Event loop only.
-	behind map[string]bool
 
 	tracer *obs.Tracer
 	rec    *obs.Recorder
@@ -243,7 +236,7 @@ func (c *Controller) initObs() {
 
 	// History series the stall watchdog consumes (see obs.Series*):
 	// applied-transaction rate (summed across sources), event-queue depth,
-	// and the latency averages behind "what did push latency look like".
+	// and the latency averages that answer "what did push latency look like".
 	o := c.cfg.Obs
 	o.TrackRate(obs.SeriesApplies, func() float64 {
 		var sum uint64
@@ -363,7 +356,6 @@ func NewWithClasses(cfg Config, mp ManagementPlane, classes []DeviceClass) (*Con
 	c := &Controller{
 		cfg:    cfg,
 		devs:   make(map[string]DataPlane),
-		behind: make(map[string]bool),
 		events: make(chan event, 1024),
 		done:   make(chan struct{}),
 	}
@@ -401,12 +393,14 @@ func NewWithClasses(cfg Config, mp ManagementPlane, classes []DeviceClass) (*Con
 
 	// Digest subscriptions feed the event queue, tagged with the
 	// originating device. A self-healing device (*p4rt.ResilientClient)
-	// reconciles each fresh session against the engine before publishing
-	// it.
+	// reconciles each fresh session against the engine and publishes it
+	// in one event.
 	for id, dp := range c.devs {
 		dp.OnDigest(func(dl p4rt.DigestList) { c.handleDigest(id, dl) })
 		if rd, ok := dp.(reconnector); ok {
-			rd.OnReconnect(func(cl *p4rt.Client) error { return c.Resync(id, cl) })
+			rd.OnReconnect(func(cl *p4rt.Client, publish func() bool) error {
+				return c.resyncThen(id, cl, publish)
+			})
 		}
 	}
 	// Monitor every bound table with exactly the bound columns.
@@ -508,7 +502,7 @@ func (c *Controller) loop() {
 	defer close(c.done)
 	// The monitor and digest callbacks can run before MonitorTxn has
 	// returned the snapshot their changes follow: hold their events until
-	// the initial event, then run them right behind it, in arrival order.
+	// the initial event, then run them right after it, in arrival order.
 	early := []event{}
 	for ev := range c.events {
 		if early != nil {
@@ -535,7 +529,7 @@ func (c *Controller) loop() {
 	}
 }
 
-// coalesce batches the OVSDB commits already queued behind ev with it,
+// coalesce batches the OVSDB commits already queued after ev with it,
 // bounded by CoalesceMaxTxns commits and CoalesceMaxUpdates input
 // updates. It also returns the first non-mergeable event it popped off
 // the queue (a barrier, resync, or digest that must run after the
@@ -743,23 +737,10 @@ func (c *Controller) push(txn uint64, source string, delta engine.Delta) (int, e
 			dw.txn = txn // observed: TxnWriter devices extend the trace
 		}
 	}
-	switch {
-	case source == "initial":
+	if source == "initial" {
 		err = c.takeOver(p.writes)
-	case len(c.behind) == 0:
+	} else {
 		err = c.writeDevices(p.writes, pushWorkers)
-	default:
-		// A device left behind gets a resync in place of its stream.
-		var errs []error
-		var level []*devWrite
-		for _, dw := range p.writes {
-			if c.behind[dw.id] {
-				errs = append(errs, c.doResync(dw.id, dw.dp.(TableReader)))
-			} else {
-				level = append(level, dw)
-			}
-		}
-		err = pickPushErr(append(errs, c.writeDevices(level, pushWorkers)))
 	}
 	if err != nil {
 		return p.changes, err
@@ -838,8 +819,7 @@ func (c *Controller) flushObserved(dw *devWrite) error {
 // nw workers: the calling goroutine and nw-1 more. Per-device ordering is
 // preserved (one worker owns a device's whole stream), all writes
 // complete before the push returns (barrier), and on failure the error of
-// the first device in delta order is reported. A readable device whose
-// write failed as unavailable is left behind.
+// the first device in delta order is reported.
 func (c *Controller) writeDevices(writes []*devWrite, nw int) error {
 	errs := make([]error, len(writes))
 	var next atomic.Int64
@@ -857,14 +837,6 @@ func (c *Controller) writeDevices(writes []*devWrite, nw int) error {
 	}
 	work()
 	wg.Wait()
-	for i, err := range errs {
-		if !errors.Is(err, p4rt.ErrUnavailable) {
-			continue
-		}
-		if _, ok := writes[i].dp.(TableReader); ok {
-			c.behind[writes[i].id] = true
-		}
-	}
 	return pickPushErr(errs)
 }
 

@@ -29,27 +29,36 @@ type TableReader interface {
 }
 
 // reconnector is a self-healing device (*p4rt.ResilientClient): the
-// controller installs Resync as the hook every fresh session runs before
-// it is published.
+// controller installs a resync that publishes as the hook every fresh
+// session runs.
 type reconnector interface {
-	OnReconnect(func(*p4rt.Client) error)
+	OnReconnect(func(c *p4rt.Client, publish func() bool) error)
 }
 
 // Resync reconciles device's actual tables against what the engine's
 // output relations say it should hold, writing only the difference
 // through dp. It is safe to call from any goroutine — the reconciliation
 // itself runs serialized on the controller's event loop, so it observes
-// the engine between transactions. The controller installs it as the
-// OnReconnect hook of every device that has one (p4rt.ResilientClient),
-// where dp is the fresh not-yet-published client.
+// the engine between transactions.
 func (c *Controller) Resync(device string, dp TableReader) error {
+	return c.resyncThen(device, dp, nil)
+}
+
+// resyncThen is Resync followed, once it succeeded, by publish (when
+// non-nil) in the same event-loop event. It is the OnReconnect hook the
+// controller installs on every device that has one, where dp is the
+// fresh not-yet-published session: no push can run between the resync
+// and the publication, so a published session never lacks a write.
+func (c *Controller) resyncThen(device string, dp TableReader, publish func() bool) error {
 	done := make(chan error, 1)
 	resync := func() {
-		if err := c.Err(); err != nil {
-			done <- fmt.Errorf("core: resync %s: controller failed: %w", device, err)
-		} else {
-			done <- c.doResync(device, dp)
+		err := c.Err()
+		if err != nil {
+			err = fmt.Errorf("core: resync %s: controller failed: %w", device, err)
+		} else if err = c.doResync(device, dp); err == nil && publish != nil {
+			publish()
 		}
+		done <- err
 	}
 	if !c.enqueue(event{source: "resync", control: resync}) {
 		return fmt.Errorf("core: resync %s: controller stopped", device)
@@ -78,11 +87,9 @@ func (c *Controller) doResync(device string, dp TableReader) error {
 	updates := slices.Concat(d.stale, d.missing, d.modified, d.groups)
 	if len(updates) > 0 {
 		if err := dp.Write(updates...); err != nil {
-			c.behind[device] = true
 			return fmt.Errorf("core: resync %s: %w", device, err)
 		}
 	}
-	delete(c.behind, device)
 	c.m.resyncs.Inc()
 	c.rec.Append(obs.Ev("core", "conn.resync").WithDevice(device).
 		F("deleted", int64(len(d.stale))).

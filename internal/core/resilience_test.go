@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -341,50 +342,98 @@ func TestPushStillFailsOnRejectedWrite(t *testing.T) {
 	}
 }
 
-// readableDP is a strict device that can be read back, as a
-// p4rt.ResilientClient can: a modelDevice behind a lock, whose writes and
-// reads fail with p4rt.ErrUnavailable while it is down.
-type readableDP struct {
+// pipeSwitch serves a strict modelDevice over p4rt on in-memory pipes,
+// so a p4rt.ResilientClient dials it and reconnects through the hook the
+// controller installs. While down it refuses dials; going down cuts
+// every live session.
+type pipeSwitch struct {
 	info *p4.P4Info
+	srv  *p4rt.Server
+
 	mu   sync.Mutex
 	dev  *modelDevice
+	down bool
+	live []net.Conn
 }
 
-func (d *readableDP) GetP4Info() (*p4.P4Info, error) { return d.info, nil }
-func (d *readableDP) OnDigest(func(p4rt.DigestList)) {}
-
-func (d *readableDP) Write(updates ...p4rt.Update) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.dev.write(updates)
+func newPipeSwitch(t *testing.T, info *p4.P4Info) *pipeSwitch {
+	sw := &pipeSwitch{info: info, dev: newModelDevice()}
+	sw.srv = p4rt.NewServer(sw)
+	t.Cleanup(sw.srv.Close)
+	return sw
 }
 
-func (d *readableDP) ReadTable(table string) ([]p4rt.TableEntry, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.dev.down {
-		return nil, fmt.Errorf("model device down: %w", p4rt.ErrUnavailable)
+func (sw *pipeSwitch) P4Info() *p4.P4Info             { return sw.info }
+func (sw *pipeSwitch) PacketOut(uint16, []byte) error { return nil }
+func (sw *pipeSwitch) AckDigest(uint64)               {}
+
+func (sw *pipeSwitch) Write(updates []p4rt.Update) error {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sw.dev.write(updates)
+}
+
+func (sw *pipeSwitch) ReadTable(table string) ([]p4rt.TableEntry, error) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	return sw.dev.read(table), nil
+}
+
+func (sw *pipeSwitch) dial(string) (io.ReadWriteCloser, error) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	if sw.down {
+		return nil, errors.New("pipe switch down")
 	}
-	return d.dev.read(table), nil
+	a, b := net.Pipe()
+	sw.srv.ServeConn(a)
+	sw.live = append(sw.live, b)
+	return b, nil
 }
 
-func (d *readableDP) setDown(on bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.dev.down = on
+func (sw *pipeSwitch) setDown(on bool) {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	sw.down = on
+	if on {
+		for _, c := range sw.live {
+			c.Close()
+		}
+		sw.live = nil
+	}
 }
 
-// TestMissedWriteResyncsInsteadOfDelta: a device that missed a write (it
-// failed as unavailable) comes back holding what it held before, with no
-// reconnect hook run yet, as when a write is refused while a restored
-// session awaits publication. The next delta does not apply to it: here
-// it re-inserts the entry whose delete the device missed, which the
-// device would refuse as held, latching the controller. The controller
-// resyncs the device instead.
+// holds reports whether the switch holds an in_vlan entry for port.
+func (sw *pipeSwitch) holds(port uint64) bool {
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	for _, e := range sw.dev.read("in_vlan") {
+		for _, m := range e.Matches {
+			if m.Value == port {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestMissedWriteResyncsInsteadOfDelta: a device misses a delete while
+// its connection is down and comes back holding the entry. The next
+// delta re-inserts that entry, which the strict device would refuse as
+// held, latching the controller, if the delta reached it first. The
+// reconnect hook resyncs the device and publishes the session in one
+// event-loop step, so the delta finds the device level.
 func TestMissedWriteResyncsInsteadOfDelta(t *testing.T) {
 	o := obs.NewObserver()
 	mp, fake := newFakes(t)
-	dp := &readableDP{info: fake.info, dev: newModelDevice()}
+	sw := newPipeSwitch(t, fake.info)
+	dp, err := p4rt.DialResilient(p4rt.ResilientConfig{
+		Addr: "sw", Dial: sw.dial, BackoffMin: time.Millisecond, BackoffMax: 4 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dp.Close() })
 	port := ovsdb.OpInsert("Port", map[string]ovsdb.Value{
 		"name": "p1", "port_num": int64(1), "vlan_mode": "access", "tag": int64(10),
 	})
@@ -397,25 +446,32 @@ func TestMissedWriteResyncsInsteadOfDelta(t *testing.T) {
 	if err := ctrl.Barrier(); err != nil {
 		t.Fatal(err)
 	}
+	if !sw.holds(1) {
+		t.Fatal("the takeover did not install p1")
+	}
 
-	dp.setDown(true)
+	sw.setDown(true)
 	transact(t, mp, ovsdb.OpDelete("Port", ovsdb.Cond("name", "==", "p1")))
 	waitCounter(t, o, "core_push_errors_total", 1)
-	dp.setDown(false)
+	sw.setDown(false)
 	transact(t, mp, port)
 	deadline := time.Now().Add(5 * time.Second)
-	for counterValue(t, o, "core_resyncs_total") < 2 { // the takeover's, then this one
+	// The takeover's resync, then the reconnect's; and p1 back in place.
+	for counterValue(t, o, "core_resyncs_total") < 2 || !sw.holds(1) {
 		if err := ctrl.Err(); err != nil {
 			t.Fatalf("controller failed: %v", err)
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("the device was not resynced")
+			t.Fatal("the device did not converge")
 		}
 		time.Sleep(time.Millisecond)
 	}
+	if err := ctrl.Barrier(); err != nil {
+		t.Fatal(err)
+	}
 	n, err := ctrl.DriftCount("dev0", dp)
 	if err != nil || n != 0 {
-		t.Fatalf("drift after the resync = %d, %v; want 0", n, err)
+		t.Fatalf("drift after the reconnect = %d, %v; want 0", n, err)
 	}
 }
 
@@ -460,10 +516,10 @@ func waitErr(t *testing.T, ctrl *Controller) error {
 // p4rt.ResilientClient: it keeps the hook the controller installs.
 type reconnectingDP struct {
 	*fakeDP
-	hook func(*p4rt.Client) error
+	hook func(*p4rt.Client, func() bool) error
 }
 
-func (r *reconnectingDP) OnReconnect(f func(*p4rt.Client) error) {
+func (r *reconnectingDP) OnReconnect(f func(*p4rt.Client, func() bool) error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.hook = f
@@ -511,8 +567,12 @@ func TestControllerInstallsResyncHook(t *testing.T) {
 	srv.ServeConn(a)
 	cl := p4rt.NewClient(b)
 	defer cl.Close()
-	if err := hook(cl); err != nil {
+	published := 0
+	if err := hook(cl, func() bool { published++; return true }); err != nil {
 		t.Fatalf("hook: %v", err)
+	}
+	if published != 1 {
+		t.Fatalf("hook published the session %d times, want 1", published)
 	}
 	var inVlan int
 	for _, e := range tr.entries {

@@ -108,7 +108,7 @@ func DialResilient(cfg ResilientConfig) (*ResilientClient, error) {
 		"Reconnections that fell back to a full snapshot-diff resync.")
 	r.sup = redial.New(redial.Config[*Client]{
 		Connect:     r.connect,
-		Rearm:       r.resync,
+		Rearm:       func(c *Client, _ func() bool) error { return r.resync(c) },
 		BackoffMin:  cfg.BackoffMin,
 		BackoffMax:  cfg.BackoffMax,
 		ErrClosed:   ErrClosed,

@@ -5,6 +5,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,11 +23,22 @@ type fakeDevice struct {
 	acks     []uint64
 	failNext bool
 	counters map[string]p4.TableCounters
+	fault    atomic.Pointer[func([]Update) error]
 }
+
+// SetWriteFault installs a hook that runs at the start of every Write,
+// as switchsim's does: a non-nil return fails the write, and the hook
+// may sleep to stall it.
+func (d *fakeDevice) SetWriteFault(f func([]Update) error) { d.fault.Store(&f) }
 
 func (d *fakeDevice) P4Info() *p4.P4Info { return d.info }
 
 func (d *fakeDevice) Write(updates []Update) error {
+	if f := d.fault.Load(); f != nil && *f != nil {
+		if err := (*f)(updates); err != nil {
+			return err
+		}
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.failNext {

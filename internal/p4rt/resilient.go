@@ -14,9 +14,10 @@ import (
 )
 
 // ErrUnavailable marks RPCs that failed because the device connection is
-// down (or died mid-call). Callers that supervise their own resync — the
-// controller — treat it as "the device will be reconciled on reconnect"
-// rather than a fatal push error.
+// down, died mid-call or timed out. The failed call's session is closed,
+// so a redial, and with it the OnReconnect hook, always follows: callers
+// that supervise their own resync — the controller — treat it as "the
+// device will be reconciled on reconnect" rather than a fatal push error.
 var ErrUnavailable = errors.New("p4rt: device unavailable")
 
 // ErrClosed is returned by RPCs issued after Close.
@@ -48,7 +49,7 @@ type ResilientConfig struct {
 // ResilientClient wraps Client with automatic redial. On connection loss
 // it redials with jittered exponential backoff, re-arms the digest
 // handler, then runs the OnReconnect hook (the controller's
-// state reconciliation) before publishing the session — so by the time
+// state reconciliation), which publishes the session — so by the time
 // Write succeeds again, the device's tables have been diffed against the
 // desired state and healed.
 //
@@ -59,7 +60,7 @@ type ResilientClient struct {
 
 	mu          sync.Mutex
 	onDigest    func(DigestList)
-	onReconnect func(*Client) error
+	onReconnect func(c *Client, publish func() bool) error
 }
 
 // DialResilient connects to the switch and starts the supervision loop.
@@ -72,22 +73,8 @@ func DialResilient(cfg ResilientConfig) (*ResilientClient, error) {
 	reg := cfg.Obs.Reg()
 	lbl := obs.L("target", cfg.Target)
 	r.sup = redial.New(redial.Config[*Client]{
-		Connect: r.connect,
-		Rearm:   r.reconcile,
-		// A write refused while the hook reconciles fails fast with
-		// ErrUnavailable and its caller will not retry it — the state it
-		// carried exists only on the controller's side. So after
-		// publication the hook runs again until a pass completes with no
-		// refusal: the published session is converged with everything
-		// attempted during the heal.
-		Settle: func(c *Client) error {
-			for r.sup.TakeRefused() > 0 {
-				if err := r.reconcile(c); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
+		Connect:     r.connect,
+		Rearm:       r.reconcile,
 		BackoffMin:  cfg.BackoffMin,
 		BackoffMax:  cfg.BackoffMax,
 		ErrClosed:   ErrClosed,
@@ -137,14 +124,14 @@ func (r *ResilientClient) connect() (*Client, error) {
 }
 
 // reconcile runs the OnReconnect hook, if any, against c.
-func (r *ResilientClient) reconcile(c *Client) error {
+func (r *ResilientClient) reconcile(c *Client, publish func() bool) error {
 	r.mu.Lock()
 	hook := r.onReconnect
 	r.mu.Unlock()
 	if hook == nil {
 		return nil
 	}
-	return hook(c)
+	return hook(c, publish)
 }
 
 // Close permanently shuts the client down.
@@ -157,11 +144,13 @@ func (r *ResilientClient) Done() <-chan struct{} { return r.sup.Done() }
 func (r *ResilientClient) Connected() bool { return r.sup.Connected() }
 
 // OnReconnect installs the post-redial reconciliation hook. It runs with
-// the fresh (not yet published) client after handlers are re-armed; an
-// error fails the attempt and the redial loop retries. The controller
-// uses it to diff the device's actual table state against its desired
-// state and re-push only the difference.
-func (r *ResilientClient) OnReconnect(f func(*Client) error) {
+// the fresh (not yet published) client after handlers are re-armed, and
+// may publish it by calling publish before it returns; otherwise the
+// session is published when it returns. An error fails the attempt and
+// the redial loop retries. The controller's hook diffs the device's
+// tables against its desired state, re-pushes only the difference and
+// publishes, all in one event of its loop.
+func (r *ResilientClient) OnReconnect(f func(c *Client, publish func() bool) error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.onReconnect = f
@@ -174,10 +163,13 @@ func (r *ResilientClient) OnDigest(f func(DigestList)) {
 	r.onDigest = f
 }
 
-// unavailableOn maps transport-level failures to ErrUnavailable while
-// passing the switch's own RPC errors (bad update, unknown table — real
-// failures a resync will not cure) through unchanged.
-func unavailableOn(err error) error {
+// unavailableOn passes the switch's own RPC errors on session c (bad
+// update, unknown table — real failures a resync will not cure) through
+// unchanged. Any other failure closes c and wraps ErrUnavailable: the
+// connection died, or the call timed out and the switch may or may not
+// have applied it, and either way only the redial's resync levels the
+// device again.
+func unavailableOn(c *Client, err error) error {
 	if err == nil {
 		return nil
 	}
@@ -185,6 +177,7 @@ func unavailableOn(err error) error {
 	if errors.As(err, &rpcErr) {
 		return err
 	}
+	c.Close()
 	return fmt.Errorf("%w: %v", ErrUnavailable, err)
 }
 
@@ -195,13 +188,13 @@ func (r *ResilientClient) GetP4Info() (*p4.P4Info, error) {
 		return nil, err
 	}
 	info, err := c.GetP4Info()
-	return info, unavailableOn(err)
+	return info, unavailableOn(c, err)
 }
 
 // Write applies updates atomically on the device. While the device is
-// down (or if the connection dies mid-call) the error wraps
-// ErrUnavailable; reconciliation on reconnect is then responsible for
-// convergence.
+// down (or if the call fails other than by the switch's refusal) the
+// error wraps ErrUnavailable; reconciliation on reconnect is then
+// responsible for convergence.
 func (r *ResilientClient) Write(updates ...Update) error {
 	return r.WriteTxn(0, updates...)
 }
@@ -213,7 +206,7 @@ func (r *ResilientClient) WriteTxn(txn uint64, updates ...Update) error {
 	if err != nil {
 		return err
 	}
-	return unavailableOn(c.WriteTxn(txn, updates...))
+	return unavailableOn(c, c.WriteTxn(txn, updates...))
 }
 
 // ReadTable snapshots a table's entries.
@@ -223,5 +216,5 @@ func (r *ResilientClient) ReadTable(table string) ([]TableEntry, error) {
 		return nil, err
 	}
 	entries, err := c.ReadTable(table)
-	return entries, unavailableOn(err)
+	return entries, unavailableOn(c, err)
 }

@@ -70,7 +70,7 @@ func TestResilientReconnectRunsHookAndHeals(t *testing.T) {
 	r, d := dialResilientT(t, addr, o)
 
 	var hookRuns atomic.Int64
-	r.OnReconnect(func(c *Client) error {
+	r.OnReconnect(func(c *Client, _ func() bool) error {
 		// The hook sees a usable client: reconciliation reads device state.
 		if _, err := c.ReadTable("t"); err != nil {
 			return err
@@ -122,7 +122,7 @@ func TestResilientHookFailureRetries(t *testing.T) {
 	r, d := dialResilientT(t, addr, nil)
 
 	var calls atomic.Int64
-	r.OnReconnect(func(c *Client) error {
+	r.OnReconnect(func(c *Client, _ func() bool) error {
 		if calls.Add(1) < 3 {
 			return errors.New("reconciliation failed; retry")
 		}
@@ -132,6 +132,54 @@ func TestResilientHookFailureRetries(t *testing.T) {
 	if n := calls.Load(); n != 3 {
 		t.Fatalf("hook ran %d times, want 3 (failures must retry the redial)", n)
 	}
+}
+
+// A write that times out closes its session: it reports ErrUnavailable,
+// the supervisor redials, and the OnReconnect hook runs on the fresh
+// session with no further write — so the resync the caller relies on
+// always follows, even when the switch may yet apply the timed-out write.
+func TestResilientTimeoutRedials(t *testing.T) {
+	dev := &fakeDevice{info: &p4.P4Info{Program: "fake"}}
+	var stall sync.Once
+	dev.SetWriteFault(func([]Update) error {
+		stall.Do(func() { time.Sleep(300 * time.Millisecond) })
+		return nil
+	})
+	_, addr := startServer(t, dev)
+	d := faultnet.NewDialer()
+	r, err := DialResilient(ResilientConfig{
+		Addr:        addr,
+		Dial:        func(a string) (io.ReadWriteCloser, error) { return d.Dial(a) },
+		BackoffMin:  2 * time.Millisecond,
+		BackoffMax:  20 * time.Millisecond,
+		CallTimeout: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	hooked := make(chan struct{}, 1)
+	r.OnReconnect(func(*Client, func() bool) error {
+		select {
+		case hooked <- struct{}{}:
+		default:
+		}
+		return nil
+	})
+
+	dials := d.Dials()
+	if err := r.Write(InsertEntry(TableEntry{Table: "t", Action: "a"})); !errors.Is(err, ErrUnavailable) {
+		t.Fatalf("timed-out write = %v, want ErrUnavailable", err)
+	}
+	select {
+	case <-hooked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("OnReconnect hook never ran: the timed-out session stayed published")
+	}
+	if d.Dials() == dials {
+		t.Fatal("the timed-out session was not replaced")
+	}
+	waitP4Connected(t, r)
 }
 
 func TestResilientReArmsDigestHandler(t *testing.T) {

@@ -1,7 +1,7 @@
 // Package redial supervises one self-healing connection: it watches the
 // live session, and when that dies redials with jittered exponential
-// backoff, lets the owner re-arm the fresh session, and only then
-// publishes it to RPC callers. The OVSDB and P4Runtime resilient clients
+// backoff, lets the owner re-arm the fresh session, and publishes it to
+// RPC callers once re-armed. The OVSDB and P4Runtime resilient clients
 // are both thin layers over it; what differs between them is only what
 // "re-arm" means.
 package redial
@@ -28,14 +28,14 @@ type Conn interface {
 type Config[C Conn] struct {
 	// Connect establishes one fresh session.
 	Connect func() (C, error)
-	// Rearm runs on every fresh session before it is published (nil: no
-	// re-arm). An error discards the session and the backoff continues,
-	// so a published session is always a re-armed one.
-	Rearm func(C) error
-	// Settle, when set, runs right after publication; an error
-	// unpublishes the session and the backoff continues. It exists for
-	// owners whose callers do not retry refused calls (see TakeRefused).
-	Settle func(C) error
+	// Rearm runs on every fresh session before Get returns it (nil: no
+	// re-arm). It may publish the session itself, from any goroutine but
+	// before it returns, by calling publish, which reports false once the
+	// supervisor is closed; a session Rearm did not publish is published
+	// when it returns. An error withdraws and discards the session and
+	// the backoff continues, so a published session is always a
+	// re-armed one.
+	Rearm func(c C, publish func() bool) error
 	// BackoffMin/BackoffMax bound the exponential redial backoff
 	// (defaults 50ms and 5s). Each wait is jittered to half-to-full of the
 	// current backoff so a fleet does not redial in lockstep.
@@ -60,11 +60,10 @@ type Config[C Conn] struct {
 type Supervisor[C Conn] struct {
 	cfg Config[C]
 
-	mu      sync.Mutex
-	cur     C
-	up      bool // cur is published
-	closed  bool
-	refused int // Gets refused since the current attempt's Rearm began
+	mu     sync.Mutex
+	cur    C
+	up     bool // cur is published
+	closed bool
 
 	done chan struct{}
 }
@@ -97,22 +96,9 @@ func (s *Supervisor[C]) Get() (C, error) {
 		return none, s.cfg.ErrClosed
 	}
 	if !s.up {
-		s.refused++
 		return none, s.cfg.ErrDown
 	}
 	return s.cur, nil
-}
-
-// TakeRefused returns how many Gets were refused with ErrDown since the
-// current attempt's Rearm began (or since the last call), and resets the
-// count. Refusals and publication are ordered by one lock, so once a
-// session is published the count only falls.
-func (s *Supervisor[C]) TakeRefused() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := s.refused
-	s.refused = 0
-	return n
 }
 
 // Connected reports whether a session is currently published.
@@ -141,27 +127,18 @@ func (s *Supervisor[C]) Close() error {
 	return nil
 }
 
-// publish makes c the session Get returns, or withdraws it when c is
-// nil (reporting false once closed). Readiness changes in the same
-// step: a publication counts a reconnect and clears the degraded flag
-// and the disconnected gauge, a withdrawal raises both, so no caller
-// can use a session the observer still reports down or not yet
-// reconnected.
-func (s *Supervisor[C]) publish(c *C) bool {
+// withdraw unpublishes the session, reporting false once closed.
+// Readiness changes in the same step: the degraded flag and the
+// disconnected gauge go up.
+func (s *Supervisor[C]) withdraw() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return false
 	}
-	if s.up = c != nil; s.up {
-		s.cur = *c
-		s.cfg.Reconnects.Inc()
-		s.cfg.Disconnected.Set(0)
-		s.cfg.Obs.ClearDegraded(s.cfg.DegradedKey)
-	} else {
-		s.cfg.Disconnected.Set(1)
-		s.cfg.Obs.SetDegraded(s.cfg.DegradedKey, "connection lost; reconnecting")
-	}
+	s.up = false
+	s.cfg.Disconnected.Set(1)
+	s.cfg.Obs.SetDegraded(s.cfg.DegradedKey, "connection lost; reconnecting")
 	return true
 }
 
@@ -174,7 +151,7 @@ func (s *Supervisor[C]) run(c C) {
 		case <-s.done:
 			return
 		}
-		if !s.publish(nil) {
+		if !s.withdraw() {
 			return
 		}
 		rec.Append(obs.Ev(s.cfg.Plane, "conn.drop").WithDevice(s.cfg.Device))
@@ -197,27 +174,37 @@ func (s *Supervisor[C]) run(c C) {
 
 var errClosed = errors.New("redial: closed during a redial attempt")
 
-// attempt makes one redial attempt: connect, re-arm, publish unless
-// closed meanwhile, settle. On any error the session is withdrawn and
-// closed.
+// attempt makes one redial attempt: connect, then re-arm, publishing
+// the session once, from inside Rearm or after it, unless closed
+// meanwhile. On any error the session is withdrawn and closed.
 func (s *Supervisor[C]) attempt() (C, error) {
 	c, err := s.cfg.Connect()
 	if err != nil {
 		return c, err
 	}
-	s.TakeRefused()
-	if s.cfg.Rearm != nil {
-		err = s.cfg.Rearm(c)
+	// Publication and readiness change in one step: publishing counts a
+	// reconnect and clears the degraded flag and the disconnected gauge,
+	// so no caller can use a session the observer still reports down.
+	published := false // guarded by s.mu: Rearm may publish from another goroutine
+	publish := func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if !published && !s.closed {
+			published, s.cur, s.up = true, c, true
+			s.cfg.Reconnects.Inc()
+			s.cfg.Disconnected.Set(0)
+			s.cfg.Obs.ClearDegraded(s.cfg.DegradedKey)
+		}
+		return !s.closed
 	}
-	if err == nil && !s.publish(&c) {
+	if s.cfg.Rearm != nil {
+		err = s.cfg.Rearm(c, publish)
+	}
+	if err == nil && !publish() {
 		err = errClosed
 	}
-	if err == nil && s.cfg.Settle != nil {
-		if err = s.cfg.Settle(c); err != nil {
-			s.publish(nil)
-		}
-	}
 	if err != nil {
+		s.withdraw()
 		c.Close()
 	}
 	return c, err

@@ -138,41 +138,49 @@ func TestRedialStartFailsFast(t *testing.T) {
 	}
 }
 
-// A failing re-arm (and a failing settle) discards the session and the
-// backoff continues; only a re-armed, settled session stays published.
-func TestRedialFailingRearmAndSettleRetry(t *testing.T) {
+// publishFromLoop publishes the way an owner's event loop does: from
+// another goroutine, while Rearm waits for it.
+func publishFromLoop(publish func() bool) bool {
+	ok := make(chan bool)
+	go func() { ok <- publish() }()
+	return <-ok
+}
+
+// A failing re-arm discards the session and the backoff continues, also
+// when it fails after publishing the session: that session is withdrawn
+// and closed. Only a re-armed session stays published.
+func TestRedialFailingRearmRetries(t *testing.T) {
 	d := &dialer{}
-	var rearms, settles atomic.Int32
+	var rearms, returned atomic.Int32
 	var s *Supervisor[*fakeConn]
 	s = start(t, d, Config[*fakeConn]{
-		Rearm: func(c *fakeConn) error {
+		Rearm: func(c *fakeConn, publish func() bool) error {
+			defer returned.Add(1)
 			if _, err := s.Get(); err != errTestDown {
 				t.Errorf("Get during re-arm = %v, want down (session %d must not be published yet)", err, c.id)
 			}
-			if rearms.Add(1) <= 2 {
+			n := rearms.Add(1)
+			if n <= 2 {
 				return errors.New("test: re-arm failed")
 			}
-			return nil
-		},
-		Settle: func(c *fakeConn) error {
-			if got, err := s.Get(); err != nil || got != c {
-				t.Errorf("Get during settle = %v, %v; want the published session %d", got, err, c.id)
+			if !publishFromLoop(publish) {
+				t.Errorf("publish of session %d refused", c.id)
 			}
-			if settles.Add(1) == 1 {
-				return errors.New("test: settle failed")
+			if got, err := s.Get(); err != nil || got != c {
+				t.Errorf("Get after publish = %v, %v; want session %d", got, err, c.id)
+			}
+			if n == 3 {
+				return errors.New("test: re-arm failed after publishing")
 			}
 			return nil
 		},
 	})
 	first, _ := s.Get()
 	first.Close() // the live session dies
-	// Sessions 1 and 2 fail re-arm, 3 fails settle, 4 sticks.
-	waitFor(t, "session 4 published", func() bool {
-		c, err := s.Get()
-		return err == nil && c.id == 4
-	})
-	if r, st := rearms.Load(), settles.Load(); r != 4 || st != 2 {
-		t.Fatalf("rearm ran %d times, settle %d; want 4 and 2", r, st)
+	// Sessions 1 and 2 fail re-arm, 3 fails after publishing, 4 sticks.
+	waitFor(t, "session 4 re-armed", func() bool { return returned.Load() == 4 })
+	if r := rearms.Load(); r != 4 {
+		t.Fatalf("rearm ran %d times, want 4", r)
 	}
 	for i := 1; i <= 3; i++ {
 		if !d.conn(i).isClosed() {
@@ -184,42 +192,31 @@ func TestRedialFailingRearmAndSettleRetry(t *testing.T) {
 	}
 }
 
-// Gets refused while down are counted from the start of the attempt's
-// re-arm, which is what lets an owner re-run its reconciliation for
-// callers that will not retry.
-func TestRedialTakeRefusedCountsFromRearm(t *testing.T) {
+// A publish that comes after Close is refused: the session is closed,
+// not published.
+func TestRedialPublishAfterClose(t *testing.T) {
 	d := &dialer{}
 	inRearm, release := make(chan struct{}), make(chan struct{})
+	published := make(chan bool, 1)
 	s := start(t, d, Config[*fakeConn]{
-		Rearm: func(*fakeConn) error {
+		Rearm: func(_ *fakeConn, publish func() bool) error {
 			close(inRearm)
 			<-release
+			published <- publish()
 			return nil
 		},
 	})
-	d.set(func() { d.fail = true })
 	first, _ := s.Get()
 	first.Close()
-	waitFor(t, "drop noticed", func() bool { return !s.Connected() })
-	for i := 0; i < 3; i++ { // refused before any re-arm: not counted below
-		if _, err := s.Get(); err != errTestDown {
-			t.Fatalf("Get while down = %v", err)
-		}
-	}
-	d.set(func() { d.fail = false })
 	<-inRearm
-	for i := 0; i < 2; i++ {
-		if _, err := s.Get(); err != errTestDown {
-			t.Fatalf("Get during re-arm = %v", err)
-		}
-	}
-	if n := s.TakeRefused(); n != 2 {
-		t.Fatalf("TakeRefused = %d, want the 2 refusals since re-arm began", n)
-	}
+	s.Close()
 	close(release)
-	waitFor(t, "republished", s.Connected)
-	if n := s.TakeRefused(); n != 0 {
-		t.Fatalf("TakeRefused after publication = %d, want 0", n)
+	if <-published {
+		t.Fatal("publish after Close = true")
+	}
+	waitFor(t, "late session closed", func() bool { return d.conn(1).isClosed() })
+	if s.Connected() {
+		t.Fatal("session published after Close")
 	}
 }
 
@@ -276,26 +273,26 @@ func TestRedialConnectedAfterCloseIsClosed(t *testing.T) {
 
 // Publication and readiness are one step: a session is never published
 // while the supervisor still reports the connection degraded or before
-// it counts the reconnect, and a settle that fails reports it degraded
-// again.
+// it counts the reconnect. A session Rearm publishes is published and
+// counted once, and a re-arm that fails after publishing reports the
+// connection degraded again.
 func TestRedialPublishClearsDegraded(t *testing.T) {
 	o := obs.NewObserver()
 	d := &dialer{}
-	var settles atomic.Int32
 	reconnects := o.Reg().Counter("test_reconnects_total", "")
+	var returned atomic.Int32
 	var s *Supervisor[*fakeConn]
 	s = start(t, d, Config[*fakeConn]{
 		Obs: o, DegradedKey: "test", Reconnects: reconnects,
 		Disconnected: o.Reg().Gauge("test_disconnected", ""),
-		Rearm: func(c *fakeConn) error {
+		Rearm: func(c *fakeConn, publish func() bool) error {
+			defer returned.Add(1)
 			if r := o.DegradedReasons(); len(r) != 1 {
 				t.Errorf("re-arming session %d while reported healthy: %v", c.id, r)
 			}
-			return nil
-		},
-		Settle: func(c *fakeConn) error {
+			publishFromLoop(publish)
 			if _, err := s.Get(); err != nil {
-				t.Errorf("Get during settle = %v", err)
+				t.Errorf("Get after publish = %v", err)
 			}
 			if r := o.DegradedReasons(); len(r) != 0 {
 				t.Errorf("session %d published while degraded: %v", c.id, r)
@@ -303,8 +300,8 @@ func TestRedialPublishClearsDegraded(t *testing.T) {
 			if n := reconnects.Value(); n != uint64(c.id) {
 				t.Errorf("session %d published with %d reconnects counted", c.id, n)
 			}
-			if settles.Add(1) == 1 {
-				return errors.New("test: settle failed")
+			if c.id == 1 {
+				return errors.New("test: re-arm failed after publishing")
 			}
 			return nil
 		},
@@ -317,14 +314,15 @@ func TestRedialPublishClearsDegraded(t *testing.T) {
 		t.Fatalf("degraded after a drop = %v, want one reason", o.DegradedReasons())
 	}
 	d.set(func() { d.fail = false })
-	waitFor(t, "session 2 published", func() bool {
-		c, err := s.Get()
-		return err == nil && c.id == 2
-	})
+	waitFor(t, "session 2 re-armed", func() bool { return returned.Load() == 2 })
 	if r := o.DegradedReasons(); len(r) != 0 {
 		t.Fatalf("degraded after republication = %v", r)
 	}
 	if !d.conn(1).isClosed() {
-		t.Fatal("session 1 failed settle but was not closed")
+		t.Fatal("session 1 failed re-arm but was not closed")
 	}
+	// Session 2's attempt ends before its drop is watched, so session 3's
+	// re-arm sees whether the end of that attempt counted it again.
+	d.conn(2).Close()
+	waitFor(t, "session 3 re-armed", func() bool { return returned.Load() == 3 })
 }
