@@ -61,7 +61,7 @@ func TestWALCrashRecoveryEndToEnd(t *testing.T) {
 	// maintains a mirror of the Port table and, once the crash flag is
 	// up, counts every row it is sent. The mirror is what "committed
 	// state before the crash" means below — it only ever advances on
-	// server-acked commits.
+	// server-acked commits. A fallback snapshot replaces it whole.
 	var mu sync.Mutex
 	mirror := make(map[string]ovsdb.Row)
 	var crashed bool
@@ -81,7 +81,9 @@ func TestWALCrashRecoveryEndToEnd(t *testing.T) {
 	}, func(txn uint64, tu ovsdb.TableUpdates) {
 		mu.Lock()
 		defer mu.Unlock()
-		if txn > maxTxn {
+		if txn == ovsdb.SnapshotTxn {
+			clear(mirror)
+		} else if txn > maxTxn {
 			maxTxn = txn
 		}
 		for id, ru := range tu["Port"] {

@@ -61,7 +61,8 @@ type TxnWriter interface {
 // ManagementPlane is the controller's view of the configuration database
 // (implemented by *ovsdb.Client and *ovsdb.ResilientClient). Each monitor
 // update carries the ID of the transaction that produced it (0 when
-// unknown), so traces hold a complete commit→delta→push timeline.
+// unknown), so traces hold a complete commit→delta→push timeline; an
+// update tagged ovsdb.SnapshotTxn is every monitored row, to reconcile.
 type ManagementPlane interface {
 	GetSchema(db string) (*ovsdb.DatabaseSchema, error)
 	MonitorTxn(db string, id any, requests map[string]*ovsdb.MonitorRequest, cb func(uint64, ovsdb.TableUpdates)) (ovsdb.TableUpdates, error)
@@ -187,7 +188,7 @@ func (c *Controller) initObs() {
 	c.tracer = c.cfg.Obs.Tr()
 	c.rec = c.cfg.Obs.Rec()
 	c.m.txnTotal = map[string]*obs.Counter{}
-	for _, src := range []string{"ovsdb", "digest", "initial"} {
+	for _, src := range []string{"ovsdb", "digest", "initial", "resnapshot"} {
 		c.m.txnTotal[src] = reg.Counter("core_txn_total",
 			"Transactions applied by the controller.", obs.L("source", src))
 	}
@@ -322,12 +323,14 @@ func (c *Controller) publishMemory() {
 // event is one entry of the controller's queue: a transaction (an
 // initial snapshot, a commit or a digest, with its engine updates) or a
 // control event (a barrier, a resync), run on the loop between
-// transactions.
+// transactions. A resnapshot carries a fallback snapshot's rows instead
+// of updates: what they change is known only when it runs.
 type event struct {
-	source  string
-	txnID   uint64
-	updates []engine.Update
-	control func()
+	source   string
+	txnID    uint64
+	updates  []engine.Update
+	control  func()
+	snapshot ovsdb.TableUpdates
 }
 
 // New builds and starts a controller managing a single class of devices
@@ -532,8 +535,8 @@ func (c *Controller) loop() {
 // coalesce batches the OVSDB commits already queued after ev with it,
 // bounded by CoalesceMaxTxns commits and CoalesceMaxUpdates input
 // updates. It also returns the first non-mergeable event it popped off
-// the queue (a barrier, resync, or digest that must run after the
-// batch), or nil.
+// the queue (a barrier, resync, digest or resnapshot that must run
+// after the batch), or nil.
 func (c *Controller) coalesce(ev event) ([]event, *event) {
 	batch := []event{ev}
 	maxUpdates := c.cfg.CoalesceMaxUpdates
@@ -571,6 +574,13 @@ func (c *Controller) dispatch(batch []event) {
 	}
 	if c.Err() != nil {
 		return // drain after failure
+	}
+	if ev.source == "resnapshot" {
+		var err error
+		if ev.updates, err = c.resnapshot(ev.snapshot); err != nil {
+			c.fail(err)
+			return
+		}
 	}
 	// A coalesced batch is attributed as a whole to its last commit.
 	var txn uint64
@@ -863,8 +873,13 @@ func pickPushErr(errs []error) error {
 }
 
 // handleOVSDB runs on the OVSDB client's delivery goroutine, with the ID
-// of the transaction that produced the update.
+// of the transaction that produced the update. A fallback snapshot
+// becomes a resnapshot event, attributed as txn 0.
 func (c *Controller) handleOVSDB(txn uint64, tu ovsdb.TableUpdates) {
+	if txn == ovsdb.SnapshotTxn {
+		c.enqueue(event{source: "resnapshot", snapshot: tu})
+		return
+	}
 	ups, err := c.ovsdbUpdates(tu)
 	if err != nil {
 		c.fail(err)

@@ -76,8 +76,9 @@ func (d *modelDevice) read(table string) []p4rt.TableEntry {
 
 // stepScope is one small world whose event orders TestStepEventOrders
 // enumerates: a program, its device classes, the database it starts
-// from, three commits c1 < c2 < c3, an optional digest, and the device
-// that goes down and comes back up.
+// from, three commits c1 < c2 < c3, an optional digest, the device that
+// goes down and comes back up, and a fallback snapshot of the final
+// database.
 type stepScope struct {
 	name               string
 	schema             *ovsdb.DatabaseSchema
@@ -91,20 +92,23 @@ type stepScope struct {
 
 	initial ovsdb.TableUpdates
 	updates [3]ovsdb.TableUpdates
+	final   ovsdb.TableUpdates // every row after c3: the resnapshot's rows
 	txns    [3]uint64
 	want    map[string]*modelDevice // by device ID: NaiveEval's view
 }
 
-// Schedule items: a commit, the digest, the device going down, and it
-// coming back up (and being resynced).
+// Schedule items: a commit, the digest, the device going down, it
+// coming back up (and being resynced), and the management plane
+// resuming from a fresh snapshot.
 const (
 	itemCommit = iota
 	itemDigest
 	itemDown
 	itemUp
+	itemResnap
 )
 
-var itemNames = [...]string{"c", "digest", "down", "up"}
+var itemNames = [...]string{"c", "digest", "down", "up", "resnap"}
 
 // orders lists every order of the scope's events: commits in commit
 // order, down before up, the digest (if any) anywhere.
@@ -130,6 +134,31 @@ func (sc *stepScope) orders() [][]int {
 		}
 	}
 	walk(nil)
+	return out
+}
+
+// resnapOrders lists every order with a resnapshot, which stands for a
+// reconnect the database could not resume from its gap window: the
+// commits not delivered before it are missed, and its rows are the
+// final database's. Each is an order of orders with the resnapshot
+// inserted at some position and the commits after it dropped.
+func resnapOrders(orders [][]int) [][]int {
+	seen := map[string]bool{}
+	var out [][]int
+	for _, order := range orders {
+		for i := 0; i <= len(order); i++ {
+			o := append(slices.Clone(order[:i]), itemResnap)
+			for _, it := range order[i:] {
+				if it != itemCommit {
+					o = append(o, it)
+				}
+			}
+			if key := fmt.Sprint(o); !seen[key] {
+				seen[key] = true
+				out = append(out, o)
+			}
+		}
+	}
 	return out
 }
 
@@ -208,6 +237,7 @@ func (sc *stepScope) prepare(t *testing.T) {
 		t.Fatal(err)
 	}
 	final.Cancel()
+	sc.final = finalSnap
 
 	inputs := map[string][]value.Record{}
 	ups, err := s.ovsdbUpdates(finalSnap)
@@ -281,8 +311,9 @@ func transactOK(t *testing.T, db *ovsdb.Database, ops ...ovsdb.Operation) {
 // run drives a fresh step through one schedule, acting as the
 // controller's driver: each batch is applied and planned and its streams
 // written to the model devices (a down device's writes are dropped);
-// down empties the flapping device when restart is set, and up resyncs
-// it through drift. It returns the devices' final state.
+// down empties the flapping device when restart is set, up resyncs it
+// through drift, and a resnapshot applies what it finds changed as one
+// batch. It returns the devices' final state.
 func (sc *stepScope) run(order []int, merge []bool, restart bool) (map[string]*modelDevice, error) {
 	s, err := newStep(sc.schema, sc.rules, sc.classes, sc.infos, engine.Options{})
 	if err != nil {
@@ -337,6 +368,11 @@ func (sc *stepScope) run(order []int, merge []bool, restart bool) (map[string]*m
 			var ups []engine.Update
 			if ups, err = s.digestUpdates(sc.digestFrom, *sc.digest); err == nil {
 				err = push([]event{{source: "digest", updates: ups}})
+			}
+		case itemResnap:
+			var ups []engine.Update
+			if ups, err = s.resnapshot(sc.final); err == nil {
+				err = push([]event{{source: "ovsdb", updates: ups}})
 			}
 		case itemDown:
 			dev := devs[sc.flappy]
@@ -393,8 +429,11 @@ func diffDevices(got, want map[string]*modelDevice) string {
 // up, under every coalescing split of adjacent commits (the first split
 // of each order coalescing nothing), leaves every device holding exactly
 // what NaiveEval derives from the final database and the digest — so
-// every split of an order also ends where its uncoalesced run does. Each
-// order runs twice: the device restarting empty while down, and the
+// every split of an order also ends where its uncoalesced run does. So
+// does every such order with a resnapshot of the final database in
+// place of the commits it follows: after c1 it drops one row, modifies
+// one and keeps the rest, and it leaves the digest's relation alone.
+// Each order runs twice: the device restarting empty while down, and the
 // device keeping its tables while its writes are dropped (so the resync
 // finds stale and modified entries too).
 func TestStepEventOrders(t *testing.T) {
@@ -402,6 +441,7 @@ func TestStepEventOrders(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			sc.prepare(t)
 			orders, schedules := sc.orders(), 0
+			orders = append(orders, resnapOrders(orders)...)
 			for _, restart := range []bool{true, false} {
 				for _, order := range orders {
 					for _, merge := range splits(order) {

@@ -43,31 +43,31 @@ type ResilientConfig struct {
 	Obs *obs.Observer
 }
 
+// SnapshotTxn tags the one delivery of a monitor's fresh snapshot after a
+// reconnect the server could not resume from its gap window. It is never
+// a real transaction ID. The delivery holds every monitored row, each as
+// an insert; a row the subscriber holds that is not in it is gone.
+const SnapshotTxn = ^uint64(0)
+
 // monState is the monitor the resilient client re-establishes after every
-// reconnection, plus the row cache the resync diff runs against. The
-// cache mirrors exactly what the server has told us: projected New rows
-// from the initial snapshot and every subsequent update.
+// reconnection.
 type monState struct {
 	db       string
 	id       any
 	requests map[string]*MonitorRequest
 	cb       func(uint64, TableUpdates)
-	// cache is table → row UUID → projected row, as delivered (shared
-	// with the subscriber: read-only).
-	cache map[string]map[string]Row
-	// lastTxn is the resumption cursor: the newest transaction the
-	// cache reflects. Reconnection passes it as the monitor's since so
-	// a server retaining the gap replays only the missed commits.
+	// lastTxn is the resumption cursor: the newest transaction delivered.
+	// Reconnection passes it as the monitor's since so a server retaining
+	// the gap replays only the missed commits.
 	lastTxn uint64
 }
 
 // ResilientClient wraps Client with automatic redial and monitor
 // re-establishment. On connection loss it redials with jittered
-// exponential backoff, re-issues the monitor, diffs the fresh snapshot
-// against the cached row state, and delivers the difference to the
-// monitor callback as synthetic updates — so a subscriber that survives
-// the outage converges to the server's current state without replaying
-// it from scratch and without seeing phantom changes for unchanged rows.
+// exponential backoff and re-issues the monitor from its cursor. The
+// subscriber receives the missed commits when the server still retains
+// them, and otherwise the fresh snapshot once, tagged SnapshotTxn, to
+// reconcile against the state it holds.
 //
 // Done() fires only on Close, never on transient connection loss: the
 // whole point is that subscribers outlive individual connections.
@@ -75,13 +75,12 @@ type ResilientClient struct {
 	cfg ResilientConfig
 	sup *redial.Supervisor[*Client]
 
-	// monMu serializes monitor registration, cache mutation, and
-	// callback delivery, so synthetic resync updates and live updates
-	// never interleave out of order. monGen counts monitor
-	// registrations: each connection's delivery callback is bound to the
-	// generation it was registered under, so updates still queued from a
-	// dead connection are dropped instead of being applied after a
-	// resync has already advanced the cache past them.
+	// monMu serializes monitor registration and callback delivery, so
+	// resync deliveries and live updates never interleave out of order.
+	// monGen counts monitor registrations: each connection's delivery
+	// callback is bound to the generation it was registered under, so
+	// updates still queued from a dead connection are dropped instead of
+	// being delivered after a resync has already covered them.
 	monMu  sync.Mutex
 	mon    *monState
 	monGen uint64
@@ -105,7 +104,7 @@ func DialResilient(cfg ResilientConfig) (*ResilientClient, error) {
 	r.mGapReplays = reg.Counter("ovsdb_gap_replays_total",
 		"Reconnections resumed by monitor gap replay (cursor within the retained window).")
 	r.mSnapResyncs = reg.Counter("ovsdb_snapshot_resyncs_total",
-		"Reconnections that fell back to a full snapshot-diff resync.")
+		"Reconnections that fell back to delivering a full snapshot.")
 	r.sup = redial.New(redial.Config[*Client]{
 		Connect:     r.connect,
 		Rearm:       func(c *Client, _ func() bool) error { return r.resync(c) },
@@ -185,10 +184,9 @@ func (r *ResilientClient) TransactErr(db string, ops ...Operation) ([]OpResult, 
 // --- Monitor with resync ---
 
 // MonitorTxn registers the client's single self-healing monitor: it is
-// re-established after every reconnection, with the difference between
-// the fresh snapshot and the last observed state delivered to cb as one
-// synthetic update (txn 0). Updates — live and synthetic — are delivered
-// strictly serialized.
+// re-established after every reconnection, and cb receives the missed
+// commits or, when the server no longer retains them, the fresh snapshot
+// tagged SnapshotTxn. Every delivery is strictly serialized.
 func (r *ResilientClient) MonitorTxn(db string, id any, requests map[string]*MonitorRequest, cb func(uint64, TableUpdates)) (TableUpdates, error) {
 	c, err := r.sup.Get()
 	if err != nil {
@@ -206,7 +204,7 @@ func (r *ResilientClient) MonitorTxn(db string, id any, requests map[string]*Mon
 	if err != nil {
 		return nil, err
 	}
-	r.mon = &monState{db: db, id: id, requests: requests, cb: cb, cache: cacheOf(initial), lastTxn: lastTxn}
+	r.mon = &monState{db: db, id: id, requests: requests, cb: cb, lastTxn: lastTxn}
 	return initial, nil
 }
 
@@ -217,19 +215,17 @@ func (r *ResilientClient) bind(gen uint64) func(uint64, TableUpdates) {
 }
 
 // deliver is the callback registered on every underlying connection: it
-// folds the update into the row cache and forwards it, all under monMu
-// so resync diffs see a consistent cache. Updates from a superseded
-// generation — queued in a dead connection's delivery goroutine while a
-// resync held monMu — are dropped: the resync that bumped the
-// generation already covered them, and applying them late would roll
-// the cache back to stale row images and replay txns out of order.
+// advances the cursor and forwards the update under monMu. Updates from
+// a superseded generation — queued in a dead connection's delivery
+// goroutine while a resync held monMu — are dropped: the resync that
+// bumped the generation already covered them, and delivering them late
+// would replay stale row images out of order.
 func (r *ResilientClient) deliver(gen, txn uint64, tu TableUpdates) {
 	r.monMu.Lock()
 	defer r.monMu.Unlock()
 	if r.mon == nil || gen != r.monGen {
 		return
 	}
-	r.mon.apply(tu)
 	if txn > r.mon.lastTxn {
 		r.mon.lastTxn = txn
 	}
@@ -238,84 +234,9 @@ func (r *ResilientClient) deliver(gen, txn uint64, tu TableUpdates) {
 
 // ResyncStats reports how completed reconnections resynchronized the
 // monitor: by replaying only the missed commits from the server's gap
-// window, or by falling back to a full snapshot diff.
+// window, or by falling back to delivering a full snapshot.
 func (r *ResilientClient) ResyncStats() (gapReplays, snapshotResyncs uint64) {
 	return r.nGapReplays.Load(), r.nSnapResyncs.Load()
-}
-
-// cacheOf seeds a row cache from an initial snapshot.
-func cacheOf(initial TableUpdates) map[string]map[string]Row {
-	cache := make(map[string]map[string]Row, len(initial))
-	for table, tu := range initial {
-		rows := make(map[string]Row, len(tu))
-		for uuid, ru := range tu {
-			if ru.New != nil {
-				rows[uuid] = ru.New
-			}
-		}
-		cache[table] = rows
-	}
-	return cache
-}
-
-// apply folds one update into the cache. New carries the full selected
-// row for inserts and modifies, so it replaces wholesale; a nil New is a
-// delete.
-func (m *monState) apply(tu TableUpdates) {
-	for table, rows := range tu {
-		cached := m.cache[table]
-		if cached == nil {
-			cached = make(map[string]Row)
-			m.cache[table] = cached
-		}
-		for uuid, ru := range rows {
-			if ru.New != nil {
-				cached[uuid] = ru.New
-			} else {
-				delete(cached, uuid)
-			}
-		}
-	}
-}
-
-// diff computes the synthetic update turning the cached state into
-// fresh, then replaces the cache with fresh. Deletes carry the full old
-// row and modifies carry the full old row in Old (not just changed
-// columns) — subscribers reconstructing old rows by overlaying Old onto
-// New therefore see exactly the cached row.
-func (m *monState) diff(fresh TableUpdates) TableUpdates {
-	next := cacheOf(fresh)
-	out := make(TableUpdates)
-	tables := make(map[string]bool, len(m.cache)+len(next))
-	for t := range m.cache {
-		tables[t] = true
-	}
-	for t := range next {
-		tables[t] = true
-	}
-	for t := range tables {
-		oldRows, newRows := m.cache[t], next[t]
-		tu := make(TableUpdate)
-		for uuid, oldRow := range oldRows {
-			newRow, ok := newRows[uuid]
-			switch {
-			case !ok:
-				tu[uuid] = RowUpdate{Old: oldRow}
-			case !rowsEqual(oldRow, newRow):
-				tu[uuid] = RowUpdate{Old: oldRow, New: newRow}
-			}
-		}
-		for uuid, newRow := range newRows {
-			if _, ok := oldRows[uuid]; !ok {
-				tu[uuid] = RowUpdate{New: newRow}
-			}
-		}
-		if len(tu) > 0 {
-			out[t] = tu
-		}
-	}
-	m.cache = next
-	return out
 }
 
 // resync re-establishes the monitor on a fresh connection and delivers
@@ -328,9 +249,9 @@ func (m *monState) diff(fresh TableUpdates) TableUpdates {
 // window answers with only the missed commits, delivered here as
 // ordinary per-transaction updates — resync work proportional to the
 // outage, not to database size. When the cursor has been compacted away
-// (or the server lost unsynced history), the reply is a full snapshot
-// and the PR 5 snapshot-diff path takes over: the difference against
-// the cached state goes out as one synthetic update (txn 0).
+// (or the server lost unsynced history), the reply is a full snapshot,
+// delivered whole as one update tagged SnapshotTxn: the subscriber
+// reconciles it against what it holds.
 //
 // Holding monMu while awaiting the monitor reply is safe: live updates
 // arriving early park in the client's delivery goroutine, not on the
@@ -355,7 +276,6 @@ func (r *ResilientClient) resync(c *Client) error {
 			for _, tu := range g.Updates {
 				rows += len(tu)
 			}
-			r.mon.apply(g.Updates)
 			if g.Txn > r.mon.lastTxn {
 				r.mon.lastTxn = g.Txn
 			}
@@ -372,20 +292,17 @@ func (r *ResilientClient) resync(c *Client) error {
 			F("rows", int64(rows)))
 		return nil
 	}
-	diff := r.mon.diff(fresh)
 	r.mon.lastTxn = lastTxn
 	rows := 0
-	for _, tu := range diff {
+	for _, tu := range fresh {
 		rows += len(tu)
 	}
 	r.mSnapResyncs.Inc()
 	r.nSnapResyncs.Add(1)
 	r.rec.Append(obs.Ev("ovsdb", "conn.resync").
 		F("gap", 0).
-		F("tables", int64(len(diff))).
+		F("tables", int64(len(fresh))).
 		F("rows", int64(rows)))
-	if len(diff) > 0 {
-		r.mon.cb(0, diff)
-	}
+	r.mon.cb(SnapshotTxn, fresh)
 	return nil
 }

@@ -53,13 +53,22 @@ func TestMonitorTxnUnregistersOnBadInitialReply(t *testing.T) {
 // txnCollector gathers txn-aware monitor updates.
 type txnCollector struct {
 	mu      sync.Mutex
+	txns    []uint64
 	updates []TableUpdates
 }
 
-func (c *txnCollector) add(_ uint64, tu TableUpdates) {
+func (c *txnCollector) add(txn uint64, tu TableUpdates) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.txns = append(c.txns, txn)
 	c.updates = append(c.updates, tu)
+}
+
+// txn returns the transaction the i-th update was delivered with.
+func (c *txnCollector) txn(i int) uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.txns[i]
 }
 
 func (c *txnCollector) count() int {
@@ -166,21 +175,43 @@ func killAndWaitRedial(t *testing.T, r *ResilientClient, d *faultnet.Dialer) {
 	waitConnected(t, r) // the redial unpublished the dead session first
 }
 
+// snapshotRows checks that update i of col is a fallback snapshot: tagged
+// SnapshotTxn, every row an insert. It returns Port's rows by name.
+func snapshotRows(t *testing.T, col *txnCollector, i int) map[string]Row {
+	t.Helper()
+	tu := col.waitFor(t, i+1)[i]
+	if txn := col.txn(i); txn != SnapshotTxn {
+		t.Fatalf("update %d has txn %d, want SnapshotTxn: %v", i, txn, tu)
+	}
+	rows := map[string]Row{}
+	for _, ru := range tu["Port"] {
+		if ru.Old != nil || ru.New == nil {
+			t.Fatalf("snapshot row is not an insert: %+v", ru)
+		}
+		rows[ru.New["name"].(string)] = ru.New
+	}
+	return rows
+}
+
 func TestResilientResyncDeliversOutageDiff(t *testing.T) {
+	// No gap window: a reconnection after any commit takes the snapshot
+	// fallback.
 	o := obs.NewObserver()
-	r, direct, d := startResilient(t, o)
+	r, direct, d, db := startResilientDB(t, o)
+	db.SetGapWindow(-1)
 	var col txnCollector
 	if _, err := r.MonitorTxn("TestDB", "m", portMonitorReqs(), col.add); err != nil {
 		t.Fatalf("MonitorTxn: %v", err)
 	}
 	if _, err := direct.TransactErr("TestDB",
-		OpInsert("Port", map[string]Value{"name": "eth0", "number": int64(1)})); err != nil {
+		OpInsert("Port", map[string]Value{"name": "eth0", "number": int64(1)}),
+		OpInsert("Port", map[string]Value{"name": "eth9", "number": int64(9)})); err != nil {
 		t.Fatal(err)
 	}
 	col.waitFor(t, 1)
 
 	// Sever the client's connection and mutate the database while it is
-	// down: delete eth0, add eth1.
+	// down: delete eth0, add eth1, keep eth9.
 	d.KillAll()
 	if _, err := direct.TransactErr("TestDB",
 		OpDelete("Port", Cond("name", "==", "eth0")),
@@ -189,32 +220,27 @@ func TestResilientResyncDeliversOutageDiff(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The resync diff must arrive as exactly one synthetic update carrying
-	// the delete of eth0 and the insert of eth1.
-	ups := col.waitFor(t, 2)
-	tu := ups[1]["Port"]
-	if len(tu) != 2 {
-		t.Fatalf("resync update = %v, want 2 row updates", ups[1])
+	// The fallback delivers the fresh snapshot whole, once: every row the
+	// server holds, and no sign of eth0 but its absence.
+	rows := snapshotRows(t, &col, 1)
+	if len(rows) != 2 || rows["eth1"] == nil || rows["eth9"] == nil {
+		t.Fatalf("snapshot rows %v, want eth1 and eth9", rows)
 	}
-	var sawDel, sawIns bool
-	for _, ru := range tu {
-		switch {
-		case ru.New == nil && ru.Old != nil && ru.Old["name"] == "eth0":
-			sawDel = true
-		case ru.Old == nil && ru.New != nil && ru.New["name"] == "eth1":
-			sawIns = true
-		}
-	}
-	if !sawDel || !sawIns {
-		t.Fatalf("resync diff missing changes: del=%v ins=%v (%v)", sawDel, sawIns, tu)
+	waitConnected(t, r)
+	if _, snaps := r.ResyncStats(); snaps != 1 {
+		t.Fatalf("%d snapshot resyncs, want 1", snaps)
 	}
 
-	// Live updates keep flowing on the healed session.
+	// Live updates keep flowing on the healed session, with their own
+	// transaction.
 	if _, err := r.TransactErr("TestDB",
 		OpInsert("Port", map[string]Value{"name": "eth2", "number": int64(3)})); err != nil {
 		t.Fatalf("transact on healed client: %v", err)
 	}
 	col.waitFor(t, 3)
+	if txn := col.txn(2); txn == SnapshotTxn || txn == 0 {
+		t.Fatalf("live update after the heal has txn %d", txn)
+	}
 
 	if reasons := o.DegradedReasons(); len(reasons) != 0 {
 		t.Fatalf("still degraded after recovery: %v", reasons)
@@ -228,9 +254,9 @@ func TestResilientResyncDeliversOutageDiff(t *testing.T) {
 
 func TestResilientResyncNoSpuriousDeltas(t *testing.T) {
 	// No gap window: a reconnection after any commit takes the snapshot
-	// path, which compares each cached row with the fresh one. All of Port's columns
-	// are monitored, so the comparison sees a set, a map and an optional
-	// scalar, set and empty, beside the plain scalars.
+	// fallback. All of Port's columns are monitored, so the snapshot
+	// carries a set, a map and an optional scalar, set and empty, beside
+	// the plain scalars: each must come back as the live update showed it.
 	r, direct, d, db := startResilientDB(t, nil)
 	db.SetGapWindow(-1)
 	var col txnCollector
@@ -244,36 +270,47 @@ func TestResilientResyncNoSpuriousDeltas(t *testing.T) {
 		OpInsert("Port", map[string]Value{"name": "bare"})); err != nil {
 		t.Fatal(err)
 	}
-	col.waitFor(t, 1)
+	seen := map[string]Row{}
+	for _, ru := range col.waitFor(t, 1)[0]["Port"] {
+		seen[ru.New["name"].(string)] = ru.New
+	}
 
 	// Nothing the monitor selects changes (the commit to Bridge only moves
-	// the server past the client's cursor): the subscriber must see no
-	// synthetic update at all, not a no-op one.
+	// the server past the client's cursor): the snapshot, delivered once,
+	// holds every row exactly as it was.
 	if _, err := direct.TransactErr("TestDB", OpInsert("Bridge", map[string]Value{"name": "br0"})); err != nil {
 		t.Fatal(err)
 	}
 	killAndWaitRedial(t, r, d)
+	rows := snapshotRows(t, &col, 1)
+	if len(rows) != len(seen) {
+		t.Fatalf("snapshot rows %v, want %v", rows, seen)
+	}
+	for name, row := range seen {
+		if !rowsEqual(rows[name], row) {
+			t.Fatalf("snapshot row %s = %v, want %v", name, rows[name], row)
+		}
+	}
 	time.Sleep(20 * time.Millisecond)
-	if n := col.count(); n != 1 {
-		t.Fatalf("unchanged state produced %d extra updates", n-1)
+	if n := col.count(); n != 2 {
+		t.Fatalf("the resync delivered %d updates, want the snapshot once", n-1)
 	}
 	if _, snaps := r.ResyncStats(); snaps != 1 {
-		t.Fatalf("%d snapshot resyncs, want 1: the comparison under test did not run", snaps)
+		t.Fatalf("%d snapshot resyncs, want 1", snaps)
 	}
 
-	// A change made after the heal arrives exactly once.
+	// A change made after the heal arrives exactly once, live.
 	if _, err := direct.TransactErr("TestDB",
 		OpUpdate("Port", map[string]Value{"number": int64(9)}, Cond("name", "==", "eth0"))); err != nil {
 		t.Fatal(err)
 	}
-	ups := col.waitFor(t, 2)
-	ru := ups[1]["Port"]
-	if len(ru) != 1 {
-		t.Fatalf("post-heal update = %v", ups[1])
+	ups := col.waitFor(t, 3)
+	if ru := ups[2]["Port"]; len(ru) != 1 || col.txn(2) == SnapshotTxn {
+		t.Fatalf("post-heal update = %v (txn %d)", ups[2], col.txn(2))
 	}
 
-	// And a change of each kind of value made during an outage is what the
-	// comparison finds: one synthetic update, of that row alone.
+	// A change of each kind of value made during an outage reaches the
+	// subscriber in the next snapshot, beside the unchanged row.
 	for i, change := range []map[string]Value{
 		{"trunks": NewSet(int64(7))}, {"options": NewMap([2]Atom{"k", "w"}, [2]Atom{"a", "b"})}, {"peer": NewSet()}, {"enabled": true},
 	} {
@@ -281,16 +318,13 @@ func TestResilientResyncNoSpuriousDeltas(t *testing.T) {
 		if _, err := direct.TransactErr("TestDB", OpUpdate("Port", change, Cond("name", "==", "eth0"))); err != nil {
 			t.Fatal(err)
 		}
-		ups := col.waitFor(t, 3+i)
-		rows := ups[2+i]["Port"]
-		if len(rows) != 1 {
-			t.Fatalf("outage change %v resynced as %v", change, ups[2+i])
+		rows := snapshotRows(t, &col, 3+i)
+		if !rowsEqual(rows["bare"], seen["bare"]) {
+			t.Fatalf("outage change %v: unchanged row resynced as %v", change, rows["bare"])
 		}
-		for _, ru := range rows {
-			for c, v := range change {
-				if !ValueEqual(ru.New[c], v) || ValueEqual(ru.Old[c], v) {
-					t.Fatalf("outage change %v resynced as %+v", change, ru)
-				}
+		for c, v := range change {
+			if !ValueEqual(rows["eth0"][c], v) {
+				t.Fatalf("outage change %v resynced as %v", change, rows["eth0"])
 			}
 		}
 		waitConnected(t, r)
@@ -383,7 +417,7 @@ func TestResilientGoroutinesTerminateOnClose(t *testing.T) {
 // TestResilientDropsSupersededConnectionUpdates is the regression test
 // for stale delivery after resync: an update still queued in a dead
 // connection's delivery goroutine carries an older monitor generation
-// and must be dropped, not applied to the cache or forwarded to the
+// and must be dropped, neither advancing the cursor nor reaching the
 // subscriber out of order.
 func TestResilientDropsSupersededConnectionUpdates(t *testing.T) {
 	r, direct, d := startResilient(t, nil)
@@ -406,8 +440,10 @@ func TestResilientDropsSupersededConnectionUpdates(t *testing.T) {
 		t.Fatalf("superseded-generation update forwarded (%d updates)", n)
 	}
 
-	// The cache was not poisoned: an outage with no state change still
-	// produces no synthetic update, and a real change arrives exactly once.
+	// The cursor did not advance to the dropped txn: an outage with no
+	// state change resumes by gap replay with nothing to deliver (a cursor
+	// ahead of the server would force a snapshot), and a real change
+	// arrives exactly once.
 	killAndWaitRedial(t, r, d)
 	time.Sleep(20 * time.Millisecond)
 	if n := col.count(); n != 1 {

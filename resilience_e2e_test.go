@@ -78,7 +78,8 @@ func TestKillRestartEndToEnd(t *testing.T) {
 	}
 
 	// Convergence: the switch holds entries for BOTH ports — p1 from the
-	// resync replay, p2 from the OVSDB snapshot diff — and /readyz is ok.
+	// resync replay, p2 from the OVSDB monitor's gap replay (the restarted
+	// server keeps its database and gap window) — and /readyz is ok.
 	waitVlanPorts(t, p4rtAddr, 2)
 	waitBody(t, obsSrv.URL+"/readyz", func(status int, _ string) bool { return status == 200 })
 
