@@ -139,8 +139,14 @@ func printUpdate(relation string, u subscribe.Update, asJSON bool) {
 		emit(map[string]any{"relation": relation, "txn": u.Txn, "changes": u.Changes})
 		return
 	}
+	// A delta no commit produced carries txn 0: a data-plane digest's (MAC
+	// learning), or the controller's initial sync or reconciliation.
+	at := "txn " + strconv.FormatUint(u.Txn, 10)
+	if u.Txn == 0 {
+		at = "no txn"
+	}
 	for _, c := range u.Changes {
-		fmt.Printf("txn %-6d %s  %s\n", u.Txn, relation, renderChange(c))
+		fmt.Printf("%-10s %s  %s\n", at, relation, renderChange(c))
 	}
 }
 

@@ -20,6 +20,10 @@ if grep -nE 'map\[string\]any|AnyMap|json\.Number' internal/core/controller.go i
 # row mirror. The engine's inputs hold the monitored rows, and the
 # controller reconciles a fallback snapshot against them.
 if grep -nE 'cacheOf|\bcache\b' internal/ovsdb/resilient.go; then exit 1; fi
+# An ordered subscription wire: the server replies to a subscribe before
+# any update for it, under an id the client named, so the client keeps
+# no buffer for updates that overtake their reply.
+if grep -nE 'pendingUpdates|pendingLocked|subscribing' internal/subscribe/client.go; then exit 1; fi
 # The controller's step stays pure: no goroutine, clock, channel, lock or
 # device I/O (the driver in controller.go owns those).
 if grep -nE '\bgo |time\.|chan |\.Write\(|WriteTxn\(|ReadTable\(|"sync' internal/core/step.go; then exit 1; fi
@@ -91,17 +95,20 @@ go test -race -run 'TestFleetEndToEnd' -count=1 .
 go test -race -run 'TestKillRestartEndToEnd' -count=1 .
 # The one redial supervisor, both resilient clients on it, the
 # engine-derived resync the controller installs itself, the controller's
-# reconciliation of a fallback snapshot, and the in-process deployment's
-# restarts back to its pre-boot goroutine count, in one -race line.
-go test -race -run 'TestRedial|TestResilient|TestResync|TestResnapshot|TestPushToleratesUnavailableDevice|TestMissedWriteResyncsInsteadOfDelta|TestTransactIntegerExact|TestControllerInstallsResyncHook|TestRestartAndQuiesce' -count=1 ./internal/redial/ ./internal/ovsdb/ ./internal/p4rt/ ./internal/core/ ./internal/deploy/
+# reconciliation of a fallback snapshot, the in-process deployment's
+# restarts back to its pre-boot goroutine count, and /debug/explain read
+# on the event loop during commits, in one -race line.
+go test -race -run 'TestRedial|TestResilient|TestResync|TestResnapshot|TestPushToleratesUnavailableDevice|TestMissedWriteResyncsInsteadOfDelta|TestTransactIntegerExact|TestControllerInstallsResyncHook|TestRestartAndQuiesce|TestExplainDuringCommits' -count=1 ./internal/redial/ ./internal/ovsdb/ ./internal/p4rt/ ./internal/core/ ./internal/deploy/
 (cd "$bench_dir" && ./nerpa-bench -exp reconnect -reconnect-ports 50,250 -reconnect-restarts 3 &&
     test -s BENCH_reconnect.json)
 # Pub/sub fan-out: the subscription service e2e (snapshot-then-delta
 # ordering, slow-consumer eviction and resubscribe), one rendering per
-# filter class, an undecodable update ending its subscription, the
-# jsonrpc bounded-write regressions and the one server all three planes
-# serve on run under the race detector.
-go test -race -run 'TestSnapshotThenDelta|TestSlowConsumerEviction|TestPublishRendersOncePerClass|TestUndecodableUpdateEndsSubscription' -count=1 ./internal/subscribe/
+# filter class, an undecodable update ending its subscription, every
+# update after the reply that names its subscription (and jsonrpc's
+# AfterReply ordering under it), the jsonrpc bounded-write regressions
+# and the one server all three planes serve on run under the race
+# detector.
+go test -race -run 'TestSnapshotThenDelta|TestSlowConsumerEviction|TestPublishRendersOncePerClass|TestUndecodableUpdateEndsSubscription|TestUpdatesFollowTheirSubscribeReply|TestSubscribeRefusesStaleID|TestConcurrentSubscribes|TestAfterReplyFollowsReply' -count=1 ./internal/subscribe/ ./internal/jsonrpc/
 go test -race -run 'TestWriteLimit|TestCloseFlushes|TestServer' -count=1 ./internal/jsonrpc/
 # Tests that used to lose to a timer, a clock, a publication race or a
 # stage order on a loaded box: twenty runs each under the race detector

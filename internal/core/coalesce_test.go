@@ -109,17 +109,14 @@ func findInputLeaf(n *engine.ExplainNode, needle string) *engine.ExplainNode {
 	return nil
 }
 
-// portOrigins polls until every named port has a recorded input origin,
-// returning each port's originating txn ID. It reads only the
-// mutex-guarded provenance maps (input keys embed the record's string
-// fields verbatim), never engine state, so it is safe to call while the
-// event loop is mid-apply.
+// portOrigins returns each named port's originating txn ID from the
+// input origin map (input keys embed the record's string fields
+// verbatim), read on the event loop once the commits queued before the
+// call have been applied.
 func portOrigins(t *testing.T, ctrl *Controller, names ...string) map[string]uint64 {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		txns := map[string]uint64{}
-		ctrl.prov.mu.Lock()
+	txns := map[string]uint64{}
+	if err := ctrl.onLoop(func() {
 		for k, origin := range ctrl.prov.inputs {
 			if !strings.HasPrefix(k, "Port\x00") {
 				continue
@@ -130,15 +127,13 @@ func portOrigins(t *testing.T, ctrl *Controller, names ...string) map[string]uin
 				}
 			}
 		}
-		ctrl.prov.mu.Unlock()
-		if len(txns) == len(names) {
-			return txns
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("input origins recorded for %v, want %v", txns, names)
-		}
-		time.Sleep(time.Millisecond)
+	}); err != nil {
+		t.Fatal(err)
 	}
+	if len(txns) != len(names) {
+		t.Fatalf("input origins recorded for %v, want %v", txns, names)
+	}
+	return txns
 }
 
 // TestCoalescingPreservesAttribution is the regression test for per-txn
@@ -170,12 +165,14 @@ func TestCoalescingPreservesAttribution(t *testing.T) {
 	// txn ID (that is the last commit's, p2's at the earliest). The
 	// entry's own source record is an output tuple (it never mentions
 	// "p1"), so search by explain tree.
-	ctrl.prov.mu.Lock()
-	keys := make([]entryKey, 0, len(ctrl.prov.entries))
-	for k := range ctrl.prov.entries {
-		keys = append(keys, k)
+	var keys []entryKey
+	if err := ctrl.onLoop(func() {
+		for k := range ctrl.prov.entries {
+			keys = append(keys, k)
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
-	ctrl.prov.mu.Unlock()
 	if len(keys) == 0 {
 		t.Fatal("no pushed entries recorded")
 	}

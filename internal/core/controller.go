@@ -436,8 +436,14 @@ func NewWithClasses(cfg Config, mp ManagementPlane, classes []DeviceClass) (*Con
 // Program returns the compiled control-plane program.
 func (c *Controller) Program() *dl.Program { return c.prog }
 
-// Contents exposes a relation snapshot (diagnostics and tests).
-func (c *Controller) Contents(rel string) ([]value.Record, error) { return c.rt.Contents(rel) }
+// Contents exposes a relation snapshot (diagnostics and tests), read on
+// the event loop between transactions.
+func (c *Controller) Contents(rel string) (recs []value.Record, err error) {
+	if lerr := c.onLoop(func() { recs, err = c.rt.Contents(rel) }); lerr != nil {
+		return nil, lerr
+	}
+	return recs, err
+}
 
 // OutputRelations returns the names of the program's derived (output-
 // role) relations, sorted — the set a subscription service may offer,
@@ -476,15 +482,33 @@ func (c *Controller) Stop() {
 // Barrier blocks until every event enqueued before it has been fully
 // processed (including data-plane pushes).
 func (c *Controller) Barrier() error {
-	ch := make(chan struct{})
-	if !c.enqueue(event{control: func() { close(ch) }}) {
+	if c.onLoop(func() {}) != nil {
 		return c.Err()
 	}
+	return nil
+}
+
+// errLoopStopped is onLoop's error once the event loop has ended.
+var errLoopStopped = errors.New("core: controller stopped")
+
+// onLoop runs f on the event loop, between transactions, and waits for
+// it. It is how every caller off the loop reads or changes what the loop
+// owns (the engine, the origin maps, a device's resync).
+func (c *Controller) onLoop(f func()) error {
+	ran := make(chan struct{})
+	if !c.enqueue(event{control: func() { f(); close(ran) }}) {
+		return errLoopStopped
+	}
 	select {
-	case <-ch:
+	case <-ran:
 		return nil
 	case <-c.done:
-		return c.Err()
+		select {
+		case <-ran: // f was the loop's last event
+			return nil
+		default:
+			return errLoopStopped
+		}
 	}
 }
 

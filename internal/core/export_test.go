@@ -1,29 +1,9 @@
 package core
 
-import (
-	"errors"
-
-	"repro/internal/dl/value"
-)
+import "repro/internal/dl/value"
 
 // This file exports, to the tests of this directory only, what the
 // full-stack harness asks the controller between transactions.
-
-var errLoopStopped = errors.New("core: controller stopped")
-
-// onLoop runs f on the event loop, between transactions, and waits for it.
-func (c *Controller) onLoop(f func()) error {
-	ran := make(chan struct{})
-	if !c.enqueue(event{control: func() { f(); close(ran) }}) {
-		return errLoopStopped
-	}
-	select {
-	case <-ran:
-		return nil
-	case <-c.done:
-		return errLoopStopped
-	}
-}
 
 // DriftCount reads device's tables through dp on the event loop, as a
 // resync does, and returns how many entries drift from what the engine

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"repro/internal/codegen"
 	"repro/internal/dl/ast"
@@ -53,11 +52,10 @@ type inputOrigin struct {
 	source string
 }
 
-// provState holds the controller's bounded origin maps. Writes happen
-// only on the event-loop goroutine; reads come from /debug/explain
-// handlers, so every access takes the mutex.
+// provState holds the controller's bounded origin maps. The event loop
+// owns them: it writes them as it applies and pushes, and Explain reads
+// them there too.
 type provState struct {
-	mu      sync.Mutex
 	cap     int
 	entries map[entryKey]*EntryOrigin
 	eorder  []entryKey // FIFO insertion order; may contain tombstones
@@ -112,18 +110,6 @@ func fifoPut[K comparable, V any](m map[K]V, order *[]K, k K, v V, capacity int)
 	return evicted
 }
 
-func (p *provState) noteEntry(k entryKey, o *EntryOrigin) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.evicted += fifoPut(p.entries, &p.eorder, k, o, p.cap)
-}
-
-func (p *provState) dropEntry(k entryKey) {
-	p.mu.Lock()
-	delete(p.entries, k)
-	p.mu.Unlock()
-}
-
 // incidentOriginLimit caps how many entry origins a pinned slow-push
 // incident carries.
 const incidentOriginLimit = 8
@@ -135,8 +121,6 @@ func (p *provState) originsForTxn(txn uint64, max int) []*EntryOrigin {
 	if p == nil || txn == 0 {
 		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var out []*EntryOrigin
 	for i := len(p.eorder) - 1; i >= 0 && len(out) < max; i-- {
 		o := p.entries[p.eorder[i]]
@@ -147,39 +131,11 @@ func (p *provState) originsForTxn(txn uint64, max int) []*EntryOrigin {
 	return out
 }
 
-func (p *provState) noteInput(rel, recKey string, o inputOrigin) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.evicted += fifoPut(p.inputs, &p.iorder, inputKey(rel, recKey), o, p.cap)
-}
-
-func (p *provState) dropInput(rel, recKey string) {
-	p.mu.Lock()
-	delete(p.inputs, inputKey(rel, recKey))
-	p.mu.Unlock()
-}
-
-func (p *provState) lookupInput(rel, recKey string) (inputOrigin, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	o, ok := p.inputs[inputKey(rel, recKey)]
-	return o, ok
-}
-
-// sizes reports the live map sizes and the eviction count.
-func (p *provState) sizes() (entries, inputs int, evicted uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.entries), len(p.inputs), p.evicted
-}
-
 // findEntry resolves a /debug/explain query against one P4 table: key ""
 // is accepted when the table holds exactly one entry; otherwise the key
 // must equal — or, failing that, be a substring of — the rendered match
 // fields or the source record of exactly one entry.
 func (p *provState) findEntry(table, key string) (*EntryOrigin, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var inTable, exact, fuzzy []*EntryOrigin
 	for k, o := range p.entries {
 		if k.table != table {
@@ -267,8 +223,16 @@ type ExplainResult struct {
 // Explain implements obs.Explainer. relation may name a P4 table (the
 // entry is resolved to its source record first), a derived Datalog
 // relation (key is the record's rendering), or an input relation (the
-// result is a single leaf carrying the inserting transaction).
-func (c *Controller) Explain(relation, key string, maxDepth, maxNodes int) (any, error) {
+// result is a single leaf carrying the inserting transaction). It runs
+// on the event loop, between transactions.
+func (c *Controller) Explain(relation, key string, maxDepth, maxNodes int) (res any, err error) {
+	if lerr := c.onLoop(func() { res, err = c.explain(relation, key, maxDepth, maxNodes) }); lerr != nil {
+		return nil, lerr
+	}
+	return res, err
+}
+
+func (c *Controller) explain(relation, key string, maxDepth, maxNodes int) (any, error) {
 	if c.prov == nil || !c.rt.ProvenanceEnabled() {
 		return nil, fmt.Errorf("provenance collection disabled")
 	}
@@ -322,7 +286,7 @@ func (c *Controller) explainInput(relation, key string) (any, error) {
 			Relation: relation, Record: key, Kind: "input",
 			Tuple: rec, RecordKey: rec.Key(),
 		}
-		if o, ok := c.prov.lookupInput(relation, rec.Key()); ok {
+		if o, ok := c.prov.inputs[inputKey(relation, leaf.RecordKey)]; ok {
 			leaf.TxnID = o.txnID
 		}
 		return &ExplainResult{Relation: relation, Key: key, Tree: leaf}, nil
@@ -337,7 +301,7 @@ func (c *Controller) annotate(n *engine.ExplainNode) {
 		return
 	}
 	if n.Kind == "input" && n.RecordKey != "" {
-		if o, ok := c.prov.lookupInput(n.Relation, n.RecordKey); ok {
+		if o, ok := c.prov.inputs[inputKey(n.Relation, n.RecordKey)]; ok {
 			n.TxnID = o.txnID
 		}
 	}
@@ -351,15 +315,17 @@ func (c *Controller) annotate(n *engine.ExplainNode) {
 // update is attributed to the commit that delivered it — not the batch's
 // txn — so /debug/explain keeps naming the true originating transaction.
 func (s *step) noteInputs(batch []event) {
-	if s.prov == nil {
+	p := s.prov
+	if p == nil {
 		return
 	}
 	for _, ev := range batch {
 		for _, up := range ev.updates {
+			k := inputKey(up.Relation, up.Rec.Key())
 			if up.Insert {
-				s.prov.noteInput(up.Relation, up.Rec.Key(), inputOrigin{txnID: ev.txnID, source: ev.source})
+				p.evicted += fifoPut(p.inputs, &p.iorder, k, inputOrigin{txnID: ev.txnID, source: ev.source}, p.cap)
 			} else {
-				s.prov.dropInput(up.Relation, up.Rec.Key())
+				delete(p.inputs, k)
 			}
 		}
 	}
@@ -379,12 +345,12 @@ type pendingOrigin struct {
 func (p *provState) settle(origins []pendingOrigin) {
 	for _, po := range origins {
 		if po.origin == nil {
-			p.dropEntry(po.key)
+			delete(p.entries, po.key)
 		}
 	}
 	for _, po := range origins {
 		if po.origin != nil {
-			p.noteEntry(po.key, po.origin)
+			p.evicted += fifoPut(p.entries, &p.eorder, po.key, po.origin, p.cap)
 		}
 	}
 }
@@ -396,9 +362,8 @@ func (c *Controller) observeProvenance() {
 		return
 	}
 	es := c.rt.ProvenanceStats()
-	entries, inputs, evicted := c.prov.sizes()
 	c.m.provFacts.Set(float64(es.Facts))
-	c.m.provEvictions.Set(float64(es.Evictions + evicted))
-	c.m.provEntries.Set(float64(entries))
-	c.m.provInputs.Set(float64(inputs))
+	c.m.provEvictions.Set(float64(es.Evictions + c.prov.evicted))
+	c.m.provEntries.Set(float64(len(c.prov.entries)))
+	c.m.provInputs.Set(float64(len(c.prov.inputs)))
 }

@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/codegen"
+	"repro/internal/dl/engine"
+	"repro/internal/dl/value"
 	"repro/internal/obs"
 	"repro/internal/p4"
 	"repro/internal/p4rt"
@@ -46,15 +48,14 @@ func TestRenderMatches(t *testing.T) {
 func TestProvStateEviction(t *testing.T) {
 	p := newProvState(4)
 	for i := 0; i < 10; i++ {
-		p.noteEntry(entryKey{table: "t", match: fmt.Sprintf("k=%d", i)},
-			&EntryOrigin{Table: "t", Matches: fmt.Sprintf("k=%d", i)})
+		k := fmt.Sprintf("k=%d", i)
+		p.settle([]pendingOrigin{{entryKey{table: "t", match: k}, &EntryOrigin{Table: "t", Matches: k}}})
 	}
-	entries, _, evicted := p.sizes()
-	if entries != 4 {
-		t.Fatalf("entries = %d, want capacity 4", entries)
+	if n := len(p.entries); n != 4 {
+		t.Fatalf("entries = %d, want capacity 4", n)
 	}
-	if evicted != 6 {
-		t.Fatalf("evicted = %d, want 6", evicted)
+	if p.evicted != 6 {
+		t.Fatalf("evicted = %d, want 6", p.evicted)
 	}
 	// The newest survive, the oldest are gone.
 	if _, err := p.findEntry("t", "k=9"); err != nil {
@@ -67,12 +68,14 @@ func TestProvStateEviction(t *testing.T) {
 
 func TestProvStateFindEntry(t *testing.T) {
 	p := newProvState(0)
-	p.noteEntry(entryKey{device: "sw0", table: "fwd", match: "dst=1"},
-		&EntryOrigin{Table: "fwd", Device: "sw0", Matches: "dst=1", Record: "(1, 2)"})
-	p.noteEntry(entryKey{device: "sw0", table: "fwd", match: "dst=2"},
-		&EntryOrigin{Table: "fwd", Device: "sw0", Matches: "dst=2", Record: "(2, 3)"})
-	p.noteEntry(entryKey{device: "sw0", table: "acl", match: "src=9"},
-		&EntryOrigin{Table: "acl", Device: "sw0", Matches: "src=9", Record: "(9)"})
+	p.settle([]pendingOrigin{
+		{entryKey{device: "sw0", table: "fwd", match: "dst=1"},
+			&EntryOrigin{Table: "fwd", Device: "sw0", Matches: "dst=1", Record: "(1, 2)"}},
+		{entryKey{device: "sw0", table: "fwd", match: "dst=2"},
+			&EntryOrigin{Table: "fwd", Device: "sw0", Matches: "dst=2", Record: "(2, 3)"}},
+		{entryKey{device: "sw0", table: "acl", match: "src=9"},
+			&EntryOrigin{Table: "acl", Device: "sw0", Matches: "src=9", Record: "(9)"}},
+	})
 
 	// Unique table needs no key.
 	if o, err := p.findEntry("acl", ""); err != nil || o.Matches != "src=9" {
@@ -99,7 +102,7 @@ func TestProvStateFindEntry(t *testing.T) {
 	}
 
 	// Dropping an entry makes it unfindable and re-noting replaces it.
-	p.dropEntry(entryKey{device: "sw0", table: "acl", match: "src=9"})
+	p.settle([]pendingOrigin{{key: entryKey{device: "sw0", table: "acl", match: "src=9"}}})
 	if _, err := p.findEntry("acl", ""); !errors.Is(err, obs.ErrNotFound) {
 		t.Fatalf("dropped entry still found (err=%v)", err)
 	}
@@ -107,23 +110,33 @@ func TestProvStateFindEntry(t *testing.T) {
 
 func TestProvStateInputOrigins(t *testing.T) {
 	p := newProvState(2)
-	p.noteInput("Port", "k1", inputOrigin{txnID: 7, source: "ovsdb"})
-	if o, ok := p.lookupInput("Port", "k1"); !ok || o.txnID != 7 {
-		t.Fatalf("lookupInput = %+v, %v", o, ok)
+	s := &step{prov: p}
+	rec := func(k string) value.Record { return value.Record{value.String(k)} }
+	note := func(k string, txn uint64, insert bool) {
+		s.noteInputs([]event{{source: "ovsdb", txnID: txn,
+			updates: []engine.Update{{Relation: "Port", Rec: rec(k), Insert: insert}}}})
+	}
+	lookup := func(k string) (inputOrigin, bool) {
+		o, ok := p.inputs[inputKey("Port", rec(k).Key())]
+		return o, ok
+	}
+	note("k1", 7, true)
+	if o, ok := lookup("k1"); !ok || o.txnID != 7 {
+		t.Fatalf("origin of k1 = %+v, %v", o, ok)
 	}
 	// Re-noting the same record updates in place without eviction.
-	p.noteInput("Port", "k1", inputOrigin{txnID: 8, source: "ovsdb"})
-	p.noteInput("Port", "k2", inputOrigin{txnID: 9, source: "ovsdb"})
-	if o, _ := p.lookupInput("Port", "k1"); o.txnID != 8 {
+	note("k1", 8, true)
+	note("k2", 9, true)
+	if o, _ := lookup("k1"); o.txnID != 8 {
 		t.Fatalf("re-note did not update: %+v", o)
 	}
 	// Third distinct record evicts the oldest.
-	p.noteInput("Port", "k3", inputOrigin{txnID: 10, source: "ovsdb"})
-	if _, ok := p.lookupInput("Port", "k1"); ok {
+	note("k3", 10, true)
+	if _, ok := lookup("k1"); ok {
 		t.Fatal("oldest input origin not evicted")
 	}
-	p.dropInput("Port", "k2")
-	if _, ok := p.lookupInput("Port", "k2"); ok {
+	note("k2", 11, false)
+	if _, ok := lookup("k2"); ok {
 		t.Fatal("dropped input origin still present")
 	}
 }

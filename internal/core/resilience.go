@@ -50,25 +50,17 @@ func (c *Controller) Resync(device string, dp TableReader) error {
 // fresh not-yet-published session: no push can run between the resync
 // and the publication, so a published session never lacks a write.
 func (c *Controller) resyncThen(device string, dp TableReader, publish func() bool) error {
-	done := make(chan error, 1)
-	resync := func() {
-		err := c.Err()
-		if err != nil {
+	var err error
+	if c.onLoop(func() {
+		if err = c.Err(); err != nil {
 			err = fmt.Errorf("core: resync %s: controller failed: %w", device, err)
 		} else if err = c.doResync(device, dp); err == nil && publish != nil {
 			publish()
 		}
-		done <- err
-	}
-	if !c.enqueue(event{source: "resync", control: resync}) {
+	}) != nil {
 		return fmt.Errorf("core: resync %s: controller stopped", device)
 	}
-	select {
-	case err := <-done:
-		return err
-	case <-c.done:
-		return fmt.Errorf("core: resync %s: controller stopped", device)
-	}
+	return err
 }
 
 // doResync runs on the event loop. It reads every bound table of the

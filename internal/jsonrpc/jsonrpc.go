@@ -50,7 +50,10 @@ func (e *RPCError) Error() string {
 // it (wirejson.Dec.Skip) itself. The result is encoded before Handle's
 // caller reads on, so it may alias params. A result implementing
 // wirejson.Appender renders itself, a json.RawMessage is checked and
-// compacted, anything else goes through encoding/json.
+// compacted, anything else goes through encoding/json. A result with an
+// AfterReply() method has it called on the read loop once its reply is
+// queued (or, for a notification, once Handle returns): a message it
+// sends reaches the peer after the reply.
 type Handler interface {
 	Handle(c *Conn, method string, params json.RawMessage) (result any, err *RPCError)
 }
@@ -393,18 +396,20 @@ func (c *Conn) serve(method string, params, id []byte) {
 	default:
 		result, rpcErr = c.handler.Handle(c, method, params)
 	}
-	if id == nil {
-		return
+	if id != nil {
+		buf := getBuf()
+		if err := buf.reply(id, result, rpcErr); err != nil {
+			// The peer's Call is waiting on this id: a result that does not
+			// encode must still produce a reply, or that wait never ends.
+			// (The id, which the framer checked, encodes.)
+			buf.b = buf.b[:0]
+			buf.reply(id, nil, &RPCError{Code: "internal error", Details: err.Error()})
+		}
+		c.send(buf) // fails only on a connection that is already going down
 	}
-	buf := getBuf()
-	if err := buf.reply(id, result, rpcErr); err != nil {
-		// The peer's Call is waiting on this id: a result that does not
-		// encode must still produce a reply, or that wait never ends. (The
-		// id, which the framer checked, encodes.)
-		buf.b = buf.b[:0]
-		buf.reply(id, nil, &RPCError{Code: "internal error", Details: err.Error()})
+	if ar, ok := result.(interface{ AfterReply() }); ok {
+		ar.AfterReply()
 	}
-	c.send(buf) // fails only on a connection that is already going down
 }
 
 // send queues the message built in msg for the write loop and takes

@@ -3,7 +3,9 @@ package jsonrpc
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -258,5 +260,69 @@ func TestConcatenatedMessages(t *testing.T) {
 			t.Fatalf("got %d messages, want 2", n)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// afterReply is a result that, once its reply is queued, sends the
+// notification "after" carrying the same number.
+type afterReply struct {
+	c *Conn
+	n int
+}
+
+func (r afterReply) AppendJSON(dst []byte) ([]byte, error) {
+	return strconv.AppendInt(dst, int64(r.n), 10), nil
+}
+
+func (r afterReply) AfterReply() { r.c.Notify("after", []int{r.n}) }
+
+// TestAfterReplyFollowsReply: the notification a result's AfterReply
+// sends reaches the peer after that result's reply, for every one of a
+// pipelined run of requests.
+func TestAfterReplyFollowsReply(t *testing.T) {
+	a, b := net.Pipe()
+	defer a.Close()
+	c := NewConn(b, HandlerFunc(func(c *Conn, _ string, params json.RawMessage) (any, *RPCError) {
+		var n []int
+		if err := json.Unmarshal(params, &n); err != nil || len(n) != 1 {
+			return nil, &RPCError{Code: "bad params"}
+		}
+		return afterReply{c, n[0]}, nil
+	}))
+	defer c.Close()
+	a.SetDeadline(time.Now().Add(10 * time.Second))
+	const n = 200
+	go func() {
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(a, `{"id":%d,"method":"req","params":[%d]}`, i, i)
+		}
+	}()
+	dec := json.NewDecoder(a)
+	replied := make(map[int]bool)
+	notified := 0
+	for len(replied) < n || notified < n {
+		var m struct {
+			ID     *int
+			Method string
+			Params []int
+			Result int
+		}
+		if err := dec.Decode(&m); err != nil {
+			t.Fatalf("after %d replies and %d notifications: %v", len(replied), notified, err)
+		}
+		switch {
+		case m.ID != nil:
+			if *m.ID != m.Result {
+				t.Fatalf("reply to %d carries %d", *m.ID, m.Result)
+			}
+			replied[*m.ID] = true
+		case m.Method == "after" && len(m.Params) == 1:
+			if !replied[m.Params[0]] {
+				t.Fatalf("notification for %d read before its reply", m.Params[0])
+			}
+			notified++
+		default:
+			t.Fatalf("unexpected message %+v", m)
+		}
 	}
 }

@@ -15,39 +15,26 @@ import (
 // Client is the subscriber side of the wire protocol: it demultiplexes
 // "sub_update"/"sub_evicted" notifications onto per-subscription
 // channels. One Client may hold many subscriptions on one connection.
+// It names each subscription itself and registers it before asking the
+// server for it, so every notification finds its subscription.
 type Client struct {
 	conn *jsonrpc.Conn
 
-	mu   sync.Mutex
-	subs map[uint64]*Subscription
-	// pending buffers updates for subscription ids whose "subscribe"
-	// reply has not been processed yet: delivery goroutines and RPC
-	// replies share the connection, so an update can precede the reply
-	// that names its id. The window is one write-queue reordering, so
-	// the buffer is small and capped. It is filled only while a Subscribe
-	// call is in flight (subscribing > 0) and emptied when the last one
-	// returns: an unknown id seen at any other time belongs to a
-	// subscription that was unsubscribed or evicted, and its updates are
-	// dropped.
-	pending     map[uint64]*pendingUpdates
-	subscribing int
-	bufLen      int
-	closed      bool
+	// subMu makes taking an id and sending its request one step: the
+	// server accepts ids in increasing order only, so concurrent
+	// Subscribe calls go out, and are answered, one at a time.
+	subMu sync.Mutex
+
+	mu     sync.Mutex
+	subs   map[uint64]*Subscription
+	lastID uint64
+	bufLen int
+	closed bool
 }
 
-// pendingUpdates is the pre-reply buffer for one subscription id.
-type pendingUpdates struct {
-	ups []Update
-	// broken, when set, is why the stream already has a gap: Subscribe
-	// ends the subscription as evicted with this reason.
-	broken string
-}
-
-// The reasons a client ends a subscription whose stream has a gap.
-const (
-	reasonOverflow    = "client replay buffer overflow; resubscribe"
-	reasonUndecodable = "undecodable update; resubscribe"
-)
+// reasonUndecodable is why the client ends a subscription whose stream
+// has a gap: an update on it did not decode.
+const reasonUndecodable = "undecodable update; resubscribe"
 
 // Update is one delta on a subscription stream, attributed with the
 // transaction that produced it.
@@ -60,8 +47,11 @@ type Update struct {
 type Subscription struct {
 	ID       uint64
 	Relation string
-	// Txn is the snapshot cursor: every update on Updates carries a
-	// transaction at or after it.
+	// Txn is the snapshot cursor: the last transaction the snapshot
+	// reflects (0 before any). An update a commit produced carries a later
+	// transaction; one no commit produced carries 0 — a data-plane
+	// digest's (MAC learning), or the controller's initial sync or
+	// reconciliation of a fallback snapshot.
 	Txn uint64
 	// Rows is the initial snapshot (weights all positive).
 	Rows []Change
@@ -98,10 +88,7 @@ func Dial(addr string) (*Client, error) {
 
 // NewClient wraps an established stream (tests use net.Pipe).
 func NewClient(rwc io.ReadWriteCloser) *Client {
-	c := &Client{
-		subs:    make(map[uint64]*Subscription),
-		pending: make(map[uint64]*pendingUpdates),
-	}
+	c := &Client{subs: make(map[uint64]*Subscription)}
 	conn := jsonrpc.NewConnPending(rwc)
 	conn.Start(jsonrpc.HandlerFunc(c.handle))
 	c.conn = conn
@@ -113,23 +100,13 @@ func NewClient(rwc io.ReadWriteCloser) *Client {
 }
 
 // SetUpdatesBuffer overrides the per-subscription Updates channel
-// capacity (and the matching pre-reply pending cap) for subscriptions
-// opened after the call; n <= 0 restores the default. Large fan-out
-// harnesses shrink it to keep 10k+ subscriptions memory-light.
+// capacity for subscriptions opened after the call; n <= 0 restores the
+// default. Large fan-out harnesses shrink it to keep 10k+ subscriptions
+// memory-light.
 func (c *Client) SetUpdatesBuffer(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.bufLen = n
-}
-
-// buffer returns the effective Updates channel capacity.
-func (c *Client) buffer() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.bufLen > 0 {
-		return c.bufLen
-	}
-	return updatesBuffer
 }
 
 // Conn exposes the underlying JSON-RPC connection (keepalive, Err).
@@ -142,9 +119,29 @@ func (c *Client) Done() <-chan struct{} { return c.conn.Done() }
 func (c *Client) Close() error { return c.conn.Close() }
 
 // Subscribe opens a subscription. filter optionally restricts the
-// stream to rows whose column (by index) equals the given scalar.
+// stream to rows whose column (by index) equals the given scalar. The
+// subscription is registered under a fresh id before the request goes
+// out, so it receives whatever the server sends under that id. It is
+// safe for concurrent use.
 func (c *Client) Subscribe(relation string, filter map[int]any) (*Subscription, error) {
-	params := []any{relation}
+	c.subMu.Lock()
+	defer c.subMu.Unlock()
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		return nil, errors.New("subscribe: connection closed")
+	}
+	c.lastID++
+	buf := c.bufLen
+	if buf <= 0 {
+		buf = updatesBuffer
+	}
+	sub := &Subscription{ID: c.lastID, c: c, ch: make(chan Update, buf), done: make(chan struct{})}
+	sub.Updates = sub.ch
+	c.subs[sub.ID] = sub
+	c.mu.Unlock()
+
+	params := []any{sub.ID, relation}
 	if len(filter) > 0 {
 		wire := make(map[string]any, len(filter))
 		for idx, v := range filter {
@@ -152,94 +149,23 @@ func (c *Client) Subscribe(relation string, filter map[int]any) (*Subscription, 
 		}
 		params = append(params, map[string]any{"filter": wire})
 	}
-	c.mu.Lock()
-	c.subscribing++
-	c.mu.Unlock()
 	var res subscribeReply
 	if err := c.conn.Call("subscribe", params, &res); err != nil {
-		c.mu.Lock()
-		c.subscribeDone()
-		c.mu.Unlock()
+		c.dropSub(sub.ID)
+		sub.close(false, "")
 		return nil, err
 	}
-	sub := &Subscription{
-		ID:       res.sub,
-		Relation: res.relation,
-		Txn:      res.txn,
-		Rows:     res.rows,
-		c:        c,
-		ch:       make(chan Update, c.buffer()),
-		done:     make(chan struct{}),
-	}
-	sub.Updates = sub.ch
-	c.mu.Lock()
-	p := c.pending[sub.ID]
-	delete(c.pending, sub.ID)
-	c.subscribeDone()
-	if c.closed {
-		c.mu.Unlock()
-		close(sub.ch)
-		return nil, errors.New("subscribe: connection closed")
-	}
-	broken := ""
-	if p != nil {
-		// An update that raced the reply was lost (more than we buffer)
-		// or did not decode.
-		if broken = p.broken; broken == "" && len(p.ups) > cap(sub.ch) {
-			broken = reasonOverflow
-		}
-	}
-	if broken == "" {
-		c.subs[sub.ID] = sub
-		if p != nil {
-			// Replay buffered updates under c.mu so they precede
-			// anything the read loop dispatches next; they fit the
-			// fresh channel, so the replay cannot block.
-			for _, u := range p.ups {
-				sub.ch <- u
-			}
-		}
-	}
-	c.mu.Unlock()
-	if broken != "" {
-		c.abandon(sub, broken)
-	}
+	sub.Relation, sub.Txn, sub.Rows = res.relation, res.txn, res.rows
 	return sub, nil
 }
 
-// endSub ends a subscription whose stream has a gap (see abandon). An id
-// whose subscribe reply has not been processed yet is marked instead,
-// and Subscribe abandons it on arrival.
+// endSub ends a subscription whose stream has a gap and is therefore
+// unusable: it is surfaced as an eviction, the server is told to drop
+// it, and the caller's recovery is a fresh Subscribe.
 func (c *Client) endSub(id uint64, reason string) {
-	c.mu.Lock()
-	sub := c.subs[id]
-	delete(c.subs, id)
-	if sub == nil {
-		if p := c.pendingLocked(id); p != nil && p.broken == "" {
-			p.broken = reason
-		}
-	}
-	c.mu.Unlock()
-	if sub != nil {
-		c.abandon(sub, reason)
-	}
-}
-
-// abandon ends an unregistered subscription whose stream has a gap and
-// is therefore unusable: it is surfaced as an eviction, the server is
-// told to drop it, and the caller's recovery is a fresh Subscribe.
-func (c *Client) abandon(sub *Subscription, reason string) {
-	go c.conn.Call("unsubscribe", []uint64{sub.ID}, nil)
-	sub.close(true, reason)
-}
-
-// subscribeDone ends one Subscribe call's buffering window; when no
-// other call is in flight, whatever is still buffered is for departed
-// subscriptions and goes. Called with c.mu held.
-func (c *Client) subscribeDone() {
-	c.subscribing--
-	if c.subscribing == 0 {
-		clear(c.pending)
+	if sub := c.dropSub(id); sub != nil {
+		go c.conn.Call("unsubscribe", []uint64{id}, nil)
+		sub.close(true, reason)
 	}
 }
 
@@ -309,14 +235,14 @@ func (s *Subscription) close(evicted bool, reason string) {
 	}()
 }
 
-// dropSub unregisters a subscription id (id reuse is impossible: the
-// server allocates them monotonically per service).
+// dropSub unregisters a subscription id (never reused: the client names
+// subscriptions from a counter, and the server refuses an id that does
+// not exceed the connection's last one).
 func (c *Client) dropSub(id uint64) *Subscription {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	sub := c.subs[id]
 	delete(c.subs, id)
-	delete(c.pending, id)
 	return sub
 }
 
@@ -352,45 +278,17 @@ func (c *Client) handle(_ *jsonrpc.Conn, method string, params json.RawMessage) 
 	}
 }
 
-// dispatch routes one update to its subscription, buffering it when a
-// subscribe reply that may name its id is still outstanding. The send
-// may block on a full channel: that stalls the read loop and lets
-// server-side eviction handle the truly slow consumer.
+// dispatch routes one update to its subscription; an update for an id
+// with none (unsubscribed or ended) is dropped. The send may block on a
+// full channel: that stalls the read loop and lets server-side eviction
+// handle the truly slow consumer.
 func (c *Client) dispatch(id uint64, u Update) {
 	c.mu.Lock()
 	sub := c.subs[id]
-	if sub == nil {
-		if p := c.pendingLocked(id); p != nil && p.broken == "" {
-			limit := c.bufLen
-			if limit <= 0 {
-				limit = updatesBuffer
-			}
-			if len(p.ups) < limit {
-				p.ups = append(p.ups, u)
-			} else {
-				p.broken = reasonOverflow
-			}
-		}
-		c.mu.Unlock()
-		return
-	}
 	c.mu.Unlock()
-	sub.send(u)
-}
-
-// pendingLocked returns the pre-reply buffer for an id with no
-// subscription, or nil when no Subscribe call is in flight (the id's
-// subscription is gone). Called with c.mu held.
-func (c *Client) pendingLocked(id uint64) *pendingUpdates {
-	if c.subscribing == 0 || c.closed {
-		return nil
+	if sub != nil {
+		sub.send(u)
 	}
-	p := c.pending[id]
-	if p == nil {
-		p = &pendingUpdates{}
-		c.pending[id] = p
-	}
-	return p
 }
 
 // teardown closes every subscription after connection failure.
@@ -403,7 +301,6 @@ func (c *Client) teardown() {
 	c.closed = true
 	subs := c.subs
 	c.subs = make(map[uint64]*Subscription)
-	c.pending = nil
 	c.mu.Unlock()
 	for _, sub := range subs {
 		sub.close(false, "")
@@ -411,9 +308,8 @@ func (c *Client) teardown() {
 }
 
 // subscribeReply decodes the "subscribe" result as json.Unmarshal would
-// into {"sub","relation","txn","rows"}.
+// into {"relation","txn","rows"}.
 type subscribeReply struct {
-	sub      uint64
 	relation string
 	txn      uint64
 	rows     []Change
@@ -424,14 +320,12 @@ func (r *subscribeReply) ParseJSON(data []byte) error {
 	d.Init(data)
 	if !d.Null() && d.Object() {
 		for k := d.Key(); k != nil; k = d.Key() {
-			switch wirejson.Field(k, "sub", "relation", "txn", "rows") {
+			switch wirejson.Field(k, "relation", "txn", "rows") {
 			case 0:
-				wirejson.Uint(&d, &r.sub)
-			case 1:
 				d.String(&r.relation)
-			case 2:
+			case 1:
 				wirejson.Uint(&d, &r.txn)
-			case 3:
+			case 2:
 				wirejson.Slice(&d, &r.rows, parseChange)
 			default:
 				d.Skip()

@@ -20,8 +20,8 @@
 //
 // Wire protocol (JSON-RPC 1.0, same framing as the OVSDB plane):
 //
-//	request  "subscribe"   params [relation, {"filter": {"<col>": v}}?]
-//	         → {"sub": id, "relation": r, "txn": t, "rows": [{"row": [...], "w": 1}, ...]}
+//	request  "subscribe"   params [id, relation, {"filter": {"<col>": v}}?]
+//	         → {"relation": r, "txn": t, "rows": [{"row": [...], "w": 1}, ...]}
 //	request  "unsubscribe" params [id]          → {}
 //	request  "relations"   params []            → {"relations": [...]}
 //	request  "echo"        params any           → params (keepalive)
@@ -30,10 +30,11 @@
 //
 // Rows render records as JSON arrays (bool, number, string, or nested
 // array for tuples); "w" is the Z-set weight (+ inserts, − deletes).
-// Because delivery goroutines and RPC replies share one connection, a
-// "sub_update" may reach the wire before the "subscribe" result that
-// names its id — clients buffer updates for ids they have not yet
-// resolved (the Client helper does).
+// The client names each subscription with an id greater than every id
+// it named before on the connection, so it can register the
+// subscription before asking for it. The server queues the "subscribe"
+// reply before it starts the subscription's delivery: no "sub_update"
+// or "sub_evicted" for an id reaches the wire ahead of that id's reply.
 package subscribe
 
 import (
@@ -100,7 +101,7 @@ type relState struct {
 type filterClass struct {
 	key    string // classKey of filter, its name in relState.classes
 	filter []fieldFilter
-	subs   map[uint64]*subscriber
+	subs   map[*subscriber]struct{}
 }
 
 // connState is the service's view of one client connection; it is also
@@ -109,7 +110,10 @@ type connState struct {
 	svc    *Service
 	conn   *jsonrpc.Conn
 	remote string
-	subs   map[uint64]*subscriber // guarded by svc.mu
+	subs   map[uint64]*subscriber // by the client's id; guarded by svc.mu
+	// lastID is the highest id a subscription on this connection was
+	// accepted under; a new one must name a greater id.
+	lastID uint64
 }
 
 // queuedUpdate is one delta pending delivery to one subscriber: the
@@ -122,7 +126,7 @@ type queuedUpdate struct {
 
 // subscriber is one (connection, relation, filter) subscription.
 type subscriber struct {
-	id       uint64
+	id       uint64 // the client's name for it, unique on its connection
 	relation string
 	class    *filterClass
 	cs       *connState
@@ -162,22 +166,23 @@ func (p *updateParams) AppendJSON(dst []byte) ([]byte, error) {
 	return append(dst, "}]"...), nil
 }
 
-// snapshotReply is the "subscribe" result,
-// {"sub":…,"relation":…,"txn":…,"rows":…}, around the rendered snapshot.
+// snapshotReply is the "subscribe" result, {"relation":…,"txn":…,"rows":…},
+// around the rendered snapshot. Once it is queued, AfterReply starts the
+// subscriber's delivery: updates follow the reply on the wire.
 type snapshotReply struct {
-	sub      uint64
-	relation string
-	txn      uint64
-	rows     []byte
+	sub  *subscriber
+	txn  uint64
+	rows []byte
 }
 
 func (r snapshotReply) AppendJSON(dst []byte) ([]byte, error) {
-	dst = strconv.AppendUint(append(dst, `{"sub":`...), r.sub, 10)
-	dst = wirejson.AppendString(append(dst, `,"relation":`...), r.relation)
+	dst = wirejson.AppendString(append(dst, `{"relation":`...), r.sub.relation)
 	dst = strconv.AppendUint(append(dst, `,"txn":`...), r.txn, 10)
 	dst = append(append(dst, `,"rows":`...), r.rows...)
 	return append(dst, '}'), nil
 }
+
+func (r snapshotReply) AfterReply() { go r.sub.deliver() }
 
 // evictMsg is the "sub_evicted" notification payload.
 type evictMsg struct {
@@ -203,7 +208,6 @@ type Service struct {
 	rels    map[string]*relState
 	catalog map[string]bool // nil = accept any relation name
 	lastTxn uint64
-	nextSub uint64
 	nSubs   int
 	buf     []byte // Publish renders a class here, then copies it out
 
@@ -270,7 +274,7 @@ func New(cfg Config) *Service {
 			n := 0
 			for _, rs := range s.rels {
 				for _, cl := range rs.classes {
-					for _, sub := range cl.subs {
+					for sub := range cl.subs {
 						n += len(sub.queue)
 					}
 				}
@@ -328,7 +332,7 @@ func (s *Service) Publish(txn uint64, delta engine.Delta) {
 			// The class's bytes are read by every member's delivery
 			// goroutine and written by nobody.
 			changes := bytes.Clone(s.buf)
-			for _, sub := range cl.subs {
+			for sub := range cl.subs {
 				select {
 				case sub.queue <- queuedUpdate{txn: txn, changes: changes}:
 					s.m.updates.Inc()
@@ -363,10 +367,10 @@ func (s *Service) evictLocked(sub *subscriber, reason string) {
 // finds the subscriber registered may close the queue.
 func (s *Service) removeLocked(sub *subscriber) {
 	cl := sub.class
-	if cl.subs[sub.id] == nil {
+	if _, ok := cl.subs[sub]; !ok {
 		return
 	}
-	if delete(cl.subs, sub.id); len(cl.subs) == 0 {
+	if delete(cl.subs, sub); len(cl.subs) == 0 {
 		delete(s.rels[sub.relation].classes, cl.key)
 	}
 	delete(sub.cs.subs, sub.id)
@@ -399,8 +403,9 @@ func (cs *connState) waitWritable(soft int) bool {
 }
 
 // deliver drains one subscriber's queue onto its connection. Runs on a
-// dedicated goroutine; exits when the queue closes (unsubscribe,
-// eviction, connection teardown, service close).
+// dedicated goroutine, started once the subscribe reply is queued; exits
+// when the queue closes (unsubscribe, eviction, connection teardown,
+// service close).
 func (sub *subscriber) deliver() {
 	soft := sub.cs.svc.softLimit
 	msg := &updateParams{sub: sub.id} // Notify renders it before returning
@@ -470,19 +475,25 @@ type subscribeOpts struct {
 	Filter map[string]any `json:"filter"`
 }
 
+// handleSubscribe registers the subscriber and returns its snapshot; the
+// reply's AfterReply starts the delivery.
 func (cs *connState) handleSubscribe(params json.RawMessage) (any, *jsonrpc.RPCError) {
 	var raw []json.RawMessage
-	if err := json.Unmarshal(params, &raw); err != nil || len(raw) < 1 || len(raw) > 2 {
+	if err := json.Unmarshal(params, &raw); err != nil || len(raw) < 2 || len(raw) > 3 {
 		return nil, &jsonrpc.RPCError{Code: "bad params",
-			Details: "want [relation] or [relation, opts]"}
+			Details: "want [id, relation] or [id, relation, opts]"}
+	}
+	var id uint64
+	if err := json.Unmarshal(raw[0], &id); err != nil {
+		return nil, &jsonrpc.RPCError{Code: "bad params", Details: "id must be a non-negative integer"}
 	}
 	var rel string
-	if err := json.Unmarshal(raw[0], &rel); err != nil {
+	if err := json.Unmarshal(raw[1], &rel); err != nil {
 		return nil, &jsonrpc.RPCError{Code: "bad params", Details: "relation must be a string"}
 	}
 	var opts subscribeOpts
-	if len(raw) == 2 {
-		if err := json.Unmarshal(raw[1], &opts); err != nil {
+	if len(raw) == 3 {
+		if err := json.Unmarshal(raw[2], &opts); err != nil {
 			return nil, &jsonrpc.RPCError{Code: "bad params", Details: err.Error()}
 		}
 	}
@@ -501,44 +512,47 @@ func (cs *connState) handleSubscribe(params json.RawMessage) (any, *jsonrpc.RPCE
 		return nil, &jsonrpc.RPCError{Code: "shutting down"}
 	default:
 	}
+	if id <= cs.lastID {
+		s.mu.Unlock()
+		return nil, &jsonrpc.RPCError{Code: "bad id",
+			Details: fmt.Sprintf("subscription id %d is not above %d", id, cs.lastID)}
+	}
 	if s.catalog != nil && !s.catalog[rel] {
 		s.mu.Unlock()
 		return nil, &jsonrpc.RPCError{Code: "unknown relation", Details: rel}
 	}
-	sub, reply := s.subscribeLocked(cs, rel, filter)
+	reply := s.subscribeLocked(cs, id, rel, filter)
 	s.mu.Unlock()
-
-	go sub.deliver()
 	return reply, nil
 }
 
-// subscribeLocked registers a subscriber in its filter class and cuts
-// its snapshot; starting its delivery goroutine is left to the caller.
-func (s *Service) subscribeLocked(cs *connState, rel string, filter []fieldFilter) (*subscriber, snapshotReply) {
+// subscribeLocked registers a subscriber under the client's id in its
+// filter class and cuts its snapshot. The reply starts its delivery.
+func (s *Service) subscribeLocked(cs *connState, id uint64, rel string, filter []fieldFilter) snapshotReply {
 	rs := s.relLocked(rel)
 	key := classKey(filter)
 	cl := rs.classes[key]
 	if cl == nil {
-		cl = &filterClass{key: key, filter: filter, subs: make(map[uint64]*subscriber)}
+		cl = &filterClass{key: key, filter: filter, subs: make(map[*subscriber]struct{})}
 		rs.classes[key] = cl
 	}
-	s.nextSub++
 	sub := &subscriber{
-		id:       s.nextSub,
+		id:       id,
 		relation: rel,
 		class:    cl,
 		cs:       cs,
 		queue:    make(chan queuedUpdate, s.cfg.QueueLen),
 		since:    time.Now(),
 	}
-	cl.subs[sub.id] = sub
-	cs.subs[sub.id] = sub
+	cl.subs[sub] = struct{}{}
+	cs.subs[id] = sub
+	cs.lastID = id
 	s.nSubs++
 	rows, n := appendChanges(nil, rs.z.Entries(), cl.filter)
 	s.m.subscribers.Add(1)
 	s.m.subsTotal.Inc()
 	s.m.snapshotRows.Add(uint64(n))
-	return sub, snapshotReply{sub: sub.id, relation: rel, txn: s.lastTxn, rows: rows}
+	return snapshotReply{sub: sub, txn: s.lastTxn, rows: rows}
 }
 
 // relLocked returns a relation's fan-out node, creating it empty.
@@ -619,7 +633,7 @@ func (s *Service) handleDebug(w http.ResponseWriter, r *http.Request) {
 		n := 0
 		for _, cl := range rs.classes {
 			n += len(cl.subs)
-			for _, sub := range cl.subs {
+			for sub := range cl.subs {
 				out.Subscribers = append(out.Subscribers, subInfo{
 					Sub: sub.id, Relation: sub.relation, Remote: sub.cs.remote,
 					Filtered: cl.filter != nil,

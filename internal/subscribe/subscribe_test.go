@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -365,7 +366,7 @@ func TestSubscribeKeepsNoAliasIntoReadBuffer(t *testing.T) {
 		}
 		return m
 	}
-	send(1, "subscribe", "FirstRelation", map[string]any{"filter": map[string]any{"1": "first-filter-value"}})
+	send(1, "subscribe", 1, "FirstRelation", map[string]any{"filter": map[string]any{"1": "first-filter-value"}})
 	recv()
 	send(2, "echo", strings.Repeat("S", 2000)) // overwrites the subscribe request
 	recv()
@@ -379,8 +380,9 @@ func TestSubscribeKeepsNoAliasIntoReadBuffer(t *testing.T) {
 }
 
 // TestUnsubscribeUnderLoadLeavesNothingPending: updates still in flight
-// for a subscription the client has already dropped must be discarded,
-// not parked in the pre-reply buffer where nothing would ever free them.
+// for a subscription the client has already dropped are discarded. No
+// subscription stays registered, and a later subscription on the same
+// relation receives only its own updates.
 func TestUnsubscribeUnderLoadLeavesNothingPending(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
@@ -410,9 +412,169 @@ func TestUnsubscribeUnderLoadLeavesNothingPending(t *testing.T) {
 		t.Fatalf("Relations: %v", err)
 	}
 	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	for id, p := range cl.pending {
-		t.Errorf("subscription %d, long gone, still buffers %d updates", id, len(p.ups))
+	left := len(cl.subs)
+	cl.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d subscriptions still registered after every one unsubscribed", left)
+	}
+
+	sub, err := cl.Subscribe("R", nil)
+	if err != nil {
+		t.Fatalf("Subscribe after the burst: %v", err)
+	}
+	if sub.Txn != txn {
+		t.Fatalf("snapshot txn = %d, want %d", sub.Txn, txn)
+	}
+	svc.Publish(txn+1, d("R", zset.Entry{Rec: row(2), Weight: 1}))
+	if u := recv(t, sub); u.Txn != txn+1 || len(u.Changes) != 1 || u.Changes[0].W != 1 {
+		t.Fatalf("first update = %+v, want txn %d inserting [2]", u, txn+1)
+	}
+	if _, err := cl.Relations(); err != nil {
+		t.Fatalf("Relations: %v", err)
+	}
+	select {
+	case u := <-sub.Updates:
+		t.Fatalf("new subscription received %+v, published for no one it names", u)
+	default:
+	}
+}
+
+// TestUpdatesFollowTheirSubscribeReply: on a raw connection, with
+// Publish running concurrently, no notification for a subscription id
+// reaches the peer before the reply to the subscribe that named it.
+func TestUpdatesFollowTheirSubscribeReply(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	a, b := net.Pipe()
+	defer a.Close()
+	svc.ServeConn(b)
+	a.SetDeadline(time.Now().Add(20 * time.Second))
+
+	stop := make(chan struct{})
+	published := make(chan struct{})
+	go func() {
+		defer close(published)
+		for txn := uint64(1); ; txn++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			w := int64(1 - 2*(txn%2)) // R holds row 1 or nothing
+			svc.Publish(txn, d("R", zset.Entry{Rec: row(1), Weight: -w}))
+			runtime.Gosched()
+		}
+	}()
+	defer func() { close(stop); <-published }()
+
+	const n = 200
+	go func() {
+		for id := 1; id <= n; id++ {
+			params := []any{id, "R"}
+			if id%2 == 0 {
+				params = append(params, map[string]any{"filter": map[string]any{"0": 1}})
+			}
+			req, _ := json.Marshal(map[string]any{"id": id, "method": "subscribe", "params": params})
+			if _, err := a.Write(req); err != nil {
+				return
+			}
+		}
+	}()
+	peer := json.NewDecoder(a)
+	replied := make(map[uint64]bool)
+	notes := 0
+	for len(replied) < n || notes == 0 {
+		var m struct {
+			ID     *uint64
+			Method string
+			Params []struct{ Sub uint64 }
+			Error  any
+		}
+		if err := peer.Decode(&m); err != nil {
+			t.Fatalf("after %d replies and %d notifications: %v", len(replied), notes, err)
+		}
+		switch {
+		case m.ID != nil:
+			if m.Error != nil {
+				t.Fatalf("subscribe %d failed: %v", *m.ID, m.Error)
+			}
+			replied[*m.ID] = true
+		case len(m.Params) == 1:
+			if !replied[m.Params[0].Sub] {
+				t.Fatalf("%s for subscription %d read before its subscribe reply", m.Method, m.Params[0].Sub)
+			}
+			notes++
+		default:
+			t.Fatalf("unexpected message %+v", m)
+		}
+	}
+}
+
+// TestSubscribeRefusesStaleID: a subscription id must exceed every id
+// the connection subscribed under before, so none is used twice.
+func TestSubscribeRefusesStaleID(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	a, b := net.Pipe()
+	defer a.Close()
+	svc.ServeConn(b)
+	a.SetDeadline(time.Now().Add(5 * time.Second))
+	peer := json.NewDecoder(a)
+	for i, tc := range []struct {
+		id any
+		ok bool
+	}{{0, false}, {2, true}, {2, false}, {1, false}, {-1, false}, {"3", false}, {3, true}} {
+		req, _ := json.Marshal(map[string]any{"id": i, "method": "subscribe", "params": []any{tc.id, "R"}})
+		if _, err := a.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		var m struct{ Error any }
+		if err := peer.Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		if (m.Error == nil) != tc.ok {
+			t.Errorf("subscribe under id %v: error %v, want accepted=%v", tc.id, m.Error, tc.ok)
+		}
+	}
+	if n := svc.Subscribers(); n != 2 {
+		t.Errorf("Subscribers() = %d, want 2", n)
+	}
+}
+
+// TestConcurrentSubscribes: subscriptions opened at once from many
+// goroutines on one Client all succeed, under distinct ids, and each
+// receives the next update.
+func TestConcurrentSubscribes(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	cl := pair(t, svc)
+	const n = 32
+	subs := make([]*Subscription, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range subs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			subs[i], errs[i] = cl.Subscribe("R", nil)
+		}()
+	}
+	wg.Wait()
+	ids := make(map[uint64]bool)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("Subscribe %d: %v", i, err)
+		}
+		ids[subs[i].ID] = true
+	}
+	if len(ids) != n {
+		t.Fatalf("%d distinct ids over %d subscriptions", len(ids), n)
+	}
+	svc.Publish(1, d("R", zset.Entry{Rec: row(1), Weight: 1}))
+	for _, sub := range subs {
+		if u := recv(t, sub); u.Txn != 1 || len(u.Changes) != 1 {
+			t.Fatalf("subscription %d got %+v, want txn 1 inserting [1]", sub.ID, u)
+		}
 	}
 }
 

@@ -27,7 +27,6 @@ type updateMsg struct {
 }
 
 type subscribeResult struct {
-	Sub      uint64   `json:"sub"`
 	Relation string   `json:"relation"`
 	Txn      uint64   `json:"txn"`
 	Rows     []Change `json:"rows"`
@@ -81,7 +80,8 @@ func attach(t *testing.T, svc *Service, cs *connState, rel string, filter map[st
 	}
 	svc.mu.Lock()
 	defer svc.mu.Unlock()
-	return svc.subscribeLocked(cs, rel, fs)
+	r := svc.subscribeLocked(cs, cs.lastID+1, rel, fs)
+	return r.sub, r
 }
 
 // wireEntries covers every value kind at its edges: int64 and bit
@@ -129,7 +129,7 @@ func TestSubUpdateWireMatchesMarshal(t *testing.T) {
 			want := renderDelta(delta, fs)
 
 			sub, reply := attach(t, svc, cs, rel, filter)
-			empty, _ := json.Marshal(subscribeResult{Sub: sub.id, Relation: rel, Rows: []Change{}})
+			empty, _ := json.Marshal(subscribeResult{Relation: rel, Rows: []Change{}})
 			if got, _ := reply.AppendJSON(nil); !bytes.Equal(got, empty) {
 				t.Fatalf("empty snapshot reply\n got %s\nwant %s", got, empty)
 			}
@@ -153,9 +153,9 @@ func TestSubUpdateWireMatchesMarshal(t *testing.T) {
 			}
 
 			// A later subscriber's snapshot holds the same rows.
-			late, reply := attach(t, svc, cs, rel, filter)
+			_, reply = attach(t, svc, cs, rel, filter)
 			got, _ := reply.AppendJSON(nil)
-			wantBytes, _ := json.Marshal(subscribeResult{Sub: late.id, Relation: rel, Txn: txn, Rows: want})
+			wantBytes, _ := json.Marshal(subscribeResult{Relation: rel, Txn: txn, Rows: want})
 			if !bytes.Equal(got, wantBytes) {
 				t.Fatalf("subscribe reply\n got %s\nwant %s", got, wantBytes)
 			}
@@ -259,7 +259,7 @@ func checkDecoders(t *testing.T, text []byte) {
 	if (err != nil) != (wantErr != nil) {
 		t.Fatalf("subscribe reply %q: error %v, encoding/json: %v", text, err, wantErr)
 	}
-	if got := (subscribeResult{Sub: r.sub, Relation: r.relation, Txn: r.txn, Rows: r.rows}); err == nil && !reflect.DeepEqual(got, want) {
+	if got := (subscribeResult{Relation: r.relation, Txn: r.txn, Rows: r.rows}); err == nil && !reflect.DeepEqual(got, want) {
 		t.Fatalf("subscribe reply %q = %#v, encoding/json: %#v", text, got, want)
 	}
 }
@@ -273,8 +273,8 @@ var subSeeds = []string{
 	`[{"sub":1,"txn":2,"changes":[{"row":[1,10],"w":1}]}]`,
 	`[{"sub":3,"txn":2,"changes":[{"row":[1],"w":1}]}]`,
 	`[{"sub":4,"txn":3,"changes":[{"row":[2,10],"w":1}]}]`,
-	`{"sub":1,"relation":"InVlan","txn":0,"rows":[]}`,
-	`{"sub":4,"relation":"VlanOk","txn":3,"rows":[{"row":[1,10],"w":1},{"row":[2,10],"w":1}]}`,
+	`{"relation":"InVlan","txn":0,"rows":[]}`,
+	`{"relation":"VlanOk","txn":3,"rows":[{"row":[1,10],"w":1},{"row":[2,10],"w":1}]}`,
 	`[{"SUB":1,"Txn":2,"CHANGES":[{"ROW":[true,"x",null,[1,[]],{"a":1,"a":[]}],"W":-3}]}]`,
 	`[{"ſub":1,"txn":2}]`,
 	`[{"sub":1,"sub":2,"changes":[{"row":[1,2],"w":1},{"row":[5]}],"changes":[{"row":[3]}]}]`,
@@ -298,14 +298,15 @@ func FuzzSubUpdate(f *testing.F) {
 
 // TestUndecodableUpdateEndsSubscription: a "sub_update" the client
 // cannot decode leaves a gap in its stream, so the subscription it names
-// ends as evicted and the server is told to drop it — also when the
-// update overtook the subscribe reply. An update that names no
-// subscription fails the connection.
+// ends as evicted and the server is told to drop it — also when a
+// server that breaks the ordering contract sends it before the subscribe
+// reply: the client registered the subscription under its id before
+// asking. An update that names no subscription fails the connection.
 func TestUndecodableUpdateEndsSubscription(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		params string
-		early  bool // the update reaches the client before the subscribe reply
+		early  bool // the server sends the update before the subscribe reply
 		noID   bool
 	}{
 		{"out of range", `[{"sub":1,"txn":2,"changes":[{"row":[1e400],"w":1}]}]`, false, false},
@@ -334,11 +335,11 @@ func TestUndecodableUpdateEndsSubscription(t *testing.T) {
 				sub, err := cl.Subscribe("R", nil)
 				subscribed <- result{sub, err}
 			}()
-			if err := peer.Decode(&req); err != nil || req.Method != "subscribe" {
-				t.Fatalf("fake server read %+v, %v; want the subscribe request", req, err)
+			if err := peer.Decode(&req); err != nil || req.Method != "subscribe" || string(req.Params) != `[1,"R"]` {
+				t.Fatalf("fake server read %+v, %v; want subscribe [1,\"R\"]", req, err)
 			}
 			update := []byte(`{"id":null,"method":"sub_update","params":` + tc.params + `}`)
-			reply := []byte(fmt.Sprintf(`{"id":%d,"result":{"sub":1,"relation":"R","txn":0,"rows":[]},"error":null}`, req.ID))
+			reply := []byte(fmt.Sprintf(`{"id":%d,"result":{"relation":"R","txn":0,"rows":[]},"error":null}`, req.ID))
 			if tc.early {
 				server.Write(update)
 				server.Write(reply)
