@@ -37,7 +37,7 @@ func main() {
 	reconnectBackoff := flag.Duration("reconnect-backoff", 5*time.Second, "maximum redial backoff after a connection drops (must be positive)")
 	rpcTimeout := flag.Duration("rpc-timeout", 30*time.Second, "per-RPC deadline on OVSDB and P4Runtime calls (0 = none)")
 	keepalive := flag.Duration("keepalive", 10*time.Second, "echo-heartbeat interval on every connection; 3 misses fail it (0 = off)")
-	coalesceTxns := flag.Int("coalesce-max-txns", 1, "merge up to this many queued OVSDB commits into one engine transaction (<=1 disables coalescing)")
+	coalesceTxns := flag.Int("coalesce-max-txns", 1, "merge up to this many queued OVSDB commits or digest lists into one engine transaction (<=1 disables coalescing)")
 	coalesceUpdates := flag.Int("coalesce-max-updates", 0, "flush a merged batch once it carries this many input updates (0 = default 1024)")
 	flag.Parse()
 	if *reconnectBackoff <= 0 {

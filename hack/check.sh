@@ -78,13 +78,15 @@ go test -run 'TestEventHotPathZeroAlloc' -count=1 ./internal/obs/
 # Data plane: a known-unicast frame crosses the lowered pipeline and the
 # switch without allocating, and injectors re-entering the switch from
 # its output handler share the pooled packet state with a table writer:
-# ten runs under the race detector. On the write path, a switch write
-# allocates only the entry and keys it stores, and comparing OVSDB atoms
-# and looking up table entries build no key string.
-go test -run 'TestInjectKnownUnicastZeroAlloc|TestWriteAllocatesOnlyStoredState' -count=1 ./internal/switchsim/
+# ten runs under the race detector, beside digest lists reaching the
+# controller in ListID order. On the write path, a switch write
+# allocates only the entry and keys it stores, comparing OVSDB atoms and
+# looking up table entries build no key string, and a digest ack is
+# decoded and recorded without allocating.
+go test -run 'TestInjectKnownUnicastZeroAlloc|TestWriteAllocatesOnlyStoredState|TestAckDigestZeroAlloc|TestDigestAckZeroAlloc' -count=1 ./internal/switchsim/ ./internal/p4rt/
 go test -run 'TestAtomCompareZeroAlloc' -count=1 ./internal/ovsdb/
 go test -run 'TestEntryLookupZeroAlloc' -count=1 ./internal/p4/
-go test -race -count=10 -run 'TestInjectReentrant' ./internal/switchsim/
+go test -race -count=10 -run 'TestInjectReentrant|TestDigestListsInOrder' ./internal/switchsim/
 # Fleet observability: the nerpa-top aggregator e2e (builds the real
 # binaries, stitches a cross-process trace into the data plane, and
 # verifies health flips on member death) must pass under the race
@@ -96,9 +98,11 @@ go test -race -run 'TestKillRestartEndToEnd' -count=1 .
 # The one redial supervisor, both resilient clients on it, the
 # engine-derived resync the controller installs itself, the controller's
 # reconciliation of a fallback snapshot, the in-process deployment's
-# restarts back to its pre-boot goroutine count, and /debug/explain read
-# on the event loop during commits, in one -race line.
-go test -race -run 'TestRedial|TestResilient|TestResync|TestResnapshot|TestPushToleratesUnavailableDevice|TestMissedWriteResyncsInsteadOfDelta|TestTransactIntegerExact|TestControllerInstallsResyncHook|TestRestartAndQuiesce|TestExplainDuringCommits' -count=1 ./internal/redial/ ./internal/ovsdb/ ./internal/p4rt/ ./internal/core/ ./internal/deploy/
+# restarts back to its pre-boot goroutine count, /debug/explain read on
+# the event loop during commits, queued digest lists merged into one
+# apply and one write but never with commits, and a static MAC taking
+# precedence over a learnt one, in one -race line.
+go test -race -run 'TestRedial|TestResilient|TestResync|TestResnapshot|TestPushToleratesUnavailableDevice|TestMissedWriteResyncsInsteadOfDelta|TestTransactIntegerExact|TestControllerInstallsResyncHook|TestRestartAndQuiesce|TestExplainDuringCommits|TestCoalesceDigest|TestStaticMacOverridesLearnt' -count=1 ./internal/redial/ ./internal/ovsdb/ ./internal/p4rt/ ./internal/core/ ./internal/deploy/
 (cd "$bench_dir" && ./nerpa-bench -exp reconnect -reconnect-ports 50,250 -reconnect-restarts 3 &&
     test -s BENCH_reconnect.json)
 # Pub/sub fan-out: the subscription service e2e (snapshot-then-delta
@@ -114,9 +118,9 @@ go test -race -run 'TestWriteLimit|TestCloseFlushes|TestServer' -count=1 ./inter
 # stage order on a loaded box: twenty runs each under the race detector
 # hold the de-flaking.
 go test -race -count=20 -run 'TestRenderWireMatchesMarshal|TestAggregatorStitchesAcrossMembers|TestResilientReconnectRunsHookAndHeals|TestTracerConvergenceEitherOrder|TestObsEndpointsServeAllPlanes|TestControllerTakeover' ./internal/ovsdb/ ./internal/obs/fleet/ ./internal/p4rt/ ./internal/obs/ ./internal/deploy/ .
-# Coalescing under race: merged monitor deliveries must stay
-# data-race-free, preserve per-txn attribution, and hold a barrier queued
-# behind them until their push.
+# Coalescing under race: merged monitor deliveries and digest lists must
+# stay data-race-free, preserve per-txn attribution and per-source
+# labels, and hold a barrier queued behind them until their push.
 go test -race -run 'TestCoalesc' -count=20 ./internal/core/
 # The controller's step against NaiveEval on every small-scope event
 # order and coalescing split, and the live commit that overtakes the

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -51,13 +54,25 @@ func portRow(name string, num, tag int64) map[string]ovsdb.Value {
 	return map[string]ovsdb.Value{"name": name, "port_num": num, "vlan_mode": "access", "tag": tag}
 }
 
-// startQueuedCommits boots a controller with monitor-delivery coalescing
-// and observability on (so provenance attribution is collected), holds
-// the device write of a first commit, and returns once ports p1 and p2,
-// committed separately while it is held, are queued behind it. Releasing
-// that write lets the loop drain the queue, which coalescing merges into
-// one apply. The device holds its first held writes, that one included.
+// startQueuedCommits holds the write of a first commit (startHeld) and
+// returns once ports p1 and p2, committed separately while it is held,
+// are queued behind it. Releasing that write lets the loop drain the
+// queue, which coalescing merges into one apply.
 func startQueuedCommits(t *testing.T, held int) (*Controller, *obs.Observer, *heldDP) {
+	t.Helper()
+	ctrl, o, mp, dp := startHeld(t, held)
+	transact(t, mp, ovsdb.OpInsert("Port", portRow("p1", 1, 10)))
+	transact(t, mp, ovsdb.OpInsert("Port", portRow("p2", 2, 20)))
+	waitQueued(t, ctrl, 2)
+	return ctrl, o, dp
+}
+
+// startHeld boots a controller with coalescing and observability on (so
+// provenance attribution is collected) over a device that holds its
+// first held writes, and returns once the first of them is held: the
+// push of a first commit, the switch config and access port p0 (port
+// 7, VLAN 30). Events made meanwhile queue up behind the busy loop.
+func startHeld(t *testing.T, held int) (*Controller, *obs.Observer, *fakeMP, *heldDP) {
 	t.Helper()
 	mp, fake := newFakes(t)
 	dp := &heldDP{fakeDP: fake, held: held, entered: make(chan struct{}, held), release: make(chan struct{})}
@@ -74,10 +89,7 @@ func startQueuedCommits(t *testing.T, held int) (*Controller, *obs.Observer, *he
 	transact(t, mp, ovsdb.OpInsert("SwitchCfg", map[string]ovsdb.Value{"name": "s", "flood_unknown": true}),
 		ovsdb.OpInsert("Port", portRow("p0", 7, 30)))
 	dp.waitEntered(t)
-	transact(t, mp, ovsdb.OpInsert("Port", portRow("p1", 1, 10)))
-	transact(t, mp, ovsdb.OpInsert("Port", portRow("p2", 2, 20)))
-	waitQueued(t, ctrl, 2)
-	return ctrl, o, dp
+	return ctrl, o, mp, dp
 }
 
 // waitQueued waits until n events wait in the controller's queue.
@@ -235,5 +247,123 @@ func TestCoalesceBarrierFlushes(t *testing.T) {
 	}
 	if merged := o.Reg().Counter("core_coalesced_txns_total", "").Value(); merged != 2 {
 		t.Fatalf("core_coalesced_txns_total = %d, want 2 (p1 and p2 merged; coalescing inactive?)", merged)
+	}
+}
+
+// learnList is digest list i of a run: it learns MAC 0xa0+i on port p0
+// (port 7, VLAN 30).
+func learnList(i int) p4rt.DigestList {
+	return p4rt.DigestList{Digest: "learn", ListID: uint64(i + 1), Messages: [][]uint64{{0xa0 + uint64(i), 30, 7}}}
+}
+
+// updateCounts counts each distinct update a device received.
+func updateCounts(ups []p4rt.Update) map[string]int {
+	n := map[string]int{}
+	for _, u := range ups {
+		if u.Entry != nil {
+			n[fmt.Sprintf("%s %+v", u.Type, *u.Entry)]++
+		} else {
+			n[fmt.Sprintf("%s %+v", u.Type, *u.Multicast)]++
+		}
+	}
+	return n
+}
+
+// TestCoalesceDigestLists: digest lists queued behind a busy loop are
+// learnt in one engine apply and written in one device write, which
+// holds what an uncoalesced controller writes for the same lists.
+func TestCoalesceDigestLists(t *testing.T) {
+	const k = 6
+	ctrl, o, _, dp := startHeld(t, 1)
+	for i := range k {
+		dp.onDigest(learnList(i))
+	}
+	waitQueued(t, ctrl, k)
+	dp.release <- struct{}{}
+	if err := ctrl.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	reg := o.Reg()
+	if n := reg.Counter("core_txn_total", "", obs.L("source", "digest")).Value(); n != 1 {
+		t.Fatalf("core_txn_total{source=digest} = %d, want 1 apply for %d lists", n, k)
+	}
+	if n := reg.Counter("core_coalesce_batches_total", "").Value(); n != 1 {
+		t.Fatalf("core_coalesce_batches_total = %d, want 1", n)
+	}
+	if n := reg.Counter("core_coalesced_txns_total", "").Value(); n != k {
+		t.Fatalf("core_coalesced_txns_total = %d, want %d", n, k)
+	}
+	dp.mu.Lock()
+	writes := slices.Clone(dp.writes)
+	dp.mu.Unlock()
+	if len(writes) != 2 {
+		t.Fatalf("%d device writes, want 2: the held commit's and one for the %d lists", len(writes), k)
+	}
+	if n := len(writes[1]); n != 2*k {
+		t.Fatalf("the lists' write carries %d updates, want %d (smac and dmac per learn)", n, 2*k)
+	}
+
+	// The same commit and lists, uncoalesced.
+	mp1, dp1 := newFakes(t)
+	ctrl1, err := New(Config{Rules: snvs.Rules, Database: "snvs", CoalesceMaxTxns: 1}, mp1, dp1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ctrl1.Stop)
+	transact(t, mp1, ovsdb.OpInsert("SwitchCfg", map[string]ovsdb.Value{"name": "s", "flood_unknown": true}),
+		ovsdb.OpInsert("Port", portRow("p0", 7, 30)))
+	waitUpdates(t, dp1, 1) // the commit is applied before the lists arrive
+	for i := range k {
+		dp1.onDigest(learnList(i))
+	}
+	if err := ctrl1.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := updateCounts(dp.allUpdates()), updateCounts(dp1.allUpdates()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("coalesced device received %v, uncoalesced %v", got, want)
+	}
+}
+
+// TestCoalesceDigestBetweenCommits: a digest list queued between two
+// commits is applied on its own and ends both commits' batches, so
+// every entry origin names the source of the event that pushed it.
+func TestCoalesceDigestBetweenCommits(t *testing.T) {
+	ctrl, o, mp, dp := startHeld(t, 1)
+	// Each event is queued before the next is made: commits reach the
+	// queue from the monitor's delivery goroutine.
+	transact(t, mp, ovsdb.OpInsert("Port", portRow("p1", 1, 10)))
+	waitQueued(t, ctrl, 1)
+	dp.onDigest(learnList(0))
+	waitQueued(t, ctrl, 2)
+	transact(t, mp, ovsdb.OpInsert("Port", portRow("p2", 2, 20)))
+	waitQueued(t, ctrl, 3)
+	dp.release <- struct{}{}
+	if err := ctrl.Barrier(); err != nil {
+		t.Fatal(err)
+	}
+	reg := o.Reg()
+	if n := reg.Counter("core_coalesce_batches_total", "").Value(); n != 0 {
+		t.Fatalf("core_coalesce_batches_total = %d, want 0: a digest merged with a commit", n)
+	}
+	for src, want := range map[string]uint64{"ovsdb": 3, "digest": 1} {
+		if n := reg.Counter("core_txn_total", "", obs.L("source", src)).Value(); n != want {
+			t.Fatalf("core_txn_total{source=%s} = %d, want %d", src, n, want)
+		}
+	}
+	sources := map[string]string{} // table → source of its entries' origins
+	if err := ctrl.onLoop(func() {
+		for _, origin := range ctrl.prov.entries {
+			if prev, ok := sources[origin.Table]; ok && prev != origin.Source {
+				t.Errorf("table %s has entries from %q and %q", origin.Table, prev, origin.Source)
+			}
+			sources[origin.Table] = origin.Source
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for table, want := range map[string]string{"dmac": "digest", "smac": "digest", "in_vlan": "ovsdb"} {
+		if sources[table] != want {
+			t.Errorf("%s entries pushed by source %q, want %q", table, sources[table], want)
+		}
 	}
 }

@@ -93,14 +93,16 @@ type Config struct {
 	Rules string
 	// Database is the OVSDB database name.
 	Database string
-	// CoalesceMaxTxns bounds how many adjacent OVSDB-delivered commits the
+	// CoalesceMaxTxns bounds how many adjacent commits or digest lists the
 	// event loop merges into a single engine transaction before applying.
-	// Only commits already queued after the first are merged, so a lone
-	// commit is never delayed. 0 or 1 disables coalescing (every commit
-	// applies individually).
+	// Only events already queued after the first are merged, and only
+	// with events of the same source (OVSDB commits with commits, digest
+	// lists with digest lists), so a lone event is never delayed. 0 or 1
+	// disables coalescing (every commit or digest list applies
+	// individually).
 	// Merging amortizes the fixed per-apply cost (evaluation setup, delta
-	// collection, data-plane push barrier) across a burst of small
-	// commits; trace and provenance attribution stay per commit.
+	// collection, data-plane write round trip) across a burst of small
+	// commits or learns; trace and provenance attribution stay per commit.
 	CoalesceMaxTxns int
 	// CoalesceMaxUpdates flushes a merged batch once it carries at least
 	// this many input updates, regardless of how many commits merged so
@@ -164,8 +166,8 @@ type ctrlMetrics struct {
 	outputSize *obs.Histogram
 	pushErrors *obs.Counter
 	resyncs    *obs.Counter
-	// coalesceBatches counts applies that merged more than one commit;
-	// coalescedTxns counts the commits that rode in them.
+	// coalesceBatches counts applies that merged more than one commit or
+	// digest list; coalescedTxns counts the events that rode in them.
 	coalesceBatches *obs.Counter
 	coalescedTxns   *obs.Counter
 	devPush         map[string]*obs.Histogram // by device id
@@ -205,9 +207,9 @@ func (c *Controller) initObs() {
 	c.m.resyncs = reg.Counter("core_resyncs_total",
 		"Device reconciliations completed after a reconnect.")
 	c.m.coalesceBatches = reg.Counter("core_coalesce_batches_total",
-		"Engine applies that merged more than one monitor-delivered commit.")
+		"Engine applies that merged more than one commit or digest list.")
 	c.m.coalescedTxns = reg.Counter("core_coalesced_txns_total",
-		"Monitor-delivered commits merged into coalesced applies.")
+		"Commits or digest lists merged into coalesced applies.")
 	c.m.devPush = map[string]*obs.Histogram{}
 	for _, cs := range c.classes {
 		for _, id := range cs.devices {
@@ -556,18 +558,24 @@ func (c *Controller) loop() {
 	}
 }
 
-// coalesce batches the OVSDB commits already queued after ev with it,
-// bounded by CoalesceMaxTxns commits and CoalesceMaxUpdates input
-// updates. It also returns the first non-mergeable event it popped off
-// the queue (a barrier, resync, digest or resnapshot that must run
-// after the batch), or nil.
+// coalesce batches the events already queued after ev with it when
+// they share its source and that source merges: monitor-delivered
+// commits ("ovsdb") or digest lists ("digest"). The batch is bounded by
+// CoalesceMaxTxns events and CoalesceMaxUpdates input updates. It never
+// mixes sources, so core_txn_total{source} and the entry origins'
+// Source stay exact. It also returns the first event it popped off the
+// queue that must run after the batch (a barrier, resync, resnapshot or
+// an event of the other source), or nil.
 func (c *Controller) coalesce(ev event) ([]event, *event) {
 	batch := []event{ev}
+	if ev.source != "ovsdb" && ev.source != "digest" {
+		return batch, nil
+	}
 	maxUpdates := c.cfg.CoalesceMaxUpdates
 	if maxUpdates <= 0 {
 		maxUpdates = defaultCoalesceMaxUpdates
 	}
-	for n := len(ev.updates); ev.source == "ovsdb" && len(batch) < c.cfg.CoalesceMaxTxns && n < maxUpdates; {
+	for n := len(ev.updates); len(batch) < c.cfg.CoalesceMaxTxns && n < maxUpdates; {
 		select {
 		case next, ok := <-c.events:
 			if !ok {
@@ -575,7 +583,7 @@ func (c *Controller) coalesce(ev event) ([]event, *event) {
 				// loop terminates right after.
 				return batch, nil
 			}
-			if next.source != "ovsdb" {
+			if next.source != ev.source {
 				return batch, &next
 			}
 			batch = append(batch, next)

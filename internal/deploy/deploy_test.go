@@ -3,11 +3,13 @@ package deploy_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/deploy"
 	"repro/internal/ovsdb"
+	"repro/internal/packet"
 	"repro/internal/snvs"
 )
 
@@ -135,6 +137,79 @@ func TestControllerTakeover(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := s.WaitEntries("snvs0", "in_vlan", 3); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// dmacPorts lists the ports of switch id's dmac entries.
+func dmacPorts(t *testing.T, s *deploy.Stack, id string) []uint64 {
+	t.Helper()
+	entries, err := s.Switch(id).Runtime().Entries("dmac")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ports []uint64
+	for _, e := range entries {
+		ports = append(ports, e.Params...)
+	}
+	return ports
+}
+
+// waitDmacPorts polls until switch id's dmac entries point at want,
+// failing early if the controller stops.
+func waitDmacPorts(t *testing.T, s *deploy.Stack, id string, want ...uint64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !slices.Equal(dmacPorts(t, s, id), want) {
+		if err := s.Ctrl.Err(); err != nil {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("dmac ports %v, want %v", dmacPorts(t, s, id), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStaticMacOverridesLearnt: a static MAC takes precedence over the
+// same MAC learnt on another port of its VLAN. The StaticMac row moves
+// the dmac entry to its port instead of a second entry for the key,
+// which the switch would refuse (latching the controller), and deleting
+// the row hands the entry back to the learnt port.
+func TestStaticMacOverridesLearnt(t *testing.T) {
+	s, err := deploy.Start(snvsSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Transact(
+		ovsdb.OpInsert("SwitchCfg", map[string]ovsdb.Value{"name": "snvs0", "flood_unknown": true}),
+		port(1), port(2),
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitEntries("snvs0", "in_vlan", 2); err != nil {
+		t.Fatal(err)
+	}
+	const mac = 0x02000000000a
+	eth := packet.Ethernet{Dst: 0xffffffffffff, Src: mac, EtherType: 0x1234}
+	if err := s.Switch("snvs0").Inject(1, eth.Append(nil)); err != nil {
+		t.Fatal(err)
+	}
+	waitDmacPorts(t, s, "snvs0", 1)
+
+	if err := s.Transact(ovsdb.OpInsert("StaticMac", map[string]ovsdb.Value{
+		"mac": int64(mac), "vlan": int64(10), "port": int64(2),
+	})); err != nil {
+		t.Fatal(err)
+	}
+	waitDmacPorts(t, s, "snvs0", 2)
+
+	if err := s.Transact(ovsdb.OpDelete("StaticMac", ovsdb.Cond("mac", "==", int64(mac)))); err != nil {
+		t.Fatal(err)
+	}
+	waitDmacPorts(t, s, "snvs0", 1)
+	if err := s.Ctrl.Barrier(); err != nil {
 		t.Fatal(err)
 	}
 }

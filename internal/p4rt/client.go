@@ -95,9 +95,9 @@ func (c *Client) handle(_ *jsonrpc.Conn, method string, params json.RawMessage) 
 		}
 		if ack {
 			if err := c.conn.Notify("digest_ack", dl.ListID); err != nil {
-				// A lost ack means the switch will retransmit the digest
-				// list; surface the failed write instead of dropping it on
-				// the floor so operators can see acks going missing.
+				// The list was handled and only its ack is lost: the
+				// switch does not retransmit unacknowledged lists. Surface
+				// the failed write so operators can see acks going missing.
 				c.mWriteErrors.Inc()
 				c.rec.Append(obs.Ev("p4rt", "digest.ack_failed").WithDevice(c.target).
 					F("list_id", int64(dl.ListID)))

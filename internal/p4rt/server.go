@@ -92,8 +92,8 @@ func (s *Server) handle(_ *jsonrpc.Conn, method string, params json.RawMessage) 
 		}
 		return c, nil
 	case "digest_ack":
-		var listID uint64
-		if err := json.Unmarshal(params, &listID); err != nil {
+		listID, err := parseDigestAck(params)
+		if err != nil {
 			return nil, &jsonrpc.RPCError{Code: "bad params", Details: err.Error()}
 		}
 		s.dev.AckDigest(listID)

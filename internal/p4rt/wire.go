@@ -279,3 +279,12 @@ func parseDigest(params []byte) (dl DigestList, err error) {
 	}
 	return dl, d.End()
 }
+
+// parseDigestAck decodes digest_ack's params, the acknowledged ListID,
+// without allocating.
+func parseDigestAck(params []byte) (listID uint64, err error) {
+	var d wirejson.Dec
+	d.Init(params)
+	wirejson.Uint(&d, &listID)
+	return listID, d.End()
+}

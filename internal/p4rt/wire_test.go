@@ -57,6 +57,17 @@ func checkWrite(t *testing.T, params []byte) {
 	}
 }
 
+// checkDigestAck holds parseDigestAck to encoding/json.
+func checkDigestAck(t *testing.T, params []byte) {
+	t.Helper()
+	var want uint64
+	wantErr := json.Unmarshal(params, &want)
+	got, err := parseDigestAck(params)
+	if (err != nil) != (wantErr != nil) || err == nil && got != want {
+		t.Fatalf("parseDigestAck(%q) = %d, %v; encoding/json: %d, %v", params, got, err, want, wantErr)
+	}
+}
+
 func checkDigest(t *testing.T, params []byte) {
 	t.Helper()
 	var want DigestList
@@ -95,6 +106,8 @@ var digestSeeds = []string{
 	`{"digest":"learn","list_id":18446744073709551615,"messages":[[1,2,3],[4,5,6]],"txn":99}`,
 	`{}`, `null`, `{"messages":null}`, `{"messages":[]}`, `{"messages":[null,[]]}`, `{"DIGEST":"d","List_ID":2,"messages":[[1],[2,3]],"messages":[[null]]}`,
 	``, `[]`, `{"list_id":-1}`, `{"messages":[1]}`, `{"messages":[["1"]]}`, `{"digest":1}`, `{"digest":"x"}}`,
+	// digest_ack params, a bare ListID.
+	`7`, ` 18446744073709551615 `, `0`, `18446744073709551616`, `-1`, `1.0`, `1e3`, `"1"`, `[1]`, `7 x`, `07`,
 }
 
 func TestWireDifferential(t *testing.T) {
@@ -103,6 +116,7 @@ func TestWireDifferential(t *testing.T) {
 	}
 	for _, s := range digestSeeds {
 		checkDigest(t, []byte(s))
+		checkDigestAck(t, []byte(s))
 	}
 	// Values the encoders see that no decode produces: nil slices inside.
 	for _, us := range [][]Update{nil, {}, {{Type: "insert", Entry: &TableEntry{}}},
@@ -129,7 +143,10 @@ func FuzzDigestParams(f *testing.F) {
 	for _, s := range digestSeeds {
 		f.Add([]byte(s))
 	}
-	f.Fuzz(func(t *testing.T, params []byte) { checkDigest(t, params) })
+	f.Fuzz(func(t *testing.T, params []byte) {
+		checkDigest(t, params)
+		checkDigestAck(t, params)
+	})
 }
 
 // TestWriteKeepsNoAliasIntoReadBuffer: the updates a device receives must
@@ -162,5 +179,32 @@ func TestWriteKeepsNoAliasIntoReadBuffer(t *testing.T) {
 	defer dev.mu.Unlock()
 	if len(dev.writes) != 2 || !reflect.DeepEqual(dev.writes[0], first) {
 		t.Fatalf("first write, read back after the second = %+v, want %+v", dev.writes[0], first)
+	}
+}
+
+// lastAck is a Device that keeps only the last acknowledged list.
+type lastAck struct {
+	Device
+	last uint64
+}
+
+func (d *lastAck) AckDigest(listID uint64) { d.last = listID }
+
+// TestDigestAckZeroAlloc: the server decodes a digest_ack and hands it
+// to the device without allocating.
+func TestDigestAckZeroAlloc(t *testing.T) {
+	dev := &lastAck{}
+	srv := NewServer(dev)
+	defer srv.Close()
+	params := []byte("18446744073709551615")
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, err := srv.handle(nil, "digest_ack", params); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("digest_ack allocates %v", n)
+	}
+	if dev.last != 1<<64-1 {
+		t.Fatalf("device acked %d", dev.last)
 	}
 }

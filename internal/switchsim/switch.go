@@ -42,9 +42,13 @@ type Switch struct {
 	stats   map[uint16]*PortStats
 	dropped uint64
 
-	digestMu   sync.Mutex
-	nextListID uint64
-	acked      map[uint64]bool
+	// digestMu orders digest lists: each takes the next ListID and is
+	// queued on every connection before the next one is. Lists are
+	// therefore sent, and acknowledged, in ListID order, and ackedThrough
+	// is the highest list acknowledged.
+	digestMu     sync.Mutex
+	nextListID   uint64
+	ackedThrough uint64
 
 	// Data-plane instruments (nil-safe; zero overhead when unset).
 	mRx      *obs.Counter
@@ -116,7 +120,6 @@ func New(name string, cfg Config) (*Switch, error) {
 		rt:    rt,
 		info:  info,
 		stats: make(map[uint16]*PortStats),
-		acked: make(map[uint64]bool),
 	}
 	sw.srv = p4rt.NewServer(sw)
 	return sw, nil
@@ -176,7 +179,7 @@ func (sw *Switch) Inject(port uint16, data []byte) error {
 type emitter Switch
 
 func (e *emitter) Digest(name string, fields []uint64) {
-	(*Switch)(e).sendDigest(name, append([]uint64(nil), fields...))
+	(*Switch)(e).sendDigest(name, fields)
 }
 
 func (e *emitter) Frame(port uint16, data []byte) {
@@ -219,7 +222,8 @@ func (sw *Switch) Dropped() uint64 {
 // --- digests ---
 
 // sendDigest sends one digest message to the controller at once, as a
-// one-message list.
+// one-message list. fields need stay valid only during the call: the
+// list is encoded onto each connection before NotifyDigest returns.
 func (sw *Switch) sendDigest(name string, fields []uint64) {
 	sw.digestMu.Lock()
 	defer sw.digestMu.Unlock()
@@ -229,10 +233,9 @@ func (sw *Switch) sendDigest(name string, fields []uint64) {
 	sw.rec.Append(obs.Ev("switchsim", "digest.send").WithTxn(txn).WithDevice(sw.name).
 		F("list_id", int64(sw.nextListID)).
 		F("messages", 1))
-	dl := p4rt.DigestList{Digest: name, ListID: sw.nextListID, Messages: [][]uint64{fields}, Txn: txn}
-	// Notify without holding digestMu against reentrant acks: the server
-	// send path is asynchronous, so holding it is safe, but release anyway.
-	go sw.srv.NotifyDigest(dl)
+	// Queued under digestMu, so lists leave in ListID order. The send
+	// never blocks: a connection either queues the list or fails.
+	sw.srv.NotifyDigest(p4rt.DigestList{Digest: name, ListID: sw.nextListID, Messages: [][]uint64{fields}, Txn: txn})
 }
 
 // --- p4rt.Device implementation ---
@@ -390,18 +393,21 @@ func (sw *Switch) PacketOut(port uint16, data []byte) error {
 	return nil
 }
 
-// AckDigest records a digest acknowledgement.
+// AckDigest records a digest acknowledgement. Lists are sent in order
+// and a controller acknowledges each after handling it, so an ack
+// covers every list before it.
 func (sw *Switch) AckDigest(listID uint64) {
 	sw.digestMu.Lock()
-	sw.acked[listID] = true
+	sw.ackedThrough = max(sw.ackedThrough, listID)
 	sw.digestMu.Unlock()
 }
 
-// DigestAcked reports whether a list has been acknowledged (tests).
+// DigestAcked reports whether a list has been acknowledged, itself or
+// by the ack of a later one (tests).
 func (sw *Switch) DigestAcked(listID uint64) bool {
 	sw.digestMu.Lock()
 	defer sw.digestMu.Unlock()
-	return sw.acked[listID]
+	return listID <= sw.ackedThrough
 }
 
 // Counters exposes a table's hit/miss counters (p4rt.CounterReader).

@@ -484,3 +484,76 @@ func TestWriteAllocatesOnlyStoredState(t *testing.T) {
 		t.Fatalf("insert + delete allocate %v, want ≤ 2 (the entry and its key)", n)
 	}
 }
+
+// TestDigestListsInOrder: the lists of frames injected one after
+// another reach the controller in ListID order, and the controller's
+// ack of the last one acknowledges every list.
+func TestDigestListsInOrder(t *testing.T) {
+	const n = 2000
+	sw, err := New("s1", Config{Program: l2Program()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := startP4RT(t, sw)
+	var mu sync.Mutex
+	var ids []uint64
+	all := make(chan struct{})
+	client.OnDigest(func(dl p4rt.DigestList) {
+		mu.Lock()
+		defer mu.Unlock()
+		if ids = append(ids, dl.ListID); len(ids) == n {
+			close(all)
+		}
+	})
+	for deadline := time.Now().Add(5 * time.Second); sw.srv.Conns() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the switch never accepted the client")
+		}
+	}
+	for i := range n {
+		sw.Inject(1, frame(0xffffffffffff, packet.MAC(0x020000000000+i)))
+	}
+	select {
+	case <-all:
+	case <-time.After(10 * time.Second):
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("%d of %d lists arrived", len(ids), n)
+	}
+	mu.Lock()
+	late, highest := 0, uint64(0)
+	for _, id := range ids {
+		if id < highest {
+			late++
+		}
+		highest = max(highest, id)
+	}
+	mu.Unlock()
+	if late != 0 {
+		t.Fatalf("%d of %d lists arrived behind a higher ListID", late, n)
+	}
+	for deadline := time.Now().Add(5 * time.Second); !sw.DigestAcked(n); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the last list was never acked")
+		}
+	}
+	if !sw.DigestAcked(1) || sw.DigestAcked(n+1) {
+		t.Fatal("the ack of the last list does not cover exactly the lists sent")
+	}
+}
+
+// TestAckDigestZeroAlloc: recording an ack allocates nothing, however
+// many lists the switch has sent.
+func TestAckDigestZeroAlloc(t *testing.T) {
+	sw, err := New("s1", Config{Program: l2Program()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var id uint64
+	if n := testing.AllocsPerRun(1000, func() { id++; sw.AckDigest(id) }); n != 0 {
+		t.Fatalf("AckDigest allocates %v", n)
+	}
+	if !sw.DigestAcked(id) {
+		t.Fatalf("list %d not acked", id)
+	}
+}
