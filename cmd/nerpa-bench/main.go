@@ -161,9 +161,8 @@ func main() {
 	}
 	if want("label-dense") {
 		run("label-dense", func() (fmt.Stringer, error) {
-			// The documented adversarial case; kept small because every
-			// deletion cascades across the whole reachable set.
-			return bench.RunLabelingDense(1000, 3000, 20)
+			res, err := bench.RunLabelingDense(1000, 3000, 20)
+			return report("BENCH_label_dense.json", res, err)
 		})
 	}
 	if *check != "" && !checkGates(gates) {

@@ -254,9 +254,9 @@ func Catalog() []Feature {
 		{"flooding", featFlooding,
 			"Flood(v, g) :- VlanOk(_, v), SwitchCfg(_, true, _), var g = vgroup(v).\nMulticastGroup(g, p) :- VlanOk(p, v), var g = vgroup(v).\n"},
 		{"mac-learning", featMacLearning,
-			"Dmac(v, m, p) :- Learn(m, v, p), VlanOk(p, v).\nSmac(v, m) :- Learn(m, v, p), VlanOk(p, v).\n"},
+			"Dmac(v, m, p) :- Learn(m, v, p), VlanOk(p, v), not StaticKey(v, m).\nSmac(v, m) :- Learn(m, v, p), VlanOk(p, v).\n"},
 		{"static-macs", featStaticMacs,
-			"Dmac(v, m, p) :- StaticMac(_, m, p, v).\nSmac(v, m) :- StaticMac(_, m, _, v).\n"},
+			"StaticKey(v, m) :- StaticMac(_, m, _, v).\nDmac(v, m, p) :- StaticMac(_, m, p, v).\nSmac(v, m) :- StaticMac(_, m, _, v).\n"},
 		{"mirroring", featMirroring,
 			"MirrorIngress(sp, dp) :- Mirror(_, dp, sp).\n"},
 		{"acl", featAcl,

@@ -380,70 +380,58 @@ func (r *IncrResult) String() string {
 // motivates with.
 // ---------------------------------------------------------------------
 
-// LabelResult is the T5 report.
+// LabelResult is the T5 report. Each of Rounds rounds loads a fresh
+// runtime, times the incremental engine over the churn, then times full
+// recomputation over the same churn; the per-change times are the medians
+// of the rounds, the IQRs their spread.
 type LabelResult struct {
-	Topology                   string
-	Nodes, Edges, Churn        int
-	IncrTotal, RecomputeTotal  time.Duration
-	IncrPerChange, RecomputePC time.Duration
-	Speedup                    float64
-	RuleLines, GoLines         int
-	FinalLabels                int
-	// FallbackPC is the per-change cost with the engine's
-	// RecursiveDeleteFallback enabled (dense runs only).
-	FallbackPC time.Duration
+	Topology      string        `json:"topology"`
+	Nodes         int           `json:"nodes"`
+	Edges         int           `json:"edges"`
+	Churn         int           `json:"churn"`
+	Rounds        int           `json:"rounds"`
+	IncrPerChange time.Duration `json:"incr_per_change_ns"`
+	IncrIQR       time.Duration `json:"incr_iqr_ns"`
+	RecomputePC   time.Duration `json:"recompute_per_change_ns"`
+	RecomputeIQR  time.Duration `json:"recompute_iqr_ns"`
+	Speedup       float64       `json:"speedup"`
+	RuleLines     int           `json:"rule_lines"`
+	GoLines       int           `json:"go_lines"`
+	FinalLabels   int           `json:"final_labels"`
 }
 
 // RunLabeling runs T5 on a sparse tree topology (the realistic network
-// case, where a link event affects a small subtree). edges is ignored for
-// trees (n-1 edges).
+// case, where a link event affects a small subtree), one round. edges is
+// ignored for trees (n-1 edges).
 func RunLabeling(nodes, edges, churn int) (*LabelResult, error) {
-	g := workload.RandomTree(nodes, 42)
-	res, err := runLabelingOn(g, churn)
-	if err != nil {
-		return nil, err
-	}
-	res.Topology = "tree"
-	return res, nil
+	return runLabelingOn("tree", workload.RandomTree(nodes, 42), churn, 1)
 }
 
-// RunLabelingDense runs T5's documented adversarial case: a dense cyclic
-// graph where DRed's overdeletion cascades across the whole reachable set
-// on every link removal (the analogue of the paper's own LB worst case).
+// labelDenseRounds is how many alternating rounds RunLabelingDense times.
+const labelDenseRounds = 10
+
+// RunLabelingDense runs T5's adversarial case: a dense cyclic graph,
+// where a link removal takes a derivation from most labels but few lose
+// their last proof. Its rounds alternate incremental and recompute, so
+// the two medians come from the same run.
 func RunLabelingDense(nodes, edges, churn int) (*LabelResult, error) {
-	g := workload.RandomGraph(nodes, edges, 42)
-	res, err := runLabelingOn(g, churn)
-	if err != nil {
-		return nil, err
-	}
-	res.Topology = "dense-cyclic"
-	// Measure the mitigation: the same churn with the recompute fallback.
-	fb, err := runLabelingEngine(g, churn, engine.Options{RecursiveDeleteFallback: 0.25})
-	if err != nil {
-		return nil, err
-	}
-	res.FallbackPC = fb / time.Duration(churn)
-	return res, nil
+	return runLabelingOn("dense-cyclic", workload.RandomGraph(nodes, edges, 42), churn, labelDenseRounds)
 }
 
-// runLabelingEngine times just the engine side of the labeling churn.
-func runLabelingEngine(g workload.Graph, churn int, opts engine.Options) (time.Duration, error) {
+func runLabelingOn(topology string, g workload.Graph, churn, rounds int) (*LabelResult, error) {
+	changes := g.EdgeChurn(churn, 43)
 	prog, err := dl.Compile(workload.ReachabilityRules)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	rt, err := prog.NewRuntime(opts)
-	if err != nil {
-		return 0, err
-	}
+	seeds := max(len(g.Nodes)/20, 1)
+	given := make(map[string][]string)
 	var load []engine.Update
-	seeds := len(g.Nodes) / 20
-	if seeds == 0 {
-		seeds = 1
-	}
 	for i := 0; i < seeds; i++ {
+		label := fmt.Sprintf("L%d", i%4)
+		given[g.Nodes[i]] = append(given[g.Nodes[i]], label)
 		load = append(load, engine.Insert("GivenLabel", value.Record{
-			value.String(g.Nodes[i]), value.String(fmt.Sprintf("L%d", i%4)),
+			value.String(g.Nodes[i]), value.String(label),
 		}))
 	}
 	for _, e := range g.Edges {
@@ -451,105 +439,67 @@ func runLabelingEngine(g workload.Graph, churn int, opts engine.Options) (time.D
 			value.String(e[0]), value.String(e[1]),
 		}))
 	}
-	if _, err := rt.Apply(load); err != nil {
-		return 0, err
-	}
-	changes := g.EdgeChurn(churn, 43)
-	start := time.Now()
-	for _, c := range changes {
-		if _, err := rt.Apply([]engine.Update{workload.EdgeUpdate(c)}); err != nil {
-			return 0, err
-		}
-	}
-	return time.Since(start), nil
-}
-
-func runLabelingOn(g workload.Graph, churn int) (*LabelResult, error) {
-	nodes, edges := len(g.Nodes), len(g.Edges)
-	changes := g.EdgeChurn(churn, 43)
-
-	prog, err := dl.Compile(workload.ReachabilityRules)
-	if err != nil {
-		return nil, err
-	}
-	rt, err := prog.NewRuntime(engine.Options{})
-	if err != nil {
-		return nil, err
-	}
-	var load []engine.Update
-	seeds := nodes / 20
-	if seeds == 0 {
-		seeds = 1
-	}
-	for i := 0; i < seeds; i++ {
-		load = append(load, engine.Insert("GivenLabel", value.Record{
-			value.String(g.Nodes[i]), value.String(fmt.Sprintf("L%d", i%4)),
-		}))
-	}
-	for _, e := range g.Edges {
-		load = append(load, engine.Insert("Edge", value.Record{
-			value.String(e[0]), value.String(e[1]),
-		}))
-	}
-	if _, err := rt.Apply(load); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	for _, c := range changes {
-		if _, err := rt.Apply([]engine.Update{workload.EdgeUpdate(c)}); err != nil {
+	var incr, recompute []float64
+	var labels, recomputed int
+	for round := 0; round < rounds; round++ {
+		rt, err := prog.NewRuntime(engine.Options{})
+		if err != nil {
 			return nil, err
 		}
-	}
-	incrTotal := time.Since(start)
-
-	// Full recomputation side.
-	given := make(map[string][]string)
-	for i := 0; i < seeds; i++ {
-		given[g.Nodes[i]] = append(given[g.Nodes[i]], fmt.Sprintf("L%d", i%4))
-	}
-	live := make(map[[2]string]bool, len(g.Edges))
-	for _, e := range g.Edges {
-		live[e] = true
-	}
-	edgeList := func() [][2]string {
-		out := make([][2]string, 0, len(live))
-		for e := range live {
-			out = append(out, e)
+		if _, err := rt.Apply(load); err != nil {
+			return nil, err
 		}
-		return out
-	}
-	start = time.Now()
-	var labels map[string]map[string]bool
-	for _, c := range changes {
-		live[c.Edge] = c.Add
-		if !c.Add {
-			delete(live, c.Edge)
+		start := time.Now()
+		for _, c := range changes {
+			if _, err := rt.Apply([]engine.Update{workload.EdgeUpdate(c)}); err != nil {
+				return nil, err
+			}
 		}
-		labels = baseline.ComputeLabels(given, edgeList())
-	}
-	recomputeTotal := time.Since(start)
+		incr = append(incr, float64(time.Since(start))/float64(churn))
 
+		// Full recomputation side.
+		live := make(map[[2]string]bool, len(g.Edges))
+		for _, e := range g.Edges {
+			live[e] = true
+		}
+		start = time.Now()
+		var computed map[string]map[string]bool
+		for _, c := range changes {
+			if c.Add {
+				live[c.Edge] = true
+			} else {
+				delete(live, c.Edge)
+			}
+			edgeList := make([][2]string, 0, len(live))
+			for e := range live {
+				edgeList = append(edgeList, e)
+			}
+			computed = baseline.ComputeLabels(given, edgeList)
+		}
+		recompute = append(recompute, float64(time.Since(start))/float64(churn))
+
+		recs, err := rt.Contents("Label")
+		if err != nil {
+			return nil, err
+		}
+		labels, recomputed = len(recs), baseline.CountLabels(computed)
+	}
 	// Cross-check the final states agree.
-	recs, err := rt.Contents("Label")
-	if err != nil {
-		return nil, err
+	if labels != recomputed {
+		return nil, fmt.Errorf("bench: incremental %d labels, recompute %d", labels, recomputed)
 	}
-	if len(recs) != baseline.CountLabels(labels) {
-		return nil, fmt.Errorf("bench: incremental %d labels, recompute %d",
-			len(recs), baseline.CountLabels(labels))
-	}
-
-	res := &LabelResult{
-		Nodes: nodes, Edges: edges, Churn: churn,
-		IncrTotal: incrTotal, RecomputeTotal: recomputeTotal,
-		IncrPerChange: incrTotal / time.Duration(churn),
-		RecomputePC:   recomputeTotal / time.Duration(churn),
-		Speedup:       float64(recomputeTotal) / float64(incrTotal),
-		RuleLines:     countNonEmpty(workload.ReachabilityRules),
-		GoLines:       baseline.LabelsLoC(),
-		FinalLabels:   len(recs),
-	}
-	return res, nil
+	incrMed, incrIQR := medianIQR(incr)
+	recMed, recIQR := medianIQR(recompute)
+	return &LabelResult{
+		Topology: topology,
+		Nodes:    len(g.Nodes), Edges: len(g.Edges), Churn: churn, Rounds: rounds,
+		IncrPerChange: time.Duration(incrMed), IncrIQR: time.Duration(incrIQR),
+		RecomputePC: time.Duration(recMed), RecomputeIQR: time.Duration(recIQR),
+		Speedup:     recMed / incrMed,
+		RuleLines:   countNonEmpty(workload.ReachabilityRules),
+		GoLines:     baseline.LabelsLoC(),
+		FinalLabels: labels,
+	}, nil
 }
 
 func countNonEmpty(s string) int {
@@ -573,9 +523,9 @@ func (r *LabelResult) String() string {
 		r.RuleLines, r.GoLines)
 	fmt.Fprintf(&sb, "            incremental %v/change vs recompute %v/change (%.1fx), %d labels\n",
 		r.IncrPerChange, r.RecomputePC, r.Speedup, r.FinalLabels)
-	if r.FallbackPC > 0 {
-		fmt.Fprintf(&sb, "            with RecursiveDeleteFallback: %v/change (worst case capped at ~1 recompute)\n",
-			r.FallbackPC)
+	if r.Rounds > 1 {
+		fmt.Fprintf(&sb, "            medians of %d alternating rounds, IQR %v incremental, %v recompute\n",
+			r.Rounds, r.IncrIQR, r.RecomputeIQR)
 	}
 	return sb.String()
 }

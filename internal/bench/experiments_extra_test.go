@@ -13,8 +13,8 @@ func TestRunLabelingDenseSmall(t *testing.T) {
 	if res.IncrPerChange <= 0 || res.RecomputePC <= 0 {
 		t.Errorf("non-positive timings: %+v", res)
 	}
-	if res.FallbackPC <= 0 {
-		t.Errorf("fallback not measured: %+v", res)
+	if res.Rounds != labelDenseRounds || res.IncrIQR < 0 || res.RecomputeIQR < 0 {
+		t.Errorf("rounds not reported: %+v", res)
 	}
 	if res.String() == "" {
 		t.Error("empty render")

@@ -668,8 +668,12 @@ func (c *Controller) dispatch(batch []event) {
 	}
 	if c.tracer != nil {
 		// Each merged commit gets its own push stage (with its own attrs
-		// map: pooled maps must not be shared across traces).
+		// map: pooled maps must not be shared across traces). An event
+		// with no transaction (a digest list) has no trace to join.
 		for _, ev := range batch {
+			if ev.txnID == 0 {
+				continue
+			}
 			attrs := obs.NewAttrs()
 			attrs["updates"] = int64(n)
 			c.tracer.Record(ev.txnID, "core", obs.Stage{
@@ -745,8 +749,12 @@ func (c *Controller) observeEngine(batch []event, start time.Time, engineTime ti
 		// Each merged commit gets its own delta stage carrying its own
 		// update count, so /debug/traces stays per-commit even when the
 		// engine applied several commits at once. Attrs maps are pooled
-		// and per-trace, hence built per commit.
+		// and per-trace, hence built per commit; a digest list (txn 0)
+		// has no trace.
 		for _, ev := range batch {
+			if ev.txnID == 0 {
+				continue
+			}
 			attrs := obs.NewAttrs()
 			attrs["input_updates"] = int64(len(ev.updates))
 			attrs["delta_size"] = int64(st.DeltaSize)

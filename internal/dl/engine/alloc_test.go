@@ -92,12 +92,12 @@ func TestProvenanceRecordPoolZeroAlloc(t *testing.T) {
 	var sigBuf []byte
 	sig := sigHash(&sigBuf, lh, trail)
 	dg := provDigest(head.id, key)
-	ps.record(dg, head.id, rec, sig, label, 0, trail, false)
+	ps.record(dg, head.id, rec, sig, label, 0, trail, false, false)
 
 	// Duplicate record: sig hashed in caller scratch, matched, kept.
 	if allocs := testing.AllocsPerRun(200, func() {
 		s := sigHash(&sigBuf, lh, trail)
-		ps.record(dg, head.id, rec, s, label, 0, trail, false)
+		ps.record(dg, head.id, rec, s, label, 0, trail, false, false)
 	}); allocs != 0 {
 		t.Errorf("duplicate record: %v allocs/op, want 0", allocs)
 	}
@@ -117,7 +117,7 @@ func TestProvenanceRecordPoolZeroAlloc(t *testing.T) {
 	// materialized per cycle.
 	churn := func() {
 		s := sigHash(&sigBuf, lh, trail)
-		ps.record(dg, head.id, rec, s, label, 0, trail, false)
+		ps.record(dg, head.id, rec, s, label, 0, trail, false, false)
 		ps.unrecord(dg, s)
 		ps.drop(dg)
 	}

@@ -34,17 +34,6 @@ type Delta map[string]*zset.ZSet
 
 // Options configure a Runtime.
 type Options struct {
-	// MaxDerivationsPerTxn bounds the number of tuple derivation operations
-	// one transaction may perform; 0 means unlimited. It is a backstop
-	// against divergent recursive programs (recursion through arithmetic).
-	MaxDerivationsPerTxn int
-	// RecursiveDeleteFallback bounds DRed's known worst case: when a
-	// deletion's overdelete set grows beyond this fraction of a recursive
-	// stratum's contents (dense cyclic data), the engine abandons
-	// delete–rederive and recomputes the stratum from scratch instead,
-	// capping the cost at one recomputation. 0 disables the fallback;
-	// 0 < f <= 1 enables it.
-	RecursiveDeleteFallback float64
 	// Collect turns the engine's instrumentation on: per-transaction
 	// statistics via LastApplyStats (per-stratum timings, delta size, and
 	// per-rule eval time, seedings, derivations and delta tuples in
@@ -418,9 +407,10 @@ type evalCtx struct {
 	keyBuf  []byte
 	headRec value.Record
 	headKey []byte
-	// capture/trail implement provenance recording (provenance.go): when
-	// capture is on, trail is the stack of body facts the current plan
-	// run has joined so far. evalPlan resets both.
+	// capture/trail implement provenance recording (provenance.go) and
+	// let a probe's emit see its instance (backward.go): when capture is
+	// on, trail is the stack of body facts the current plan run has
+	// joined so far. evalPlan resets both.
 	capture bool
 	trail   []provInput
 	// memoSeed{Key,Rel,Hash} memoize the last seed fact's identity hash
@@ -431,9 +421,6 @@ type evalCtx struct {
 	// sigBuf is the encode scratch for derivation sig hashing
 	// (provenance.go sigHash).
 	sigBuf []byte
-	// curRule is the profiling index of the rule whose seeding is
-	// evaluating, so emit closures can attribute presence transitions.
-	curRule int
 }
 
 // envFor returns a zeroed environment of size n backed by the context's
@@ -450,24 +437,11 @@ func (c *evalCtx) envFor(n, spare int) []value.Value {
 
 var errStop = errors.New("engine: stop iteration")
 
-// errFallbackRecompute aborts DRed in favour of recomputing the stratum.
-var errFallbackRecompute = errors.New("engine: overdelete budget exceeded")
-
 // emitFunc receives head contributions. rec and key are the interned head
 // fact's record and canonical key, so downstream map operations never
 // re-encode the record; hh is the fact's identity hash (zero with
 // provenance off).
 type emitFunc func(rec value.Record, key string, hh uint64, w int64) error
-
-// countDerivation enforces the per-transaction derivation budget.
-func (rt *Runtime) countDerivation() error {
-	rt.derivations++
-	if rt.opts.MaxDerivationsPerTxn > 0 && rt.derivations > int64(rt.opts.MaxDerivationsPerTxn) {
-		return fmt.Errorf("engine: transaction exceeded %d derivations (divergent recursion?)",
-			rt.opts.MaxDerivationsPerTxn)
-	}
-	return nil
-}
 
 // runPlan seeds a plan with a tuple (or negation key, or nothing) and
 // streams head contributions to emit. ctx supplies the evaluation scratch.
@@ -477,9 +451,6 @@ func (rt *Runtime) runPlan(ctx *evalCtx, p *plan, seed value.Record, seedKey str
 	if rt.ruleProf == nil {
 		return rt.evalPlan(ctx, p, seed, seedKey, w, mode, emit)
 	}
-	// curRule lets emit closures attribute presence transitions that
-	// happen during this seeding (recursive insertion/overdelete paths).
-	ctx.curRule = p.rule.idx
 	t0 := time.Now()
 	err := rt.evalPlan(ctx, p, seed, seedKey, w, mode, emit)
 	a := &rt.ruleProf[p.rule.idx]
@@ -488,15 +459,15 @@ func (rt *Runtime) runPlan(ctx *evalCtx, p *plan, seed value.Record, seedKey str
 	return err
 }
 
-// evalPlan is runPlan's profiling-free body.
+// evalPlan is runPlan's profiling-free body. A run with weight 0 is a
+// probe (a recursive stratum's backward check or forward saturation): it
+// changes no count and records nothing, but keeps the trail so its emit
+// can inspect each instance's body facts.
 func (rt *Runtime) evalPlan(ctx *evalCtx, p *plan, seed value.Record, seedKey string, w int64, mode viewMode, emit emitFunc) error {
-	ctx.capture = false
-	if rt.prov != nil && mode != viewAllOld {
+	ctx.capture = rt.prov != nil || w == 0
+	if ctx.capture {
 		// Capture the derivation trail: the seed fact (when the seed is a
-		// positive literal) plus every fact joined below. The overdelete
-		// phase (viewAllOld) captures nothing — retracted facts drop
-		// their provenance wholesale instead.
-		ctx.capture = true
+		// positive literal) plus every fact joined below.
 		ctx.trail = ctx.trail[:0]
 		if p.seedIdx >= 0 {
 			if lit, ok := p.rule.body[p.seedIdx].(*typecheck.LiteralTerm); ok && !lit.Negated {
@@ -538,8 +509,8 @@ func (rt *Runtime) execSteps(ctx *evalCtx, p *plan, si int, env []value.Value, w
 	if si == len(p.steps) {
 		// Build the head in scratch and intern it: the emit gets the fact's
 		// own record and key, and only a fact new to the head allocates.
-		// A fact interned for an emit that adds nothing (a rederivation
-		// check, an overdelete probe) stays at count zero until the sweep.
+		// A fact interned for an emit that adds nothing (a probe) stays at
+		// count zero until the sweep.
 		head := p.rule.head
 		n := len(p.rule.headExprs)
 		if cap(ctx.headRec) < n {
@@ -555,8 +526,8 @@ func (rt *Runtime) execSteps(ctx *evalCtx, p *plan, si int, env []value.Value, w
 		}
 		ctx.headKey = scratch.AppendEncode(ctx.headKey[:0])
 		f := head.intern(scratch, ctx.headKey)
-		if ctx.capture {
-			rt.recordProv(ctx, p.rule, f, w, ctx.trail)
+		if ctx.capture && w != 0 {
+			rt.recordProv(ctx, p.rule, f, w, ctx.trail, false)
 		}
 		if rt.ruleProf != nil {
 			rt.ruleProf[p.rule.idx].derivs++
@@ -654,20 +625,6 @@ func evalKey(ctx *evalCtx, keyExprs []typecheck.Expr, env []value.Value) ([]byte
 	return enc, nil
 }
 
-// runCheckPlan reports whether head tuple rec is derivable by the rule in
-// the current (new-view) database.
-func (rt *Runtime) runCheckPlan(ctx *evalCtx, cr *compiledRule, rec value.Record) (bool, error) {
-	found := false
-	err := rt.runPlan(ctx, cr.checkPlan, rec, "", 1, viewAllNew, func(value.Record, string, uint64, int64) error {
-		found = true
-		return errStop
-	})
-	if err != nil && !errors.Is(err, errStop) {
-		return false, err
-	}
-	return found, nil
-}
-
 // negTransition computes, for a negated literal occurrence whose relation
 // changed, the distinct constraint keys whose emptiness flipped.
 type negTransition struct {
@@ -720,18 +677,18 @@ func (rt *Runtime) negTransitions(lit *typecheck.LiteralTerm) []negTransition {
 // what it writes nor changes the deltas it walks.
 func (rt *Runtime) runCountingStratum(s int, initial bool) error {
 	head := rt.rels[rt.strata[s][0]]
+	var cur *compiledRule // the rule whose plan is running
 	emit := func(rec value.Record, key string, hh uint64, w int64) error {
-		if err := rt.countDerivation(); err != nil {
-			return err
-		}
+		rt.derivations++
 		if head.applyCount(rec, key, w) != 0 && rt.ruleProf != nil {
-			rt.ruleProf[rt.ctx.curRule].delta++
+			rt.ruleProf[cur.idx].delta++
 		}
 		return nil
 	}
 	var err error
 	run := func(p *plan, seed value.Record, key string, w int64, mode viewMode) {
 		if err == nil {
+			cur = p.rule
 			err = rt.runPlan(&rt.ctx, p, seed, key, w, mode, emit)
 		}
 	}
@@ -836,9 +793,7 @@ func (rt *Runtime) runAggregate(spec *aggSpec) error {
 			if err != nil {
 				return err
 			}
-			if err := rt.countDerivation(); err != nil {
-				return err
-			}
+			rt.derivations++
 			key := rec.Key()
 			if rt.prov != nil {
 				rt.prov.unrecordByLabel(provDigest(spec.head.id, key), spec.label)
@@ -857,9 +812,7 @@ func (rt *Runtime) runAggregate(spec *aggSpec) error {
 			if err != nil {
 				return err
 			}
-			if err := rt.countDerivation(); err != nil {
-				return err
-			}
+			rt.derivations++
 			key := rec.Key()
 			tr := spec.head.applyCount(rec, key, 1)
 			if rt.ruleProf != nil {
@@ -932,149 +885,66 @@ func (rt *Runtime) aggCompute(spec *aggSpec, keyEnc []byte, old bool, env []valu
 	}
 }
 
-// runRecursiveStratum runs DRed (overdelete, rederive) plus semi-naive
-// insertion for one recursive stratum.
+// runRecursiveStratum brings one recursive stratum up to date: the
+// Backward/Forward algorithm deletes the facts that lost their last proof
+// (backward.go), then semi-naive insertion derives what the stratum gained.
 func (rt *Runtime) runRecursiveStratum(s int, initial bool) error {
-	wl := &worklist{rt: rt, inStratum: make(map[*relState]bool)}
-	inStratum := wl.inStratum
-	var stratumRules []*compiledRule
-	for _, id := range rt.strata[s] {
-		rs := rt.rels[id]
-		inStratum[rs] = true
-		stratumRules = append(stratumRules, rt.rulesByHead[rs]...)
-	}
+	wl := &worklist{rt: rt, stratum: s}
 	// Skip quickly when nothing feeding the stratum changed.
 	changed := initial
-	for _, cr := range stratumRules {
-		for idx := range cr.plansByBody {
-			if cr.plansByBody[idx] == nil {
-				continue
-			}
-			lit := cr.body[idx].(*typecheck.LiteralTerm)
-			litRel := rt.relStateOf(lit.Rel)
-			if !inStratum[litRel] && litRel.changed > 0 {
-				changed = true
+	var rules []*compiledRule
+	for _, id := range rt.strata[s] {
+		for _, cr := range rt.rulesByHead[rt.rels[id]] {
+			rules = append(rules, cr)
+			for idx, p := range cr.plansByBody {
+				if p != nil {
+					litRel := rt.relStateOf(cr.body[idx].(*typecheck.LiteralTerm).Rel)
+					changed = changed || litRel.stratum != s && litRel.changed > 0
+				}
 			}
 		}
 	}
 	if !changed {
 		return nil
 	}
-
-	// ---- Phase 1: overdelete ----
-	// od lists each relation's overdeleted facts, once each (odSeen).
-	od := make(map[*relState][]*fact)
-	odSeen := make(map[*fact]bool)
-	// The DRed fallback: when overdeletion cascades beyond the configured
-	// fraction of the stratum (dense cyclic data), recomputing the stratum
-	// is cheaper than delete+rederive.
-	odBudget := -1
-	if f := rt.opts.RecursiveDeleteFallback; f > 0 && !initial {
-		size := 0
-		for rs := range inStratum {
-			size += len(rs.facts)
-		}
-		odBudget = int(f * float64(size))
-	}
-	odTotal := 0
-	addOD := func(rs *relState) emitFunc {
-		return func(rec value.Record, key string, _ uint64, _ int64) error {
-			if err := rt.countDerivation(); err != nil {
-				return err
-			}
-			f := rs.facts[key]
-			if f == nil || f.count <= 0 || odSeen[f] {
-				return nil
-			}
-			odSeen[f] = true
-			od[rs] = append(od[rs], f)
-			odTotal++
-			if rt.ruleProf != nil {
-				// Overdeletes count as the overdeleting rule's delta
-				// tuples (rederivations add back as insertions).
-				rt.ruleProf[rt.ctx.curRule].delta++
-			}
-			if odBudget >= 0 && odTotal > odBudget {
-				return errFallbackRecompute
-			}
-			wl.queue = append(wl.queue, pending{rel: rs, rec: f.rec})
-			return nil
-		}
-	}
 	if !initial {
-		err := wl.seed(stratumRules, false, -1, viewAllOld, addOD)
-		if err == nil {
-			err = wl.drain(viewAllOld, addOD)
-		}
-		if errors.Is(err, errFallbackRecompute) {
-			return rt.recomputeStratum(inStratum, stratumRules)
-		}
-		if err != nil {
+		if err := wl.deleteUnproved(rules); err != nil {
 			return err
 		}
-		// ---- Phase 2: apply overdeletions ----
-		for rs, facts := range od {
-			for _, f := range facts {
-				rs.setAbsent(f)
-			}
-		}
 	}
-
-	// ---- Phase 3: rederive candidates, then semi-naive insertion ----
-	for rs, facts := range od {
-		insert := wl.inserter(rs)
-		for _, f := range facts {
-			for _, cr := range rt.rulesByHead[rs] {
-				if cr.checkPlan == nil {
-					continue
-				}
-				ok, err := rt.runCheckPlan(&rt.ctx, cr, f.rec)
-				if err != nil {
-					return err
-				}
-				if ok {
-					if err := insert(f.rec, f.key, 0, 1); err != nil {
-						return err
-					}
-					break
-				}
-			}
-		}
-	}
-	if err := wl.seed(stratumRules, initial, 1, viewAllNew, wl.inserter); err != nil {
+	if err := wl.seed(rules, initial, 1, viewAllNew, wl.inserter); err != nil {
 		return err
 	}
-	return wl.drain(viewAllNew, wl.inserter)
+	return wl.drain(1, viewAllNew, wl.inserter)
 }
 
-// pending is a fact a recursive stratum's evaluation just changed,
-// waiting to seed the in-stratum occurrences of its relation.
+// pending is a fact of a recursive stratum waiting to seed the in-stratum
+// occurrences of its relation: one insertion just derived, or one
+// deletion just deleted or proved.
 type pending struct {
 	rel *relState
-	rec value.Record
+	f   *fact
 }
 
-// worklist is a recursive stratum's semi-naive queue: DRed's overdelete
-// and insertion phases and recomputeStratum each push the facts they
-// change and drain the queue to the stratum's fixpoint.
+// worklist is a recursive stratum's semi-naive queue: deletion's search
+// for lost derivations, its saturation and the insertion phase each push
+// facts and drain the queue.
 type worklist struct {
-	rt        *Runtime
-	inStratum map[*relState]bool
-	queue     []pending
+	rt      *Runtime
+	stratum int
+	queue   []pending
 }
 
-// inserter returns the emit that makes rs facts present, queueing each
-// one that was absent.
-func (wl *worklist) inserter(rs *relState) emitFunc {
-	rt := wl.rt
+// inserter returns the emit that makes the rule's head facts present,
+// queueing each one that was absent.
+func (wl *worklist) inserter(cr *compiledRule) emitFunc {
+	rt, rs := wl.rt, cr.head
 	return func(rec value.Record, key string, _ uint64, _ int64) error {
-		if err := rt.countDerivation(); err != nil {
-			return err
-		}
+		rt.derivations++
 		if f := rs.internKey(rec, key); rs.setPresent(f) {
-			wl.queue = append(wl.queue, pending{rel: rs, rec: f.rec})
+			wl.queue = append(wl.queue, pending{rel: rs, f: f})
 			if rt.ruleProf != nil {
-				rt.ruleProf[rt.ctx.curRule].delta++
+				rt.ruleProf[cr.idx].delta++
 			}
 		}
 		return nil
@@ -1083,15 +953,17 @@ func (wl *worklist) inserter(rs *relState) emitFunc {
 
 // seed runs the stratum's rules seeded at their changed lower-stratum
 // literals, keeping the changes of one sign: -1 (support lost: deleted
-// facts, negated keys whose matches appeared) for overdeletion, +1
-// (support gained) for insertion. With units, each rule's unit plan runs
-// first. Emits go through mk(head).
-func (wl *worklist) seed(rules []*compiledRule, units bool, sign int64, mode viewMode, mk func(*relState) emitFunc) error {
+// facts, negated keys whose matches appeared) for deletion's candidates,
+// +1 (support gained) for insertion. Each run carries the sign as its
+// weight, so provenance records what insertion finds and unrecords what
+// deletion finds. With units, each rule's unit plan runs first. Emits go
+// through mk(rule).
+func (wl *worklist) seed(rules []*compiledRule, units bool, sign int64, mode viewMode, mk func(*compiledRule) emitFunc) error {
 	rt := wl.rt
 	for _, cr := range rules {
-		emit := mk(cr.head)
+		emit := mk(cr)
 		if units && cr.unitPlan != nil {
-			if err := rt.runPlan(&rt.ctx, cr.unitPlan, nil, "", 1, mode, emit); err != nil {
+			if err := rt.runPlan(&rt.ctx, cr.unitPlan, nil, "", sign, mode, emit); err != nil {
 				return err
 			}
 		}
@@ -1101,13 +973,13 @@ func (wl *worklist) seed(rules []*compiledRule, units bool, sign int64, mode vie
 			}
 			lit := cr.body[idx].(*typecheck.LiteralTerm)
 			litRel := rt.relStateOf(lit.Rel)
-			if wl.inStratum[litRel] || litRel.changed == 0 {
+			if litRel.stratum == wl.stratum || litRel.changed == 0 {
 				continue
 			}
 			if lit.Negated {
 				for _, tr := range rt.negTransitions(lit) {
 					if tr.factor == sign {
-						if err := rt.runPlan(&rt.ctx, p, tr.keyRec, "", 1, mode, emit); err != nil {
+						if err := rt.runPlan(&rt.ctx, p, tr.keyRec, "", sign, mode, emit); err != nil {
 							return err
 						}
 					}
@@ -1116,7 +988,7 @@ func (wl *worklist) seed(rules []*compiledRule, units bool, sign int64, mode vie
 			}
 			for _, f := range litRel.touched {
 				if f.delta() == sign {
-					if err := rt.runPlan(&rt.ctx, p, f.rec, f.key, 1, mode, emit); err != nil {
+					if err := rt.runPlan(&rt.ctx, p, f.rec, f.key, sign, mode, emit); err != nil {
 						return err
 					}
 				}
@@ -1126,75 +998,26 @@ func (wl *worklist) seed(rules []*compiledRule, units bool, sign int64, mode vie
 	return nil
 }
 
-// drain pops queued facts until the stratum reaches its fixpoint: each
-// seeds every positive in-stratum occurrence of its relation under mode,
-// emitting through mk(head).
-func (wl *worklist) drain(mode viewMode, mk func(*relState) emitFunc) error {
+// drain pops queued facts until the queue is empty: each seeds every
+// positive in-stratum occurrence of its relation with weight w under
+// mode, emitting through mk(rule).
+func (wl *worklist) drain(w int64, mode viewMode, mk func(*compiledRule) emitFunc) error {
 	rt := wl.rt
 	for len(wl.queue) > 0 {
 		pd := wl.queue[len(wl.queue)-1]
 		wl.queue = wl.queue[:len(wl.queue)-1]
 		for _, occ := range rt.occsByRel[pd.rel.id] {
-			if !wl.inStratum[occ.rule.head] {
+			// In-stratum negation is impossible (stratified).
+			if occ.rule.head.stratum != wl.stratum || occ.rule.body[occ.bodyIdx].(*typecheck.LiteralTerm).Negated {
 				continue
 			}
-			lit := occ.rule.body[occ.bodyIdx].(*typecheck.LiteralTerm)
-			if lit.Negated {
-				continue // in-stratum negation is impossible (stratified)
-			}
-			if err := rt.runPlan(&rt.ctx, occ.rule.plansByBody[occ.bodyIdx], pd.rec, "", 1,
-				mode, mk(occ.rule.head)); err != nil {
+			if err := rt.runPlan(&rt.ctx, occ.rule.plansByBody[occ.bodyIdx], pd.f.rec, pd.f.key, w,
+				mode, mk(occ.rule)); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-// recomputeStratum rebuilds a recursive stratum from scratch: every
-// stratum tuple is retracted and the stratum's fixpoint is re-derived from
-// the (already settled) context relations. Facts keep their transaction
-// marks, so the clear+rebuild nets out to the true delta automatically. This is the
-// RecursiveDeleteFallback path; its cost is one stratum recomputation
-// regardless of how pathological the deletion's overdelete set would be.
-func (rt *Runtime) recomputeStratum(inStratum map[*relState]bool, stratumRules []*compiledRule) error {
-	for rs := range inStratum {
-		for _, f := range rs.facts {
-			rs.setAbsent(f)
-		}
-	}
-	wl := &worklist{rt: rt, inStratum: inStratum}
-	// Seed: unit rules, plus one full scan of the first positive context
-	// occurrence of each rule (a plan seeded at any occurrence joins the
-	// whole remaining body, so one seeding per rule is complete).
-	for _, cr := range stratumRules {
-		insert := wl.inserter(cr.head)
-		if cr.unitPlan != nil {
-			if err := rt.runPlan(&rt.ctx, cr.unitPlan, nil, "", 1, viewAllNew, insert); err != nil {
-				return err
-			}
-		}
-		for idx, p := range cr.plansByBody {
-			if p == nil {
-				continue
-			}
-			lit := cr.body[idx].(*typecheck.LiteralTerm)
-			litRel := rt.relStateOf(lit.Rel)
-			if lit.Negated || inStratum[litRel] {
-				continue
-			}
-			for _, f := range litRel.facts {
-				if f.count <= 0 {
-					continue
-				}
-				if err := rt.runPlan(&rt.ctx, p, f.rec, f.key, 1, viewAllNew, insert); err != nil {
-					return err
-				}
-			}
-			break // one complete seeding per rule suffices
-		}
-	}
-	return wl.drain(viewAllNew, wl.inserter)
 }
 
 // Contents returns a sorted snapshot of a relation's records.

@@ -54,7 +54,7 @@ func TestStringBuiltinsInRules(t *testing.T) {
 
 func TestFactIntoRecursiveStratum(t *testing.T) {
 	// A fact feeding a recursive relation exercises unit rules inside the
-	// DRed stratum machinery.
+	// recursive stratum machinery.
 	rt := newRT(t, `
 		input relation Edge(a: string, b: string)
 		output relation Reach(n: string)
@@ -222,9 +222,9 @@ func TestUserFunctionsIncremental(t *testing.T) {
 	wantContents(t, rt, "B", `(2)`)
 }
 
-func TestPropEquivalenceWithDeleteFallback(t *testing.T) {
-	// Dense churn on a small universe makes overdeletes routinely exceed
-	// the budget, forcing the recompute path; semantics must not change.
+func TestPropEquivalenceDenseChurn(t *testing.T) {
+	// Dense churn on a small universe: most deletions take a derivation
+	// from most labels, and cycles keep losing and regaining support.
 	gen := func(r *rand.Rand, insert bool) Update {
 		if r.Intn(5) == 0 {
 			return Update{
@@ -239,21 +239,16 @@ func TestPropEquivalenceWithDeleteFallback(t *testing.T) {
 			Insert:   insert,
 		}
 	}
-	opts := Options{RecursiveDeleteFallback: 0.3}
-	runEquivalenceOpts(t, reachSrc, opts, gen, 80, 4, 31)
-	runEquivalenceOpts(t, reachSrc, opts, gen, 80, 4, 32)
-	// An aggressive budget (every deletion recomputes) must also agree.
-	opts = Options{RecursiveDeleteFallback: 0.0000001}
-	runEquivalenceOpts(t, reachSrc, opts, gen, 60, 4, 33)
+	runEquivalence(t, reachSrc, gen, 80, 4, 31)
+	runEquivalence(t, reachSrc, gen, 80, 4, 32)
+	runEquivalence(t, reachSrc, gen, 60, 4, 33)
 }
 
-func TestDeleteFallbackTriggers(t *testing.T) {
-	// A cycle where deleting the entry edge overdeletes everything: with
-	// a tiny budget the fallback must engage and still be correct.
-	rt, err := New(compile(t, reachSrc), Options{RecursiveDeleteFallback: 0.1})
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestSelfSupportingCycleDeleted(t *testing.T) {
+	// A 20-node cycle whose only entry edge is cut: every cycle label
+	// still has a derivation from its predecessor, but none has a proof,
+	// so all 20 go.
+	rt := newRT(t, reachSrc)
 	var ups []Update
 	ups = append(ups, Insert("GivenLabel", strRec("root", "L")))
 	ups = append(ups, Insert("Edge", strRec("root", "c0")))
@@ -279,6 +274,49 @@ func TestDeleteFallbackTriggers(t *testing.T) {
 	// The output delta is exactly the 20 retracted labels.
 	if d["Label"] == nil || d["Label"].Len() != 20 {
 		t.Fatalf("delta = %v", d["Label"])
+	}
+}
+
+// TestDenseRemovalWorkBelowLabels pins recursive deletion's cost on dense
+// cyclic data: a link removal takes a derivation from most labels but
+// few lose their last proof, so the plan runs of one removal, checks
+// included, stay below one per label. Overdelete-and-rederive runs about
+// four per label here.
+func TestDenseRemovalWorkBelowLabels(t *testing.T) {
+	const nodes, edges, roots, removals = 1000, 3000, 50, 20
+	r := rand.New(rand.NewSource(42))
+	name := func(i int) string { return fmt.Sprintf("n%d", i) }
+	var ups []Update
+	for i := 0; i < roots; i++ {
+		ups = append(ups, Insert("GivenLabel", strRec(name(i), fmt.Sprintf("L%d", i%4))))
+	}
+	seen := make(map[[2]int]bool)
+	var graph [][2]int
+	for len(graph) < edges {
+		e := [2]int{r.Intn(nodes), r.Intn(nodes)}
+		if e[0] == e[1] || seen[e] {
+			continue
+		}
+		seen[e] = true
+		graph = append(graph, e)
+		ups = append(ups, Insert("Edge", strRec(name(e[0]), name(e[1]))))
+	}
+	rt, err := New(compile(t, reachSrc), Options{Collect: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	apply(t, rt, ups...)
+	for i, k := range r.Perm(edges)[:removals] {
+		labels, _ := rt.Contents("Label")
+		e := graph[k]
+		apply(t, rt, Delete("Edge", strRec(name(e[0]), name(e[1]))))
+		var seedings int64
+		for _, rs := range rt.LastApplyStats().Rules {
+			seedings += rs.Seedings
+		}
+		if seedings >= int64(len(labels)) {
+			t.Fatalf("removal %d: %d plan runs against %d labels", i, seedings, len(labels))
+		}
 	}
 }
 

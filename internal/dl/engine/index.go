@@ -42,6 +42,9 @@ type fact struct {
 	// touched); arranged: it sits in every arrangement's bucket, which is
 	// true from becoming present until the sweep after becoming absent.
 	touched, wasPresent, arranged bool
+	// mark is the fact's state while its recursive stratum deletes
+	// (backward.go); unchecked otherwise.
+	mark bfMark
 }
 
 // newFact allocates a fact together with the storage of its record, a
@@ -458,11 +461,11 @@ const (
 	// viewConvention: literals before the seed read the old view, literals
 	// after it the new view (the multilinear differentiation convention).
 	viewConvention viewMode = iota
-	// viewAllOld: every lookup reads the pre-transaction state (DRed
-	// overdelete phase).
+	// viewAllOld: every lookup reads the pre-transaction state (a
+	// recursive stratum's search for lost derivations).
 	viewAllOld
-	// viewAllNew: every lookup reads the current state (DRed insertion and
-	// rederivation phases, initial evaluation).
+	// viewAllNew: every lookup reads the current state (a recursive
+	// stratum's checks, saturation and insertion, initial evaluation).
 	viewAllNew
 )
 

@@ -98,8 +98,9 @@ type compiledRule struct {
 	// unitPlan evaluates the rule with no seed (rules without positive
 	// literals); nil otherwise.
 	unitPlan *plan
-	// checkPlan decides whether a given head tuple is derivable by this
-	// rule (pattern heads only); used by DRed rederivation.
+	// checkPlan enumerates the instances of this rule that derive a given
+	// head tuple (pattern heads only); a recursive stratum's deletion
+	// checks run it.
 	checkPlan *plan
 }
 
@@ -213,12 +214,31 @@ func walkVars(e typecheck.Expr, f func(*typecheck.VarRef)) {
 // eq builds the equality filter l == r.
 func eq(l, r typecheck.Expr) typecheck.Expr { return &typecheck.Cmp{Op: "==", L: l, R: r} }
 
-// headIsPattern reports whether every head expression is a plain variable
-// or constant, making the head invertible for rederivation checks.
-func headIsPattern(exprs []typecheck.Expr) bool {
-	for _, e := range exprs {
-		switch e.(type) {
-		case *typecheck.VarRef, *typecheck.Const:
+// headIsPattern reports whether every head expression is a constant or
+// a plain variable that a positive body literal binds: the head is then
+// invertible for backward checks, and the rule derives only tuples over
+// the active domain, so a recursive stratum's fixpoint is finite.
+func headIsPattern(rule *compiledRule) bool {
+	inLiteral := make(map[int]bool)
+	for _, term := range rule.body {
+		if lit, ok := term.(*typecheck.LiteralTerm); ok && !lit.Negated {
+			for _, slot := range lit.BindSlots {
+				inLiteral[slot] = true
+			}
+			for _, chk := range lit.Checks {
+				if vr, ok := chk.Expr.(*typecheck.VarRef); ok {
+					inLiteral[vr.Slot] = true
+				}
+			}
+		}
+	}
+	for _, e := range rule.headExprs {
+		switch e := e.(type) {
+		case *typecheck.Const:
+		case *typecheck.VarRef:
+			if !inLiteral[e.Slot] {
+				return false
+			}
 		default:
 			return false
 		}
@@ -421,7 +441,7 @@ func (b *planBuilder) flushReady() bool {
 // prefers relations from lower strata over relations in the head's own
 // (recursive) stratum — recursive relations hold transitive closures and
 // tend to be far larger than their generating context relations, so
-// probing the context first keeps rederivation checks local.
+// probing the context first keeps backward checks local.
 func (b *planBuilder) joinScore(lit *typecheck.LiteralTerm) int {
 	score := 0
 	for _, slot := range lit.BindSlots {
@@ -537,9 +557,9 @@ func (rt *Runtime) buildPlans(rule *compiledRule) error {
 		rule.unitPlan = p
 	}
 	if rule.head.recursive {
-		if !headIsPattern(rule.headExprs) {
+		if !headIsPattern(rule) {
 			return fmt.Errorf(
-				"engine: rule for recursive relation %s must have a pattern head (plain variables or constants)",
+				"engine: rule for recursive relation %s must have a pattern head (constants, or variables its positive body literals bind)",
 				rule.head.rel.Name)
 		}
 		b := newPlanBuilder(rt, rule)

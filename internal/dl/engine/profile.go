@@ -31,11 +31,12 @@ type RuleStats struct {
 	// Stratum/Recursive locate the rule's head in the evaluation order.
 	Stratum   int
 	Recursive bool
-	// Seedings counts plan runs seeded for this rule (including DRed
-	// rederivation checks); Derivations counts head tuples the rule
-	// emitted; DeltaTuples counts net presence transitions attributed to
-	// the rule's emissions (recursive overdeletes are counted when
-	// overdeleted, rederivations as insertions by the rederiving rule).
+	// Seedings counts plan runs seeded for this rule (including a
+	// recursive stratum's checks and saturation); Derivations counts head
+	// tuples the rule emitted; DeltaTuples counts net presence transitions
+	// attributed to the rule's emissions (a recursive deletion counts
+	// against the rule whose lost derivation started the check that found
+	// the fact without a proof).
 	Seedings    int64
 	Derivations int64
 	DeltaTuples int64

@@ -133,12 +133,11 @@ func runEquivalence(t *testing.T, src string, gen func(r *rand.Rand, insert bool
 	runEquivalenceOpts(t, src, Options{}, gen, txns, opsPerTxn, seed)
 }
 
-// runEquivalenceWide runs one seed under plain DRed and under the
-// recompute fallback, the two ways a recursive deletion can be served, and
-// with collection on, where every emit also writes the provenance store.
+// runEquivalenceWide runs one seed with collection off and on; on, every
+// emit also writes the provenance store.
 func runEquivalenceWide(t *testing.T, src string, gen func(r *rand.Rand, insert bool) Update, txns, opsPerTxn int, seed int64) {
 	t.Helper()
-	for _, opts := range []Options{{}, {RecursiveDeleteFallback: 0.5}, {Collect: true}} {
+	for _, opts := range []Options{{}, {Collect: true}} {
 		runEquivalenceOpts(t, src, opts, gen, txns, opsPerTxn, seed)
 	}
 }

@@ -32,13 +32,14 @@ import (
 //     the matching insertion recorded. An unrecord can only remove a
 //     derivation recorded before it, and a fact dropped later in the same
 //     transaction is wiped whatever its unrecords did.
-//   - DRed (recursive strata): the overdelete phase runs with viewAllOld
-//     and captures nothing; applying the overdeletions drops each
-//     retracted fact's provenance wholesale (relState.add → drop).
-//     Rederivation runs check plans under viewAllNew with capture on, so
-//     a surviving fact's provenance is rebuilt from its post-deletion
-//     proof. RecursiveDeleteFallback's recomputeStratum behaves
-//     identically: setAbsent drops, re-insertion re-records.
+//   - Recursive strata (Backward/Forward, backward.go): the search for
+//     lost derivations runs under viewAllOld at weight -1, so a surviving
+//     fact unrecords exactly the derivations that used a deleted fact, as
+//     in a counting stratum; a deleted fact drops its provenance wholesale
+//     (relState.add → drop). The derivation that proves a surviving fact
+//     is recorded first in its list, and proofs are found in dependency
+//     order, so following first derivations never cycles back. Insertion
+//     records like a counting stratum.
 //
 // The store is bounded (DefaultProvenanceCapacity facts, FIFO eviction;
 // maxDerivationsPerFact alternates per fact) and Explain reads only the
@@ -447,8 +448,10 @@ func sigHash(buf *[]byte, labelHash uint64, trail []provInput) uint64 {
 // record adds one derivation of the fact dg (relation rel, record rec)
 // whose inputs are the trail's facts. A derivation already recorded (same
 // sig) is kept as it is, so the re-derivation path — every re-derivation
-// of a live fact — is allocation-free.
-func (ps *provStore) record(dg uint64, rel int, rec value.Record, sig uint64, label string, stratum int, trail []provInput, truncated bool) {
+// of a live fact — is allocation-free. With first, the derivation goes
+// (or moves) to the front, where Explain looks first, displacing the last
+// one when the fact is full.
+func (ps *provStore) record(dg uint64, rel int, rec value.Record, sig uint64, label string, stratum int, trail []provInput, truncated, first bool) {
 	ps.evictLocked()
 	ref := ps.facts.getOrInsert(dg, func() int32 {
 		r := ps.allocFact()
@@ -465,22 +468,32 @@ func (ps *provStore) record(dg uint64, rel int, rec value.Record, sig uint64, la
 		ps.live++
 	}
 	fp.rec = rec
-	for k := range fp.derivs {
-		if fp.derivs[k].sig == sig {
-			return
+	k := 0
+	for k < len(fp.derivs) && fp.derivs[k].sig != sig {
+		k++
+	}
+	if k == len(fp.derivs) {
+		if k >= maxDerivationsPerFact {
+			ps.droppedDerivs++
+			if !first {
+				return
+			}
+			ps.dropDeriv(fp, k-1)
+			k--
 		}
+		in := ps.newInputs()
+		for i := range trail {
+			in = append(in, factRef{rel: trail[i].rs.id, rec: trail[i].rec})
+		}
+		fp.derivs = append(fp.derivs, derivation{
+			label: label, stratum: int32(stratum), truncated: truncated, inputs: in, sig: sig,
+		})
 	}
-	if len(fp.derivs) >= maxDerivationsPerFact {
-		ps.droppedDerivs++
-		return
+	if first {
+		d := fp.derivs[k]
+		copy(fp.derivs[1:k+1], fp.derivs[:k])
+		fp.derivs[0] = d
 	}
-	in := ps.newInputs()
-	for i := range trail {
-		in = append(in, factRef{rel: trail[i].rs.id, rec: trail[i].rec})
-	}
-	fp.derivs = append(fp.derivs, derivation{
-		label: label, stratum: int32(stratum), truncated: truncated, inputs: in, sig: sig,
-	})
 }
 
 // liveFact returns the container of fact dg, or nil when the fact has no
@@ -748,12 +761,12 @@ func (ps *provStore) nodeLocked(rt *Runtime, rel int, key string, rec value.Reco
 // it (w<0) at plan emit time. Called only when the emitting context has
 // capture on; ctx supplies the sig-hash scratch. The fact's digest folds
 // its cached key hash, so the fact's identity is hashed only when the
-// fact is created.
-func (rt *Runtime) recordProv(ctx *evalCtx, cr *compiledRule, f *fact, w int64, trail []provInput) {
+// fact is created. first records a recursive fact's proof (record).
+func (rt *Runtime) recordProv(ctx *evalCtx, cr *compiledRule, f *fact, w int64, trail []provInput, first bool) {
 	sig := sigHash(&ctx.sigBuf, cr.labelHash, trail)
 	dg := provFold(f.phash, cr.head.id)
 	if w > 0 {
-		rt.prov.record(dg, cr.head.id, f.rec, sig, cr.label, cr.head.stratum, trail, false)
+		rt.prov.record(dg, cr.head.id, f.rec, sig, cr.label, cr.head.stratum, trail, false, first)
 	} else if w < 0 {
 		rt.prov.unrecord(dg, sig)
 	}
@@ -779,7 +792,7 @@ func (rt *Runtime) recordAggProv(spec *aggSpec, keyEnc []byte, rec value.Record,
 		trail = append(trail, ti)
 	}
 	sig := sigHash(&rt.ctx.sigBuf, spec.labelHash, trail)
-	rt.prov.record(provDigest(spec.head.id, key), spec.head.id, rec, sig, spec.label, spec.head.stratum, trail, truncated)
+	rt.prov.record(provDigest(spec.head.id, key), spec.head.id, rec, sig, spec.label, spec.head.stratum, trail, truncated, false)
 }
 
 // ruleLabel renders a compact operator-facing identity for a compiled

@@ -216,55 +216,52 @@ Reach(a, b) :- Edge(a, b).
 Reach(a, c) :- Reach(a, b), Edge(b, c).
 `
 
-// TestProvenanceRecursive pins DRed interaction: overdeleted facts lose
-// their provenance, rederived ones regain a valid proof, and every tree
-// stays acyclic. Runs the DRed and fallback variants.
+// TestProvenanceRecursive pins the recursive-deletion interaction:
+// deleted facts lose their provenance, a surviving fact that lost a
+// derivation keeps a valid proof, and every tree stays acyclic.
 func TestProvenanceRecursive(t *testing.T) {
-	for _, opts := range []Options{
-		{},
-		{RecursiveDeleteFallback: 0.5},
-	} {
-		t.Run(fmt.Sprintf("fallback=%v", opts.RecursiveDeleteFallback), func(t *testing.T) {
-			rt := newProvRT(t, reachProvSrc, opts)
-			apply(t, rt,
-				Insert("Edge", strRec("a", "b")),
-				Insert("Edge", strRec("b", "c")),
-				Insert("Edge", strRec("c", "d")),
-				Insert("Edge", strRec("a", "c"))) // alternate route to c
-			n, ok := rt.Explain("Reach", strRec("a", "d"), wideExplain)
-			if !ok {
-				t.Fatal("no provenance for reach fact")
+	// The subtest is named for its delete mode: deletion runs without
+	// a recompute fallback, the engine's only mode.
+	t.Run("fallback=0", func(t *testing.T) {
+		rt := newProvRT(t, reachProvSrc, Options{})
+		apply(t, rt,
+			Insert("Edge", strRec("a", "b")),
+			Insert("Edge", strRec("b", "c")),
+			Insert("Edge", strRec("c", "d")),
+			Insert("Edge", strRec("a", "c"))) // alternate route to c
+		n, ok := rt.Explain("Reach", strRec("a", "d"), wideExplain)
+		if !ok {
+			t.Fatal("no provenance for reach fact")
+		}
+		got := make(map[string][]value.Record)
+		if !leaves(n, got) {
+			t.Fatalf("incomplete proof: %+v", n)
+		}
+		if len(got["Edge"]) == 0 {
+			t.Fatalf("no Edge leaves: %v", got)
+		}
+		// Deleting b→c leaves a–c–d reachable via the alternate edge; the
+		// surviving fact must still have a valid proof.
+		apply(t, rt, Delete("Edge", strRec("b", "c")))
+		n, ok = rt.Explain("Reach", strRec("a", "d"), wideExplain)
+		if !ok {
+			t.Fatal("surviving fact lost provenance")
+		}
+		got = make(map[string][]value.Record)
+		if !leaves(n, got) {
+			t.Fatalf("incomplete proof of the surviving fact: %+v", n)
+		}
+		for _, e := range got["Edge"] {
+			if e.String() == `("b", "c")` {
+				t.Fatal("proof uses a deleted edge")
 			}
-			got := make(map[string][]value.Record)
-			if !leaves(n, got) {
-				t.Fatalf("incomplete proof: %+v", n)
-			}
-			if len(got["Edge"]) == 0 {
-				t.Fatalf("no Edge leaves: %v", got)
-			}
-			// Deleting b→c leaves a–c–d reachable via the alternate edge;
-			// the surviving fact must still have a valid (rederived) proof.
-			apply(t, rt, Delete("Edge", strRec("b", "c")))
-			n, ok = rt.Explain("Reach", strRec("a", "d"), wideExplain)
-			if !ok {
-				t.Fatal("rederived fact lost provenance")
-			}
-			got = make(map[string][]value.Record)
-			if !leaves(n, got) {
-				t.Fatalf("incomplete rederived proof: %+v", n)
-			}
-			for _, e := range got["Edge"] {
-				if e.String() == `("b", "c")` {
-					t.Fatal("proof uses a deleted edge")
-				}
-			}
-			// Cutting the alternate edge retracts a→d for good.
-			apply(t, rt, Delete("Edge", strRec("a", "c")))
-			if _, ok := rt.Explain("Reach", strRec("a", "d"), wideExplain); ok {
-				t.Fatal("retracted reach fact still explainable")
-			}
-		})
-	}
+		}
+		// Cutting the alternate edge retracts a→d for good.
+		apply(t, rt, Delete("Edge", strRec("a", "c")))
+		if _, ok := rt.Explain("Reach", strRec("a", "d"), wideExplain); ok {
+			t.Fatal("retracted reach fact still explainable")
+		}
+	})
 }
 
 // TestProvenanceVsNaive is the property test: for every fact in every
@@ -344,6 +341,16 @@ func TestProvenanceVsNaive(t *testing.T) {
 					t.Fatalf("txn %d: %v", txn, err)
 				}
 				cur := outputs()
+				live := make(map[string]map[string]bool)
+				for _, rel := range prog.Relations {
+					if rel.Role.String() == "input" {
+						recs, _ := rt.Contents(rel.Name)
+						live[rel.Name] = make(map[string]bool, len(recs))
+						for _, rec := range recs {
+							live[rel.Name][rec.Key()] = true
+						}
+					}
+				}
 				for rel, byKey := range cur {
 					for _, rec := range byKey {
 						n, ok := rt.Explain(rel, rec, wideExplain)
@@ -353,6 +360,16 @@ func TestProvenanceVsNaive(t *testing.T) {
 						inputs := make(map[string][]value.Record)
 						if !leaves(n, inputs) {
 							t.Fatalf("txn %d: incomplete proof for %s%s: %+v", txn, rel, rec, n)
+						}
+						// A leaf no longer in its input relation is a stale
+						// derivation the fact kept.
+						for in, recs := range inputs {
+							for _, leaf := range recs {
+								if !live[in][leaf.Key()] {
+									t.Fatalf("txn %d: proof of %s%s uses %s%s, no longer an input",
+										txn, rel, rec, in, leaf)
+								}
+							}
 						}
 						want, err := NaiveEval(prog, inputs)
 						if err != nil {

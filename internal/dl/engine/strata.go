@@ -9,8 +9,9 @@
 //     one "seed plan" per body literal occurrence, evaluated against old/new
 //     views of the other literals (the standard multilinear expansion), so
 //     the work done is proportional to the delta, not the database;
-//   - recursive strata use DRed (delete–rederive) with semi-naive insertion,
-//     the classic algorithm for incremental recursive views;
+//   - recursive strata delete by the Backward/Forward algorithm, which
+//     removes a fact only when no proof of it is left (backward.go), and
+//     insert semi-naively;
 //   - group_by rules materialize their bodies into hidden relations and
 //     re-aggregate only the affected groups.
 //
