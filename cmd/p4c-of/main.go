@@ -1,6 +1,7 @@
 // Command p4c-of compiles a P4 subset program onto an OpenFlow-style
 // pipeline (the paper's p4c-of component) and prints the table layout and
-// miss flows in an ovs-ofctl-like format.
+// the flows below the controller's entries (miss and pass-through flows)
+// in an ovs-ofctl-like format.
 //
 //	p4c-of [-p4 program.p4]
 package main
@@ -51,16 +52,14 @@ func main() {
 		}
 		fmt.Printf("// table %2d: %-16s guard=%-28s then %s\n", ct.ID, ct.Name, guard, next)
 	}
-	fmt.Println("// miss flows (controller entries add higher-priority flows):")
+	fmt.Println("// miss and pass-through flows (controller entries add higher-priority flows):")
 	var flows []p4of.Flow
 	for _, ct := range pl.Tables {
-		miss, err := pl.MissFlow(ct.Name)
+		miss, err := pl.MissFlows(ct.Name)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if miss != nil {
-			flows = append(flows, *miss)
-		}
+		flows = append(flows, miss...)
 	}
 	fmt.Print(p4of.Render(flows))
 }

@@ -19,8 +19,9 @@ import (
 // TestFlightRecorderSlowPushIncident is the flight recorder's acceptance
 // test: with a switchsim fault hook making device writes artificially
 // slow and a tight push budget, inserting a Port row must pin the
-// transaction into /debug/incidents carrying its commit→push event
-// timeline, and /debug/history must show a nonzero push-latency sample.
+// transaction into /debug/incidents carrying its commit→push trace,
+// whose write stage names the slow device, and /debug/history must show
+// a nonzero push-latency sample.
 func TestFlightRecorderSlowPushIncident(t *testing.T) {
 	o := obs.NewObserver()
 	s, err := deploy.Start(bench.SnvsSpec(o))
@@ -117,26 +118,28 @@ func TestFlightRecorderSlowPushIncident(t *testing.T) {
 		t.Fatalf("incident actual=%v budget=%v, want >= %v over 5ms", inc.Actual, inc.Budget, stall)
 	}
 
-	// The pinned events must tell the commit→push story in order.
-	seq := map[string]uint64{}
-	for _, ev := range inc.Events {
-		if _, dup := seq[ev.Kind]; !dup {
-			seq[ev.Kind] = ev.Seq
-		}
-	}
-	for _, kind := range []string{"txn.commit", "monitor.deliver", "push.start", "device.write", "push.barrier"} {
-		if _, ok := seq[kind]; !ok {
-			t.Fatalf("incident timeline missing %q: %+v", kind, inc.Events)
-		}
-	}
-	if !(seq["txn.commit"] < seq["monitor.deliver"] &&
-		seq["monitor.deliver"] < seq["push.start"] &&
-		seq["push.start"] < seq["device.write"] &&
-		seq["device.write"] <= seq["push.barrier"]) {
-		t.Fatalf("incident timeline out of order: %v", seq)
-	}
+	// The pinned trace must tell the commit→push story in order, and name
+	// the slow device by its write stage.
 	if inc.Trace == nil || inc.Trace.TxnID != txn {
 		t.Fatalf("incident trace missing: %+v", inc.Trace)
+	}
+	byName := map[string]obs.Stage{}
+	for _, st := range inc.Trace.Stages {
+		byName[st.Name] = st
+	}
+	order := []string{"commit", "monitor", "delta", "push", "write"}
+	for i, name := range order {
+		st, ok := byName[name]
+		if !ok {
+			t.Fatalf("incident trace missing %q: %+v", name, inc.Trace.Stages)
+		}
+		if i > 0 && st.Start.Before(byName[order[i-1]].Start) {
+			t.Fatalf("incident trace out of order: %s starts before %s: %+v", name, order[i-1], inc.Trace.Stages)
+		}
+	}
+	w := byName["write"]
+	if w.Device != "snvs0" || w.End.Sub(w.Start) < stall || w.End.After(byName["push"].End) {
+		t.Fatalf("write stage %+v: want device snvs0, at least %v, inside push %+v", w, stall, byName["push"])
 	}
 
 	// /debug/incidents?txn= narrows to the same capture.
@@ -178,47 +181,97 @@ func TestFlightRecorderSlowPushIncident(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderEventsAcrossPlanes checks that one transaction's
-// /debug/events?txn= view stitches all planes' emissions together.
-func TestFlightRecorderEventsAcrossPlanes(t *testing.T) {
+// TestFlightRecorderCommitIsTraceOnly: on an observed stack a plain Port
+// insert is recorded once, as the stages of its trace. /debug/events?txn=
+// holds nothing for it, and /debug/traces?txn= holds commit, monitor,
+// delta, push, the switch's write and switch-applied, with commit first
+// and the write inside the push.
+func TestFlightRecorderCommitIsTraceOnly(t *testing.T) {
 	o, s := startObservedStack(t)
+	if err := s.Transact(ovsdb.OpInsert("Port", map[string]ovsdb.Value{
+		"name": "p2", "port_num": int64(2), "vlan_mode": "access", "tag": int64(10),
+	})); err != nil {
+		t.Fatal(err)
+	}
 	txn := s.DB.LastTxnID()
-
+	if err := s.WaitEntries("snvs0", "in_vlan", 2); err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(o.Handler())
 	defer srv.Close()
-
-	var dump struct {
-		Total  uint64      `json:"total"`
-		Events []obs.Event `json:"events"`
-	}
-	// The device.write event lands after table convergence; poll briefly.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(srv.URL + "/debug/events?txn=" + strconv.FormatUint(txn, 10))
+	get := func(path string, v any) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err := json.Unmarshal(body, &dump); err != nil {
-			t.Fatalf("/debug/events is not JSON: %v\n%s", err, body)
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
 		}
-		kinds := map[string]bool{}
-		for _, ev := range dump.Events {
-			kinds[ev.Kind] = true
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s\n%s", path, resp.Status, body)
 		}
-		if kinds["txn.commit"] && kinds["monitor.deliver"] && kinds["apply.start"] &&
-			kinds["apply.end"] && kinds["delta.done"] && kinds["device.write"] && kinds["push.barrier"] {
+		if err := json.Unmarshal(body, v); err != nil {
+			t.Fatalf("GET %s is not JSON: %v\n%s", path, err, body)
+		}
+	}
+	// The wire form, decoded as any client of /debug/traces does.
+	type stage struct {
+		Name   string           `json:"name"`
+		Start  time.Time        `json:"start"`
+		End    time.Time        `json:"end"`
+		Device string           `json:"device"`
+		Attrs  map[string]int64 `json:"attrs"`
+	}
+	want := []string{"commit", "monitor", "delta", "push", "write", "switch-applied"}
+	q := "?txn=" + strconv.FormatUint(txn, 10)
+	var tr struct {
+		TxnID  uint64  `json:"txn_id"`
+		Stages []stage `json:"stages"`
+	}
+	byName := map[string]stage{}
+	// The push stage is recorded after the device write returns, so it
+	// can trail the switch's convergence by a beat.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		get("/debug/traces"+q, &tr)
+		clear(byName)
+		for _, st := range tr.Stages {
+			byName[st.Name] = st
+		}
+		if len(byName) == len(want) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("/debug/events?txn=%d incomplete: %+v", txn, dump.Events)
+			t.Fatalf("trace of txn %d has stages %+v, want %v", txn, tr.Stages, want)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	for _, ev := range dump.Events {
-		if ev.Txn != txn {
-			t.Fatalf("filtered dump leaked txn %d: %+v", ev.Txn, ev)
+	for _, name := range want {
+		if _, ok := byName[name]; !ok {
+			t.Fatalf("trace of txn %d misses %q: %+v", txn, name, tr.Stages)
 		}
+	}
+	if len(tr.Stages) != len(want) {
+		t.Fatalf("trace of txn %d has %d stages, want one of each of %v: %+v", txn, len(tr.Stages), want, tr.Stages)
+	}
+	if tr.Stages[0].Name != "commit" {
+		t.Fatalf("first stage is %q, want commit: %+v", tr.Stages[0].Name, tr.Stages)
+	}
+	w, push := byName["write"], byName["push"]
+	if w.Device != "snvs0" || w.Attrs["updates"] < 1 || w.Attrs["failed"] != 0 {
+		t.Fatalf("write stage = %+v, want device snvs0, updates >= 1, not failed", w)
+	}
+	if w.Start.Before(push.Start) || w.End.After(push.End) {
+		t.Fatalf("write stage %v..%v lies outside push %v..%v", w.Start, w.End, push.Start, push.End)
+	}
+
+	var dump struct {
+		Events []obs.Event `json:"events"`
+	}
+	get("/debug/events"+q, &dump)
+	if len(dump.Events) != 0 {
+		t.Fatalf("/debug/events%s holds %d events for a plain commit, want none: %+v", q, len(dump.Events), dump.Events)
 	}
 }

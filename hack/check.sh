@@ -35,6 +35,11 @@ if grep -rln --include='*.go' 'switchsim\.New(' . | grep -v -e '^\./internal/dep
 # filter class; the reflected message structs and the []any row
 # renderers live on only in its tests, as the oracle.
 if grep -nE 'updateMsg\{|subscribeResult\{|func render(Delta|Record|Value|Fields)\b|make\(\[\]any' $(ls internal/subscribe/*.go | grep -v _test.go); then exit 1; fi
+# One record per transaction stage: each step of a transaction is a
+# stage on its trace, so the flight-recorder kinds that shadowed a stage
+# stay deleted, and the engine records nothing itself.
+if grep -rnE --include='*.go' 'Ev\("[a-z]+", *"(txn\.commit|monitor\.deliver|apply\.(start|end)|stratum\.eval|delta\.done|txn\.coalesce|push\.(start|barrier)|device\.write|rpc\.write|write\.apply)"' cmd internal | grep -v '_test\.go:'; then exit 1; fi
+if go list -deps ./internal/dl/engine | grep -x 'repro/internal/obs'; then exit 1; fi
 go build ./...
 # Every example runs to completion.
 for ex in examples/*/; do go run "./$ex" >/dev/null; done
@@ -73,8 +78,12 @@ go test -run 'TestFuncCallFrameInCallerScratch' -count=1 ./internal/dl/typecheck
 # Apply writes the provenance store in place under its lock while Explain
 # reads it: twenty runs under the race detector.
 go test -race -count=20 -run 'TestProvenanceConcurrentExplainHammer|TestProvenanceVsNaive|TestProvenanceRecursive' ./internal/dl/engine/
-# Flight-recorder: the event hot path must stay allocation-free.
-go test -run 'TestEventHotPathZeroAlloc' -count=1 ./internal/obs/
+# Flight-recorder: the event and trace hot paths must stay
+# allocation-free, and a plain commit is recorded once, as the stages of
+# its trace (the slow device of a pinned incident named by its write
+# stage), under the race detector.
+go test -run 'TestEventHotPathZeroAlloc|TestEventPoolZeroAlloc|TestTracerRecordZeroAlloc' -count=1 ./internal/obs/
+go test -race -run 'TestFlightRecorder|TestObsTraceTimeline' -count=3 .
 # Data plane: a known-unicast frame crosses the lowered pipeline and the
 # switch without allocating, and injectors re-entering the switch from
 # its output handler share the pooled packet state with a table writer:
@@ -100,9 +109,10 @@ go test -race -run 'TestKillRestartEndToEnd' -count=1 .
 # reconciliation of a fallback snapshot, the in-process deployment's
 # restarts back to its pre-boot goroutine count, /debug/explain read on
 # the event loop during commits, queued digest lists merged into one
-# apply and one write but never with commits, and a static MAC taking
-# precedence over a learnt one, in one -race line.
-go test -race -run 'TestRedial|TestResilient|TestResync|TestResnapshot|TestPushToleratesUnavailableDevice|TestMissedWriteResyncsInsteadOfDelta|TestTransactIntegerExact|TestControllerInstallsResyncHook|TestRestartAndQuiesce|TestExplainDuringCommits|TestCoalesceDigest|TestStaticMacOverridesLearnt' -count=1 ./internal/redial/ ./internal/ovsdb/ ./internal/p4rt/ ./internal/core/ ./internal/deploy/
+# apply and one write but never with commits, a static MAC taking
+# precedence over a learnt one, and learnt MACs forgotten by a restarted
+# controller, in one -race line.
+go test -race -run 'TestRedial|TestResilient|TestResync|TestResnapshot|TestPushToleratesUnavailableDevice|TestMissedWriteResyncsInsteadOfDelta|TestTransactIntegerExact|TestControllerInstallsResyncHook|TestRestartAndQuiesce|TestExplainDuringCommits|TestCoalesceDigest|TestStaticMacOverridesLearnt|TestControllerRestartForgetsLearnt' -count=1 ./internal/redial/ ./internal/ovsdb/ ./internal/p4rt/ ./internal/core/ ./internal/deploy/
 (cd "$bench_dir" && ./nerpa-bench -exp reconnect -reconnect-ports 50,250 -reconnect-restarts 3 &&
     test -s BENCH_reconnect.json)
 # Pub/sub fan-out: the subscription service e2e (snapshot-then-delta

@@ -23,7 +23,9 @@ import (
 // events-only delta is the always-on acceptance budget. Each
 // transaction's apply+push latency is read from the controller's own
 // "delta" and "push" trace stages, so the experiment has no timer of its
-// own — and an unobserved row cannot be read at all.
+// own — and an unobserved row cannot be read at all. Each step of a
+// commit is a trace stage and no event, so these commits append nothing
+// to the ring: the "events" row prices an allocated, idle ring.
 // ---------------------------------------------------------------------
 
 // obsOverheadBaseMode is the row overheads are computed against.

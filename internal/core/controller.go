@@ -52,8 +52,7 @@ type DataPlane interface {
 // originating management-plane transaction to a write (*p4rt.Client and
 // *p4rt.ResilientClient do). Observed controllers use it to extend each
 // transaction's trace across the process boundary into the switch, which
-// stamps its apply events and records the switch-applied stage. Detected
-// by interface assertion.
+// records the switch-applied stage. Detected by interface assertion.
 type TxnWriter interface {
 	WriteTxn(txn uint64, updates ...p4rt.Update) error
 }
@@ -382,11 +381,10 @@ func NewWithClasses(cfg Config, mp ManagementPlane, classes []DeviceClass) (*Con
 		}
 	}
 	// An observed controller turns the engine's collection on: the dl_*
-	// series and the profiler need its statistics, /debug/explain needs
-	// its provenance store, and sharing the process flight recorder
-	// interleaves apply/stratum events with the controller's own.
+	// series, the profiler and the delta stage need its statistics, and
+	// /debug/explain needs its provenance store.
 	c.step, err = newStep(schema, cfg.Rules, classes, infos,
-		engine.Options{Collect: cfg.Obs != nil, Events: cfg.Obs.Rec()})
+		engine.Options{Collect: cfg.Obs != nil})
 	if err != nil {
 		return nil, err
 	}
@@ -623,7 +621,6 @@ func (c *Controller) dispatch(batch []event) {
 			txn = ev.txnID
 		}
 	}
-	c.rt.SetEventTxn(txn)
 	start := time.Now()
 	delta, err := c.apply(batch)
 	engineTime := time.Since(start)
@@ -636,15 +633,8 @@ func (c *Controller) dispatch(batch []event) {
 	if k := len(batch); k > 1 {
 		c.m.coalesceBatches.Inc()
 		c.m.coalescedTxns.Add(uint64(k))
-		c.rec.Append(obs.Ev("core", "txn.coalesce").WithTxn(txn).
-			F("txns", int64(k)).F("updates", int64(inputs)))
 	}
-	c.rec.Append(obs.Ev("core", "delta.done").WithTxn(txn).
-		F("input_updates", int64(inputs)).
-		F("changed_rels", int64(len(delta))).
-		F("eval_us", engineTime.Microseconds()))
 	pushStart := time.Now()
-	c.rec.Append(obs.Ev("core", "push.start").WithTxn(txn).At(pushStart))
 	n, err := c.push(txn, ev.source, delta)
 	pushTime := time.Since(pushStart)
 	if err != nil {
@@ -667,21 +657,11 @@ func (c *Controller) dispatch(batch []event) {
 		c.cfg.OnDelta(txn, delta)
 	}
 	if c.tracer != nil {
-		// Each merged commit gets its own push stage (with its own attrs
-		// map: pooled maps must not be shared across traces). An event
-		// with no transaction (a digest list) has no trace to join.
+		// Each merged commit gets its own push stage. An event with no
+		// transaction (a digest list) has no trace to join.
+		push := obs.Stage{Name: "push", Start: pushStart, End: pushStart.Add(pushTime)}.F("updates", int64(n))
 		for _, ev := range batch {
-			if ev.txnID == 0 {
-				continue
-			}
-			attrs := obs.NewAttrs()
-			attrs["updates"] = int64(n)
-			c.tracer.Record(ev.txnID, "core", obs.Stage{
-				Name:  "push",
-				Start: pushStart,
-				End:   pushStart.Add(pushTime),
-				Attrs: attrs,
-			})
+			c.tracer.Record(ev.txnID, "core", push)
 		}
 	}
 	// Budget checks run only after the push completed, so an incident
@@ -748,26 +728,16 @@ func (c *Controller) observeEngine(batch []event, start time.Time, engineTime ti
 	if c.tracer != nil {
 		// Each merged commit gets its own delta stage carrying its own
 		// update count, so /debug/traces stays per-commit even when the
-		// engine applied several commits at once. Attrs maps are pooled
-		// and per-trace, hence built per commit; a digest list (txn 0)
+		// engine applied several commits at once; a digest list (txn 0)
 		// has no trace.
+		delta := obs.Stage{Name: "delta", Start: start, End: start.Add(engineTime)}
 		for _, ev := range batch {
-			if ev.txnID == 0 {
-				continue
-			}
-			attrs := obs.NewAttrs()
-			attrs["input_updates"] = int64(len(ev.updates))
-			attrs["delta_size"] = int64(st.DeltaSize)
-			attrs["derivations"] = st.Derivations
+			sg := delta.F("input_updates", int64(len(ev.updates))).
+				F("delta_size", int64(st.DeltaSize)).F("derivations", st.Derivations)
 			if len(batch) > 1 {
-				attrs["coalesced_txns"] = int64(len(batch))
+				sg = sg.F("coalesced_txns", int64(len(batch)))
 			}
-			c.tracer.Record(ev.txnID, "core", obs.Stage{
-				Name:  "delta",
-				Start: start,
-				End:   start.Add(engineTime),
-				Attrs: attrs,
-			})
+			c.tracer.Record(ev.txnID, "core", sg)
 		}
 	}
 	return ruleSamples
@@ -795,9 +765,6 @@ func (c *Controller) push(txn uint64, source string, delta engine.Delta) (int, e
 	if err != nil {
 		return p.changes, err
 	}
-	c.rec.Append(obs.Ev("core", "push.barrier").WithTxn(txn).
-		F("devices", int64(len(p.writes))).
-		F("updates", int64(p.changes)))
 	c.prov.settle(p.origins)
 	return p.changes, nil
 }
@@ -833,8 +800,8 @@ type devWrite struct {
 }
 
 // flushObserved writes one device's batches in order, stopping at the
-// first error, and records per-device latency and batch-size metrics and
-// the device.write flight-recorder event.
+// first error, and records per-device latency and batch-size metrics and,
+// for a traced transaction, the device's write stage.
 func (c *Controller) flushObserved(dw *devWrite) error {
 	t0 := time.Now()
 	tw, ok := dw.dp.(TxnWriter)
@@ -858,10 +825,8 @@ func (c *Controller) flushObserved(dw *devWrite) error {
 	if err != nil {
 		failed = 1
 	}
-	c.rec.Append(obs.Ev("core", "device.write").WithTxn(dw.txn).WithDevice(dw.id).
-		F("updates", int64(n)).
-		F("write_us", elapsed.Microseconds()).
-		F("failed", failed))
+	c.tracer.Record(dw.txn, "core", obs.Stage{Name: "write", Start: t0, End: t0.Add(elapsed), Device: dw.id}.
+		F("updates", int64(n)).F("failed", failed))
 	return err
 }
 

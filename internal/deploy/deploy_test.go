@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -212,4 +213,82 @@ func TestStaticMacOverridesLearnt(t *testing.T) {
 	if err := s.Ctrl.Barrier(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestControllerRestartForgetsLearnt: learnt MACs live only in the
+// controller's engine, fed by the switch's digests. A restarted controller
+// starts with none, so its takeover deletes every learnt smac and dmac
+// entry and leaves the switch level with it, frames to the forgotten
+// hosts flood again, and the next frame from a host learns it anew.
+func TestControllerRestartForgetsLearnt(t *testing.T) {
+	s, err := deploy.Start(snvsSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Transact(
+		ovsdb.OpInsert("SwitchCfg", map[string]ovsdb.Value{"name": "snvs0", "flood_unknown": true}),
+		port(1), port(2), port(3),
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitEntries("snvs0", "in_vlan", 3); err != nil {
+		t.Fatal(err)
+	}
+	mac := func(p uint16) packet.MAC { return packet.MAC(0x020000000000 + uint64(p)) }
+	inject := func(from uint16, dst packet.MAC) {
+		t.Helper()
+		eth := packet.Ethernet{Dst: dst, Src: mac(from), EtherType: 0x1234}
+		if err := s.Switch("snvs0").Inject(from, eth.Append(nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for p := uint16(1); p <= 3; p++ {
+		inject(p, 0xffffffffffff)
+	}
+	if err := s.WaitEntries("snvs0", "smac", 3); err != nil {
+		t.Fatal(err)
+	}
+	waitDmacPorts(t, s, "snvs0", 1, 2, 3)
+
+	if err := s.RestartController(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.WaitEntries("snvs0", "smac", 0); err != nil {
+		t.Fatal(err)
+	}
+	waitDmacPorts(t, s, "snvs0")
+	// Drift 0: the new engine derives no learnt entry either.
+	for _, rel := range []string{"Smac", "Dmac"} {
+		recs, err := s.Ctrl.Contents(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 0 {
+			t.Fatalf("restarted controller derives %s %v, want none", rel, recs)
+		}
+	}
+
+	// Host 1 sends to host 2, which the switch knew before the restart:
+	// with flood_unknown the frame floods to the other ports of the VLAN,
+	// and host 1 is learnt again.
+	var mu sync.Mutex
+	var out []uint16
+	s.Switch("snvs0").SetOutputHandler(func(port uint16, _ []byte) {
+		mu.Lock()
+		defer mu.Unlock()
+		out = append(out, port)
+	})
+	inject(1, mac(2))
+	mu.Lock()
+	slices.Sort(out)
+	flooded := slices.Clone(out)
+	mu.Unlock()
+	if !slices.Equal(flooded, []uint16{2, 3}) {
+		t.Fatalf("frame to a forgotten host went out on %v, want flooded to [2 3]", flooded)
+	}
+	if err := s.WaitEntries("snvs0", "smac", 1); err != nil {
+		t.Fatal(err)
+	}
+	waitDmacPorts(t, s, "snvs0", 1)
 }

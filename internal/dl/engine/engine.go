@@ -10,7 +10,6 @@ import (
 	"repro/internal/dl/typecheck"
 	"repro/internal/dl/value"
 	"repro/internal/dl/zset"
-	"repro/internal/obs"
 )
 
 // Update is one element of a transaction: insert or delete a record in an
@@ -42,11 +41,6 @@ type Options struct {
 	// default: the evaluation hot path then carries only nil checks — no
 	// clock reads, no allocation.
 	Collect bool
-	// Events, when set, receives flight-recorder events (apply.start,
-	// apply.end, and, when collecting, per-stratum stratum.eval at debug
-	// level, reusing the statistics' timings); with a nil recorder the
-	// hot path emits nothing.
-	Events *obs.Recorder
 }
 
 // Runtime incrementally evaluates one checked program instance.
@@ -81,15 +75,7 @@ type Runtime struct {
 	ruleProf []ruleAcc
 	// prov is the provenance store (nil unless Options.Collect).
 	prov *provStore
-	// eventTxn tags the next Apply's flight-recorder events with a
-	// transaction ID (set via SetEventTxn by the single-goroutine caller).
-	eventTxn uint64
 }
-
-// SetEventTxn tags the next Apply's flight-recorder events with the
-// given transaction ID (0 = untagged). The controller's apply loop is
-// single-goroutine, so no synchronization is needed.
-func (rt *Runtime) SetEventTxn(txn uint64) { rt.eventTxn = txn }
 
 type occurrence struct {
 	rule    *compiledRule
@@ -306,8 +292,6 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
 	}
-	rt.opts.Events.Append(obs.Ev("dl", "apply.start").WithTxn(rt.eventTxn).
-		F("updates", int64(len(updates))))
 	rt.derivations = 0
 	rt.stats = nil
 	if rt.opts.Collect {
@@ -377,23 +361,6 @@ func (rt *Runtime) apply(updates []Update, initial bool) (Delta, error) {
 			rt.stats.DeltaSize += z.Len()
 		}
 		rt.lastStats, rt.stats = rt.stats, nil
-	}
-	if rec := rt.opts.Events; rec != nil {
-		if st := rt.lastStats; st != nil {
-			for _, ss := range st.Strata {
-				recursive := int64(0)
-				if ss.Recursive {
-					recursive = 1
-				}
-				rec.Append(obs.Ev("dl", "stratum.eval").WithTxn(rt.eventTxn).Debug().
-					F("stratum", int64(ss.Stratum)).
-					F("recursive", recursive).
-					F("eval_us", ss.Duration.Microseconds()))
-			}
-		}
-		rec.Append(obs.Ev("dl", "apply.end").WithTxn(rt.eventTxn).
-			F("derivations", rt.derivations).
-			F("changed_rels", int64(len(out))))
 	}
 	return out, nil
 }

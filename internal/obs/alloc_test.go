@@ -39,10 +39,9 @@ func TestObsHotPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestEventPoolZeroAlloc guards the pooled event/trace hot paths: building
-// and appending a flight-recorder event reuses a ring slot, and a
-// stage-attribute map round-trip through the pool (acquire, fill,
-// reclaim) allocates nothing once warm.
+// TestEventPoolZeroAlloc guards the event hot path: building and
+// appending a flight-recorder event reuses a ring slot and allocates
+// nothing once warm.
 func TestEventPoolZeroAlloc(t *testing.T) {
 	r := NewRecorder(64)
 	now := time.Now()
@@ -54,43 +53,59 @@ func TestEventPoolZeroAlloc(t *testing.T) {
 	if allocs := testing.AllocsPerRun(200, appendEv); allocs != 0 {
 		t.Errorf("Recorder.Append: %v allocs/op, want 0", allocs)
 	}
+}
 
-	// Pooled stage-attr maps: acquire, fill, release (the per-txn cycle
-	// the tracer performs on eviction).
-	cycle := func() {
-		m := NewAttrs()
-		m["input_updates"] = 1
-		m["delta_size"] = 2
-		attrsPool.Put(m)
+// TestTracerRecordZeroAlloc guards the trace hot path: once every slot
+// of the ring has held a trace, recording a transaction's stages —
+// evicting the oldest trace and reusing its slot's stage slice —
+// allocates nothing.
+func TestTracerRecordZeroAlloc(t *testing.T) {
+	const slots, stages = 8, 6
+	tr := NewTracer(slots)
+	now := time.Now()
+	txn := uint64(0)
+	record := func() {
+		txn++
+		for i := 0; i < stages; i++ {
+			tr.Record(txn, "core", Stage{Name: "push", Start: now, End: now, Device: "sw0"}.
+				F("updates", int64(i)).F("failed", 0))
+		}
 	}
-	cycle()
-	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Errorf("attrs pool cycle: %v allocs/op, want 0", allocs)
+	for range 4 * slots {
+		record()
+	}
+	if allocs := testing.AllocsPerRun(1000, record); allocs != 0 {
+		t.Errorf("Tracer.Record: %v allocs/txn, want 0", allocs)
+	}
+	if got, ok := tr.Get(txn); !ok || len(got.Stages) != stages {
+		t.Fatalf("trace %d after warm-up: %+v, %v", txn, got, ok)
 	}
 }
 
-// TestTraceEvictionReclaimsAttrs pins the reclamation path: a trace
-// evicted from the ring returns its attr maps to the pool, and clones
-// taken before eviction are unaffected (deep-copied).
-func TestTraceEvictionReclaimsAttrs(t *testing.T) {
+// TestTraceEvictionReusesSlot: a trace that replaces an evicted one in
+// its ring slot starts empty, even though it reuses the slot's stage
+// slice, and a copy taken before the eviction keeps its stages.
+func TestTraceEvictionReusesSlot(t *testing.T) {
 	tr := NewTracer(2)
-	a := NewAttrs()
-	a["updates"] = 41
-	tr.Record(1, "core", Stage{Name: "delta", Attrs: a})
+	tr.Record(1, "core", Stage{Name: "delta"}.F("updates", 41))
+	tr.Record(1, "core", Stage{Name: "push", Device: "sw0"})
 	snap, ok := tr.Get(1)
-	if !ok || snap.Stages[0].Attrs["updates"] != 41 {
+	if !ok || len(snap.Stages) != 2 {
 		t.Fatalf("snapshot before eviction: %+v ok=%v", snap, ok)
 	}
 	tr.Record(2, "core", Stage{Name: "delta"})
-	tr.Record(3, "core", Stage{Name: "delta"}) // evicts txn 1, reclaims a
+	tr.Record(3, "", Stage{Name: "commit"}.F("updates", 99)) // evicts txn 1, takes its slot
 	if _, ok := tr.Get(1); ok {
 		t.Fatal("txn 1 still retained after eviction")
 	}
-	// Reuse the pooled map for a different txn: the clone must not change.
-	b := NewAttrs()
-	b["updates"] = 99
-	tr.Record(4, "core", Stage{Name: "delta", Attrs: b})
-	if got := snap.Stages[0].Attrs["updates"]; got != 41 {
-		t.Fatalf("pre-eviction clone mutated: updates=%d, want 41", got)
+	got, ok := tr.Get(3)
+	if !ok || got.Source != "" || len(got.Stages) != 1 || got.Stages[0].Name != "commit" {
+		t.Fatalf("trace 3 in the reused slot = %+v, want only its own commit stage", got)
+	}
+	if v, _ := snap.Stages[0].Field("updates"); v != 41 || snap.Stages[1].Device != "sw0" {
+		t.Fatalf("pre-eviction copy changed: %+v", snap.Stages)
+	}
+	if recent := tr.Recent(0); len(recent) != 2 || recent[0].TxnID != 2 || recent[1].TxnID != 3 {
+		t.Fatalf("recent = %+v, want txns 2, 3", recent)
 	}
 }

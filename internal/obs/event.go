@@ -23,10 +23,10 @@ import (
 type Level int32
 
 const (
-	// LevelDebug marks high-volume events (per-stratum timings) that
+	// LevelDebug marks high-volume events (per-append WAL timings) that
 	// operators may filter out by raising the recorder's minimum level.
 	LevelDebug Level = -1
-	// LevelInfo is the default level: one event per pipeline stage.
+	// LevelInfo is the default level.
 	LevelInfo Level = 0
 )
 
@@ -38,15 +38,61 @@ func (l Level) String() string {
 	return "info"
 }
 
-// Field is one integer measurement attached to an event.
+// Field is one integer measurement attached to an event or a stage.
 type Field struct {
 	Key string
 	Val int64
 }
 
-// maxEventFields bounds the per-event field array; keeping it fixed is
-// what keeps Append allocation-free.
+// maxEventFields bounds the per-record field array; keeping it fixed is
+// what keeps Recorder.Append and Tracer.Record allocation-free.
 const maxEventFields = 4
+
+// fieldSet is the fixed-size field array Event and Stage share.
+type fieldSet struct {
+	fields [maxEventFields]Field
+	nf     int32
+}
+
+// add appends one field. Beyond maxEventFields the field is silently
+// dropped (fixed schema beats unbounded growth on a hot path).
+func (s *fieldSet) add(key string, v int64) {
+	if int(s.nf) < maxEventFields {
+		s.fields[s.nf] = Field{Key: key, Val: v}
+		s.nf++
+	}
+}
+
+// Field returns one field's value by key.
+func (s fieldSet) Field(key string) (int64, bool) {
+	for i := int32(0); i < s.nf; i++ {
+		if s.fields[i].Key == key {
+			return s.fields[i].Val, true
+		}
+	}
+	return 0, false
+}
+
+// Attrs returns the fields as a fresh map, nil when there are none: the
+// JSON form of both records, and the fleet view's stage attributes.
+func (s fieldSet) Attrs() map[string]int64 {
+	if s.nf == 0 {
+		return nil
+	}
+	m := make(map[string]int64, s.nf)
+	for i := int32(0); i < s.nf; i++ {
+		m[s.fields[i].Key] = s.fields[i].Val
+	}
+	return m
+}
+
+// setAttrs replaces the fields with a decoded map's (in map order).
+func (s *fieldSet) setAttrs(m map[string]int64) {
+	*s = fieldSet{}
+	for k, v := range m {
+		s.add(k, v)
+	}
+}
 
 // Event is one fixed-schema flight-recorder entry. Build events with Ev
 // and the chaining helpers (all value receivers: the event lives on the
@@ -60,12 +106,11 @@ type Event struct {
 	Txn    uint64
 	Device string
 
-	fields [maxEventFields]Field
-	nf     int32
+	fieldSet
 }
 
 // Ev starts an event for the given plane and kind. Kinds follow the
-// <noun>.<verb> convention (txn.commit, monitor.deliver, device.write).
+// <noun>.<verb> convention (txn.abort, conn.resync, digest.recv).
 func Ev(plane, kind string) Event { return Event{Plane: plane, Kind: kind} }
 
 // WithTxn tags the event with its originating transaction (0 = none).
@@ -81,25 +126,8 @@ func (e Event) Debug() Event { e.Level = LevelDebug; return e }
 // append instant — pass the measurement time when they differ).
 func (e Event) At(t time.Time) Event { e.Time = t; return e }
 
-// F attaches one integer field. Beyond maxEventFields the field is
-// silently dropped (fixed schema beats unbounded growth on a hot path).
-func (e Event) F(key string, v int64) Event {
-	if int(e.nf) < maxEventFields {
-		e.fields[e.nf] = Field{Key: key, Val: v}
-		e.nf++
-	}
-	return e
-}
-
-// Field returns one field's value by key.
-func (e *Event) Field(key string) (int64, bool) {
-	for i := int32(0); i < e.nf; i++ {
-		if e.fields[i].Key == key {
-			return e.fields[i].Val, true
-		}
-	}
-	return 0, false
-}
+// F attaches one integer field (beyond maxEventFields it is dropped).
+func (e Event) F(key string, v int64) Event { e.add(key, v); return e }
 
 // eventJSON is the wire form of an Event.
 type eventJSON struct {
@@ -117,16 +145,10 @@ type eventJSON struct {
 func (e Event) MarshalJSON() ([]byte, error) {
 	j := eventJSON{
 		Seq: e.Seq, Time: e.Time, Plane: e.Plane, Kind: e.Kind,
-		Txn: e.Txn, Device: e.Device,
+		Txn: e.Txn, Device: e.Device, Fields: e.Attrs(),
 	}
 	if e.Level != LevelInfo {
 		j.Level = e.Level.String()
-	}
-	if e.nf > 0 {
-		j.Fields = make(map[string]int64, e.nf)
-		for i := int32(0); i < e.nf; i++ {
-			j.Fields[e.fields[i].Key] = e.fields[i].Val
-		}
 	}
 	return json.Marshal(j)
 }
@@ -143,9 +165,7 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	if j.Level == "debug" {
 		e.Level = LevelDebug
 	}
-	for k, v := range j.Fields {
-		*e = e.F(k, v)
-	}
+	e.setAttrs(j.Fields)
 	return nil
 }
 

@@ -340,6 +340,65 @@ func TestAggregatorCausalOrderUnderSkewError(t *testing.T) {
 	}
 }
 
+// TestAggregatorWriteBeforeApplyUnderSkewError: the controller's write
+// stage, which is not an expected stage, still causes the switch's
+// apply. With the switch's skew estimate 2ms off, the stitcher moves the
+// apply behind the write, not merely behind the push, so the timeline
+// still ends at the data plane, and the text view names the device.
+func TestAggregatorWriteBeforeApplyUnderSkewError(t *testing.T) {
+	const estErr = 2 * time.Millisecond
+	t0 := time.Now().Add(-time.Second)
+
+	ctl, ctlSrv := memberServer(t, "controller", "ctl0")
+	ctl.Tr().Record(5, "ovsdb", stage(obs.StageCommit, t0, time.Millisecond))
+	ctl.Tr().Record(5, "ovsdb", stage("monitor", t0.Add(time.Millisecond), time.Millisecond))
+	ctl.Tr().Record(5, "ovsdb", stage("delta", t0.Add(2*time.Millisecond), time.Millisecond))
+	ctl.Tr().Record(5, "ovsdb", stage("push", t0.Add(3*time.Millisecond), time.Millisecond))
+	write := stage("write", t0.Add(3200*time.Microsecond), 600*time.Microsecond)
+	write.Device = "sw0"
+	ctl.Tr().Record(5, "ovsdb", write.F("updates", 4))
+
+	swMux := http.NewServeMux()
+	swMux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("X-Obs-Plane", "switchsim")
+		w.Header().Set("X-Obs-Instance", "sw0")
+		w.Header().Set("X-Obs-Now-Unix-Nano", strconv.FormatInt(time.Now().Add(estErr).UnixNano(), 10))
+		tr := obs.Trace{TxnID: 5, Source: "p4rt", Stages: []obs.Stage{
+			stage(obs.StageSwitchApplied, t0.Add(3500*time.Microsecond), 100*time.Microsecond),
+		}}
+		json.NewEncoder(w).Encode(struct {
+			Traces []obs.Trace `json:"traces"`
+		}{[]obs.Trace{tr}})
+	})
+	swSrv := httptest.NewServer(swMux)
+	defer swSrv.Close()
+
+	agg, err := New(Config{Targets: []string{"ctl=" + ctlSrv.URL, "sw=" + swSrv.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg.PollOnce()
+
+	tr, ok := agg.Trace(5)
+	if !ok || !tr.Complete {
+		t.Fatalf("no complete stitched trace for txn 5: %+v", tr)
+	}
+	var names []string
+	for _, sg := range tr.Stages {
+		names = append(names, sg.Name)
+	}
+	if got := strings.Join(names, ","); got != "commit,monitor,delta,push,write,switch-applied" {
+		t.Fatalf("stage order = %s, want the causal order", got)
+	}
+	w, applied := tr.Stages[4], tr.Stages[5]
+	if w.Device != "sw0" || w.Attrs["updates"] != 4 || applied.Start.Before(w.Start) {
+		t.Fatalf("write %+v, apply %+v: want the device's write, then the apply", w, applied)
+	}
+	if text := TraceText(tr); !strings.Contains(text, "device=sw0 updates=4") {
+		t.Fatalf("text view does not name the written device:\n%s", text)
+	}
+}
+
 // TestAggregatorHotRules drives two profiled members and checks the
 // fleet-wide merge: summed EWMA costs rank rules across the
 // deployment, the per-member "other" rollups combine, and the one-shot

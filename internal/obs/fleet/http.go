@@ -217,6 +217,9 @@ func TraceText(tr StitchedTrace) string {
 			}
 			attrs = " " + strings.Join(parts, " ")
 		}
+		if sg.Device != "" {
+			attrs = " device=" + sg.Device + attrs
+		}
 		fmt.Fprintf(&b, "  %+12s  %-16s %-12s %v%s\n",
 			sg.Start.Sub(t0).Round(time.Microsecond), sg.Name, sg.Member,
 			sg.End.Sub(sg.Start).Round(time.Microsecond), attrs)

@@ -15,6 +15,15 @@ var expectedStages = []string{
 	obs.StageCommit, "monitor", "delta", "push", obs.StageSwitchApplied,
 }
 
+// causalStages is the order the stack guarantees between stages: the
+// expected ones, with each device's write (inside the push, recorded by
+// the controller) before the switch's apply it causes. A commit of a
+// coalesced batch other than the last has no write, so write is not
+// expected.
+var causalStages = []string{
+	obs.StageCommit, "monitor", "delta", "push", "write", obs.StageSwitchApplied,
+}
+
 // StitchedStage is one stage of a cross-process timeline, attributed
 // to the member that recorded it. Start/End are skew-corrected onto
 // the aggregator's clock so stages from different hosts order
@@ -25,6 +34,7 @@ type StitchedStage struct {
 	Plane  string           `json:"plane,omitempty"`
 	Start  time.Time        `json:"start"`
 	End    time.Time        `json:"end"`
+	Device string           `json:"device,omitempty"`
 	Attrs  map[string]int64 `json:"attrs,omitempty"`
 }
 
@@ -90,9 +100,10 @@ func (a *Aggregator) restitch() {
 					Plane:  f.plane,
 					// Subtracting the member's skew maps its wall clock onto
 					// the aggregator's, so cross-host stage ordering holds.
-					Start: sg.Start.Add(-f.skew),
-					End:   sg.End.Add(-f.skew),
-					Attrs: sg.Attrs,
+					Start:  sg.Start.Add(-f.skew),
+					End:    sg.End.Add(-f.skew),
+					Device: sg.Device,
+					Attrs:  sg.Attrs(),
 				})
 			}
 		}
@@ -143,9 +154,9 @@ func (a *Aggregator) restitch() {
 
 // causalOrder sorts one transaction's stages by skew-corrected start
 // time after restoring the order the stack guarantees but a skew
-// estimate may not: each expected stage is caused by the one before it
+// estimate may not: each causal stage is caused by the one before it
 // (the controller computes its delta from the monitor update, the
-// switch applies inside the controller's synchronous push), so no stage
+// switch applies inside the controller's synchronous write), so no stage
 // starts before its predecessor did. A skew estimate taken from an HTTP
 // poll is only good to about half the poll's round trip, which on one
 // host exceeds the push→apply gap; a stage it places ahead of its cause
@@ -153,15 +164,15 @@ func (a *Aggregator) restitch() {
 // rank.
 func causalOrder(stages []StitchedStage) {
 	rank := func(name string) int {
-		for r, n := range expectedStages {
+		for r, n := range causalStages {
 			if n == name {
 				return r
 			}
 		}
-		return len(expectedStages)
+		return len(causalStages)
 	}
 	var cause time.Time // earliest start of the nearest present predecessor
-	for _, name := range expectedStages {
+	for _, name := range causalStages {
 		var first time.Time
 		for i := range stages {
 			sg := &stages[i]

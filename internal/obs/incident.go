@@ -9,11 +9,11 @@ import (
 
 // Slow-path auto-capture: one latency budget bounds every pipeline stage
 // (commit→monitor delivery, delta evaluation, data-plane push); when a
-// transaction's stage exceeds it, its full flight-recorder event set,
-// trace and any caller-supplied detail (e.g. the pushed entries'
-// provenance) are pinned into a small FIFO incident store. Pinned incidents survive
+// transaction's stage exceeds it, its trace, its flight-recorder events
+// and any caller-supplied detail (e.g. the pushed entries' provenance)
+// are pinned into a small FIFO incident store. Pinned incidents survive
 // ring eviction, so slow outliers remain inspectable at /debug/incidents
-// long after their events have been overwritten.
+// long after their traces and events have been overwritten.
 
 // Incident is one pinned slow-transaction capture.
 type Incident struct {
@@ -26,9 +26,12 @@ type Incident struct {
 	Stage  string        `json:"stage"`
 	Budget time.Duration `json:"budget_ns"`
 	Actual time.Duration `json:"actual_ns"`
-	// Events is the transaction's flight-recorder timeline at pin time.
+	// Events is the transaction's flight-recorder events at pin time:
+	// what is not a stage of its trace (an abort, a failed push), so
+	// none for a transaction that merely ran slow.
 	Events []Event `json:"events"`
-	// Trace is the transaction's stage timeline, if traced.
+	// Trace is the transaction's timeline, if traced: each step once,
+	// with the device of each write.
 	Trace *Trace `json:"trace,omitempty"`
 	// Detail carries stage-specific context: for pushes, the provenance
 	// (Explain output) of the entries the transaction installed.
@@ -143,8 +146,8 @@ func (o *Observer) BudgetExceeded(actual time.Duration) bool {
 	return b > 0 && actual > b
 }
 
-// PinIncident captures the transaction's current event set and trace
-// into the incident store. detail is stored verbatim (JSON-marshaled at
+// PinIncident captures the transaction's current trace and events into
+// the incident store. detail is stored verbatim (JSON-marshaled at
 // dump time); pass nil when there is nothing stage-specific to pin.
 func (o *Observer) PinIncident(stage string, txn uint64, source string, actual time.Duration, detail any) {
 	if o == nil || o.Incidents == nil {

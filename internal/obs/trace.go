@@ -8,87 +8,81 @@ import (
 	"time"
 )
 
-// Stage is one timed step of a transaction's life: the management-plane
-// commit, the monitor fan-out, the control-plane delta evaluation (with
-// per-stratum sub-stages), or the data-plane push.
+// Stage is one timed step of a transaction's life, recorded once: the
+// management-plane commit, the monitor fan-out, the control-plane delta
+// evaluation, the data-plane push, each device's write within it, and
+// the switch's apply. It has Event's fixed schema: the device it
+// concerns, if any, and up to maxEventFields integer fields, set with F
+// and read with Field. JSON renders the fields as the "attrs" object.
 type Stage struct {
-	Name  string    `json:"name"`
-	Start time.Time `json:"start"`
-	End   time.Time `json:"end"`
-	// Attrs carries stage-scoped measurements (update counts, delta
-	// sizes, worker utilization) as integer samples.
-	Attrs map[string]int64 `json:"attrs,omitempty"`
+	Name   string
+	Start  time.Time
+	End    time.Time
+	Device string
+
+	fieldSet
+}
+
+// F attaches one integer field (beyond maxEventFields it is dropped).
+func (s Stage) F(key string, v int64) Stage { s.add(key, v); return s }
+
+// stageJSON is the wire form of a Stage.
+type stageJSON struct {
+	Name   string           `json:"name"`
+	Start  time.Time        `json:"start"`
+	End    time.Time        `json:"end"`
+	Device string           `json:"device,omitempty"`
+	Attrs  map[string]int64 `json:"attrs,omitempty"`
+}
+
+// MarshalJSON renders the stage with its fields as the "attrs" object.
+func (s Stage) MarshalJSON() ([]byte, error) {
+	return json.Marshal(stageJSON{Name: s.Name, Start: s.Start, End: s.End, Device: s.Device, Attrs: s.Attrs()})
+}
+
+// UnmarshalJSON parses the wire form (the fleet aggregator and tests).
+func (s *Stage) UnmarshalJSON(data []byte) error {
+	var j stageJSON
+	if err := json.Unmarshal(data, &j); err != nil {
+		return err
+	}
+	*s = Stage{Name: j.Name, Start: j.Start, End: j.End, Device: j.Device}
+	s.setAttrs(j.Attrs)
+	return nil
 }
 
 // Trace is the per-transaction timeline, keyed by the txn ID minted at
 // OVSDB commit and propagated through monitor delivery to the controller.
 // In a single-process deployment one trace carries the complete
-// commit→monitor→delta→push timeline; in a multi-process deployment each
-// process's tracer holds the stages it executed, correlated by TxnID.
+// commit→monitor→delta→push→switch-applied timeline; in a multi-process
+// deployment each process's tracer holds the stages it executed,
+// correlated by TxnID.
 type Trace struct {
 	TxnID  uint64  `json:"txn_id"`
 	Source string  `json:"source,omitempty"`
 	Stages []Stage `json:"stages"`
 }
 
-// clone deep-copies a trace so callers can't race with appends. Attrs
-// maps are copied too: the originals may be pooled and reused after the
-// trace is evicted from the ring.
+// clone copies a trace so callers can't race with appends, nor see the
+// slot's stages change when the ring reuses it.
 func (t *Trace) clone() Trace {
-	out := Trace{TxnID: t.TxnID, Source: t.Source, Stages: make([]Stage, len(t.Stages))}
-	copy(out.Stages, t.Stages)
-	for i := range out.Stages {
-		if a := out.Stages[i].Attrs; a != nil {
-			c := make(map[string]int64, len(a))
-			for k, v := range a {
-				c[k] = v
-			}
-			out.Stages[i].Attrs = c
-		}
-	}
-	return out
-}
-
-// attrsPool recycles stage-attribute maps between transactions: the
-// controller records two attr-carrying stages per transaction, which at
-// sustained load is a measurable per-txn allocation.
-var attrsPool = sync.Pool{New: func() any { return make(map[string]int64, 8) }}
-
-// NewAttrs returns an empty stage-attribute map drawn from a shared pool.
-// Attach it to a Stage passed to Tracer.Record and do not retain it: the
-// tracer reclaims the map when the stage's trace is evicted from the
-// ring. Callers that retain attrs must build their own map instead.
-func NewAttrs() map[string]int64 {
-	m := attrsPool.Get().(map[string]int64)
-	clear(m)
-	return m
-}
-
-// tracePool recycles evicted Trace containers (and their stage slices).
-var tracePool = sync.Pool{New: func() any { return new(Trace) }}
-
-// releaseTrace returns an evicted trace and its attr maps to their pools.
-func releaseTrace(tr *Trace) {
-	for i := range tr.Stages {
-		if tr.Stages[i].Attrs != nil {
-			attrsPool.Put(tr.Stages[i].Attrs)
-		}
-		tr.Stages[i] = Stage{}
-	}
-	tr.Stages = tr.Stages[:0]
-	tr.TxnID, tr.Source = 0, ""
-	tracePool.Put(tr)
+	return Trace{TxnID: t.TxnID, Source: t.Source, Stages: append([]Stage(nil), t.Stages...)}
 }
 
 // Tracer keeps a bounded in-memory ring of recent transaction traces.
-// Recording is cheap (one mutex, one append) and happens once per
-// transaction stage, never per tuple. A nil Tracer ignores records.
+// Recording is cheap (one mutex, one append into a reused slot) and
+// happens once per transaction stage, never per tuple; once every slot
+// has held a trace, it allocates nothing. A nil Tracer ignores records.
 type Tracer struct {
-	mu      sync.Mutex
-	cap     int
-	byID    map[uint64]*Trace
-	order   []uint64 // insertion order for FIFO eviction
-	evicted uint64
+	mu sync.Mutex
+	// slots is the ring: trace i (counting from 0 in creation order)
+	// lives in slots[i%len(slots)], and the evicted trace's stage slice
+	// is reused in place by the one that replaces it.
+	slots []Trace
+	// next counts traces ever created; the retained ones are the last
+	// min(next, len(slots)).
+	next uint64
+	byID map[uint64]*Trace
 
 	// convergence, when set (NewObserver wires it), observes the
 	// commit→switch-applied latency whenever a trace gains the second of
@@ -114,7 +108,7 @@ func NewTracer(n int) *Tracer {
 	if n <= 0 {
 		n = DefaultTraceCapacity
 	}
-	return &Tracer{cap: n, byID: make(map[uint64]*Trace, n)}
+	return &Tracer{slots: make([]Trace, n), byID: make(map[uint64]*Trace, n)}
 }
 
 // Record appends one stage to txnID's trace, creating it (and evicting
@@ -129,19 +123,13 @@ func (t *Tracer) Record(txnID uint64, source string, st Stage) {
 	defer t.mu.Unlock()
 	tr := t.byID[txnID]
 	if tr == nil {
-		if len(t.order) >= t.cap {
-			old := t.order[0]
-			t.order = t.order[1:]
-			if otr := t.byID[old]; otr != nil {
-				delete(t.byID, old)
-				releaseTrace(otr)
-			}
-			t.evicted++
+		tr = &t.slots[t.next%uint64(len(t.slots))]
+		if t.next >= uint64(len(t.slots)) {
+			delete(t.byID, tr.TxnID)
 		}
-		tr = tracePool.Get().(*Trace)
-		tr.TxnID = txnID
+		t.next++
+		*tr = Trace{TxnID: txnID, Stages: tr.Stages[:0]}
 		t.byID[txnID] = tr
-		t.order = append(t.order, txnID)
 	}
 	if tr.Source == "" {
 		tr.Source = source
@@ -202,13 +190,13 @@ func (t *Tracer) Recent(n int) []Trace {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ids := t.order
-	if n > 0 && len(ids) > n {
-		ids = ids[len(ids)-n:]
+	first := t.evictedLocked()
+	if n > 0 && t.next-first > uint64(n) {
+		first = t.next - uint64(n)
 	}
-	out := make([]Trace, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, t.byID[id].clone())
+	out := make([]Trace, 0, t.next-first)
+	for i := first; i < t.next; i++ {
+		out = append(out, t.slots[i%uint64(len(t.slots))].clone())
 	}
 	return out
 }
@@ -220,7 +208,13 @@ func (t *Tracer) Evicted() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.evicted
+	return t.evictedLocked()
+}
+
+// evictedLocked is how many traces have left the ring, which is also
+// the creation index of the oldest one retained.
+func (t *Tracer) evictedLocked() uint64 {
+	return t.next - min(t.next, uint64(len(t.slots)))
 }
 
 // traceDump is the /debug/traces JSON envelope.

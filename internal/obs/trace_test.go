@@ -83,7 +83,7 @@ func TestWriteJSONSortsStages(t *testing.T) {
 	t0 := time.Unix(1000, 0).UTC()
 	// Record out of order; JSON output must be sorted by start time.
 	tr.Record(1, "ovsdb", Stage{Name: "push", Start: t0.Add(2 * time.Millisecond), End: t0.Add(3 * time.Millisecond)})
-	tr.Record(1, "", Stage{Name: "commit", Start: t0, End: t0.Add(time.Millisecond), Attrs: map[string]int64{"updates": 4}})
+	tr.Record(1, "", Stage{Name: "commit", Start: t0, End: t0.Add(time.Millisecond), Device: "sw0"}.F("updates", 4))
 	var sb strings.Builder
 	if err := tr.WriteJSON(&sb, 0); err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestWriteJSONSortsStages(t *testing.T) {
 	if len(st) != 2 || st[0].Name != "commit" || st[1].Name != "push" {
 		t.Fatalf("stages not sorted: %+v", st)
 	}
-	if st[0].Attrs["updates"] != 4 {
+	if v, _ := st[0].Field("updates"); v != 4 || st[0].Device != "sw0" {
 		t.Fatalf("attrs lost: %+v", st[0])
 	}
 }

@@ -408,18 +408,8 @@ func (db *Database) Transact(ops []Operation) []OpResult {
 	}
 	db.mTxnTotal.Inc()
 	db.mCommitSeconds.ObserveDuration(commit.Sub(start))
-	db.rec.Append(obs.Ev("ovsdb", "txn.commit").WithTxn(txnID).At(commit).
-		F("ops", int64(len(ops))).
-		F("changed_tables", int64(changedTables)).
-		F("commit_us", commit.Sub(start).Microseconds()))
-	if db.tracer != nil {
-		db.tracer.Record(txnID, "ovsdb", obs.Stage{
-			Name:  "commit",
-			Start: start,
-			End:   commit,
-			Attrs: map[string]int64{"ops": int64(len(ops)), "changed_tables": int64(changedTables)},
-		})
-	}
+	db.tracer.Record(txnID, "ovsdb", obs.Stage{Name: "commit", Start: start, End: commit}.
+		F("ops", int64(len(ops))).F("changed_tables", int64(changedTables)))
 	return results
 }
 

@@ -294,14 +294,8 @@ func (m *Monitor) run() {
 			lag := delivered.Sub(qu.commit)
 			m.db.mMonitorLag.ObserveDuration(lag)
 			m.db.mMonitorSends.Inc()
-			m.db.tracer.Record(qu.txn, "ovsdb", obs.Stage{
-				Name:  "monitor",
-				Start: qu.commit,
-				End:   delivered,
-			})
-			m.db.rec.Append(obs.Ev("ovsdb", "monitor.deliver").WithTxn(qu.txn).At(delivered).
-				F("tables", int64(tables)).
-				F("lag_us", lag.Microseconds()))
+			m.db.tracer.Record(qu.txn, "ovsdb", obs.Stage{Name: "monitor", Start: qu.commit, End: delivered}.
+				F("tables", int64(tables)))
 			if m.db.obs.BudgetExceeded(lag) {
 				m.db.obs.PinIncident("monitor", qu.txn, "ovsdb", lag, nil)
 			}

@@ -38,8 +38,11 @@ header eth { bit<48> dst; bit<16> etype; }
 parser { state start { extract(eth); transition accept; } }
 `
 
-func TestCondConjunction(t *testing.T) {
-	pl := mustCompile(t, condHdr+`
+// The programs the condition tests compile, which
+// TestEveryTableHasEmptyMatchFlow also checks.
+const (
+	// conjSrc guards one table by a conjunction.
+	conjSrc = condHdr + `
 control Ingress {
     action fwd(bit<16> p) { output(p); }
     table t { key = { eth.dst: exact; } actions = { fwd; } }
@@ -47,16 +50,10 @@ control Ingress {
         if (eth.isValid() && eth.etype == 0x800) { t.apply(); }
     }
 }
-deparser { emit(eth); }`)
-	g := pl.Table("t").Guard
-	if len(g) != 2 || g[0] != "eth_present=1" || g[1] != "eth_etype=0x800" {
-		t.Fatalf("guard = %v", g)
-	}
-}
-
-func TestCondNegatedValidity(t *testing.T) {
-	// not(isValid) has a compilable negation, so both branches work.
-	pl := mustCompile(t, condHdr+`
+deparser { emit(eth); }`
+	// negatedSrc applies one table under a negated validity test and
+	// another in its else branch.
+	negatedSrc = condHdr + `
 control Ingress {
     action fwd(bit<16> p) { output(p); }
     table a { key = { eth.dst: exact; } actions = { fwd; } }
@@ -65,7 +62,28 @@ control Ingress {
         if (!eth.isValid()) { a.apply(); } else { b.apply(); }
     }
 }
-deparser { emit(eth); }`)
+deparser { emit(eth); }`
+	// fwdSrc applies one unguarded table with no default action.
+	fwdSrc = condHdr + `
+control Ingress {
+    action fwd(bit<16> p) { output(p); }
+    table a { key = { eth.dst: exact; } actions = { fwd; } }
+    apply { a.apply(); }
+}
+deparser { emit(eth); }`
+)
+
+func TestCondConjunction(t *testing.T) {
+	pl := mustCompile(t, conjSrc)
+	g := pl.Table("t").Guard
+	if len(g) != 2 || g[0] != "eth_present=1" || g[1] != "eth_etype=0x800" {
+		t.Fatalf("guard = %v", g)
+	}
+}
+
+func TestCondNegatedValidity(t *testing.T) {
+	// not(isValid) has a compilable negation, so both branches work.
+	pl := mustCompile(t, negatedSrc)
 	if g := pl.Table("a").Guard; len(g) != 1 || g[0] != "eth_present=0" {
 		t.Errorf("a guard = %v", g)
 	}
@@ -136,13 +154,7 @@ deparser { emit(eth); }`, "applied twice")
 }
 
 func TestFlowForEntryErrors(t *testing.T) {
-	pl := mustCompile(t, condHdr+`
-control Ingress {
-    action fwd(bit<16> p) { output(p); }
-    table a { key = { eth.dst: exact; } actions = { fwd; } }
-    apply { a.apply(); }
-}
-deparser { emit(eth); }`)
+	pl := mustCompile(t, fwdSrc)
 	if _, err := pl.FlowForEntry(&p4rt.TableEntry{Table: "nope"}); err == nil {
 		t.Error("unknown table accepted")
 	}
@@ -161,13 +173,7 @@ deparser { emit(eth); }`)
 }
 
 func TestMissFlowAbsentDefault(t *testing.T) {
-	pl := mustCompile(t, condHdr+`
-control Ingress {
-    action fwd(bit<16> p) { output(p); }
-    table a { key = { eth.dst: exact; } actions = { fwd; } }
-    apply { a.apply(); }
-}
-deparser { emit(eth); }`)
+	pl := mustCompile(t, fwdSrc)
 	miss, err := pl.MissFlow("a")
 	if err != nil {
 		t.Fatal(err)

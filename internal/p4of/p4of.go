@@ -13,7 +13,13 @@
 //   - a control-plane table entry becomes one flow: the guard plus the
 //     entry's key matches, with the action body compiled to an OpenFlow
 //     action list and a goto to the next table in sequence;
-//   - a table's default action becomes its priority-0 miss flow.
+//   - a table's default action becomes its miss flow: priority 0, or 1
+//     under the table's guard;
+//   - OpenFlow drops a packet that no flow of the current table matches,
+//     where P4 skips a table whose guard the packet fails and applies
+//     nothing on a miss without a default action, so a guarded table,
+//     and a table without a default action, also gets a priority-0
+//     empty-match flow that passes the packet on to the next table.
 //
 // Conditions outside this subset (disjunctions, negated comparisons over
 // unsupported shapes) are rejected at compile time rather than compiled
@@ -203,8 +209,9 @@ func (pl *Pipeline) FlowForEntry(e *p4rt.TableEntry) (Flow, error) {
 	return Flow{Table: ct.ID, Priority: priority, Match: strings.Join(match, ","), Actions: actions}, nil
 }
 
-// MissFlow compiles a table's default action into its priority-0 flow
-// (nil when the table has no default action).
+// MissFlow compiles a table's default action into its miss flow (nil
+// when the table has no default action): priority 0 for an unguarded
+// table, 1 under a guard, above the pass-through flow of MissFlows.
 func (pl *Pipeline) MissFlow(name string) (*Flow, error) {
 	ct := pl.byName[name]
 	if ct == nil {
@@ -217,8 +224,38 @@ func (pl *Pipeline) MissFlow(name string) (*Flow, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Flow{Table: ct.ID, Priority: 0,
+	priority := 0
+	if len(ct.Guard) > 0 {
+		priority = 1
+	}
+	return &Flow{Table: ct.ID, Priority: priority,
 		Match: strings.Join(ct.Guard, ","), Actions: actions}, nil
+}
+
+// MissFlows compiles every flow of a table below its entries' (priority
+// 100 and up): the default action's miss flow, and, for a guarded table
+// or one without a default action, a priority-0 empty-match flow that
+// passes the packet on — goto_table:<next>, or no further action at the
+// last table. Every table thus ends in a flow that matches everything,
+// as OpenFlow needs to not drop what P4 would let through.
+func (pl *Pipeline) MissFlows(name string) ([]Flow, error) {
+	miss, err := pl.MissFlow(name)
+	if err != nil {
+		return nil, err
+	}
+	ct := pl.byName[name]
+	var flows []Flow
+	if miss != nil {
+		flows = append(flows, *miss)
+		if len(ct.Guard) == 0 {
+			return flows, nil
+		}
+	}
+	pass := Flow{Table: ct.ID, Priority: 0}
+	if ct.Next >= 0 {
+		pass.Actions = fmt.Sprintf("goto_table:%d", ct.Next)
+	}
+	return append(flows, pass), nil
 }
 
 // compileActionCall lowers an action body to an OpenFlow action list,
@@ -296,7 +333,7 @@ func (pl *Pipeline) compileActionCall(ct *CompiledTable, call p4.ActionCall) (st
 }
 
 // Flows dumps the complete flow table for the program given the entries
-// installed in a runtime, miss flows included, sorted by (table,
+// installed in a runtime, MissFlows included, sorted by (table,
 // -priority, match).
 func (pl *Pipeline) Flows(rt *p4.Runtime) ([]Flow, error) {
 	var out []Flow
@@ -317,13 +354,11 @@ func (pl *Pipeline) Flows(rt *p4.Runtime) ([]Flow, error) {
 			}
 			out = append(out, fl)
 		}
-		miss, err := pl.MissFlow(ct.Name)
+		miss, err := pl.MissFlows(ct.Name)
 		if err != nil {
 			return nil, err
 		}
-		if miss != nil {
-			out = append(out, *miss)
-		}
+		out = append(out, miss...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Table != out[j].Table {

@@ -1,6 +1,7 @@
 package p4of
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -17,6 +18,33 @@ func compileSnvs(t *testing.T) *Pipeline {
 	}
 	return pl
 }
+
+// noDefaultSrc applies one unguarded table with no default action.
+const noDefaultSrc = `
+	header h { bit<8> f; }
+	parser { state start { extract(h); transition accept; } }
+	control Ingress {
+		action a() { }
+		table t { key = { h.f: exact; } actions = { a; } }
+		apply { t.apply(); }
+	}
+	deparser { emit(h); }
+`
+
+// mixSrc applies one table keyed by ternary, optional and lpm matches.
+const mixSrc = `
+	header h { bit<8> a; bit<8> b; bit<16> c; }
+	parser { state start { extract(h); transition accept; } }
+	control Ingress {
+		action ok() { }
+		table t {
+			key = { h.a: ternary; h.b: optional; h.c: lpm; }
+			actions = { ok; }
+		}
+		apply { t.apply(); }
+	}
+	deparser { emit(h); }
+`
 
 func TestCompileSnvsPipeline(t *testing.T) {
 	pl := compileSnvs(t)
@@ -139,10 +167,15 @@ func TestFlowsDumpAndRender(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Flows: %v", err)
 	}
-	// 2 installed entries + one miss flow per table with a default.
+	// 2 installed entries + every table's miss and pass-through flows:
+	// a miss flow per table with a default, and a pass-through flow per
+	// guarded table (snvs has a default on every table).
 	misses := 0
 	for _, ct := range pl.Tables {
 		if ct.table.DefaultAction.Action != "" {
+			misses++
+		}
+		if len(ct.Guard) > 0 {
 			misses++
 		}
 	}
@@ -266,23 +299,7 @@ func TestCompileActionEdgeCases(t *testing.T) {
 	}
 	// A table with no default action has no miss flow: none in snvs, so
 	// construct one.
-	prog, err := p4.ParseProgram("nd", `
-		header h { bit<8> f; }
-		parser { state start { extract(h); transition accept; } }
-		control Ingress {
-			action a() { }
-			table t { key = { h.f: exact; } actions = { a; } }
-			apply { t.apply(); }
-		}
-		deparser { emit(h); }
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl2, err := Compile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl2 := mustCompile(t, noDefaultSrc)
 	miss, err = pl2.MissFlow("t")
 	if err != nil || miss != nil {
 		t.Errorf("no-default miss = %+v, %v", miss, err)
@@ -290,26 +307,7 @@ func TestCompileActionEdgeCases(t *testing.T) {
 }
 
 func TestFlowForOptionalAndTernary(t *testing.T) {
-	prog, err := p4.ParseProgram("mix", `
-		header h { bit<8> a; bit<8> b; bit<16> c; }
-		parser { state start { extract(h); transition accept; } }
-		control Ingress {
-			action ok() { }
-			table t {
-				key = { h.a: ternary; h.b: optional; h.c: lpm; }
-				actions = { ok; }
-			}
-			apply { t.apply(); }
-		}
-		deparser { emit(h); }
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := Compile(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl := mustCompile(t, mixSrc)
 	fl, err := pl.FlowForEntry(&p4rt.TableEntry{
 		Table: "t",
 		Matches: []p4.FieldMatch{
@@ -330,5 +328,63 @@ func TestFlowForOptionalAndTernary(t *testing.T) {
 	}
 	if fl.Priority != 105 {
 		t.Errorf("priority = %d", fl.Priority)
+	}
+}
+
+// TestEveryTableHasEmptyMatchFlow: OpenFlow drops a packet that no flow
+// of the current table matches, while P4 skips a table whose guard the
+// packet fails and applies nothing on a miss without a default action.
+// So every compiled table needs a priority-0 flow that matches
+// everything: in snvs, an untagged frame must pass tag_vlan (guarded by
+// vlan_present=1) and a known-unicast frame must pass flood (guarded by
+// egress_spec=0).
+func TestEveryTableHasEmptyMatchFlow(t *testing.T) {
+	progs := map[string]*p4.Program{"snvs": snvs.Pipeline()}
+	for name, src := range map[string]string{
+		"conj": conjSrc, "negated": negatedSrc, "fwd": fwdSrc,
+		"no-default": noDefaultSrc, "mix": mixSrc,
+	} {
+		prog, err := p4.ParseProgram(name, src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		progs[name] = prog
+	}
+	for name, prog := range progs {
+		pl, err := Compile(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		rt, err := p4.NewRuntime(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		flows, err := pl.Flows(rt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, ct := range pl.Tables {
+			var pass *Flow
+			for i := range flows {
+				if fl := &flows[i]; fl.Table == ct.ID && fl.Priority == 0 && fl.Match == "" {
+					pass = fl
+				}
+			}
+			if pass == nil {
+				t.Errorf("%s: table %d %s has no priority-0 empty-match flow:\n%s", name, ct.ID, ct.Name, Render(flows))
+				continue
+			}
+			// A guarded table passes what its guard skips on to the next
+			// table, or ends the pipeline at the last one.
+			if len(ct.Guard) > 0 {
+				want := ""
+				if ct.Next >= 0 {
+					want = fmt.Sprintf("goto_table:%d", ct.Next)
+				}
+				if pass.Actions != want {
+					t.Errorf("%s: table %s passes skipped packets with %q, want %q", name, ct.Name, pass.Actions, want)
+				}
+			}
+		}
 	}
 }

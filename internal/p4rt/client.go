@@ -161,8 +161,8 @@ func (c *Client) Write(updates ...Update) error {
 }
 
 // WriteTxn is Write with the originating management-plane transaction
-// attached as optional wire metadata, so the device can stamp its apply
-// events and extend the transaction's trace with a switch-applied stage.
+// attached as optional wire metadata, so the device can extend the
+// transaction's trace with a switch-applied stage.
 // A zero txn sends the legacy bare-array form, byte-identical to what
 // pre-txn clients emit — safe against old servers.
 func (c *Client) WriteTxn(txn uint64, updates ...Update) error {
@@ -177,20 +177,13 @@ func (c *Client) WriteTxn(txn uint64, updates ...Update) error {
 	c.mInflight.Add(1)
 	t0 := time.Now()
 	err := c.conn.Call("write", params, nil)
-	elapsed := time.Since(t0)
-	c.mWriteSecs.ObserveDuration(elapsed)
+	c.mWriteSecs.ObserveDuration(time.Since(t0))
 	c.mInflight.Add(-1)
 	c.mWrites.Inc()
 	c.mWriteUpdates.Observe(float64(len(updates)))
-	failed := int64(0)
 	if err != nil {
 		c.mWriteErrors.Inc()
-		failed = 1
 	}
-	c.rec.Append(obs.Ev("p4rt", "rpc.write").WithTxn(txn).WithDevice(c.target).
-		F("updates", int64(len(updates))).
-		F("rpc_us", elapsed.Microseconds()).
-		F("failed", failed))
 	return err
 }
 

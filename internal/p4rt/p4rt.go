@@ -82,8 +82,7 @@ type WriteRequest struct {
 
 // TxnDevice is optionally implemented by devices that can attribute a
 // write to its originating management-plane transaction (switchsim does:
-// it stamps write.apply events and records the switch-applied trace
-// stage). Servers fall back to Device.Write when it is absent or when
+// it records the switch-applied trace stage). Servers fall back to Device.Write when it is absent or when
 // the write carries no transaction.
 type TxnDevice interface {
 	WriteTxn(txn uint64, updates []Update) error

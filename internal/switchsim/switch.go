@@ -249,21 +249,18 @@ func (sw *Switch) P4Info() *p4.P4Info { return sw.info }
 func (sw *Switch) Write(updates []p4rt.Update) error { return sw.WriteTxn(0, updates) }
 
 // WriteTxn is Write attributed to the management-plane transaction that
-// produced the updates (p4rt.TxnDevice). The apply is stamped into the
-// flight recorder with the txn, and — when a tracer is attached — closes
-// the transaction's timeline with a switch-applied stage, the trace's
-// data-plane terminus.
+// produced the updates (p4rt.TxnDevice). When a tracer is attached, a
+// successful apply closes the transaction's timeline with a
+// switch-applied stage, the trace's data-plane terminus; an injected
+// fault is a write.fault event.
 func (sw *Switch) WriteTxn(txn uint64, updates []p4rt.Update) error {
 	start := time.Now()
 	err := sw.applyWrite(txn, updates)
 	if err == nil && txn != 0 {
 		sw.lastTxn.Store(txn)
 		if sw.tracer != nil {
-			attrs := obs.NewAttrs()
-			attrs["updates"] = int64(len(updates))
-			sw.tracer.Record(txn, "switchsim", obs.Stage{
-				Name: "switch-applied", Start: start, End: time.Now(), Attrs: attrs,
-			})
+			sw.tracer.Record(txn, "switchsim", obs.Stage{Name: "switch-applied", Start: start, End: time.Now()}.
+				F("updates", int64(len(updates))))
 		}
 	}
 	return err
@@ -272,15 +269,13 @@ func (sw *Switch) WriteTxn(txn uint64, updates []p4rt.Update) error {
 func (sw *Switch) applyWrite(txn uint64, updates []p4rt.Update) error {
 	if fp, _ := sw.writeFault.Load().(*func([]p4rt.Update) error); fp != nil && *fp != nil {
 		if err := (*fp)(updates); err != nil {
-			sw.rec.Append(obs.Ev("switchsim", "write.apply").WithTxn(txn).WithDevice(sw.name).
-				F("updates", int64(len(updates))).F("failed", 1))
+			sw.rec.Append(obs.Ev("switchsim", "write.fault").WithTxn(txn).WithDevice(sw.name).
+				F("updates", int64(len(updates))))
 			return fmt.Errorf("switchsim %s: injected fault: %w", sw.name, err)
 		}
 	}
 	sw.mWrites.Inc()
 	sw.mUpdates.Add(uint64(len(updates)))
-	sw.rec.Append(obs.Ev("switchsim", "write.apply").WithTxn(txn).WithDevice(sw.name).
-		F("updates", int64(len(updates))))
 	sw.writeMu.Lock()
 	defer sw.writeMu.Unlock()
 	n, err := sw.applyLocked(updates)

@@ -54,7 +54,8 @@ func stageNames(tr obs.Trace) []string {
 
 // TestObsTraceTimeline asserts that one OVSDB transaction produces exactly
 // one trace carrying the complete commit→monitor→delta→push→switch-applied
-// timeline with monotonic stage timestamps.
+// timeline, the device's write stage inside the push, with monotonic
+// stage timestamps.
 func TestObsTraceTimeline(t *testing.T) {
 	o, s := startObservedStack(t)
 
@@ -70,7 +71,7 @@ func TestObsTraceTimeline(t *testing.T) {
 	for {
 		var ok bool
 		tr, ok = o.Tr().Get(txn)
-		if ok && len(tr.Stages) >= 5 {
+		if ok && len(tr.Stages) >= 6 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -88,7 +89,7 @@ func TestObsTraceTimeline(t *testing.T) {
 
 	want := map[string]bool{
 		"commit": true, "monitor": true, "delta": true, "push": true,
-		"switch-applied": true,
+		"write": true, "switch-applied": true,
 	}
 	byName := map[string]obs.Stage{}
 	for _, st := range tr.Stages {
@@ -119,8 +120,8 @@ func TestObsTraceTimeline(t *testing.T) {
 			t.Fatalf("stage %s ends before %s starts", cur.Name, prev.Name)
 		}
 	}
-	if push := byName["push"]; push.Attrs["updates"] < 1 {
-		t.Fatalf("push stage pushed no updates: %+v", push)
+	if n, _ := byName["push"].Field("updates"); n < 1 {
+		t.Fatalf("push stage pushed no updates: %+v", byName["push"])
 	}
 }
 
