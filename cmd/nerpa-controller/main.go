@@ -32,7 +32,7 @@ func main() {
 	rulesPath := flag.String("rules", "", "control-plane rules file (default: built-in snvs rules)")
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	subAddr := flag.String("sub-addr", "", "serve derived-relation subscriptions (nerpa-watch clients) on this address (off when empty)")
-	subQueue := flag.Int("sub-queue", 0, "per-subscriber pending-update queue; a full queue evicts the subscriber (0 = default 256)")
+	subQueue := flag.Int("sub-queue", 0, "per-subscriber bound on updates published and not yet sent; reaching it evicts the subscriber (0 = default 256)")
 	subWriteLimit := flag.Int("sub-write-limit", 0, "per-subscriber-connection JSON-RPC write-queue cap (0 = default 4096, negative = unlimited)")
 	reconnectBackoff := flag.Duration("reconnect-backoff", 5*time.Second, "maximum redial backoff after a connection drops (must be positive)")
 	rpcTimeout := flag.Duration("rpc-timeout", 30*time.Second, "per-RPC deadline on OVSDB and P4Runtime calls (0 = none)")

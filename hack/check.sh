@@ -24,6 +24,10 @@ if grep -nE 'cacheOf|\bcache\b' internal/ovsdb/resilient.go; then exit 1; fi
 # any update for it, under an id the client named, so the client keeps
 # no buffer for updates that overtake their reply.
 if grep -nE 'pendingUpdates|pendingLocked|subscribing' internal/subscribe/client.go; then exit 1; fi
+# One delivery per connection: a connection's subscriptions share its
+# one delivery goroutine, which parks on the JSON-RPC writer's drain, so
+# the per-subscriber queue, its goroutine and the timer poll stay deleted.
+if grep -nE 'func \(sub \*subscriber\) deliver|sub\.queue|time\.After' $(ls internal/subscribe/*.go | grep -v _test.go); then exit 1; fi
 # The controller's step stays pure: no goroutine, clock, channel, lock or
 # device I/O (the driver in controller.go owns those).
 if grep -nE '\bgo |time\.|chan |\.Write\(|WriteTxn\(|ReadTable\(|"sync' internal/core/step.go; then exit 1; fi
@@ -122,7 +126,7 @@ go test -race -run 'TestRedial|TestResilient|TestResync|TestResnapshot|TestPushT
 # AfterReply ordering under it), the jsonrpc bounded-write regressions
 # and the one server all three planes serve on run under the race
 # detector.
-go test -race -run 'TestSnapshotThenDelta|TestSlowConsumerEviction|TestPublishRendersOncePerClass|TestUndecodableUpdateEndsSubscription|TestUpdatesFollowTheirSubscribeReply|TestSubscribeRefusesStaleID|TestConcurrentSubscribes|TestAfterReplyFollowsReply' -count=1 ./internal/subscribe/ ./internal/jsonrpc/
+go test -race -run 'TestSnapshotThenDelta|TestSlowConsumerEviction|TestPublishRendersOncePerClass|TestUndecodableUpdateEndsSubscription|TestUpdatesFollowTheirSubscribeReply|TestSubscribeRefusesStaleID|TestConcurrentSubscribes|TestAfterReplyFollowsReply|TestEvictionWithholdsPendingUpdates|TestOneDeliveryGoroutinePerConnection|TestExactlyOnceInCommitOrder|TestWaitQueueBelowWakesOnDrain' -count=1 ./internal/subscribe/ ./internal/jsonrpc/
 go test -race -run 'TestWriteLimit|TestCloseFlushes|TestServer' -count=1 ./internal/jsonrpc/
 # Tests that used to lose to a timer, a clock, a publication race or a
 # stage order on a loaded box: twenty runs each under the race detector

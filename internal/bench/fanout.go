@@ -34,7 +34,8 @@ type FanoutConfig struct {
 	Conns       int
 	// ChurnTxns is how many port insert/delete commits drive the fan-out
 	// (default 256; the slow-consumer eviction demo needs ~140 so the
-	// stalled connection's write queue and subscriber queue both fill).
+	// stalled connection's write queue and its subscribers' pending counts
+	// both fill).
 	ChurnTxns int
 }
 
@@ -225,8 +226,9 @@ func RunFanout(cfg FanoutConfig) (*FanoutResult, error) {
 	}
 
 	// Phase 1: open every subscription. Clients shrink their per-sub
-	// buffers (the server's 64-slot queue is the backpressure budget);
-	// subscribers round-robin over the four always-touched relations.
+	// buffers (the server's bound of 64 pending updates per subscription
+	// is the backpressure budget); subscribers round-robin over the four
+	// always-touched relations.
 	subs := make([]*fanSub, cfg.Subscribers)
 	clients := make([]*subscribe.Client, cfg.Conns)
 	defer func() {
@@ -317,8 +319,8 @@ func RunFanout(cfg FanoutConfig) (*FanoutResult, error) {
 	// touching all four relations by exactly one row. Commits are paced
 	// against delivery — the publisher stays at most lag transactions
 	// ahead of the slowest healthy subscriber, which keeps honest
-	// consumers inside the server's 64-slot queues (only the stalled
-	// victim falls out).
+	// consumers inside the server's bound of 64 pending updates (only the
+	// stalled victim falls out).
 	const lag = 32
 	n := uint64(cfg.Subscribers)
 	base := delivered.Load()

@@ -91,6 +91,12 @@ type Conn struct {
 	queued atomic.Int64
 	// overflowed counts messages rejected by the write-queue cap.
 	overflowed atomic.Uint64
+	// drainWaiting is set while some WaitQueueBelow caller is parked on
+	// drained; the writer wakes it after its next batch. With nobody
+	// parked the writer only loads the flag.
+	drainWaiting atomic.Bool
+	drainMu      sync.Mutex
+	drained      chan struct{} // closed by the writer's next drain; nil when nobody waits
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -183,6 +189,51 @@ func (c *Conn) RemoteAddr() string {
 // written to the stream (the write-queue depth, including the batch the
 // writer currently holds).
 func (c *Conn) WriteQueueLen() int { return int(c.queued.Load()) }
+
+// WaitQueueBelow blocks until the write queue holds fewer than n
+// messages, parking until the writer hands its next batch to the stream
+// rather than polling. It reports false once the connection has failed.
+func (c *Conn) WaitQueueBelow(n int) bool {
+	for {
+		select {
+		case <-c.done:
+			return false
+		default:
+		}
+		if int(c.queued.Load()) < n {
+			return true
+		}
+		c.drainMu.Lock()
+		if c.drained == nil {
+			c.drained = make(chan struct{})
+		}
+		ch := c.drained
+		c.drainWaiting.Store(true)
+		c.drainMu.Unlock()
+		// The writer lowers queued before it loads drainWaiting: either it
+		// sees the flag set above, or this load sees its drain.
+		if int(c.queued.Load()) < n {
+			return true
+		}
+		select {
+		case <-ch:
+		case <-c.done:
+			return false
+		}
+	}
+}
+
+// wakeDrainWaiters releases every WaitQueueBelow caller parked on the
+// batch just written.
+func (c *Conn) wakeDrainWaiters() {
+	c.drainMu.Lock()
+	if c.drained != nil {
+		close(c.drained)
+		c.drained = nil
+	}
+	c.drainWaiting.Store(false)
+	c.drainMu.Unlock()
+}
 
 // WriteOverflows reports how many messages the write-queue cap has
 // rejected on this connection.
@@ -502,6 +553,9 @@ func (c *Conn) writeBatch(batch *encBuf, count int, failConn bool) bool {
 	_, err := c.rwc.Write(batch.b)
 	putBuf(batch)
 	c.queued.Add(-int64(count))
+	if c.drainWaiting.Load() {
+		c.wakeDrainWaiters()
+	}
 	if err != nil && failConn {
 		c.fail(err)
 		c.rwc.Close()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -324,5 +325,83 @@ func TestAfterReplyFollowsReply(t *testing.T) {
 		default:
 			t.Fatalf("unexpected message %+v", m)
 		}
+	}
+}
+
+// TestWaitQueueBelowWakesOnDrain: a waiter parked above the limit stays
+// parked while the peer reads nothing, and wakes once the writer hands
+// the queue to the stream — on the writer's drain, with no timer. A
+// waiter parked on a connection that then fails reports false.
+func TestWaitQueueBelowWakesOnDrain(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	c := NewConn(a, nil)
+	defer c.Close()
+	for i := 0; i < 3; i++ {
+		if err := c.Notify("update", []int{i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The writer holds the first message in a Write the peer does not
+	// read, so the queue stays at 3.
+	if !c.WaitQueueBelow(4) {
+		t.Fatalf("WaitQueueBelow(4) with 3 queued reported a failed connection")
+	}
+	woke := make(chan bool, 1)
+	go func() { woke <- c.WaitQueueBelow(1) }()
+	waitParked(t, c)
+	select {
+	case ok := <-woke:
+		t.Fatalf("waiter returned %v with %d messages queued and nothing read", ok, c.WriteQueueLen())
+	case <-time.After(100 * time.Millisecond):
+	}
+	go io.Copy(io.Discard, b) // the peer reads: the writer drains
+	select {
+	case ok := <-woke:
+		if !ok || c.WriteQueueLen() != 0 {
+			t.Fatalf("waiter returned %v with %d queued, want true with 0", ok, c.WriteQueueLen())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("waiter still parked after the writer drained the queue")
+	}
+	if c.drainWaiting.Load() {
+		t.Errorf("drain flag still set with nobody waiting")
+	}
+
+	// A stalled peer again, and the connection fails under a waiter.
+	a, b = net.Pipe()
+	defer b.Close()
+	c = NewConn(a, nil)
+	for i := 0; i < 3; i++ {
+		c.Notify("update", []int{i})
+	}
+	go func() { woke <- c.WaitQueueBelow(1) }()
+	waitParked(t, c)
+	c.fail(errors.New("test: connection failed"))
+	select {
+	case ok := <-woke:
+		if ok {
+			t.Fatalf("waiter on a failed connection returned true")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("waiter still parked after the connection failed")
+	}
+	if c.WaitQueueBelow(1 << 20) {
+		t.Errorf("WaitQueueBelow on a failed connection returned true")
+	}
+	b.Close() // nobody will read what the failed connection still holds
+	c.Close()
+}
+
+// waitParked waits until some WaitQueueBelow caller has parked on c's
+// next drain.
+func waitParked(t *testing.T, c *Conn) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !c.drainWaiting.Load() {
+		if time.Now().After(deadline) {
+			t.Fatalf("waiter never parked")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -12,7 +12,9 @@
 //     equality → a field match);
 //   - a control-plane table entry becomes one flow: the guard plus the
 //     entry's key matches, with the action body compiled to an OpenFlow
-//     action list and a goto to the next table in sequence;
+//     action list and a goto to the next table in sequence; output and
+//     multicast write the action set, so the packet leaves only after
+//     the egress tables;
 //   - a table's default action becomes its miss flow: priority 0, or 1
 //     under the table's guard;
 //   - OpenFlow drops a packet that no flow of the current table matches,
@@ -258,8 +260,16 @@ func (pl *Pipeline) MissFlows(name string) ([]Flow, error) {
 	return append(flows, pass), nil
 }
 
+// egressSpec is the OpenFlow field P4's standard_metadata.egress_spec
+// compiles to.
+const egressSpec = "standard_metadata_egress_spec"
+
 // compileActionCall lowers an action body to an OpenFlow action list,
-// appending the goto to the next pipeline table.
+// appending the goto to the next pipeline table. P4's output(p) and
+// multicast(g) choose where the packet goes once the egress tables have
+// run, so they write the OpenFlow action set, which runs after the last
+// table, rather than apply an output at once; output also sets
+// egress_spec, which later tables may match on.
 func (pl *Pipeline) compileActionCall(ct *CompiledTable, call p4.ActionCall) (string, error) {
 	act := pl.prog.ActionByName(call.Action)
 	if act == nil {
@@ -295,13 +305,13 @@ func (pl *Pipeline) compileActionCall(ct *CompiledTable, call p4.ActionCall) (st
 			if err != nil {
 				return "", err
 			}
-			parts = append(parts, "output:"+v)
+			parts = append(parts, fmt.Sprintf("set_field:%s->%s", v, egressSpec), "write_actions(output:"+v+")")
 		case *p4.Multicast:
 			v, err := evalConst(s.Group)
 			if err != nil {
 				return "", err
 			}
-			parts = append(parts, "group:"+v)
+			parts = append(parts, "write_actions(group:"+v+")")
 		case *p4.Clone:
 			v, err := evalConst(s.Port)
 			if err != nil {

@@ -105,8 +105,9 @@ func TestFlowForEntry(t *testing.T) {
 		!strings.Contains(fl.Actions, "goto_table:") {
 		t.Errorf("flow actions = %q", fl.Actions)
 	}
-	// dmac forward entry outputs and still gotos (flood is skipped by its
-	// own egress_spec guard).
+	// dmac forward entry sets egress_spec and writes its output to the
+	// action set, and still gotos (flood is skipped by its own
+	// egress_spec guard).
 	fl, err = pl.FlowForEntry(&p4rt.TableEntry{
 		Table:   "dmac",
 		Matches: []p4.FieldMatch{{Value: 10}, {Value: 0xaa}},
@@ -115,7 +116,8 @@ func TestFlowForEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(fl.Actions, "output:0x7") {
+	if !strings.Contains(fl.Actions, "set_field:0x7->standard_metadata_egress_spec") ||
+		!strings.Contains(fl.Actions, "write_actions(output:0x7)") {
 		t.Errorf("dmac actions = %q", fl.Actions)
 	}
 	// Unknown tables are rejected.
@@ -387,4 +389,94 @@ func TestEveryTableHasEmptyMatchFlow(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOutputWaitsForEgress: P4's output(p) only sets egress_spec, and
+// the switch emits the packet after the egress tables have run; OpenFlow
+// does the same with the action set, which runs after the last table.
+// So no compiled flow of snvs or of any test program may apply an
+// output: or group: action outside write_actions (an immediate output
+// would send the packet before strip_tag and add_tag act on it), and a
+// forward entry must set egress_spec, which flood's guard reads.
+func TestOutputWaitsForEgress(t *testing.T) {
+	progs := map[string]*p4.Program{"snvs": snvs.Pipeline()}
+	for name, src := range map[string]string{
+		"conj": conjSrc, "negated": negatedSrc, "fwd": fwdSrc,
+		"no-default": noDefaultSrc, "mix": mixSrc,
+	} {
+		prog, err := p4.ParseProgram(name, src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		progs[name] = prog
+	}
+	for name, prog := range progs {
+		pl, err := Compile(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, ct := range pl.Tables {
+			flows, err := pl.MissFlows(ct.Name)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			// One entry per action the table offers, every key matching 1
+			// and every parameter 7.
+			matches := make([]p4.FieldMatch, len(ct.table.Keys))
+			for i := range matches {
+				matches[i] = p4.FieldMatch{Value: 1, Mask: 1, PrefixLen: 1}
+			}
+			for _, a := range ct.table.Actions {
+				params := make([]uint64, len(prog.ActionByName(a).Params))
+				for i := range params {
+					params[i] = 7
+				}
+				fl, err := pl.FlowForEntry(&p4rt.TableEntry{Table: ct.Name, Matches: matches, Action: a, Params: params})
+				if err != nil {
+					t.Fatalf("%s: %s/%s: %v", name, ct.Name, a, err)
+				}
+				flows = append(flows, fl)
+			}
+			for _, fl := range flows {
+				for _, act := range topLevelActions(fl.Actions) {
+					if strings.HasPrefix(act, "output:") || strings.HasPrefix(act, "group:") {
+						t.Errorf("%s: table %s applies %s before the egress tables: actions=%s", name, ct.Name, act, fl.Actions)
+					}
+				}
+			}
+		}
+	}
+
+	pl := compileSnvs(t)
+	fl, err := pl.FlowForEntry(&p4rt.TableEntry{
+		Table: "dmac", Matches: []p4.FieldMatch{{Value: 10}, {Value: 0xaa}},
+		Action: "forward", Params: []uint64{7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "set_field:0x7->standard_metadata_egress_spec,write_actions(output:0x7),goto_table:5"; fl.Actions != want {
+		t.Errorf("dmac forward actions = %q, want %q", fl.Actions, want)
+	}
+}
+
+// topLevelActions splits an action list at the commas outside
+// parentheses: "a,clone(output:1),b" is three actions.
+func topLevelActions(actions string) []string {
+	var out []string
+	depth, start := 0, 0
+	for i, c := range actions {
+		switch c {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case ',':
+			if depth == 0 {
+				out = append(out, actions[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(out, actions[start:])
 }

@@ -37,7 +37,10 @@ type Client struct {
 const reasonUndecodable = "undecodable update; resubscribe"
 
 // Update is one delta on a subscription stream, attributed with the
-// transaction that produced it.
+// transaction that produced it. The server sends a delta once to all of
+// a connection's subscriptions with the same relation and filter, and
+// the client hands every one of them the same Update: its Changes, rows
+// included, are shared and must be treated as read-only.
 type Update struct {
 	Txn     uint64
 	Changes []Change
@@ -250,19 +253,22 @@ func (c *Client) dropSub(id uint64) *Subscription {
 func (c *Client) handle(_ *jsonrpc.Conn, method string, params json.RawMessage) (any, *jsonrpc.RPCError) {
 	switch method {
 	case "sub_update":
-		id, u, err := parseUpdate(params)
+		ids, u, err := parseUpdate(params)
 		if err != nil {
-			// A notification's error reaches nobody, and the stream it
-			// belonged to now has a gap: end that subscription, or the
+			// A notification's error reaches nobody, and the streams it
+			// belonged to now have a gap: end those subscriptions, or the
 			// connection when the update does not even say whose it is.
-			if id, ok := updateSub(params); ok {
-				c.endSub(id, reasonUndecodable)
-			} else {
+			if ids = updateSubs(params); len(ids) == 0 {
 				c.conn.Close()
+			}
+			for _, id := range ids {
+				c.endSub(id, reasonUndecodable)
 			}
 			return nil, &jsonrpc.RPCError{Code: "bad update", Details: err.Error()}
 		}
-		c.dispatch(id, u)
+		for _, id := range ids {
+			c.dispatch(id, u)
+		}
 		return nil, nil
 	case "sub_evicted":
 		var msgs []evictMsg
@@ -339,8 +345,8 @@ func (r *subscribeReply) ParseJSON(data []byte) error {
 }
 
 // parseUpdate decodes "sub_update" params as json.Unmarshal would into
-// a list of {"sub","txn","changes"} messages, and requires exactly one.
-func parseUpdate(params []byte) (id uint64, u Update, err error) {
+// a list of {"subs","txn","changes"} messages, and requires exactly one.
+func parseUpdate(params []byte) (ids []uint64, u Update, err error) {
 	var d wirejson.Dec
 	d.Init(params)
 	n := 0
@@ -354,9 +360,9 @@ func parseUpdate(params []byte) (id uint64, u Update, err error) {
 				continue
 			}
 			for k := d.Key(); k != nil; k = d.Key() {
-				switch wirejson.Field(k, "sub", "txn", "changes") {
+				switch wirejson.Field(k, "subs", "txn", "changes") {
 				case 0:
-					wirejson.Uint(&d, &id)
+					wirejson.Slice(&d, &ids, wirejson.Uint[uint64])
 				case 1:
 					wirejson.Uint(&d, &u.Txn)
 				case 2:
@@ -370,27 +376,26 @@ func parseUpdate(params []byte) (id uint64, u Update, err error) {
 	if err = d.End(); err == nil && n != 1 {
 		err = fmt.Errorf("sub_update carries %d messages, want 1", n)
 	}
-	return id, u, err
+	return ids, u, err
 }
 
-// updateSub recovers whose an undecodable "sub_update" is: the first
-// message's "sub", if the params parse that far.
-func updateSub(params []byte) (id uint64, ok bool) {
+// updateSubs recovers whose an undecodable "sub_update" is: the first
+// message's "subs", if the params parse that far (nil if they do not).
+func updateSubs(params []byte) (ids []uint64) {
 	var d wirejson.Dec
 	d.Init(params)
 	if d.Array() && d.Elem() && d.Object() {
 		for k := d.Key(); k != nil; k = d.Key() {
-			switch {
-			case wirejson.Field(k, "sub", "txn", "changes") != 0:
+			if wirejson.Field(k, "subs", "txn", "changes") != 0 {
 				d.Skip()
-			case d.Null(): // names no subscription
-			default:
-				wirejson.Uint(&d, &id)
-				ok = d.Err() == nil
+				continue
+			}
+			if wirejson.Slice(&d, &ids, wirejson.Uint[uint64]); d.Err() != nil {
+				return nil
 			}
 		}
 	}
-	return id, ok
+	return ids
 }
 
 // parseChange decodes one {"row":[…],"w":n} over *c, as json.Unmarshal

@@ -9,14 +9,17 @@
 // and its subsequent delta stream are cut under one lock: every delta
 // published after the snapshot is delivered exactly once, and none that
 // the snapshot already contains. Fan-out is a tree keyed by relation,
-// then by filter class (the subscribers with the same filter): each
-// delta is rendered to wire bytes once per class, and every subscriber
-// of the class is queued those same bytes. Each subscriber owns a
-// bounded queue drained by a dedicated delivery goroutine. A subscriber
-// whose queue is full when a delta arrives is evicted — the service
-// never blocks the controller's event loop on a slow reader — and told
-// so with a final "sub_evicted" notification; the recovery path is to
-// resubscribe, which yields a fresh snapshot.
+// then by filter class (the subscribers with the same filter), then by
+// connection: each delta is rendered to wire bytes once per class, and
+// queued once per class and connection, naming every member of the
+// class on that connection. Each connection has one delivery goroutine
+// that sends its queue in publish order. Every subscription is bounded
+// by a count of the updates published to it and not yet sent; one whose
+// count is full when a delta arrives is evicted — the service never
+// blocks the controller's event loop on a slow reader — its unsent
+// updates are withheld, and it is told so with a final "sub_evicted"
+// notification; the recovery path is to resubscribe, which yields a
+// fresh snapshot.
 //
 // Wire protocol (JSON-RPC 1.0, same framing as the OVSDB plane):
 //
@@ -25,16 +28,22 @@
 //	request  "unsubscribe" params [id]          → {}
 //	request  "relations"   params []            → {"relations": [...]}
 //	request  "echo"        params any           → params (keepalive)
-//	notify   "sub_update"  params [{"sub": id, "txn": t, "changes": [{"row": [...], "w": ±n}, ...]}]
+//	notify   "sub_update"  params [{"subs": [id, ...], "txn": t, "changes": [{"row": [...], "w": ±n}, ...]}]
 //	notify   "sub_evicted" params [{"sub": id, "reason": r, "pending": n}]
 //
 // Rows render records as JSON arrays (bool, number, string, or nested
 // array for tuples); "w" is the Z-set weight (+ inserts, − deletes).
+// One "sub_update" carries a delta to every subscription it names, ids
+// ascending: the subscriptions of one filter class on the connection.
+// (A peer that reads a single "sub" member, the form before "subs",
+// decodes no update.) A "sub_evicted" notice's "pending" counts the
+// updates published to the subscription that it will not receive.
 // The client names each subscription with an id greater than every id
 // it named before on the connection, so it can register the
-// subscription before asking for it. The server queues the "subscribe"
-// reply before it starts the subscription's delivery: no "sub_update"
-// or "sub_evicted" for an id reaches the wire ahead of that id's reply.
+// subscription before asking for it. The server holds the updates
+// published to a subscription until its "subscribe" reply is queued: no
+// "sub_update" or "sub_evicted" for an id reaches the wire ahead of that
+// id's reply.
 package subscribe
 
 import (
@@ -42,11 +51,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dl/engine"
@@ -57,7 +66,7 @@ import (
 	"repro/internal/wirejson"
 )
 
-// defaultQueueLen bounds a subscriber's pending-update queue when
+// defaultQueueLen bounds a subscriber's pending updates when
 // Config.QueueLen is zero.
 const defaultQueueLen = 256
 
@@ -65,21 +74,22 @@ const defaultQueueLen = 256
 // Config.WriteLimit is zero.
 const defaultWriteLimit = 4096
 
-// defaultSoftLimit is where delivery goroutines stop feeding a
-// congested connection's write queue and instead let the subscriber
-// queue fill (and evict). It sits well below the hard write limit so
-// slowness surfaces as subscriber eviction — which the client can
-// recover from with a resubscribe — rather than connection failure.
+// defaultSoftLimit is where a connection's delivery goroutine stops
+// feeding its congested JSON-RPC write queue and instead lets its
+// subscribers' pending counts fill (and evict). It sits well below the
+// hard write limit so slowness surfaces as subscriber eviction — which
+// the client can recover from with a resubscribe — rather than
+// connection failure.
 const defaultSoftLimit = 64
 
 // Config tunes one Service.
 type Config struct {
-	// QueueLen bounds each subscriber's pending-update queue; a delta
-	// arriving at a full queue evicts the subscriber. 0 selects the
-	// default (256).
+	// QueueLen bounds each subscriber's pending updates (published to it
+	// and not yet sent); a delta arriving at a full count evicts the
+	// subscriber. 0 selects the default (256).
 	QueueLen int
 	// WriteLimit caps each connection's JSON-RPC write queue (the layer
-	// below the per-subscriber queues; it backstops replies and eviction
+	// below the pending updates; it backstops replies and eviction
 	// notices too). 0 selects the default (4096); negative disables the
 	// cap. Overflow fails the connection.
 	WriteLimit int
@@ -97,11 +107,15 @@ type relState struct {
 
 // filterClass is the subscribers of one relation that share one filter
 // (nil for the unfiltered class). Publish renders each delta once per
-// class and queues the same bytes to every member.
+// class and queues it once per connection the class has members on.
 type filterClass struct {
 	key    string // classKey of filter, its name in relState.classes
 	filter []fieldFilter
-	subs   map[*subscriber]struct{}
+	// members lists the class's subscribers on each connection in
+	// ascending id order: a connection's ids rise, and a new subscriber
+	// is appended.
+	members map[*connState][]*subscriber
+	n       int // subscribers across all of members
 }
 
 // connState is the service's view of one client connection; it is also
@@ -114,34 +128,46 @@ type connState struct {
 	// lastID is the highest id a subscription on this connection was
 	// accepted under; a new one must name a greater id.
 	lastID uint64
+
+	// pending[head:] are the notifications awaiting the delivery
+	// goroutine, in publish order; guarded by svc.mu.
+	pending []notice
+	head    int
+	wake    chan struct{} // capacity 1: pending grew
+	// delivered closes when the delivery goroutine exits.
+	delivered chan struct{}
 }
 
-// queuedUpdate is one delta pending delivery to one subscriber: the
-// "changes" array its filter class rendered, shared read-only by every
-// subscriber of the class.
-type queuedUpdate struct {
+// notice is one notification pending on a connection: a filter class's
+// rendered delta for the members the class had there when it was
+// published, or, when evict is set, an eviction notice.
+type notice struct {
 	txn     uint64
-	changes []byte
+	changes []byte        // the class's rendering, shared read-only
+	subs    []*subscriber // ascending ids; this notice's own copy
+	evict   *evictMsg
 }
 
-// subscriber is one (connection, relation, filter) subscription.
+// subscriber is one (connection, relation, filter) subscription. Its
+// fields below cs are guarded by svc.mu.
 type subscriber struct {
 	id       uint64 // the client's name for it, unique on its connection
 	relation string
 	class    *filterClass
 	cs       *connState
-	queue    chan queuedUpdate
 	since    time.Time
 
+	// backlog counts the updates published to it and not yet taken by
+	// the delivery goroutine: the count QueueLen bounds.
+	backlog int
 	// sent counts delivered update notifications (debug surface).
-	sent atomic.Uint64
-
-	// evicted/reason/pending are set under svc.mu before queue close;
-	// the delivery goroutine reads them after the queue closes (the
-	// close is the synchronization edge).
-	evicted bool
-	reason  string
-	pending int
+	sent uint64
+	// replied is set once its subscribe reply is queued. Until then its
+	// notices are held here, not on the connection, so none overtakes
+	// the reply.
+	replied bool
+	held    []notice
+	removed bool
 }
 
 // Change is one weighted row as a client decodes it: a record's JSON
@@ -152,23 +178,31 @@ type Change struct {
 	W   int64 `json:"w"`
 }
 
-// updateParams is the "sub_update" params, [{"sub":…,"txn":…,"changes":…}],
+// updateParams is the "sub_update" params, [{"subs":[…],"txn":…,"changes":…}],
 // around a class's rendered changes.
 type updateParams struct {
-	sub, txn uint64
-	changes  []byte
+	subs    []uint64
+	txn     uint64
+	changes []byte
 }
 
 func (p *updateParams) AppendJSON(dst []byte) ([]byte, error) {
-	dst = strconv.AppendUint(append(dst, `[{"sub":`...), p.sub, 10)
-	dst = strconv.AppendUint(append(dst, `,"txn":`...), p.txn, 10)
+	dst = append(dst, `[{"subs":[`...)
+	for i, id := range p.subs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendUint(dst, id, 10)
+	}
+	dst = strconv.AppendUint(append(dst, `],"txn":`...), p.txn, 10)
 	dst = append(append(dst, `,"changes":`...), p.changes...)
 	return append(dst, "}]"...), nil
 }
 
 // snapshotReply is the "subscribe" result, {"relation":…,"txn":…,"rows":…},
-// around the rendered snapshot. Once it is queued, AfterReply starts the
-// subscriber's delivery: updates follow the reply on the wire.
+// around the rendered snapshot. Once it is queued, AfterReply moves the
+// subscriber's held updates to its connection's queue: updates follow
+// the reply on the wire.
 type snapshotReply struct {
 	sub  *subscriber
 	txn  uint64
@@ -182,7 +216,19 @@ func (r snapshotReply) AppendJSON(dst []byte) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-func (r snapshotReply) AfterReply() { go r.sub.deliver() }
+// AfterReply moves the notices held for the subscriber onto its
+// connection's queue, where every later one follows them.
+func (r snapshotReply) AfterReply() {
+	sub := r.sub
+	s := sub.cs.svc
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sub.replied = true
+	for _, n := range sub.held {
+		sub.cs.queueLocked(n)
+	}
+	sub.held = nil
+}
 
 // evictMsg is the "sub_evicted" notification payload.
 type evictMsg struct {
@@ -243,7 +289,9 @@ func New(cfg Config) *Service {
 		s.softLimit = max(limit/2, 1)
 	}
 	s.Server = jsonrpc.NewServer(limit, func(c *jsonrpc.Conn) (jsonrpc.Handler, func()) {
-		cs := &connState{svc: s, conn: c, remote: c.RemoteAddr(), subs: make(map[uint64]*subscriber)}
+		cs := &connState{svc: s, conn: c, remote: c.RemoteAddr(), subs: make(map[uint64]*subscriber),
+			wake: make(chan struct{}, 1), delivered: make(chan struct{})}
+		go cs.deliver()
 		return cs, cs.teardown
 	})
 	s.SetObs(cfg.Obs, "subscribe")
@@ -255,15 +303,15 @@ func New(cfg Config) *Service {
 	s.m.unsubsTotal = reg.Counter("sub_unsubscribes_total",
 		"Explicit unsubscribes honored.")
 	s.m.evictions = reg.Counter("sub_evictions_total",
-		"Subscribers evicted for not draining their queue.")
+		"Subscribers evicted for not draining their updates.")
 	s.m.updates = reg.Counter("sub_updates_total",
-		"Delta notifications enqueued to subscribers.")
+		"Delta updates queued to subscribers, one per subscriber.")
 	s.m.updateRows = reg.Counter("sub_update_rows_total",
-		"Weighted rows carried by enqueued delta notifications.")
+		"Weighted rows carried by queued delta updates.")
 	s.m.snapshotRows = reg.Counter("sub_snapshot_rows_total",
 		"Rows served in initial snapshots.")
 	s.m.dropped = reg.Counter("sub_dropped_updates_total",
-		"Updates discarded with their evicted subscriber's queue.")
+		"Updates withheld from evicted subscribers.")
 	reg.GaugeFunc("sub_connections",
 		"Open subscriber connections.", func() float64 { return float64(s.Conns()) })
 	reg.GaugeFunc("sub_pending_updates",
@@ -274,8 +322,10 @@ func New(cfg Config) *Service {
 			n := 0
 			for _, rs := range s.rels {
 				for _, cl := range rs.classes {
-					for sub := range cl.subs {
-						n += len(sub.queue)
+					for _, members := range cl.members {
+						for _, sub := range members {
+							n += sub.backlog
+						}
 					}
 				}
 			}
@@ -329,17 +379,36 @@ func (s *Service) Publish(txn uint64, delta engine.Delta) {
 			if n == 0 {
 				continue
 			}
-			// The class's bytes are read by every member's delivery
+			// The class's bytes are read by every connection's delivery
 			// goroutine and written by nobody.
 			changes := bytes.Clone(s.buf)
-			for sub := range cl.subs {
-				select {
-				case sub.queue <- queuedUpdate{txn: txn, changes: changes}:
-					s.m.updates.Inc()
-					s.m.updateRows.Add(uint64(n))
-				default:
-					evict = append(evict, sub)
+			// Each notice keeps its own copy of the members, so one who
+			// joins later does not receive this delta. The copies are
+			// cut from one array per class: whether the class has one
+			// subscriber on each of many connections or many on one,
+			// Publish allocates per class, not per subscriber.
+			to := make([]*subscriber, 0, cl.n)
+			for cs, members := range cl.members {
+				start := len(to)
+				queued := 0
+				for _, sub := range members {
+					if sub.backlog >= s.cfg.QueueLen {
+						evict = append(evict, sub)
+						continue
+					}
+					sub.backlog++
+					queued++
+					if sub.replied {
+						to = append(to, sub)
+					} else {
+						sub.held = append(sub.held, notice{txn: txn, changes: changes, subs: []*subscriber{sub}})
+					}
 				}
+				if len(to) > start {
+					cs.queueLocked(notice{txn: txn, changes: changes, subs: to[start:len(to):len(to)]})
+				}
+				s.m.updates.Add(uint64(queued))
+				s.m.updateRows.Add(uint64(queued * n))
 			}
 		}
 		for _, sub := range evict {
@@ -348,96 +417,118 @@ func (s *Service) Publish(txn uint64, delta engine.Delta) {
 	}
 }
 
-// evictLocked removes a subscriber that failed to drain its queue. The
-// delivery goroutine flushes what it can, then sends the terminal
-// "sub_evicted" notice; the client's recovery is a fresh subscribe.
+// queueLocked appends a notice to the connection's queue and wakes its
+// delivery goroutine.
+func (cs *connState) queueLocked(n notice) {
+	if cs.head > 0 && len(cs.pending) == cap(cs.pending) {
+		// Reuse the slots already taken before append grows the array.
+		k := copy(cs.pending, cs.pending[cs.head:])
+		clear(cs.pending[k:])
+		cs.pending, cs.head = cs.pending[:k], 0
+	}
+	cs.pending = append(cs.pending, n)
+	select {
+	case cs.wake <- struct{}{}:
+	default:
+	}
+}
+
+// evictLocked removes a subscriber whose pending count is full. Its
+// pending updates, and the one that found the count full, are withheld;
+// the terminal "sub_evicted" notice, queued behind whatever the
+// connection was already sent, says how many. The client's recovery is
+// a fresh subscribe.
 func (s *Service) evictLocked(sub *subscriber, reason string) {
-	sub.evicted = true
-	sub.reason = reason
-	sub.pending = len(sub.queue)
+	pending := sub.backlog + 1
 	s.removeLocked(sub)
 	s.m.evictions.Inc()
-	s.m.dropped.Add(uint64(sub.pending))
+	s.m.dropped.Add(uint64(pending))
 	s.rec.Append(obs.Ev("sub", "subscriber.evict").WithTxn(s.lastTxn).
-		F("sub", int64(sub.id)).F("pending", int64(sub.pending)))
+		F("sub", int64(sub.id)).F("pending", int64(pending)))
+	n := notice{evict: &evictMsg{Sub: sub.id, Reason: reason, Pending: pending}}
+	if sub.replied {
+		sub.cs.queueLocked(n)
+	} else {
+		sub.held = append(sub.held[:0], n)
+	}
 }
 
-// removeLocked unregisters a subscriber and closes its queue (ending
-// the delivery goroutine). Idempotence: only the caller that still
-// finds the subscriber registered may close the queue.
+// removeLocked unregisters a subscriber. The notices still pending that
+// name it are sent without it.
 func (s *Service) removeLocked(sub *subscriber) {
-	cl := sub.class
-	if _, ok := cl.subs[sub]; !ok {
+	if sub.removed {
 		return
 	}
-	if delete(cl.subs, sub); len(cl.subs) == 0 {
+	sub.removed = true
+	cl, cs := sub.class, sub.cs
+	cl.n--
+	if members := slices.DeleteFunc(cl.members[cs], func(m *subscriber) bool { return m == sub }); len(members) > 0 {
+		cl.members[cs] = members
+	} else if delete(cl.members, cs); len(cl.members) == 0 {
 		delete(s.rels[sub.relation].classes, cl.key)
 	}
-	delete(sub.cs.subs, sub.id)
+	delete(cs.subs, sub.id)
 	s.nSubs--
 	s.m.subscribers.Add(-1)
-	close(sub.queue)
 }
 
-// waitWritable holds a delivery goroutine back while the connection's
-// write queue sits above the soft limit. This is what converts a slow
-// TCP reader into subscriber-queue pressure (and hence eviction)
-// instead of unbounded jsonrpc queue growth or connection failure.
-// Returns false once the connection is dead.
-func (cs *connState) waitWritable(soft int) bool {
+// deliver sends the connection's notices in the order they were queued.
+// It runs on the connection's one delivery goroutine for the
+// connection's whole life. Before taking each notice it waits for the
+// write queue to drain below the soft limit, so a slow reader turns into
+// growing pending counts (and hence eviction) instead of unbounded
+// jsonrpc queue growth or connection failure.
+func (cs *connState) deliver() {
+	defer close(cs.delivered)
+	s := cs.svc
+	msg := &updateParams{} // Notify renders it before returning
 	for {
 		select {
+		case <-cs.wake:
 		case <-cs.conn.Done():
-			return false
-		default:
+			return
 		}
-		if cs.conn.WriteQueueLen() < soft {
-			return true
-		}
-		select {
-		case <-cs.conn.Done():
-			return false
-		case <-time.After(time.Millisecond):
+		for cs.conn.WaitQueueBelow(s.softLimit) {
+			s.mu.Lock()
+			if cs.head == len(cs.pending) {
+				cs.pending, cs.head = cs.pending[:0], 0
+				s.mu.Unlock()
+				break
+			}
+			n := cs.pending[cs.head]
+			cs.pending[cs.head] = notice{}
+			cs.head++
+			msg.subs = msg.subs[:0]
+			for _, sub := range n.subs {
+				sub.backlog--
+				if !sub.removed {
+					sub.sent++
+					msg.subs = append(msg.subs, sub.id)
+				}
+			}
+			s.mu.Unlock()
+			switch {
+			case n.evict != nil:
+				cs.conn.Notify("sub_evicted", []any{*n.evict})
+			case len(msg.subs) > 0:
+				msg.txn, msg.changes = n.txn, n.changes
+				cs.conn.Notify("sub_update", msg)
+			}
 		}
 	}
 }
 
-// deliver drains one subscriber's queue onto its connection. Runs on a
-// dedicated goroutine, started once the subscribe reply is queued; exits
-// when the queue closes (unsubscribe, eviction, connection teardown,
-// service close).
-func (sub *subscriber) deliver() {
-	soft := sub.cs.svc.softLimit
-	msg := &updateParams{sub: sub.id} // Notify renders it before returning
-	for u := range sub.queue {
-		if !sub.cs.waitWritable(soft) {
-			// Connection failed: keep draining so the publisher's
-			// sends stay non-blocking until teardown closes the queue.
-			continue
-		}
-		msg.txn, msg.changes = u.txn, u.changes
-		if err := sub.cs.conn.Notify("sub_update", msg); err != nil {
-			continue
-		}
-		sub.sent.Add(1)
-	}
-	if sub.evicted {
-		// Best-effort: the conn is usually still healthy (the queue
-		// that overflowed was ours, not jsonrpc's).
-		sub.cs.conn.Notify("sub_evicted", []any{evictMsg{
-			Sub: sub.id, Reason: sub.reason, Pending: sub.pending,
-		}})
-	}
-}
-
-// teardown drops a departed connection's subscriptions.
+// teardown drops a departed connection's subscriptions once its
+// delivery goroutine has stopped.
 func (cs *connState) teardown() {
+	<-cs.delivered
 	s := cs.svc
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, sub := range cs.subs {
 		s.removeLocked(sub)
 	}
+	cs.pending, cs.head = nil, 0
 }
 
 // Subscribers reports the number of active subscriptions.
@@ -475,8 +566,8 @@ type subscribeOpts struct {
 	Filter map[string]any `json:"filter"`
 }
 
-// handleSubscribe registers the subscriber and returns its snapshot; the
-// reply's AfterReply starts the delivery.
+// handleSubscribe registers the subscriber and returns its snapshot
+// reply, whose AfterReply releases the deltas held for it.
 func (cs *connState) handleSubscribe(params json.RawMessage) (any, *jsonrpc.RPCError) {
 	var raw []json.RawMessage
 	if err := json.Unmarshal(params, &raw); err != nil || len(raw) < 2 || len(raw) > 3 {
@@ -527,13 +618,15 @@ func (cs *connState) handleSubscribe(params json.RawMessage) (any, *jsonrpc.RPCE
 }
 
 // subscribeLocked registers a subscriber under the client's id in its
-// filter class and cuts its snapshot. The reply starts its delivery.
+// filter class and cuts its snapshot. Deltas published to it before the
+// reply's AfterReply are held on the subscriber; AfterReply moves them
+// to the connection's queue.
 func (s *Service) subscribeLocked(cs *connState, id uint64, rel string, filter []fieldFilter) snapshotReply {
 	rs := s.relLocked(rel)
 	key := classKey(filter)
 	cl := rs.classes[key]
 	if cl == nil {
-		cl = &filterClass{key: key, filter: filter, subs: make(map[*subscriber]struct{})}
+		cl = &filterClass{key: key, filter: filter, members: make(map[*connState][]*subscriber)}
 		rs.classes[key] = cl
 	}
 	sub := &subscriber{
@@ -541,10 +634,10 @@ func (s *Service) subscribeLocked(cs *connState, id uint64, rel string, filter [
 		relation: rel,
 		class:    cl,
 		cs:       cs,
-		queue:    make(chan queuedUpdate, s.cfg.QueueLen),
 		since:    time.Now(),
 	}
-	cl.subs[sub] = struct{}{}
+	cl.members[cs] = append(cl.members[cs], sub)
+	cl.n++
 	cs.subs[id] = sub
 	cs.lastID = id
 	s.nSubs++
@@ -632,15 +725,17 @@ func (s *Service) handleDebug(w http.ResponseWriter, r *http.Request) {
 	for name, rs := range s.rels {
 		n := 0
 		for _, cl := range rs.classes {
-			n += len(cl.subs)
-			for sub := range cl.subs {
-				out.Subscribers = append(out.Subscribers, subInfo{
-					Sub: sub.id, Relation: sub.relation, Remote: sub.cs.remote,
-					Filtered: cl.filter != nil,
-					Queue:    len(sub.queue), QueueCap: cap(sub.queue),
-					Sent:    sub.sent.Load(),
-					AgeSecs: int64(now.Sub(sub.since).Seconds()),
-				})
+			for _, members := range cl.members {
+				n += len(members)
+				for _, sub := range members {
+					out.Subscribers = append(out.Subscribers, subInfo{
+						Sub: sub.id, Relation: sub.relation, Remote: sub.cs.remote,
+						Filtered: cl.filter != nil,
+						Queue:    sub.backlog, QueueCap: s.cfg.QueueLen,
+						Sent:    sub.sent,
+						AgeSecs: int64(now.Sub(sub.since).Seconds()),
+					})
+				}
 			}
 		}
 		out.Relations[name] = relInfo{Rows: rs.z.Len(), Subscribers: n}

@@ -245,7 +245,7 @@ func TestSlowConsumerEviction(t *testing.T) {
 
 	// Publish at the healthy subscriber's consumption pace (recv acks
 	// each txn). The stalled connection's delivery parks once its write
-	// queue congests, so its 4-slot queue fills and evicts regardless.
+	// queue congests, so its 4 pending updates fill and evict it regardless.
 	const K = 100
 	state := map[string]int64{}
 	applyChanges(state, hsub.Rows)
@@ -487,8 +487,11 @@ func TestUpdatesFollowTheirSubscribeReply(t *testing.T) {
 		var m struct {
 			ID     *uint64
 			Method string
-			Params []struct{ Sub uint64 }
-			Error  any
+			Params []struct {
+				Sub  uint64   // sub_evicted
+				Subs []uint64 // sub_update
+			}
+			Error any
 		}
 		if err := peer.Decode(&m); err != nil {
 			t.Fatalf("after %d replies and %d notifications: %v", len(replied), notes, err)
@@ -500,8 +503,10 @@ func TestUpdatesFollowTheirSubscribeReply(t *testing.T) {
 			}
 			replied[*m.ID] = true
 		case len(m.Params) == 1:
-			if !replied[m.Params[0].Sub] {
-				t.Fatalf("%s for subscription %d read before its subscribe reply", m.Method, m.Params[0].Sub)
+			for _, id := range append(m.Params[0].Subs, m.Params[0].Sub) {
+				if id != 0 && !replied[id] {
+					t.Fatalf("%s for subscription %d read before its subscribe reply", m.Method, id)
+				}
 			}
 			notes++
 		default:
@@ -633,5 +638,112 @@ func TestParseFilterKeys(t *testing.T) {
 		case tc.idx >= 0 && (err != nil || fs[0].idx != tc.idx):
 			t.Errorf("parseFilter key %q = %v, %v; want column %d", tc.key, fs, err, tc.idx)
 		}
+	}
+}
+
+// TestEvictionWithholdsPendingUpdates: on TestSlowConsumerEviction's
+// stalled connection, read raw, every update published to the evicted
+// subscription is either read under its id or counted in the eviction
+// notice's "pending" — never both.
+func TestEvictionWithholdsPendingUpdates(t *testing.T) {
+	svc := New(Config{QueueLen: 4, WriteLimit: 1024})
+	defer svc.Close()
+	a, b := net.Pipe()
+	th := newThrottle(a)
+	defer th.Close()
+	svc.ServeConn(b)
+	a.SetDeadline(time.Now().Add(20 * time.Second))
+	peer := json.NewDecoder(th)
+	req, _ := json.Marshal(map[string]any{"id": 1, "method": "subscribe", "params": []any{1, "R"}})
+	if _, err := th.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	var reply struct{ Error any }
+	if err := peer.Decode(&reply); err != nil || reply.Error != nil {
+		t.Fatalf("subscribe reply: %+v, %v", reply, err)
+	}
+	th.stall()
+
+	// Publish until the stalled subscription is evicted: every txn up to
+	// and including the one that found its count full was published to it.
+	published := 0
+	for svc.Subscribers() == 1 {
+		if published == 10000 {
+			t.Fatalf("stalled subscription not evicted after %d updates", published)
+		}
+		published++
+		svc.Publish(uint64(published), d("R", zset.Entry{Rec: row(int64(published)), Weight: 1}))
+	}
+
+	th.resume()
+	read := 0
+	for {
+		var m struct {
+			Method string
+			Params []struct {
+				Subs    []uint64
+				Sub     uint64
+				Pending int
+			}
+		}
+		if err := peer.Decode(&m); err != nil {
+			t.Fatalf("after %d updates: %v", read, err)
+		}
+		switch m.Method {
+		case "sub_update":
+			if len(m.Params) != 1 || len(m.Params[0].Subs) != 1 || m.Params[0].Subs[0] != 1 {
+				t.Fatalf("update %+v, want one naming subscription 1", m.Params)
+			}
+			read++
+		case "sub_evicted":
+			if pending := m.Params[0].Pending; read+pending != published {
+				t.Fatalf("read %d updates and the notice counts %d pending, but %d were published to the subscription",
+					read, pending, published)
+			}
+			return
+		default:
+			t.Fatalf("unexpected message %+v", m)
+		}
+	}
+}
+
+// TestOneDeliveryGoroutinePerConnection: a connection's subscriptions
+// share its one delivery goroutine, so opening more of them and
+// streaming to them starts none.
+func TestOneDeliveryGoroutinePerConnection(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	cl := pair(t, svc)
+	first, err := cl.Subscribe("R", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Publish(1, d("R", zset.Entry{Rec: row(1), Weight: 1}))
+	recv(t, first)
+	base := runtime.NumGoroutine()
+
+	const n = 64
+	subs := []*Subscription{first}
+	for i := 1; i < n; i++ {
+		filter := map[int]any(nil)
+		if i%2 == 1 {
+			filter = map[int]any{0: i % 4} // row 1 passes one filter in four
+		}
+		sub, err := cl.Subscribe("R", filter)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, sub)
+	}
+	svc.Publish(2, d("R", zset.Entry{Rec: row(1), Weight: -1}))
+	for i, sub := range subs {
+		if i%2 == 0 || i%4 == 1 {
+			if u := recv(t, sub); u.Txn != 2 {
+				t.Fatalf("subscription %d got txn %d, want 2", sub.ID, u.Txn)
+			}
+		}
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines with %d subscriptions on the connection, %d with one", got, n, base)
 	}
 }
