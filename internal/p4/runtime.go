@@ -15,11 +15,16 @@ import (
 //	lpm:      Value, PrefixLen
 //	ternary:  Value, Mask
 //	optional: Value, Wildcard
+//
+// On the wire a match carries Value and only those other members that are
+// set, as P4Runtime's FieldMatch oneof does: an exact match is
+// {"Value":v}. An absent member decodes as zero, so the form is lossless
+// and a peer that sends every member still decodes to the same value.
 type FieldMatch struct {
 	Value     uint64
-	Mask      uint64
-	PrefixLen int
-	Wildcard  bool
+	Mask      uint64 `json:",omitempty"`
+	PrefixLen int    `json:",omitempty"`
+	Wildcard  bool   `json:",omitempty"`
 }
 
 // Entry is one installed table entry.

@@ -14,7 +14,8 @@
 //     entry's key matches, with the action body compiled to an OpenFlow
 //     action list and a goto to the next table in sequence; output and
 //     multicast write the action set, so the packet leaves only after
-//     the egress tables;
+//     the egress tables, and drop clears it and goes on, as P4's drop
+//     only marks the packet for the tables after it;
 //   - a table's default action becomes its miss flow: priority 0, or 1
 //     under the table's guard;
 //   - OpenFlow drops a packet that no flow of the current table matches,
@@ -269,14 +270,18 @@ const egressSpec = "standard_metadata_egress_spec"
 // multicast(g) choose where the packet goes once the egress tables have
 // run, so they write the OpenFlow action set, which runs after the last
 // table, rather than apply an output at once; output also sets
-// egress_spec, which later tables may match on.
+// egress_spec, which later tables may match on. P4's drop() only marks
+// the packet and the tables after it still run (a mirror still clones a
+// denied frame), so it clears the action set and keeps the goto: an
+// output an earlier table wrote is gone, and one a later table writes
+// forwards the packet again, as on the switch. A multicast after a drop
+// still differs: the switch drops the packet, OpenFlow floods it.
 func (pl *Pipeline) compileActionCall(ct *CompiledTable, call p4.ActionCall) (string, error) {
 	act := pl.prog.ActionByName(call.Action)
 	if act == nil {
 		return "", fmt.Errorf("p4of: unknown action %q", call.Action)
 	}
 	var parts []string
-	terminal := false
 	evalConst := func(e p4.Expr) (string, error) {
 		switch e := e.(type) {
 		case *p4.ConstExpr:
@@ -319,8 +324,7 @@ func (pl *Pipeline) compileActionCall(ct *CompiledTable, call p4.ActionCall) (st
 			}
 			parts = append(parts, fmt.Sprintf("clone(output:%s)", v))
 		case *p4.Drop:
-			parts = append(parts, "drop")
-			terminal = true
+			parts = append(parts, "clear_actions")
 		case *p4.EmitDigest:
 			parts = append(parts, fmt.Sprintf("controller(digest=%s)", s.Digest))
 		case *p4.SetValid:
@@ -333,7 +337,7 @@ func (pl *Pipeline) compileActionCall(ct *CompiledTable, call p4.ActionCall) (st
 			return "", fmt.Errorf("p4of: unsupported statement %T", stmt)
 		}
 	}
-	if !terminal && ct.Next >= 0 {
+	if ct.Next >= 0 {
 		parts = append(parts, fmt.Sprintf("goto_table:%d", ct.Next))
 	}
 	if len(parts) == 0 {

@@ -19,6 +19,24 @@ func compileSnvs(t *testing.T) *Pipeline {
 	return pl
 }
 
+// fixturePrograms parses snvs and every test program of this package,
+// by name.
+func fixturePrograms(t *testing.T) map[string]*p4.Program {
+	t.Helper()
+	progs := map[string]*p4.Program{"snvs": snvs.Pipeline()}
+	for name, src := range map[string]string{
+		"conj": conjSrc, "negated": negatedSrc, "fwd": fwdSrc,
+		"no-default": noDefaultSrc, "mix": mixSrc,
+	} {
+		prog, err := p4.ParseProgram(name, src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		progs[name] = prog
+	}
+	return progs
+}
+
 // noDefaultSrc applies one unguarded table with no default action.
 const noDefaultSrc = `
 	header h { bit<8> f; }
@@ -128,12 +146,12 @@ func TestFlowForEntry(t *testing.T) {
 
 func TestMissFlows(t *testing.T) {
 	pl := compileSnvs(t)
-	// vlan_ok's miss drops.
+	// vlan_ok's miss drops: it clears the action set and goes on.
 	miss, err := pl.MissFlow("vlan_ok")
 	if err != nil || miss == nil {
 		t.Fatalf("MissFlow: %v, %v", miss, err)
 	}
-	if miss.Priority != 0 || !strings.Contains(miss.Actions, "drop") {
+	if miss.Priority != 0 || miss.Actions != "clear_actions,goto_table:3" {
 		t.Errorf("vlan_ok miss = %+v", miss)
 	}
 	// smac's miss sends a digest to the controller and continues.
@@ -341,17 +359,7 @@ func TestFlowForOptionalAndTernary(t *testing.T) {
 // vlan_present=1) and a known-unicast frame must pass flood (guarded by
 // egress_spec=0).
 func TestEveryTableHasEmptyMatchFlow(t *testing.T) {
-	progs := map[string]*p4.Program{"snvs": snvs.Pipeline()}
-	for name, src := range map[string]string{
-		"conj": conjSrc, "negated": negatedSrc, "fwd": fwdSrc,
-		"no-default": noDefaultSrc, "mix": mixSrc,
-	} {
-		prog, err := p4.ParseProgram(name, src)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		progs[name] = prog
-	}
+	progs := fixturePrograms(t)
 	for name, prog := range progs {
 		pl, err := Compile(prog)
 		if err != nil {
@@ -399,17 +407,7 @@ func TestEveryTableHasEmptyMatchFlow(t *testing.T) {
 // would send the packet before strip_tag and add_tag act on it), and a
 // forward entry must set egress_spec, which flood's guard reads.
 func TestOutputWaitsForEgress(t *testing.T) {
-	progs := map[string]*p4.Program{"snvs": snvs.Pipeline()}
-	for name, src := range map[string]string{
-		"conj": conjSrc, "negated": negatedSrc, "fwd": fwdSrc,
-		"no-default": noDefaultSrc, "mix": mixSrc,
-	} {
-		prog, err := p4.ParseProgram(name, src)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		progs[name] = prog
-	}
+	progs := fixturePrograms(t)
 	for name, prog := range progs {
 		pl, err := Compile(prog)
 		if err != nil {

@@ -56,9 +56,15 @@ func appendUpdate(dst []byte, u *Update) []byte {
 				}
 				m := &e.Matches[i]
 				dst = strconv.AppendUint(append(dst, `{"Value":`...), m.Value, 10)
-				dst = strconv.AppendUint(append(dst, `,"Mask":`...), m.Mask, 10)
-				dst = strconv.AppendInt(append(dst, `,"PrefixLen":`...), int64(m.PrefixLen), 10)
-				dst = strconv.AppendBool(append(dst, `,"Wildcard":`...), m.Wildcard)
+				if m.Mask != 0 {
+					dst = strconv.AppendUint(append(dst, `,"Mask":`...), m.Mask, 10)
+				}
+				if m.PrefixLen != 0 {
+					dst = strconv.AppendInt(append(dst, `,"PrefixLen":`...), int64(m.PrefixLen), 10)
+				}
+				if m.Wildcard {
+					dst = append(dst, `,"Wildcard":true`...)
+				}
 				dst = append(dst, '}')
 			}
 			dst = append(dst, ']')

@@ -3,6 +3,7 @@ package p4rt
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net"
 	"reflect"
 	"strings"
@@ -128,6 +129,42 @@ func TestWireDifferential(t *testing.T) {
 	for _, dl := range []DigestList{{}, {Messages: [][]uint64{nil, {}}}, {Digest: "\"<", Txn: 1}} {
 		if text, _ := dl.AppendJSON(nil); !bytes.Equal(text, mustMarshal(t, dl)) {
 			t.Errorf("DigestList.AppendJSON = %s, json.Marshal: %s", text, mustMarshal(t, dl))
+		}
+	}
+}
+
+// TestFieldMatchWireForms: each match kind renders with Value and only
+// the members it sets, both encoders render it alike, and both decoders
+// read it, and the full form an older peer sends, to the same value.
+func TestFieldMatchWireForms(t *testing.T) {
+	for _, c := range []struct {
+		kind    string
+		m       p4.FieldMatch
+		compact string
+	}{
+		{"exact", p4.FieldMatch{Value: 5}, `{"Value":5}`},
+		{"lpm /0", p4.FieldMatch{}, `{"Value":0}`},
+		{"lpm /24", p4.FieldMatch{Value: 0x0a000100, PrefixLen: 24}, `{"Value":167772416,"PrefixLen":24}`},
+		{"ternary mask 0", p4.FieldMatch{}, `{"Value":0}`},
+		{"ternary", p4.FieldMatch{Value: 0x10, Mask: 0xf0}, `{"Value":16,"Mask":240}`},
+		{"optional wildcard", p4.FieldMatch{Wildcard: true}, `{"Value":0,"Wildcard":true}`},
+		{"optional concrete", p4.FieldMatch{Value: 7}, `{"Value":7}`},
+	} {
+		us := []Update{InsertEntry(TableEntry{Table: "t", Matches: []p4.FieldMatch{c.m}, Action: "a"})}
+		want := `[{"type":"insert","entry":{"table":"t","matches":[` + c.compact + `],"action":"a"}}]`
+		if text, _ := updateList(us).AppendJSON(nil); string(text) != want {
+			t.Errorf("%s: AppendJSON = %s, want %s", c.kind, text, want)
+		}
+		if text := mustMarshal(t, us); string(text) != want {
+			t.Errorf("%s: json.Marshal = %s, want %s", c.kind, text, want)
+		}
+		full := fmt.Sprintf(`{"Value":%d,"Mask":%d,"PrefixLen":%d,"Wildcard":%t}`, c.m.Value, c.m.Mask, c.m.PrefixLen, c.m.Wildcard)
+		for _, form := range []string{want, strings.Replace(want, c.compact, full, 1)} {
+			checkWrite(t, []byte(form))
+			got, _, err := parseWrite([]byte(form))
+			if err != nil || !reflect.DeepEqual(got, us) {
+				t.Errorf("%s: parseWrite(%s) = %+v, %v; want %+v", c.kind, form, got, err, us)
+			}
 		}
 	}
 }
