@@ -28,6 +28,10 @@ if grep -nE 'pendingUpdates|pendingLocked|subscribing' internal/subscribe/client
 # one delivery goroutine, which parks on the JSON-RPC writer's drain, so
 # the per-subscriber queue, its goroutine and the timer poll stay deleted.
 if grep -nE 'func \(sub \*subscriber\) deliver|sub\.queue|time\.After' $(ls internal/subscribe/*.go | grep -v _test.go); then exit 1; fi
+# One lock per switch write: the runtime applies a write's whole batch,
+# undo log included, under one hold of its write lock, so the switch's
+# per-update apply and its own undo log stay deleted.
+if grep -nE 'undoEntries|undoPorts|func \(sw \*Switch\) rollback' $(ls internal/switchsim/*.go | grep -v _test.go); then exit 1; fi
 # The controller's step stays pure: no goroutine, clock, channel, lock or
 # device I/O (the driver in controller.go owns those).
 if grep -nE '\bgo |time\.|chan |\.Write\(|WriteTxn\(|ReadTable\(|"sync' internal/core/step.go; then exit 1; fi
@@ -92,14 +96,15 @@ go test -race -run 'TestFlightRecorder|TestObsTraceTimeline' -count=3 .
 # switch without allocating, and injectors re-entering the switch from
 # its output handler share the pooled packet state with a table writer:
 # ten runs under the race detector, beside digest lists reaching the
-# controller in ListID order. On the write path, a switch write
+# controller in ListID order and packets that see a write all or
+# nothing (a failed write never, a two-table one never half). On the write path, a switch write
 # allocates only the entry and keys it stores, comparing OVSDB atoms and
 # looking up table entries build no key string, and a digest ack is
 # decoded and recorded without allocating.
 go test -run 'TestInjectKnownUnicastZeroAlloc|TestWriteAllocatesOnlyStoredState|TestAckDigestZeroAlloc|TestDigestAckZeroAlloc' -count=1 ./internal/switchsim/ ./internal/p4rt/
 go test -run 'TestAtomCompareZeroAlloc' -count=1 ./internal/ovsdb/
 go test -run 'TestEntryLookupZeroAlloc' -count=1 ./internal/p4/
-go test -race -count=10 -run 'TestInjectReentrant|TestDigestListsInOrder' ./internal/switchsim/
+go test -race -count=10 -run 'TestInjectReentrant|TestDigestListsInOrder|TestFailedWriteInvisibleToPackets|TestBatchAllOrNothingUnderTraffic' ./internal/switchsim/
 # Fleet observability: the nerpa-top aggregator e2e (builds the real
 # binaries, stitches a cross-process trace into the data plane, and
 # verifies health flips on member death) must pass under the race

@@ -689,3 +689,74 @@ func TestPlanOrderIsContentOrder(t *testing.T) {
 		t.Fatalf("the stream has %v deletes/inserts/groups, want ≥ 2, ≥ 6, ≥ 1", seen)
 	}
 }
+
+// TestDriftReportsKeyConflict: two records of one output relation that
+// derive different entries under one match key make drift fail, naming
+// the table, the key and both records, instead of keeping the last. The
+// conflict is defect 2's: snvs without its static-MAC guard derives a
+// dmac entry from a static MAC on port 1 and another from the same MAC
+// learnt on port 2. With the guard, drift succeeds.
+func TestDriftReportsKeyConflict(t *testing.T) {
+	const guard = ", not StaticKey(v, m)"
+	if !strings.Contains(snvs.Rules, guard) {
+		t.Fatalf("snvs.Rules lost its static-MAC guard %q", guard)
+	}
+	schema, err := snvs.Schema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, rules string
+		conflict    bool
+	}{
+		{"guarded", snvs.Rules, false},
+		{"unguarded", strings.Replace(snvs.Rules, guard, "", 1), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := newStep(schema, tc.rules, []DeviceClass{{Devices: []Device{{ID: "dev0"}}}},
+				[]*p4.P4Info{leafInfo(t)}, engine.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			db := ovsdb.NewDatabase(schema)
+			transactOK(t, db,
+				ovsdb.OpInsert("Port", portRow("p1", 1, 10)),
+				ovsdb.OpInsert("Port", portRow("p2", 2, 10)),
+				ovsdb.OpInsert("StaticMac", map[string]ovsdb.Value{
+					"mac": int64(0xaa), "vlan": int64(10), "port": int64(1)}))
+			mon, initial, err := db.AddMonitor(s.monitorRequests(), func(uint64, ovsdb.TableUpdates) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mon.Cancel()
+			ups, err := s.ovsdbUpdates(initial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			learnt, err := s.digestUpdates("dev0", p4rt.DigestList{Digest: "learn", ListID: 1,
+				Messages: [][]uint64{{0xaa, 10, 2}}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.apply([]event{{source: "initial", updates: append(ups, learnt...)}}); err != nil {
+				t.Fatal(err)
+			}
+			_, err = s.drift("dev0", nil)
+			if !tc.conflict {
+				if err != nil {
+					t.Fatalf("drift: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("drift kept one of two conflicting dmac entries")
+			}
+			t.Log(err)
+			for _, want := range []string{"table dmac", "[{10 0 0 false} {170 0 0 false}]", "Dmac(10, 170, 1)", "Dmac(10, 170, 2)"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("drift error %q does not name %q", err, want)
+				}
+			}
+		})
+	}
+}

@@ -3,6 +3,8 @@ package p4
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -405,4 +407,68 @@ func TestRevalidateRunningProgram(t *testing.T) {
 		mustRuntime(t, prog)
 	}
 	<-done
+}
+
+// TestApplyUndoesFailedBatch: a batch that fails at its last update
+// leaves the tables, their tuple-space index and the multicast groups as
+// they were, whatever the updates before it inserted, modified, deleted
+// or regrouped.
+func TestApplyUndoesFailedBatch(t *testing.T) {
+	keys := []TableKey{{Ref: FieldRef{"h", "f16"}, Match: MatchTernary, Bits: 16},
+		{Ref: FieldRef{"h", "f8"}, Match: MatchOptional, Bits: 8}}
+	rng := rand.New(rand.NewSource(7))
+	rt := mustRuntime(t, lookupProgram(keys))
+	ts := rt.tables["t"]
+	var installed []Entry
+	for len(installed) < 200 {
+		e := randomEntry(rng, keys)
+		if ts.find(e.Matches) == nil {
+			if err := rt.InsertEntry("t", e); err != nil {
+				t.Fatal(err)
+			}
+			installed = append(installed, e)
+		}
+	}
+	rt.SetMulticastGroup(1, []uint16{1, 2})
+	before, _ := rt.Entries("t")
+	for round := 0; round < 20; round++ {
+		var batch []Update
+		for _, e := range installed[rng.Intn(100):][:100] {
+			switch rng.Intn(3) {
+			case 0:
+				e.Priority = 9
+				batch = append(batch, Update{Kind: Modify, Table: "t", Entry: e})
+			case 1:
+				batch = append(batch, Update{Kind: Delete, Table: "t", Entry: e})
+			default:
+				if n := randomEntry(rng, keys); ts.find(n.Matches) == nil {
+					batch = append(batch, Update{Kind: Insert, Table: "t", Entry: n})
+				}
+			}
+		}
+		batch = append(batch,
+			Update{Kind: SetGroup, Group: 1, Ports: []uint16{3}},
+			Update{Kind: SetGroup, Group: 2, Ports: []uint16{4}},
+			Update{Kind: Insert, Table: "t", Entry: installed[0]}) // held: fails
+		if err := rt.Apply(batch); err == nil {
+			t.Fatal("a batch inserting a held entry succeeded")
+		}
+		if after, _ := rt.Entries("t"); !reflect.DeepEqual(after, before) {
+			t.Fatalf("round %d: the failed batch changed the table", round)
+		}
+		if g1, g2 := rt.MulticastGroup(1), rt.MulticastGroup(2); !slices.Equal(g1, []uint16{1, 2}) || len(g2) != 0 {
+			t.Fatalf("round %d: groups after the failed batch: 1 = %v, 2 = %v", round, g1, g2)
+		}
+		for probe := 0; probe < 200; probe++ {
+			vals := []uint64{rng.Uint64() & 0xffff, rng.Uint64() & 0x7}
+			got, want := ts.lookup(vals), ts.lookupLinear(vals)
+			if (got == nil) != (want == nil) || got != nil &&
+				(got.Priority != want.Priority || ts.totalPrefix(got) != ts.totalPrefix(want)) {
+				t.Fatalf("round %d vals %x: index lookup %+v, linear scan %+v", round, vals, got, want)
+			}
+		}
+	}
+	if len(rt.undo) != 0 {
+		t.Fatalf("the undo log keeps %d records past the batch", len(rt.undo))
+	}
 }

@@ -3,6 +3,7 @@ package p4
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -358,6 +359,7 @@ type Runtime struct {
 	mu     sync.RWMutex
 	tables map[string]*tableState
 	mcast  map[uint16][]uint16 // multicast group → ports
+	undo   []undo              // the running Apply's undo log, scratch kept across batches
 
 	plan  *plan
 	pktMu sync.Mutex
@@ -384,55 +386,163 @@ func NewRuntime(prog *Program) (*Runtime, error) {
 // Program returns the program the runtime executes.
 func (rt *Runtime) Program() *Program { return rt.prog }
 
+// UpdateKind is what one Update of a batch does.
+type UpdateKind uint8
+
+const (
+	// Insert installs an entry whose matches no installed entry has.
+	Insert UpdateKind = iota + 1
+	// Modify replaces the installed entry with the same matches.
+	Modify
+	// Delete removes the installed entry with the same matches.
+	Delete
+	// SetGroup installs a multicast group's ports; none deletes it.
+	SetGroup
+)
+
+// Update is one element of a batch Apply. A table update names its
+// Table and, in Entry, the entry (a delete reads only its Matches); a
+// SetGroup names its Group and Ports.
+type Update struct {
+	Kind  UpdateKind
+	Table string
+	Entry Entry
+	Group uint16
+	Ports []uint16
+}
+
+// undo inverts one applied update: an entry update by putting old back in
+// new's place in ts (either may be nil: an insert, a delete); a group
+// update (ts nil) by restoring the ports it replaced.
+type undo struct {
+	ts       *tableState
+	old, new *entry
+	group    uint16
+	ports    []uint16
+}
+
+// Apply applies a batch of updates all or nothing, under one hold of the
+// write lock: no packet sees the tables between two updates of the
+// batch. The updates run in order; if one fails, those before it are
+// undone, newest first, and its error is returned. The batch's entries
+// are stored as given: the caller must not change their slices after.
+func (rt *Runtime) Apply(updates []Update) error {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	return rt.applyLocked(updates)
+}
+
+// applyLocked is Apply with the write lock held.
+func (rt *Runtime) applyLocked(updates []Update) error {
+	var err error
+	for i := range updates {
+		if err = rt.apply(&updates[i]); err != nil {
+			for j := len(rt.undo) - 1; j >= 0; j-- {
+				u := &rt.undo[j]
+				if u.ts == nil {
+					rt.setGroup(u.group, u.ports)
+				} else {
+					u.ts.swap(u.new, u.old)
+				}
+			}
+			break
+		}
+	}
+	// Keep the log's array, but no entry or port list alive past the batch.
+	clear(rt.undo)
+	rt.undo = rt.undo[:0]
+	return err
+}
+
+// apply applies one update and logs its undo. The write lock is held.
+func (rt *Runtime) apply(u *Update) error {
+	if u.Kind == SetGroup {
+		rt.undo = append(rt.undo, undo{group: u.Group, ports: rt.mcast[u.Group]})
+		rt.setGroup(u.Group, slices.Clone(u.Ports))
+		return nil
+	}
+	ts := rt.tables[u.Table]
+	if ts == nil {
+		return fmt.Errorf("p4: unknown table %q", u.Table)
+	}
+	var kb keyBuf
+	k := ts.appendKey(kb[:0], u.Entry.Matches)
+	old := ts.entries[string(k)] // builds no key string
+	var ne *entry
+	switch u.Kind {
+	case Insert, Modify:
+		if u.Kind == Insert && old != nil {
+			return fmt.Errorf("p4: table %q: entry already exists", u.Table)
+		}
+		if u.Kind == Modify && old == nil {
+			return fmt.Errorf("p4: table %q: no entry to modify", u.Table)
+		}
+		act, err := rt.checkEntry(ts, &u.Entry, old != nil)
+		if err != nil {
+			return err
+		}
+		ne = &entry{Entry: u.Entry, act: act}
+		if old != nil {
+			ne.key = old.key
+		} else {
+			ne.key = string(k)
+		}
+	case Delete:
+		if old == nil {
+			return ts.errNoEntry
+		}
+	default:
+		return fmt.Errorf("p4: unknown update kind %d", u.Kind)
+	}
+	ts.swap(old, ne)
+	rt.undo = append(rt.undo, undo{ts: ts, old: old, new: ne})
+	return nil
+}
+
+// swap puts ne in old's place, under the key they share. Either may be
+// nil: nil old inserts ne, nil ne deletes old. The write lock is held.
+func (ts *tableState) swap(old, ne *entry) {
+	if old != nil {
+		if ne == nil {
+			delete(ts.entries, old.key)
+		}
+		if !ts.allExact {
+			ts.groupDelete(old)
+		}
+	}
+	if ne != nil {
+		ts.entries[ne.key] = ne
+		if !ts.allExact {
+			ts.groupInsert(ne)
+		}
+	}
+}
+
+// setGroup installs ports as a group's list, deleting the group when
+// there are none. The write lock is held.
+func (rt *Runtime) setGroup(group uint16, ports []uint16) {
+	if len(ports) == 0 {
+		delete(rt.mcast, group)
+	} else {
+		rt.mcast[group] = ports
+	}
+}
+
 // InsertEntry installs a table entry, replacing any entry with identical
 // matches.
 func (rt *Runtime) InsertEntry(table string, e Entry) error {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	ts := rt.tables[table]
-	if ts == nil {
-		return fmt.Errorf("p4: unknown table %q", table)
+	kind := Insert
+	if ts := rt.tables[table]; ts != nil && ts.find(e.Matches) != nil {
+		kind = Modify
 	}
-	act, err := rt.checkEntry(ts, &e)
-	if err != nil {
-		return err
-	}
-	ne := &entry{Entry: e, act: act}
-	var kb keyBuf
-	k := ts.appendKey(kb[:0], e.Matches)
-	if old := ts.entries[string(k)]; old != nil {
-		ne.key = old.key
-		if !ts.allExact {
-			ts.groupDelete(old)
-		}
-	} else {
-		ne.key = string(k)
-	}
-	ts.entries[ne.key] = ne
-	if !ts.allExact {
-		ts.groupInsert(ne)
-	}
-	return nil
+	return rt.applyLocked([]Update{{Kind: kind, Table: table, Entry: e}})
 }
 
 // DeleteEntry removes the entry with identical matches.
 func (rt *Runtime) DeleteEntry(table string, matches []FieldMatch) error {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	ts := rt.tables[table]
-	if ts == nil {
-		return fmt.Errorf("p4: unknown table %q", table)
-	}
-	var kb keyBuf
-	old, ok := ts.entries[string(ts.appendKey(kb[:0], matches))]
-	if !ok {
-		return ts.errNoEntry
-	}
-	delete(ts.entries, old.key)
-	if !ts.allExact {
-		ts.groupDelete(old)
-	}
-	return nil
+	return rt.Apply([]Update{{Kind: Delete, Table: table, Entry: Entry{Matches: matches}}})
 }
 
 // Entries returns a deterministic snapshot of a table's entries.
@@ -481,12 +591,18 @@ func (rt *Runtime) GetEntry(table string, matches []FieldMatch) (Entry, bool) {
 	if ts == nil {
 		return Entry{}, false
 	}
-	var kb keyBuf
-	e, ok := ts.entries[string(ts.appendKey(kb[:0], matches))]
-	if !ok {
+	e := ts.find(matches)
+	if e == nil {
 		return Entry{}, false
 	}
 	return e.Entry, true
+}
+
+// find returns the installed entry with exactly the given matches, or
+// nil. It builds no key string.
+func (ts *tableState) find(matches []FieldMatch) *entry {
+	var kb keyBuf
+	return ts.entries[string(ts.appendKey(kb[:0], matches))]
 }
 
 // EntryCount returns the number of installed entries in a table.
@@ -501,13 +617,7 @@ func (rt *Runtime) EntryCount(table string) int {
 
 // SetMulticastGroup installs the port list for a multicast group.
 func (rt *Runtime) SetMulticastGroup(group uint16, ports []uint16) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if len(ports) == 0 {
-		delete(rt.mcast, group)
-		return
-	}
-	rt.mcast[group] = append([]uint16(nil), ports...)
+	rt.Apply([]Update{{Kind: SetGroup, Group: group, Ports: ports}}) // cannot fail
 }
 
 // MulticastGroup returns the ports of a group.
@@ -517,8 +627,9 @@ func (rt *Runtime) MulticastGroup(group uint16) []uint16 {
 	return append([]uint16(nil), rt.mcast[group]...)
 }
 
-// checkEntry validates e against its table and returns its resolved action.
-func (rt *Runtime) checkEntry(ts *tableState, e *Entry) (*action, error) {
+// checkEntry validates e against its table and returns its resolved
+// action; replacing says an installed entry has e's matches.
+func (rt *Runtime) checkEntry(ts *tableState, e *Entry, replacing bool) (*action, error) {
 	t := ts.table
 	if len(e.Matches) != len(t.Keys) {
 		return nil, fmt.Errorf("p4: table %q takes %d keys, got %d", t.Name, len(t.Keys), len(e.Matches))
@@ -556,11 +667,8 @@ func (rt *Runtime) checkEntry(ts *tableState, e *Entry) (*action, error) {
 				e.Action, p.Name, e.Params[i], p.Bits)
 		}
 	}
-	if t.Size > 0 && len(ts.entries) >= t.Size {
-		var kb keyBuf
-		if _, replacing := ts.entries[string(ts.appendKey(kb[:0], e.Matches))]; !replacing {
-			return nil, fmt.Errorf("p4: table %q is full (%d entries)", t.Name, t.Size)
-		}
+	if t.Size > 0 && len(ts.entries) >= t.Size && !replacing {
+		return nil, fmt.Errorf("p4: table %q is full (%d entries)", t.Name, t.Size)
 	}
 	return act, nil
 }

@@ -101,7 +101,11 @@ type Config struct {
 // relState is one relation's fan-out node: the materialized contents
 // plus the subscribers watching it, grouped by filter class.
 type relState struct {
-	z       *zset.ZSet
+	z *zset.ZSet
+	// sorted is z's entries in Entries order, the snapshot subscribes
+	// cut their rows from: sorted once per publish that changed z, on the
+	// first subscribe after it, not once per subscribe. nil when stale.
+	sorted  []zset.Entry
 	classes map[string]*filterClass
 }
 
@@ -368,6 +372,7 @@ func (s *Service) Publish(txn uint64, delta engine.Delta) {
 		}
 		rs := s.relLocked(rel)
 		rs.z.AddAll(dz)
+		rs.sorted = nil
 		if len(rs.classes) == 0 {
 			continue
 		}
@@ -641,7 +646,10 @@ func (s *Service) subscribeLocked(cs *connState, id uint64, rel string, filter [
 	cs.subs[id] = sub
 	cs.lastID = id
 	s.nSubs++
-	rows, n := appendChanges(nil, rs.z.Entries(), cl.filter)
+	if rs.sorted == nil {
+		rs.sorted = rs.z.Entries()
+	}
+	rows, n := appendChanges(nil, rs.sorted, cl.filter)
 	s.m.subscribers.Add(1)
 	s.m.subsTotal.Inc()
 	s.m.snapshotRows.Add(uint64(n))

@@ -747,3 +747,41 @@ func TestOneDeliveryGoroutinePerConnection(t *testing.T) {
 		t.Fatalf("%d goroutines with %d subscriptions on the connection, %d with one", got, n, base)
 	}
 }
+
+// TestSnapshotSortedOncePerPublish: subscribes with no publish between
+// them cut their rows from one sorted snapshot of the relation, and a
+// subscribe after a publish sees that publish.
+func TestSnapshotSortedOncePerPublish(t *testing.T) {
+	svc := New(Config{})
+	defer svc.Close()
+	svc.Publish(1, d("R",
+		zset.Entry{Rec: row(2), Weight: 1},
+		zset.Entry{Rec: row(1), Weight: 1}))
+	sorted := func() []zset.Entry {
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		return svc.rels["R"].sorted
+	}
+	cl := pair(t, svc)
+	subscribe := func(want int) {
+		t.Helper()
+		sub, err := cl.Subscribe("R", nil)
+		if err != nil {
+			t.Fatalf("Subscribe: %v", err)
+		}
+		if len(sub.Rows) != want {
+			t.Fatalf("snapshot has %d rows, want %d", len(sub.Rows), want)
+		}
+	}
+	subscribe(2)
+	first := sorted()
+	subscribe(2)
+	if again := sorted(); len(again) != 2 || &again[0] != &first[0] {
+		t.Fatalf("the second subscribe sorted the relation again")
+	}
+	svc.Publish(2, d("R", zset.Entry{Rec: row(3), Weight: 1}))
+	subscribe(3)
+	if after := sorted(); len(after) != 3 || after[2].Rec.Compare(row(3)) != 0 {
+		t.Fatalf("snapshot after the publish = %v, want rows 1, 2, 3", after)
+	}
+}

@@ -65,11 +65,10 @@ type Switch struct {
 	// configuration generation the pipeline ran under).
 	lastTxn atomic.Uint64
 
-	// writeMu serializes writes. undoEntries and undoPorts are the running
-	// write's undo log (see applyLocked), scratch kept across writes.
-	writeMu     sync.Mutex
-	undoEntries []p4.Entry
-	undoPorts   [][]uint16
+	// writeMu serializes writes. batch is the running write's updates in
+	// the runtime's form, scratch kept across writes.
+	writeMu sync.Mutex
+	batch   []p4.Update
 
 	// writeFault, when set, runs at the start of every Write (fault
 	// injection for tests: delays, forced errors).
@@ -243,9 +242,9 @@ func (sw *Switch) sendDigest(name string, fields []uint64) {
 // P4Info describes the running pipeline.
 func (sw *Switch) P4Info() *p4.P4Info { return sw.info }
 
-// Write applies updates atomically: all validations run against the
-// current state and applied changes are rolled back if a later update
-// fails.
+// Write applies updates atomically: the runtime applies the whole batch
+// under one hold of its write lock, so a packet sees the tables either
+// before the write or after it, and a write that fails changes nothing.
 func (sw *Switch) Write(updates []p4rt.Update) error { return sw.WriteTxn(0, updates) }
 
 // WriteTxn is Write attributed to the management-plane transaction that
@@ -278,83 +277,38 @@ func (sw *Switch) applyWrite(txn uint64, updates []p4rt.Update) error {
 	sw.mUpdates.Add(uint64(len(updates)))
 	sw.writeMu.Lock()
 	defer sw.writeMu.Unlock()
-	n, err := sw.applyLocked(updates)
-	if err != nil {
-		sw.rollback(updates[:n])
-	}
+	batch := sw.batch[:0]
 	// Keep the scratch, but no entry or port list alive past the write.
-	clear(sw.undoEntries)
-	clear(sw.undoPorts)
-	sw.undoEntries, sw.undoPorts = sw.undoEntries[:0], sw.undoPorts[:0]
-	return err
-}
-
-// applyLocked applies updates in order and stops at the first failure,
-// returning how many it applied. It logs what rollback needs to invert
-// them: an applied insert added a new entry, which a delete inverts; an
-// applied modify or delete is inverted by reinstalling the entry it
-// replaced, logged in undoEntries; a multicast write by restoring the
-// ports it replaced, logged in undoPorts. writeMu must be held.
-func (sw *Switch) applyLocked(updates []p4rt.Update) (int, error) {
+	defer func() { clear(batch); sw.batch = batch[:0] }()
 	for i := range updates {
 		u := &updates[i]
 		switch {
 		case u.Entry != nil:
-			e := u.Entry
-			prev, had := sw.rt.GetEntry(e.Table, e.Matches)
+			var kind p4.UpdateKind
 			switch u.Type {
-			case p4rt.UpdateInsert, p4rt.UpdateModify:
-				if u.Type == p4rt.UpdateInsert && had {
-					return i, fmt.Errorf("switchsim %s: table %s: entry already exists", sw.name, e.Table)
-				}
-				if u.Type == p4rt.UpdateModify && !had {
-					return i, fmt.Errorf("switchsim %s: table %s: no entry to modify", sw.name, e.Table)
-				}
-				if err := sw.rt.InsertEntry(e.Table, p4.Entry{
-					Matches: e.Matches, Priority: e.Priority,
-					Action: e.Action, Params: e.Params,
-				}); err != nil {
-					return i, err
-				}
+			case p4rt.UpdateInsert:
+				kind = p4.Insert
+			case p4rt.UpdateModify:
+				kind = p4.Modify
 			case p4rt.UpdateDelete:
-				if err := sw.rt.DeleteEntry(e.Table, e.Matches); err != nil {
-					return i, err
-				}
+				kind = p4.Delete
 			default:
-				return i, fmt.Errorf("switchsim %s: unknown update type %q", sw.name, u.Type)
+				return fmt.Errorf("switchsim %s: unknown update type %q", sw.name, u.Type)
 			}
-			if had {
-				sw.undoEntries = append(sw.undoEntries, prev)
-			}
+			e := u.Entry
+			batch = append(batch, p4.Update{Kind: kind, Table: e.Table, Entry: p4.Entry{
+				Matches: e.Matches, Priority: e.Priority, Action: e.Action, Params: e.Params,
+			}})
 		case u.Multicast != nil:
-			group := u.Multicast.Group
-			sw.undoPorts = append(sw.undoPorts, sw.rt.MulticastGroup(group))
-			sw.rt.SetMulticastGroup(group, u.Multicast.Ports)
+			batch = append(batch, p4.Update{Kind: p4.SetGroup, Group: u.Multicast.Group, Ports: u.Multicast.Ports})
 		default:
-			return i, fmt.Errorf("switchsim %s: empty update", sw.name)
+			return fmt.Errorf("switchsim %s: empty update", sw.name)
 		}
 	}
-	return len(updates), nil
-}
-
-// rollback inverts the applied updates, newest first, from the undo log
-// applyLocked wrote. writeMu must be held.
-func (sw *Switch) rollback(applied []p4rt.Update) {
-	for i := len(applied) - 1; i >= 0; i-- {
-		u := &applied[i]
-		switch {
-		case u.Multicast != nil:
-			last := len(sw.undoPorts) - 1
-			sw.rt.SetMulticastGroup(u.Multicast.Group, sw.undoPorts[last])
-			sw.undoPorts = sw.undoPorts[:last]
-		case u.Type == p4rt.UpdateInsert:
-			sw.rt.DeleteEntry(u.Entry.Table, u.Entry.Matches)
-		default:
-			last := len(sw.undoEntries) - 1
-			sw.rt.InsertEntry(u.Entry.Table, sw.undoEntries[last])
-			sw.undoEntries = sw.undoEntries[:last]
-		}
+	if err := sw.rt.Apply(batch); err != nil {
+		return fmt.Errorf("switchsim %s: %w", sw.name, err)
 	}
+	return nil
 }
 
 // ReadTable snapshots a table.

@@ -1,9 +1,11 @@
 package switchsim
 
 import (
+	"fmt"
 	"net"
 	"reflect"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -346,7 +348,7 @@ func TestCountersOverP4RT(t *testing.T) {
 // knownUnicastSwitch loads snvs with one access VLAN whose two hosts know
 // each other and returns a frame from the host on port 1 to the one on
 // port 2.
-func knownUnicastSwitch(t *testing.T) (*Switch, []byte) {
+func knownUnicastSwitch(t testing.TB) (*Switch, []byte) {
 	sw, err := New("s1", Config{Program: snvs.Pipeline()})
 	if err != nil {
 		t.Fatal(err)
@@ -612,5 +614,208 @@ func TestReadTableRoundTripsEveryMatchKind(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("ReadTable(%s) = %+v, wrote %+v", table, got, want)
 		}
+	}
+}
+
+// startInjector injects fr on port in a loop in a goroutine and returns
+// once the first frame is in, with a function that stops it and returns
+// how many frames were injected.
+func startInjector(t *testing.T, sw *Switch, port uint16, fr []byte) (stop func() int64) {
+	t.Helper()
+	var injected atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			sw.Inject(port, fr)
+			injected.Add(1)
+		}
+	}()
+	for injected.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	return func() int64 {
+		close(done)
+		wg.Wait()
+		return injected.Load()
+	}
+}
+
+// TestFailedWriteInvisibleToPackets: no packet sees an entry of a write
+// that fails. Each write installs dmac 0xaa → port 1 first, then 2,000
+// other entries, then an insert into a missing table, so every write
+// fails and is undone. Frames to 0xaa injected on port 2 throughout must
+// all flood (group 1 is ports 2 and 3), and none may leave on port 1.
+func TestFailedWriteInvisibleToPackets(t *testing.T) {
+	sw, err := New("s1", Config{Program: l2Program()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw.Runtime().SetMulticastGroup(1, []uint16{2, 3})
+	// A known source: the frames emit no learning digest.
+	if err := sw.Runtime().InsertEntry("smac", p4.Entry{
+		Matches: []p4.FieldMatch{{Value: 0xbb}}, Action: "nop"}); err != nil {
+		t.Fatal(err)
+	}
+	dmac := func(mac, port uint64) p4rt.Update {
+		return p4rt.InsertEntry(p4rt.TableEntry{Table: "dmac",
+			Matches: []p4.FieldMatch{{Value: mac}}, Action: "forward", Params: []uint64{port}})
+	}
+	batch := []p4rt.Update{dmac(0xaa, 1)}
+	for i := range 2000 {
+		batch = append(batch, dmac(0x020000000000+uint64(i), 3))
+	}
+	batch = append(batch, p4rt.InsertEntry(p4rt.TableEntry{Table: "nope",
+		Matches: []p4.FieldMatch{{Value: 1}}, Action: "forward", Params: []uint64{1}}))
+
+	stop := startInjector(t, sw, 2, frame(0xaa, 0xbb))
+	failed := 0
+	for range 50 {
+		if sw.Write(batch) != nil {
+			failed++
+		}
+	}
+	injected := stop()
+	if failed != 50 {
+		t.Fatalf("%d of 50 writes failed, want all", failed)
+	}
+	if n := sw.Runtime().EntryCount("dmac"); n != 0 {
+		t.Fatalf("failed writes left %d dmac entries", n)
+	}
+	if n := sw.Stats(1).TxPackets; n != 0 {
+		t.Fatalf("port 1 emitted %d of %d frames through entries of failed writes", n, injected)
+	}
+	t.Logf("%d frames injected beside 50 failed writes", injected)
+	if n := sw.Stats(3).TxPackets; n != uint64(injected) {
+		t.Fatalf("port 3 flooded %d of %d frames", n, injected)
+	}
+}
+
+// TestBatchAllOrNothingUnderTraffic: a successful two-table snvs write
+// moves port 1 between VLAN 10 and VLAN 20 (its in_vlan entry and its
+// vlan_ok admission together) while frames from port 1 flood. VLAN 10
+// floods to port 2 and VLAN 20 to port 3; a frame that met one table of
+// the old configuration and the other of the new would be in a VLAN its
+// port is not admitted to, and dropped. Every frame must leave on
+// exactly one of ports 2 and 3, and none may drop.
+func TestBatchAllOrNothingUnderTraffic(t *testing.T) {
+	sw, err := New("s1", Config{Program: snvs.Pipeline()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := func(table string, keys []uint64, action string, params ...uint64) p4rt.TableEntry {
+		e := p4rt.TableEntry{Table: table, Action: action, Params: params}
+		for _, k := range keys {
+			e.Matches = append(e.Matches, p4.FieldMatch{Value: k})
+		}
+		return e
+	}
+	if err := sw.Write([]p4rt.Update{
+		p4rt.SetMulticast(100, []uint16{2}),
+		p4rt.SetMulticast(200, []uint16{3}),
+		p4rt.InsertEntry(entry("flood", []uint64{10}, "set_mcast", 100)),
+		p4rt.InsertEntry(entry("flood", []uint64{20}, "set_mcast", 200)),
+		p4rt.InsertEntry(entry("smac", []uint64{10, 0xaa}, "known")),
+		p4rt.InsertEntry(entry("smac", []uint64{20, 0xaa}, "known")),
+		p4rt.InsertEntry(entry("strip_tag", []uint64{2}, "pop_tag")),
+		p4rt.InsertEntry(entry("strip_tag", []uint64{3}, "pop_tag")),
+		p4rt.InsertEntry(entry("in_vlan", []uint64{1}, "set_vlan", 10)),
+		p4rt.InsertEntry(entry("vlan_ok", []uint64{1, 10}, "vlan_allow")),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	move := func(from, to uint64) []p4rt.Update {
+		return []p4rt.Update{
+			p4rt.ModifyEntry(entry("in_vlan", []uint64{1}, "set_vlan", to)),
+			p4rt.DeleteEntry(entry("vlan_ok", []uint64{1, from}, "vlan_allow")),
+			p4rt.InsertEntry(entry("vlan_ok", []uint64{1, to}, "vlan_allow")),
+		}
+	}
+	toNew, toOld := move(10, 20), move(20, 10)
+
+	stop := startInjector(t, sw, 1, frame(0xffffffffffff, 0xaa))
+	for i := range 400 {
+		batch := toNew
+		if i%2 == 1 {
+			batch = toOld
+		}
+		if err := sw.Write(batch); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	injected := stop()
+	old, cur := sw.Stats(2).TxPackets, sw.Stats(3).TxPackets
+	if d := sw.Dropped(); d != 0 || old+cur != uint64(injected) {
+		t.Fatalf("%d frames injected: %d by the old configuration, %d by the new, %d dropped by a mix of both",
+			injected, old, cur, d)
+	}
+}
+
+// BenchmarkWriteUnderTraffic prices a write while a goroutine injects
+// known-unicast frames through the switch: ns/op is one write of n dmac
+// updates (the inserts of n entries and their deletes, alternately),
+// frames/s the injector's rate while the writes run, and p99-frame-ns
+// the 99th percentile of one Inject's latency. 64 updates is a
+// mac_learning write, 5,800 a bulk_reconfig one.
+func BenchmarkWriteUnderTraffic(b *testing.B) {
+	for _, n := range []int{64, 5800} {
+		b.Run(fmt.Sprintf("updates=%d", n), func(b *testing.B) {
+			sw, fr := knownUnicastSwitch(b)
+			ins, del := make([]p4rt.Update, n), make([]p4rt.Update, n)
+			for i := range n {
+				e := p4rt.TableEntry{Table: "dmac", Action: "forward", Params: []uint64{2},
+					Matches: []p4.FieldMatch{{Value: 10}, {Value: 0x020000000000 + uint64(i)}}}
+				ins[i], del[i] = p4rt.InsertEntry(e), p4rt.DeleteEntry(e)
+			}
+			// The newest latencies, a ring: the run's steady state.
+			lat := make([]time.Duration, 1<<18)
+			var frames atomic.Int64
+			stop, done := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					t0 := time.Now()
+					sw.Inject(1, fr)
+					lat[i%len(lat)] = time.Since(t0)
+					frames.Add(1)
+				}
+			}()
+			for frames.Load() == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			b.ResetTimer()
+			start, from := time.Now(), frames.Load()
+			for i := 0; i < b.N; i++ {
+				batch := ins
+				if i%2 == 1 {
+					batch = del
+				}
+				if err := sw.Write(batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			elapsed, injected := time.Since(start), frames.Load()-from
+			b.StopTimer()
+			close(stop)
+			<-done
+			b.ReportMetric(float64(injected)/elapsed.Seconds(), "frames/s")
+			if got := frames.Load(); got < int64(len(lat)) {
+				lat = lat[:got]
+			}
+			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+			b.ReportMetric(float64(lat[len(lat)*99/100].Nanoseconds()), "p99-frame-ns")
+		})
 	}
 }
