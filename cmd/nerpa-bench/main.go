@@ -55,7 +55,7 @@ func report[T fmt.Stringer](path string, res T, err error) (fmt.Stringer, error)
 }
 
 var experiments = []string{"ports", "lb", "incr", "label", "label-dense", "fig3", "loc",
-	"provenance", "obs-overhead", "reconnect", "recovery", "fanout"}
+	"provenance", "reconnect", "recovery", "fanout"}
 
 func main() {
 	exp := flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experiments, ", ")+", all")
@@ -64,7 +64,6 @@ func main() {
 	changes := flag.Int("changes", 50, "changes for -exp incr")
 	nodes := flag.Int("nodes", 20000, "nodes for -exp label")
 	churn := flag.Int("churn", 100, "link events for -exp label")
-	obsTxns := flag.Int("obs-txns", 300, "transactions per mode for -exp obs-overhead")
 	reconnectPorts := flag.String("reconnect-ports", "50,250,1000", "comma-separated port counts for -exp reconnect")
 	reconnectRestarts := flag.Int("reconnect-restarts", 5, "switch restarts per size for -exp reconnect")
 	recoveryTxns := flag.Int("recovery-txns", 4000, "WAL commits for -exp recovery cold-restart measurement")
@@ -129,12 +128,6 @@ func main() {
 		run("provenance", func() (fmt.Stringer, error) {
 			res, err := bench.RunProvenance(1000, 32, 200)
 			return report("BENCH_provenance.json", res, err)
-		})
-	}
-	if want("obs-overhead") {
-		run("obs-overhead", func() (fmt.Stringer, error) {
-			res, err := bench.RunObsOverhead(*obsTxns)
-			return report("BENCH_obs_overhead.json", res, err)
 		})
 	}
 	if want("reconnect") {

@@ -33,7 +33,6 @@ func main() {
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	subAddr := flag.String("sub-addr", "", "serve derived-relation subscriptions (nerpa-watch clients) on this address (off when empty)")
 	subQueue := flag.Int("sub-queue", 0, "per-subscriber bound on updates published and not yet sent; reaching it evicts the subscriber (0 = default 256)")
-	subWriteLimit := flag.Int("sub-write-limit", 0, "per-subscriber-connection JSON-RPC write-queue cap (0 = default 4096, negative = unlimited)")
 	reconnectBackoff := flag.Duration("reconnect-backoff", 5*time.Second, "maximum redial backoff after a connection drops (must be positive)")
 	rpcTimeout := flag.Duration("rpc-timeout", 30*time.Second, "per-RPC deadline on OVSDB and P4Runtime calls (0 = none)")
 	keepalive := flag.Duration("keepalive", 10*time.Second, "echo-heartbeat interval on every connection; 3 misses fail it (0 = off)")
@@ -100,9 +99,8 @@ func main() {
 	var subSvc *subscribe.Service
 	if *subAddr != "" {
 		subSvc = subscribe.New(subscribe.Config{
-			QueueLen:   *subQueue,
-			WriteLimit: *subWriteLimit,
-			Obs:        observer,
+			QueueLen: *subQueue,
+			Obs:      observer,
 		})
 		subSvc.SetKeepalive(*keepalive)
 		defer subSvc.Close()

@@ -502,6 +502,29 @@ func runLabelingOn(topology string, g workload.Graph, churn, rounds int) (*Label
 	}, nil
 }
 
+// medianIQR returns the median of vs and the distance between its first
+// and third quartiles, by the rule benchmark/stats.go uses (Python's
+// statistics.quantiles, exclusive method), so both harnesses report the
+// same spread for the same draws.
+func medianIQR(vs []float64) (median, iqr float64) {
+	s := append([]float64(nil), vs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n < 2 {
+		if n == 1 {
+			return s[0], 0
+		}
+		return 0, 0
+	}
+	// quartile interpolates the i-th of the 4 cut points.
+	quartile := func(i int) float64 {
+		j := min(max(i*(n+1)/4, 1), n-1)
+		delta := float64(i*(n+1) - j*4)
+		return (s[j-1]*(4-delta) + s[j]*delta) / 4
+	}
+	return (s[(n-1)/2] + s[n/2]) / 2, quartile(3) - quartile(1)
+}
+
 func countNonEmpty(s string) int {
 	n := 0
 	for _, line := range strings.Split(s, "\n") {

@@ -61,7 +61,7 @@ func RunReconnect(portCounts []int, restarts int) (*ReconnectResult, error) {
 }
 
 func runReconnectSize(ports, restarts int) (*ReconnectRow, error) {
-	s, err := deploy.Start(SnvsSpec(obs.NewObserverWith(obs.ObserverConfig{EventCapacity: -1})))
+	s, err := deploy.Start(SnvsSpec(obs.NewObserver()))
 	if err != nil {
 		return nil, err
 	}
@@ -103,6 +103,15 @@ func runReconnectSize(ports, restarts int) (*ReconnectRow, error) {
 		P50:      percentileDur(lats, 50),
 		Max:      lats[len(lats)-1],
 	}, nil
+}
+
+// percentileDur returns the p-th percentile of sorted latencies.
+func percentileDur(sorted []time.Duration, p int) time.Duration {
+	if len(sorted) == 0 {
+		return 0
+	}
+	i := (len(sorted) - 1) * p / 100
+	return sorted[i]
 }
 
 // String renders the report.

@@ -15,38 +15,33 @@ const drainDelay = 200 * time.Millisecond
 
 // Flags is the -obs-* command-line surface every binary shares.
 type Flags struct {
-	addr            *string
-	events          *int
-	instance        *string
-	slowBudget      *time.Duration
-	historyInterval *time.Duration
+	addr       *string
+	instance   *string
+	slowBudget *time.Duration
 }
 
 // RegisterFlags declares the -obs-* flags on fs.
 func RegisterFlags(fs *flag.FlagSet) *Flags {
 	return &Flags{
-		addr:            fs.String("obs-addr", "", "serve /metrics, /debug/traces, /debug/events and pprof on this address (off when empty)"),
-		events:          fs.Int("obs-events", 0, "flight-recorder event ring capacity (0 = default, negative = disable events)"),
-		instance:        fs.String("obs-instance", "", "fleet-unique instance ID stamped on obs responses (default: the plane name)"),
-		slowBudget:      fs.Duration("obs-slow-budget", 0, "pin transactions whose stages exceed this duration to /debug/incidents (0 = off)"),
-		historyInterval: fs.Duration("obs-history-interval", time.Second, "metrics-history sampling interval (0 = off)"),
+		addr:       fs.String("obs-addr", "", "serve /metrics, /debug/traces, /debug/events and pprof on this address (off when empty)"),
+		instance:   fs.String("obs-instance", "", "fleet-unique instance ID stamped on obs responses (default: the plane name)"),
+		slowBudget: fs.Duration("obs-slow-budget", 0, "pin transactions whose stages exceed this duration to /debug/incidents (0 = off)"),
 	}
 }
 
-// Start builds the observer the parsed flags describe and serves it on
-// -obs-addr in the background, exiting the process if the listener
-// fails. It returns nil (instrumentation off) when -obs-addr is empty.
-// proc names the binary in log lines; plane is its obs identity.
+// Start builds an observer, samples its metrics history every
+// DefaultHistoryInterval and serves it on -obs-addr in the background,
+// exiting the process if the listener fails. It returns nil
+// (instrumentation off) when -obs-addr is empty. proc names the binary
+// in log lines; plane is its obs identity.
 func (f *Flags) Start(proc, plane string) *Observer {
 	if *f.addr == "" {
 		return nil
 	}
-	o := NewObserverWith(ObserverConfig{EventCapacity: *f.events})
+	o := NewObserver()
 	o.SetIdentity(plane, *f.instance)
 	o.SetSlowBudget(*f.slowBudget)
-	if *f.historyInterval > 0 {
-		o.StartHistory(*f.historyInterval)
-	}
+	o.StartHistory(DefaultHistoryInterval)
 	go func() {
 		if err := o.ListenAndServe(*f.addr); err != nil {
 			log.Fatalf("obs server: %v", err)

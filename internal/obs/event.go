@@ -9,34 +9,14 @@ import (
 	"time"
 )
 
-// The flight recorder: a structured, leveled event log shared by all
-// planes. Events have a fixed schema (time, plane, kind, txn, device,
-// integer fields) and are appended to a bounded ring. Appending is
-// lock-cheap (one mutex, one slot copy) and allocation-free; the
-// disabled path (nil *Recorder, or an event below the minimum level) is
-// a single branch. Unlike /metrics, which exposes what *is*, the event
-// log records what *happened* — the evidence needed to reconstruct a
-// slow or wedged transaction after the fact.
-
-// Level classifies an event's verbosity. The zero value is LevelInfo,
-// so events are info-level unless explicitly marked Debug.
-type Level int32
-
-const (
-	// LevelDebug marks high-volume events (per-append WAL timings) that
-	// operators may filter out by raising the recorder's minimum level.
-	LevelDebug Level = -1
-	// LevelInfo is the default level.
-	LevelInfo Level = 0
-)
-
-// String renders the level for JSON exposition.
-func (l Level) String() string {
-	if l < LevelInfo {
-		return "debug"
-	}
-	return "info"
-}
+// The flight recorder: a structured event log shared by all planes.
+// Events have a fixed schema (time, plane, kind, txn, device, integer
+// fields) and are appended to a bounded ring. Appending is lock-cheap
+// (one mutex, one slot copy) and allocation-free; the disabled path (a
+// nil *Recorder) is a single branch, and an enabled recorder keeps every
+// event. Unlike /metrics, which exposes what *is*, the event log records
+// what *happened* — the evidence needed to reconstruct a slow or wedged
+// transaction after the fact.
 
 // Field is one integer measurement attached to an event or a stage.
 type Field struct {
@@ -102,7 +82,6 @@ type Event struct {
 	Time   time.Time
 	Plane  string
 	Kind   string
-	Level  Level
 	Txn    uint64
 	Device string
 
@@ -119,9 +98,6 @@ func (e Event) WithTxn(txn uint64) Event { e.Txn = txn; return e }
 // WithDevice tags the event with the device it concerns.
 func (e Event) WithDevice(dev string) Event { e.Device = dev; return e }
 
-// Debug lowers the event to debug level.
-func (e Event) Debug() Event { e.Level = LevelDebug; return e }
-
 // At stamps the event with an explicit time (Append otherwise uses the
 // append instant — pass the measurement time when they differ).
 func (e Event) At(t time.Time) Event { e.Time = t; return e }
@@ -135,7 +111,6 @@ type eventJSON struct {
 	Time   time.Time        `json:"time"`
 	Plane  string           `json:"plane"`
 	Kind   string           `json:"kind"`
-	Level  string           `json:"level,omitempty"`
 	Txn    uint64           `json:"txn,omitempty"`
 	Device string           `json:"device,omitempty"`
 	Fields map[string]int64 `json:"fields,omitempty"`
@@ -143,14 +118,10 @@ type eventJSON struct {
 
 // MarshalJSON renders the event with its fields as a JSON object.
 func (e Event) MarshalJSON() ([]byte, error) {
-	j := eventJSON{
+	return json.Marshal(eventJSON{
 		Seq: e.Seq, Time: e.Time, Plane: e.Plane, Kind: e.Kind,
 		Txn: e.Txn, Device: e.Device, Fields: e.Attrs(),
-	}
-	if e.Level != LevelInfo {
-		j.Level = e.Level.String()
-	}
-	return json.Marshal(j)
+	})
 }
 
 // UnmarshalJSON parses the wire form (tests and tooling; field order is
@@ -162,21 +133,17 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	}
 	*e = Event{Seq: j.Seq, Time: j.Time, Plane: j.Plane, Kind: j.Kind,
 		Txn: j.Txn, Device: j.Device}
-	if j.Level == "debug" {
-		e.Level = LevelDebug
-	}
 	e.setAttrs(j.Fields)
 	return nil
 }
 
-// DefaultEventCapacity bounds the ring when NewRecorder is given n <= 0.
-const DefaultEventCapacity = 4096
+// eventRingSize is an observer's ring, and NewRecorder's when given
+// n <= 0.
+const eventRingSize = 4096
 
 // Recorder is the bounded flight-recorder ring. A nil *Recorder is the
 // disabled state: Append is a no-op and dumps are empty.
 type Recorder struct {
-	minLevel atomic.Int32
-
 	mu  sync.Mutex
 	buf []Event // length is a power of two; slot = (seq-1) & mask
 	// mask is len(buf)-1, turning the ring-index modulo into an AND on
@@ -192,15 +159,13 @@ type Recorder struct {
 // up to a power of two so the ring index is a mask, not a modulo).
 func NewRecorder(n int) *Recorder {
 	if n <= 0 {
-		n = DefaultEventCapacity
+		n = eventRingSize
 	}
 	capPow2 := 1
 	for capPow2 < n {
 		capPow2 <<= 1
 	}
-	r := &Recorder{buf: make([]Event, capPow2), mask: uint64(capPow2 - 1)}
-	r.minLevel.Store(int32(LevelDebug))
-	return r
+	return &Recorder{buf: make([]Event, capPow2), mask: uint64(capPow2 - 1)}
 }
 
 // Total reports how many events have ever been appended (the
@@ -212,20 +177,11 @@ func (r *Recorder) Total() uint64 {
 	return r.next.Load()
 }
 
-// SetMinLevel drops subsequent events below l (default LevelDebug:
-// everything is recorded).
-func (r *Recorder) SetMinLevel(l Level) {
-	if r == nil {
-		return
-	}
-	r.minLevel.Store(int32(l))
-}
-
 // Append stamps the event with a sequence number (and the current time,
 // unless the caller already set one) and stores it, overwriting the
 // oldest event when the ring is full. Nil-safe and allocation-free.
 func (r *Recorder) Append(ev Event) {
-	if r == nil || int32(ev.Level) < r.minLevel.Load() {
+	if r == nil {
 		return
 	}
 	if ev.Time.IsZero() {

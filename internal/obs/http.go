@@ -42,8 +42,9 @@ var ErrNotFound = errors.New("not found")
 type Observer struct {
 	Registry *Registry
 	Tracer   *Tracer
-	// Recorder is the flight-recorder event ring (nil = events disabled;
-	// all emit sites are nil-safe).
+	// Recorder is the flight-recorder event ring, eventRingSize events
+	// deep on every observer (a nil observer's Rec() is nil, and all emit
+	// sites are nil-safe).
 	Recorder *Recorder
 	// Incidents pins slow-transaction captures (nil = capture disabled).
 	Incidents *IncidentStore
@@ -107,39 +108,24 @@ type Identity struct {
 	Start    time.Time `json:"start"`
 }
 
-// ObserverConfig sizes the flight-recorder event ring of an observer.
-// The zero value selects the default.
-type ObserverConfig struct {
-	// EventCapacity sizes the event ring; 0 selects
-	// DefaultEventCapacity, negative disables event recording entirely.
-	EventCapacity int
-}
-
 // NewObserver creates an enabled observer with default-sized registry,
 // tracer, event ring, incident store, history and watchdog.
 func NewObserver() *Observer {
-	return NewObserverWith(ObserverConfig{})
-}
-
-// NewObserverWith creates an enabled observer sized by cfg.
-func NewObserverWith(cfg ObserverConfig) *Observer {
 	o := &Observer{
 		Registry:  NewRegistry(),
 		Tracer:    NewTracer(0),
+		Recorder:  NewRecorder(eventRingSize),
 		Incidents: newIncidentStore(),
 		History:   newHistory(),
 		Watchdog:  newWatchdog(),
 		Profiler:  newRuleProfiler(),
 		start:     time.Now(),
 	}
-	if cfg.EventCapacity >= 0 {
-		o.Recorder = NewRecorder(cfg.EventCapacity)
-		// Scrape-time callback off the ring's own sequence counter: the
-		// append hot path pays no separate metrics atomic.
-		o.Registry.CounterFunc("obs_events_total",
-			"Flight-recorder events appended (including since-evicted ones).",
-			o.Recorder.Total)
-	}
+	// Scrape-time callback off the ring's own sequence counter: the
+	// append hot path pays no separate metrics atomic.
+	o.Registry.CounterFunc("obs_events_total",
+		"Flight-recorder events appended (including since-evicted ones).",
+		o.Recorder.Total)
 	o.mIncidents = o.Registry.Counter("obs_incidents_total",
 		"Slow-transaction incidents pinned by budget checks.")
 	o.mStalled = o.Registry.Gauge("obs_watchdog_stalled",

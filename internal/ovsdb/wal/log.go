@@ -502,7 +502,7 @@ func (l *Log) run() {
 			}
 			l.mAppends.Add(uint64(len(run)))
 			l.mAppendBytes.Add(uint64(len(l.wbuf)))
-			l.rec.Append(obs.Ev("ovsdb", "wal.append").Debug().
+			l.rec.Append(obs.Ev("ovsdb", "wal.append").
 				F("records", int64(len(run))).
 				F("bytes", int64(len(l.wbuf))))
 			for _, it := range run {

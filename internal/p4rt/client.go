@@ -162,14 +162,10 @@ func (c *Client) Write(updates ...Update) error {
 
 // WriteTxn is Write with the originating management-plane transaction
 // attached as optional wire metadata, so the device can extend the
-// transaction's trace with a switch-applied stage.
-// A zero txn sends the legacy bare-array form, byte-identical to what
-// pre-txn clients emit — safe against old servers.
+// transaction's trace with a switch-applied stage. A zero txn is left
+// off the wire.
 func (c *Client) WriteTxn(txn uint64, updates ...Update) error {
-	var params any = updateList(updates)
-	if txn != 0 {
-		params = WriteRequest{Txn: txn, Updates: updates}
-	}
+	params := WriteRequest{Txn: txn, Updates: updates}
 	// The reply to a successful write is an empty object; nothing to decode.
 	if !c.obsOn {
 		return c.conn.Call("write", params, nil)

@@ -69,12 +69,10 @@ type DigestList struct {
 	Txn uint64 `json:"txn,omitempty"`
 }
 
-// WriteRequest is the extended wire form of the write RPC, carrying the
-// originating management-plane transaction alongside the updates. The
-// legacy form is a bare JSON array of updates; servers accept both (the
-// same backward-compatibility trick as the optional third element of the
-// OVSDB update notification), and clients only emit the extended form
-// when they have a transaction to attach.
+// WriteRequest is the write RPC's params, one object as in P4Runtime's
+// WriteRequest message: the updates, and the originating
+// management-plane transaction when there is one (a zero Txn is left
+// off the wire, and a server that does not know the field ignores it).
 type WriteRequest struct {
 	Txn     uint64   `json:"txn,omitempty"`
 	Updates []Update `json:"updates"`

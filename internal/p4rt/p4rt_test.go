@@ -375,10 +375,9 @@ func (d *fakeTxnDevice) WriteTxn(txn uint64, updates []Update) error {
 	return d.Write(updates)
 }
 
-// TestWriteTxnWireForms pins the write RPC's two wire forms: WriteTxn
-// with a nonzero txn sends the extended WriteRequest object and lands on
-// the device's WriteTxn; txn 0 (and plain Write) sends the legacy bare
-// array and lands on Write, byte-compatible with old clients.
+// TestWriteTxnWireForms pins the write RPC's one wire form: WriteTxn
+// sends a WriteRequest object, which lands on the device's WriteTxn when
+// it carries a txn and on Write when the txn is 0 (as for plain Write).
 func TestWriteTxnWireForms(t *testing.T) {
 	dev := &fakeTxnDevice{fakeDevice: fakeDevice{info: &p4.P4Info{Program: "fake"}}}
 	_, addr := startServer(t, dev)
@@ -388,7 +387,7 @@ func TestWriteTxnWireForms(t *testing.T) {
 	if err := c.WriteTxn(42, upd); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WriteTxn(0, upd); err != nil { // degrades to the legacy array
+	if err := c.WriteTxn(0, upd); err != nil { // the object without its txn
 		t.Fatal(err)
 	}
 	if err := c.Write(upd); err != nil {
@@ -426,10 +425,9 @@ func TestWriteTxnLegacyDevice(t *testing.T) {
 	}
 }
 
-// TestWriteRequestDecodeForms drives the server's params discrimination
-// directly with raw JSON: object params decode as WriteRequest, array
-// params as a bare update list, and leading whitespace doesn't confuse
-// the sniff.
+// TestWriteRequestDecodeForms drives the server's params decode directly
+// with raw JSON: object params decode as WriteRequest, with or without a
+// txn and with leading whitespace, and a bare update array is refused.
 func TestWriteRequestDecodeForms(t *testing.T) {
 	for _, tc := range []struct {
 		raw     string
@@ -439,16 +437,29 @@ func TestWriteRequestDecodeForms(t *testing.T) {
 	}{
 		{raw: `{"txn":7,"updates":[]}`, txn: 7},
 		{raw: `  {"txn":7}`, txn: 7},
-		{raw: "\n\t[]"},
-		{raw: `[{"type":"insert"}]`, updates: 1},
+		{raw: "\n\t{\"updates\":[]}"},
+		{raw: `{"updates":[{"type":"insert"}]}`, updates: 1},
 		{raw: ` {"updates":[{"type":"delete"},{"type":"insert"}]}`, updates: 2},
 		{raw: ``, bad: true},
+		{raw: "\n\t[]", bad: true},
+		{raw: `[{"type":"insert"}]`, bad: true},
 	} {
 		updates, txn, err := parseWrite([]byte(tc.raw))
 		if (err != nil) != tc.bad || txn != tc.txn || len(updates) != tc.updates {
 			t.Errorf("parseWrite(%q) = %d updates, txn %d, err %v; want %d, %d, bad=%v",
 				tc.raw, len(updates), txn, err, tc.updates, tc.txn, tc.bad)
 		}
+	}
+	// A bare update array is not a WriteRequest: the server answers bad
+	// params and writes nothing.
+	dev := &fakeDevice{info: &p4.P4Info{Program: "fake"}}
+	srv := NewServer(dev)
+	defer srv.Close()
+	if _, rpcErr := srv.handle(nil, "write", []byte(`[{"type":"insert","entry":{"table":"t","action":"a"}}]`)); rpcErr == nil || rpcErr.Code != "bad params" {
+		t.Fatalf("bare-array write: error %v, want bad params", rpcErr)
+	}
+	if len(dev.writes) != 0 {
+		t.Fatalf("bare-array write reached the device: %+v", dev.writes)
 	}
 }
 

@@ -13,23 +13,6 @@ import (
 // json.Marshal makes of the same values, and the decoders accept what
 // json.Unmarshal accepts: wire_test.go holds both to that.
 
-// updateList is the legacy bare-array form of the write params.
-type updateList []Update
-
-func (us updateList) AppendJSON(dst []byte) ([]byte, error) {
-	if us == nil {
-		return append(dst, "null"...), nil
-	}
-	dst = append(dst, '[')
-	for i := range us {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendUpdate(dst, &us[i])
-	}
-	return append(dst, ']'), nil
-}
-
 // AppendJSON renders the request as json.Marshal does.
 func (r WriteRequest) AppendJSON(dst []byte) ([]byte, error) {
 	dst = append(dst, '{')
@@ -37,8 +20,18 @@ func (r WriteRequest) AppendJSON(dst []byte) ([]byte, error) {
 		dst = strconv.AppendUint(append(dst, `"txn":`...), r.Txn, 10)
 		dst = append(dst, ',')
 	}
-	dst, _ = updateList(r.Updates).AppendJSON(append(dst, `"updates":`...))
-	return append(dst, '}'), nil
+	dst = append(dst, `"updates":`...)
+	if r.Updates == nil {
+		return append(dst, "null}"...), nil
+	}
+	dst = append(dst, '[')
+	for i := range r.Updates {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendUpdate(dst, &r.Updates[i])
+	}
+	return append(dst, "]}"...), nil
 }
 
 func appendUpdate(dst []byte, u *Update) []byte {
@@ -123,28 +116,22 @@ func (dl DigestList) AppendJSON(dst []byte) ([]byte, error) {
 	return append(dst, '}'), nil
 }
 
-// parseWrite decodes the write params in either wire form: the legacy
-// bare update array, or the WriteRequest object carrying the
-// originating transaction. Nothing it returns aliases params.
+// parseWrite decodes the write params, a WriteRequest object. Nothing
+// it returns aliases params.
 func parseWrite(params []byte) (updates []Update, txn uint64, err error) {
 	var w writeDecoder
 	w.d.Init(params)
-	if w.d.Kind() == '{' {
-		var req WriteRequest
-		w.d.Object()
+	if !w.d.Null() && w.d.Object() {
 		for k := w.d.Key(); k != nil; k = w.d.Key() {
 			switch wirejson.Field(k, "txn", "updates") {
 			case 0:
-				wirejson.Uint(&w.d, &req.Txn)
+				wirejson.Uint(&w.d, &txn)
 			case 1:
-				wirejson.Slice(&w.d, &req.Updates, w.update)
+				wirejson.Slice(&w.d, &updates, w.update)
 			default:
 				w.d.Skip()
 			}
 		}
-		updates, txn = req.Updates, req.Txn
-	} else {
-		wirejson.Slice(&w.d, &updates, w.update)
 	}
 	return updates, txn, w.d.End()
 }

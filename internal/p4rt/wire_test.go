@@ -13,16 +13,12 @@ import (
 	"repro/internal/p4"
 )
 
-// oracleWrite is the write handler's decode as it was under
-// encoding/json: sniff the first byte, then Unmarshal the matching form.
+// oracleWrite is the write handler's decode under encoding/json: the
+// params are one WriteRequest object.
 func oracleWrite(params []byte) (updates []Update, txn uint64, err error) {
-	if trimmed := bytes.TrimLeft(params, " \t\r\n"); len(trimmed) > 0 && trimmed[0] == '{' {
-		var req WriteRequest
-		err = json.Unmarshal(params, &req)
-		return req.Updates, req.Txn, err
-	}
-	err = json.Unmarshal(params, &updates)
-	return updates, 0, err
+	var req WriteRequest
+	err = json.Unmarshal(params, &req)
+	return req.Updates, req.Txn, err
 }
 
 func mustMarshal(t *testing.T, v any) []byte {
@@ -35,7 +31,7 @@ func mustMarshal(t *testing.T, v any) []byte {
 }
 
 // checkWrite holds parseWrite to encoding/json on one params text, and
-// both encoders to json.Marshal on what it decoded.
+// the encoder to json.Marshal on what it decoded.
 func checkWrite(t *testing.T, params []byte) {
 	t.Helper()
 	want, wantTxn, wantErr := oracleWrite(params)
@@ -48,9 +44,6 @@ func checkWrite(t *testing.T, params []byte) {
 	}
 	if txn != wantTxn || !reflect.DeepEqual(got, want) {
 		t.Fatalf("parseWrite(%q) = %+v txn %d, encoding/json: %+v txn %d", params, got, txn, want, wantTxn)
-	}
-	if text, _ := updateList(got).AppendJSON(nil); !bytes.Equal(text, mustMarshal(t, want)) {
-		t.Fatalf("updateList.AppendJSON = %s, json.Marshal: %s", text, mustMarshal(t, want))
 	}
 	req := WriteRequest{Txn: txn, Updates: got}
 	if text, _ := req.AppendJSON(nil); !bytes.Equal(text, mustMarshal(t, req)) {
@@ -88,18 +81,34 @@ func checkDigest(t *testing.T, params []byte) {
 	}
 }
 
-var writeSeeds = []string{
-	`[]`, `null`, ` [ ] `, `{}`, `{"txn":7}`, `{"updates":null,"txn":0}`, `[null]`, `[{}]`,
+// updateLists are update arrays, each seeded both as a WriteRequest's
+// updates and bare, the form the write RPC refuses.
+var updateLists = []string{
+	`[]`, ` [ ] `, `[null]`, `[{}]`,
 	`[{"type":"insert","entry":{"table":"t","matches":[],"priority":-3,"action":"a<b>","params":[]}}]`,
 	`[{"type":"modify","entry":{"table":"é","matches":null,"action":"","params":[18446744073709551615]}},{"type":"delete","entry":null,"multicast":{"group":65535,"ports":[]}}]`,
 	`[{"type":"weird","multicast":{"group":1,"ports":null}},{"TYPE":"insert","Entry":{"TABLE":"t","Matches":[{"value":1,"MASK":2,"prefixlen":3,"wildcard":true}]}}]`,
 	`[{"entry":{"table":"a","matches":[{"Value":1,"Mask":2},{"Value":3}]},"entry":{"action":"b","matches":[{"Mask":9}]}}]`,
 	`[{"type":"insert","type":null,"entry":{"params":[1,2,3],"params":[null,7]},"unknown":[{"x":[1,{"y":null}]}]}]`,
+	// Refused in either shape.
+	`[`, `[{]`, `[{"type":1}]`, `[{"entry":[]}]`, `[{"entry":{"priority":1.5}}]`,
+	`[{"entry":{"matches":[{"Value":-1}]}}]`, `[{"entry":{"matches":[{"Wildcard":0}]}}]`, `[{"multicast":{"group":65536}}]`,
+	`[{"multicast":{"ports":[70000]}}]`, `[{"entry":{"params":[1e3]}}]`, `[7]`,
+}
+
+var writeSeeds = append([]string{
+	`null`, `{}`, `{"txn":7}`, `{"updates":null,"txn":0}`,
 	`{"txn":18446744073709551615,"updates":[{"type":"insert"}],"updates":[{"entry":{}}]}`, `{"Txn":1,"UPDATES":[]}`,
 	// Refused by both.
-	``, `[`, `[{]`, `{"txn":-1}`, `{"txn":1.0}`, `{"txn":"1"}`, `[{"type":1}]`, `[{"entry":[]}]`, `[{"entry":{"priority":1.5}}]`,
-	`[{"entry":{"matches":[{"Value":-1}]}}]`, `[{"entry":{"matches":[{"Wildcard":0}]}}]`, `[{"multicast":{"group":65536}}]`,
-	`[{"multicast":{"ports":[70000]}}]`, `[{"entry":{"params":[1e3]}}]`, `[{"type":"insert"}] x`, `"str"`, `7`, `[7]`, `{"updates":{}}`,
+	``, `{"txn":-1}`, `{"txn":1.0}`, `{"txn":"1"}`, `{"updates":[{"type":"insert"}]} x`, `"str"`, `7`, `{"updates":{}}`,
+}, wrapUpdateLists()...)
+
+func wrapUpdateLists() []string {
+	var out []string
+	for _, us := range updateLists {
+		out = append(out, us, `{"txn":3,"updates":`+us+`}`)
+	}
+	return out
 }
 
 var digestSeeds = []string{
@@ -122,8 +131,9 @@ func TestWireDifferential(t *testing.T) {
 	// Values the encoders see that no decode produces: nil slices inside.
 	for _, us := range [][]Update{nil, {}, {{Type: "insert", Entry: &TableEntry{}}},
 		{{Entry: &TableEntry{Matches: []p4.FieldMatch{{Value: 1, PrefixLen: -1, Wildcard: true}}, Priority: 7, Params: []uint64{0}}, Multicast: &MulticastGroup{}}}} {
-		if text, _ := updateList(us).AppendJSON(nil); !bytes.Equal(text, mustMarshal(t, us)) {
-			t.Errorf("updateList.AppendJSON = %s, json.Marshal: %s", text, mustMarshal(t, us))
+		req := WriteRequest{Updates: us}
+		if text, _ := req.AppendJSON(nil); !bytes.Equal(text, mustMarshal(t, req)) {
+			t.Errorf("WriteRequest.AppendJSON = %s, json.Marshal: %s", text, mustMarshal(t, req))
 		}
 	}
 	for _, dl := range []DigestList{{}, {Messages: [][]uint64{nil, {}}}, {Digest: "\"<", Txn: 1}} {
@@ -151,11 +161,12 @@ func TestFieldMatchWireForms(t *testing.T) {
 		{"optional concrete", p4.FieldMatch{Value: 7}, `{"Value":7}`},
 	} {
 		us := []Update{InsertEntry(TableEntry{Table: "t", Matches: []p4.FieldMatch{c.m}, Action: "a"})}
-		want := `[{"type":"insert","entry":{"table":"t","matches":[` + c.compact + `],"action":"a"}}]`
-		if text, _ := updateList(us).AppendJSON(nil); string(text) != want {
+		req := WriteRequest{Updates: us}
+		want := `{"updates":[{"type":"insert","entry":{"table":"t","matches":[` + c.compact + `],"action":"a"}}]}`
+		if text, _ := req.AppendJSON(nil); string(text) != want {
 			t.Errorf("%s: AppendJSON = %s, want %s", c.kind, text, want)
 		}
-		if text := mustMarshal(t, us); string(text) != want {
+		if text := mustMarshal(t, req); string(text) != want {
 			t.Errorf("%s: json.Marshal = %s, want %s", c.kind, text, want)
 		}
 		full := fmt.Sprintf(`{"Value":%d,"Mask":%d,"PrefixLen":%d,"Wildcard":%t}`, c.m.Value, c.m.Mask, c.m.PrefixLen, c.m.Wildcard)
@@ -202,7 +213,7 @@ func TestWriteKeepsNoAliasIntoReadBuffer(t *testing.T) {
 	second := []Update{InsertEntry(TableEntry{Table: strings.Repeat("S", 400), Action: strings.Repeat("A", 400)})}
 	replies := json.NewDecoder(b)
 	for i, us := range [][]Update{first, second} {
-		req := mustMarshal(t, map[string]any{"method": "write", "params": us, "id": i})
+		req := mustMarshal(t, map[string]any{"method": "write", "params": WriteRequest{Updates: us}, "id": i})
 		b.SetDeadline(time.Now().Add(5 * time.Second))
 		if _, err := b.Write(req); err != nil {
 			t.Fatal(err)

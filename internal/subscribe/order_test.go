@@ -219,7 +219,7 @@ func TestExactlyOnceInCommitOrder(t *testing.T) {
 	)
 	seed := time.Now().UnixNano()
 	t.Logf("seed %d", seed)
-	svc := New(Config{QueueLen: queueLen, WriteLimit: 1024})
+	svc := New(Config{QueueLen: queueLen})
 	defer svc.Close()
 
 	kick := make(chan struct{}, 1)

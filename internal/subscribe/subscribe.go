@@ -70,17 +70,17 @@ import (
 // Config.QueueLen is zero.
 const defaultQueueLen = 256
 
-// defaultWriteLimit caps a connection's JSON-RPC write queue when
-// Config.WriteLimit is zero.
-const defaultWriteLimit = 4096
+// writeLimit caps each connection's JSON-RPC write queue (the layer
+// below the pending updates; it backstops replies and eviction notices
+// too). Overflow fails the connection.
+const writeLimit = 4096
 
-// defaultSoftLimit is where a connection's delivery goroutine stops
-// feeding its congested JSON-RPC write queue and instead lets its
-// subscribers' pending counts fill (and evict). It sits well below the
-// hard write limit so slowness surfaces as subscriber eviction — which
-// the client can recover from with a resubscribe — rather than
-// connection failure.
-const defaultSoftLimit = 64
+// softLimit is where a connection's delivery goroutine stops feeding its
+// congested JSON-RPC write queue and instead lets its subscribers'
+// pending counts fill (and evict). It sits well below writeLimit so
+// slowness surfaces as subscriber eviction — which the client can
+// recover from with a resubscribe — rather than connection failure.
+const softLimit = 64
 
 // Config tunes one Service.
 type Config struct {
@@ -88,11 +88,6 @@ type Config struct {
 	// and not yet sent); a delta arriving at a full count evicts the
 	// subscriber. 0 selects the default (256).
 	QueueLen int
-	// WriteLimit caps each connection's JSON-RPC write queue (the layer
-	// below the pending updates; it backstops replies and eviction
-	// notices too). 0 selects the default (4096); negative disables the
-	// cap. Overflow fails the connection.
-	WriteLimit int
 	// Obs receives sub_* metrics, subscriber.evict events, and the
 	// /debug/subscribers endpoint. nil disables instrumentation.
 	Obs *obs.Observer
@@ -250,9 +245,6 @@ type Service struct {
 	*jsonrpc.Server
 	cfg Config
 	rec *obs.Recorder
-	// softLimit is the write-queue depth at which delivery goroutines
-	// pause (see defaultSoftLimit; derived from cfg.WriteLimit).
-	softLimit int
 
 	mu      sync.Mutex
 	rels    map[string]*relState
@@ -280,19 +272,11 @@ func New(cfg Config) *Service {
 		cfg.QueueLen = defaultQueueLen
 	}
 	s := &Service{
-		cfg:       cfg,
-		rec:       cfg.Obs.Rec(),
-		softLimit: defaultSoftLimit,
-		rels:      make(map[string]*relState),
+		cfg:  cfg,
+		rec:  cfg.Obs.Rec(),
+		rels: make(map[string]*relState),
 	}
-	limit := cfg.WriteLimit
-	if limit == 0 {
-		limit = defaultWriteLimit
-	}
-	if limit > 0 && s.softLimit > limit/2 {
-		s.softLimit = max(limit/2, 1)
-	}
-	s.Server = jsonrpc.NewServer(limit, func(c *jsonrpc.Conn) (jsonrpc.Handler, func()) {
+	s.Server = jsonrpc.NewServer(writeLimit, func(c *jsonrpc.Conn) (jsonrpc.Handler, func()) {
 		cs := &connState{svc: s, conn: c, remote: c.RemoteAddr(), subs: make(map[uint64]*subscriber),
 			wake: make(chan struct{}, 1), delivered: make(chan struct{})}
 		go cs.deliver()
@@ -493,7 +477,7 @@ func (cs *connState) deliver() {
 		case <-cs.conn.Done():
 			return
 		}
-		for cs.conn.WaitQueueBelow(s.softLimit) {
+		for cs.conn.WaitQueueBelow(softLimit) {
 			s.mu.Lock()
 			if cs.head == len(cs.pending) {
 				cs.pending, cs.head = cs.pending[:0], 0

@@ -223,7 +223,7 @@ func (t *throttle) Close() error {
 // evicted client sees the sub_evicted notice and resubscribes into a
 // fresh, complete snapshot.
 func TestSlowConsumerEviction(t *testing.T) {
-	svc := New(Config{QueueLen: 4, WriteLimit: 1024})
+	svc := New(Config{QueueLen: 4})
 	defer svc.Close()
 
 	healthy := pair(t, svc)
@@ -646,7 +646,7 @@ func TestParseFilterKeys(t *testing.T) {
 // subscription is either read under its id or counted in the eviction
 // notice's "pending" — never both.
 func TestEvictionWithholdsPendingUpdates(t *testing.T) {
-	svc := New(Config{QueueLen: 4, WriteLimit: 1024})
+	svc := New(Config{QueueLen: 4})
 	defer svc.Close()
 	a, b := net.Pipe()
 	th := newThrottle(a)
